@@ -8,6 +8,10 @@ polynomials are the special case q = 1 with d an even integer; they are
 evaluated with signed powers x**alpha.  Every other case is a generalized
 polynomial evaluated with |x|**alpha, positively homogeneous of degree d.
 
+Every evaluation goes through one monomial kernel, ``monomials``: integer
+powers of one base per lattice (x when classical, |x|**(1/q) otherwise) over
+an exponent matrix and coefficient vector precomputed at construction.
+
 Two coefficient conventions are supported.  In the monomial convention the
 stored coefficient multiplies x**alpha directly.  In the multinomial
 convention (q = 1 only) the stored coefficient g_alpha belongs to the term
@@ -58,6 +62,23 @@ def enumerate_indices(n: int, total: int, q: int = 1) -> list[Exponent]:
 def count_indices(n: int, total: int) -> int:
     """Stars-and-bars count C(n - 1 + total, total) of enumerate_indices."""
     return math.comb(n - 1 + total, total)
+
+
+def monomials(base, exponents) -> np.ndarray:
+    """Monomials prod_i base[:, i] ** exponents[t, i], shape (T, N), at N points (N, n).
+
+    The integer powers of every variable come from one power table built by
+    repeated multiplication, so 0**0 = 1 and signed bases keep their signs.
+    """
+    base = np.asarray(base, dtype=float).T
+    table = np.empty((int(exponents.max(initial=0)) + 1,) + base.shape)
+    table[0] = 1.0
+    for p in range(1, len(table)):
+        np.multiply(table[p - 1], base, out=table[p])
+    out = table[exponents[:, 0], 0]
+    for i in range(1, len(base)):
+        out *= table[exponents[:, i], i]
+    return out
 
 
 def multinomial_coefficient(alpha: Iterable[int]) -> int:
@@ -159,13 +180,22 @@ class GeneralizedPolynomial:
             clean[alpha] = float(coeff)
         # read-only view: instances are shared freely across workers
         object.__setattr__(self, "terms", MappingProxyType(clean))
+        # kernel data outside the dataclass fields: exponent matrix A and the
+        # monomial-convention coefficients c of the nonzero terms
+        live = [a for a, c in clean.items() if c != 0.0]
+        exponents = np.array(live, dtype=np.intp).reshape(len(live), self.n)
+        coeffs = np.array([self.monomial_coefficient(a) for a in live], dtype=float)
+        for name, value in (("_exponents", exponents), ("_coeffs", coeffs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_classical", self.q == 1 and target % 2 == 0)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_classical(self) -> bool:
         """True when this is an ordinary homogeneous polynomial of even degree."""
-        return self.q == 1 and self.degree.denominator == 1 and self.degree % 2 == 0
+        return self._classical
 
     @property
     def degree_float(self) -> float:
@@ -214,6 +244,10 @@ class GeneralizedPolynomial:
         terms = {a: lam * c for a, c in self.terms.items()}
         return GeneralizedPolynomial(self.n, self.degree, self.q, terms, self.convention)
 
+    def lattice_base(self, x) -> np.ndarray:
+        """x if classical, else |x|**(1/q): the base whose integer powers A give x**(A/q)."""
+        return x if self._classical else np.abs(x) ** (1.0 / self.q)
+
     def evaluate(self, x) -> float | np.ndarray:
         """Evaluate at one point of shape (n,) or a batch of shape (..., n).
 
@@ -224,23 +258,11 @@ class GeneralizedPolynomial:
         arr = np.asarray(x, dtype=float)
         if arr.shape[-1] != self.n:
             raise ValueError(f"point has dimension {arr.shape[-1]}, expected {self.n}")
-        classical = self.is_classical
-        base = arr if classical else np.abs(arr)
-        out = np.zeros(arr.shape[:-1], dtype=float)
-        for alpha, coeff in self.terms.items():
-            if self.convention == MULTINOMIAL:
-                coeff = coeff * multinomial_coefficient(alpha)
-            if coeff == 0.0:
-                continue
-            if classical:
-                term = np.prod(base ** np.asarray(alpha, dtype=int), axis=-1)
-            else:
-                exps = np.asarray(alpha, dtype=float) / self.q
-                term = np.prod(base ** exps, axis=-1)
-            out = out + coeff * term
-        if out.ndim == 0:
-            return float(out)
-        return out
+        flat = arr.reshape(-1, self.n)
+        out = self._coeffs @ monomials(self.lattice_base(flat), self._exponents)
+        if arr.ndim == 1:
+            return float(out[0])
+        return out.reshape(arr.shape[:-1])
 
     def __call__(self, x):
         return self.evaluate(x)

@@ -12,7 +12,9 @@ moments of G have two equivalent expressions that the backends exploit:
         = (n + |alpha|)^-1 * integral_S theta^alpha h(theta)^-(n+|alpha|)/d dsigma,
   with h the restriction of g to the sphere, which drives the deterministic
   spherical backend (periodic trapezoid for n = 2, product Gauss-Legendre
-  for n = 3).
+  for n = 3).  Sphere grids are cached read-only per (n, budget), and the
+  moments sharing k = n + |alpha| share one radial weight w * h**(-k/d).
+Every backend evaluates g and x^alpha through the one monomial kernel.
 
 A slow grid indicator oracle provides an independent cross-check.  All
 estimates carry a standard error: zero for the spherical backend,
@@ -21,6 +23,7 @@ statistical for Monte Carlo, and a boundary-cell bound for the grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
@@ -35,6 +38,7 @@ from .polynomials import (
     Exponent,
     GeneralizedPolynomial,
     enumerate_indices,
+    monomials,
     multinomial_coefficient,
 )
 from .serialize import serialize_polynomial
@@ -47,6 +51,8 @@ CLOSED_FORM = "closed_form"
 DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000}
 
 _MC_BATCH = 1 << 16
+_GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
+_GATE_BUDGET = 2048  # sphere grid screened by the n = 3 feasibility gate
 
 
 class InfiniteVolumeError(ValueError):
@@ -193,16 +199,16 @@ def _symmetry_zero(g: GeneralizedPolynomial, alpha: Exponent) -> bool:
 # -- spherical backend --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _sphere_grid(n: int, budget: int):
-    """Quadrature directions and weights on the unit sphere S^(n-1)."""
+    """Quadrature directions and weights on the unit sphere S^(n-1), read-only."""
     if n == 2:
         nodes = max(16, int(budget))
         nodes -= nodes % 4  # multiple of 4 keeps coordinate symmetries exact
         theta = 2.0 * math.pi * np.arange(nodes) / nodes
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         weights = np.full(nodes, 2.0 * math.pi / nodes)
-        return dirs, weights
-    if n == 3:
+    elif n == 3:
         half = max(4, int(round(math.sqrt(max(budget, 32) / 2.0))))
         azim = 2 * half
         u, wu = np.polynomial.legendre.leggauss(half)  # u = cos(polar angle)
@@ -212,16 +218,13 @@ def _sphere_grid(n: int, budget: int):
         dirs[..., 0] = s[:, None] * np.cos(psi)[None, :]
         dirs[..., 1] = s[:, None] * np.sin(psi)[None, :]
         dirs[..., 2] = u[:, None]
+        dirs = dirs.reshape(-1, 3)
         weights = np.repeat(wu * (2.0 * math.pi / azim), azim)
-        return dirs.reshape(-1, 3), weights
-    raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
-
-
-def _direction_powers(g: GeneralizedPolynomial, alpha: Exponent, dirs: np.ndarray):
-    if g.is_classical:
-        return np.prod(dirs ** np.asarray(alpha, dtype=int), axis=-1)
-    exps = np.asarray(alpha, dtype=float) / g.q
-    return np.prod(np.abs(dirs) ** exps, axis=-1)
+    else:
+        raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
+    for arr in (dirs, weights):
+        arr.setflags(write=False)
+    return dirs, weights
 
 
 def _spherical_estimate(g: GeneralizedPolynomial, alphas, budget: int):
@@ -237,17 +240,15 @@ def _spherical_estimate(g: GeneralizedPolynomial, alphas, budget: int):
     vol = float(np.dot(w, h ** (-n / d)) / n)
     volume = VolumeEstimate(vol, 0.0, SPHERICAL, len(w))
     moments: dict[Exponent, tuple[float, float]] = {}
-    radial_pow: dict[float, np.ndarray] = {}
-    for alpha in alphas:
-        alpha = tuple(alpha)
+    by_k: dict[float, list[Exponent]] = {}
+    for alpha in map(tuple, alphas):
         if _symmetry_zero(g, alpha):
             moments[alpha] = (0.0, 0.0)
-            continue
-        k = n + sum(alpha) / g.q
-        if k not in radial_pow:
-            radial_pow[k] = h ** (-k / d)
-        value = float(np.dot(w, _direction_powers(g, alpha, dirs) * radial_pow[k]) / k)
-        moments[alpha] = (value, 0.0)
+        else:
+            by_k.setdefault(n + sum(alpha) / g.q, []).append(alpha)
+    for k, group in by_k.items():
+        values = monomials(g.lattice_base(dirs), np.array(group)) @ (w * h ** (-k / d)) / k
+        moments.update((a, (float(v), 0.0)) for a, v in zip(group, values))
     return volume, moments
 
 
@@ -266,13 +267,9 @@ def _reference_ratio_minimum(g: GeneralizedPolynomial, seed: int) -> float:
     t = rng.gamma(1.0 / d, 1.0, size=(4096, n))
     x = t ** (1.0 / d) * (rng.integers(0, 2, size=(4096, n)) * 2 - 1)
     ratios = np.asarray(g.evaluate(x), dtype=float) / t.sum(axis=1)
-    smallest = float(ratios.min())
-    probes = [np.ones(n), -np.ones(n)]
-    probes.extend(sign * row for row in np.eye(n) for sign in (1.0, -1.0))
-    for v in probes:
-        reference = float(np.sum(np.abs(v) ** d))
-        smallest = min(smallest, float(g.evaluate(v)) / reference)
-    return smallest
+    probes = np.vstack([np.ones(n), -np.ones(n), np.eye(n), -np.eye(n)])
+    ratios = np.append(ratios, g.evaluate(probes) / np.sum(np.abs(probes) ** d, axis=1))
+    return float(ratios.min())
 
 
 def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
@@ -305,15 +302,14 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
     sum_w2 = 0.0
     sums = np.zeros(len(live))
     sums2 = np.zeros(len(live))
-    exps = [np.asarray(a, dtype=float) / (g.q * d) for a in live]
+    exponents = np.array(live, dtype=np.intp).reshape(len(live), n)
     n_batches = (budget + _MC_BATCH - 1) // _MC_BATCH
     for b in range(n_batches):
         size = min(_MC_BATCH, budget - b * _MC_BATCH)
         rng = np.random.default_rng([max(0, int(seed)), b])
         t = rng.gamma(1.0 / d, 1.0, size=(size, n))
         x = t ** (1.0 / d)
-        signs = rng.integers(0, 2, size=(size, n)) * 2 - 1
-        x *= signs
+        x *= rng.integers(0, 2, size=(size, n)) * 2 - 1
         excess = np.asarray(g.evaluate(x), dtype=float) - t.sum(axis=1)
         if np.min(excess) < -700.0:
             raise InfiniteVolumeError(
@@ -323,16 +319,9 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
         w = np.exp(-excess)
         sum_w += float(w.sum())
         sum_w2 += float((w * w).sum())
-        for i, a in enumerate(live):
-            # |x_i|^(a_i/q) = t_i^(a_i/(q d)); classical moments restore the sign
-            f = np.prod(t ** exps[i], axis=1)
-            if g.is_classical:
-                odd = np.asarray(a, dtype=int) % 2
-                if odd.any():
-                    f = f * np.prod(signs**odd, axis=1)
-            fw = f * w
-            sums[i] += float(fw.sum())
-            sums2[i] += float((fw * fw).sum())
+        fw = monomials(g.lattice_base(x), exponents) * w
+        sums += fw.sum(axis=1)
+        sums2 += (fw * fw).sum(axis=1)
     ess = sum_w**2 / sum_w2 if sum_w2 > 0 else 0.0
     if ess < 0.01 * budget:
         warnings.warn(
@@ -398,6 +387,7 @@ def _grid_estimate(
     live = [a for a in alphas if not _symmetry_zero(g, a)]
     sums = np.zeros(len(live))
     fmax = np.zeros(len(live))
+    exponents = np.array(live, dtype=np.intp).reshape(len(live), n)
     inside_mask = np.empty((m,) * n, dtype=bool)
     tail = np.stack(
         np.meshgrid(*([corners] * (n - 1)), indexing="ij"), axis=-1
@@ -415,15 +405,9 @@ def _grid_estimate(
         inside = np.asarray(g.evaluate(pts), dtype=float) <= 1.0
         inside_mask[i0] = inside.reshape(inside_mask.shape[1:])
         if inside.any() and live:
-            chosen = pts[inside]
-            base = chosen if g.is_classical else np.abs(chosen)
-            for i, a in enumerate(live):
-                if g.is_classical:
-                    f = np.prod(base ** np.asarray(a, dtype=int), axis=-1)
-                else:
-                    f = np.prod(base ** (np.asarray(a, dtype=float) / g.q), axis=-1)
-                sums[i] += float(f.sum())
-                fmax[i] = max(fmax[i], float(np.abs(f).max()))
+            f = monomials(g.lattice_base(pts[inside]), exponents)
+            sums += f.sum(axis=1)
+            fmax = np.maximum(fmax, np.abs(f).max(axis=1))
         if n == 1:
             break
     count = int(np.count_nonzero(inside_mask))
@@ -537,11 +521,8 @@ def grad_volume(
     basis = enumerate_indices(g.n, int(g.degree * g.q))
     _, moments = _estimate(g, basis, backend, budget, seed)
     factor = -(g.n + g.degree_float) / g.degree_float
-    out = {}
-    for alpha in basis:
-        c = multinomial_coefficient(alpha) if g.convention == "multinomial" else 1.0
-        out[alpha] = factor * c * moments[alpha][0]
-    return out
+    weight = multinomial_coefficient if g.convention == "multinomial" else lambda a: 1.0
+    return {a: factor * weight(a) * moments[a][0] for a in basis}
 
 
 def moment_matrix(
@@ -565,19 +546,11 @@ def moment_matrix(
             )
         half_degree = int(twice) // 2
     basis = enumerate_indices(g.n, int(half_degree))
-    gammas = sorted(
-        {tuple(a + b for a, b in zip(alpha, beta)) for alpha in basis for beta in basis},
-        reverse=True,
-    )
+    keys = [[tuple(a + b for a, b in zip(alpha, beta)) for beta in basis] for alpha in basis]
+    gammas = sorted({key for row in keys for key in row}, reverse=True)
     est, moments = _estimate(g, gammas, backend, budget, seed)
-    size = len(basis)
-    values = np.zeros((size, size))
-    errors = np.zeros((size, size))
-    for i, alpha in enumerate(basis):
-        for j in range(i, size):
-            key = tuple(a + b for a, b in zip(alpha, basis[j]))
-            values[i, j] = values[j, i] = moments[key][0]
-            errors[i, j] = errors[j, i] = moments[key][1]
+    values = np.array([[moments[key][0] for key in row] for row in keys])
+    errors = np.array([[moments[key][1] for key in row] for row in keys])
     return MomentMatrix(tuple(basis), values, errors, g.q, est)
 
 
@@ -646,7 +619,8 @@ def finite_volume_test(
             return float("inf")
         return float(g.evaluate(v / norm))
 
-    smin = math.inf
+    # every grid node is a unit direction, so a negative grid value is proof
+    smin = float(g.evaluate(_sphere_grid(3, _GATE_BUDGET)[0]).min()) if n == 3 else math.inf
     for v0 in starts[: max(restarts, n + 1)]:
         res = optimize.minimize(
             objective, v0, method="Nelder-Mead",

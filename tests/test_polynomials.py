@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from ballrep import (
     ld_polynomial,
     multinomial_coefficient,
     norms,
+    serialize_polynomial,
 )
 
 
@@ -123,6 +125,92 @@ class TestEvaluate:
     def test_classical_odd_power_signs(self):
         g = GeneralizedPolynomial(2, 4, 1, {(3, 1): 1.0})
         assert g.evaluate([2.0, -1.0]) == pytest.approx(-8.0)
+
+
+def _term_by_term(g, x):
+    """Reference value and term-magnitude scale: one float power per term."""
+    x = np.asarray(x, dtype=float)
+    value = np.zeros(x.shape[:-1])
+    scale = np.zeros(x.shape[:-1])
+    for alpha, coeff in g.terms.items():
+        if g.convention == "multinomial":
+            coeff = coeff * multinomial_coefficient(alpha)
+        if g.is_classical:
+            term = coeff * np.prod(x ** np.asarray(alpha), axis=-1)
+        else:
+            term = coeff * np.prod(np.abs(x) ** (np.asarray(alpha) / g.q), axis=-1)
+        value += term
+        scale += np.abs(term)
+    return value, scale
+
+
+@st.composite
+def _kernel_cases(draw):
+    kind = draw(st.sampled_from(["classical", "multinomial", "q2", "q4"]))
+    n = draw(st.integers(1, 3))
+    if kind in ("classical", "multinomial"):
+        q, total = 1, draw(st.sampled_from([2, 4, 6]))
+    else:
+        q, total = int(kind[1]), draw(st.integers(1, 8))
+    basis = enumerate_indices(n, total)
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(basis), max_size=len(basis)))
+    convention = "multinomial" if kind == "multinomial" else "monomial"
+    g = GeneralizedPolynomial(n, Fraction(total, q), q, dict(zip(basis, coeffs)), convention)
+    # exact zeros exercise 0**0; negative entries meet odd classical exponents
+    coordinate = st.just(0.0) | st.floats(1e-3, 3.0).flatmap(lambda v: st.sampled_from([v, -v]))
+    points = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=6))
+    return g, np.array(points), draw(st.booleans())
+
+
+class TestMonomialKernel:
+    @given(_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_term_by_term_reference(self, case):
+        g, points, single = case
+        if single:
+            got = g.evaluate(points[0])
+            assert isinstance(got, float)
+            want, scale = _term_by_term(g, points[0])
+        else:
+            got = g.evaluate(points)
+            assert got.shape == (len(points),)
+            want, scale = _term_by_term(g, points)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("x", [[0.0, -2.0, 0.5], [-1.5, 0.0, 0.0], [-0.7, -1.1, 2.0]])
+    def test_zero_and_negative_coordinates(self, x):
+        g = GeneralizedPolynomial(
+            3, 4, 1, {(3, 1, 0): 1.5, (1, 0, 3): -0.5, (0, 0, 4): 1.0, (1, 1, 2): 2.0}
+        )
+        want, scale = _term_by_term(g, x)
+        assert abs(g.evaluate(x) - want) <= 1e-12 * scale
+        np.testing.assert_allclose(g.evaluate(np.array([x, x])), [want, want], rtol=1e-12)
+
+    def test_nested_batch_shape(self):
+        g = ld_polynomial(2, Fraction(1, 2), q=4)
+        pts = np.arange(24, dtype=float).reshape(3, 4, 2) - 11.0
+        want, _ = _term_by_term(g, pts)
+        np.testing.assert_allclose(g.evaluate(pts), want, rtol=1e-12)
+
+    def test_kernel_data_leaves_fields_equality_and_serialization_alone(self):
+        terms = {(4, 0): 1.0, (3, 1): 0.0, (2, 2): 0.5, (0, 4): 1.0}
+        g = GeneralizedPolynomial(2, 4, 1, terms, "multinomial")
+        reordered = GeneralizedPolynomial(2, 4, 1, dict(reversed(terms.items())), "multinomial")
+        names = [f.name for f in dataclasses.fields(g)]
+        assert names == ["n", "degree", "q", "terms", "convention"]
+        assert g == reordered
+        assert g != GeneralizedPolynomial(2, 4, 1, {**terms, (3, 1): 1e-3}, "multinomial")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(g)  # the terms mapping field has never been hashable
+        assert repr(g) == (
+            "GeneralizedPolynomial(n=2, degree=Fraction(4, 1), q=1, terms=mappingproxy("
+            "{(4, 0): 1.0, (3, 1): 0.0, (2, 2): 0.5, (0, 4): 1.0}), convention='multinomial')"
+        )
+        assert serialize_polynomial(g) == (
+            '{"n": 2, "d": [4, 1], "q": 1, "convention": "multinomial", "terms": '
+            '[{"alpha_times_q": [4, 0], "coeff": 1.0}, {"alpha_times_q": [3, 1], "coeff": 0.0}, '
+            '{"alpha_times_q": [2, 2], "coeff": 0.5}, {"alpha_times_q": [0, 4], "coeff": 1.0}]}'
+        )
 
 
 class TestRescale:

@@ -162,6 +162,13 @@ class TestSolveP2:
         assert res.certificate.kind == "p2_moment"
         assert res.certificate.residuals["max_coefficient"] <= 1e-2
 
+    def test_sextic_start_screened_on_sphere_grid(self):
+        # Nelder-Mead alone accepted this seed's first perturbed start, whose
+        # sphere minimum is about -0.023; the grid screen now rejects it
+        res = solve_p2(3, 6, config=SolveConfig(seed=508841))
+        assert res.converged
+        assert res.certificate.passed
+
 
 class TestSolveP3:
     def test_quadratic_identity(self):

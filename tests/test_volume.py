@@ -21,6 +21,8 @@ from ballrep import (
     region_hash,
     volume,
 )
+from ballrep.polynomials import enumerate_indices
+from ballrep.volume import _sphere_grid
 from conftest import agree, random_feasible_quartic
 
 DISK4 = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
@@ -367,3 +369,95 @@ class TestGridOracle:
         sph = volume(FIG1_SEXTIC, budget=16384)
         grid = volume(FIG1_SEXTIC, backend="grid_oracle", budget=1_000_000, seed=8)
         assert agree(sph.value, sph.std_error, grid.value, grid.std_error)
+
+
+def _perturbed_ball(n, d, q=1, scale=0.01, seed=0):
+    """Axis-power ball plus seeded noise on every term, odd exponents included."""
+    rng = np.random.default_rng(seed)
+    terms = {a: rng.uniform(-scale, scale) for a in enumerate_indices(n, int(Fraction(d) * q))}
+    for a, c in ld_polynomial(n, d, q).terms.items():
+        terms[a] += c
+    return GeneralizedPolynomial(n, Fraction(d), q, terms)
+
+
+def _per_alpha_moments(g, alphas, budget):
+    """{alpha: (value, scale)} by the per-alpha spherical formula.
+
+    g and each x^alpha are raised term by term with np.prod on the cached
+    grid; scale is the same quadrature of the integrand's magnitude.
+    """
+    dirs, w = _sphere_grid(g.n, budget)
+
+    def power(a):
+        if g.is_classical:
+            return np.prod(dirs ** np.asarray(a), axis=-1)
+        return np.prod(np.abs(dirs) ** (np.asarray(a) / g.q), axis=-1)
+
+    h = sum(g.monomial_coefficient(a) * power(a) for a in g.terms)
+    assert h.min() > 0.0
+    out = {}
+    for alpha in set(alphas):
+        k = g.n + sum(alpha) / g.q
+        integrand = w * power(alpha) * h ** (-k / g.degree_float)
+        out[alpha] = (integrand.sum() / k, np.abs(integrand).sum() / k)
+    return out
+
+
+EQUIVALENCE_CASES = [
+    _perturbed_ball(2, 4),
+    _perturbed_ball(3, 4),
+    _perturbed_ball(3, 6, scale=0.004),
+    _perturbed_ball(3, Fraction(1, 2), q=4, scale=0.2),
+]
+
+
+class TestSphericalEquivalence:
+    BUDGET = 4096
+
+    def _check(self, g, entries):
+        reference = _per_alpha_moments(g, [alpha for alpha, _ in entries], self.BUDGET)
+        for alpha, got in entries:
+            want, scale = reference[alpha]
+            assert abs(got - want) <= 1e-12 * scale, alpha
+
+    @pytest.mark.parametrize("g", EQUIVALENCE_CASES, ids=["2-4", "3-4", "3-6", "p1q-3-1/2"])
+    def test_moment_table_matches_per_alpha_formula(self, g):
+        table = moment_table(g, budget=self.BUDGET)
+        odd = [v for a, (v, _) in table.entries.items() if any(x % 2 for x in a)]
+        assert any(v != 0.0 for v in odd)  # odd exponents are live, not symmetry zeros
+        self._check(g, [(a, v) for a, (v, _) in table.entries.items()])
+
+    def test_moment_table_max_order_mixes_k(self):
+        g = EQUIVALENCE_CASES[1]
+        table = moment_table(g, max_order=4, budget=self.BUDGET)
+        assert {sum(a) for a in table.entries} == set(range(5))
+        self._check(g, [(a, v) for a, (v, _) in table.entries.items()])
+
+    @pytest.mark.parametrize("g", EQUIVALENCE_CASES, ids=["2-4", "3-4", "3-6", "p1q-3-1/2"])
+    def test_moment_matrix_matches_per_alpha_formula(self, g):
+        mm = moment_matrix(g, budget=self.BUDGET)
+        entries = []
+        for i, a in enumerate(mm.basis):
+            for j, b in enumerate(mm.basis):
+                entries.append((tuple(x + y for x, y in zip(a, b)), mm.values[i, j]))
+        self._check(g, entries)
+
+    @pytest.mark.parametrize("g", EQUIVALENCE_CASES, ids=["2-4", "3-4", "3-6", "p1q-3-1/2"])
+    def test_grad_volume_matches_per_alpha_formula(self, g):
+        factor = -(g.n + g.degree_float) / g.degree_float
+        grads = grad_volume(g, budget=self.BUDGET)
+        self._check(g, [(a, v / factor) for a, v in grads.items()])
+
+
+class TestSphereGridCache:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cached_arrays_are_shared_and_read_only(self, n):
+        dirs, weights = _sphere_grid(n, 2048)
+        again = _sphere_grid(n, 2048)
+        assert again[0] is dirs and again[1] is weights
+        with pytest.raises(ValueError, match="read-only"):
+            dirs[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.5
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        assert weights.sum() == pytest.approx(2.0 * math.pi if n == 2 else 4.0 * math.pi)
