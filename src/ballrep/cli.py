@@ -125,36 +125,37 @@ def _parse_fraction(text: str) -> Fraction:
         raise SchemaError("d", f"not a rational number: {text!r}") from exc
 
 
-def _read_poly(path: str) -> GeneralizedPolynomial:
+def _read(path: str, parse):
+    """parse(text) of the file at path; an unreadable file is a SchemaError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise SchemaError("file", str(exc)) from exc
-    return parse_polynomial(text)
+    return parse(text)
 
 
-def _read_candidate(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError("file", str(exc)) from exc
-    return parse_candidate(text)
+def _gate_rejects(g: GeneralizedPolynomial, args) -> bool:
+    """Run the feasibility gate unless --force; True (reported) if it finds infinite volume."""
+    if args.force:
+        return False
+    verdict = finite_volume_test(g, seed=args.seed)
+    if verdict.finite_volume:
+        return False
+    print(
+        f"sublevel set has infinite volume "
+        f"(sphere minimum {verdict.sphere_minimum:.6g})",
+        file=sys.stderr,
+    )
+    return True
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_volume(args) -> int:
-    g = _read_poly(args.poly)
-    if not args.force:
-        verdict = finite_volume_test(g, seed=args.seed)
-        if not verdict.finite_volume:
-            print(
-                f"sublevel set has infinite volume "
-                f"(sphere minimum {verdict.sphere_minimum:.6g})",
-                file=sys.stderr,
-            )
-            return EXIT_INFEASIBLE
+    g = _read(args.poly, parse_polynomial)
+    if _gate_rejects(g, args):
+        return EXIT_INFEASIBLE
     est = volume(g, backend=args.backend, budget=args.budget, seed=args.seed)
     doc = {
         "value": est.value,
@@ -169,16 +170,9 @@ def cmd_volume(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    g = _read_poly(args.poly)
-    if not args.force:
-        verdict = finite_volume_test(g, seed=args.seed)
-        if not verdict.finite_volume:
-            print(
-                f"sublevel set has infinite volume "
-                f"(sphere minimum {verdict.sphere_minimum:.6g})",
-                file=sys.stderr,
-            )
-            return EXIT_INFEASIBLE
+    g = _read(args.poly, parse_polynomial)
+    if _gate_rejects(g, args):
+        return EXIT_INFEASIBLE
     order = _parse_fraction(args.max_order)
     table = moment_table(
         g, max_order=order, backend=args.backend, budget=args.budget, seed=args.seed
@@ -210,7 +204,7 @@ def cmd_solve(args) -> int:
     )
     start = None
     if args.start:
-        start = _read_candidate(args.start)
+        start = _read(args.start, parse_candidate)
     if args.problem in ("p1", "p1q"):
         if args.problem == "p1q" and args.q == 1:
             raise SchemaError("q", "p1q needs a lattice denominator q > 1")
@@ -226,7 +220,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    candidate = _read_candidate(args.candidate)
+    candidate = _read(args.candidate, parse_candidate)
     tol = args.tol
     if args.problem == "p3":
         if not isinstance(candidate, GramForm):
@@ -277,7 +271,7 @@ def cmd_ball_table(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    g = _read_poly(args.poly)
+    g = _read(args.poly, parse_polynomial)
     if g.n != 2:
         print("boundary sampling is only defined for n = 2", file=sys.stderr)
         return EXIT_INPUT

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
 
 from .gammafn import log_gamma
 from .polynomials import (
@@ -53,6 +52,7 @@ DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000
 _MC_BATCH = 1 << 16
 _GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
 _GATE_BUDGET = 2048  # sphere grid screened by the n = 3 feasibility gate
+_GATE_ZOOM_DIMS = 3  # most tangent directions one gate zoom level spans
 
 
 class InfiniteVolumeError(ValueError):
@@ -578,56 +578,82 @@ def finite_volume_test(
     seed: int = 0,
     tolerance: float = 1e-9,
 ) -> FeasibilityVerdict:
-    """Multi-start minimization of g over the unit sphere.
+    """Minimum of g over the unit sphere by a scan and a batched zoom search.
 
-    A strictly negative minimum proves infinite volume (g is negative on an
-    open cone).  finite_volume = True only means no negative direction was
-    found; minima at exactly zero are reported as infeasible because the
-    sublevel set is then unbounded along the minimizing direction.
+    n = 2 scans 2048 angles, then zooms in on the `restarts` best: each
+    level evaluates 9 angles across [-h, h] around every candidate in one
+    batch, keeps the best and divides h by 4, from one scan step down to
+    1e-13.  n >= 3 starts from the axes, the diagonal and seeded random
+    directions (for n = 3 also from the best nodes of a cached sphere grid)
+    and zooms in tangent coordinates: each level tries a 5**k stencil of
+    radius r around every candidate, projects it back onto the sphere,
+    keeps the best and shrinks r from 0.5 down to 1e-10.  For n <= 4 the
+    stencil spans the whole tangent space (k = n - 1) and r halves each
+    level; above that it spans a seeded random 3-dimensional tangent
+    subspace (k = 3), so its size stays bounded, and r halves once every
+    (n - 1)/3 levels.  The search uses no derivatives, so the kinks of
+    generalized inputs do not stall it.
+
+    Every tried point is a unit direction and counts towards the minimum,
+    so a strictly negative minimum proves infinite volume (g is negative on
+    an open cone).  finite_volume = True only means no negative direction
+    was found; minima at exactly zero are reported as infeasible because
+    the sublevel set is then unbounded along the minimizing direction.
     """
     n = g.n
     if n == 1:
         smin = min(float(g.evaluate([1.0])), float(g.evaluate([-1.0])))
         return FeasibilityVerdict(smin > tolerance, smin, 1)
     if n == 2:
-        theta = 2.0 * math.pi * np.arange(2048) / 2048
+        step = 2.0 * math.pi / 2048
+        theta = step * np.arange(2048)
         values = np.asarray(g.evaluate(np.stack([np.cos(theta), np.sin(theta)], -1)))
-        order = np.argsort(values)
         smin = float(values.min())
-        for idx in order[: max(1, restarts)]:
-            lo = theta[idx] - 2.0 * math.pi / 2048
-            hi = theta[idx] + 2.0 * math.pi / 2048
-            res = optimize.minimize_scalar(
-                lambda t: float(g.evaluate([math.cos(t), math.sin(t)])),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            smin = min(smin, float(res.fun))
+        best = theta[np.argsort(values)[: max(1, restarts)]]
+        h = step
+        while h >= 1e-13:
+            trial = best[:, None] + h * np.linspace(-1.0, 1.0, 9)
+            values = g.evaluate(np.stack([np.cos(trial), np.sin(trial)], -1))
+            smin = min(smin, float(values.min()))
+            best = trial[np.arange(len(trial)), values.argmin(axis=1)]
+            h /= 4.0
         return FeasibilityVerdict(smin > tolerance, smin, max(1, restarts))
 
+    count = max(restarts, n + 1)
     rng = np.random.default_rng([max(0, int(seed)), 911])
     starts = [np.eye(n)[i] for i in range(n)]
     starts.append(np.full(n, 1.0 / math.sqrt(n)))
-    while len(starts) < max(restarts, n + 1):
+    while len(starts) < count:
         v = rng.normal(size=n)
         starts.append(v / np.linalg.norm(v))
-
-    def objective(v):
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            return float("inf")
-        return float(g.evaluate(v / norm))
-
-    # every grid node is a unit direction, so a negative grid value is proof
-    smin = float(g.evaluate(_sphere_grid(3, _GATE_BUDGET)[0]).min()) if n == 3 else math.inf
-    for v0 in starts[: max(restarts, n + 1)]:
-        res = optimize.minimize(
-            objective, v0, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
+    best = np.array(starts)
+    smin = math.inf
+    if n == 3:
+        # every grid node is a unit direction, so a negative grid value is proof
+        nodes = _sphere_grid(3, _GATE_BUDGET)[0]
+        values = g.evaluate(nodes)
+        smin = float(values.min())
+        best = np.vstack([best, nodes[np.argsort(values)[: max(1, restarts)]]])
+    k = min(n - 1, _GATE_ZOOM_DIMS)
+    axis = np.linspace(-1.0, 1.0, 5)
+    stencil = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), -1).reshape(-1, k)
+    rows = np.arange(len(best))
+    r = 0.5
+    while r >= 1e-10:
+        # Q of [v, M] is orthogonal with first column +-v even when v is an
+        # axis, so its other k columns span a tangent subspace at v
+        spread = np.eye(n)[:, :k] if k == n - 1 else rng.normal(size=(len(best), n, k))
+        frame = np.concatenate(
+            [best[:, :, None], np.broadcast_to(spread, (len(best), n, k))], axis=2
         )
-        smin = min(smin, float(res.fun))
-    return FeasibilityVerdict(smin > tolerance, smin, max(restarts, n + 1))
+        tangent = np.linalg.qr(frame)[0][:, :, 1:]
+        trial = best[:, None, :] + r * stencil @ tangent.transpose(0, 2, 1)
+        trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+        values = g.evaluate(trial)
+        smin = min(smin, float(values.min()))
+        best = trial[rows, values.argmin(axis=1)]
+        r /= 2.0 ** (k / (n - 1))
+    return FeasibilityVerdict(smin > tolerance, smin, count)
 
 
 def hankel_diag_bound_check(mm: MomentMatrix, sigmas: float = 3.0) -> bool:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ballrep
 from ballrep import (
     GeneralizedPolynomial,
     ld_polynomial,
@@ -225,3 +230,19 @@ class TestDeterminism:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(ballrep.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, ballrep.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "[]"

@@ -461,3 +461,100 @@ class TestSphereGridCache:
             weights[0] = 0.5
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
         assert weights.sum() == pytest.approx(2.0 * math.pi if n == 2 else 4.0 * math.pi)
+
+
+def _sphere_power(n, d):
+    """(x_1^2 + ... + x_n^2)**(d/2) in the monomial convention: 1 on the unit sphere."""
+    terms = {}
+    for beta in enumerate_indices(n, d // 2):
+        coeff = math.factorial(d // 2)
+        for b in beta:
+            coeff //= math.factorial(b)
+        terms[tuple(2 * b for b in beta)] = float(coeff)
+    return terms
+
+
+def _random_form(n, d, rng):
+    """A classical form of degree d with standard normal coefficients on every term."""
+    return GeneralizedPolynomial(n, d, 1, {a: rng.normal() for a in enumerate_indices(n, d)})
+
+
+def _brute_minimum(g, count):
+    """Minimum of g over count angles (n = 2) or a count-point Fibonacci lattice (n = 3)."""
+    i = np.arange(count) + 0.5
+    if g.n == 2:
+        theta = 2.0 * math.pi * i / count
+        dirs = np.stack([np.cos(theta), np.sin(theta)], -1)
+    else:
+        z = 1.0 - 2.0 * i / count
+        phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+        s = np.sqrt(1.0 - z * z)
+        dirs = np.stack([s * np.cos(phi), s * np.sin(phi), z], -1)
+    return min(float(g.evaluate(dirs[k:k + 100_000]).min()) for k in range(0, count, 100_000))
+
+
+class TestFeasibilityGate:
+    def test_shifted_random_sextics_classified(self):
+        sphere = _sphere_power(3, 6)
+        rng = np.random.default_rng(2024)
+        for k in range(30):
+            g = _random_form(3, 6, rng)
+            low = _brute_minimum(g, 100_000)
+            for shift in (0.02, -0.02):
+                terms = dict(g.terms)
+                for a, c in sphere.items():
+                    terms[a] = terms.get(a, 0.0) + (shift - low) * c
+                # the shifted form equals shift at the lattice's best direction and
+                # lies at most the lattice's covering error (well below 0.02) under it
+                verdict = finite_volume_test(GeneralizedPolynomial(3, 6, 1, terms), seed=k)
+                assert verdict.finite_volume == (shift > 0), (k, shift, verdict)
+                assert verdict.sphere_minimum <= shift + 1e-9, (k, shift, verdict)
+
+    @pytest.mark.parametrize("n,d,seed", [
+        (2, 4, 0), (2, 4, 1), (2, 6, 0), (2, 6, 1),
+        (3, 4, 0), (3, 4, 1), (3, 6, 0), (3, 6, 1),
+    ])
+    def test_sphere_minimum_matches_brute_force(self, n, d, seed):
+        g = _random_form(n, d, np.random.default_rng([seed, n, d]))
+        got = finite_volume_test(g, seed=seed).sphere_minimum
+        brute = _brute_minimum(g, 400_000 if n == 2 else 2_000_000)
+        # the gate never misses what the exhaustive search finds
+        assert got <= brute + 1e-9
+        # 400k angles pin the n = 2 minimum to about 1e-10; the 2M-point
+        # lattice is about 2.5e-3 rad apart, so its own minimum can sit up
+        # to about 5e-6 above the true one
+        assert got >= brute - (1e-9 if n == 2 else 1e-5)
+
+    def test_degenerate_pole_is_infeasible(self):
+        # (x1^2 + x2^2)^2 vanishes at the poles (0, 0, +-1): zero minimum, unbounded set
+        g = GeneralizedPolynomial(3, 4, 1, {(4, 0, 0): 1.0, (2, 2, 0): 2.0, (0, 4, 0): 1.0})
+        verdict = finite_volume_test(g)
+        assert not verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(0.0, abs=1e-12)
+
+    def test_generalized_half_ball(self):
+        # sum |x_i|^(1/2) is smallest, at 1, on the axes
+        verdict = finite_volume_test(ld_polynomial(3, Fraction(1, 2), q=4))
+        assert verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(1.0, abs=1e-12)
+
+    def test_four_dimensional_quartic_ball(self):
+        # sum x_i^4 is smallest on the diagonal, at 4 * (1/4)^2 = 1/4
+        verdict = finite_volume_test(ld_polynomial(4, 4))
+        assert verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.98, 1.02])
+    def test_six_dimensional_hidden_direction(self, c):
+        # (|x|^2)^2 - c (u.x)^4 is 1 - c cos^4 of the angle to u on the sphere:
+        # its minimum 1 - c sits at a random direction u, away from every start
+        n = 6
+        u = np.random.default_rng(6).normal(size=n)
+        u /= np.linalg.norm(u)
+        terms = _sphere_power(n, 4)
+        for a in enumerate_indices(n, 4):
+            weight = math.factorial(4) / math.prod(math.factorial(x) for x in a)
+            terms[a] = terms.get(a, 0.0) - c * weight * math.prod(u**np.array(a))
+        verdict = finite_volume_test(GeneralizedPolynomial(n, 4, 1, terms), seed=3)
+        assert verdict.finite_volume == (c < 1.0)
+        assert verdict.sphere_minimum == pytest.approx(1.0 - c, abs=1e-9)
