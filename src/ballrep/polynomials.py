@@ -21,6 +21,7 @@ the natural coordinates for the weighted norm sum(c_alpha * g_alpha**2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,13 +51,16 @@ def enumerate_indices(n: int, total: int, q: int = 1) -> list[Exponent]:
         raise ValueError(f"total degree numerator must be >= 0, got {total}")
     if q < 1:
         raise ValueError(f"lattice denominator must be >= 1, got {q}")
+    return list(_indices(n, total))
+
+
+@functools.lru_cache(maxsize=256)
+def _indices(n: int, total: int) -> tuple[Exponent, ...]:
     if n == 1:
-        return [(total,)]
-    out: list[Exponent] = []
-    for head in range(total, -1, -1):
-        for tail in enumerate_indices(n - 1, total - head):
-            out.append((head,) + tail)
-    return out
+        return ((total,),)
+    return tuple(
+        (head,) + tail for head in range(total, -1, -1) for tail in _indices(n - 1, total - head)
+    )
 
 
 def count_indices(n: int, total: int) -> int:
@@ -67,17 +71,20 @@ def count_indices(n: int, total: int) -> int:
 def monomials(base, exponents) -> np.ndarray:
     """Monomials prod_i base[:, i] ** exponents[t, i], shape (T, N), at N points (N, n).
 
-    The integer powers of every variable come from one power table built by
-    repeated multiplication, so 0**0 = 1 and signed bases keep their signs.
+    The integer powers of each variable come from a power table built by
+    repeated multiplication, so 0**0 = 1 and signed bases keep their signs;
+    one table buffer serves every variable in turn.
     """
     base = np.asarray(base, dtype=float).T
-    table = np.empty((int(exponents.max(initial=0)) + 1,) + base.shape)
+    table = np.empty((int(exponents.max(initial=0)) + 1, base.shape[1]))
     table[0] = 1.0
-    for p in range(1, len(table)):
-        np.multiply(table[p - 1], base, out=table[p])
-    out = table[exponents[:, 0], 0]
-    for i in range(1, len(base)):
-        out *= table[exponents[:, i], i]
+    for i, column in enumerate(base):
+        for p in range(1, len(table)):
+            np.multiply(table[p - 1], column, out=table[p])
+        if i == 0:
+            out = table[exponents[:, 0]]
+        else:
+            out *= table[exponents[:, i]]
     return out
 
 
@@ -87,6 +94,11 @@ def multinomial_coefficient(alpha: Iterable[int]) -> int:
         if alpha.q != 1:
             raise ValueError("multinomial coefficients need integer exponents (q = 1)")
         alpha = alpha.numerators
+    return _multinomial(tuple(alpha))
+
+
+@functools.lru_cache(maxsize=4096)
+def _multinomial(alpha: tuple) -> int:
     parts = tuple(int(a) for a in alpha)
     if any(a < 0 for a in parts):
         raise ValueError(f"negative exponent in {parts}")
@@ -166,12 +178,13 @@ class GeneralizedPolynomial:
         target = degree * self.q
         if target.denominator != 1:
             raise ValueError(f"degree {degree} does not lie on the 1/{self.q} lattice")
+        target = int(target)
         clean: dict[Exponent, float] = {}
         for alpha, coeff in self.terms.items():
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(map(int, alpha))
             if len(alpha) != self.n:
                 raise ValueError(f"exponent {alpha} has length != n = {self.n}")
-            if any(a < 0 for a in alpha):
+            if min(alpha) < 0:
                 raise ValueError(f"negative exponent numerator in {alpha}")
             if sum(alpha) != target:
                 raise ValueError(
@@ -181,14 +194,19 @@ class GeneralizedPolynomial:
         # read-only view: instances are shared freely across workers
         object.__setattr__(self, "terms", MappingProxyType(clean))
         # kernel data outside the dataclass fields: exponent matrix A and the
-        # monomial-convention coefficients c of the nonzero terms
-        live = [a for a, c in clean.items() if c != 0.0]
-        exponents = np.array(live, dtype=np.intp).reshape(len(live), self.n)
-        coeffs = np.array([self.monomial_coefficient(a) for a in live], dtype=float)
+        # monomial-convention coefficients c of the nonzero terms, plus the
+        # structure flags the moment backends ask for on every call
+        keys = np.array(list(clean), dtype=np.intp).reshape(len(clean), self.n)
+        values = np.fromiter(clean.values(), dtype=float, count=len(clean))
+        live = values != 0.0
+        exponents, coeffs = keys[live], values[live]
+        if self.convention == MULTINOMIAL:
+            coeffs *= [float(multinomial_coefficient(a)) for a in exponents.tolist()]
         for name, value in (("_exponents", exponents), ("_coeffs", coeffs)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_classical", self.q == 1 and target % 2 == 0)
+        object.__setattr__(self, "_even_support", not (keys % 2).any())
 
     # -- structure ---------------------------------------------------------
 
@@ -213,7 +231,7 @@ class GeneralizedPolynomial:
         under per-coordinate sign flips, which zeroes every moment with an
         odd exponent exactly.
         """
-        return all(all(a % 2 == 0 for a in alpha) for alpha in self.terms)
+        return self._even_support
 
     # -- algebra -----------------------------------------------------------
 

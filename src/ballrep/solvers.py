@@ -12,6 +12,11 @@ Because scaling a feasible iterate up to the norm boundary strictly
 decreases volume, every accepted step is saturated onto the boundary;
 iterates that leave the feasible cone (the backend detects a non-positive
 sphere value) are rejected and the step halved.
+
+The volume and its gradient, -(n + d)/d times the degree-d moments, come
+from the same sphere quadrature, so each trial point costs one estimator
+pass: a moment table for p1 and p2, a moment matrix for p3.  The gradient
+of the accepted point is carried into the next iteration.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from .volume import (
     InfiniteVolumeError,
     closed_form_ball_volume,
     finite_volume_test,
-    grad_volume,
+    grad_volume,  # noqa: F401  (unused; perfbench/selftest.py checks it is bound here)
+    gradient_vector,
     moment_matrix,
     moment_table,
     volume,
@@ -121,38 +127,42 @@ def _iteration_seed(seed: int, iteration: int) -> int:
     return max(0, int(seed)) * 1_000_003 + iteration
 
 
-def _projected_gradient(state0, oracle, cfg: SolveConfig):
+def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     """Monotone projected-gradient descent of the volume functional.
 
-    ``oracle`` bundles the problem geometry: volume and gradient at a
-    state, the projection onto the norm ball (with boundary saturation),
-    and the equivalent-objective report.  Returns the final state, the
-    iteration trace and the convergence flag.
+    The problem geometry comes in three callables: ``evaluate(x, seed)``
+    returns (volume, gradient) at x from one estimator pass, or None when x
+    lies outside the feasible cone; ``project`` maps onto the norm ball
+    (with boundary saturation); ``report(x, volume)`` gives the equivalent
+    objective.  Each trial point of the line search is evaluated once, and
+    the accepted point's gradient, taken with that iteration's seed, drives
+    the next iteration.  Returns the final state, the iteration trace and
+    the convergence flag.
     """
     x = state0
-    fx = oracle.volume(x, _iteration_seed(cfg.seed, 0))
-    if fx is None:
+    start = evaluate(x, _iteration_seed(cfg.seed, 0))
+    if start is None:
         raise InfiniteVolumeError("initial iterate has infinite volume")
-    trace = [(oracle.equivalent_objective(x, fx), fx)]
+    fx, grad = start
+    trace = [(report(x, fx), fx)]
     step = cfg.initial_step
     converged = False
     streak = 0
     for it in range(1, cfg.max_iters + 1):
         seed_it = _iteration_seed(cfg.seed, it)
-        grad = oracle.gradient(x, seed_it)
         t = step
         accepted = False
         stalled = False
         for _ in range(_MAX_BACKTRACKS):
-            z = oracle.project(x - t * grad)
+            z = project(x - t * grad)
             dx = z - x
             move = float(np.sqrt(np.vdot(dx, dx).real))
             if move <= 1e-14 * (1.0 + float(np.sqrt(np.vdot(x, x).real))):
                 stalled = True
                 break
-            fz = oracle.volume(z, seed_it)
+            trial = evaluate(z, seed_it)
             decrease = cfg.sufficient_decrease * float(np.vdot(grad, dx).real)
-            if fz is not None and fz <= fx + min(0.0, decrease):
+            if trial is not None and trial[0] <= fx + min(0.0, decrease):
                 accepted = True
                 break
             t *= cfg.step_shrink
@@ -161,9 +171,10 @@ def _projected_gradient(state0, oracle, cfg: SolveConfig):
             break
         if not accepted:
             break
+        fz, grad = trial
         rel_change = abs(fx - fz) / max(abs(fz), 1e-300)
         x, fx = z, fz
-        trace.append((oracle.equivalent_objective(x, fx), fx))
+        trace.append((report(x, fx), fx))
         streak = streak + 1 if rel_change <= cfg.tol_objective else 0
         if streak >= 3:
             converged = True
@@ -172,43 +183,17 @@ def _projected_gradient(state0, oracle, cfg: SolveConfig):
     return x, fx, trace, converged
 
 
-class _VectorOracle:
-    """Geometry bundle for coefficient-vector problems (l1 and weighted l2)."""
+def _table_oracle(poly: GeneralizedPolynomial, cfg: SolveConfig, seed: int):
+    """(volume, gradient in basis order) of poly from one moment table, or None.
 
-    def __init__(self, make_poly, project, norm_of, norm_scale_power, target_volume, cfg):
-        self.make_poly = make_poly
-        self._project = project
-        self.norm_of = norm_of
-        self.norm_scale_power = norm_scale_power
-        self.target_volume = target_volume
-        self.cfg = cfg
-
-    def volume(self, vec, seed):
-        try:
-            est = volume(
-                self.make_poly(vec), backend=self.cfg.backend,
-                budget=self.cfg.budget, seed=seed,
-            )
-        except InfiniteVolumeError:
-            return None
-        return est.value
-
-    def gradient(self, vec, seed):
-        # grad_volume returns components in the canonical index order, which
-        # is the same order make_poly consumes
-        grads = grad_volume(
-            self.make_poly(vec), backend=self.cfg.backend,
-            budget=self.cfg.budget, seed=seed,
-        )
-        return np.array(list(grads.values()))
-
-    def project(self, vec):
-        return self._project(vec)
-
-    def equivalent_objective(self, vec, vol):
-        poly = self.make_poly(vec)
-        k = (vol / self.target_volume) ** (float(poly.degree) / poly.n)
-        return self.norm_of(vec) * k**self.norm_scale_power
+    The table's default alphas are the degree-d slice in the canonical
+    order, which is the order the coefficient vectors use.
+    """
+    try:
+        table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
+    except InfiniteVolumeError:
+        return None
+    return table.normalization.value, gradient_vector(poly, table.entries)
 
 
 def _feasible_perturbed_start(base_vec, project, make_poly, seed) -> np.ndarray:
@@ -285,8 +270,14 @@ def solve_p1(
         x0 = _feasible_perturbed_start(base, project, make_poly, cfg.seed)
 
     rho = closed_form_ball_volume(n, d)
-    oracle = _VectorOracle(make_poly, project, lambda v: float(np.abs(v).sum()), 1.0, rho, cfg)
-    x, _, trace, converged = _projected_gradient(x0, oracle, cfg)
+
+    def evaluate(vec, seed):
+        return _table_oracle(make_poly(vec), cfg, seed)
+
+    def report(vec, vol):
+        return float(np.abs(vec).sum()) * (vol / rho) ** (float(d) / n)
+
+    x, _, trace, converged = _projected_gradient(x0, evaluate, project, report, cfg)
 
     solution = scale_to_target_volume(
         make_poly(x), rho, backend=cfg.backend,
@@ -356,21 +347,19 @@ def solve_p2(
         base *= root_w
         x0 = _feasible_perturbed_start(base, project, make_poly, cfg.seed)
 
-    # the oracle gradient must be taken in the whitened coordinates:
-    # d f / d u_alpha = (1 / sqrt(c_alpha)) * d f / d g_alpha
-    class _WhitenedOracle(_VectorOracle):
-        def gradient(self, vec, seed):
-            grads = grad_volume(
-                self.make_poly(vec), backend=self.cfg.backend,
-                budget=self.cfg.budget, seed=seed,
-            )
-            return np.array(list(grads.values())) / root_w
+    def evaluate(u_vec, seed):
+        # the gradient must be taken in the whitened coordinates:
+        # d f / d u_alpha = (1 / sqrt(c_alpha)) * d f / d g_alpha
+        out = _table_oracle(make_poly(u_vec), cfg, seed)
+        return None if out is None else (out[0], out[1] / root_w)
 
     rho = closed_form_ball_volume(n, d)
-    oracle = _WhitenedOracle(
-        make_poly, project, lambda v: float(np.dot(v, v)), 2.0, rho, cfg
-    )
-    x, _, trace, converged = _projected_gradient(x0, oracle, cfg)
+
+    def report(u_vec, vol):
+        k = (vol / rho) ** (float(d) / n)
+        return float(np.dot(u_vec, u_vec)) * k**2.0
+
+    x, _, trace, converged = _projected_gradient(x0, evaluate, project, report, cfg)
 
     raw = make_poly(x)
     lead = basis[0]  # d * e_1 comes first in the canonical order
@@ -420,30 +409,18 @@ def solve_p3(
         tr = float(np.trace(P))
         return P * (n / tr) if tr > 0 else P
 
-    class _GramOracle:
-        def volume(self, Q, seed):
-            try:
-                est = volume(
-                    GramForm(n, d, Q).expand(), backend=cfg.backend,
-                    budget=cfg.budget, seed=seed,
-                )
-            except InfiniteVolumeError:
-                return None
-            return est.value
-
-        def gradient(self, Q, seed):
+    def evaluate(Q, seed):
+        try:
             mm = moment_matrix(
                 GramForm(n, d, Q).expand(), d // 2, backend=cfg.backend,
                 budget=cfg.budget, seed=seed,
             )
-            return -(n + d) / d * mm.values
+        except InfiniteVolumeError:
+            return None
+        return mm.normalization.value, -(n + d) / d * mm.values
 
-        def project(self, Q):
-            return project(Q)
-
-        def equivalent_objective(self, Q, vol):
-            k = (vol / rho) ** (d / n)
-            return float(np.trace(Q)) * k
+    def report(Q, vol):
+        return float(np.trace(Q)) * (vol / rho) ** (d / n)
 
     rho = closed_form_ball_volume(n, d)
     if start is not None:
@@ -453,7 +430,7 @@ def solve_p3(
     else:
         Q0 = (float(n) / size) * np.eye(size)
 
-    Q, _, trace_log, converged = _projected_gradient(Q0, _GramOracle(), cfg)
+    Q, _, trace_log, converged = _projected_gradient(Q0, evaluate, project, report, cfg)
 
     gram = GramForm(n, d, Q)
     solution = scale_to_target_volume(

@@ -12,9 +12,15 @@ moments of G have two equivalent expressions that the backends exploit:
         = (n + |alpha|)^-1 * integral_S theta^alpha h(theta)^-(n+|alpha|)/d dsigma,
   with h the restriction of g to the sphere, which drives the deterministic
   spherical backend (periodic trapezoid for n = 2, product Gauss-Legendre
-  for n = 3).  Sphere grids are cached read-only per (n, budget), and the
-  moments sharing k = n + |alpha| share one radial weight w * h**(-k/d).
-Every backend evaluates g and x^alpha through the one monomial kernel.
+  for n = 3).  Sphere grids are cached read-only per (n, budget).  A pass
+  makes one monomial kernel call whose rows are g's own exponents, which
+  give h, followed by the requested alphas they miss; the moments sharing
+  k = n + |alpha| read one contiguous block of those rows against one
+  radial weight w * h**(-k/d).  The volume and the degree-d moments (and
+  with them the volume gradient) thus come from the same pass.
+Every backend evaluates g and x^alpha through the one monomial kernel; the
+Monte Carlo backend lays out its rows as the spherical pass does, one
+kernel call per sample batch.
 
 A slow grid indicator oracle provides an independent cross-check.  All
 estimates carry a standard error: zero for the spherical backend,
@@ -227,10 +233,40 @@ def _sphere_grid(n: int, budget: int):
     return dirs, weights
 
 
+def _kernel_rows(g: GeneralizedPolynomial, live):
+    """Exponent rows of a pass's one kernel call, and each alpha's row.
+
+    g's own exponents come first, so g is ``g._coeffs @ P[:len(g._exponents)]``
+    on the kernel output P; the live alphas they miss follow, grouped by
+    total degree with g's own degree leading, so the alphas of one total
+    degree (one k) occupy one contiguous block of rows.
+    """
+    rows = g._exponents
+    row = {alpha: i for i, alpha in enumerate(map(tuple, rows.tolist()))}
+    total = int(g.degree * g.q)
+    extra = sorted(
+        (a for a in dict.fromkeys(live) if a not in row),
+        key=lambda a: (sum(a) != total, sum(a)),
+    )
+    row.update((a, len(rows) + i) for i, a in enumerate(extra))
+    if extra:
+        rows = np.vstack([rows, np.array(extra, dtype=np.intp)])
+    return rows, row
+
+
 def _spherical_estimate(g: GeneralizedPolynomial, alphas, budget: int):
     n, d = g.n, g.degree_float
     dirs, w = _sphere_grid(n, budget)
-    h = np.asarray(g.evaluate(dirs), dtype=float)
+    moments: dict[Exponent, tuple[float, float]] = {}
+    live: list[Exponent] = []
+    for alpha in map(tuple, alphas):
+        if _symmetry_zero(g, alpha):
+            moments[alpha] = (0.0, 0.0)
+        else:
+            live.append(alpha)
+    rows, row = _kernel_rows(g, live)
+    P = monomials(g.lattice_base(dirs), rows)
+    h = g._coeffs @ P[: len(g._exponents)]
     hmin = float(h.min())
     if hmin <= 0.0:
         raise InfiniteVolumeError(
@@ -239,16 +275,14 @@ def _spherical_estimate(g: GeneralizedPolynomial, alphas, budget: int):
         )
     vol = float(np.dot(w, h ** (-n / d)) / n)
     volume = VolumeEstimate(vol, 0.0, SPHERICAL, len(w))
-    moments: dict[Exponent, tuple[float, float]] = {}
-    by_k: dict[float, list[Exponent]] = {}
-    for alpha in map(tuple, alphas):
-        if _symmetry_zero(g, alpha):
-            moments[alpha] = (0.0, 0.0)
-        else:
-            by_k.setdefault(n + sum(alpha) / g.q, []).append(alpha)
-    for k, group in by_k.items():
-        values = monomials(g.lattice_base(dirs), np.array(group)) @ (w * h ** (-k / d)) / k
-        moments.update((a, (float(v), 0.0)) for a, v in zip(group, values))
+    by_degree: dict[int, list[Exponent]] = {}
+    for alpha in live:
+        by_degree.setdefault(sum(alpha), []).append(alpha)
+    for degree, group in by_degree.items():
+        k = n + degree / g.q
+        lo = min(row[a] for a in group)
+        values = P[lo : max(row[a] for a in group) + 1] @ (w * h ** (-k / d)) / k
+        moments.update((a, (float(values[row[a] - lo]), 0.0)) for a in group)
     return volume, moments
 
 
@@ -302,7 +336,8 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
     sum_w2 = 0.0
     sums = np.zeros(len(live))
     sums2 = np.zeros(len(live))
-    exponents = np.array(live, dtype=np.intp).reshape(len(live), n)
+    rows, row = _kernel_rows(g, live)
+    live_rows = np.array([row[a] for a in live], dtype=np.intp)
     n_batches = (budget + _MC_BATCH - 1) // _MC_BATCH
     for b in range(n_batches):
         size = min(_MC_BATCH, budget - b * _MC_BATCH)
@@ -310,7 +345,8 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
         t = rng.gamma(1.0 / d, 1.0, size=(size, n))
         x = t ** (1.0 / d)
         x *= rng.integers(0, 2, size=(size, n)) * 2 - 1
-        excess = np.asarray(g.evaluate(x), dtype=float) - t.sum(axis=1)
+        P = monomials(g.lattice_base(x), rows)
+        excess = g._coeffs @ P[: len(g._exponents)] - t.sum(axis=1)
         if np.min(excess) < -700.0:
             raise InfiniteVolumeError(
                 "importance weights overflow: the integrand exp(-g) is not "
@@ -319,9 +355,11 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
         w = np.exp(-excess)
         sum_w += float(w.sum())
         sum_w2 += float((w * w).sum())
-        fw = monomials(g.lattice_base(x), exponents) * w
+        fw = P[live_rows]
+        fw *= w
         sums += fw.sum(axis=1)
-        sums2 += (fw * fw).sum(axis=1)
+        fw *= fw
+        sums2 += fw.sum(axis=1)
     ess = sum_w**2 / sum_w2 if sum_w2 > 0 else 0.0
     if ess < 0.01 * budget:
         warnings.warn(
@@ -520,9 +558,21 @@ def grad_volume(
     """
     basis = enumerate_indices(g.n, int(g.degree * g.q))
     _, moments = _estimate(g, basis, backend, budget, seed)
+    return dict(zip(basis, gradient_vector(g, moments).tolist()))
+
+
+def gradient_vector(g: GeneralizedPolynomial, moments) -> np.ndarray:
+    """grad_volume at g as an array in the canonical order of the degree-d slice.
+
+    ``moments`` maps every alpha of that slice to (value, std_error), as the
+    entries of g's default MomentTable do, so a caller holding that table
+    takes the volume and the gradient from one pass.
+    """
+    basis = enumerate_indices(g.n, int(g.degree * g.q))
     factor = -(g.n + g.degree_float) / g.degree_float
-    weight = multinomial_coefficient if g.convention == "multinomial" else lambda a: 1.0
-    return {a: factor * weight(a) * moments[a][0] for a in basis}
+    if g.convention == "multinomial":
+        factor = factor * np.array([float(multinomial_coefficient(a)) for a in basis])
+    return factor * np.array([moments[a][0] for a in basis])
 
 
 def moment_matrix(
@@ -545,13 +595,22 @@ def moment_matrix(
                 f"d*q = {twice} is odd; pass half_degree explicitly"
             )
         half_degree = int(twice) // 2
-    basis = enumerate_indices(g.n, int(half_degree))
-    keys = [[tuple(a + b for a, b in zip(alpha, beta)) for beta in basis] for alpha in basis]
-    gammas = sorted({key for row in keys for key in row}, reverse=True)
+    basis, gammas, index = _hankel_layout(g.n, int(half_degree))
     est, moments = _estimate(g, gammas, backend, budget, seed)
-    values = np.array([[moments[key][0] for key in row] for row in keys])
-    errors = np.array([[moments[key][1] for key in row] for row in keys])
-    return MomentMatrix(tuple(basis), values, errors, g.q, est)
+    table = np.array([moments[key] for key in gammas])
+    return MomentMatrix(basis, table[index, 0], table[index, 1], g.q, est)
+
+
+@functools.lru_cache(maxsize=64)
+def _hankel_layout(n: int, half_degree: int):
+    """Basis, distinct sums a + b (descending) and the (a, b) -> sum index matrix."""
+    basis = tuple(enumerate_indices(n, half_degree))
+    keys = [tuple(x + y for x, y in zip(a, b)) for a in basis for b in basis]
+    gammas = sorted(set(keys), reverse=True)
+    where = {key: i for i, key in enumerate(gammas)}
+    index = np.array([where[key] for key in keys]).reshape(len(basis), len(basis))
+    index.setflags(write=False)
+    return basis, tuple(gammas), index
 
 
 def euler_residual(

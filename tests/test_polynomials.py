@@ -43,6 +43,13 @@ class TestEnumerateIndices:
         assert out == sorted(out, reverse=True)
         assert len(set(out)) == len(out)
 
+    def test_returns_a_fresh_list(self):
+        first = enumerate_indices(3, 2)
+        first.append((9, 9, 9))
+        assert enumerate_indices(3, 2) == [
+            (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)
+        ]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_indices(0, 2)
@@ -66,6 +73,25 @@ class TestMultinomialCoefficient:
     def test_rejects_fractional_lattice(self):
         with pytest.raises(ValueError):
             multinomial_coefficient(ExponentVector((2, 2), q=2))
+
+    def test_equal_for_every_spelling_of_the_index(self):
+        assert multinomial_coefficient([1, 1, 2]) == 12
+        assert multinomial_coefficient(np.array([1, 1, 2])) == 12
+        assert multinomial_coefficient(ExponentVector((1, 1, 2))) == 12
+
+    def test_rejects_negative_entries_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative"):
+                multinomial_coefficient((3, -1))
+
+
+class TestEvenSupport:
+    def test_counts_every_stored_term_including_zeros(self):
+        # a stored zero coefficient on an odd exponent still breaks the flip symmetry flag
+        g = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): 0.0})
+        assert not g.has_even_support()
+        assert ld_polynomial(2, 4).has_even_support()
+        assert GeneralizedPolynomial(2, 4, 1, {}).has_even_support()
 
 
 class TestExponentVector:

@@ -312,6 +312,17 @@ class TestMonteCarlo:
             est = volume(bad, backend="monte_carlo", budget=200_000, seed=0)
         assert est.ess < 0.01 * 200_000
 
+    def test_table_rows_agree_with_spherical(self):
+        # every row of a mixed-degree table: g's own terms, missing alphas of
+        # several total degrees, in an order unlike the kernel's row order
+        g = random_feasible_quartic(np.random.default_rng(21))
+        alphas = [(0, 0), (1, 3), (0, 2), (4, 0), (2, 1), (2, 2), (0, 4), (1, 1), (3, 1)]
+        mc = moment_table(g, alphas=alphas, backend="monte_carlo", budget=100_000, seed=2)
+        sph = moment_table(g, alphas=alphas, budget=8192)
+        for a in alphas:
+            assert agree(mc.value(a), mc.error(a), sph.value(a), 0.0, sigmas=4.0), a
+        assert mc.value((2, 1)) == sph.value((2, 1)) == 0.0  # odd total degree
+
     def test_higher_dimension_supported(self):
         g = ld_polynomial(4, 2)
         est = volume(g, backend="monte_carlo", budget=200_000, seed=6)
@@ -447,6 +458,77 @@ class TestSphericalEquivalence:
         factor = -(g.n + g.degree_float) / g.degree_float
         grads = grad_volume(g, budget=self.BUDGET)
         self._check(g, [(a, v / factor) for a, v in grads.items()])
+
+
+SPARSE_BALLS = [
+    ld_polynomial(2, 4),
+    ld_polynomial(3, 6),
+    ld_polynomial(2, Fraction(3, 2), q=2),
+    ld_polynomial(3, Fraction(3, 2), q=2),
+    ld_polynomial(3, Fraction(1, 2), q=4),
+]
+SPARSE_IDS = ["2-4", "3-6", "2-3/2-q2", "3-3/2-q2", "3-1/2-q4"]
+
+
+def _dense_form(n, d, seed):
+    """A random dense classical form made positive by adding the axis-power ball."""
+    rng = np.random.default_rng([seed, n, d])
+    terms = {a: 0.1 * rng.normal() for a in enumerate_indices(n, d)}
+    for a in ld_polynomial(n, d).terms:
+        terms[a] += 1.0
+    return GeneralizedPolynomial(n, d, 1, terms)
+
+
+DENSE_FORMS = [_dense_form(2, 4, 0), _dense_form(2, 6, 1), _dense_form(3, 4, 2), _dense_form(3, 6, 3)]
+DENSE_IDS = ["2-4", "2-6", "3-4", "3-6"]
+
+
+class TestSingleKernelPass:
+    """One monomial kernel call per spherical pass, against the per-alpha formula.
+
+    The kernel rows are g's own terms followed by the moment alphas they
+    miss; a sparse ball has few own rows, a dense form has them all, and a
+    max_order table adds rows of several total degrees (several k groups).
+    """
+
+    BUDGET = 4096
+
+    def _check(self, g, table):
+        reference = _per_alpha_moments(g, list(table.entries), self.BUDGET)
+        for alpha, (got, _) in table.entries.items():
+            want, scale = reference[alpha]
+            assert abs(got - want) <= 1e-12 * scale, alpha
+        # the volume still comes from the evaluated polynomial, bit for bit
+        dirs, w = _sphere_grid(g.n, self.BUDGET)
+        h = g.evaluate(dirs)
+        assert table.normalization.value == float(np.dot(w, h ** (-g.n / g.degree_float)) / g.n)
+
+    @pytest.mark.parametrize("g", SPARSE_BALLS, ids=SPARSE_IDS)
+    def test_sparse_ball_degree_slice(self, g):
+        table = moment_table(g, budget=self.BUDGET)
+        assert len(table.entries) > len(g.terms)  # most rows are not g's own
+        self._check(g, table)
+
+    @pytest.mark.parametrize("g", SPARSE_BALLS, ids=SPARSE_IDS)
+    def test_sparse_ball_max_order_table(self, g):
+        table = moment_table(g, max_order=4, budget=self.BUDGET)
+        assert len({sum(a) for a in table.entries}) > 2
+        self._check(g, table)
+
+    @pytest.mark.parametrize("g", DENSE_FORMS, ids=DENSE_IDS)
+    def test_dense_form_degree_slice(self, g):
+        self._check(g, moment_table(g, budget=self.BUDGET))
+
+    @pytest.mark.parametrize("g", DENSE_FORMS, ids=DENSE_IDS)
+    def test_dense_form_max_order_table(self, g):
+        table = moment_table(g, max_order=4, budget=self.BUDGET)
+        assert {sum(a) for a in table.entries} == set(range(5))
+        self._check(g, table)
+
+    def test_unordered_alphas_with_repeats(self):
+        g = DENSE_FORMS[2]
+        alphas = [(0, 0, 2), (4, 0, 0), (1, 1, 0), (0, 0, 2), (2, 1, 1), (0, 0, 0), (3, 1, 0)]
+        self._check(g, moment_table(g, alphas=alphas, budget=self.BUDGET))
 
 
 class TestSphereGridCache:
