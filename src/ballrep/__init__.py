@@ -18,12 +18,10 @@ from .certificates import (
     minimal_trace_axis_gram,
     refute_ld_for_p3,
 )
-from .gammafn import gamma, log_gamma
 from .jacobi import jacobi_eigh
 from .polynomials import (
     MONOMIAL,
     MULTINOMIAL,
-    ExponentVector,
     GeneralizedPolynomial,
     GramForm,
     NormReport,
@@ -53,6 +51,7 @@ from .serialize import (
     parse_polynomial,
     polynomial_from_dict,
     polynomial_to_dict,
+    region_hash,
     serialize_gram,
     serialize_polynomial,
 )
@@ -84,7 +83,6 @@ from .volume import (
     moment,
     moment_matrix,
     moment_table,
-    region_hash,
     volume,
 )
 

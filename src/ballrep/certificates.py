@@ -30,7 +30,9 @@ from .polynomials import (
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
+    coefficient_vector,
     enumerate_indices,
+    ld_polynomial,
     multinomial_coefficient,
 )
 from .volume import (
@@ -90,6 +92,31 @@ def _ratio_error(m, sm, m1, sm1) -> float:
     )
 
 
+def _degree_slice(g: GeneralizedPolynomial, moments: MomentTable) -> list:
+    """g's degree-d lattice slice, once the table is known to cover it."""
+    if moments.q != g.q:
+        raise MomentCoverageError(
+            f"moment table lattice q={moments.q} does not match candidate q={g.q}"
+        )
+    basis = enumerate_indices(g.n, int(g.degree * g.q))
+    missing = [a for a in basis if a not in moments.entries]
+    if missing:
+        raise MomentCoverageError(f"missing moment entries, e.g. {missing[0]}")
+    return basis
+
+
+def _ball_volume_residual(n: int, d, est, tol: float) -> tuple[float, float]:
+    """(vol(B_d), relative volume residual); raises unless est is at vol(B_d)."""
+    rho = closed_form_ball_volume(n, d)
+    volume_residual = abs(est.value - rho) / rho
+    if volume_residual > tol + 3.0 * est.std_error / rho:
+        raise CertificatePreconditionError(
+            f"candidate volume {est.value:.6g} is not at vol(B_d) = {rho:.6g} "
+            f"within tolerance {tol:g}"
+        )
+    return rho, volume_residual
+
+
 def certify_p1(
     g: GeneralizedPolynomial,
     moments: MomentTable,
@@ -101,24 +128,8 @@ def certify_p1(
     and a volume estimate at vol(B_d) within tolerance.
     """
     tol = _default_tol(moments.normalization.backend, tol)
-    if moments.q != g.q:
-        raise MomentCoverageError(
-            f"moment table lattice q={moments.q} does not match candidate q={g.q}"
-        )
-    basis = enumerate_indices(g.n, int(g.degree * g.q))
-    missing = [a for a in basis if a not in moments.entries]
-    if missing:
-        raise MomentCoverageError(f"missing moment entries, e.g. {missing[0]}")
-
-    rho = closed_form_ball_volume(g.n, g.degree)
-    vol = moments.normalization.value
-    vol_err = moments.normalization.std_error
-    volume_residual = abs(vol - rho) / rho
-    if volume_residual > tol + 3.0 * vol_err / rho:
-        raise CertificatePreconditionError(
-            f"candidate volume {vol:.6g} is not at vol(B_d) = {rho:.6g} "
-            f"within tolerance {tol:g}"
-        )
+    basis = _degree_slice(g, moments)
+    _, volume_residual = _ball_volume_residual(g.n, g.degree, moments.normalization, tol)
 
     axis = tuple(int(g.degree * g.q) if i == 0 else 0 for i in range(g.n))
     m1, sm1 = moments.entries[axis]
@@ -194,14 +205,7 @@ def certify_p2(
             "certify_p2 expects multinomial-convention coefficients; "
             "convert with to_convention('multinomial')"
         )
-    if moments.q != g.q:
-        raise MomentCoverageError(
-            f"moment table lattice q={moments.q} does not match candidate q={g.q}"
-        )
-    basis = enumerate_indices(g.n, int(g.degree * g.q))
-    missing = [a for a in basis if a not in moments.entries]
-    if missing:
-        raise MomentCoverageError(f"missing moment entries, e.g. {missing[0]}")
+    basis = _degree_slice(g, moments)
 
     vol = moments.normalization.value
     vol_err = moments.normalization.std_error
@@ -260,15 +264,7 @@ def certify_p3(
             f"moment matrix has shape {mm.values.shape}, expected ({size}, {size})"
         )
     n, d = gram.n, float(gram.degree)
-    rho = closed_form_ball_volume(n, gram.degree)
-    vol = mm.normalization.value
-    vol_err = mm.normalization.std_error
-    volume_residual = abs(vol - rho) / rho
-    if volume_residual > tol + 3.0 * vol_err / rho:
-        raise CertificatePreconditionError(
-            f"candidate volume {vol:.6g} is not at vol(B_d) = {rho:.6g} "
-            f"within tolerance {tol:g}"
-        )
+    rho, volume_residual = _ball_volume_residual(n, gram.degree, mm.normalization, tol)
 
     trace = gram.trace
     scale = (n + d) * trace / (n * rho)
@@ -317,11 +313,7 @@ def minimal_trace_axis_gram(n: int, d: int) -> GramForm:
     """
     if d < 2 or d % 2 != 0:
         raise ValueError(f"degree must be an even integer >= 2, got {d}")
-    basis = enumerate_indices(n, d // 2)
-    diag = np.zeros(len(basis))
-    for i in range(n):
-        pure = tuple(d // 2 if j == i else 0 for j in range(n))
-        diag[basis.index(pure)] = 1.0
+    diag = coefficient_vector(ld_polynomial(n, d // 2), enumerate_indices(n, d // 2))
     return GramForm(n, d, np.diag(diag))
 
 

@@ -33,6 +33,7 @@ from .serialize import (
     parse_candidate,
     parse_polynomial,
     polynomial_to_dict,
+    region_hash,
 )
 from .solvers import SolveConfig, solve_p1, solve_p2, solve_p3
 from .volume import (
@@ -180,7 +181,7 @@ def cmd_moments(args) -> int:
     if args.format == "json":
         doc = {
             "q": table.q,
-            "region": table.region,
+            "region": region_hash(g),
             "rows": [
                 {"alpha_times_q": list(a), "value": v, "std_error": e}
                 for a, v, e in table.rows()
@@ -196,7 +197,7 @@ def cmd_solve(args) -> int:
     d = _parse_fraction(args.d)
     config = SolveConfig(
         max_iters=args.max_iters,
-        budget=args.budget or DEFAULT_BUDGETS[args.backend],
+        budget=DEFAULT_BUDGETS[args.backend] if args.budget is None else args.budget,
         seed=args.seed,
         backend=args.backend,
         cert_tol=args.tol if args.tol is not None else 1e-2,

@@ -36,21 +36,19 @@ MULTINOMIAL = "multinomial"
 Exponent = tuple[int, ...]
 
 
-def enumerate_indices(n: int, total: int, q: int = 1) -> list[Exponent]:
+def enumerate_indices(n: int, total: int) -> list[Exponent]:
     """All length-n tuples of non-negative integers summing to ``total``.
 
     The order is graded lexicographic, descending on the numerators, e.g.
     (4,0) > (3,1) > (2,2) > (1,3) > (0,4).  This is the canonical basis
     order used everywhere (coefficient vectors, Gram matrices, CSV rows).
-    With denominator q the tuple ``alpha`` stands for the exponent vector
-    ``alpha / q`` of total degree ``total / q``.
+    On a lattice with denominator q the tuple ``alpha`` stands for the
+    exponent vector ``alpha / q`` of total degree ``total / q``.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if total < 0:
         raise ValueError(f"total degree numerator must be >= 0, got {total}")
-    if q < 1:
-        raise ValueError(f"lattice denominator must be >= 1, got {q}")
     return list(_indices(n, total))
 
 
@@ -90,10 +88,6 @@ def monomials(base, exponents) -> np.ndarray:
 
 def multinomial_coefficient(alpha: Iterable[int]) -> int:
     """c_alpha = (sum alpha)! / (alpha_1! ... alpha_n!) for integer exponents."""
-    if isinstance(alpha, ExponentVector):
-        if alpha.q != 1:
-            raise ValueError("multinomial coefficients need integer exponents (q = 1)")
-        alpha = alpha.numerators
     return _multinomial(tuple(alpha))
 
 
@@ -106,34 +100,6 @@ def _multinomial(alpha: tuple) -> int:
     for a in parts:
         out //= math.factorial(a)
     return out
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """A multi-index with entries on the lattice (1/q) * Z_{>=0}."""
-
-    numerators: Exponent
-    q: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerators", tuple(int(a) for a in self.numerators))
-        if len(self.numerators) < 1:
-            raise ValueError("exponent vector needs at least one entry")
-        if any(a < 0 for a in self.numerators):
-            raise ValueError(f"negative exponent numerator in {self.numerators}")
-        if self.q < 1:
-            raise ValueError(f"lattice denominator must be >= 1, got {self.q}")
-
-    @property
-    def n(self) -> int:
-        return len(self.numerators)
-
-    @property
-    def degree(self) -> Fraction:
-        return Fraction(sum(self.numerators), self.q)
-
-    def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.q) for a in self.numerators)
 
 
 @dataclass(frozen=True)
@@ -387,17 +353,26 @@ def expand_gram(gram: GramForm) -> GeneralizedPolynomial:
     The coefficient of x**gamma is the sum of Q[a, b] over ordered index
     pairs with a + b = gamma.
     """
-    basis = gram.basis
-    Q = gram.Q
-    terms: dict[Exponent, float] = {}
-    for i, a in enumerate(basis):
-        for j in range(i, len(basis)):
-            b = basis[j]
-            weight = Q[i, j] if i == j else 2.0 * Q[i, j]
-            gamma = tuple(ai + bi for ai, bi in zip(a, b))
-            terms[gamma] = terms.get(gamma, 0.0) + weight
-    terms = {a: c for a, c in terms.items() if c != 0.0}
+    _, gammas, index = _hankel_layout(gram.n, gram.degree // 2)
+    coeffs = np.bincount(index.ravel(), weights=gram.Q.ravel(), minlength=len(gammas))
+    terms = {gamma: c for gamma, c in zip(gammas, coeffs.tolist()) if c != 0.0}
     return GeneralizedPolynomial(gram.n, Fraction(gram.degree), 1, terms, MONOMIAL)
+
+
+@functools.lru_cache(maxsize=64)
+def _hankel_layout(n: int, half_degree: int):
+    """Basis, distinct sums a + b (descending) and the (a, b) -> sum index matrix.
+
+    The index matrix is the one Gram layout: it maps a Gram matrix onto the
+    coefficients of its expansion, and a moment vector onto a moment matrix.
+    """
+    basis = tuple(enumerate_indices(n, half_degree))
+    keys = [tuple(x + y for x, y in zip(a, b)) for a in basis for b in basis]
+    gammas = sorted(set(keys), reverse=True)
+    where = {key: i for i, key in enumerate(gammas)}
+    index = np.array([where[key] for key in keys]).reshape(len(basis), len(basis))
+    index.setflags(write=False)
+    return basis, tuple(gammas), index
 
 
 def norms(obj: GeneralizedPolynomial | GramForm) -> NormReport:

@@ -11,11 +11,13 @@ Gram documents:
 Moment tables are exchanged as semicolon CSV with header
 ``alpha_times_q;value;std_error``; the all-zeros index row carries the
 volume.  Serialization is canonical: fixed field order, terms in the
-canonical index order, floats via repr so that round trips are exact.
+canonical index order, floats via repr so that round trips are exact, so
+``region_hash`` can name a region by a hash of its polynomial document.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -35,6 +37,13 @@ class SchemaError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("document", f"malformed JSON: {exc}") from exc
 
 
 def _require(doc: dict, field: str, kinds, where: str = ""):
@@ -107,11 +116,12 @@ def serialize_polynomial(g: GeneralizedPolynomial) -> str:
 
 
 def parse_polynomial(text: str) -> GeneralizedPolynomial:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("document", f"malformed JSON: {exc}") from exc
-    return polynomial_from_dict(doc)
+    return polynomial_from_dict(_load_json(text))
+
+
+def region_hash(g: GeneralizedPolynomial) -> str:
+    """Content hash of the defining polynomial (canonical JSON)."""
+    return hashlib.sha256(serialize_polynomial(g).encode()).hexdigest()[:16]
 
 
 # -- Gram forms ---------------------------------------------------------------
@@ -147,19 +157,12 @@ def serialize_gram(gram: GramForm) -> str:
 
 
 def parse_gram(text: str) -> GramForm:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("document", f"malformed JSON: {exc}") from exc
-    return gram_from_dict(doc)
+    return gram_from_dict(_load_json(text))
 
 
 def parse_candidate(text: str) -> GeneralizedPolynomial | GramForm:
     """Parse either schema, dispatching on the presence of a Q field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("document", f"malformed JSON: {exc}") from exc
+    doc = _load_json(text)
     if isinstance(doc, dict) and "Q" in doc:
         return gram_from_dict(doc)
     return polynomial_from_dict(doc)

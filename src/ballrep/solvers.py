@@ -33,8 +33,10 @@ from .polynomials import (
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
+    coefficient_vector,
     enumerate_indices,
     from_coefficient_vector,
+    ld_polynomial,
     multinomial_coefficient,
 )
 from .projections import project_l1_ball, project_psd_trace
@@ -50,18 +52,27 @@ from .volume import (
     volume,
 )
 
+# Armijo line search: the first trial step, its shrink factor per
+# backtrack, and the sufficient-decrease fraction of the linear prediction
+_INITIAL_STEP = 1.0
+_STEP_SHRINK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
 _MAX_BACKTRACKS = 48
 _NOISE_MAGNITUDE = 0.2
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration and estimation knobs shared by the three solvers."""
+    """Iteration and estimation knobs shared by the three solvers.
+
+    A solve stops after max_iters iterations, when a projected step no
+    longer moves, or once the volume's relative change stays within
+    tol_objective for three accepted steps in a row.  Each descent pass of
+    ``backend`` uses budget; the certificate's moments use cert_budget
+    (default 4 * budget), and its check uses cert_tol.
+    """
 
     max_iters: int = 400
-    initial_step: float = 1.0
-    step_shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
     tol_objective: float = 1e-10
     budget: int = 2048
     seed: int = 0
@@ -72,11 +83,12 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("initial_step", "step_shrink", "sufficient_decrease", "tol_objective"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.step_shrink < 1:
-            raise ValueError("step_shrink must be < 1")
+        if not self.tol_objective > 0:
+            raise ValueError("tol_objective must be positive")
+        for name in ("budget", "cert_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def certificate_budget(self) -> int:
@@ -145,7 +157,7 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
         raise InfiniteVolumeError("initial iterate has infinite volume")
     fx, grad = start
     trace = [(report(x, fx), fx)]
-    step = cfg.initial_step
+    step = _INITIAL_STEP
     converged = False
     streak = 0
     for it in range(1, cfg.max_iters + 1):
@@ -161,11 +173,11 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
                 stalled = True
                 break
             trial = evaluate(z, seed_it)
-            decrease = cfg.sufficient_decrease * float(np.vdot(grad, dx).real)
+            decrease = _SUFFICIENT_DECREASE * float(np.vdot(grad, dx).real)
             if trial is not None and trial[0] <= fx + min(0.0, decrease):
                 accepted = True
                 break
-            t *= cfg.step_shrink
+            t *= _STEP_SHRINK
         if stalled:
             converged = True
             break
@@ -179,7 +191,7 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
         if streak >= 3:
             converged = True
             break
-        step = min(cfg.initial_step, 2.0 * t)
+        step = min(_INITIAL_STEP, 2.0 * t)
     return x, fx, trace, converged
 
 
@@ -263,10 +275,9 @@ def solve_p1(
         if start.n != n or start.degree != d or start.q != q:
             raise ValueError("start polynomial does not match (n, d, q)")
         mono = start.to_convention(MONOMIAL) if start.q == 1 else start
-        x0 = project(np.array([mono.terms.get(a, 0.0) for a in basis]))
+        x0 = project(coefficient_vector(mono, basis))
     else:
-        # axis-power coefficients: the entries whose whole mass d*q sits in one slot
-        base = np.array([1.0 if max(a) == int(d * q) else 0.0 for a in basis])
+        base = coefficient_vector(ld_polynomial(n, d, q), basis)
         x0 = _feasible_perturbed_start(base, project, make_poly, cfg.seed)
 
     rho = closed_form_ball_volume(n, d)
@@ -337,14 +348,9 @@ def solve_p2(
         if start.n != n or start.degree != d or start.q != q:
             raise ValueError("start polynomial does not match (n, d, q)")
         aligned = start.to_convention(convention) if start.q == 1 else start
-        coeffs = np.array([aligned.terms.get(a, 0.0) for a in basis])
-        x0 = project(coeffs * root_w)
+        x0 = project(coefficient_vector(aligned, basis) * root_w)
     else:
-        base = np.zeros(len(basis))
-        for i in range(n):
-            axis = tuple(int(d * q) if j == i else 0 for j in range(n))
-            base[basis.index(axis)] = 1.0
-        base *= root_w
+        base = coefficient_vector(ld_polynomial(n, d, q), basis) * root_w
         x0 = _feasible_perturbed_start(base, project, make_poly, cfg.seed)
 
     def evaluate(u_vec, seed):
@@ -373,7 +379,7 @@ def solve_p2(
         solution, backend=cfg.backend, budget=cfg.certificate_budget, seed=cfg.seed
     )
     certificate = certify_p2(solution, table, tol=cfg.cert_tol)
-    objective = float(np.dot(weights, np.array([solution.terms.get(a, 0.0) for a in basis]) ** 2))
+    objective = float(np.dot(weights, coefficient_vector(solution, basis) ** 2))
     return SolveResult(
         problem="p2",
         solution=solution,

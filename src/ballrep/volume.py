@@ -30,7 +30,6 @@ statistical for Monte Carlo, and a boundary-cell bound for the grid.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,15 +37,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gammafn import log_gamma
 from .polynomials import (
     Exponent,
     GeneralizedPolynomial,
+    _hankel_layout,
     enumerate_indices,
     monomials,
     multinomial_coefficient,
 )
-from .serialize import serialize_polynomial
 
 SPHERICAL = "spherical"
 MONTE_CARLO = "monte_carlo"
@@ -109,16 +107,12 @@ class MomentTable:
     q: int
     entries: dict[Exponent, tuple[float, float]]
     normalization: VolumeEstimate
-    region: str
 
     def value(self, alpha: Exponent) -> float:
         return self.entries[tuple(alpha)][0]
 
     def error(self, alpha: Exponent) -> float:
         return self.entries[tuple(alpha)][1]
-
-    def covers(self, alphas) -> bool:
-        return all(tuple(a) in self.entries for a in alphas)
 
     def rows(self):
         """(alpha, value, std_error) triples in canonical order, volume row first."""
@@ -140,11 +134,6 @@ class MomentMatrix:
     normalization: VolumeEstimate
 
 
-def region_hash(g: GeneralizedPolynomial) -> str:
-    """Content hash of the defining polynomial (canonical JSON)."""
-    return hashlib.sha256(serialize_polynomial(g).encode()).hexdigest()[:16]
-
-
 # -- closed forms -------------------------------------------------------------
 
 
@@ -157,10 +146,10 @@ def closed_form_ball_volume(n: int, d) -> float:
         raise ValueError(f"degree must be positive, got {d}")
     log_vol = (
         n * math.log(2.0)
-        + n * log_gamma(1.0 / d)
+        + n * math.lgamma(1.0 / d)
         - math.log(n)
         - (n - 1) * math.log(d)
-        - log_gamma(n / d)
+        - math.lgamma(n / d)
     )
     if log_vol > 709.0:
         raise OverflowError(
@@ -323,15 +312,12 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
     n, d = g.n, g.degree_float
     alphas = [tuple(a) for a in alphas]
     live = [a for a in alphas if not _symmetry_zero(g, a)]
-    budget = int(budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     ratio_min = _reference_ratio_minimum(g, seed)
     tau = 1.0
     if 0.0 < ratio_min < 0.75:
         tau = min(0.75 / ratio_min, 1e6)
         g = g.rescale(tau)
-    log_zref = n * (math.log(2.0) + log_gamma(1.0 + 1.0 / d))
+    log_zref = n * (math.log(2.0) + math.lgamma(1.0 + 1.0 / d))
     sum_w = 0.0
     sum_w2 = 0.0
     sums = np.zeros(len(live))
@@ -376,12 +362,12 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
 
     mean_w, se_w = _mean_se(sum_w, sum_w2)
     # map the tempered estimates back through f(g) = tau**(n/d) f(tau g)
-    c_vol = math.exp(log_zref - log_gamma(1.0 + n / d)) * tau ** (n / d)
+    c_vol = math.exp(log_zref - math.lgamma(1.0 + n / d)) * tau ** (n / d)
     volume = VolumeEstimate(c_vol * mean_w, c_vol * se_w, MONTE_CARLO, budget, ess=ess)
     moments: dict[Exponent, tuple[float, float]] = {a: (0.0, 0.0) for a in alphas}
     for i, a in enumerate(live):
         k = n + sum(a) / g.q
-        c = math.exp(log_zref - log_gamma(1.0 + k / d)) * tau ** (k / d)
+        c = math.exp(log_zref - math.lgamma(1.0 + k / d)) * tau ** (k / d)
         mean, se = _mean_se(sums[i], sums2[i])
         moments[a] = (float(c * mean), float(c * se))
     return volume, moments
@@ -469,6 +455,8 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     budget = DEFAULT_BUDGETS[backend] if budget is None else int(budget)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     if backend == SPHERICAL:
         return _spherical_estimate(g, alphas, budget)
     if backend == MONTE_CARLO:
@@ -540,7 +528,7 @@ def moment_table(
     zero = (0,) * g.n
     if zero in moments:
         moments[zero] = (est.value, est.std_error)
-    return MomentTable(g.q, moments, est, region_hash(g))
+    return MomentTable(g.q, moments, est)
 
 
 def grad_volume(
@@ -599,18 +587,6 @@ def moment_matrix(
     est, moments = _estimate(g, gammas, backend, budget, seed)
     table = np.array([moments[key] for key in gammas])
     return MomentMatrix(basis, table[index, 0], table[index, 1], g.q, est)
-
-
-@functools.lru_cache(maxsize=64)
-def _hankel_layout(n: int, half_degree: int):
-    """Basis, distinct sums a + b (descending) and the (a, b) -> sum index matrix."""
-    basis = tuple(enumerate_indices(n, half_degree))
-    keys = [tuple(x + y for x, y in zip(a, b)) for a in basis for b in basis]
-    gammas = sorted(set(keys), reverse=True)
-    where = {key: i for i, key in enumerate(gammas)}
-    index = np.array([where[key] for key in keys]).reshape(len(basis), len(basis))
-    index.setflags(write=False)
-    return basis, tuple(gammas), index
 
 
 def euler_residual(

@@ -30,7 +30,7 @@ from ballrep import (
 def closed_form_table(n, d, entries, volume_value):
     """Hand-built MomentTable with deterministic provenance."""
     est = VolumeEstimate(volume_value, 0.0, "closed_form", 0)
-    return MomentTable(1, {a: (v, 0.0) for a, v in entries.items()}, est, "manual")
+    return MomentTable(1, {a: (v, 0.0) for a, v in entries.items()}, est)
 
 
 class TestCertifyP1:

@@ -14,6 +14,7 @@ from ballrep import (
     GeneralizedPolynomial,
     ld_polynomial,
     minimal_trace_axis_gram,
+    region_hash,
     serialize_gram,
     serialize_polynomial,
 )
@@ -52,6 +53,12 @@ class TestVolumeCommand:
         assert "sphere minimum" in err
         assert "-0.025" in err
 
+    @pytest.mark.parametrize("backend", ["spherical", "mc", "grid"])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_is_an_input_error(self, disk_file, capsys, backend, budget):
+        assert main(["volume", disk_file, "--backend", backend, "--budget", budget]) == 2
+        assert "budget must be >= 1" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2}')
@@ -88,6 +95,7 @@ class TestMomentsCommand:
         assert main(["moments", disk_file, "--max-order", "2", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["q"] == 1
+        assert doc["region"] == region_hash(DISK4)
         rows = {tuple(r["alpha_times_q"]): r["value"] for r in doc["rows"]}
         assert rows[(2, 0)] == pytest.approx(math.pi / 4, rel=1e-6)
 

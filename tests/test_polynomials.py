@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballrep import (
-    ExponentVector,
     GeneralizedPolynomial,
     GramForm,
     coefficient_vector,
@@ -32,7 +31,7 @@ class TestEnumerateIndices:
 
     def test_lattice_numerators(self):
         # numerators for exponents (1/2,0), (1/4,1/4), (0,1/2) on the 1/4 lattice
-        assert enumerate_indices(2, 2, q=4) == [(2, 0), (1, 1), (0, 2)]
+        assert enumerate_indices(2, 2) == [(2, 0), (1, 1), (0, 2)]
 
     @given(st.integers(1, 4), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
@@ -55,8 +54,6 @@ class TestEnumerateIndices:
             enumerate_indices(0, 2)
         with pytest.raises(ValueError):
             enumerate_indices(2, -1)
-        with pytest.raises(ValueError):
-            enumerate_indices(2, 2, q=0)
 
 
 class TestMultinomialCoefficient:
@@ -70,14 +67,9 @@ class TestMultinomialCoefficient:
         # 4! / (1! 1! 2!)
         assert multinomial_coefficient((1, 1, 2)) == 12
 
-    def test_rejects_fractional_lattice(self):
-        with pytest.raises(ValueError):
-            multinomial_coefficient(ExponentVector((2, 2), q=2))
-
     def test_equal_for_every_spelling_of_the_index(self):
         assert multinomial_coefficient([1, 1, 2]) == 12
         assert multinomial_coefficient(np.array([1, 1, 2])) == 12
-        assert multinomial_coefficient(ExponentVector((1, 1, 2))) == 12
 
     def test_rejects_negative_entries_every_time(self):
         for _ in range(2):
@@ -92,17 +84,6 @@ class TestEvenSupport:
         assert not g.has_even_support()
         assert ld_polynomial(2, 4).has_even_support()
         assert GeneralizedPolynomial(2, 4, 1, {}).has_even_support()
-
-
-class TestExponentVector:
-    def test_degree_is_exact_rational(self):
-        ev = ExponentVector((1, 1), q=4)
-        assert ev.degree == Fraction(1, 2)
-        assert ev.exponents() == (Fraction(1, 4), Fraction(1, 4))
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            ExponentVector((-1, 5))
 
 
 class TestEvaluate:

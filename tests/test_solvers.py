@@ -50,6 +50,14 @@ class TestScaleToTargetVolume:
             scale_to_target_volume(ld_polynomial(2, 2), -1.0)
 
 
+class TestSolveConfig:
+    @pytest.mark.parametrize("field", ["budget", "cert_budget"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_rejects_non_positive_budgets(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            SolveConfig(**{field: value})
+
+
 class TestLatticeValidation:
     def test_p1_odd_classical_degree_rejected(self):
         with pytest.raises(ValueError, match="even integer"):

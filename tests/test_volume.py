@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -148,8 +149,16 @@ class TestMomentTable:
 
     def test_region_hash_tracks_polynomial(self):
         assert region_hash(DISK4) != region_hash(FIG1_QUARTIC)
+
+    def test_computes_no_content_hash(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("moment_table serialized its polynomial")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ballrep" and hasattr(module, "serialize_polynomial"):
+                monkeypatch.setattr(module, "serialize_polynomial", refuse)
         table = moment_table(DISK4, budget=128)
-        assert table.region == region_hash(DISK4)
+        assert table.normalization.value > 0
 
     def test_max_order_lattice_walk(self):
         g = ld_polynomial(2, Fraction(1, 2), q=8)
