@@ -277,6 +277,8 @@ def cmd_boundary(args) -> int:
         print("boundary sampling is only defined for n = 2", file=sys.stderr)
         return EXIT_INPUT
     count = args.count
+    if count < 1:
+        raise SchemaError("count", f"must be >= 1, got {count}")
     theta = 2.0 * math.pi * np.arange(count) / count
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     h = np.asarray(g.evaluate(dirs), dtype=float)

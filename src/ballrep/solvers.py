@@ -13,10 +13,13 @@ decreases volume, every accepted step is saturated onto the boundary;
 iterates that leave the feasible cone (the backend detects a non-positive
 sphere value) are rejected and the step halved.
 
-The volume and its gradient, -(n + d)/d times the degree-d moments, come
-from the same sphere quadrature, so each trial point costs one estimator
-pass: a moment table for p1 and p2, a moment matrix for p3.  The gradient
-of the accepted point is carried into the next iteration.
+One oracle serves the three problems.  The polynomial's coefficients are
+linear in the solver coordinates: the coefficients themselves for p1,
+whitened coefficients for p2, the Gram matrix Q for p3.  One moment table
+over the degree-d slice gives a trial's volume and its gradient, -(n + d)/d
+times the degree-d moments, and the transpose of the linear map pulls that
+gradient back to the solver coordinates.  Every pass of a solve uses the
+same seed, so the Monte Carlo line search compares like with like.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .polynomials import (
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
+    _hankel_layout,
     coefficient_vector,
     enumerate_indices,
     from_coefficient_vector,
@@ -58,6 +62,8 @@ _INITIAL_STEP = 1.0
 _STEP_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 _MAX_BACKTRACKS = 48
+# converged: the volume's relative change stays within this for 3 steps
+_TOL_OBJECTIVE = 1e-10
 _NOISE_MAGNITUDE = 0.2
 
 
@@ -66,14 +72,13 @@ class SolveConfig:
     """Iteration and estimation knobs shared by the three solvers.
 
     A solve stops after max_iters iterations, when a projected step no
-    longer moves, or once the volume's relative change stays within
-    tol_objective for three accepted steps in a row.  Each descent pass of
-    ``backend`` uses budget; the certificate's moments use cert_budget
+    longer moves, or once the volume's relative change stays within 1e-10
+    for three accepted steps in a row.  Each descent pass of ``backend``
+    uses budget and seed; the certificate's moments use cert_budget
     (default 4 * budget), and its check uses cert_tol.
     """
 
     max_iters: int = 400
-    tol_objective: float = 1e-10
     budget: int = 2048
     seed: int = 0
     backend: str = SPHERICAL
@@ -83,8 +88,6 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol_objective > 0:
-            raise ValueError("tol_objective must be positive")
         for name in ("budget", "cert_budget"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -135,10 +138,6 @@ def scale_to_target_volume(
     return obj.rescale(k)
 
 
-def _iteration_seed(seed: int, iteration: int) -> int:
-    return max(0, int(seed)) * 1_000_003 + iteration
-
-
 def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     """Monotone projected-gradient descent of the volume functional.
 
@@ -147,12 +146,14 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     lies outside the feasible cone; ``project`` maps onto the norm ball
     (with boundary saturation); ``report(x, volume)`` gives the equivalent
     objective.  Each trial point of the line search is evaluated once, and
-    the accepted point's gradient, taken with that iteration's seed, drives
-    the next iteration.  Returns the final state, the iteration trace and
-    the convergence flag.
+    the accepted point's gradient drives the next iteration.  Every pass
+    uses cfg.seed, so a Monte Carlo Armijo test compares f(z) and f(x) on
+    the same samples (common random numbers); the deterministic backends
+    ignore the seed.  Returns the final state, the iteration trace and the
+    convergence flag.
     """
     x = state0
-    start = evaluate(x, _iteration_seed(cfg.seed, 0))
+    start = evaluate(x, cfg.seed)
     if start is None:
         raise InfiniteVolumeError("initial iterate has infinite volume")
     fx, grad = start
@@ -160,8 +161,7 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     step = _INITIAL_STEP
     converged = False
     streak = 0
-    for it in range(1, cfg.max_iters + 1):
-        seed_it = _iteration_seed(cfg.seed, it)
+    for _ in range(cfg.max_iters):
         t = step
         accepted = False
         stalled = False
@@ -172,7 +172,7 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
             if move <= 1e-14 * (1.0 + float(np.sqrt(np.vdot(x, x).real))):
                 stalled = True
                 break
-            trial = evaluate(z, seed_it)
+            trial = evaluate(z, cfg.seed)
             decrease = _SUFFICIENT_DECREASE * float(np.vdot(grad, dx).real)
             if trial is not None and trial[0] <= fx + min(0.0, decrease):
                 accepted = True
@@ -187,25 +187,41 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
         rel_change = abs(fx - fz) / max(abs(fz), 1e-300)
         x, fx = z, fz
         trace.append((report(x, fx), fx))
-        streak = streak + 1 if rel_change <= cfg.tol_objective else 0
+        streak = streak + 1 if rel_change <= _TOL_OBJECTIVE else 0
         if streak >= 3:
             converged = True
             break
         step = min(_INITIAL_STEP, 2.0 * t)
-    return x, fx, trace, converged
+    return x, trace, converged
 
 
-def _table_oracle(poly: GeneralizedPolynomial, cfg: SolveConfig, seed: int):
-    """(volume, gradient in basis order) of poly from one moment table, or None.
+def _descend(x0, to_poly, pullback, project, norm, n, d, cfg: SolveConfig):
+    """Minimize vol(to_poly(x)) over the norm ball with _projected_gradient.
 
-    The table's default alphas are the degree-d slice in the canonical
-    order, which is the order the coefficient vectors use.
+    to_poly is linear in x, and pullback is its transpose: it maps the
+    gradient in the coefficients of the degree-d slice, in canonical order,
+    to a gradient in x.  A trial costs one moment table over that slice;
+    the equivalent objective is norm(x) after rescaling to vol(B_d).
     """
-    try:
-        table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
-    except InfiniteVolumeError:
-        return None
-    return table.normalization.value, gradient_vector(poly, table.entries)
+    rho = closed_form_ball_volume(n, d)
+
+    def evaluate(x, seed):
+        poly = to_poly(x)
+        try:
+            table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
+        except InfiniteVolumeError:
+            return None
+        return table.normalization.value, pullback(gradient_vector(poly, table.entries))
+
+    def report(x, vol):
+        return norm(x * (vol / rho) ** (float(d) / n))
+
+    return _projected_gradient(x0, evaluate, project, report, cfg)
+
+
+def _check_start(start, n: int, d, q: int = 1):
+    if (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
+        raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
 
 
 def _feasible_perturbed_start(base_vec, project, make_poly, seed) -> np.ndarray:
@@ -272,26 +288,18 @@ def solve_p1(
         return w * (n / total) if total > 0 else w
 
     if start is not None:
-        if start.n != n or start.degree != d or start.q != q:
-            raise ValueError("start polynomial does not match (n, d, q)")
-        mono = start.to_convention(MONOMIAL) if start.q == 1 else start
-        x0 = project(coefficient_vector(mono, basis))
+        _check_start(start, n, d, q)
+        x0 = project(coefficient_vector(start.to_convention(MONOMIAL), basis))
     else:
         base = coefficient_vector(ld_polynomial(n, d, q), basis)
         x0 = _feasible_perturbed_start(base, project, make_poly, cfg.seed)
 
-    rho = closed_form_ball_volume(n, d)
-
-    def evaluate(vec, seed):
-        return _table_oracle(make_poly(vec), cfg, seed)
-
-    def report(vec, vol):
-        return float(np.abs(vec).sum()) * (vol / rho) ** (float(d) / n)
-
-    x, _, trace, converged = _projected_gradient(x0, evaluate, project, report, cfg)
-
+    x, trace, converged = _descend(
+        x0, make_poly, lambda grad: grad, project,
+        lambda vec: float(np.abs(vec).sum()), n, d, cfg,
+    )
     solution = scale_to_target_volume(
-        make_poly(x), rho, backend=cfg.backend,
+        make_poly(x), closed_form_ball_volume(n, d), backend=cfg.backend,
         budget=cfg.certificate_budget, seed=cfg.seed,
     )
     table = moment_table(
@@ -345,27 +353,17 @@ def solve_p2(
         return u_vec * (radius / norm) if norm > 0 else u_vec
 
     if start is not None:
-        if start.n != n or start.degree != d or start.q != q:
-            raise ValueError("start polynomial does not match (n, d, q)")
-        aligned = start.to_convention(convention) if start.q == 1 else start
-        x0 = project(coefficient_vector(aligned, basis) * root_w)
+        _check_start(start, n, d, q)
+        x0 = project(coefficient_vector(start.to_convention(convention), basis) * root_w)
     else:
         base = coefficient_vector(ld_polynomial(n, d, q), basis) * root_w
         x0 = _feasible_perturbed_start(base, project, make_poly, cfg.seed)
 
-    def evaluate(u_vec, seed):
-        # the gradient must be taken in the whitened coordinates:
-        # d f / d u_alpha = (1 / sqrt(c_alpha)) * d f / d g_alpha
-        out = _table_oracle(make_poly(u_vec), cfg, seed)
-        return None if out is None else (out[0], out[1] / root_w)
-
-    rho = closed_form_ball_volume(n, d)
-
-    def report(u_vec, vol):
-        k = (vol / rho) ** (float(d) / n)
-        return float(np.dot(u_vec, u_vec)) * k**2.0
-
-    x, _, trace, converged = _projected_gradient(x0, evaluate, project, report, cfg)
+    # whitened coordinates: d f / d u_alpha = (d f / d g_alpha) / sqrt(c_alpha)
+    x, trace, converged = _descend(
+        x0, make_poly, lambda grad: grad / root_w, project,
+        lambda u_vec: float(np.dot(u_vec, u_vec)), n, d, cfg,
+    )
 
     raw = make_poly(x)
     lead = basis[0]  # d * e_1 comes first in the canonical order
@@ -407,40 +405,29 @@ def solve_p3(
     cfg = config or SolveConfig()
     if d % 2 != 0 or d < 2:
         raise ValueError(f"the Gram trace problem needs an even degree >= 2, got {d}")
-    basis = enumerate_indices(n, d // 2)
-    size = len(basis)
+    basis, _, index = _hankel_layout(n, d // 2)
 
     def project(Q):
         P = project_psd_trace(Q, float(n))
         tr = float(np.trace(P))
         return P * (n / tr) if tr > 0 else P
 
-    def evaluate(Q, seed):
-        try:
-            mm = moment_matrix(
-                GramForm(n, d, Q).expand(), d // 2, backend=cfg.backend,
-                budget=cfg.budget, seed=seed,
-            )
-        except InfiniteVolumeError:
-            return None
-        return mm.normalization.value, -(n + d) / d * mm.values
-
-    def report(Q, vol):
-        return float(np.trace(Q)) * (vol / rho) ** (d / n)
-
-    rho = closed_form_ball_volume(n, d)
     if start is not None:
-        if start.n != n or start.degree != d:
-            raise ValueError("start Gram form does not match (n, d)")
+        _check_start(start, n, d)
         Q0 = project(np.asarray(start.Q, dtype=float))
     else:
-        Q0 = (float(n) / size) * np.eye(size)
+        Q0 = (float(n) / len(basis)) * np.eye(len(basis))
 
-    Q, _, trace_log, converged = _projected_gradient(Q0, evaluate, project, report, cfg)
-
-    gram = GramForm(n, d, Q)
+    # expand_gram adds Q[a, b] into the coefficient at a + b, so its
+    # transpose gathers the coefficient gradient at a + b into entry (a, b);
+    # index numbers the sums in the canonical order of the degree-d slice
+    Q, trace_log, converged = _descend(
+        Q0, lambda mat: GramForm(n, d, mat).expand(), lambda grad: grad[index], project,
+        lambda mat: float(np.trace(mat)), n, d, cfg,
+    )
     solution = scale_to_target_volume(
-        gram, rho, backend=cfg.backend, budget=cfg.certificate_budget, seed=cfg.seed
+        GramForm(n, d, Q), closed_form_ball_volume(n, d), backend=cfg.backend,
+        budget=cfg.certificate_budget, seed=cfg.seed,
     )
     mm = moment_matrix(
         solution.expand(), d // 2, backend=cfg.backend,

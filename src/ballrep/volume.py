@@ -515,6 +515,8 @@ def moment_table(
     """
     if alphas is None:
         if max_order is not None:
+            if Fraction(max_order) < 0:
+                raise ValueError(f"max_order must be >= 0, got {max_order}")
             top = int(Fraction(max_order) * g.q)
             alphas = [
                 a
@@ -615,19 +617,19 @@ def finite_volume_test(
 ) -> FeasibilityVerdict:
     """Minimum of g over the unit sphere by a scan and a batched zoom search.
 
-    n = 2 scans 2048 angles, then zooms in on the `restarts` best: each
-    level evaluates 9 angles across [-h, h] around every candidate in one
-    batch, keeps the best and divides h by 4, from one scan step down to
-    1e-13.  n >= 3 starts from the axes, the diagonal and seeded random
-    directions (for n = 3 also from the best nodes of a cached sphere grid)
-    and zooms in tangent coordinates: each level tries a 5**k stencil of
-    radius r around every candidate, projects it back onto the sphere,
-    keeps the best and shrinks r from 0.5 down to 1e-10.  For n <= 4 the
-    stencil spans the whole tangent space (k = n - 1) and r halves each
-    level; above that it spans a seeded random 3-dimensional tangent
-    subspace (k = 3), so its size stays bounded, and r halves once every
-    (n - 1)/3 levels.  The search uses no derivatives, so the kinks of
-    generalized inputs do not stall it.
+    The exact axes +-e_i always count.  n = 2 scans 2048 angles, then zooms
+    in on the `restarts` best: each level evaluates 9 angles across [-h, h]
+    around every candidate in one batch, keeps the best and divides h by 4,
+    from one scan step down to 1e-13.  n >= 3 starts from the axes, the
+    diagonal and seeded random directions (for n = 3 also from the best
+    nodes of a cached sphere grid) and zooms in tangent coordinates: each
+    level tries a 5**k stencil of radius r around every candidate, projects
+    it back onto the sphere, keeps the best and shrinks r from 0.5 down to
+    1e-10.  For n <= 4 the stencil spans the whole tangent space (k = n - 1)
+    and r halves each level; above that it spans a seeded random
+    3-dimensional tangent subspace (k = 3), so its size stays bounded, and r
+    halves once every (n - 1)/3 levels.  The search uses no derivatives, so
+    the kinks of generalized inputs do not stall it.
 
     Every tried point is a unit direction and counts towards the minimum,
     so a strictly negative minimum proves infinite volume (g is negative on
@@ -636,14 +638,15 @@ def finite_volume_test(
     the sublevel set is then unbounded along the minimizing direction.
     """
     n = g.n
+    # the scan's cos and sin miss the axes by round-off, which |x|**(1/q) inflates
+    smin = float(np.min(g.evaluate(np.vstack([np.eye(n), -np.eye(n)]))))
     if n == 1:
-        smin = min(float(g.evaluate([1.0])), float(g.evaluate([-1.0])))
         return FeasibilityVerdict(smin > tolerance, smin, 1)
     if n == 2:
         step = 2.0 * math.pi / 2048
         theta = step * np.arange(2048)
         values = np.asarray(g.evaluate(np.stack([np.cos(theta), np.sin(theta)], -1)))
-        smin = float(values.min())
+        smin = min(smin, float(values.min()))
         best = theta[np.argsort(values)[: max(1, restarts)]]
         h = step
         while h >= 1e-13:
@@ -662,12 +665,11 @@ def finite_volume_test(
         v = rng.normal(size=n)
         starts.append(v / np.linalg.norm(v))
     best = np.array(starts)
-    smin = math.inf
     if n == 3:
         # every grid node is a unit direction, so a negative grid value is proof
         nodes = _sphere_grid(3, _GATE_BUDGET)[0]
         values = g.evaluate(nodes)
-        smin = float(values.min())
+        smin = min(smin, float(values.min()))
         best = np.vstack([best, nodes[np.argsort(values)[: max(1, restarts)]]])
     k = min(n - 1, _GATE_ZOOM_DIMS)
     axis = np.linspace(-1.0, 1.0, 5)

@@ -110,6 +110,12 @@ class TestMomentsCommand:
         assert len(top) == 5
         assert all(float(row.split(";")[1]) > 0 for row in top)
 
+    def test_negative_order_is_an_input_error(self, disk_file, capsys):
+        assert main(["moments", disk_file, "--max-order", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_order must be >= 0" in captured.err
+
 
 class TestSolveCommand:
     def test_p1_json_document(self, capsys):
@@ -222,6 +228,13 @@ class TestBoundaryCommand:
         path = tmp_path / "ball3.json"
         path.write_text(serialize_polynomial(ld_polynomial(3, 2)))
         assert main(["boundary", str(path)]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_count_is_an_input_error(self, disk_file, capsys, count):
+        assert main(["boundary", disk_file, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "count: must be >= 1" in captured.err
 
 
 class TestDeterminism:

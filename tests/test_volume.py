@@ -629,6 +629,14 @@ class TestFeasibilityGate:
         assert verdict.finite_volume
         assert verdict.sphere_minimum == pytest.approx(1.0, abs=1e-12)
 
+    def test_planar_minimum_at_an_axis_kink(self):
+        # g(e2) = 1 is the minimum; at the scan angle pi/2, cos is 6e-17 and
+        # |x_1|^(1/4) turns it into 8.8e-5
+        g = GeneralizedPolynomial(2, Fraction(1, 2), 4, {(2, 0): 2, (1, 1): 1, (0, 2): 1})
+        verdict = finite_volume_test(g)
+        assert verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(1.0, abs=1e-12)
+
     def test_four_dimensional_quartic_ball(self):
         # sum x_i^4 is smallest on the diagonal, at 4 * (1/4)^2 = 1/4
         verdict = finite_volume_test(ld_polynomial(4, 4))
