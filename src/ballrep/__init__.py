@@ -12,6 +12,7 @@ from .certificates import (
     CertificatePreconditionError,
     MomentCoverageError,
     RefutationReport,
+    certify,
     certify_p1,
     certify_p2,
     certify_p3,

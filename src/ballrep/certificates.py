@@ -2,9 +2,13 @@
 
 Each certificate is a pure function of (candidate, moment data, tolerance):
 it never re-estimates moments, so a verdict is reproducible from its
-inputs.  Stochastic moment errors are propagated; a residual only counts
-as a violation when it exceeds the tolerance plus three combined standard
-errors, otherwise sampling noise would flip verdicts.
+inputs.  certify(problem, candidate, ...) alone chooses which moment data
+of the candidate's own ball checks which problem, and estimates it.
+Stochastic moment errors are propagated; a residual only counts as a
+violation when it exceeds the tolerance plus three combined standard
+errors, otherwise sampling noise would flip verdicts.  A ratio m / m1 of
+moments with standard errors sm, sm1 has, to first order, the standard
+error hypot(sm, |m| sm1 / |m1|) / |m1|.
 
 * l1 problem: the explicit dual construction from the optimality system.
   With s_alpha = moment(alpha) / moment(d*e_1), the multipliers
@@ -20,7 +24,6 @@ errors, otherwise sampling noise would flip verdicts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,10 @@ from .volume import (
     SPHERICAL,
     MomentMatrix,
     MomentTable,
+    VolumeEstimate,
     closed_form_ball_volume,
+    moment_matrix,
+    moment_table,
 )
 
 PASS = "pass"
@@ -78,22 +84,13 @@ def _default_tol(backend: str, tol: float | None) -> float:
     return 1e-6 if backend in _DETERMINISTIC else 1e-2
 
 
-def _alpha_key(alpha) -> str:
-    return "g(" + ",".join(str(a) for a in alpha) + ")"
+def _ratio_error(m, sm, m1, sm1):
+    """Standard error of m / m1 by first-order propagation, for m1 != 0."""
+    return np.hypot(sm, np.abs(m) * sm1 / abs(m1)) / abs(m1)
 
 
-def _ratio_error(m, sm, m1, sm1) -> float:
-    # standard error of m / m1 by first-order propagation
-    if m1 == 0.0:
-        return math.inf
-    rel1 = sm1 / abs(m1)
-    return abs(m / m1) * math.hypot(sm / abs(m) if m != 0.0 else 0.0, rel1) + (
-        sm / abs(m1) if m == 0.0 else 0.0
-    )
-
-
-def _degree_slice(g: GeneralizedPolynomial, moments: MomentTable) -> list:
-    """g's degree-d lattice slice, once the table is known to cover it."""
+def _degree_slice(g: GeneralizedPolynomial, moments: MomentTable):
+    """(basis, values, errors) of g's degree-d lattice slice in canonical order."""
     if moments.q != g.q:
         raise MomentCoverageError(
             f"moment table lattice q={moments.q} does not match candidate q={g.q}"
@@ -102,7 +99,8 @@ def _degree_slice(g: GeneralizedPolynomial, moments: MomentTable) -> list:
     missing = [a for a in basis if a not in moments.entries]
     if missing:
         raise MomentCoverageError(f"missing moment entries, e.g. {missing[0]}")
-    return basis
+    values, errors = np.array([moments.entries[a] for a in basis]).T
+    return basis, values, errors
 
 
 def _ball_volume_residual(n: int, d, est, tol: float) -> tuple[float, float]:
@@ -128,64 +126,45 @@ def certify_p1(
     and a volume estimate at vol(B_d) within tolerance.
     """
     tol = _default_tol(moments.normalization.backend, tol)
-    basis = _degree_slice(g, moments)
+    basis, values, errors = _degree_slice(g, moments)
     _, volume_residual = _ball_volume_residual(g.n, g.degree, moments.normalization, tol)
 
-    axis = tuple(int(g.degree * g.q) if i == 0 else 0 for i in range(g.n))
-    m1, sm1 = moments.entries[axis]
+    # d * e_1 leads the canonical order
+    m1, sm1 = values[0], errors[0]
     if not m1 > 0.0:
         raise CertificatePreconditionError(
-            f"axis moment at {axis} is {m1:.6g}, expected positive"
+            f"axis moment at {basis[0]} is {m1:.6g}, expected positive"
         )
     mono = g.to_convention("monomial") if g.q == 1 else g
-    cutoff = tol * max((abs(c) for c in mono.terms.values()), default=0.0)
-    support = set(mono.support(cutoff))
+    coeffs = coefficient_vector(mono, basis)
+    support = np.abs(coeffs) > tol * np.abs(coeffs).max()
 
     theta = (g.degree_float / (g.n + g.degree_float)) / m1
-    ratios: dict[tuple, float] = {}
-    ratio_errs: dict[tuple, float] = {}
-    for alpha in basis:
-        m, sm = moments.entries[alpha]
-        ratios[alpha] = m / m1
-        ratio_errs[alpha] = _ratio_error(m, sm, m1, sm1)
-
-    dominance = 0.0
-    dominance_ok = True
-    for alpha in basis:
-        excess = abs(ratios[alpha]) - 1.0
-        dominance = max(dominance, excess)
-        if excess > tol + 3.0 * ratio_errs[alpha]:
-            dominance_ok = False
-
-    stationarity = 0.0
-    stationarity_ok = True
-    slackness = 0.0
-    slackness_ok = True
-    for alpha in support:
-        coeff = mono.terms[alpha]
-        gap = abs(math.copysign(1.0, coeff) * ratios[alpha] - 1.0)
-        stationarity = max(stationarity, gap)
-        if gap > tol + 3.0 * ratio_errs[alpha]:
-            stationarity_ok = False
-        slack = abs(coeff) * max(0.0, 1.0 - abs(ratios[alpha]))
-        slackness = max(slackness, slack)
-        if slack > tol + 3.0 * abs(coeff) * ratio_errs[alpha]:
-            slackness_ok = False
-
-    ok = dominance_ok and stationarity_ok and slackness_ok
+    ratios = values / m1
+    err = _ratio_error(values, errors, m1, sm1)
+    excess = np.abs(ratios) - 1.0
+    c, r = coeffs[support], ratios[support]
+    gap = np.abs(np.sign(c) * r - 1.0)
+    slack = np.abs(c) * np.maximum(0.0, 1.0 - np.abs(r))
+    failed = (
+        np.any(excess > tol + 3.0 * err)
+        or np.any(gap > tol + 3.0 * err[support])
+        or np.any(slack > tol + 3.0 * np.abs(c) * err[support])
+    )
     residuals = {
         "volume": volume_residual,
-        "dominance": max(0.0, dominance),
-        "support_stationarity": stationarity,
-        "complementary_slackness": slackness,
+        "dominance": max(0.0, float(excess.max())),
+        "support_stationarity": float(gap.max(initial=0.0)),
+        "complementary_slackness": float(slack.max(initial=0.0)),
     }
+    keys = [",".join(map(str, a)) for a in basis]
     duals = {
         "theta": theta,
-        "u": {",".join(map(str, a)): max(ratios[a], 0.0) for a in basis},
-        "v": {",".join(map(str, a)): max(-ratios[a], 0.0) for a in basis},
-        "psi": {",".join(map(str, a)): 1.0 - abs(ratios[a]) for a in basis},
+        "u": dict(zip(keys, np.maximum(0.0, ratios).tolist())),
+        "v": dict(zip(keys, np.maximum(0.0, -ratios).tolist())),
+        "psi": dict(zip(keys, (1.0 - np.abs(ratios)).tolist())),
     }
-    return Certificate("p1_kkt", PASS if ok else FAIL, tol, residuals, duals)
+    return Certificate("p1_kkt", FAIL if failed else PASS, tol, residuals, duals)
 
 
 def certify_p2(
@@ -205,7 +184,7 @@ def certify_p2(
             "certify_p2 expects multinomial-convention coefficients; "
             "convert with to_convention('multinomial')"
         )
-    basis = _degree_slice(g, moments)
+    basis, values, errors = _degree_slice(g, moments)
 
     vol = moments.normalization.value
     vol_err = moments.normalization.std_error
@@ -213,37 +192,29 @@ def certify_p2(
         raise CertificatePreconditionError(f"volume estimate {vol:.6g} is not positive")
 
     # q = 1 uses the multinomial weights; generalized lattices use weight 1
-    weights = {a: float(multinomial_coefficient(a)) if g.q == 1 else 1.0 for a in basis}
-    coeffs = {a: g.terms.get(a, 0.0) for a in basis}
-    l2_sq = sum(weights[a] * coeffs[a] ** 2 for a in basis)
+    weights = np.array(
+        [float(multinomial_coefficient(a)) if g.q == 1 else 1.0 for a in basis]
+    )
+    coeffs = coefficient_vector(g, basis)
+    l2_sq = float(weights @ coeffs**2)
     factor = l2_sq * (g.n + g.degree_float) / g.n
 
-    residuals: dict[str, float] = {}
-    worst = 0.0
-    ok = True
-    for alpha in basis:
-        m, sm = moments.entries[alpha]
-        predicted = factor * m / vol
-        r = coeffs[alpha] - predicted
-        err = factor * _ratio_error(m, sm, vol, vol_err)
-        residuals[_alpha_key(alpha)] = abs(r)
-        worst = max(worst, abs(r))
-        if abs(r) > tol + 3.0 * err:
-            ok = False
-    residuals["max_coefficient"] = worst
+    gap = np.abs(coeffs - factor * values / vol)
+    allowance = tol + 3.0 * factor * _ratio_error(values, errors, vol, vol_err)
+    residuals = {f"g({','.join(map(str, a))})": r for a, r in zip(basis, gap.tolist())}
+    residuals["max_coefficient"] = float(gap.max())
 
     # strict positivity of the even-index coefficients accompanies any optimum
-    even = [a for a in basis if all(x % 2 == 0 for x in a)] if g.q == 1 else basis
-    positivity = max((0.0 - coeffs[a] for a in even), default=0.0)
+    even = (np.array(basis) % 2 == 0).all(axis=1) | (g.q != 1)
+    positivity = float(np.max(-coeffs[even], initial=-np.inf))
     residuals["even_coefficient_positivity"] = max(0.0, positivity)
-    if positivity >= 0.0 and any(coeffs[a] <= 0.0 for a in even):
-        ok = False
+    failed = np.any(gap > allowance) or positivity >= 0.0
 
     duals = {
         "l2_star": l2_sq,
         "lambda_star": 4.0 * l2_sq * g.degree_float / (g.n * vol),
     }
-    return Certificate("p2_moment", PASS if ok else FAIL, tol, residuals, duals)
+    return Certificate("p2_moment", FAIL if failed else PASS, tol, residuals, duals)
 
 
 def certify_p3(
@@ -274,13 +245,9 @@ def certify_p3(
     eig_allowance = 3.0 * scale * float(np.linalg.norm(mm.errors))
 
     inner = float(np.tensordot(gram.Q, a_matrix))
-    compl = abs(inner) / max(1.0, abs(trace))
-    compl_allowance = (
-        3.0
-        * scale
-        * float(np.sqrt(((np.asarray(gram.Q) * mm.errors) ** 2).sum()))
-        / max(1.0, abs(trace))
-    )
+    per_trace = max(1.0, abs(trace))
+    compl = abs(inner) / per_trace
+    compl_allowance = 3.0 * scale * float(np.linalg.norm(gram.Q * mm.errors)) / per_trace
 
     ok = (min_eig >= -(tol + eig_allowance)) and (compl <= tol + compl_allowance)
     residuals = {
@@ -293,6 +260,30 @@ def certify_p3(
         "psi_spectrum": [float(v) for v in eigenvalues],
     }
     return Certificate("p3_psd", PASS if ok else FAIL, tol, residuals, duals)
+
+
+def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: str,
+            budget: int | None, seed: int,
+            tol: float | None) -> tuple[Certificate, VolumeEstimate]:
+    """Estimate the moments that check ``problem`` at candidate, then check it.
+
+    p1 reads the degree-d moment table, p2 the same table with a q = 1
+    candidate in the multinomial convention, and p3 (a GramForm) the moment
+    matrix over the degree-d/2 basis.  Returns the certificate and the
+    volume estimate of that one pass.
+    """
+    if problem not in ("p1", "p2", "p3"):
+        raise ValueError(f"unknown problem {problem!r}; choose p1, p2 or p3")
+    if problem == "p3":
+        mm = moment_matrix(candidate.expand(), candidate.degree // 2, backend=backend,
+                           budget=budget, seed=seed)
+        return certify_p3(candidate, mm, tol), mm.normalization
+    table = moment_table(candidate, backend=backend, budget=budget, seed=seed)
+    if problem == "p1":
+        return certify_p1(candidate, table, tol), table.normalization
+    if candidate.q == 1:
+        candidate = candidate.to_convention(MULTINOMIAL)
+    return certify_p2(candidate, table, tol), table.normalization
 
 
 @dataclass(frozen=True)
@@ -332,15 +323,11 @@ def refute_ld_for_p3(
     eigenvalue that witnesses the failure: the cross moment puts a nonzero
     off-diagonal entry next to a zero diagonal in A.
     """
-    if d % 2 != 0 or d < 2:
-        raise ValueError(f"degree must be an even integer >= 2, got {d}")
     if d == 2:
         raise ValueError(
             "not applicable at d = 2: the quadratic identity Gram satisfies the "
             "trace certificate, so there is nothing to refute"
         )
-    from .volume import moment_matrix  # local import to avoid cycle noise
-
     gram = minimal_trace_axis_gram(n, d)
     mm = moment_matrix(gram.expand(), d // 2, backend=backend, budget=budget, seed=seed)
     certificate = certify_p3(gram, mm, tol)

@@ -18,14 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (
-    CertificatePreconditionError,
-    MomentCoverageError,
-    certify_p1,
-    certify_p2,
-    certify_p3,
-)
-from .polynomials import MULTINOMIAL, GeneralizedPolynomial, GramForm
+from .certificates import CertificatePreconditionError, MomentCoverageError, certify
+from .polynomials import GeneralizedPolynomial, GramForm
 from .serialize import (
     SchemaError,
     gram_to_dict,
@@ -45,7 +39,6 @@ from .volume import (
     closed_form_ball_moment,
     closed_form_ball_volume,
     finite_volume_test,
-    moment_matrix,
     moment_table,
     volume,
 )
@@ -215,6 +208,8 @@ def cmd_solve(args) -> int:
     else:
         if d.denominator != 1:
             raise SchemaError("d", "the Gram trace problem needs an integer degree")
+        if args.q != 1:
+            raise SchemaError("q", "the Gram trace problem has no lattice denominator q > 1")
         result = solve_p3(args.n, int(d), start=start, config=config)
     _emit_json(solve_result_to_dict(result), args.out)
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
@@ -222,33 +217,11 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     candidate = _read(args.candidate, parse_candidate)
-    tol = args.tol
-    if args.problem == "p3":
-        if not isinstance(candidate, GramForm):
-            raise SchemaError("document", "p3 candidates use the Gram schema")
-        mm = moment_matrix(
-            candidate.expand(),
-            candidate.degree // 2,
-            backend=args.backend,
-            budget=args.budget,
-            seed=args.seed,
-        )
-        cert = certify_p3(candidate, mm, tol)
-    else:
-        if isinstance(candidate, GramForm):
-            raise SchemaError("document", "p1/p2 candidates use the polynomial schema")
-        table = moment_table(
-            candidate, backend=args.backend, budget=args.budget, seed=args.seed
-        )
-        if args.problem == "p1":
-            cert = certify_p1(candidate, table, tol)
-        else:
-            aligned = (
-                candidate.to_convention(MULTINOMIAL)
-                if candidate.q == 1
-                else candidate
-            )
-            cert = certify_p2(aligned, table, tol)
+    if args.problem == "p3" and not isinstance(candidate, GramForm):
+        raise SchemaError("document", "p3 candidates use the Gram schema")
+    if args.problem != "p3" and isinstance(candidate, GramForm):
+        raise SchemaError("document", "p1/p2 candidates use the polynomial schema")
+    cert, _ = certify(args.problem, candidate, args.backend, args.budget, args.seed, args.tol)
     _emit_json(certificate_to_dict(cert), args.out)
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
@@ -296,19 +269,13 @@ def cmd_boundary(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(parser, backend=True):
-    if backend:
-        parser.add_argument(
-            "--backend",
-            choices=sorted(_BACKEND_ALIASES),
-            default="spherical",
-            help="volume/moment estimator",
-        )
-        parser.add_argument("--budget", type=int, default=None,
-                            help="nodes or samples for the backend")
-        parser.add_argument("--seed", type=int, default=0,
-                            help="seed for stochastic backends (default 0)")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+def _add_common(parser):
+    parser.add_argument("--backend", choices=sorted(_BACKEND_ALIASES), default="spherical",
+                        help="volume/moment estimator")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="nodes or samples for the backend")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for stochastic backends (default 0)")
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -345,12 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=400)
     p.add_argument("--cert-budget", type=int, default=None,
                    help="budget for the final certificate moments")
+    p.add_argument("--tol", type=float, default=None, help="certificate tolerance override")
     _add_common(p)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("certify", help="run an optimality certificate on a candidate")
     p.add_argument("problem", choices=("p1", "p2", "p3"))
     p.add_argument("candidate", help="polynomial or Gram JSON file")
+    p.add_argument("--tol", type=float, default=None, help="certificate tolerance override")
     _add_common(p)
     p.set_defaults(handler=cmd_certify)
 

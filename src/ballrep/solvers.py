@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import Certificate, certify_p1, certify_p2, certify_p3
+from .certificates import Certificate, certify
 from .polynomials import (
     MONOMIAL,
     MULTINOMIAL,
@@ -51,7 +51,6 @@ from .volume import (
     finite_volume_test,
     grad_volume,  # noqa: F401  (unused; perfbench/selftest.py checks it is bound here)
     gradient_vector,
-    moment_matrix,
     moment_table,
     volume,
 )
@@ -302,15 +301,14 @@ def solve_p1(
         make_poly(x), closed_form_ball_volume(n, d), backend=cfg.backend,
         budget=cfg.certificate_budget, seed=cfg.seed,
     )
-    table = moment_table(
-        solution, backend=cfg.backend, budget=cfg.certificate_budget, seed=cfg.seed
+    certificate, est = certify(
+        "p1", solution, cfg.backend, cfg.certificate_budget, cfg.seed, cfg.cert_tol
     )
-    certificate = certify_p1(solution, table, tol=cfg.cert_tol)
     return SolveResult(
         problem="p1" if q == 1 else "p1q",
         solution=solution,
         objective=float(sum(abs(c) for c in solution.terms.values())),
-        volume=table.normalization.value,
+        volume=est.value,
         iterations=trace,
         certificate=certificate,
         converged=converged,
@@ -373,16 +371,15 @@ def solve_p2(
             f"solver left the positive cone: leading coefficient {lead_coeff:.6g}"
         )
     solution = raw.rescale(1.0 / lead_coeff)
-    table = moment_table(
-        solution, backend=cfg.backend, budget=cfg.certificate_budget, seed=cfg.seed
+    certificate, est = certify(
+        "p2", solution, cfg.backend, cfg.certificate_budget, cfg.seed, cfg.cert_tol
     )
-    certificate = certify_p2(solution, table, tol=cfg.cert_tol)
     objective = float(np.dot(weights, coefficient_vector(solution, basis) ** 2))
     return SolveResult(
         problem="p2",
         solution=solution,
         objective=objective,
-        volume=table.normalization.value,
+        volume=est.value,
         iterations=trace,
         certificate=certificate,
         converged=converged,
@@ -429,16 +426,14 @@ def solve_p3(
         GramForm(n, d, Q), closed_form_ball_volume(n, d), backend=cfg.backend,
         budget=cfg.certificate_budget, seed=cfg.seed,
     )
-    mm = moment_matrix(
-        solution.expand(), d // 2, backend=cfg.backend,
-        budget=cfg.certificate_budget, seed=cfg.seed,
+    certificate, est = certify(
+        "p3", solution, cfg.backend, cfg.certificate_budget, cfg.seed, cfg.cert_tol
     )
-    certificate = certify_p3(solution, mm, tol=cfg.cert_tol)
     return SolveResult(
         problem="p3",
         solution=solution,
         objective=solution.trace,
-        volume=mm.normalization.value,
+        volume=est.value,
         iterations=trace_log,
         certificate=certificate,
         converged=converged,

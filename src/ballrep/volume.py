@@ -20,7 +20,9 @@ moments of G have two equivalent expressions that the backends exploit:
   with them the volume gradient) thus come from the same pass.
 Every backend evaluates g and x^alpha through the one monomial kernel; the
 Monte Carlo backend lays out its rows as the spherical pass does, one
-kernel call per sample batch.
+kernel call per sample batch.  The dispatcher _estimate gives each distinct
+alpha one entry: the all-zeros alpha reads the volume, moments that vanish
+by symmetry read exact zeros, and a backend estimates only the rest.
 
 A slow grid indicator oracle provides an independent cross-check.  All
 estimates carry a standard error: zero for the spherical backend,
@@ -57,6 +59,7 @@ _MC_BATCH = 1 << 16
 _GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
 _GATE_BUDGET = 2048  # sphere grid screened by the n = 3 feasibility gate
 _GATE_ZOOM_DIMS = 3  # most tangent directions one gate zoom level spans
+_GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this counts as infinite volume
 
 
 class InfiniteVolumeError(ValueError):
@@ -97,7 +100,6 @@ class FeasibilityVerdict:
 
     finite_volume: bool
     sphere_minimum: float
-    restarts: int
 
 
 @dataclass(frozen=True)
@@ -164,11 +166,9 @@ def closed_form_ball_volume(n: int, d) -> float:
     return math.exp(log_vol)
 
 
-def closed_form_ball_moment(n: int, d, axis: int = 0) -> float:
-    """integral over the d-ball of |x_axis|**d, equal to its volume / (n + d)."""
+def closed_form_ball_moment(n: int, d) -> float:
+    """integral over the d-ball of |x_i|**d, for any axis i: its volume / (n + d)."""
     d = float(Fraction(d)) if not isinstance(d, float) else d
-    if not 0 <= axis < n:
-        raise ValueError(f"axis {axis} out of range for dimension {n}")
     return closed_form_ball_volume(n, d) / (n + d)
 
 
@@ -181,8 +181,8 @@ def _symmetry_zero(g: GeneralizedPolynomial, alpha: Exponent) -> bool:
     Classical (even-degree) polynomials give centrally symmetric G, killing
     every moment of odd total degree; when additionally every stored
     exponent is even, G is invariant under per-coordinate sign flips and
-    any alpha with an odd component vanishes.  Such moments are returned
-    as exact zeros and never estimated.
+    any alpha with an odd component vanishes.  _estimate returns such
+    moments as exact zeros and never hands them to a backend.
     """
     if not g.is_classical:
         return False
@@ -234,7 +234,7 @@ def _kernel_rows(g: GeneralizedPolynomial, live):
     row = {alpha: i for i, alpha in enumerate(map(tuple, rows.tolist()))}
     total = int(g.degree * g.q)
     extra = sorted(
-        (a for a in dict.fromkeys(live) if a not in row),
+        (a for a in live if a not in row),
         key=lambda a: (sum(a) != total, sum(a)),
     )
     row.update((a, len(rows) + i) for i, a in enumerate(extra))
@@ -243,16 +243,10 @@ def _kernel_rows(g: GeneralizedPolynomial, live):
     return rows, row
 
 
-def _spherical_estimate(g: GeneralizedPolynomial, alphas, budget: int):
+def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int):
     n, d = g.n, g.degree_float
     dirs, w = _sphere_grid(n, budget)
     moments: dict[Exponent, tuple[float, float]] = {}
-    live: list[Exponent] = []
-    for alpha in map(tuple, alphas):
-        if _symmetry_zero(g, alpha):
-            moments[alpha] = (0.0, 0.0)
-        else:
-            live.append(alpha)
     rows, row = _kernel_rows(g, live)
     P = monomials(g.lattice_base(dirs), rows)
     h = g._coeffs @ P[: len(g._exponents)]
@@ -295,7 +289,7 @@ def _reference_ratio_minimum(g: GeneralizedPolynomial, seed: int) -> float:
     return float(ratios.min())
 
 
-def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
+def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     """Importance sampling with reference density proportional to exp(-sum |x_i|^d).
 
     Coordinates are drawn via |x_i|^d ~ Gamma(1/d) with random signs; the
@@ -310,8 +304,6 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
     the reference family fixed while taming the weights.
     """
     n, d = g.n, g.degree_float
-    alphas = [tuple(a) for a in alphas]
-    live = [a for a in alphas if not _symmetry_zero(g, a)]
     ratio_min = _reference_ratio_minimum(g, seed)
     tau = 1.0
     if 0.0 < ratio_min < 0.75:
@@ -364,7 +356,7 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
     # map the tempered estimates back through f(g) = tau**(n/d) f(tau g)
     c_vol = math.exp(log_zref - math.lgamma(1.0 + n / d)) * tau ** (n / d)
     volume = VolumeEstimate(c_vol * mean_w, c_vol * se_w, MONTE_CARLO, budget, ess=ess)
-    moments: dict[Exponent, tuple[float, float]] = {a: (0.0, 0.0) for a in alphas}
+    moments: dict[Exponent, tuple[float, float]] = {}
     for i, a in enumerate(live):
         k = n + sum(a) / g.q
         c = math.exp(log_zref - math.lgamma(1.0 + k / d)) * tau ** (k / d)
@@ -376,13 +368,7 @@ def _mc_estimate(g: GeneralizedPolynomial, alphas, budget: int, seed: int):
 # -- grid oracle --------------------------------------------------------------
 
 
-def _grid_estimate(
-    g: GeneralizedPolynomial,
-    alphas,
-    budget: int,
-    seed: int,
-    feasibility: FeasibilityVerdict | None = None,
-):
+def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     """Indicator integration of g(x) <= 1 on a uniform cell grid.
 
     Intentionally simple and slow; the bounding half-width comes from the
@@ -395,7 +381,7 @@ def _grid_estimate(
     n, d = g.n, g.degree_float
     if n > 3:
         raise ValueError(f"grid oracle supports n <= 3, got {n}")
-    verdict = feasibility or finite_volume_test(g, seed=seed)
+    verdict = finite_volume_test(g, seed=seed)
     if not verdict.finite_volume:
         raise InfiniteVolumeError(
             f"sublevel set has infinite volume (sphere minimum "
@@ -407,8 +393,6 @@ def _grid_estimate(
     step = 2.0 * half_width / m
     corners = -half_width + step * np.arange(m)
     cell = step**n
-    alphas = [tuple(a) for a in alphas]
-    live = [a for a in alphas if not _symmetry_zero(g, a)]
     sums = np.zeros(len(live))
     fmax = np.zeros(len(live))
     exponents = np.array(live, dtype=np.intp).reshape(len(live), n)
@@ -440,10 +424,9 @@ def _grid_estimate(
         crossings += int(np.count_nonzero(np.diff(inside_mask, axis=ax)))
     sigma = 0.5 * cell * math.sqrt(max(1, crossings))
     volume = VolumeEstimate(count * cell, sigma, GRID_ORACLE, m**n)
-    moments: dict[Exponent, tuple[float, float]] = {a: (0.0, 0.0) for a in alphas}
-    for i, a in enumerate(live):
-        moments[a] = (float(sums[i] * cell), float(sigma * fmax[i]))
-    return volume, moments
+    return volume, {
+        a: (float(sums[i] * cell), float(sigma * fmax[i])) for i, a in enumerate(live)
+    }
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -452,16 +435,24 @@ _BACKENDS = {SPHERICAL, MONTE_CARLO, GRID_ORACLE}
 
 
 def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
+    """(volume, moments) of one backend pass, one entry per distinct alpha in order."""
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     budget = DEFAULT_BUDGETS[backend] if budget is None else int(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    moments = {tuple(a): (0.0, 0.0) for a in alphas}
+    live = [a for a in moments if any(a) and not _symmetry_zero(g, a)]
     if backend == SPHERICAL:
-        return _spherical_estimate(g, alphas, budget)
-    if backend == MONTE_CARLO:
-        return _mc_estimate(g, alphas, budget, seed)
-    return _grid_estimate(g, alphas, budget, seed)
+        est, found = _spherical_estimate(g, live, budget)
+    elif backend == MONTE_CARLO:
+        est, found = _mc_estimate(g, live, budget, seed)
+    else:
+        est, found = _grid_estimate(g, live, budget, seed)
+    moments.update(found)
+    if (0,) * g.n in moments:
+        moments[(0,) * g.n] = (est.value, est.std_error)
+    return est, moments
 
 
 def volume(
@@ -525,11 +516,7 @@ def moment_table(
             ]
         else:
             alphas = enumerate_indices(g.n, int(g.degree * g.q))
-    alphas = [tuple(a) for a in alphas]
     est, moments = _estimate(g, alphas, backend, budget, seed)
-    zero = (0,) * g.n
-    if zero in moments:
-        moments[zero] = (est.value, est.std_error)
     return MomentTable(g.q, moments, est)
 
 
@@ -613,7 +600,6 @@ def finite_volume_test(
     g: GeneralizedPolynomial,
     restarts: int = 8,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> FeasibilityVerdict:
     """Minimum of g over the unit sphere by a scan and a batched zoom search.
 
@@ -641,7 +627,7 @@ def finite_volume_test(
     # the scan's cos and sin miss the axes by round-off, which |x|**(1/q) inflates
     smin = float(np.min(g.evaluate(np.vstack([np.eye(n), -np.eye(n)]))))
     if n == 1:
-        return FeasibilityVerdict(smin > tolerance, smin, 1)
+        return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
     if n == 2:
         step = 2.0 * math.pi / 2048
         theta = step * np.arange(2048)
@@ -655,7 +641,7 @@ def finite_volume_test(
             smin = min(smin, float(values.min()))
             best = trial[np.arange(len(trial)), values.argmin(axis=1)]
             h /= 4.0
-        return FeasibilityVerdict(smin > tolerance, smin, max(1, restarts))
+        return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
 
     count = max(restarts, n + 1)
     rng = np.random.default_rng([max(0, int(seed)), 911])
@@ -690,7 +676,7 @@ def finite_volume_test(
         smin = min(smin, float(values.min()))
         best = trial[rows, values.argmin(axis=1)]
         r /= 2.0 ** (k / (n - 1))
-    return FeasibilityVerdict(smin > tolerance, smin, count)
+    return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
 
 
 def hankel_diag_bound_check(mm: MomentMatrix, sigmas: float = 3.0) -> bool:

@@ -13,6 +13,7 @@ from ballrep import (
     MomentMatrix,
     MomentTable,
     VolumeEstimate,
+    certify,
     certify_p1,
     certify_p2,
     certify_p3,
@@ -259,6 +260,25 @@ class TestRefutation:
         assert a_matrix[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert a_matrix[2, 2] == pytest.approx(0.0, abs=1e-9)
         assert abs(a_matrix[0, 2]) > 0.1
+
+
+class TestCertify:
+    def test_each_problem_reads_its_own_moment_data(self):
+        g = ld_polynomial(2, 4)
+        table = moment_table(g, budget=8192)
+        cert, est = certify("p1", g, "spherical", 8192, 0, None)
+        assert (cert, est) == (certify_p1(g, table), table.normalization)
+        # a monomial-convention q = 1 candidate is checked in the multinomial one
+        cert, _ = certify("p2", g, "spherical", 8192, 0, 1e-6)
+        assert cert == certify_p2(g.to_convention("multinomial"), table, 1e-6)
+        gram = minimal_trace_axis_gram(2, 4)
+        mm = moment_matrix(gram.expand(), 2, budget=8192)
+        cert, est = certify("p3", gram, "spherical", 8192, 0, None)
+        assert (cert, est) == (certify_p3(gram, mm), mm.normalization)
+
+    def test_unknown_problem_rejected(self):
+        with pytest.raises(ValueError, match="unknown problem"):
+            certify("p1q", ld_polynomial(2, 4), "spherical", 1024, 0, None)
 
 
 class TestCertificateObject:

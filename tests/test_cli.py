@@ -72,6 +72,13 @@ class TestVolumeCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("command", [["volume"], ["moments", "--max-order", "2"]])
+    def test_tol_is_not_an_option(self, disk_file, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [disk_file, "--tol", "5"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_out_file_mirror(self, disk_file, tmp_path, capsys):
         out = tmp_path / "vol.json"
         main(["volume", disk_file, "--out", str(out)])
@@ -150,6 +157,11 @@ class TestSolveCommand:
     def test_p1q_requires_lattice(self, capsys):
         assert main(["solve", "p1q", "--n", "2", "--d", "1/2"]) == 2
         assert "q" in capsys.readouterr().err
+
+    def test_p3_rejects_lattice(self, capsys):
+        assert main(["solve", "p3", "--n", "2", "--d", "4", "--q", "2"]) == 2
+        err = capsys.readouterr()
+        assert "q" in err.err and err.out == ""
 
     def test_p1q_generalized(self, capsys):
         code = main(

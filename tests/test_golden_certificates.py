@@ -1,0 +1,95 @@
+"""Certificates on fixed inputs against verdicts, residuals and duals on record."""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ballrep import (
+    GeneralizedPolynomial,
+    GramForm,
+    certify_p1,
+    certify_p2,
+    certify_p3,
+    ld_polynomial,
+    moment_matrix,
+    moment_table,
+    refute_ld_for_p3,
+    solve_p1,
+)
+
+
+def _disk4():
+    """(x_1^2 + x_2^2)^2 in the multinomial convention."""
+    terms = {(4, 0): 1.0, (2, 2): 1.0 / 3.0, (0, 4): 1.0}
+    return GeneralizedPolynomial(2, 4, 1, terms, convention="multinomial")
+
+
+def _p1q_certificate():
+    """The p1 certificate of the p1q(3, 1/2, q=4) solution, which fails."""
+    g = solve_p1(3, Fraction(1, 2), q=4).solution
+    return certify_p1(g, moment_table(g, budget=8192), tol=1e-2)
+
+
+GOLDEN_CASES = {
+    "p1-ld-2-4-monte-carlo": lambda: certify_p1(
+        ld_polynomial(2, 4),
+        moment_table(ld_polynomial(2, 4), backend="monte_carlo", budget=100_000, seed=0),
+    ),
+    "p1q-3-1/2-q4-solution": _p1q_certificate,
+    "p2-ld-2-4-spherical": lambda: certify_p2(
+        ld_polynomial(2, 4).to_convention("multinomial"),
+        moment_table(ld_polynomial(2, 4), budget=8192),
+        tol=1e-6,
+    ),
+    "p2-disk-4-monte-carlo": lambda: certify_p2(
+        _disk4(), moment_table(_disk4(), backend="monte_carlo", budget=20_000, seed=0)
+    ),
+    "p3-identity-2-2-spherical": lambda: certify_p3(
+        GramForm(2, 2, np.eye(2)), moment_matrix(ld_polynomial(2, 2), 1, budget=2048)
+    ),
+    "refute-ld-2-4": lambda: refute_ld_for_p3(2, 4).certificate,
+}
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_certificates.json").read_text()
+)
+
+
+def _assert_matches(got, want, where):
+    """Same keys and structure; numbers to 1e-12 of the largest in their container."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        numbers = [v for v in want.values() if isinstance(v, float)]
+        scale = max(map(abs, numbers), default=0.0)
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert abs(got[key] - value) <= 1e-12 * scale, f"{where}.{key}"
+            else:
+                _assert_matches(got[key], value, f"{where}.{key}")
+    elif isinstance(want, list):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape, where
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), where
+    else:
+        assert got == want, where
+
+
+class TestGoldenCertificates:
+    """Verdicts, residuals and duals against tests/data/golden_certificates.json.
+
+    The file was recorded at commit b1b0e33, before the certificates moved to
+    array arithmetic.  In both Monte Carlo cases a residual exceeds the
+    tolerance 1e-2 and only the propagated moment errors let them pass, so
+    their verdicts also pin the error propagation.
+    """
+
+    @pytest.mark.parametrize("name", list(GOLDEN_CASES))
+    def test_matches_recorded_certificate(self, name):
+        cert = GOLDEN_CASES[name]()
+        want = GOLDEN[name]
+        assert cert.verdict == want["verdict"]
+        _assert_matches(cert.residuals, want["residuals"], "residuals")
+        _assert_matches(cert.duals, want["duals"], "duals")

@@ -342,15 +342,15 @@ class TestOnePassPerTrial:
     def test_p3_descent_needs_no_moment_matrix(self, monkeypatch):
         # the trials take their gradient from the moment table and the
         # transposed Gram layout; only the certificate builds a moment matrix
-        solvers = sys.modules["ballrep.solvers"]
+        certificates = sys.modules["ballrep.certificates"]
         calls = []
-        real_moment_matrix = solvers.moment_matrix
+        real_moment_matrix = certificates.moment_matrix
 
         def counting_moment_matrix(*args, **kwargs):
             calls.append(kwargs.get("budget"))
             return real_moment_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "moment_matrix", counting_moment_matrix)
+        monkeypatch.setattr(certificates, "moment_matrix", counting_moment_matrix)
         cfg = SolveConfig()
         res = solve_p3(2, 4, config=cfg)
         assert res.converged

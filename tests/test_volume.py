@@ -69,8 +69,6 @@ class TestClosedForms:
             closed_form_ball_volume(0, 2)
         with pytest.raises(ValueError):
             closed_form_ball_volume(2, 0)
-        with pytest.raises(ValueError):
-            closed_form_ball_moment(2, 2, axis=5)
 
 
 class TestSphericalBackend:
@@ -126,6 +124,17 @@ class TestSymmetryZeros:
         g = random_feasible_quartic(np.random.default_rng(0))
         assert moment(g, (1, 0), budget=128) == (0.0, 0.0)
         assert moment(g, (2, 1), budget=128) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("backend", ["spherical", "monte_carlo", "grid_oracle"])
+    def test_repeated_alphas_give_the_table_of_the_distinct_list(self, backend):
+        g = random_feasible_quartic(np.random.default_rng(0))
+        alphas = [(2, 2), (1, 0), (4, 0), (2, 2), (0, 0), (1, 0), (3, 1)]
+        distinct = [(2, 2), (1, 0), (4, 0), (0, 0), (3, 1)]
+        table = moment_table(g, alphas=alphas, backend=backend, budget=4096, seed=2)
+        assert list(table.entries) == distinct
+        assert table.entries[(1, 0)] == (0.0, 0.0)
+        assert table.entries[(0, 0)] == (table.normalization.value, table.normalization.std_error)
+        assert table == moment_table(g, alphas=distinct, backend=backend, budget=4096, seed=2)
 
     def test_asymmetric_support_keeps_honest_odd_moments(self):
         g = GeneralizedPolynomial(
