@@ -33,10 +33,10 @@ from .polynomials import (
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
+    _slice_weights,
     coefficient_vector,
     enumerate_indices,
     ld_polynomial,
-    multinomial_coefficient,
 )
 from .volume import (
     CLOSED_FORM,
@@ -191,10 +191,7 @@ def certify_p2(
     if not vol > 0.0:
         raise CertificatePreconditionError(f"volume estimate {vol:.6g} is not positive")
 
-    # q = 1 uses the multinomial weights; generalized lattices use weight 1
-    weights = np.array(
-        [float(multinomial_coefficient(a)) if g.q == 1 else 1.0 for a in basis]
-    )
+    weights = _slice_weights(g.n, int(g.degree * g.q), g.q)
     coeffs = coefficient_vector(g, basis)
     l2_sq = float(weights @ coeffs**2)
     factor = l2_sq * (g.n + g.degree_float) / g.n
@@ -329,7 +326,6 @@ def refute_ld_for_p3(
             "trace certificate, so there is nothing to refute"
         )
     gram = minimal_trace_axis_gram(n, d)
-    mm = moment_matrix(gram.expand(), d // 2, backend=backend, budget=budget, seed=seed)
-    certificate = certify_p3(gram, mm, tol)
+    certificate, _ = certify("p3", gram, backend, budget, seed, tol)
     spectrum = certificate.duals["psi_spectrum"]
     return RefutationReport(gram, certificate, float(min(spectrum)))

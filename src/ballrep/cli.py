@@ -188,13 +188,13 @@ def cmd_moments(args) -> int:
 
 def cmd_solve(args) -> int:
     d = _parse_fraction(args.d)
+    # options left out keep SolveConfig's defaults; --budget has a per-backend one
+    given = {"max_iters": args.max_iters, "cert_tol": args.tol, "cert_budget": args.cert_budget}
     config = SolveConfig(
-        max_iters=args.max_iters,
         budget=DEFAULT_BUDGETS[args.backend] if args.budget is None else args.budget,
         seed=args.seed,
         backend=args.backend,
-        cert_tol=args.tol if args.tol is not None else 1e-2,
-        cert_budget=args.cert_budget,
+        **{name: value for name, value in given.items() if value is not None},
     )
     start = None
     if args.start:
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="degree, e.g. 4 or 1/2")
     p.add_argument("--q", type=int, default=1, help="exponent lattice denominator")
     p.add_argument("--start", default=None, help="optional start candidate file")
-    p.add_argument("--max-iters", type=int, default=400)
+    p.add_argument("--max-iters", type=int, default=None, help="iteration limit")
     p.add_argument("--cert-budget", type=int, default=None,
                    help="budget for the final certificate moments")
     p.add_argument("--tol", type=float, default=None, help="certificate tolerance override")

@@ -91,6 +91,15 @@ def multinomial_coefficient(alpha: Iterable[int]) -> int:
     return _multinomial(tuple(alpha))
 
 
+@functools.lru_cache(maxsize=64)
+def _slice_weights(n: int, total: int, q: int) -> np.ndarray:
+    """c_alpha if q = 1, else ones, over the degree-d slice (total = d * q) in canonical order."""
+    weights = np.array([float(_multinomial(a)) if q == 1 else 1.0
+                        for a in enumerate_indices(n, total)])
+    weights.setflags(write=False)
+    return weights
+
+
 @functools.lru_cache(maxsize=4096)
 def _multinomial(alpha: tuple) -> int:
     parts = tuple(int(a) for a in alpha)

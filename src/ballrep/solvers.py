@@ -13,13 +13,15 @@ decreases volume, every accepted step is saturated onto the boundary;
 iterates that leave the feasible cone (the backend detects a non-positive
 sphere value) are rejected and the step halved.
 
-One oracle serves the three problems.  The polynomial's coefficients are
-linear in the solver coordinates: the coefficients themselves for p1,
-whitened coefficients for p2, the Gram matrix Q for p3.  One moment table
-over the degree-d slice gives a trial's volume and its gradient, -(n + d)/d
-times the degree-d moments, and the transpose of the linear map pulls that
-gradient back to the solver coordinates.  Every pass of a solve uses the
-same seed, so the Monte Carlo line search compares like with like.
+One solve path, _descend, serves the three problems, and each solve_pX
+passes only its geometry.  The coefficients are linear in the solver
+coordinates: the coefficients themselves for p1, whitened coefficients for
+p2, the Gram matrix Q for p3.  One moment table over the degree-d slice
+gives a trial's volume and its gradient, -(n + d)/d times the degree-d
+moments, which the transposed linear map pulls back to the solver
+coordinates.  Every pass of a solve uses the same seed, so the Monte Carlo
+line search compares like with like.  The objective is the problem's norm
+of the normalized solver coordinates, as in the iteration trace.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from .polynomials import (
     GeneralizedPolynomial,
     GramForm,
     _hankel_layout,
+    _slice_weights,
     coefficient_vector,
     enumerate_indices,
     from_coefficient_vector,
     ld_polynomial,
-    multinomial_coefficient,
 )
 from .projections import project_l1_ball, project_psd_trace
 from .volume import (
@@ -194,18 +196,30 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     return x, trace, converged
 
 
-def _descend(x0, to_poly, pullback, project, norm, n, d, cfg: SolveConfig):
-    """Minimize vol(to_poly(x)) over the norm ball with _projected_gradient.
+def _descend(problem, n, d, q, start, cfg: SolveConfig, *, make, coords, pullback,
+             project, norm, default_start, normalize=None) -> SolveResult:
+    """Start, descend, normalize and certify one problem.
 
-    to_poly is linear in x, and pullback is its transpose: it maps the
+    make(x) builds the polynomial or Gram form from the solver coordinates
+    x, linearly; coords is its inverse and pullback its transpose, from the
     gradient in the coefficients of the degree-d slice, in canonical order,
-    to a gradient in x.  A trial costs one moment table over that slice;
-    the equivalent objective is norm(x) after rescaling to vol(B_d).
+    to a gradient in x.  A trial costs one moment table over that slice.
+    The final iterate goes through normalize, by default a rescaling to
+    vol(B_d) at the certificate budget.  The objective, like each trace
+    entry, is norm of the normalized solver coordinates.
     """
+    if start is None:
+        x0 = default_start()
+    elif (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
+        raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
+    else:
+        x0 = project(coords(start))
     rho = closed_form_ball_volume(n, d)
 
     def evaluate(x, seed):
-        poly = to_poly(x)
+        poly = make(x)
+        if isinstance(poly, GramForm):
+            poly = poly.expand()
         try:
             table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
         except InfiniteVolumeError:
@@ -215,12 +229,36 @@ def _descend(x0, to_poly, pullback, project, norm, n, d, cfg: SolveConfig):
     def report(x, vol):
         return norm(x * (vol / rho) ** (float(d) / n))
 
-    return _projected_gradient(x0, evaluate, project, report, cfg)
+    x, trace, converged = _projected_gradient(x0, evaluate, project, report, cfg)
+    if normalize is not None:
+        solution = normalize(make(x))
+    else:
+        solution = scale_to_target_volume(
+            make(x), rho, backend=cfg.backend, budget=cfg.certificate_budget, seed=cfg.seed
+        )
+    certificate, est = certify(
+        problem, solution, cfg.backend, cfg.certificate_budget, cfg.seed, cfg.cert_tol
+    )
+    return SolveResult(
+        problem="p1q" if problem == "p1" and q != 1 else problem,
+        solution=solution,
+        objective=norm(coords(solution)),
+        volume=est.value,
+        iterations=trace,
+        certificate=certificate,
+        converged=converged,
+    )
 
 
-def _check_start(start, n: int, d, q: int = 1):
-    if (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
-        raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
+def _ball_boundary(ball, size, radius: float):
+    """Project with ball(x, radius) onto {size <= radius}, then scale onto its boundary."""
+
+    def project(x):
+        w = ball(x, radius)
+        s = size(w)
+        return w * (radius / s) if s > 0 else w
+
+    return project
 
 
 def _feasible_perturbed_start(base_vec, project, make_poly, seed) -> np.ndarray:
@@ -278,40 +316,19 @@ def solve_p1(
     _validate_lattice("the l1 problem", d, q, half_lattice=True)
     basis = enumerate_indices(n, int(d * q))
 
-    def make_poly(vec):
+    def make(vec):
         return from_coefficient_vector(n, d, q, basis, vec, MONOMIAL)
 
-    def project(vec):
-        w = project_l1_ball(vec, float(n))
-        total = float(np.abs(w).sum())
-        return w * (n / total) if total > 0 else w
+    def l1(vec):
+        return float(np.abs(vec).sum())
 
-    if start is not None:
-        _check_start(start, n, d, q)
-        x0 = project(coefficient_vector(start.to_convention(MONOMIAL), basis))
-    else:
-        base = coefficient_vector(ld_polynomial(n, d, q), basis)
-        x0 = _feasible_perturbed_start(base, project, make_poly, cfg.seed)
-
-    x, trace, converged = _descend(
-        x0, make_poly, lambda grad: grad, project,
-        lambda vec: float(np.abs(vec).sum()), n, d, cfg,
-    )
-    solution = scale_to_target_volume(
-        make_poly(x), closed_form_ball_volume(n, d), backend=cfg.backend,
-        budget=cfg.certificate_budget, seed=cfg.seed,
-    )
-    certificate, est = certify(
-        "p1", solution, cfg.backend, cfg.certificate_budget, cfg.seed, cfg.cert_tol
-    )
-    return SolveResult(
-        problem="p1" if q == 1 else "p1q",
-        solution=solution,
-        objective=float(sum(abs(c) for c in solution.terms.values())),
-        volume=est.value,
-        iterations=trace,
-        certificate=certificate,
-        converged=converged,
+    project = _ball_boundary(project_l1_ball, l1, float(n))
+    base = coefficient_vector(ld_polynomial(n, d, q), basis)
+    return _descend(
+        "p1", n, d, q, start, cfg, make=make,
+        coords=lambda g: coefficient_vector(g.to_convention(MONOMIAL), basis),
+        pullback=lambda grad: grad, project=project, norm=l1,
+        default_start=lambda: _feasible_perturbed_start(base, project, make, cfg.seed),
     )
 
 
@@ -336,53 +353,27 @@ def solve_p2(
     _validate_lattice("the weighted l2 problem", d, q, half_lattice=False)
     basis = enumerate_indices(n, int(d * q))
     convention = MULTINOMIAL if q == 1 else MONOMIAL
-    weights = np.array(
-        [float(multinomial_coefficient(a)) if q == 1 else 1.0 for a in basis]
-    )
-    root_w = np.sqrt(weights)
+    root_w = np.sqrt(_slice_weights(n, int(d * q), q))
 
-    def make_poly(u_vec):
+    def make(u_vec):
         return from_coefficient_vector(n, d, q, basis, u_vec / root_w, convention)
 
-    radius = math.sqrt(float(n))
+    def lead_to_one(g):
+        lead = g.terms[basis[0]]  # d * e_1 comes first in the canonical order
+        if not lead > 0:
+            raise RuntimeError(f"solver left the positive cone: leading coefficient {lead:.6g}")
+        return g.rescale(1.0 / lead)
 
-    def project(u_vec):
-        norm = float(np.linalg.norm(u_vec))
-        return u_vec * (radius / norm) if norm > 0 else u_vec
-
-    if start is not None:
-        _check_start(start, n, d, q)
-        x0 = project(coefficient_vector(start.to_convention(convention), basis) * root_w)
-    else:
-        base = coefficient_vector(ld_polynomial(n, d, q), basis) * root_w
-        x0 = _feasible_perturbed_start(base, project, make_poly, cfg.seed)
-
+    project = _ball_boundary(lambda u_vec, radius: u_vec, np.linalg.norm, math.sqrt(float(n)))
+    base = coefficient_vector(ld_polynomial(n, d, q), basis) * root_w
     # whitened coordinates: d f / d u_alpha = (d f / d g_alpha) / sqrt(c_alpha)
-    x, trace, converged = _descend(
-        x0, make_poly, lambda grad: grad / root_w, project,
-        lambda u_vec: float(np.dot(u_vec, u_vec)), n, d, cfg,
-    )
-
-    raw = make_poly(x)
-    lead = basis[0]  # d * e_1 comes first in the canonical order
-    lead_coeff = raw.terms.get(lead, 0.0)
-    if not lead_coeff > 0:
-        raise RuntimeError(
-            f"solver left the positive cone: leading coefficient {lead_coeff:.6g}"
-        )
-    solution = raw.rescale(1.0 / lead_coeff)
-    certificate, est = certify(
-        "p2", solution, cfg.backend, cfg.certificate_budget, cfg.seed, cfg.cert_tol
-    )
-    objective = float(np.dot(weights, coefficient_vector(solution, basis) ** 2))
-    return SolveResult(
-        problem="p2",
-        solution=solution,
-        objective=objective,
-        volume=est.value,
-        iterations=trace,
-        certificate=certificate,
-        converged=converged,
+    return _descend(
+        "p2", n, d, q, start, cfg, make=make,
+        coords=lambda g: coefficient_vector(g.to_convention(convention), basis) * root_w,
+        pullback=lambda grad: grad / root_w, project=project,
+        norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
+        default_start=lambda: _feasible_perturbed_start(base, project, make, cfg.seed),
+        normalize=lead_to_one,
     )
 
 
@@ -404,37 +395,14 @@ def solve_p3(
         raise ValueError(f"the Gram trace problem needs an even degree >= 2, got {d}")
     basis, _, index = _hankel_layout(n, d // 2)
 
-    def project(Q):
-        P = project_psd_trace(Q, float(n))
-        tr = float(np.trace(P))
-        return P * (n / tr) if tr > 0 else P
-
-    if start is not None:
-        _check_start(start, n, d)
-        Q0 = project(np.asarray(start.Q, dtype=float))
-    else:
-        Q0 = (float(n) / len(basis)) * np.eye(len(basis))
-
     # expand_gram adds Q[a, b] into the coefficient at a + b, so its
     # transpose gathers the coefficient gradient at a + b into entry (a, b);
     # index numbers the sums in the canonical order of the degree-d slice
-    Q, trace_log, converged = _descend(
-        Q0, lambda mat: GramForm(n, d, mat).expand(), lambda grad: grad[index], project,
-        lambda mat: float(np.trace(mat)), n, d, cfg,
-    )
-    solution = scale_to_target_volume(
-        GramForm(n, d, Q), closed_form_ball_volume(n, d), backend=cfg.backend,
-        budget=cfg.certificate_budget, seed=cfg.seed,
-    )
-    certificate, est = certify(
-        "p3", solution, cfg.backend, cfg.certificate_budget, cfg.seed, cfg.cert_tol
-    )
-    return SolveResult(
-        problem="p3",
-        solution=solution,
-        objective=solution.trace,
-        volume=est.value,
-        iterations=trace_log,
-        certificate=certificate,
-        converged=converged,
+    return _descend(
+        "p3", n, d, 1, start, cfg, make=lambda mat: GramForm(n, d, mat),
+        coords=lambda gram: np.asarray(gram.Q, dtype=float),
+        pullback=lambda grad: grad[index],
+        project=_ball_boundary(project_psd_trace, np.trace, float(n)),
+        norm=lambda mat: float(np.trace(mat)),
+        default_start=lambda: (float(n) / len(basis)) * np.eye(len(basis)),
     )

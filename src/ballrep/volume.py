@@ -43,9 +43,9 @@ from .polynomials import (
     Exponent,
     GeneralizedPolynomial,
     _hankel_layout,
+    _slice_weights,
     enumerate_indices,
     monomials,
-    multinomial_coefficient,
 )
 
 SPHERICAL = "spherical"
@@ -548,7 +548,7 @@ def gradient_vector(g: GeneralizedPolynomial, moments) -> np.ndarray:
     basis = enumerate_indices(g.n, int(g.degree * g.q))
     factor = -(g.n + g.degree_float) / g.degree_float
     if g.convention == "multinomial":
-        factor = factor * np.array([float(multinomial_coefficient(a)) for a in basis])
+        factor = factor * _slice_weights(g.n, int(g.degree * g.q), g.q)
     return factor * np.array([moments[a][0] for a in basis])
 
 

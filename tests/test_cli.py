@@ -173,6 +173,29 @@ class TestSolveCommand:
         coeffs = {tuple(t["alpha_times_q"]): t["coeff"] for t in doc["solution"]["terms"]}
         assert coeffs[(2, 0)] == pytest.approx(1.0, abs=1e-2)
 
+    def test_start_file_reaches_the_solver(self, tmp_path, capsys, monkeypatch):
+        start = GeneralizedPolynomial(
+            2, 4, 1, {(4, 0): 0.8, (3, 1): 0.1, (2, 2): 0.4, (1, 3): -0.1, (0, 4): 1.2}
+        )
+        path = tmp_path / "start.json"
+        path.write_text(serialize_polynomial(start))
+        cli = sys.modules["ballrep.cli"]
+        seen = []
+        real_solve = cli.solve_p1
+
+        def recording_solve(*args, **kwargs):
+            seen.append(kwargs["start"])
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_p1", recording_solve)
+        code = main(["solve", "p1", "--n", "2", "--d", "4", "--start", str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert seen == [start]
+        config = ballrep.SolveConfig(budget=cli.DEFAULT_BUDGETS["spherical"])
+        from_library = ballrep.solve_p1(2, 4, start=start, config=config)
+        assert doc["iterations"] == [list(entry) for entry in from_library.iterations]
+
     def test_unconverged_exit_code(self, capsys):
         assert main(["solve", "p1", "--n", "2", "--d", "4", "--max-iters", "1"]) == 4
 

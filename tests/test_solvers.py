@@ -10,6 +10,7 @@ import pytest
 from ballrep import (
     GeneralizedPolynomial,
     GramForm,
+    InfiniteVolumeError,
     SolveConfig,
     closed_form_ball_volume,
     ld_polynomial,
@@ -77,6 +78,58 @@ class TestLatticeValidation:
             solve_p3(2, 3)
 
 
+class TestLineSearch:
+    """_projected_gradient on a fake oracle, so every branch can be reached."""
+
+    CENTER = np.array([0.5, 0.5])
+
+    def evaluate(self, x, seed):
+        # f = 50 |x - c|**2 + 1 has curvature 100: the unit step overshoots
+        # by a factor 99 and lands where the fake reports an infinite volume
+        if x[0] < -1.0:
+            return None
+        r = x - self.CENTER
+        return 50.0 * float(r @ r) + 1.0, 100.0 * r
+
+    def test_backtracks_past_infeasible_trials_and_converges(self):
+        solvers = sys.modules["ballrep.solvers"]
+        outcomes = []
+
+        def counted(x, seed):
+            out = self.evaluate(x, seed)
+            outcomes.append(out)
+            return out
+
+        x, trace, converged = solvers._projected_gradient(
+            np.array([2.0, 2.0]), counted, lambda x: x, lambda x, vol: vol, SolveConfig(),
+        )
+        assert converged
+        assert np.allclose(x, self.CENTER, atol=1e-5)
+        # a trial the line search did not accept was either infeasible or
+        # failed the sufficient decrease test, and each one is a backtrack
+        backtracks = len(outcomes) - len(trace)
+        assert backtracks >= 5
+        assert any(out is None for out in outcomes)
+        objectives = [obj for obj, _ in trace]
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+    def test_gives_up_when_every_trial_is_infeasible(self):
+        solvers = sys.modules["ballrep.solvers"]
+        calls = []
+
+        def only_start(x, seed):
+            calls.append(x)
+            return self.evaluate(x, seed) if len(calls) == 1 else None
+
+        x, trace, converged = solvers._projected_gradient(
+            np.array([2.0, 2.0]), only_start, lambda x: x, lambda x, vol: vol, SolveConfig(),
+        )
+        assert not converged
+        assert len(trace) == 1
+        assert len(calls) == 1 + solvers._MAX_BACKTRACKS
+        np.testing.assert_array_equal(x, [2.0, 2.0])
+
+
 class TestSolveP1:
     def test_quadratic_case(self):
         res = solve_p1(2, 2)
@@ -117,6 +170,12 @@ class TestSolveP1:
     def test_start_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="start"):
             solve_p1(2, 4, start=ld_polynomial(2, 2))
+
+    def test_start_projected_out_of_the_cone_rejected(self):
+        # the l1 projection of this finite start, radius 2, has an infinite volume
+        start = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): -1.8, (0, 4): 1.0})
+        with pytest.raises(InfiniteVolumeError, match="initial iterate"):
+            solve_p1(2, 4, start=start)
 
     def test_unconverged_flagged(self):
         res = solve_p1(2, 4, config=SolveConfig(max_iters=1))
@@ -172,6 +231,18 @@ class TestSolveP2:
         res = solve_p2(2, 4, config=SolveConfig(seed=5))
         assert res.certificate.kind == "p2_moment"
         assert res.certificate.residuals["max_coefficient"] <= 1e-2
+
+    def test_explicit_start_converges_and_certifies(self):
+        # a monomial-convention start, converted to the whitened coordinates
+        start = GeneralizedPolynomial(
+            2, 4, 1, {(4, 0): 1.2, (3, 1): 0.1, (2, 2): 1.5, (1, 3): -0.1, (0, 4): 0.9}
+        )
+        res = solve_p2(2, 4, start=start)
+        assert res.converged
+        assert res.certificate.passed
+        assert res.solution.terms[(2, 2)] == pytest.approx(1.0 / 3.0, abs=2e-2)
+        assert res.objective == pytest.approx(8.0 / 3.0, rel=1e-2)
+        assert res.iterations[0] != solve_p2(2, 4).iterations[0]
 
     def test_sextic_start_screened_on_sphere_grid(self):
         # Nelder-Mead alone accepted this seed's first perturbed start, whose
