@@ -36,6 +36,7 @@ from .volume import (
     InfiniteVolumeError,
     MONTE_CARLO,
     SPHERICAL,
+    _finite_or_raise,
     closed_form_ball_moment,
     closed_form_ball_volume,
     finite_volume_test,
@@ -58,25 +59,13 @@ _BACKEND_ALIASES = {
 }
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def certificate_to_dict(cert) -> dict:
     return {
         "kind": cert.kind,
         "verdict": cert.verdict,
         "tolerance": cert.tolerance,
-        "residuals": _jsonable(cert.residuals),
-        "duals": _jsonable(cert.duals),
+        "residuals": cert.residuals,
+        "duals": cert.duals,
     }
 
 
@@ -99,7 +88,7 @@ def solve_result_to_dict(result) -> dict:
 
 
 def _emit_json(doc: dict, out: str | None):
-    text = json.dumps(_jsonable(doc), indent=2)
+    text = json.dumps(doc, indent=2)
     print(text)
     if out:
         Path(out).write_text(text + "\n")
@@ -128,19 +117,10 @@ def _read(path: str, parse):
     return parse(text)
 
 
-def _gate_rejects(g: GeneralizedPolynomial, args) -> bool:
-    """Run the feasibility gate unless --force; True (reported) if it finds infinite volume."""
-    if args.force:
-        return False
-    verdict = finite_volume_test(g, seed=args.seed)
-    if verdict.finite_volume:
-        return False
-    print(
-        f"sublevel set has infinite volume "
-        f"(sphere minimum {verdict.sphere_minimum:.6g})",
-        file=sys.stderr,
-    )
-    return True
+def _gate(g: GeneralizedPolynomial, args):
+    """Run the feasibility gate unless --force; infinite volume raises (exit 3)."""
+    if not args.force:
+        _finite_or_raise(finite_volume_test(g, seed=args.seed), "sublevel set")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -148,8 +128,7 @@ def _gate_rejects(g: GeneralizedPolynomial, args) -> bool:
 
 def cmd_volume(args) -> int:
     g = _read(args.poly, parse_polynomial)
-    if _gate_rejects(g, args):
-        return EXIT_INFEASIBLE
+    _gate(g, args)
     est = volume(g, backend=args.backend, budget=args.budget, seed=args.seed)
     doc = {
         "value": est.value,
@@ -165,8 +144,7 @@ def cmd_volume(args) -> int:
 
 def cmd_moments(args) -> int:
     g = _read(args.poly, parse_polynomial)
-    if _gate_rejects(g, args):
-        return EXIT_INFEASIBLE
+    _gate(g, args)
     order = _parse_fraction(args.max_order)
     table = moment_table(
         g, max_order=order, backend=args.backend, budget=args.budget, seed=args.seed
@@ -189,7 +167,7 @@ def cmd_moments(args) -> int:
 def cmd_solve(args) -> int:
     d = _parse_fraction(args.d)
     # options left out keep SolveConfig's defaults; --budget has a per-backend one
-    given = {"max_iters": args.max_iters, "cert_tol": args.tol, "cert_budget": args.cert_budget}
+    given = {"max_iters": args.max_iters, "cert_tol": args.tol}
     config = SolveConfig(
         budget=DEFAULT_BUDGETS[args.backend] if args.budget is None else args.budget,
         seed=args.seed,
@@ -310,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=1, help="exponent lattice denominator")
     p.add_argument("--start", default=None, help="optional start candidate file")
     p.add_argument("--max-iters", type=int, default=None, help="iteration limit")
-    p.add_argument("--cert-budget", type=int, default=None,
-                   help="budget for the final certificate moments")
     p.add_argument("--tol", type=float, default=None, help="certificate tolerance override")
     _add_common(p)
     p.set_defaults(handler=cmd_solve)

@@ -10,8 +10,8 @@ matching optimality certificate is attached.
 
 Because scaling a feasible iterate up to the norm boundary strictly
 decreases volume, every accepted step is saturated onto the boundary;
-iterates that leave the feasible cone (the backend detects a non-positive
-sphere value) are rejected and the step halved.
+iterates that leave the feasible cone (the backend finds a sphere value at
+or below the gate's tolerance) are rejected and the step halved.
 
 One solve path, _descend, serves the three problems, and each solve_pX
 passes only its geometry.  The coefficients are linear in the solver
@@ -49,6 +49,7 @@ from .projections import project_l1_ball, project_psd_trace
 from .volume import (
     SPHERICAL,
     InfiniteVolumeError,
+    _finite_or_raise,
     closed_form_ball_volume,
     finite_volume_test,
     grad_volume,  # noqa: F401  (unused; perfbench/selftest.py checks it is bound here)
@@ -75,8 +76,8 @@ class SolveConfig:
     A solve stops after max_iters iterations, when a projected step no
     longer moves, or once the volume's relative change stays within 1e-10
     for three accepted steps in a row.  Each descent pass of ``backend``
-    uses budget and seed; the certificate's moments use cert_budget
-    (default 4 * budget), and its check uses cert_tol.
+    uses budget and seed; the final rescaling and the certificate's moments
+    use the certificate budget, 4 * budget, and its check uses cert_tol.
     """
 
     max_iters: int = 400
@@ -84,19 +85,16 @@ class SolveConfig:
     seed: int = 0
     backend: str = SPHERICAL
     cert_tol: float = 1e-2
-    cert_budget: int | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("budget", "cert_budget"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
 
     @property
     def certificate_budget(self) -> int:
-        return self.cert_budget if self.cert_budget is not None else 4 * self.budget
+        return 4 * self.budget
 
 
 @dataclass(frozen=True)
@@ -203,23 +201,30 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, make, coords, pullbac
     make(x) builds the polynomial or Gram form from the solver coordinates
     x, linearly; coords is its inverse and pullback its transpose, from the
     gradient in the coefficients of the degree-d slice, in canonical order,
-    to a gradient in x.  A trial costs one moment table over that slice.
-    The final iterate goes through normalize, by default a rescaling to
-    vol(B_d) at the certificate budget.  The objective, like each trace
-    entry, is norm of the normalized solver coordinates.
+    to a gradient in x.  A given start is projected onto the ball and must
+    pass the feasibility gate, as default starts do; a trial costs one
+    moment table over the slice.  The final iterate goes through normalize,
+    by default a rescaling to vol(B_d) at the certificate budget.  The
+    objective, like each trace entry, is norm of the normalized solver
+    coordinates.
     """
+    def polynomial(x):
+        poly = make(x)
+        return poly.expand() if isinstance(poly, GramForm) else poly
+
     if start is None:
         x0 = default_start()
     elif (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
         raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
     else:
         x0 = project(coords(start))
+        # the gate that screens default starts also screens a given one
+        verdict = finite_volume_test(polynomial(x0), restarts=6, seed=cfg.seed)
+        _finite_or_raise(verdict, "initial iterate")
     rho = closed_form_ball_volume(n, d)
 
     def evaluate(x, seed):
-        poly = make(x)
-        if isinstance(poly, GramForm):
-            poly = poly.expand()
+        poly = polynomial(x)
         try:
             table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
         except InfiniteVolumeError:

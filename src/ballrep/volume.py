@@ -18,15 +18,20 @@ moments of G have two equivalent expressions that the backends exploit:
   k = n + |alpha| read one contiguous block of those rows against one
   radial weight w * h**(-k/d).  The volume and the degree-d moments (and
   with them the volume gradient) thus come from the same pass.
-Every backend evaluates g and x^alpha through the one monomial kernel; the
-Monte Carlo backend lays out its rows as the spherical pass does, one
-kernel call per sample batch.  The dispatcher _estimate gives each distinct
-alpha one entry: the all-zeros alpha reads the volume, moments that vanish
-by symmetry read exact zeros, and a backend estimates only the rest.
+Every backend lays out its kernel rows the same way and makes one kernel
+call per pass (spherical), per sample batch (Monte Carlo) or per grid slice
+(grid oracle), and returns only plain numbers and arrays aligned with the
+alphas it was given.  The dispatcher _estimate builds every answer: it gives
+each distinct alpha one entry (the all-zeros alpha reads the volume, moments
+that vanish by symmetry read exact zeros, a backend estimates only the
+rest) and turns the backend's numbers into the VolumeEstimate and the
+moment entries.
 
 A slow grid indicator oracle provides an independent cross-check.  All
 estimates carry a standard error: zero for the spherical backend,
 statistical for Monte Carlo, and a boundary-cell bound for the grid.
+Infinite volume has one tolerance, _GATE_TOLERANCE: the feasibility gate
+and the spherical pass both reject a sphere minimum at or below it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ _GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
 _GATE_BUDGET = 2048  # sphere grid screened by the n = 3 feasibility gate
 _GATE_ZOOM_DIMS = 3  # most tangent directions one gate zoom level spans
 _GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this counts as infinite volume
+_HANKEL_SIGMAS = 3.0  # standard errors the Hankel diagonal bound allows
 
 
 class InfiniteVolumeError(ValueError):
@@ -223,7 +229,7 @@ def _sphere_grid(n: int, budget: int):
 
 
 def _kernel_rows(g: GeneralizedPolynomial, live):
-    """Exponent rows of a pass's one kernel call, and each alpha's row.
+    """Exponent rows of a pass's one kernel call, and the row of each live alpha.
 
     g's own exponents come first, so g is ``g._coeffs @ P[:len(g._exponents)]``
     on the kernel output P; the live alphas they miss follow, grouped by
@@ -240,33 +246,32 @@ def _kernel_rows(g: GeneralizedPolynomial, live):
     row.update((a, len(rows) + i) for i, a in enumerate(extra))
     if extra:
         rows = np.vstack([rows, np.array(extra, dtype=np.intp)])
-    return rows, row
+    return rows, [row[a] for a in live]
 
 
-def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int):
+def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     n, d = g.n, g.degree_float
     dirs, w = _sphere_grid(n, budget)
-    moments: dict[Exponent, tuple[float, float]] = {}
-    rows, row = _kernel_rows(g, live)
+    rows, live_rows = _kernel_rows(g, live)
     P = monomials(g.lattice_base(dirs), rows)
     h = g._coeffs @ P[: len(g._exponents)]
     hmin = float(h.min())
-    if hmin <= 0.0:
+    if hmin <= _GATE_TOLERANCE:
         raise InfiniteVolumeError(
             f"sublevel set has infinite volume (sphere minimum {hmin:.6g})",
             sphere_minimum=hmin,
         )
-    vol = float(np.dot(w, h ** (-n / d)) / n)
-    volume = VolumeEstimate(vol, 0.0, SPHERICAL, len(w))
-    by_degree: dict[int, list[Exponent]] = {}
-    for alpha in live:
-        by_degree.setdefault(sum(alpha), []).append(alpha)
-    for degree, group in by_degree.items():
+    vol = np.dot(w, h ** (-n / d)) / n
+    degrees = [sum(a) for a in live]
+    moments = np.empty(len(rows))
+    for degree in set(degrees):
+        # the alphas of one total degree share k and one block of kernel rows;
+        # moments[r] is the moment of kernel row r once its block is done
+        at = [r for r, t in zip(live_rows, degrees) if t == degree]
+        lo, hi = min(at), max(at)
         k = n + degree / g.q
-        lo = min(row[a] for a in group)
-        values = P[lo : max(row[a] for a in group) + 1] @ (w * h ** (-k / d)) / k
-        moments.update((a, (float(values[row[a] - lo]), 0.0)) for a in group)
-    return volume, moments
+        moments[lo : hi + 1] = P[lo : hi + 1] @ (w * h ** (-k / d)) / k
+    return vol, 0.0, moments[live_rows], np.zeros(len(live)), len(w), None
 
 
 # -- Monte Carlo backend ------------------------------------------------------
@@ -310,12 +315,10 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
         tau = min(0.75 / ratio_min, 1e6)
         g = g.rescale(tau)
     log_zref = n * (math.log(2.0) + math.lgamma(1.0 + 1.0 / d))
-    sum_w = 0.0
-    sum_w2 = 0.0
-    sums = np.zeros(len(live))
-    sums2 = np.zeros(len(live))
-    rows, row = _kernel_rows(g, live)
-    live_rows = np.array([row[a] for a in live], dtype=np.intp)
+    # row 0 sums the weights themselves, for the volume; row 1 + i sums live[i]
+    sums = np.zeros(len(live) + 1)
+    sums2 = np.zeros(len(live) + 1)
+    rows, live_rows = _kernel_rows(g, live)
     n_batches = (budget + _MC_BATCH - 1) // _MC_BATCH
     for b in range(n_batches):
         size = min(_MC_BATCH, budget - b * _MC_BATCH)
@@ -331,14 +334,14 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
                 "dominated by the axis-power reference density"
             )
         w = np.exp(-excess)
-        sum_w += float(w.sum())
-        sum_w2 += float((w * w).sum())
+        sums[0] += w.sum()
+        sums2[0] += (w * w).sum()
         fw = P[live_rows]
         fw *= w
-        sums += fw.sum(axis=1)
+        sums[1:] += fw.sum(axis=1)
         fw *= fw
-        sums2 += fw.sum(axis=1)
-    ess = sum_w**2 / sum_w2 if sum_w2 > 0 else 0.0
+        sums2[1:] += fw.sum(axis=1)
+    ess = float(sums[0] ** 2 / sums2[0]) if sums2[0] > 0 else 0.0
     if ess < 0.01 * budget:
         warnings.warn(
             f"effective sample size {ess:.1f} below 1% of budget {budget}; "
@@ -346,23 +349,14 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
             EffectiveSampleSizeWarning,
             stacklevel=3,
         )
-
-    def _mean_se(s, s2):
-        mean = s / budget
-        var = max(0.0, s2 / budget - mean * mean)
-        return mean, math.sqrt(var / max(1, budget - 1))
-
-    mean_w, se_w = _mean_se(sum_w, sum_w2)
-    # map the tempered estimates back through f(g) = tau**(n/d) f(tau g)
-    c_vol = math.exp(log_zref - math.lgamma(1.0 + n / d)) * tau ** (n / d)
-    volume = VolumeEstimate(c_vol * mean_w, c_vol * se_w, MONTE_CARLO, budget, ess=ess)
-    moments: dict[Exponent, tuple[float, float]] = {}
-    for i, a in enumerate(live):
-        k = n + sum(a) / g.q
-        c = math.exp(log_zref - math.lgamma(1.0 + k / d)) * tau ** (k / d)
-        mean, se = _mean_se(sums[i], sums2[i])
-        moments[a] = (float(c * mean), float(c * se))
-    return volume, moments
+    mean = sums / budget
+    se = np.sqrt(np.maximum(0.0, sums2 / budget - mean * mean) / max(1, budget - 1))
+    # map the tempered estimates back through f(g) = tau**(k/d) f(tau g), with
+    # k = n for the volume and k = n + |alpha| for each moment
+    ks = [n] + [n + sum(a) / g.q for a in live]
+    c = np.array([math.exp(log_zref - math.lgamma(1.0 + k / d)) * tau ** (k / d) for k in ks])
+    value, err = c * mean, c * se
+    return value[0], err[0], value[1:], err[1:], budget, ess
 
 
 # -- grid oracle --------------------------------------------------------------
@@ -379,63 +373,59 @@ def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     trial worth at most half a cell.
     """
     n, d = g.n, g.degree_float
-    if n > 3:
-        raise ValueError(f"grid oracle supports n <= 3, got {n}")
-    verdict = finite_volume_test(g, seed=seed)
-    if not verdict.finite_volume:
-        raise InfiniteVolumeError(
-            f"sublevel set has infinite volume (sphere minimum "
-            f"{verdict.sphere_minimum:.6g})",
-            sphere_minimum=verdict.sphere_minimum,
-        )
-    half_width = verdict.sphere_minimum ** (-1.0 / d)
+    if n not in (2, 3):
+        raise ValueError(f"grid oracle supports n in {{2, 3}}, got {n}")
+    hmin = _finite_or_raise(finite_volume_test(g, seed=seed), "sublevel set")
+    half_width = hmin ** (-1.0 / d)
     m = max(8, int(budget ** (1.0 / n)))
     step = 2.0 * half_width / m
     corners = -half_width + step * np.arange(m)
     cell = step**n
     sums = np.zeros(len(live))
     fmax = np.zeros(len(live))
-    exponents = np.array(live, dtype=np.intp).reshape(len(live), n)
+    rows, live_rows = _kernel_rows(g, live)
     inside_mask = np.empty((m,) * n, dtype=bool)
-    tail = np.stack(
-        np.meshgrid(*([corners] * (n - 1)), indexing="ij"), axis=-1
-    ).reshape(-1, max(1, n - 1))
+    tail = np.stack(np.meshgrid(*([corners] * (n - 1)), indexing="ij"), axis=-1)
+    tail = tail.reshape(-1, n - 1)
     for i0 in range(m):
         # per-slice stream keeps results independent of slicing order
         rng = np.random.default_rng([max(0, int(seed)), 515, i0])
-        if n == 1:
-            pts = corners.reshape(-1, 1) + step * rng.random((m, 1))
-        else:
-            pts = np.concatenate(
-                [np.full((tail.shape[0], 1), corners[i0]), tail], axis=1
-            )
-            pts = pts + step * rng.random(pts.shape)
-        inside = np.asarray(g.evaluate(pts), dtype=float) <= 1.0
+        pts = np.concatenate([np.full((tail.shape[0], 1), corners[i0]), tail], axis=1)
+        pts = pts + step * rng.random(pts.shape)
+        P = monomials(g.lattice_base(pts), rows)
+        inside = g._coeffs @ P[: len(g._exponents)] <= 1.0
         inside_mask[i0] = inside.reshape(inside_mask.shape[1:])
         if inside.any() and live:
-            f = monomials(g.lattice_base(pts[inside]), exponents)
+            f = P[live_rows].compress(inside, axis=1)
             sums += f.sum(axis=1)
             fmax = np.maximum(fmax, np.abs(f).max(axis=1))
-        if n == 1:
-            break
     count = int(np.count_nonzero(inside_mask))
     crossings = 0
     for ax in range(n):
         crossings += int(np.count_nonzero(np.diff(inside_mask, axis=ax)))
     sigma = 0.5 * cell * math.sqrt(max(1, crossings))
-    volume = VolumeEstimate(count * cell, sigma, GRID_ORACLE, m**n)
-    return volume, {
-        a: (float(sums[i] * cell), float(sigma * fmax[i])) for i, a in enumerate(live)
-    }
+    return count * cell, sigma, sums * cell, sigma * fmax, m**n, None
 
 
 # -- dispatch -----------------------------------------------------------------
 
-_BACKENDS = {SPHERICAL, MONTE_CARLO, GRID_ORACLE}
+# each backend maps (g, live, budget, seed) to the volume and its error, the
+# live moments' values and errors as arrays aligned with live, the node or
+# sample count and the ESS (None outside Monte Carlo)
+_BACKENDS = {
+    SPHERICAL: _spherical_estimate,
+    MONTE_CARLO: _mc_estimate,
+    GRID_ORACLE: _grid_estimate,
+}
 
 
 def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
-    """(volume, moments) of one backend pass, one entry per distinct alpha in order."""
+    """(volume, moments) of one backend pass, one entry per distinct alpha in order.
+
+    The all-zeros alpha reads the volume and moments that vanish by symmetry
+    read exact zeros; only the remaining live alphas reach the backend, and
+    its plain numbers become the VolumeEstimate and the moment entries here.
+    """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     budget = DEFAULT_BUDGETS[backend] if budget is None else int(budget)
@@ -443,13 +433,9 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
         raise ValueError("budget must be >= 1")
     moments = {tuple(a): (0.0, 0.0) for a in alphas}
     live = [a for a in moments if any(a) and not _symmetry_zero(g, a)]
-    if backend == SPHERICAL:
-        est, found = _spherical_estimate(g, live, budget)
-    elif backend == MONTE_CARLO:
-        est, found = _mc_estimate(g, live, budget, seed)
-    else:
-        est, found = _grid_estimate(g, live, budget, seed)
-    moments.update(found)
+    vol, vol_err, values, errors, nodes, ess = _BACKENDS[backend](g, live, budget, seed)
+    moments.update(zip(live, zip(values.tolist(), errors.tolist())))
+    est = VolumeEstimate(float(vol), float(vol_err), backend, nodes, ess)
     if (0,) * g.n in moments:
         moments[(0,) * g.n] = (est.value, est.std_error)
     return est, moments
@@ -679,8 +665,18 @@ def finite_volume_test(
     return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
 
 
-def hankel_diag_bound_check(mm: MomentMatrix, sigmas: float = 3.0) -> bool:
-    """Check |M[a, b]| <= max axis moment, up to combined standard errors.
+def _finite_or_raise(verdict: FeasibilityVerdict, what: str) -> float:
+    """The verdict's sphere minimum; InfiniteVolumeError naming ``what`` if it is infinite."""
+    if not verdict.finite_volume:
+        raise InfiniteVolumeError(
+            f"{what} has infinite volume (sphere minimum {verdict.sphere_minimum:.6g})",
+            sphere_minimum=verdict.sphere_minimum,
+        )
+    return verdict.sphere_minimum
+
+
+def hankel_diag_bound_check(mm: MomentMatrix) -> bool:
+    """Check |M[a, b]| <= max axis moment, up to three combined standard errors.
 
     The axis moments are the diagonal entries at the pure powers
     (d*q/2) * e_i; for the ball B_d they dominate every other moment, a
@@ -698,5 +694,5 @@ def hankel_diag_bound_check(mm: MomentMatrix, sigmas: float = 3.0) -> bool:
             bound = float(mm.values[k, k])
             bound_err = float(mm.errors[k, k])
     excess = np.abs(mm.values) - bound
-    allowance = sigmas * np.hypot(mm.errors, bound_err)
+    allowance = _HANKEL_SIGMAS * np.hypot(mm.errors, bound_err)
     return bool((excess <= allowance).all())

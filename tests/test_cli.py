@@ -196,6 +196,14 @@ class TestSolveCommand:
         from_library = ballrep.solve_p1(2, 4, start=start, config=config)
         assert doc["iterations"] == [list(entry) for entry in from_library.iterations]
 
+    def test_infeasible_start_exit_code(self, tmp_path, capsys):
+        # the l1 projection of this start is 2 x1**4, of infinite volume
+        start = GeneralizedPolynomial(2, 4, 1, {(4, 0): 4.0, (3, 1): 0.5, (0, 4): 0.2})
+        path = tmp_path / "start.json"
+        path.write_text(serialize_polynomial(start))
+        assert main(["solve", "p1", "--n", "2", "--d", "4", "--start", str(path)]) == 3
+        assert "initial iterate has infinite volume" in capsys.readouterr().err
+
     def test_unconverged_exit_code(self, capsys):
         assert main(["solve", "p1", "--n", "2", "--d", "4", "--max-iters", "1"]) == 4
 

@@ -52,7 +52,7 @@ class TestScaleToTargetVolume:
 
 
 class TestSolveConfig:
-    @pytest.mark.parametrize("field", ["budget", "cert_budget"])
+    @pytest.mark.parametrize("field", ["budget"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_rejects_non_positive_budgets(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
@@ -176,6 +176,21 @@ class TestSolveP1:
         start = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): -1.8, (0, 4): 1.0})
         with pytest.raises(InfiniteVolumeError, match="initial iterate"):
             solve_p1(2, 4, start=start)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(4, 0): 4.0, (3, 1): 0.5, (0, 4): 0.2},
+            {(4, 0, 0): 4.0, (3, 1, 0): 0.5, (0, 4, 0): 0.2, (0, 0, 4): 0.1},
+        ],
+        ids=["n2", "n3"],
+    )
+    def test_start_projected_onto_the_cone_boundary_rejected(self, terms):
+        # the l1 projection keeps only the x1**4 term, whose sphere minimum is 0
+        n = len(next(iter(terms)))
+        start = GeneralizedPolynomial(n, 4, 1, terms)
+        with pytest.raises(InfiniteVolumeError, match="initial iterate"):
+            solve_p1(n, 4, start=start, config=SolveConfig(budget=4096))
 
     def test_unconverged_flagged(self):
         res = solve_p1(2, 4, config=SolveConfig(max_iters=1))

@@ -113,6 +113,11 @@ class TestSphericalBackend:
         with pytest.raises(ValueError, match="n in"):
             volume(ld_polynomial(4, 2), backend="spherical")
 
+    def test_zero_sphere_minimum_raises(self):
+        # 2 x1**4 vanishes on the x2 axis, where the sublevel set is unbounded
+        with pytest.raises(InfiniteVolumeError, match="sphere minimum"):
+            volume(GeneralizedPolynomial(2, 4, 1, {(4, 0): 2.0}))
+
 
 class TestSymmetryZeros:
     def test_even_support_odd_component_is_exact_zero(self):
@@ -393,6 +398,10 @@ class TestGridOracle:
         bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -2.1})
         with pytest.raises(InfiniteVolumeError):
             volume(bad, backend="grid_oracle", budget=10_000)
+
+    def test_unsupported_dimension(self):
+        with pytest.raises(ValueError, match=r"n in \{2, 3\}, got 1"):
+            volume(ld_polynomial(1, 2), backend="grid_oracle", budget=100)
 
     def test_sextic_figure_case(self):
         sph = volume(FIG1_SEXTIC, budget=16384)
