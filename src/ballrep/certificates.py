@@ -24,6 +24,7 @@ error hypot(sm, |m| sm1 / |m1|) / |m1|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,11 @@ class Certificate:
 
 
 def _default_tol(backend: str, tol: float | None) -> float:
-    if tol is not None:
-        return float(tol)
-    return 1e-6 if backend in _DETERMINISTIC else 1e-2
+    if tol is None:
+        return 1e-6 if backend in _DETERMINISTIC else 1e-2
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"certificate tolerance must be finite and >= 0, got {tol}")
+    return float(tol)
 
 
 def _ratio_error(m, sm, m1, sm1):
@@ -271,6 +274,7 @@ def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: 
     """
     if problem not in ("p1", "p2", "p3"):
         raise ValueError(f"unknown problem {problem!r}; choose p1, p2 or p3")
+    tol = _default_tol(backend, tol)  # rejects a bad tolerance before the moment pass
     if problem == "p3":
         mm = moment_matrix(candidate.expand(), candidate.degree // 2, backend=backend,
                            budget=budget, seed=seed)

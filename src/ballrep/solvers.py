@@ -16,12 +16,13 @@ or below the gate's tolerance) are rejected and the step halved.
 One solve path, _descend, serves the three problems, and each solve_pX
 passes only its geometry.  The coefficients are linear in the solver
 coordinates: the coefficients themselves for p1, whitened coefficients for
-p2, the Gram matrix Q for p3.  One moment table over the degree-d slice
-gives a trial's volume and its gradient, -(n + d)/d times the degree-d
-moments, which the transposed linear map pulls back to the solver
-coordinates.  Every pass of a solve uses the same seed, so the Monte Carlo
-line search compares like with like.  The objective is the problem's norm
-of the normalized solver coordinates, as in the iteration trace.
+p2, the Gram matrix Q for p3.  A trial's volume and its gradient, -(n + d)/d
+times the degree-d moments, which the transposed linear map pulls back to
+the solver coordinates, come from one moment table over the degree-d slice,
+or on the spherical backend from two products with the solve's design
+matrix.  Every pass of a solve uses the same seed, so the Monte Carlo line
+search compares like with like.  The objective is the problem's norm of the
+normalized solver coordinates, as in the iteration trace.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .volume import (
     SPHERICAL,
     InfiniteVolumeError,
     _finite_or_raise,
+    _sphere_design,
     closed_form_ball_volume,
     finite_volume_test,
     grad_volume,  # noqa: F401  (unused; perfbench/selftest.py checks it is bound here)
@@ -76,8 +78,9 @@ class SolveConfig:
     A solve stops after max_iters iterations, when a projected step no
     longer moves, or once the volume's relative change stays within 1e-10
     for three accepted steps in a row.  Each descent pass of ``backend``
-    uses budget and seed; the final rescaling and the certificate's moments
-    use the certificate budget, 4 * budget, and its check uses cert_tol.
+    uses budget and seed (spherical: the grid of the solve's design matrix);
+    the final rescaling and the certificate's moments use the certificate
+    budget, 4 * budget, and its check uses cert_tol, finite and >= 0.
     """
 
     max_iters: int = 400
@@ -91,6 +94,8 @@ class SolveConfig:
             raise ValueError("max_iters must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if not (math.isfinite(self.cert_tol) and self.cert_tol >= 0):
+            raise ValueError(f"cert_tol must be finite and >= 0, got {self.cert_tol}")
 
     @property
     def certificate_budget(self) -> int:
@@ -194,19 +199,18 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     return x, trace, converged
 
 
-def _descend(problem, n, d, q, start, cfg: SolveConfig, *, make, coords, pullback,
-             project, norm, default_start, normalize=None) -> SolveResult:
+def _descend(problem, n, d, q, start, cfg: SolveConfig, *, make, coords, coefficients,
+             pullback, project, norm, default_start, normalize=None) -> SolveResult:
     """Start, descend, normalize and certify one problem.
 
     make(x) builds the polynomial or Gram form from the solver coordinates
-    x, linearly; coords is its inverse and pullback its transpose, from the
-    gradient in the coefficients of the degree-d slice, in canonical order,
-    to a gradient in x.  A given start is projected onto the ball and must
-    pass the feasibility gate, as default starts do; a trial costs one
-    moment table over the slice.  The final iterate goes through normalize,
-    by default a rescaling to vol(B_d) at the certificate budget.  The
-    objective, like each trace entry, is norm of the normalized solver
-    coordinates.
+    x, linearly; coords is its inverse, coefficients(x) the monomial
+    coefficients of the degree-d slice in canonical order, and pullback maps
+    a gradient in make(x)'s stored coefficients to one in x.  A given start
+    is projected onto the ball and must pass the feasibility gate, as
+    default starts do.  The final iterate goes through normalize, by default
+    a rescaling to vol(B_d) at the certificate budget.  The objective, like
+    each trace entry, is norm of the normalized solver coordinates.
     """
     def polynomial(x):
         poly = make(x)
@@ -223,18 +227,22 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, make, coords, pullbac
         _finite_or_raise(verdict, "initial iterate")
     rho = closed_form_ball_volume(n, d)
 
-    def evaluate(x, seed):
-        poly = polynomial(x)
-        try:
-            table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
-        except InfiniteVolumeError:
-            return None
-        return table.normalization.value, pullback(gradient_vector(poly, table.entries))
+    if cfg.backend == SPHERICAL:
+        evaluate = _sphere_design(polynomial(x0), cfg.budget, coefficients, pullback)
+    else:
+        def evaluate(x, seed):
+            poly = polynomial(x)
+            try:
+                table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
+            except InfiniteVolumeError:
+                return None
+            return table.normalization.value, pullback(gradient_vector(poly, table.entries))
 
     def report(x, vol):
         return norm(x * (vol / rho) ** (float(d) / n))
 
     x, trace, converged = _projected_gradient(x0, evaluate, project, report, cfg)
+    del evaluate  # frees _sphere_design's P before the certificate-budget passes
     if normalize is not None:
         solution = normalize(make(x))
     else:
@@ -332,7 +340,7 @@ def solve_p1(
     return _descend(
         "p1", n, d, q, start, cfg, make=make,
         coords=lambda g: coefficient_vector(g.to_convention(MONOMIAL), basis),
-        pullback=lambda grad: grad, project=project, norm=l1,
+        coefficients=lambda vec: vec, pullback=lambda grad: grad, project=project, norm=l1,
         default_start=lambda: _feasible_perturbed_start(base, project, make, cfg.seed),
     )
 
@@ -375,8 +383,8 @@ def solve_p2(
     return _descend(
         "p2", n, d, q, start, cfg, make=make,
         coords=lambda g: coefficient_vector(g.to_convention(convention), basis) * root_w,
-        pullback=lambda grad: grad / root_w, project=project,
-        norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
+        coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad / root_w,
+        project=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
         default_start=lambda: _feasible_perturbed_start(base, project, make, cfg.seed),
         normalize=lead_to_one,
     )
@@ -406,6 +414,7 @@ def solve_p3(
     return _descend(
         "p3", n, d, 1, start, cfg, make=lambda mat: GramForm(n, d, mat),
         coords=lambda gram: np.asarray(gram.Q, dtype=float),
+        coefficients=lambda mat: np.bincount(index.ravel(), weights=mat.ravel()),
         pullback=lambda grad: grad[index],
         project=_ball_boundary(project_psd_trace, np.trace, float(n)),
         norm=lambda mat: float(np.trace(mat)),

@@ -17,7 +17,8 @@ moments of G have two equivalent expressions that the backends exploit:
   give h, followed by the requested alphas they miss; the moments sharing
   k = n + |alpha| read one contiguous block of those rows against one
   radial weight w * h**(-k/d).  The volume and the degree-d moments (and
-  with them the volume gradient) thus come from the same pass.
+  with them the volume gradient) thus come from the same pass.  A solve's
+  spherical descent skips these passes: _sphere_design keeps its P instead.
 Every backend lays out its kernel rows the same way and makes one kernel
 call per pass (spherical), per sample batch (Monte Carlo) or per grid slice
 (grid oracle), and returns only plain numbers and arrays aligned with the
@@ -272,6 +273,31 @@ def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
         k = n + degree / g.q
         moments[lo : hi + 1] = P[lo : hi + 1] @ (w * h ** (-k / d)) / k
     return vol, 0.0, moments[live_rows], np.zeros(len(live)), len(w), None
+
+
+def _sphere_design(g: GeneralizedPolynomial, budget: int, coefficients, pullback):
+    """A solve's spherical trial oracle x -> (volume, gradient in x), or None.
+
+    P, the degree-d slice's monomials at the grid nodes, is computed once.  A
+    trial reads h = coefficients(x) @ P (monomial convention), the volume
+    w.h**(-n/d)/n and the moments P(w h**(-(n+d)/d))/(n+d); pullback maps
+    their gradient in g's stored coefficients to x.  None where the
+    spherical pass raises, h.min() <= _GATE_TOLERANCE.
+    """
+    n, d = g.n, g.degree_float
+    dirs, w = _sphere_grid(n, budget)
+    basis = enumerate_indices(n, int(g.degree * g.q))
+    P = monomials(g.lattice_base(dirs), np.array(basis, dtype=np.intp))
+    factor = gradient_vector(g, dict.fromkeys(basis, (1.0, 0.0)))  # per unit moment
+
+    def evaluate(x, seed):
+        h = coefficients(x) @ P
+        if h.min() <= _GATE_TOLERANCE:
+            return None
+        vol = np.dot(w, h ** (-n / d)) / n
+        return float(vol), pullback(factor * (P @ (w * h ** (-(n + d) / d)) / (n + d)))
+
+    return evaluate
 
 
 # -- Monte Carlo backend ------------------------------------------------------

@@ -280,6 +280,22 @@ class TestCertify:
         with pytest.raises(ValueError, match="unknown problem"):
             certify("p1q", ld_polynomial(2, 4), "spherical", 1024, 0, None)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_tolerance(self, tol):
+        g = ld_polynomial(2, 4)
+        match = "tolerance must be finite and >= 0"
+        with pytest.raises(ValueError, match=match):
+            certify("p2", g, "spherical", 1024, 0, tol)
+        with pytest.raises(ValueError, match=match):
+            certify_p1(g, moment_table(g, budget=1024), tol)
+        with pytest.raises(ValueError, match=match):
+            certify_p3(minimal_trace_axis_gram(2, 4),
+                       moment_matrix(g, 2, budget=1024), tol)
+
+    def test_zero_tolerance_is_valid(self):
+        cert, _ = certify("p2", ld_polynomial(2, 4), "spherical", 1024, 0, 0.0)
+        assert cert.tolerance == 0.0
+
 
 class TestCertificateObject:
     def test_verdict_matches_passed(self):

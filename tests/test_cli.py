@@ -207,6 +207,11 @@ class TestSolveCommand:
     def test_unconverged_exit_code(self, capsys):
         assert main(["solve", "p1", "--n", "2", "--d", "4", "--max-iters", "1"]) == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_an_input_error(self, capsys, tol):
+        assert main(["solve", "p1", "--n", "2", "--d", "4", "--tol", tol]) == 2
+        assert "cert_tol must be finite and >= 0" in capsys.readouterr().err
+
 
 class TestCertifyCommand:
     def test_p1_pass(self, tmp_path, capsys):
@@ -228,6 +233,15 @@ class TestCertifyCommand:
         path = tmp_path / "gram.json"
         path.write_text(serialize_gram(minimal_trace_axis_gram(2, 4)))
         assert main(["certify", "p3", str(path), "--budget", "8192"]) == 5
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_an_input_error(self, disk_file, capsys, tol):
+        assert main(["certify", "p2", disk_file, "--tol", tol]) == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_valid(self, disk_file, capsys):
+        assert main(["certify", "p2", disk_file, "--tol", "0"]) in (0, 5)
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
 
     def test_p3_needs_gram_schema(self, tmp_path, capsys):
         path = tmp_path / "axis.json"

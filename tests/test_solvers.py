@@ -8,12 +8,18 @@ import numpy as np
 import pytest
 
 from ballrep import (
+    MONOMIAL,
+    MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
     InfiniteVolumeError,
     SolveConfig,
     closed_form_ball_volume,
+    enumerate_indices,
+    from_coefficient_vector,
     ld_polynomial,
+    moment_table,
+    multinomial_coefficient,
     scale_to_target_volume,
     solve_p1,
     solve_p2,
@@ -57,6 +63,14 @@ class TestSolveConfig:
     def test_rejects_non_positive_budgets(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             SolveConfig(**{field: value})
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_cert_tol(self, tol):
+        with pytest.raises(ValueError, match="cert_tol must be finite and >= 0"):
+            SolveConfig(cert_tol=tol)
+
+    def test_zero_cert_tol_is_valid(self):
+        assert SolveConfig(cert_tol=0.0).cert_tol == 0.0
 
 
 class TestLatticeValidation:
@@ -355,6 +369,93 @@ class TestSeedRobustness:
                 assert delta <= 2e-2
 
 
+class _Captured(Exception):
+    pass
+
+
+def _captured_oracle(monkeypatch, solve):
+    """(start, evaluate, project) of a solve's descent, which is not run."""
+    solvers = sys.modules["ballrep.solvers"]
+
+    def capture(state0, evaluate, project, report, cfg):
+        raise _Captured(state0, evaluate, project)
+
+    monkeypatch.setattr(solvers, "_projected_gradient", capture)
+    with pytest.raises(_Captured) as caught:
+        solve()
+    return caught.value.args
+
+
+def _reference_oracle(problem, n, d, q):
+    """make(x) and the pullback of the moment-table trial path."""
+    basis = enumerate_indices(n, int(Fraction(d) * q))
+    if problem == "p3":
+        index = sys.modules["ballrep.polynomials"]._hankel_layout(n, d // 2)[2]
+        return lambda mat: GramForm(n, d, mat).expand(), lambda grad: grad[index]
+    if problem == "p2":
+        root_w = np.sqrt([float(multinomial_coefficient(a)) for a in basis])
+        return (lambda u: from_coefficient_vector(n, d, q, basis, u / root_w, MULTINOMIAL),
+                lambda grad: grad / root_w)
+    return lambda x: from_coefficient_vector(n, d, q, basis, x, MONOMIAL), lambda grad: grad
+
+
+def _reference_trial(problem, n, d, q, x, budget):
+    """(volume, gradient in x) from moment_table and gradient_vector, None if infinite."""
+    make, pullback = _reference_oracle(problem, n, d, q)
+    poly = make(x)
+    try:
+        table = moment_table(poly, budget=budget)
+    except InfiniteVolumeError:
+        return None
+    grad = sys.modules["ballrep.volume"].gradient_vector(poly, table.entries)
+    return table.normalization.value, pullback(grad)
+
+
+DESIGN_CASES = [("p1", 2, 4, 1), ("p1", 3, 4, 1), ("p1", 3, 6, 1),
+                ("p1", 3, Fraction(1, 2), 4), ("p2", 3, 4, 1), ("p3", 3, 4, 1)]
+
+
+class TestSphereDesign:
+    """The spherical trial oracle's two products with P against the moment-table path."""
+
+    @staticmethod
+    def _oracle(monkeypatch, problem, n, d, q, cfg):
+        if problem == "p3":
+            return _captured_oracle(monkeypatch, lambda: solve_p3(n, d, config=cfg))
+        solver = solve_p1 if problem == "p1" else solve_p2
+        return _captured_oracle(monkeypatch, lambda: solver(n, d, q=q, config=cfg))
+
+    @pytest.mark.parametrize("problem,n,d,q", DESIGN_CASES, ids=lambda v: str(v))
+    def test_matches_moment_table_path(self, monkeypatch, problem, n, d, q):
+        cfg = SolveConfig(seed=5)
+        x0, evaluate, project = self._oracle(monkeypatch, problem, n, d, q, cfg)
+        rng = np.random.default_rng(2024)
+        for _ in range(4):
+            noise = rng.uniform(-0.1, 0.1, size=x0.shape)
+            x = project(x0 + (noise + noise.T if problem == "p3" else noise))
+            want = _reference_trial(problem, n, d, q, x, cfg.budget)
+            got = evaluate(x, cfg.seed)
+            assert want is not None and got is not None
+            assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+            assert np.abs(got[1] - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
+
+    @pytest.mark.parametrize("problem,n,d,q,x", [
+        # the cone-boundary start 2 * x1**4: h vanishes at the x2 axis
+        ("p1", 2, 4, 1, np.array([2.0, 0.0, 0.0, 0.0, 0.0])),
+        # x1**4 - 3 x1**2 x2**2 + x2**4 is negative on the diagonal
+        ("p1", 2, 4, 1, np.array([1.0, 0.0, -3.0, 0.0, 1.0])),
+        # |x1|**(1/2) - 3 |x1 x2|**(1/4) + |x2|**(1/2) is negative where |x1| = |x2|
+        ("p1", 3, Fraction(1, 2), 4, np.array([1.0, -3.0, 0.0, 1.0, 0.0, 0.0])),
+        ("p2", 2, 4, 1, np.array([1.0, 0.0, -2.0, 0.0, 1.0])),
+        ("p3", 2, 4, 1, np.diag([1.0, -3.0, 1.0])),
+    ], ids=lambda v: str(v) if not isinstance(v, np.ndarray) else "x")
+    def test_none_exactly_where_the_spherical_pass_raises(self, monkeypatch, problem, n, d, q, x):
+        cfg = SolveConfig()
+        _, evaluate, _ = self._oracle(monkeypatch, problem, n, d, q, cfg)
+        assert _reference_trial(problem, n, d, q, x, cfg.budget) is None
+        assert evaluate(x, cfg.seed) is None
+
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_solves.json").read_text())
 
 
@@ -390,43 +491,78 @@ class TestGoldenSolves:
         assert res.certificate.verdict == case["verdict"]
 
 
+def _count_oracle_work(monkeypatch, counted):
+    """Budgets of all _estimate passes, and per oracle call the passes it made.
+
+    Each per-call entry also holds the growth of every list in ``counted``.
+    """
+    solvers = sys.modules["ballrep.solvers"]
+    volume_module = sys.modules["ballrep.volume"]
+    passes = []
+    real_estimate = volume_module._estimate
+
+    def counting_estimate(g, alphas, backend, budget, seed):
+        passes.append(budget)
+        return real_estimate(g, alphas, backend, budget, seed)
+
+    per_call = []
+    real_descent = solvers._projected_gradient
+
+    def counting_descent(state0, evaluate, *rest):
+        def oracle(x, seed):
+            before = (len(passes), *map(len, counted))
+            out = evaluate(x, seed)
+            after = (len(passes), *map(len, counted))
+            per_call.append(tuple(b - a for a, b in zip(before, after)))
+            return out
+
+        return real_descent(state0, oracle, *rest)
+
+    monkeypatch.setattr(volume_module, "_estimate", counting_estimate)
+    monkeypatch.setattr(solvers, "_projected_gradient", counting_descent)
+    return passes, per_call
+
+
 class TestOnePassPerTrial:
     def test_p2_pays_one_estimator_pass_per_oracle_call(self, monkeypatch):
-        solvers = sys.modules["ballrep.solvers"]
-        volume_module = sys.modules["ballrep.volume"]
-        passes = []
-        real_estimate = volume_module._estimate
-
-        def counting_estimate(g, alphas, backend, budget, seed):
-            passes.append(budget)
-            return real_estimate(g, alphas, backend, budget, seed)
-
-        per_call = []
-        real_descent = solvers._projected_gradient
-
-        def counting_descent(state0, evaluate, *rest):
-            def counted(x, seed):
-                before = len(passes)
-                out = evaluate(x, seed)
-                per_call.append(len(passes) - before)
-                return out
-
-            return real_descent(state0, counted, *rest)
-
-        monkeypatch.setattr(volume_module, "_estimate", counting_estimate)
-        monkeypatch.setattr(solvers, "_projected_gradient", counting_descent)
-        cfg = SolveConfig(seed=0)
-        res = solve_p2(3, 4, config=cfg)
+        # off the spherical backend every trial reads one moment table
+        passes, per_call = _count_oracle_work(monkeypatch, [])
+        cfg = SolveConfig(backend="monte_carlo", budget=5000, seed=0)
+        res = solve_p2(2, 4, config=cfg)
         assert res.converged
         # the start plus at least one line-search trial per accepted iterate
         assert len(per_call) >= len(res.iterations)
-        assert per_call == [1] * len(per_call)
+        assert per_call == [(1,)] * len(per_call)
         # outside the descent only the certificate's moment table remains
         # (p2 rescales by its leading coefficient, without a volume pass)
         assert passes == [cfg.budget] * len(per_call) + [cfg.certificate_budget]
 
+    def test_p2_spherical_descent_reads_one_design_matrix(self, monkeypatch):
+        volume_module = sys.modules["ballrep.volume"]
+        kernel_calls = []
+        real_monomials = volume_module.monomials
+
+        def counting_monomials(base, exponents):
+            kernel_calls.append(len(exponents))
+            return real_monomials(base, exponents)
+
+        monkeypatch.setattr(volume_module, "monomials", counting_monomials)
+        passes, per_call = _count_oracle_work(monkeypatch, [kernel_calls])
+        cfg = SolveConfig(seed=0)
+        res = solve_p2(3, 4, config=cfg)
+        assert res.converged
+        assert len(per_call) >= len(res.iterations)
+        # a trial is two products with P: no estimator pass, no kernel call
+        assert per_call == [(0, 0)] * len(per_call)
+        # outside the descent only the certificate's moment table remains
+        assert passes == [cfg.certificate_budget]
+        # P, the 15 monomials of the degree-4 slice, is built once; the
+        # certificate's pass makes the only other kernel call
+        assert kernel_calls[0] == 15
+        assert len(kernel_calls) == 1 + len(passes)
+
     def test_p3_descent_needs_no_moment_matrix(self, monkeypatch):
-        # the trials take their gradient from the moment table and the
+        # the trials take their gradient from the design matrix and the
         # transposed Gram layout; only the certificate builds a moment matrix
         certificates = sys.modules["ballrep.certificates"]
         calls = []
