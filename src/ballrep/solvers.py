@@ -1,4 +1,4 @@
-"""Projected-gradient solvers for the extremal representation problems.
+"""Solvers for the extremal representation problems.
 
 All three problems are solved in the "minimize volume subject to a norm
 ball" orientation, which by positive homogeneity of the volume functional
@@ -8,21 +8,23 @@ are cheap and exact, whereas a volume constraint is expensive.  After
 convergence the iterate is rescaled to its reporting normalization and the
 matching optimality certificate is attached.
 
-Because scaling a feasible iterate up to the norm boundary strictly
-decreases volume, every accepted step is saturated onto the boundary;
-iterates that leave the feasible cone (the backend finds a sphere value at
-or below the gate's tolerance) are rejected and the step halved.
+p1/p1q and p3 descend by projected gradient, saturating each accepted step
+onto the norm boundary (scaling up strictly decreases volume) and halving
+the step at iterates outside the feasible cone (a sphere value at or below
+the gate's tolerance).  p2's optimum, whose weighted coefficients are
+proportional to the degree-d moments of its own ball, is a fixed point of
+T(u) = project(-grad(u)), which an Anderson iteration finds, line-search free.
 
 One solve path, _descend, serves the three problems, and each solve_pX
-passes only its geometry.  The coefficients are linear in the solver
-coordinates: the coefficients themselves for p1, whitened coefficients for
-p2, the Gram matrix Q for p3.  A trial's volume and its gradient, -(n + d)/d
-times the degree-d moments, which the transposed linear map pulls back to
-the solver coordinates, come from one moment table over the degree-d slice,
-or on the spherical backend from two products with the solve's design
-matrix.  Every pass of a solve uses the same seed, so the Monte Carlo line
-search compares like with like.  The objective is the problem's norm of the
-normalized solver coordinates, as in the iteration trace.
+passes only its geometry and its iteration.  The coefficients are linear in
+the solver coordinates: the coefficients themselves for p1, whitened
+coefficients for p2, the Gram matrix Q for p3.  A trial's volume and its
+gradient, -(n + d)/d times the degree-d moments, which the transposed linear
+map pulls back to the solver coordinates, come from one moment table over
+the degree-d slice, or on the spherical backend from two products with the
+solve's design matrix.  Every pass of a solve uses the same seed, so the
+Monte Carlo line search compares like with like.  The objective is the
+problem's norm of the normalized solver coordinates, as in the trace.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ _MAX_BACKTRACKS = 48
 # converged: the volume's relative change stays within this for 3 steps
 _TOL_OBJECTIVE = 1e-10
 _NOISE_MAGNITUDE = 0.2
+_ANDERSON_MEMORY = 4  # residual differences the p2 fixed-point iteration mixes
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,8 @@ class SolveResult:
     """Solver outcome: normalized solution, objective, trace and certificate.
 
     iterations holds (equivalent objective, volume) pairs per accepted
-    iterate, where the equivalent objective is the norm the iterate would
-    have after rescaling to the target volume; it is non-increasing.
+    iterate: the norm the iterate would have at the target volume, which the
+    p1/p3 descents (not p2's fixed-point iteration) keep non-increasing.
     """
 
     problem: str
@@ -199,9 +202,42 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     return x, trace, converged
 
 
-def _descend(problem, n, d, q, start, cfg: SolveConfig, *, make, coords, coefficients,
+def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
+    """Safeguarded Anderson iteration on p2's stationarity map T(x) = project(-grad(x)).
+
+    The next point mixes T over the last _ANDERSON_MEMORY residual differences
+    (type II, Walker & Ni 2011).  If it leaves the feasible cone the plain
+    step T(x) replaces it; for even d that step is feasible (-grad is a
+    positive combination of d-th powers of linear forms), so if it is not,
+    the solve stops unconverged.  Converged: |T(x) - x|_inf <= 1e-14 (1 + |x|_inf).
+    Arguments and return value are those of _projected_gradient.
+    """
+    x, out = state0, evaluate(state0, cfg.seed)
+    if out is None:
+        raise InfiniteVolumeError("initial iterate has infinite volume")
+    trace, history = [], []  # history: (T(x), T(x) - x) of the latest iterates
+    for _ in range(cfg.max_iters):
+        trace.append((report(x, out[0]), out[0]))
+        tx = project(-out[1])
+        if np.abs(tx - x).max() <= 1e-14 * (1.0 + np.abs(x).max()):
+            return x, trace, True
+        history = history[-_ANDERSON_MEMORY:] + [(tx, tx - x)]
+        z = tx
+        if len(history) > 1:
+            d_step, d_residual = np.diff(history, axis=0).transpose(1, 2, 0)
+            z = project(tx - d_step @ np.linalg.lstsq(d_residual, tx - x, rcond=None)[0])
+        out = evaluate(z, cfg.seed)
+        if out is None and z is not tx:
+            z, out = tx, evaluate(tx, cfg.seed)
+        if out is None:
+            return x, trace, False
+        x = z
+    return x, trace, False
+
+
+def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords, coefficients,
              pullback, project, norm, default_start, normalize=None) -> SolveResult:
-    """Start, descend, normalize and certify one problem.
+    """Start, iterate, normalize and certify one problem.
 
     make(x) builds the polynomial or Gram form from the solver coordinates
     x, linearly; coords is its inverse, coefficients(x) the monomial
@@ -222,7 +258,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, make, coords, coeffic
         raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
     else:
         x0 = project(coords(start))
-        # the gate that screens default starts also screens a given one
+        # the gate that screens p1's default starts also screens a given one
         verdict = finite_volume_test(polynomial(x0), restarts=6, seed=cfg.seed)
         _finite_or_raise(verdict, "initial iterate")
     rho = closed_form_ball_volume(n, d)
@@ -241,7 +277,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, make, coords, coeffic
     def report(x, vol):
         return norm(x * (vol / rho) ** (float(d) / n))
 
-    x, trace, converged = _projected_gradient(x0, evaluate, project, report, cfg)
+    x, trace, converged = iterate(x0, evaluate, project, report, cfg)
     del evaluate  # frees _sphere_design's P before the certificate-budget passes
     if normalize is not None:
         solution = normalize(make(x))
@@ -275,11 +311,9 @@ def _ball_boundary(ball, size, radius: float):
 
 
 def _feasible_perturbed_start(base_vec, project, make_poly, seed) -> np.ndarray:
-    """Default start: the axis-power coefficients plus seeded noise.
+    """p1's default start: the axis-power coefficients plus seeded noise.
 
-    Noise magnitude 0.2 keeps the start interior but far enough from the
-    optimum to make convergence a real test; if a draw leaves the feasible
-    cone the noise is halved until the sphere minimum is positive.
+    The noise, which makes convergence a real test, halves until the gate passes.
     """
     rng = np.random.default_rng([max(0, int(seed)), 404])
     noise = rng.uniform(-_NOISE_MAGNITUDE, _NOISE_MAGNITUDE, size=base_vec.shape)
@@ -338,7 +372,7 @@ def solve_p1(
     project = _ball_boundary(project_l1_ball, l1, float(n))
     base = coefficient_vector(ld_polynomial(n, d, q), basis)
     return _descend(
-        "p1", n, d, q, start, cfg, make=make,
+        "p1", n, d, q, start, cfg, iterate=_projected_gradient, make=make,
         coords=lambda g: coefficient_vector(g.to_convention(MONOMIAL), basis),
         coefficients=lambda vec: vec, pullback=lambda grad: grad, project=project, norm=l1,
         default_start=lambda: _feasible_perturbed_start(base, project, make, cfg.seed),
@@ -354,11 +388,11 @@ def solve_p2(
 ) -> SolveResult:
     """Minimize the weighted l2 coefficient norm at fixed sublevel-set volume.
 
-    Works in whitened coordinates u = sqrt(c_alpha) * g_alpha where the
-    constraint is a plain Euclidean ball, so radial projection is exact.
-    The reported solution is normalized so the leading coefficient (at the
-    exponent d*e_1, multinomial convention) equals 1, the normalization in
-    which the degree-4 optimum is exactly (sum x_i**2)**2; the attached
+    Works in whitened coordinates u = sqrt(c_alpha) * g_alpha, where the
+    constraint is a plain Euclidean ball, and solves u = project(-grad(u))
+    by _anderson from the projected B_d coefficients, with no gate call.
+    The solution is scaled to leading coefficient 1 (at d*e_1, multinomial
+    convention), where the degree-4 optimum is exactly (sum x_i**2)**2; the
     proportionality certificate is scale invariant.
     """
     cfg = config or SolveConfig()
@@ -381,12 +415,11 @@ def solve_p2(
     base = coefficient_vector(ld_polynomial(n, d, q), basis) * root_w
     # whitened coordinates: d f / d u_alpha = (d f / d g_alpha) / sqrt(c_alpha)
     return _descend(
-        "p2", n, d, q, start, cfg, make=make,
+        "p2", n, d, q, start, cfg, iterate=_anderson, make=make,
         coords=lambda g: coefficient_vector(g.to_convention(convention), basis) * root_w,
         coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad / root_w,
         project=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
-        default_start=lambda: _feasible_perturbed_start(base, project, make, cfg.seed),
-        normalize=lead_to_one,
+        default_start=lambda: project(base), normalize=lead_to_one,
     )
 
 
@@ -415,7 +448,7 @@ def solve_p3(
         "p3", n, d, 1, start, cfg, make=lambda mat: GramForm(n, d, mat),
         coords=lambda gram: np.asarray(gram.Q, dtype=float),
         coefficients=lambda mat: np.bincount(index.ravel(), weights=mat.ravel()),
-        pullback=lambda grad: grad[index],
+        pullback=lambda grad: grad[index], iterate=_projected_gradient,
         project=_ball_boundary(project_psd_trace, np.trace, float(n)),
         norm=lambda mat: float(np.trace(mat)),
         default_start=lambda: (float(n) / len(basis)) * np.eye(len(basis)),

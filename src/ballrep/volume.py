@@ -31,8 +31,8 @@ moment entries.
 A slow grid indicator oracle provides an independent cross-check.  All
 estimates carry a standard error: zero for the spherical backend,
 statistical for Monte Carlo, and a boundary-cell bound for the grid.
-Infinite volume has one tolerance, _GATE_TOLERANCE: the feasibility gate
-and the spherical pass both reject a sphere minimum at or below it.
+Infinite volume has one tolerance, _GATE_TOLERANCE: the feasibility gate and
+the spherical pass reject a sphere minimum, exact axes included, at or below it.
 """
 
 from __future__ import annotations
@@ -250,13 +250,19 @@ def _kernel_rows(g: GeneralizedPolynomial, live):
     return rows, [row[a] for a in live]
 
 
+def _axis_minimum(exponents: np.ndarray, coeffs: np.ndarray) -> float:
+    """min of g on the axes +-e_i, which sphere grids miss: its pure powers' coefficients, or 0."""
+    values = coeffs[np.count_nonzero(exponents, axis=1) == 1]
+    return float(values.min(initial=np.inf if len(values) == exponents.shape[1] else 0.0))
+
+
 def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     n, d = g.n, g.degree_float
     dirs, w = _sphere_grid(n, budget)
     rows, live_rows = _kernel_rows(g, live)
     P = monomials(g.lattice_base(dirs), rows)
     h = g._coeffs @ P[: len(g._exponents)]
-    hmin = float(h.min())
+    hmin = min(float(h.min()), _axis_minimum(g._exponents, g._coeffs))
     if hmin <= _GATE_TOLERANCE:
         raise InfiniteVolumeError(
             f"sublevel set has infinite volume (sphere minimum {hmin:.6g})",
@@ -282,17 +288,19 @@ def _sphere_design(g: GeneralizedPolynomial, budget: int, coefficients, pullback
     trial reads h = coefficients(x) @ P (monomial convention), the volume
     w.h**(-n/d)/n and the moments P(w h**(-(n+d)/d))/(n+d); pullback maps
     their gradient in g's stored coefficients to x.  None where the
-    spherical pass raises, h.min() <= _GATE_TOLERANCE.
+    spherical pass raises: h or an exact axis value is <= _GATE_TOLERANCE.
     """
     n, d = g.n, g.degree_float
     dirs, w = _sphere_grid(n, budget)
     basis = enumerate_indices(n, int(g.degree * g.q))
-    P = monomials(g.lattice_base(dirs), np.array(basis, dtype=np.intp))
+    exponents = np.array(basis, dtype=np.intp)
+    P = monomials(g.lattice_base(dirs), exponents)
     factor = gradient_vector(g, dict.fromkeys(basis, (1.0, 0.0)))  # per unit moment
 
     def evaluate(x, seed):
-        h = coefficients(x) @ P
-        if h.min() <= _GATE_TOLERANCE:
+        c = coefficients(x)
+        h = c @ P
+        if min(h.min(), _axis_minimum(exponents, c)) <= _GATE_TOLERANCE:
             return None
         vol = np.dot(w, h ** (-n / d)) / n
         return float(vol), pullback(factor * (P @ (w * h ** (-(n + d) / d)) / (n + d)))
@@ -636,8 +644,7 @@ def finite_volume_test(
     the sublevel set is then unbounded along the minimizing direction.
     """
     n = g.n
-    # the scan's cos and sin miss the axes by round-off, which |x|**(1/q) inflates
-    smin = float(np.min(g.evaluate(np.vstack([np.eye(n), -np.eye(n)]))))
+    smin = _axis_minimum(g._exponents, g._coeffs)
     if n == 1:
         return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
     if n == 2:

@@ -15,7 +15,9 @@ from ballrep import (
     InfiniteVolumeError,
     SolveConfig,
     closed_form_ball_volume,
+    coefficient_vector,
     enumerate_indices,
+    finite_volume_test,
     from_coefficient_vector,
     ld_polynomial,
     moment_table,
@@ -224,6 +226,50 @@ class TestSolveP1:
         assert res.certificate.kind == "p1_kkt"
 
 
+class TestAnderson:
+    """_anderson on the linear fake map T(x) = A x + b, whose plain iteration contracts slowly."""
+
+    A = np.array([[0.8, 0.04], [0.0, 0.7]])
+    B = np.array([0.1, 0.2])
+    FIXED = np.linalg.solve(np.eye(2) - A, B)
+
+    def run(self, feasible):
+        solvers = sys.modules["ballrep.solvers"]
+        calls = []
+
+        def evaluate(x, seed):
+            calls.append(x)
+            return (1.0, -(self.A @ x + self.B)) if feasible(len(calls)) else None
+
+        out = solvers._anderson(
+            np.zeros(2), evaluate, lambda x: x, lambda x, vol: vol, SolveConfig(),
+        )
+        return (*out, calls)
+
+    def test_mixing_reaches_the_fixed_point_in_few_calls(self):
+        x, trace, converged, calls = self.run(lambda call: True)
+        assert converged
+        assert np.abs(x - self.FIXED).max() <= 1e-13
+        # the plain iteration needs about 150 calls at contraction 0.8
+        assert len(calls) == len(trace) <= 8
+
+    def test_infeasible_mixed_points_fall_back_to_the_plain_step(self):
+        # the second call is a plain step, and from then on each odd call is
+        # a mixed point: rejecting them all leaves the plain iteration
+        x, trace, converged, calls = self.run(lambda call: call < 3 or call % 2 == 0)
+        assert converged
+        assert np.abs(x - self.FIXED).max() <= 1e-12
+        assert len(trace) > 100
+        assert len(calls) == 2 * len(trace) - 2
+
+    def test_stops_unconverged_when_a_plain_step_is_infeasible(self):
+        x, trace, converged, calls = self.run(lambda call: call == 1)
+        assert not converged
+        assert len(trace) == 1
+        assert len(calls) == 2
+        np.testing.assert_array_equal(x, np.zeros(2))
+
+
 class TestSolveP2:
     def test_quadratic_matches_p1(self):
         res = solve_p2(2, 2)
@@ -274,11 +320,64 @@ class TestSolveP2:
         assert res.iterations[0] != solve_p2(2, 4).iterations[0]
 
     def test_sextic_start_screened_on_sphere_grid(self):
-        # Nelder-Mead alone accepted this seed's first perturbed start, whose
-        # sphere minimum is about -0.023; the grid screen now rejects it
-        res = solve_p2(3, 6, config=SolveConfig(seed=508841))
+        # the first perturbed p2 (3, 6) start that solver seed 508841 drew when
+        # p2 still started from one: Nelder-Mead alone accepted it, though its
+        # sphere minimum is about -0.023; the gate's sphere grid rejects it
+        basis = enumerate_indices(3, 6)
+        root_w = np.sqrt([float(multinomial_coefficient(a)) for a in basis])
+        noise = np.random.default_rng([508841, 404]).uniform(-0.2, 0.2, size=len(basis))
+        u = coefficient_vector(ld_polynomial(3, 6), basis) * root_w + noise
+        u *= math.sqrt(3.0) / np.linalg.norm(u)
+        start = from_coefficient_vector(3, 6, 1, basis, u / root_w, MULTINOMIAL)
+        verdict = finite_volume_test(start, restarts=6, seed=508841)
+        assert not verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(-0.023, abs=1e-3)
+        nodes = sys.modules["ballrep.volume"]._sphere_grid(3, 2048)[0]
+        assert start.evaluate(nodes).min() < 0.0
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (3, 6)])
+    def test_paper_cases_certify_at_round_off(self, n, d):
+        res = solve_p2(n, d)
         assert res.converged
         assert res.certificate.passed
+        assert res.certificate.residuals["max_coefficient"] <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quartic_is_the_square_of_the_euclidean_norm(self, n):
+        # (sum x_i**2)**2 in the multinomial convention: 1 on the pure
+        # fourth powers, 1/3 on x_i**2 x_j**2, 0 elsewhere
+        res = solve_p2(n, 4)
+        assert len(res.solution.terms) == len(enumerate_indices(n, 4))
+        for alpha, got in res.solution.terms.items():
+            want = 1.0 if 4 in alpha else 1.0 / 3.0 if set(alpha) <= {0, 2} else 0.0
+            assert abs(got - want) <= 1e-12
+
+    def test_default_spherical_solve_makes_no_gate_call(self, monkeypatch):
+        calls = []
+        for module in ("ballrep.solvers", "ballrep.volume"):
+            real = getattr(sys.modules[module], "finite_volume_test")
+
+            def counted(*args, real=real, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(sys.modules[module], "finite_volume_test", counted)
+        res = solve_p2(3, 6)
+        assert res.converged
+        assert calls == []
+
+    def test_spherical_solutions_do_not_depend_on_the_seed(self):
+        first = solve_p2(3, 6, config=SolveConfig(seed=0))
+        for seed in (5, 508841):
+            res = solve_p2(3, 6, config=SolveConfig(seed=seed))
+            assert res.solution == first.solution
+            assert res.iterations == first.iterations
+
+    def test_start_with_infinite_volume_rejected(self):
+        # x1**4 - 3 x1**2 x2**2 + x2**4 is negative on the diagonal
+        start = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): -3.0, (0, 4): 1.0})
+        with pytest.raises(InfiniteVolumeError, match="initial iterate"):
+            solve_p2(2, 4, start=start)
 
 
 class TestSolveP3:
@@ -373,14 +472,19 @@ class _Captured(Exception):
     pass
 
 
+# the iterations a solve hands its oracle to: p1/p1q and p3 descend, p2 mixes
+ITERATIONS = ("_projected_gradient", "_anderson")
+
+
 def _captured_oracle(monkeypatch, solve):
-    """(start, evaluate, project) of a solve's descent, which is not run."""
+    """(start, evaluate, project) of a solve's iteration, which is not run."""
     solvers = sys.modules["ballrep.solvers"]
 
     def capture(state0, evaluate, project, report, cfg):
         raise _Captured(state0, evaluate, project)
 
-    monkeypatch.setattr(solvers, "_projected_gradient", capture)
+    for name in ITERATIONS:
+        monkeypatch.setattr(solvers, name, capture)
     with pytest.raises(_Captured) as caught:
         solve()
     return caught.value.args
@@ -446,6 +550,10 @@ class TestSphereDesign:
         ("p1", 2, 4, 1, np.array([1.0, 0.0, -3.0, 0.0, 1.0])),
         # |x1|**(1/2) - 3 |x1 x2|**(1/4) + |x2|**(1/2) is negative where |x1| = |x2|
         ("p1", 3, Fraction(1, 2), 4, np.array([1.0, -3.0, 0.0, 1.0, 0.0, 0.0])),
+        # |x1|**(1/2) + |x2|**(1/2) has no pure power of x3, so it vanishes on
+        # the x3 axis, which the n = 3 grid misses
+        pytest.param("p1", 3, Fraction(1, 2), 4, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
+                     id="p1-3-1/2-4-axis"),
         ("p2", 2, 4, 1, np.array([1.0, 0.0, -2.0, 0.0, 1.0])),
         ("p3", 2, 4, 1, np.diag([1.0, -3.0, 1.0])),
     ], ids=lambda v: str(v) if not isinstance(v, np.ndarray) else "x")
@@ -464,7 +572,9 @@ class TestGoldenSolves:
 
     tests/data/golden_solves.json was recorded with the solver that paid a
     separate volume pass and gradient pass per iterate (commit f7f1a44); the
-    fused one-pass oracle must reproduce it to round-off.
+    fused one-pass oracle must reproduce it to round-off.  The p2 entries
+    were re-recorded with the Anderson fixed-point iteration, whose
+    certificate residuals fell from 2e-7 to 7e-7 to below 1e-14.
     """
 
     @pytest.mark.parametrize(
@@ -506,20 +616,23 @@ def _count_oracle_work(monkeypatch, counted):
         return real_estimate(g, alphas, backend, budget, seed)
 
     per_call = []
-    real_descent = solvers._projected_gradient
 
-    def counting_descent(state0, evaluate, *rest):
-        def oracle(x, seed):
-            before = (len(passes), *map(len, counted))
-            out = evaluate(x, seed)
-            after = (len(passes), *map(len, counted))
-            per_call.append(tuple(b - a for a, b in zip(before, after)))
-            return out
+    def counting(real_iteration):
+        def counting_iteration(state0, evaluate, *rest):
+            def oracle(x, seed):
+                before = (len(passes), *map(len, counted))
+                out = evaluate(x, seed)
+                after = (len(passes), *map(len, counted))
+                per_call.append(tuple(b - a for a, b in zip(before, after)))
+                return out
 
-        return real_descent(state0, oracle, *rest)
+            return real_iteration(state0, oracle, *rest)
+
+        return counting_iteration
 
     monkeypatch.setattr(volume_module, "_estimate", counting_estimate)
-    monkeypatch.setattr(solvers, "_projected_gradient", counting_descent)
+    for name in ITERATIONS:
+        monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
     return passes, per_call
 
 
@@ -530,7 +643,7 @@ class TestOnePassPerTrial:
         cfg = SolveConfig(backend="monte_carlo", budget=5000, seed=0)
         res = solve_p2(2, 4, config=cfg)
         assert res.converged
-        # the start plus at least one line-search trial per accepted iterate
+        # one call per iterate, plus one per mixed point that fell back
         assert len(per_call) >= len(res.iterations)
         assert per_call == [(1,)] * len(per_call)
         # outside the descent only the certificate's moment table remains

@@ -118,6 +118,15 @@ class TestSphericalBackend:
         with pytest.raises(InfiniteVolumeError, match="sphere minimum"):
             volume(GeneralizedPolynomial(2, 4, 1, {(4, 0): 2.0}))
 
+    def test_zero_on_an_exact_axis_raises(self):
+        # sqrt|x1| vanishes on the x2 and x3 axes; the n = 3 grid misses them
+        # by round-off, cos(pi/2) = 6e-17, whose fourth root 7.8e-9 clears
+        # the tolerance, so the exact axes take part in the sphere minimum
+        g = GeneralizedPolynomial(3, Fraction(1, 2), 4, {(2, 0, 0): 1.0})
+        assert not finite_volume_test(g).finite_volume
+        with pytest.raises(InfiniteVolumeError, match="sphere minimum 0"):
+            volume(g, budget=2048)
+
 
 class TestSymmetryZeros:
     def test_even_support_odd_component_is_exact_zero(self):
