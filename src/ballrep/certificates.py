@@ -262,6 +262,13 @@ def certify_p3(
     return Certificate("p3_psd", PASS if ok else FAIL, tol, residuals, duals)
 
 
+def _check_candidate(problem: str, candidate) -> None:
+    """Raise ValueError unless candidate is a GramForm for p3, a polynomial otherwise."""
+    expected = GramForm if problem == "p3" else GeneralizedPolynomial
+    if not isinstance(candidate, expected):
+        raise ValueError(f"{problem} candidates must be a {expected.__name__}")
+
+
 def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: str,
             budget: int | None, seed: int,
             tol: float | None) -> tuple[Certificate, VolumeEstimate]:
@@ -274,7 +281,8 @@ def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: 
     """
     if problem not in ("p1", "p2", "p3"):
         raise ValueError(f"unknown problem {problem!r}; choose p1, p2 or p3")
-    tol = _default_tol(backend, tol)  # rejects a bad tolerance before the moment pass
+    _check_candidate(problem, candidate)
+    tol = _default_tol(backend, tol)  # rejects a bad input before the moment pass
     if problem == "p3":
         mm = moment_matrix(candidate.expand(), candidate.degree // 2, backend=backend,
                            budget=budget, seed=seed)

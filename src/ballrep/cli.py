@@ -195,10 +195,6 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     candidate = _read(args.candidate, parse_candidate)
-    if args.problem == "p3" and not isinstance(candidate, GramForm):
-        raise SchemaError("document", "p3 candidates use the Gram schema")
-    if args.problem != "p3" and isinstance(candidate, GramForm):
-        raise SchemaError("document", "p1/p2 candidates use the polynomial schema")
     cert, _ = certify(args.problem, candidate, args.backend, args.budget, args.seed, args.tol)
     _emit_json(certificate_to_dict(cert), args.out)
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE

@@ -25,6 +25,9 @@ the degree-d slice, or on the spherical backend from two products with the
 solve's design matrix.  Every pass of a solve uses the same seed, so the
 Monte Carlo line search compares like with like.  The objective is the
 problem's norm of the normalized solver coordinates, as in the trace.
+Default starts are feasible by construction, so no default solve calls the
+feasibility gate and a spherical solve does not depend on its seed; only a
+caller's start, outside input, is gated.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import Certificate, certify
+from .certificates import Certificate, _check_candidate, certify
 from .polynomials import (
     MONOMIAL,
     MULTINOMIAL,
@@ -70,7 +73,6 @@ _SUFFICIENT_DECREASE = 1e-4
 _MAX_BACKTRACKS = 48
 # converged: the volume's relative change stays within this for 3 steps
 _TOL_OBJECTIVE = 1e-10
-_NOISE_MAGNITUDE = 0.2
 _ANDERSON_MEMORY = 4  # residual differences the p2 fixed-point iteration mixes
 
 
@@ -78,12 +80,14 @@ _ANDERSON_MEMORY = 4  # residual differences the p2 fixed-point iteration mixes
 class SolveConfig:
     """Iteration and estimation knobs shared by the three solvers.
 
-    A solve stops after max_iters iterations, when a projected step no
-    longer moves, or once the volume's relative change stays within 1e-10
-    for three accepted steps in a row.  Each descent pass of ``backend``
-    uses budget and seed (spherical: the grid of the solve's design matrix);
-    the final rescaling and the certificate's moments use the certificate
-    budget, 4 * budget, and its check uses cert_tol, finite and >= 0.
+    A solve stops after max_iters iterations, or earlier: p1 and p3 when a
+    projected step no longer moves or the volume's relative change stays
+    within 1e-10 for three accepted steps in a row, p2 once |T(u) - u|_inf
+    <= 1e-14 (1 + |u|_inf).  Each descent pass of ``backend`` uses budget
+    (spherical: the grid of the solve's design matrix); the final rescaling
+    and the certificate's moments use 4 * budget, and its check cert_tol,
+    finite and >= 0.  seed is read only by Monte Carlo and grid passes and
+    by the feasibility gate on a given start.
     """
 
     max_iters: int = 400
@@ -243,22 +247,24 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     x, linearly; coords is its inverse, coefficients(x) the monomial
     coefficients of the degree-d slice in canonical order, and pullback maps
     a gradient in make(x)'s stored coefficients to one in x.  A given start
-    is projected onto the ball and must pass the feasibility gate, as
-    default starts do.  The final iterate goes through normalize, by default
-    a rescaling to vol(B_d) at the certificate budget.  The objective, like
-    each trace entry, is norm of the normalized solver coordinates.
+    is projected onto the ball and must pass the feasibility gate; the array
+    default_start is feasible by construction.  The final iterate goes
+    through normalize, by default a rescaling to vol(B_d) at the certificate
+    budget.  The objective, like each trace entry, is norm of the normalized
+    solver coordinates.
     """
     def polynomial(x):
         poly = make(x)
         return poly.expand() if isinstance(poly, GramForm) else poly
 
     if start is None:
-        x0 = default_start()
-    elif (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
-        raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
+        x0 = default_start
     else:
+        _check_candidate(problem, start)
+        if (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
+            raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
         x0 = project(coords(start))
-        # the gate that screens p1's default starts also screens a given one
+        # outside input: only the gate can tell whether its volume is finite
         verdict = finite_volume_test(polynomial(x0), restarts=6, seed=cfg.seed)
         _finite_or_raise(verdict, "initial iterate")
     rho = closed_form_ball_volume(n, d)
@@ -310,22 +316,6 @@ def _ball_boundary(ball, size, radius: float):
     return project
 
 
-def _feasible_perturbed_start(base_vec, project, make_poly, seed) -> np.ndarray:
-    """p1's default start: the axis-power coefficients plus seeded noise.
-
-    The noise, which makes convergence a real test, halves until the gate passes.
-    """
-    rng = np.random.default_rng([max(0, int(seed)), 404])
-    noise = rng.uniform(-_NOISE_MAGNITUDE, _NOISE_MAGNITUDE, size=base_vec.shape)
-    for _ in range(30):
-        vec = project(base_vec + noise)
-        verdict = finite_volume_test(make_poly(vec), restarts=6, seed=seed)
-        if verdict.finite_volume:
-            return vec
-        noise *= 0.5
-    return project(base_vec)
-
-
 def _validate_lattice(problem: str, d: Fraction, q: int, half_lattice: bool):
     if q < 1:
         raise ValueError(f"lattice denominator must be >= 1, got {q}")
@@ -355,27 +345,31 @@ def solve_p1(
 
     Solved as projected-gradient descent of the volume over the l1 ball of
     radius n, then rescaled so the volume equals vol(B_d).  The optimum is
-    the axis-power polynomial sum_i |x_i|**d with l1 norm n; the returned
-    certificate checks the dual system at the reported solution.
+    the axis-power polynomial sum_i |x_i|**d with l1 norm n, and the dense
+    default start needs no gate call; the returned certificate checks the
+    dual system at the reported solution.
     """
     cfg = config or SolveConfig()
     d = Fraction(d)
     _validate_lattice("the l1 problem", d, q, half_lattice=True)
     basis = enumerate_indices(n, int(d * q))
 
-    def make(vec):
-        return from_coefficient_vector(n, d, q, basis, vec, MONOMIAL)
-
     def l1(vec):
         return float(np.abs(vec).sum())
 
-    project = _ball_boundary(project_l1_ball, l1, float(n))
-    base = coefficient_vector(ld_polynomial(n, d, q), basis)
+    # s_alpha = 1 on the monomials >= 0 on all of R^n (all when q > 1, as g
+    # is evaluated at |x|; the all-even ones when q = 1).  n s / sum(s) is on
+    # the l1 sphere with terms >= 0 and n pure powers > 0, so g >= (n / sum(s))
+    # sum_i |x_i|**d > 0 off the origin: finite volume by construction, yet
+    # dense, so the descent still has to find the sparse optimum
+    s = np.array([q > 1 or not any(a % 2 for a in alpha) for alpha in basis], dtype=float)
     return _descend(
-        "p1", n, d, q, start, cfg, iterate=_projected_gradient, make=make,
+        "p1", n, d, q, start, cfg, iterate=_projected_gradient,
+        make=lambda vec: from_coefficient_vector(n, d, q, basis, vec, MONOMIAL),
         coords=lambda g: coefficient_vector(g.to_convention(MONOMIAL), basis),
-        coefficients=lambda vec: vec, pullback=lambda grad: grad, project=project, norm=l1,
-        default_start=lambda: _feasible_perturbed_start(base, project, make, cfg.seed),
+        coefficients=lambda vec: vec, pullback=lambda grad: grad,
+        project=_ball_boundary(project_l1_ball, l1, float(n)), norm=l1,
+        default_start=n * s / s.sum(),
     )
 
 
@@ -412,14 +406,14 @@ def solve_p2(
         return g.rescale(1.0 / lead)
 
     project = _ball_boundary(lambda u_vec, radius: u_vec, np.linalg.norm, math.sqrt(float(n)))
-    base = coefficient_vector(ld_polynomial(n, d, q), basis) * root_w
     # whitened coordinates: d f / d u_alpha = (d f / d g_alpha) / sqrt(c_alpha)
     return _descend(
         "p2", n, d, q, start, cfg, iterate=_anderson, make=make,
         coords=lambda g: coefficient_vector(g.to_convention(convention), basis) * root_w,
         coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad / root_w,
         project=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
-        default_start=lambda: project(base), normalize=lead_to_one,
+        default_start=project(coefficient_vector(ld_polynomial(n, d, q), basis) * root_w),
+        normalize=lead_to_one,
     )
 
 
@@ -451,5 +445,5 @@ def solve_p3(
         pullback=lambda grad: grad[index], iterate=_projected_gradient,
         project=_ball_boundary(project_psd_trace, np.trace, float(n)),
         norm=lambda mat: float(np.trace(mat)),
-        default_start=lambda: (float(n) / len(basis)) * np.eye(len(basis)),
+        default_start=(float(n) / len(basis)) * np.eye(len(basis)),
     )

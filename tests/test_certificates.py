@@ -280,6 +280,15 @@ class TestCertify:
         with pytest.raises(ValueError, match="unknown problem"):
             certify("p1q", ld_polynomial(2, 4), "spherical", 1024, 0, None)
 
+    @pytest.mark.parametrize("problem,candidate,expected", [
+        ("p3", ld_polynomial(2, 4), "GramForm"),
+        ("p1", minimal_trace_axis_gram(2, 4), "GeneralizedPolynomial"),
+        ("p2", minimal_trace_axis_gram(2, 4), "GeneralizedPolynomial"),
+    ], ids=["p3-polynomial", "p1-gram", "p2-gram"])
+    def test_wrong_candidate_type_rejected(self, problem, candidate, expected):
+        with pytest.raises(ValueError, match=f"must be a {expected}"):
+            certify(problem, candidate, "spherical", 1024, 0, None)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_rejects_non_finite_or_negative_tolerance(self, tol):
         g = ld_polynomial(2, 4)

@@ -204,6 +204,19 @@ class TestSolveCommand:
         assert main(["solve", "p1", "--n", "2", "--d", "4", "--start", str(path)]) == 3
         assert "initial iterate has infinite volume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem,start,expected", [
+        ("p1", "gram", "GeneralizedPolynomial"),
+        ("p2", "gram", "GeneralizedPolynomial"),
+        ("p3", "polynomial", "GramForm"),
+    ])
+    def test_wrong_schema_start_is_an_input_error(self, tmp_path, capsys, problem, start, expected):
+        path = tmp_path / "start.json"
+        path.write_text(serialize_gram(minimal_trace_axis_gram(2, 4)) if start == "gram"
+                        else serialize_polynomial(ld_polynomial(2, 4)))
+        assert main(["solve", problem, "--n", "2", "--d", "4", "--start", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"must be a {expected}" in captured.err and captured.out == ""
+
     def test_unconverged_exit_code(self, capsys):
         assert main(["solve", "p1", "--n", "2", "--d", "4", "--max-iters", "1"]) == 4
 

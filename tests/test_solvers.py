@@ -352,7 +352,27 @@ class TestSolveP2:
             want = 1.0 if 4 in alpha else 1.0 / 3.0 if set(alpha) <= {0, 2} else 0.0
             assert abs(got - want) <= 1e-12
 
-    def test_default_spherical_solve_makes_no_gate_call(self, monkeypatch):
+    def test_start_with_infinite_volume_rejected(self):
+        # x1**4 - 3 x1**2 x2**2 + x2**4 is negative on the diagonal
+        start = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): -3.0, (0, 4): 1.0})
+        with pytest.raises(InfiniteVolumeError, match="initial iterate"):
+            solve_p2(2, 4, start=start)
+
+
+DEFAULT_SOLVES = {
+    "p1-2-4": lambda cfg: solve_p1(2, 4, config=cfg),
+    "p1-3-6": lambda cfg: solve_p1(3, 6, config=cfg),
+    "p1q-3-1/2-4": lambda cfg: solve_p1(3, Fraction(1, 2), q=4, config=cfg),
+    "p2-3-6": lambda cfg: solve_p2(3, 6, config=cfg),
+    "p3-2-4": lambda cfg: solve_p3(2, 4, config=cfg),
+}
+
+
+class TestDefaultStarts:
+    """Every default start is feasible by construction, so a solve gates only a given start."""
+
+    @pytest.mark.parametrize("case", list(DEFAULT_SOLVES))
+    def test_default_spherical_solve_makes_no_gate_call(self, monkeypatch, case):
         calls = []
         for module in ("ballrep.solvers", "ballrep.volume"):
             real = getattr(sys.modules[module], "finite_volume_test")
@@ -362,22 +382,38 @@ class TestSolveP2:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(sys.modules[module], "finite_volume_test", counted)
-        res = solve_p2(3, 6)
+        res = DEFAULT_SOLVES[case](SolveConfig())
         assert res.converged
         assert calls == []
 
-    def test_spherical_solutions_do_not_depend_on_the_seed(self):
-        first = solve_p2(3, 6, config=SolveConfig(seed=0))
+    @pytest.mark.parametrize("case", list(DEFAULT_SOLVES))
+    def test_spherical_solutions_do_not_depend_on_the_seed(self, case):
+        first = DEFAULT_SOLVES[case](SolveConfig(seed=0))
         for seed in (5, 508841):
-            res = solve_p2(3, 6, config=SolveConfig(seed=seed))
-            assert res.solution == first.solution
+            res = DEFAULT_SOLVES[case](SolveConfig(seed=seed))
+            if isinstance(first.solution, GramForm):
+                np.testing.assert_array_equal(res.solution.Q, first.solution.Q)
+            else:
+                assert res.solution == first.solution
             assert res.iterations == first.iterations
 
-    def test_start_with_infinite_volume_rejected(self):
-        # x1**4 - 3 x1**2 x2**2 + x2**4 is negative on the diagonal
-        start = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): -3.0, (0, 4): 1.0})
-        with pytest.raises(InfiniteVolumeError, match="initial iterate"):
-            solve_p2(2, 4, start=start)
+    @pytest.mark.parametrize("n,d,q", [
+        (2, 4, 1), (3, 6, 1), (4, 4, 1), (5, 6, 1),
+        (3, Fraction(1, 2), 4), (4, Fraction(3, 2), 4), (5, 1, 2),
+    ], ids=["2-4", "3-6", "4-4", "5-6", "3-1/2-q4", "4-3/2-q4", "5-1-q2"])
+    def test_p1_start_is_a_dense_positive_point_of_the_l1_sphere(self, monkeypatch, n, d, q):
+        # stop solve_p1 at _descend and read the start it would descend from
+        monkeypatch.setattr(sys.modules["ballrep.solvers"], "_descend", lambda *args, **kw: kw)
+        kw = solve_p1(n, d, q=q)
+        x0 = kw["default_start"]
+        basis = enumerate_indices(n, int(Fraction(d) * q))
+        assert (x0 >= 0.0).all()
+        for alpha, coeff in zip(basis, x0):
+            assert (coeff > 0.0) == (q > 1 or all(a % 2 == 0 for a in alpha))
+            if max(alpha) == sum(alpha):  # a pure power
+                assert coeff > 0.0
+        assert np.abs(x0).sum() == pytest.approx(n, rel=1e-14)
+        assert finite_volume_test(kw["make"](x0), restarts=6).sphere_minimum > 0.0
 
 
 class TestSolveP3:
@@ -574,7 +610,12 @@ class TestGoldenSolves:
     separate volume pass and gradient pass per iterate (commit f7f1a44); the
     fused one-pass oracle must reproduce it to round-off.  The p2 entries
     were re-recorded with the Anderson fixed-point iteration, whose
-    certificate residuals fell from 2e-7 to 7e-7 to below 1e-14.
+    certificate residuals fell from 2e-7 to 7e-7 to below 1e-14.  The p1
+    and p1q entries were re-recorded when p1 started from its closed-form
+    dense point instead of the seeded perturbation of the optimum: that
+    start is the same at every seed, the p1 traces fell from 6-24 to 3-5
+    entries (p1q's rose from 51-52 to 68), and the p1 certificate residuals
+    fell from up to 8e-6 to below 1e-7.
     """
 
     @pytest.mark.parametrize(
