@@ -434,6 +434,16 @@ def solve_p3(
     if d % 2 != 0 or d < 2:
         raise ValueError(f"the Gram trace problem needs an even degree >= 2, got {d}")
     basis, _, index = _hankel_layout(n, d // 2)
+    # the exact projection is block-diagonal over the parity classes of the
+    # basis, so from a start that is zero wherever a + b has an odd component
+    # the iterates stay so; the mask keeps those zeros exact against the
+    # eigensolver's round-off, and with them the solution's even support
+    parity = np.array(basis) % 2
+    mask = (parity[:, None] == parity[None, :]).all(axis=2)
+    start_q = getattr(start, "Q", None)
+    if start is not None and (np.shape(start_q) != mask.shape or start_q[~mask].any()):
+        mask = 1.0  # a start with odd support keeps the plain projection
+    ball = _ball_boundary(project_psd_trace, np.trace, float(n))
 
     # expand_gram adds Q[a, b] into the coefficient at a + b, so its
     # transpose gathers the coefficient gradient at a + b into entry (a, b);
@@ -443,7 +453,6 @@ def solve_p3(
         coords=lambda gram: np.asarray(gram.Q, dtype=float),
         coefficients=lambda mat: np.bincount(index.ravel(), weights=mat.ravel()),
         pullback=lambda grad: grad[index], iterate=_projected_gradient,
-        project=_ball_boundary(project_psd_trace, np.trace, float(n)),
-        norm=lambda mat: float(np.trace(mat)),
+        project=lambda mat: mask * ball(mat), norm=lambda mat: float(np.trace(mat)),
         default_start=(float(n) / len(basis)) * np.eye(len(basis)),
     )

@@ -19,13 +19,15 @@ moments of G have two equivalent expressions that the backends exploit:
   radial weight w * h**(-k/d).  The volume and the degree-d moments (and
   with them the volume gradient) thus come from the same pass.  A solve's
   spherical descent skips these passes: _sphere_design keeps its P instead.
-Every backend lays out its kernel rows the same way and makes one kernel
-call per pass (spherical), per sample batch (Monte Carlo) or per grid slice
-(grid oracle), and returns only plain numbers and arrays aligned with the
-alphas it was given.  The dispatcher _estimate builds every answer: it gives
-each distinct alpha one entry (the all-zeros alpha reads the volume, moments
-that vanish by symmetry read exact zeros, a backend estimates only the
-rest) and turns the backend's numbers into the VolumeEstimate and the
+Every backend lays out its kernel rows the same way.  The spherical pass
+makes one kernel call; Monte Carlo and the grid oracle make one per block of
+at most _BLOCK points (the grid's blocks are whole slices, at least one), so
+the kernel output stays in cache, and their random streams do not depend on
+the block.  Every backend returns only plain numbers and arrays aligned with
+the alphas it was given.  The dispatcher _estimate builds every answer: it
+gives each distinct alpha one entry (the all-zeros alpha reads the volume,
+moments that vanish by symmetry read exact zeros, a backend estimates only
+the rest) and turns the backend's numbers into the VolumeEstimate and the
 moment entries.
 
 A slow grid indicator oracle provides an independent cross-check.  All
@@ -61,7 +63,8 @@ CLOSED_FORM = "closed_form"
 
 DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000}
 
-_MC_BATCH = 1 << 16
+_MC_BATCH = 1 << 16  # samples per Monte Carlo stream
+_BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; keeps P in cache
 _GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
 _GATE_BUDGET = 2048  # sphere grid screened by the n = 3 feasibility gate
 _GATE_ZOOM_DIMS = 3  # most tangent directions one gate zoom level spans
@@ -331,9 +334,11 @@ def _reference_ratio_minimum(g: GeneralizedPolynomial, seed: int) -> float:
 def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     """Importance sampling with reference density proportional to exp(-sum |x_i|^d).
 
-    Coordinates are drawn via |x_i|^d ~ Gamma(1/d) with random signs; the
-    sample stream is split per batch index so results depend only on
-    (seed, budget), not on how batches are scheduled.
+    Coordinates are drawn via |x_i|^d ~ Gamma(1/d) with random signs.  The
+    streams are _MC_BATCH samples each, one per batch index, so the samples
+    depend only on (seed, budget); the kernel, the weights and the sums run
+    over _BLOCK-sample chunks of a batch, which changes results only at
+    round-off, through the summation order.
 
     The reference only dominates exp(-2g) when g is at least about half of
     sum |x_i|^d in every direction; otherwise the weights are heavy-tailed
@@ -360,21 +365,22 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
         t = rng.gamma(1.0 / d, 1.0, size=(size, n))
         x = t ** (1.0 / d)
         x *= rng.integers(0, 2, size=(size, n)) * 2 - 1
-        P = monomials(g.lattice_base(x), rows)
-        excess = g._coeffs @ P[: len(g._exponents)] - t.sum(axis=1)
-        if np.min(excess) < -700.0:
-            raise InfiniteVolumeError(
-                "importance weights overflow: the integrand exp(-g) is not "
-                "dominated by the axis-power reference density"
-            )
-        w = np.exp(-excess)
-        sums[0] += w.sum()
-        sums2[0] += (w * w).sum()
-        fw = P[live_rows]
-        fw *= w
-        sums[1:] += fw.sum(axis=1)
-        fw *= fw
-        sums2[1:] += fw.sum(axis=1)
+        for lo in range(0, size, _BLOCK):
+            P = monomials(g.lattice_base(x[lo : lo + _BLOCK]), rows)
+            excess = g._coeffs @ P[: len(g._exponents)] - t[lo : lo + _BLOCK].sum(axis=1)
+            if np.min(excess) < -700.0:
+                raise InfiniteVolumeError(
+                    "importance weights overflow: the integrand exp(-g) is not "
+                    "dominated by the axis-power reference density"
+                )
+            w = np.exp(-excess)
+            sums[0] += w.sum()
+            sums2[0] += (w * w).sum()
+            fw = P[live_rows]
+            fw *= w
+            sums[1:] += fw.sum(axis=1)
+            fw *= fw
+            sums2[1:] += fw.sum(axis=1)
     ess = float(sums[0] ** 2 / sums2[0]) if sums2[0] > 0 else 0.0
     if ess < 0.01 * budget:
         warnings.warn(
@@ -405,34 +411,48 @@ def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     stretches that run parallel to the grid), so the boundary-cell count
     gives an honest standard error: each boundary cell is a Bernoulli
     trial worth at most half a cell.
+
+    The side is the exact integer n-th root of the budget (at least 8).  One
+    stream, default_rng([seed, 515]), jitters the cells in row-major order
+    and the moment sums are taken per slice, so a result depends only on
+    (g, budget, seed), not on how many slices one kernel call covers.
     """
     n, d = g.n, g.degree_float
     if n not in (2, 3):
         raise ValueError(f"grid oracle supports n in {{2, 3}}, got {n}")
     hmin = _finite_or_raise(finite_volume_test(g, seed=seed), "sublevel set")
     half_width = hmin ** (-1.0 / d)
-    m = max(8, int(budget ** (1.0 / n)))
+    m = math.isqrt(budget) if n == 2 else round(budget ** (1.0 / 3.0))
+    m -= m**n > budget  # the exact integer root: m**n <= budget < (m + 1)**n
+    m = max(8, m)
     step = 2.0 * half_width / m
     corners = -half_width + step * np.arange(m)
     cell = step**n
-    sums = np.zeros(len(live))
-    fmax = np.zeros(len(live))
     rows, live_rows = _kernel_rows(g, live)
-    inside_mask = np.empty((m,) * n, dtype=bool)
     tail = np.stack(np.meshgrid(*([corners] * (n - 1)), indexing="ij"), axis=-1)
     tail = tail.reshape(-1, n - 1)
-    for i0 in range(m):
-        # per-slice stream keeps results independent of slicing order
-        rng = np.random.default_rng([max(0, int(seed)), 515, i0])
-        pts = np.concatenate([np.full((tail.shape[0], 1), corners[i0]), tail], axis=1)
-        pts = pts + step * rng.random(pts.shape)
+    per = max(1, _BLOCK // len(tail))  # whole slices per kernel call
+    inside_mask = np.empty(m**n, dtype=bool)
+    slice_sums = np.zeros((len(live), m))
+    fmax = np.zeros(len(live))
+    rng = np.random.default_rng([max(0, int(seed)), 515])
+    for i0 in range(0, m, per):
+        i1 = min(m, i0 + per)
+        pts = np.empty((i1 - i0, len(tail), n))
+        pts[..., 0] = corners[i0:i1, None]
+        pts[..., 1:] = tail
+        pts = pts.reshape(-1, n)
+        pts += step * rng.random(pts.shape)  # row-major cell order, whatever the block
         P = monomials(g.lattice_base(pts), rows)
         inside = g._coeffs @ P[: len(g._exponents)] <= 1.0
-        inside_mask[i0] = inside.reshape(inside_mask.shape[1:])
+        inside_mask[i0 * len(tail) : i1 * len(tail)] = inside
         if inside.any() and live:
-            f = P[live_rows].compress(inside, axis=1)
-            sums += f.sum(axis=1)
+            f = P[live_rows] * inside
+            # per-slice sums, so the totals do not depend on the block either
+            slice_sums[:, i0:i1] = f.reshape(len(live), i1 - i0, -1).sum(axis=2)
             fmax = np.maximum(fmax, np.abs(f).max(axis=1))
+    inside_mask = inside_mask.reshape((m,) * n)
+    sums = slice_sums.sum(axis=1)
     count = int(np.count_nonzero(inside_mask))
     crossings = 0
     for ax in range(n):

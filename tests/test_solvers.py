@@ -446,6 +446,15 @@ class TestSolveP3:
         eigenvalues = np.linalg.eigvalsh(res.solution.Q)
         assert eigenvalues.min() >= -1e-10
 
+    @pytest.mark.parametrize("n,d,budget", [(2, 4, None), (3, 4, None), (3, 6, None), (2, 4, 8192)])
+    def test_paper_cases_keep_even_support(self, n, d, budget):
+        # the identity start and the exact projection never leave the parity
+        # blocks, so the solution and its certificate pass keep the symmetry zeros
+        cfg = SolveConfig() if budget is None else SolveConfig(budget=budget)
+        res = solve_p3(n, d, config=cfg)
+        assert res.solution.expand().has_even_support()
+        assert res.certificate.passed
+
 
 class TestStochasticBackendSolve:
     def test_p1_with_monte_carlo_gradients(self):

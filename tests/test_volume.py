@@ -417,6 +417,11 @@ class TestGridOracle:
         grid = volume(FIG1_SEXTIC, backend="grid_oracle", budget=1_000_000, seed=8)
         assert agree(sph.value, sph.std_error, grid.value, grid.std_error)
 
+    @pytest.mark.parametrize("budget,side", [(1_000_000, 100), (27_000, 30), (26_999, 29)])
+    def test_side_is_the_exact_integer_cube_root(self, budget, side):
+        est = volume(ld_polynomial(3, 4), backend="grid_oracle", budget=budget)
+        assert est.samples_or_nodes == side**3
+
 
 def _perturbed_ball(n, d, q=1, scale=0.01, seed=0):
     """Axis-power ball plus seeded noise on every term, odd exponents included."""
@@ -684,3 +689,67 @@ class TestFeasibilityGate:
         verdict = finite_volume_test(GeneralizedPolynomial(n, 4, 1, terms), seed=3)
         assert verdict.finite_volume == (c < 1.0)
         assert verdict.sphere_minimum == pytest.approx(1.0 - c, abs=1e-9)
+
+
+# an odd-support form, so the tables below hold honest odd moments too
+ODD_QUARTIC = GeneralizedPolynomial(
+    2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): 0.35, (2, 2): 0.2}
+)
+
+
+class TestKernelBlocks:
+    """The kernel block size is a cache setting: it must not show in any answer."""
+
+    BLOCKS = (1000, 1 << 20)
+
+    def _at_blocks(self, monkeypatch, run):
+        out = []
+        for block in self.BLOCKS:
+            monkeypatch.setattr(sys.modules["ballrep.volume"], "_BLOCK", block)
+            out.append(run())
+        return out
+
+    @pytest.mark.parametrize("g,budget", [
+        (ODD_QUARTIC, 250_000),
+        (_perturbed_ball(3, 4, scale=0.05, seed=1), 27_000),
+    ], ids=["n2", "n3"])
+    def test_grid_is_bit_identical(self, monkeypatch, g, budget):
+        small, large = self._at_blocks(monkeypatch, lambda: (
+            volume(g, backend="grid_oracle", budget=budget, seed=4),
+            moment_table(g, max_order=4, backend="grid_oracle", budget=budget, seed=4),
+        ))
+        assert small == large
+        assert any(v != 0.0 for v, _ in small[1].entries.values())
+
+    def test_monte_carlo_agrees_to_round_off(self, monkeypatch):
+        # two streams of _MC_BATCH samples, the second one partial
+        small, large = self._at_blocks(monkeypatch, lambda: moment_table(
+            ODD_QUARTIC, max_order=4, backend="monte_carlo", budget=100_000, seed=4))
+        for est in (small.normalization, large.normalization):
+            assert est.samples_or_nodes == 100_000
+        for a, (value, err) in large.entries.items():
+            assert small.value(a) == pytest.approx(value, rel=1e-13, abs=0.0), a
+            assert small.error(a) == pytest.approx(err, rel=1e-13, abs=0.0), a
+        assert small.normalization.ess == pytest.approx(large.normalization.ess, rel=1e-13)
+
+    def test_monte_carlo_heavy_tails_warn_at_every_block(self, monkeypatch):
+        # the input of TestMonteCarlo.test_ess_diagnostic_fires_for_infeasible_input
+        bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -3.0})
+
+        def run():
+            with pytest.warns(EffectiveSampleSizeWarning):
+                return volume(bad, backend="monte_carlo", budget=200_000, seed=0)
+
+        small, large = self._at_blocks(monkeypatch, run)
+        assert small.ess < 0.01 * 200_000
+        assert small.value == pytest.approx(large.value, rel=1e-13, abs=0.0)
+        assert small.ess == pytest.approx(large.ess, rel=1e-13, abs=0.0)
+
+    def test_monte_carlo_overflow_raises_at_every_block(self, monkeypatch):
+        # off the axes exp(-g) outgrows the reference by more than e**700 in
+        # most samples, so the first block of either size already holds one
+        bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1e4})
+        for block in self.BLOCKS:
+            monkeypatch.setattr(sys.modules["ballrep.volume"], "_BLOCK", block)
+            with pytest.raises(InfiniteVolumeError, match="importance weights overflow"):
+                volume(bad, backend="monte_carlo", budget=100_000, seed=0)
