@@ -2,8 +2,12 @@
 
 Each certificate is a pure function of (candidate, moment data, tolerance):
 it never re-estimates moments, so a verdict is reproducible from its
-inputs.  certify(problem, candidate, ...) alone chooses which moment data
-of the candidate's own ball checks which problem, and estimates it.
+inputs.  certify(problem, candidate, ...) is two halves: _certificate_moments
+chooses which moment data of the candidate's own ball checks which problem
+and estimates it, and _check runs the certificate.  A solve runs the same
+two, with _rescaled_moments between them, which maps the data of g's ball
+to that of k * g's exactly by homogeneity, so one pass both rescales its
+solution to vol(B_d) and checks it.
 Stochastic moment errors are propagated; a residual only counts as a
 violation when it exceeds the tolerance plus three combined standard
 errors, otherwise sampling noise would flip verdicts.  A ratio m / m1 of
@@ -25,7 +29,7 @@ error hypot(sm, |m| sm1 / |m1|) / |m1|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -269,30 +273,74 @@ def _check_candidate(problem: str, candidate) -> None:
         raise ValueError(f"{problem} candidates must be a {expected.__name__}")
 
 
+def _certificate_moments(problem: str, candidate, backend: str, budget: int | None,
+                         seed: int) -> MomentTable | MomentMatrix:
+    """The moment data of candidate's own ball that checks ``problem``, from one pass.
+
+    p1 and p2 read the degree-d moment table, p3 (a GramForm) the moment
+    matrix over the degree-d/2 basis.
+    """
+    if problem == "p3":
+        return moment_matrix(candidate.expand(), candidate.degree // 2, backend=backend,
+                             budget=budget, seed=seed)
+    return moment_table(candidate, backend=backend, budget=budget, seed=seed)
+
+
+def _rescaled_moments(data: MomentTable | MomentMatrix, k: float, degree):
+    """The moment data of k * g's ball from that of g's ball, exact by homogeneity.
+
+    {k g <= 1} is k**(-1/d) times {g <= 1}, so the volume scales by
+    k**(-n/d) and the moment at alpha (numerators over q) by
+    k**(-(n + |alpha|/q)/d); the standard errors scale alike.
+    """
+    matrix = isinstance(data, MomentMatrix)
+    n = len(data.basis[0] if matrix else next(iter(data.entries)))
+
+    def factor(total):  # of a moment whose exponent numerators sum to total
+        return k ** (-(n + total / data.q) / float(degree))
+
+    if matrix:
+        sums = np.array([sum(a) for a in data.basis])
+        f = factor(np.add.outer(sums, sums))
+        moved = {"values": data.values * f, "errors": data.errors * f}
+    else:
+        f = {a: factor(sum(a)) for a in data.entries}
+        moved = {"entries": {a: (v * f[a], e * f[a]) for a, (v, e) in data.entries.items()}}
+    est, f0 = data.normalization, factor(0)
+    est = replace(est, value=est.value * f0, std_error=est.std_error * f0)
+    return replace(data, normalization=est, **moved)
+
+
+def _check(problem: str, candidate, data: MomentTable | MomentMatrix,
+           tol: float | None) -> Certificate:
+    """The certificate of ``problem`` at candidate against its moment data.
+
+    p2 reads a q = 1 candidate in the multinomial convention.
+    """
+    if problem == "p3":
+        return certify_p3(candidate, data, tol)
+    if problem == "p1":
+        return certify_p1(candidate, data, tol)
+    if candidate.q == 1:
+        candidate = candidate.to_convention(MULTINOMIAL)
+    return certify_p2(candidate, data, tol)
+
+
 def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: str,
             budget: int | None, seed: int,
             tol: float | None) -> tuple[Certificate, VolumeEstimate]:
     """Estimate the moments that check ``problem`` at candidate, then check it.
 
-    p1 reads the degree-d moment table, p2 the same table with a q = 1
-    candidate in the multinomial convention, and p3 (a GramForm) the moment
-    matrix over the degree-d/2 basis.  Returns the certificate and the
-    volume estimate of that one pass.
+    The two halves are _certificate_moments and _check, which a solve also
+    runs, with the homogeneity map _rescaled_moments between them.  Returns
+    the certificate and the volume estimate of the one pass.
     """
     if problem not in ("p1", "p2", "p3"):
         raise ValueError(f"unknown problem {problem!r}; choose p1, p2 or p3")
     _check_candidate(problem, candidate)
     tol = _default_tol(backend, tol)  # rejects a bad input before the moment pass
-    if problem == "p3":
-        mm = moment_matrix(candidate.expand(), candidate.degree // 2, backend=backend,
-                           budget=budget, seed=seed)
-        return certify_p3(candidate, mm, tol), mm.normalization
-    table = moment_table(candidate, backend=backend, budget=budget, seed=seed)
-    if problem == "p1":
-        return certify_p1(candidate, table, tol), table.normalization
-    if candidate.q == 1:
-        candidate = candidate.to_convention(MULTINOMIAL)
-    return certify_p2(candidate, table, tol), table.normalization
+    data = _certificate_moments(problem, candidate, backend, budget, seed)
+    return _check(problem, candidate, data, tol), data.normalization
 
 
 @dataclass(frozen=True)

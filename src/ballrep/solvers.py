@@ -6,14 +6,19 @@ has the same solution ray as the original norm-minimization problems:
 projections onto the l1 ball, the weighted l2 ball and the PSD trace ball
 are cheap and exact, whereas a volume constraint is expensive.  After
 convergence the iterate is rescaled to its reporting normalization and the
-matching optimality certificate is attached.
+matching optimality certificate is attached.  For p1/p1q and p3 one pass at
+the certificate budget does both: its volume gives the scale to vol(B_d),
+and homogeneity maps its moments to those of the rescaled ball.
 
 p1/p1q and p3 descend by projected gradient, saturating each accepted step
-onto the norm boundary (scaling up strictly decreases volume) and halving
-the step at iterates outside the feasible cone (a sphere value at or below
-the gate's tolerance).  p2's optimum, whose weighted coefficients are
-proportional to the degree-d moments of its own ball, is a fixed point of
-T(u) = project(-grad(u)), which an Anderson iteration finds, line-search free.
+onto the norm boundary (scaling up strictly decreases volume).  After an
+accepted step the first trial is the Barzilai-Borwein step s.s / s.y, from
+the move s and the change y of the gradient, when s.y > 0; the plain trial
+steps follow, halving at rejected or infeasible iterates (a sphere value at
+or below the gate's tolerance).  p2's optimum, whose weighted coefficients
+are proportional to the degree-d moments of its own ball, is a fixed point
+of T(u) = project(-grad(u)), which an Anderson iteration finds, line-search
+free.
 
 One solve path, _descend, serves the three problems, and each solve_pX
 passes only its geometry and its iteration.  The coefficients are linear in
@@ -38,7 +43,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import Certificate, _check_candidate, certify
+from .certificates import (
+    Certificate,
+    _certificate_moments,
+    _check,
+    _check_candidate,
+    _rescaled_moments,
+)
 from .polynomials import (
     MONOMIAL,
     MULTINOMIAL,
@@ -65,8 +76,10 @@ from .volume import (
     volume,
 )
 
-# Armijo line search: the first trial step, its shrink factor per
-# backtrack, and the sufficient-decrease fraction of the linear prediction
+# Armijo line search: the cap on the plain first trial step (twice the last
+# accepted one; a Barzilai-Borwein trial, when there is one, goes before it
+# uncapped), its shrink factor per backtrack, and the sufficient-decrease
+# fraction of the linear prediction
 _INITIAL_STEP = 1.0
 _STEP_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
@@ -84,10 +97,10 @@ class SolveConfig:
     projected step no longer moves or the volume's relative change stays
     within 1e-10 for three accepted steps in a row, p2 once |T(u) - u|_inf
     <= 1e-14 (1 + |u|_inf).  Each descent pass of ``backend`` uses budget
-    (spherical: the grid of the solve's design matrix); the final rescaling
-    and the certificate's moments use 4 * budget, and its check cert_tol,
-    finite and >= 0.  seed is read only by Monte Carlo and grid passes and
-    by the feasibility gate on a given start.
+    (spherical: the grid of the solve's design matrix); one pass at 4 *
+    budget gives the final rescaling and the certificate's moments, and the
+    check uses cert_tol, finite and >= 0.  seed is read only by Monte Carlo
+    and grid passes and by the feasibility gate on a given start.
     """
 
     max_iters: int = 400
@@ -143,10 +156,14 @@ def scale_to_target_volume(
         raise ValueError(f"target volume must be positive, got {target}")
     poly = obj.expand() if isinstance(obj, GramForm) else obj
     est = volume(poly, backend=backend, budget=budget, seed=seed)
+    return obj.rescale(_target_scale(est, target, poly.degree, poly.n))
+
+
+def _target_scale(est, target: float, d, n: int) -> float:
+    """k = (vol / target)**(d/n): k * g has volume target if g has the volume est."""
     if not (math.isfinite(est.value) and est.value > 0):
         raise InfiniteVolumeError(f"volume estimate {est.value} is not usable")
-    k = (est.value / target) ** (float(poly.degree) / poly.n)
-    return obj.rescale(k)
+    return (est.value / target) ** (float(d) / n)
 
 
 def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
@@ -157,10 +174,14 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     lies outside the feasible cone; ``project`` maps onto the norm ball
     (with boundary saturation); ``report(x, volume)`` gives the equivalent
     objective.  Each trial point of the line search is evaluated once, and
-    the accepted point's gradient drives the next iteration.  Every pass
-    uses cfg.seed, so a Monte Carlo Armijo test compares f(z) and f(x) on
-    the same samples (common random numbers); the deterministic backends
-    ignore the seed.  Returns the final state, the iteration trace and the
+    the accepted point's gradient drives the next iteration.  The first
+    trial after an accepted move s with gradient change y is the BB1 step
+    s.s / s.y (Barzilai & Borwein 1988) when s.y > 0; if it is rejected, or
+    there is none, the trials are min(_INITIAL_STEP, 2 t) for the last
+    accepted step t, halved after each rejection.  Every pass uses
+    cfg.seed, so a Monte Carlo Armijo test compares f(z) and f(x) on the
+    same samples (common random numbers); the deterministic backends ignore
+    the seed.  Returns the final state, the iteration trace and the
     convergence flag.
     """
     x = state0
@@ -170,13 +191,13 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     fx, grad = start
     trace = [(report(x, fx), fx)]
     step = _INITIAL_STEP
+    bb = []  # the BB1 trial step after a move with positive curvature
     converged = False
     streak = 0
     for _ in range(cfg.max_iters):
-        t = step
         accepted = False
         stalled = False
-        for _ in range(_MAX_BACKTRACKS):
+        for t in bb + [step * _STEP_SHRINK**k for k in range(_MAX_BACKTRACKS)]:
             z = project(x - t * grad)
             dx = z - x
             move = float(np.sqrt(np.vdot(dx, dx).real))
@@ -188,13 +209,15 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
             if trial is not None and trial[0] <= fx + min(0.0, decrease):
                 accepted = True
                 break
-            t *= _STEP_SHRINK
         if stalled:
             converged = True
             break
         if not accepted:
             break
-        fz, grad = trial
+        fz, gz = trial
+        curvature = float(np.vdot(dx, gz - grad).real)  # s.y: s = dx, y the gradient change
+        bb = [float(np.vdot(dx, dx).real) / curvature] if curvature > 0 else []
+        grad = gz
         rel_change = abs(fx - fz) / max(abs(fz), 1e-300)
         x, fx = z, fz
         trace.append((report(x, fx), fx))
@@ -249,9 +272,11 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     a gradient in make(x)'s stored coefficients to one in x.  A given start
     is projected onto the ball and must pass the feasibility gate; the array
     default_start is feasible by construction.  The final iterate goes
-    through normalize, by default a rescaling to vol(B_d) at the certificate
-    budget.  The objective, like each trace entry, is norm of the normalized
-    solver coordinates.
+    through normalize, if given, and then the certificate's moment pass;
+    without normalize that pass also rescales the iterate to vol(B_d), and
+    homogeneity maps its moments to the rescaled ball.  Either way the
+    solve makes one pass at the certificate budget.  The objective, like
+    each trace entry, is norm of the normalized solver coordinates.
     """
     def polynomial(x):
         poly = make(x)
@@ -284,23 +309,21 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         return norm(x * (vol / rho) ** (float(d) / n))
 
     x, trace, converged = iterate(x0, evaluate, project, report, cfg)
-    del evaluate  # frees _sphere_design's P before the certificate-budget passes
-    if normalize is not None:
-        solution = normalize(make(x))
-    else:
-        solution = scale_to_target_volume(
-            make(x), rho, backend=cfg.backend, budget=cfg.certificate_budget, seed=cfg.seed
-        )
-    certificate, est = certify(
-        problem, solution, cfg.backend, cfg.certificate_budget, cfg.seed, cfg.cert_tol
-    )
+    del evaluate  # frees _sphere_design's P before the certificate-budget pass
+    solution = make(x) if normalize is None else normalize(make(x))
+    data = _certificate_moments(problem, solution, cfg.backend, cfg.certificate_budget, cfg.seed)
+    if normalize is None:
+        # the one pass also rescales: its volume gives k, and homogeneity
+        # maps its moments to those of the rescaled ball
+        k = _target_scale(data.normalization, rho, d, n)
+        solution, data = solution.rescale(k), _rescaled_moments(data, k, d)
     return SolveResult(
         problem="p1q" if problem == "p1" and q != 1 else problem,
         solution=solution,
         objective=norm(coords(solution)),
-        volume=est.value,
+        volume=data.normalization.value,
         iterations=trace,
-        certificate=certificate,
+        certificate=_check(problem, solution, data, cfg.cert_tol),
         converged=converged,
     )
 

@@ -345,7 +345,10 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     and the plain estimator has infinite variance.  In that case the
     estimator is applied to the rescaled input tau * g and mapped back
     exactly through homogeneity, f(g) = tau**(n/d) f(tau g), which keeps
-    the reference family fixed while taming the weights.
+    the reference family fixed while taming the weights.  Where even that
+    leaves a weight, a squared weight or a squared weighted moment (or a
+    sum of them) beyond the float range, no estimate or standard error is
+    left to report, and the pass raises InfiniteVolumeError.
     """
     n, d = g.n, g.degree_float
     ratio_min = _reference_ratio_minimum(g, seed)
@@ -368,20 +371,23 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
         for lo in range(0, size, _BLOCK):
             P = monomials(g.lattice_base(x[lo : lo + _BLOCK]), rows)
             excess = g._coeffs @ P[: len(g._exponents)] - t[lo : lo + _BLOCK].sum(axis=1)
-            if np.min(excess) < -700.0:
+            # an overflowing weight, square or sum leaves an inf or nan in sums2
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.exp(-excess)
+                sums[0] += w.sum()
+                sums2[0] += (w * w).sum()
+                fw = P[live_rows]
+                fw *= w
+                sums[1:] += fw.sum(axis=1)
+                fw *= fw
+                sums2[1:] += fw.sum(axis=1)
+            if not np.isfinite(sums2).all():
                 raise InfiniteVolumeError(
                     "importance weights overflow: the integrand exp(-g) is not "
                     "dominated by the axis-power reference density"
                 )
-            w = np.exp(-excess)
-            sums[0] += w.sum()
-            sums2[0] += (w * w).sum()
-            fw = P[live_rows]
-            fw *= w
-            sums[1:] += fw.sum(axis=1)
-            fw *= fw
-            sums2[1:] += fw.sum(axis=1)
-    ess = float(sums[0] ** 2 / sums2[0]) if sums2[0] > 0 else 0.0
+    # sums[0]**2 <= budget * sums2[0] may overflow; this order cannot
+    ess = float(sums[0] * (sums[0] / sums2[0])) if sums2[0] > 0 else 0.0
     if ess < 0.01 * budget:
         warnings.warn(
             f"effective sample size {ess:.1f} below 1% of budget {budget}; "

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -304,6 +305,44 @@ class TestCertify:
     def test_zero_tolerance_is_valid(self):
         cert, _ = certify("p2", ld_polynomial(2, 4), "spherical", 1024, 0, 0.0)
         assert cert.tolerance == 0.0
+
+
+class TestRescaledMoments:
+    """The solve's homogeneity map against a fresh pass on the rescaled candidate."""
+
+    @pytest.mark.parametrize("problem,candidate", [
+        ("p1", GeneralizedPolynomial(3, Fraction(1, 2), 4, {
+            (2, 0, 0): 0.9, (1, 1, 0): 0.3, (1, 0, 1): 0.2, (0, 2, 0): 1.1, (0, 0, 2): 1.0})),
+        ("p2", ld_polynomial(2, 4).to_convention("multinomial")),
+        ("p3", GramForm(2, 4, np.array([[1.0, 0.0, 0.2], [0.0, 0.5, 0.0], [0.2, 0.0, 0.8]]))),
+    ], ids=["p1q", "p2", "p3"])
+    @pytest.mark.parametrize("k", [0.37, 2.9])
+    def test_matches_a_pass_on_the_rescaled_candidate(self, problem, candidate, k):
+        certificates = sys.modules["ballrep.certificates"]
+        data = certificates._certificate_moments(problem, candidate, "spherical", 4096, 0)
+        got = certificates._rescaled_moments(data, k, candidate.degree)
+        want = certificates._certificate_moments(
+            problem, candidate.rescale(k), "spherical", 4096, 0)
+        assert got.normalization.value == pytest.approx(want.normalization.value, rel=1e-14)
+        assert got.normalization.std_error == want.normalization.std_error == 0.0
+        if problem == "p3":
+            scale = np.abs(want.values).max()
+            assert np.abs(got.values - want.values).max() <= 1e-14 * scale
+        else:
+            assert list(got.entries) == list(want.entries)
+            for a, (value, _) in want.entries.items():
+                assert got.value(a) == pytest.approx(value, rel=1e-13, abs=0.0), a
+
+    def test_errors_scale_like_their_moments(self):
+        g = ld_polynomial(2, 4)
+        table = moment_table(g, max_order=4, backend="monte_carlo", budget=5000, seed=1)
+        k = 3.0
+        got = sys.modules["ballrep.certificates"]._rescaled_moments(table, k, 4)
+        for a, (value, err) in table.entries.items():
+            factor = k ** (-(2 + sum(a)) / 4)
+            assert got.entries[a] == (value * factor, err * factor)
+        assert got.normalization.std_error == table.normalization.std_error * k ** -0.5
+        assert got.normalization.ess == table.normalization.ess
 
 
 class TestCertificateObject:

@@ -83,7 +83,10 @@ class TestGoldenCertificates:
     The file was recorded at commit b1b0e33, before the certificates moved to
     array arithmetic.  In both Monte Carlo cases a residual exceeds the
     tolerance 1e-2 and only the propagated moment errors let them pass, so
-    their verdicts also pin the error propagation.
+    their verdicts also pin the error propagation.  The p1q entry follows
+    the solver and was re-recorded whenever its solution moved, last when
+    the descent began with Barzilai-Borwein trials (objective 3.0155282 ->
+    3.0155284, still failing at support stationarity 0.0272).
     """
 
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))

@@ -344,6 +344,20 @@ class TestMonteCarlo:
             est = volume(bad, backend="monte_carlo", budget=200_000, seed=0)
         assert est.ess < 0.01 * 200_000
 
+    @pytest.mark.parametrize("cross,query", [
+        (-300.0, lambda g: volume(g, backend="monte_carlo", budget=1000, seed=0)),
+        (-168.0, lambda g: moment_table(g, max_order=8, backend="monte_carlo",
+                                        budget=1000, seed=0)),
+    ], ids=["squared-weight", "squared-moment"])
+    def test_overflowing_squares_raise(self, cross, query):
+        # at -300 some weights lie between e**355 and e**700: finite, but
+        # their squares are not (the volume came out as 1.2e271 with a nan
+        # std_error); at -168 the weights square finitely but the weighted
+        # moment at (0, 8) does not (its std_error came out inf)
+        bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): cross})
+        with pytest.raises(InfiniteVolumeError, match="importance weights overflow"):
+            query(bad)
+
     def test_table_rows_agree_with_spherical(self):
         # every row of a mixed-degree table: g's own terms, missing alphas of
         # several total degrees, in an order unlike the kernel's row order
