@@ -654,14 +654,17 @@ def finite_volume_test(
     around every candidate in one batch, keeps the best and divides h by 4,
     from one scan step down to 1e-13.  n >= 3 starts from the axes, the
     diagonal and seeded random directions (for n = 3 also from the best
-    nodes of a cached sphere grid) and zooms in tangent coordinates: each
-    level tries a 5**k stencil of radius r around every candidate, projects
-    it back onto the sphere, keeps the best and shrinks r from 0.5 down to
-    1e-10.  For n <= 4 the stencil spans the whole tangent space (k = n - 1)
-    and r halves each level; above that it spans a seeded random
-    3-dimensional tangent subspace (k = 3), so its size stays bounded, and r
-    halves once every (n - 1)/3 levels.  The search uses no derivatives, so
-    the kinks of generalized inputs do not stall it.
+    nodes of a cached sphere grid) and zooms: each level tries a 5**k
+    stencil of radius r around every candidate, projects it back onto the
+    sphere, keeps the best and shrinks r from 0.5 down to 1e-10.  For n <= 4
+    (k = n - 1) the stencil moves a candidate v along every axis but
+    j = argmax |v_j|: since |v_j| >= 1/sqrt(n), those coordinates chart the
+    sphere around v with bounded distortion, so the n charts are built once
+    per call, and r halves each level.  Above that the stencil spans a seeded
+    random 3-dimensional tangent subspace at v (k = 3), orthonormalized by
+    QR, so its size stays bounded, and r halves once every (n - 1)/3 levels.
+    The search uses no derivatives, so the kinks of generalized inputs do
+    not stall it.
 
     Every tried point is a unit direction and counts towards the minimum,
     so a strictly negative minimum proves infinite volume (g is negative on
@@ -679,9 +682,10 @@ def finite_volume_test(
         values = np.asarray(g.evaluate(np.stack([np.cos(theta), np.sin(theta)], -1)))
         smin = min(smin, float(values.min()))
         best = theta[np.argsort(values)[: max(1, restarts)]]
+        offsets = np.linspace(-1.0, 1.0, 9)
         h = step
         while h >= 1e-13:
-            trial = best[:, None] + h * np.linspace(-1.0, 1.0, 9)
+            trial = best[:, None] + h * offsets
             values = g.evaluate(np.stack([np.cos(trial), np.sin(trial)], -1))
             smin = min(smin, float(values.min()))
             best = trial[np.arange(len(trial)), values.argmin(axis=1)]
@@ -705,17 +709,20 @@ def finite_volume_test(
     k = min(n - 1, _GATE_ZOOM_DIMS)
     axis = np.linspace(-1.0, 1.0, 5)
     stencil = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), -1).reshape(-1, k)
+    if k == n - 1:
+        # charts[j] is the stencil laid on every axis but x_j
+        charts = np.stack([np.insert(stencil, j, 0.0, axis=1) for j in range(n)])
     rows = np.arange(len(best))
     r = 0.5
     while r >= 1e-10:
-        # Q of [v, M] is orthogonal with first column +-v even when v is an
-        # axis, so its other k columns span a tangent subspace at v
-        spread = np.eye(n)[:, :k] if k == n - 1 else rng.normal(size=(len(best), n, k))
-        frame = np.concatenate(
-            [best[:, :, None], np.broadcast_to(spread, (len(best), n, k))], axis=2
-        )
-        tangent = np.linalg.qr(frame)[0][:, :, 1:]
-        trial = best[:, None, :] + r * stencil @ tangent.transpose(0, 2, 1)
+        if k == n - 1:
+            trial = best[:, None, :] + r * charts[np.abs(best).argmax(axis=1)]
+        else:
+            # Q of [v, M] is orthogonal with first column +-v even when v is
+            # an axis, so its other k columns span a tangent subspace at v
+            frame = np.concatenate([best[:, :, None], rng.normal(size=(len(best), n, k))], axis=2)
+            tangent = np.linalg.qr(frame)[0][:, :, 1:]
+            trial = best[:, None, :] + r * stencil @ tangent.transpose(0, 2, 1)
         trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
         values = g.evaluate(trial)
         smin = min(smin, float(values.min()))

@@ -617,17 +617,32 @@ def _random_form(n, d, rng):
 
 
 def _brute_minimum(g, count):
-    """Minimum of g over count angles (n = 2) or a count-point Fibonacci lattice (n = 3)."""
+    """Minimum of g over count angles (n = 2), a count-point Fibonacci lattice
+    (n = 3) or count normalized Gaussian directions (n >= 4)."""
     i = np.arange(count) + 0.5
     if g.n == 2:
         theta = 2.0 * math.pi * i / count
         dirs = np.stack([np.cos(theta), np.sin(theta)], -1)
-    else:
+    elif g.n == 3:
         z = 1.0 - 2.0 * i / count
         phi = math.pi * (3.0 - math.sqrt(5.0)) * i
         s = np.sqrt(1.0 - z * z)
         dirs = np.stack([s * np.cos(phi), s * np.sin(phi), z], -1)
+    else:
+        dirs = np.random.default_rng(g.n).normal(size=(count, g.n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return min(float(g.evaluate(dirs[k:k + 100_000]).min()) for k in range(0, count, 100_000))
+
+
+def _hidden_direction_form(n, c):
+    """(|x|^2)^2 - c (u.x)^4, which is 1 - c cos^4 of the angle to a seeded random u."""
+    u = np.random.default_rng(n).normal(size=n)
+    u /= np.linalg.norm(u)
+    terms = _sphere_power(n, 4)
+    for a in enumerate_indices(n, 4):
+        weight = math.factorial(4) / math.prod(math.factorial(x) for x in a)
+        terms[a] = terms.get(a, 0.0) - c * weight * math.prod(u**np.array(a))
+    return GeneralizedPolynomial(n, 4, 1, terms)
 
 
 class TestFeasibilityGate:
@@ -650,17 +665,20 @@ class TestFeasibilityGate:
     @pytest.mark.parametrize("n,d,seed", [
         (2, 4, 0), (2, 4, 1), (2, 6, 0), (2, 6, 1),
         (3, 4, 0), (3, 4, 1), (3, 6, 0), (3, 6, 1),
+        (4, 4, 0), (4, 4, 1),
     ])
     def test_sphere_minimum_matches_brute_force(self, n, d, seed):
         g = _random_form(n, d, np.random.default_rng([seed, n, d]))
         got = finite_volume_test(g, seed=seed).sphere_minimum
-        brute = _brute_minimum(g, 400_000 if n == 2 else 2_000_000)
+        brute = _brute_minimum(g, {2: 400_000, 3: 2_000_000, 4: 1_000_000}[n])
         # the gate never misses what the exhaustive search finds
         assert got <= brute + 1e-9
         # 400k angles pin the n = 2 minimum to about 1e-10; the 2M-point
         # lattice is about 2.5e-3 rad apart, so its own minimum can sit up
-        # to about 5e-6 above the true one
-        assert got >= brute - (1e-9 if n == 2 else 1e-5)
+        # to about 5e-6 above the true one; 1M random directions on the
+        # 3-sphere leave gaps of about 3e-2 rad, so at n = 4 their minimum
+        # can sit several 1e-4 above it
+        assert got >= brute - {2: 1e-9, 3: 1e-5, 4: 1e-3}[n]
 
     def test_degenerate_pole_is_infeasible(self):
         # (x1^2 + x2^2)^2 vanishes at the poles (0, 0, +-1): zero minimum, unbounded set
@@ -691,18 +709,47 @@ class TestFeasibilityGate:
 
     @pytest.mark.parametrize("c", [0.98, 1.02])
     def test_six_dimensional_hidden_direction(self, c):
-        # (|x|^2)^2 - c (u.x)^4 is 1 - c cos^4 of the angle to u on the sphere:
-        # its minimum 1 - c sits at a random direction u, away from every start
-        n = 6
-        u = np.random.default_rng(6).normal(size=n)
-        u /= np.linalg.norm(u)
-        terms = _sphere_power(n, 4)
-        for a in enumerate_indices(n, 4):
-            weight = math.factorial(4) / math.prod(math.factorial(x) for x in a)
-            terms[a] = terms.get(a, 0.0) - c * weight * math.prod(u**np.array(a))
-        verdict = finite_volume_test(GeneralizedPolynomial(n, 4, 1, terms), seed=3)
+        # the minimum 1 - c sits at a random direction u, away from every start
+        verdict = finite_volume_test(_hidden_direction_form(6, c), seed=3)
         assert verdict.finite_volume == (c < 1.0)
         assert verdict.sphere_minimum == pytest.approx(1.0 - c, abs=1e-9)
+
+    def test_chart_zoom_needs_no_qr(self, monkeypatch):
+        # n <= 4 zooms in fixed coordinate charts; only the random tangent
+        # subspaces of n >= 5 are orthonormalized
+        class QRCalled(Exception):
+            pass
+
+        def qr(*args, **kwargs):
+            raise QRCalled
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        verdict = finite_volume_test(_random_form(3, 4, np.random.default_rng([0, 3, 4])))
+        assert not verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(-1.2372597721669052, abs=1e-12)
+        verdict = finite_volume_test(ld_polynomial(3, Fraction(1, 2), q=4))
+        assert verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(1.0, abs=1e-12)
+        verdict = finite_volume_test(ld_polynomial(4, 4))
+        assert verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(0.25, abs=1e-12)
+        with pytest.raises(QRCalled):
+            finite_volume_test(_hidden_direction_form(6, 0.98), seed=3)
+
+    @pytest.mark.parametrize("n,points", [(2, 2048 + 18 * 8 * 9), (3, 2048 + 33 * 16 * 25)])
+    def test_evaluation_count(self, monkeypatch, n, points):
+        # the scan, then every zoom level over all candidates at restarts=8
+        counts = []
+        evaluate = GeneralizedPolynomial.evaluate
+
+        def counted(self, x):
+            out = evaluate(self, x)
+            counts.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counted)
+        finite_volume_test(ld_polynomial(n, 4))
+        assert sum(counts) == points
 
 
 # an odd-support form, so the tables below hold honest odd moments too
