@@ -100,7 +100,7 @@ class SolveConfig:
     (spherical: the grid of the solve's design matrix); one pass at 4 *
     budget gives the final rescaling and the certificate's moments, and the
     check uses cert_tol, finite and >= 0.  seed is read only by Monte Carlo
-    and grid passes and by the feasibility gate on a given start.
+    and grid passes and, for n >= 4, by the feasibility gate on a given start.
     """
 
     max_iters: int = 400

@@ -66,7 +66,7 @@ DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000
 _MC_BATCH = 1 << 16  # samples per Monte Carlo stream
 _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; keeps P in cache
 _GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
-_GATE_BUDGET = 2048  # sphere grid screened by the n = 3 feasibility gate
+_GATE_BUDGET = 2048  # sphere grid screened by the n <= 3 feasibility gate
 _GATE_ZOOM_DIMS = 3  # most tangent directions one gate zoom level spans
 _GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this counts as infinite volume
 _HANKEL_SIGMAS = 3.0  # standard errors the Hankel diagonal bound allows
@@ -649,22 +649,23 @@ def finite_volume_test(
 ) -> FeasibilityVerdict:
     """Minimum of g over the unit sphere by a scan and a batched zoom search.
 
-    The exact axes +-e_i always count.  n = 2 scans 2048 angles, then zooms
-    in on the `restarts` best: each level evaluates 9 angles across [-h, h]
-    around every candidate in one batch, keeps the best and divides h by 4,
-    from one scan step down to 1e-13.  n >= 3 starts from the axes, the
-    diagonal and seeded random directions (for n = 3 also from the best
-    nodes of a cached sphere grid) and zooms: each level tries a 5**k
-    stencil of radius r around every candidate, projects it back onto the
-    sphere, keeps the best and shrinks r from 0.5 down to 1e-10.  For n <= 4
-    (k = n - 1) the stencil moves a candidate v along every axis but
-    j = argmax |v_j|: since |v_j| >= 1/sqrt(n), those coordinates chart the
-    sphere around v with bounded distortion, so the n charts are built once
-    per call, and r halves each level.  Above that the stencil spans a seeded
-    random 3-dimensional tangent subspace at v (k = 3), orthonormalized by
-    QR, so its size stays bounded, and r halves once every (n - 1)/3 levels.
-    The search uses no derivatives, so the kinks of generalized inputs do
-    not stall it.
+    The exact axes +-e_i always count.  One rule picks the candidates: the
+    axes and the diagonal, then for n <= 3 the `restarts` best nodes of the
+    sphere grid the spherical backend builds at _GATE_BUDGET (for n = 2,
+    2048 equally spaced angles), for n >= 4 seeded random directions up to
+    max(restarts, n + 1) in all.  So only n >= 4 reads `seed`.  The axes and
+    the diagonal stay at n <= 3 too: g(-v) = +-g(v), so the best nodes come
+    in antipodal pairs and may all sit in one basin.  One zoom follows: each
+    level lays a 5**k stencil of radius r on a k-column frame at every
+    candidate, projects the trials back onto the sphere, keeps the best and
+    shrinks r from 0.5 down to 1e-10.  For n <= 4 (k = n - 1) the frame at
+    v is every axis but j = argmax |v_j|: since |v_j| >= 1/sqrt(n), those
+    coordinates chart the sphere around v with bounded distortion, so the n
+    frames are built once per call, and r halves each level.  Above that the
+    frame spans a seeded random 3-dimensional tangent subspace at v (k = 3),
+    orthonormalized by QR, so its size stays bounded, and r halves once
+    every (n - 1)/3 levels.  The search uses no derivatives, so the kinks of
+    generalized inputs do not stall it.
 
     Every tried point is a unit direction and counts towards the minimum,
     so a strictly negative minimum proves infinite volume (g is negative on
@@ -676,53 +677,36 @@ def finite_volume_test(
     smin = _axis_minimum(g._exponents, g._coeffs)
     if n == 1:
         return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
-    if n == 2:
-        step = 2.0 * math.pi / 2048
-        theta = step * np.arange(2048)
-        values = np.asarray(g.evaluate(np.stack([np.cos(theta), np.sin(theta)], -1)))
-        smin = min(smin, float(values.min()))
-        best = theta[np.argsort(values)[: max(1, restarts)]]
-        offsets = np.linspace(-1.0, 1.0, 9)
-        h = step
-        while h >= 1e-13:
-            trial = best[:, None] + h * offsets
-            values = g.evaluate(np.stack([np.cos(trial), np.sin(trial)], -1))
-            smin = min(smin, float(values.min()))
-            best = trial[np.arange(len(trial)), values.argmin(axis=1)]
-            h /= 4.0
-        return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
-
-    count = max(restarts, n + 1)
-    rng = np.random.default_rng([max(0, int(seed)), 911])
-    starts = [np.eye(n)[i] for i in range(n)]
+    starts = list(np.eye(n))
     starts.append(np.full(n, 1.0 / math.sqrt(n)))
-    while len(starts) < count:
-        v = rng.normal(size=n)
-        starts.append(v / np.linalg.norm(v))
-    best = np.array(starts)
-    if n == 3:
+    if n <= 3:
         # every grid node is a unit direction, so a negative grid value is proof
-        nodes = _sphere_grid(3, _GATE_BUDGET)[0]
+        nodes = _sphere_grid(n, _GATE_BUDGET)[0]
         values = g.evaluate(nodes)
         smin = min(smin, float(values.min()))
-        best = np.vstack([best, nodes[np.argsort(values)[: max(1, restarts)]]])
+        starts.extend(nodes[np.argsort(values)[: max(1, restarts)]])
+    else:
+        rng = np.random.default_rng([max(0, int(seed)), 911])
+        while len(starts) < max(restarts, n + 1):
+            v = rng.normal(size=n)
+            starts.append(v / np.linalg.norm(v))
+    best = np.array(starts)
     k = min(n - 1, _GATE_ZOOM_DIMS)
     axis = np.linspace(-1.0, 1.0, 5)
     stencil = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), -1).reshape(-1, k)
-    if k == n - 1:
-        # charts[j] is the stencil laid on every axis but x_j
-        charts = np.stack([np.insert(stencil, j, 0.0, axis=1) for j in range(n)])
+    # frames[j] is every axis but x_j, the fixed frame of the n <= 4 zoom
+    frames = np.stack([np.delete(np.eye(n), j, axis=1) for j in range(n)])
     rows = np.arange(len(best))
     r = 0.5
     while r >= 1e-10:
         if k == n - 1:
-            trial = best[:, None, :] + r * charts[np.abs(best).argmax(axis=1)]
+            frame = frames[np.abs(best).argmax(axis=1)]
         else:
             # Q of [v, M] is orthogonal with first column +-v even when v is
             # an axis, so its other k columns span a tangent subspace at v
             frame = np.concatenate([best[:, :, None], rng.normal(size=(len(best), n, k))], axis=2)
-            tangent = np.linalg.qr(frame)[0][:, :, 1:]
-            trial = best[:, None, :] + r * stencil @ tangent.transpose(0, 2, 1)
+            frame = np.linalg.qr(frame)[0][:, :, 1:]
+        trial = best[:, None, :] + r * stencil @ frame.transpose(0, 2, 1)
         trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
         values = g.evaluate(trial)
         smin = min(smin, float(values.min()))

@@ -665,20 +665,30 @@ class TestFeasibilityGate:
     @pytest.mark.parametrize("n,d,seed", [
         (2, 4, 0), (2, 4, 1), (2, 6, 0), (2, 6, 1),
         (3, 4, 0), (3, 4, 1), (3, 6, 0), (3, 6, 1),
-        (4, 4, 0), (4, 4, 1),
+        (4, 4, 0), (4, 4, 1), (5, 4, 0), (5, 4, 1),
     ])
     def test_sphere_minimum_matches_brute_force(self, n, d, seed):
         g = _random_form(n, d, np.random.default_rng([seed, n, d]))
         got = finite_volume_test(g, seed=seed).sphere_minimum
-        brute = _brute_minimum(g, {2: 400_000, 3: 2_000_000, 4: 1_000_000}[n])
+        brute = _brute_minimum(g, {2: 400_000, 3: 2_000_000}.get(n, 1_000_000))
         # the gate never misses what the exhaustive search finds
         assert got <= brute + 1e-9
         # 400k angles pin the n = 2 minimum to about 1e-10; the 2M-point
         # lattice is about 2.5e-3 rad apart, so its own minimum can sit up
         # to about 5e-6 above the true one; 1M random directions on the
         # 3-sphere leave gaps of about 3e-2 rad, so at n = 4 their minimum
-        # can sit several 1e-4 above it
-        assert got >= brute - {2: 1e-9, 3: 1e-5, 4: 1e-3}[n]
+        # can sit several 1e-4 above it, and on the 4-sphere (n = 5) gaps
+        # of about 0.1 rad leave several 1e-3
+        assert got >= brute - {2: 1e-9, 3: 1e-5, 4: 1e-3, 5: 1e-2}[n]
+
+    def test_minimum_outside_the_best_grid_nodes_basin(self):
+        # this octic's 8 best grid nodes are 4 antipodal pairs in one basin
+        # whose minimum lies 0.01 above the true one, near -e_2, which the
+        # axis start reaches
+        rng = np.random.default_rng([29, 3, 8])
+        for _ in range(6):
+            g = _random_form(3, 8, rng)
+        assert finite_volume_test(g).sphere_minimum <= _brute_minimum(g, 400_000) + 1e-9
 
     def test_degenerate_pole_is_infeasible(self):
         # (x1^2 + x2^2)^2 vanishes at the poles (0, 0, +-1): zero minimum, unbounded set
@@ -736,9 +746,25 @@ class TestFeasibilityGate:
         with pytest.raises(QRCalled):
             finite_volume_test(_hidden_direction_form(6, 0.98), seed=3)
 
-    @pytest.mark.parametrize("n,points", [(2, 2048 + 18 * 8 * 9), (3, 2048 + 33 * 16 * 25)])
+    @pytest.mark.parametrize("g", [
+        _random_form(2, 4, np.random.default_rng([0, 2, 4])),
+        _random_form(3, 6, np.random.default_rng([1, 3, 6])),
+        ld_polynomial(3, Fraction(1, 2), q=4),
+    ], ids=["n2-quartic", "n3-sextic", "n3-half-ball"])
+    def test_low_dimensions_ignore_the_seed(self, g):
+        # for n <= 3 the candidates are the axes, the diagonal and sphere-grid
+        # nodes; none comes from the seed
+        first = finite_volume_test(g, seed=0)
+        for seed in (1, 7, 508841):
+            assert finite_volume_test(g, seed=seed) == first, seed
+
+    @pytest.mark.parametrize("n,points", [
+        (2, 2048 + 33 * (3 + 8) * 5), (3, 2048 + 33 * (4 + 8) * 25), (4, 33 * 8 * 125),
+    ])
     def test_evaluation_count(self, monkeypatch, n, points):
-        # the scan, then every zoom level over all candidates at restarts=8
+        # the scan (a sphere grid for n <= 3), then every zoom level over all
+        # candidates at restarts=8: the n axes and the diagonal, plus 8 grid
+        # nodes for n <= 3 or seeded directions up to 8 in all for n >= 4
         counts = []
         evaluate = GeneralizedPolynomial.evaluate
 
