@@ -2,12 +2,15 @@
 
 Each certificate is a pure function of (candidate, moment data, tolerance):
 it never re-estimates moments, so a verdict is reproducible from its
-inputs.  certify(problem, candidate, ...) is two halves: _certificate_moments
-chooses which moment data of the candidate's own ball checks which problem
-and estimates it, and _check runs the certificate.  A solve runs the same
-two, with _rescaled_moments between them, which maps the data of g's ball
-to that of k * g's exactly by homogeneity, so one pass both rescales its
-solution to vol(B_d) and checks it.
+inputs.  All three optimality systems are statements about the degree-d
+moments of the candidate's own ball, so certify(problem, candidate, ...)
+makes one pass for every problem: the moment_table of the candidate's
+polynomial (a GramForm expanded), and _check runs the certificate against
+it; p3 reads its moment matrix from that table, as the sums a + b of the
+degree-d/2 basis are the degree-d slice.  A solve runs the same two, with
+_rescaled_moments between them, which maps the table of g's ball to that
+of k * g's exactly by homogeneity, so one pass both brings every solution
+to its reporting normalization and checks it.
 Stochastic moment errors are propagated; a residual only counts as a
 violation when it exceeds the tolerance plus three combined standard
 errors, otherwise sampling noise would flip verdicts.  A ratio m / m1 of
@@ -49,8 +52,8 @@ from .volume import (
     MomentMatrix,
     MomentTable,
     VolumeEstimate,
+    _hankel_matrix,
     closed_form_ball_volume,
-    moment_matrix,
     moment_table,
 )
 
@@ -273,74 +276,57 @@ def _check_candidate(problem: str, candidate) -> None:
         raise ValueError(f"{problem} candidates must be a {expected.__name__}")
 
 
-def _certificate_moments(problem: str, candidate, backend: str, budget: int | None,
-                         seed: int) -> MomentTable | MomentMatrix:
-    """The moment data of candidate's own ball that checks ``problem``, from one pass.
-
-    p1 and p2 read the degree-d moment table, p3 (a GramForm) the moment
-    matrix over the degree-d/2 basis.
-    """
-    if problem == "p3":
-        return moment_matrix(candidate.expand(), candidate.degree // 2, backend=backend,
-                             budget=budget, seed=seed)
-    return moment_table(candidate, backend=backend, budget=budget, seed=seed)
-
-
-def _rescaled_moments(data: MomentTable | MomentMatrix, k: float, degree):
-    """The moment data of k * g's ball from that of g's ball, exact by homogeneity.
+def _rescaled_moments(table: MomentTable, k: float, degree) -> MomentTable:
+    """The moment table of k * g's ball from that of g's ball, exact by homogeneity.
 
     {k g <= 1} is k**(-1/d) times {g <= 1}, so the volume scales by
     k**(-n/d) and the moment at alpha (numerators over q) by
     k**(-(n + |alpha|/q)/d); the standard errors scale alike.
     """
-    matrix = isinstance(data, MomentMatrix)
-    n = len(data.basis[0] if matrix else next(iter(data.entries)))
+    n = len(next(iter(table.entries)))
 
     def factor(total):  # of a moment whose exponent numerators sum to total
-        return k ** (-(n + total / data.q) / float(degree))
+        return k ** (-(n + total / table.q) / float(degree))
 
-    if matrix:
-        sums = np.array([sum(a) for a in data.basis])
-        f = factor(np.add.outer(sums, sums))
-        moved = {"values": data.values * f, "errors": data.errors * f}
-    else:
-        f = {a: factor(sum(a)) for a in data.entries}
-        moved = {"entries": {a: (v * f[a], e * f[a]) for a, (v, e) in data.entries.items()}}
-    est, f0 = data.normalization, factor(0)
+    f = {a: factor(sum(a)) for a in table.entries}
+    entries = {a: (v * f[a], e * f[a]) for a, (v, e) in table.entries.items()}
+    est, f0 = table.normalization, factor(0)
     est = replace(est, value=est.value * f0, std_error=est.std_error * f0)
-    return replace(data, normalization=est, **moved)
+    return replace(table, entries=entries, normalization=est)
 
 
-def _check(problem: str, candidate, data: MomentTable | MomentMatrix,
-           tol: float | None) -> Certificate:
-    """The certificate of ``problem`` at candidate against its moment data.
+def _check(problem: str, candidate, table: MomentTable, tol: float | None) -> Certificate:
+    """The certificate of ``problem`` at candidate against its degree-d moment table.
 
-    p2 reads a q = 1 candidate in the multinomial convention.
+    p3 reads the moment matrix over the degree-d/2 basis from the table; p2
+    reads a q = 1 candidate in the multinomial convention.
     """
     if problem == "p3":
-        return certify_p3(candidate, data, tol)
+        return certify_p3(candidate, _hankel_matrix(table, candidate.degree // 2), tol)
     if problem == "p1":
-        return certify_p1(candidate, data, tol)
+        return certify_p1(candidate, table, tol)
     if candidate.q == 1:
         candidate = candidate.to_convention(MULTINOMIAL)
-    return certify_p2(candidate, data, tol)
+    return certify_p2(candidate, table, tol)
 
 
 def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: str,
             budget: int | None, seed: int,
             tol: float | None) -> tuple[Certificate, VolumeEstimate]:
-    """Estimate the moments that check ``problem`` at candidate, then check it.
+    """Estimate the degree-d moments of candidate's ball, then check ``problem``.
 
-    The two halves are _certificate_moments and _check, which a solve also
-    runs, with the homogeneity map _rescaled_moments between them.  Returns
-    the certificate and the volume estimate of the one pass.
+    One pass for every problem: the default moment_table of candidate's
+    polynomial (a GramForm expanded), then _check.  A solve makes the same
+    pass and check, with the homogeneity map _rescaled_moments between
+    them.  Returns the certificate and the volume estimate of the one pass.
     """
     if problem not in ("p1", "p2", "p3"):
         raise ValueError(f"unknown problem {problem!r}; choose p1, p2 or p3")
     _check_candidate(problem, candidate)
     tol = _default_tol(backend, tol)  # rejects a bad input before the moment pass
-    data = _certificate_moments(problem, candidate, backend, budget, seed)
-    return _check(problem, candidate, data, tol), data.normalization
+    poly = candidate.expand() if problem == "p3" else candidate
+    table = moment_table(poly, backend=backend, budget=budget, seed=seed)
+    return _check(problem, candidate, table, tol), table.normalization
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ has the same solution ray as the original norm-minimization problems:
 projections onto the l1 ball, the weighted l2 ball and the PSD trace ball
 are cheap and exact, whereas a volume constraint is expensive.  After
 convergence the iterate is rescaled to its reporting normalization and the
-matching optimality certificate is attached.  For p1/p1q and p3 one pass at
-the certificate budget does both: its volume gives the scale to vol(B_d),
-and homogeneity maps its moments to those of the rescaled ball.
+matching optimality certificate is attached.  One pass at the certificate
+budget, the degree-d moment table of the final iterate, does both for every
+problem: homogeneity maps its moments to those of the rescaled ball.
 
 p1/p1q and p3 descend by projected gradient, saturating each accepted step
 onto the norm boundary (scaling up strictly decreases volume).  After an
@@ -43,13 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import (
-    Certificate,
-    _certificate_moments,
-    _check,
-    _check_candidate,
-    _rescaled_moments,
-)
+from .certificates import Certificate, _check, _check_candidate, _rescaled_moments
 from .polynomials import (
     MONOMIAL,
     MULTINOMIAL,
@@ -99,8 +93,8 @@ class SolveConfig:
     <= 1e-14 (1 + |u|_inf).  Each descent pass of ``backend`` uses budget
     (spherical: the grid of the solve's design matrix); one pass at 4 *
     budget gives the final rescaling and the certificate's moments, and the
-    check uses cert_tol, finite and >= 0.  seed is read only by Monte Carlo
-    and grid passes and, for n >= 4, by the feasibility gate on a given start.
+    check uses cert_tol, finite and >= 0.  seed (>= 0) is read only by Monte
+    Carlo and grid passes and, for n >= 4, the gate on a given start.
     """
 
     max_iters: int = 400
@@ -114,6 +108,8 @@ class SolveConfig:
             raise ValueError("max_iters must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.cert_tol) and self.cert_tol >= 0):
             raise ValueError(f"cert_tol must be finite and >= 0, got {self.cert_tol}")
 
@@ -263,7 +259,7 @@ def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
 
 
 def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords, coefficients,
-             pullback, project, norm, default_start, normalize=None) -> SolveResult:
+             pullback, project, norm, default_start, scale=None) -> SolveResult:
     """Start, iterate, normalize and certify one problem.
 
     make(x) builds the polynomial or Gram form from the solver coordinates
@@ -271,16 +267,14 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     coefficients of the degree-d slice in canonical order, and pullback maps
     a gradient in make(x)'s stored coefficients to one in x.  A given start
     is projected onto the ball and must pass the feasibility gate; the array
-    default_start is feasible by construction.  The final iterate goes
-    through normalize, if given, and then the certificate's moment pass;
-    without normalize that pass also rescales the iterate to vol(B_d), and
-    homogeneity maps its moments to the rescaled ball.  Either way the
-    solve makes one pass at the certificate budget.  The objective, like
-    each trace entry, is norm of the normalized solver coordinates.
+    default_start is feasible by construction.  Every solve ends alike: one
+    moment_table pass at the certificate budget on solution = make(x), one
+    factor k (scale(solution), or else the scale to vol(B_d) from the pass),
+    then solution.rescale(k) and the pass's moments mapped to its ball.  The
+    objective, like each trace entry, is norm of the normalized coordinates.
     """
-    def polynomial(x):
-        poly = make(x)
-        return poly.expand() if isinstance(poly, GramForm) else poly
+    def polynomial(obj):
+        return obj.expand() if isinstance(obj, GramForm) else obj
 
     if start is None:
         x0 = default_start
@@ -290,15 +284,15 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
             raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
         x0 = project(coords(start))
         # outside input: only the gate can tell whether its volume is finite
-        verdict = finite_volume_test(polynomial(x0), restarts=6, seed=cfg.seed)
+        verdict = finite_volume_test(polynomial(make(x0)), seed=cfg.seed)
         _finite_or_raise(verdict, "initial iterate")
     rho = closed_form_ball_volume(n, d)
 
     if cfg.backend == SPHERICAL:
-        evaluate = _sphere_design(polynomial(x0), cfg.budget, coefficients, pullback)
+        evaluate = _sphere_design(polynomial(make(x0)), cfg.budget, coefficients, pullback)
     else:
         def evaluate(x, seed):
-            poly = polynomial(x)
+            poly = polynomial(make(x))
             try:
                 table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
             except InfiniteVolumeError:
@@ -310,20 +304,18 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
 
     x, trace, converged = iterate(x0, evaluate, project, report, cfg)
     del evaluate  # frees _sphere_design's P before the certificate-budget pass
-    solution = make(x) if normalize is None else normalize(make(x))
-    data = _certificate_moments(problem, solution, cfg.backend, cfg.certificate_budget, cfg.seed)
-    if normalize is None:
-        # the one pass also rescales: its volume gives k, and homogeneity
-        # maps its moments to those of the rescaled ball
-        k = _target_scale(data.normalization, rho, d, n)
-        solution, data = solution.rescale(k), _rescaled_moments(data, k, d)
+    solution = make(x)
+    table = moment_table(polynomial(solution), backend=cfg.backend,
+                         budget=cfg.certificate_budget, seed=cfg.seed)
+    k = _target_scale(table.normalization, rho, d, n) if scale is None else scale(solution)
+    solution, table = solution.rescale(k), _rescaled_moments(table, k, d)
     return SolveResult(
         problem="p1q" if problem == "p1" and q != 1 else problem,
         solution=solution,
         objective=norm(coords(solution)),
-        volume=data.normalization.value,
+        volume=table.normalization.value,
         iterations=trace,
-        certificate=_check(problem, solution, data, cfg.cert_tol),
+        certificate=_check(problem, solution, table, cfg.cert_tol),
         converged=converged,
     )
 
@@ -410,7 +402,8 @@ def solve_p2(
     by _anderson from the projected B_d coefficients, with no gate call.
     The solution is scaled to leading coefficient 1 (at d*e_1, multinomial
     convention), where the degree-4 optimum is exactly (sum x_i**2)**2; the
-    proportionality certificate is scale invariant.
+    moments of the certificate pass at the unscaled solution follow by
+    homogeneity, and the proportionality certificate is scale invariant.
     """
     cfg = config or SolveConfig()
     d = Fraction(d)
@@ -422,11 +415,11 @@ def solve_p2(
     def make(u_vec):
         return from_coefficient_vector(n, d, q, basis, u_vec / root_w, convention)
 
-    def lead_to_one(g):
+    def lead_to_one(g):  # the factor that scales g to leading coefficient 1
         lead = g.terms[basis[0]]  # d * e_1 comes first in the canonical order
         if not lead > 0:
             raise RuntimeError(f"solver left the positive cone: leading coefficient {lead:.6g}")
-        return g.rescale(1.0 / lead)
+        return 1.0 / lead
 
     project = _ball_boundary(lambda u_vec, radius: u_vec, np.linalg.norm, math.sqrt(float(n)))
     # whitened coordinates: d f / d u_alpha = (d f / d g_alpha) / sqrt(c_alpha)
@@ -436,7 +429,7 @@ def solve_p2(
         coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad / root_w,
         project=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
         default_start=project(coefficient_vector(ld_polynomial(n, d, q), basis) * root_w),
-        normalize=lead_to_one,
+        scale=lead_to_one,
     )
 
 

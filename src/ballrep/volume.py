@@ -67,6 +67,7 @@ _MC_BATCH = 1 << 16  # samples per Monte Carlo stream
 _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; keeps P in cache
 _GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
 _GATE_BUDGET = 2048  # sphere grid screened by the n <= 3 feasibility gate
+_GATE_RESTARTS = 8  # zoom candidates besides the axes and the diagonal
 _GATE_ZOOM_DIMS = 3  # most tangent directions one gate zoom level spans
 _GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this counts as infinite volume
 _HANKEL_SIGMAS = 3.0  # standard errors the Hankel diagonal bound allows
@@ -322,7 +323,7 @@ def _reference_ratio_minimum(g: GeneralizedPolynomial, seed: int) -> float:
     and diagonal directions (where cross terms bite) are always included.
     """
     n, d = g.n, g.degree_float
-    rng = np.random.default_rng([max(0, int(seed)), 131071])
+    rng = np.random.default_rng([seed, 131071])
     t = rng.gamma(1.0 / d, 1.0, size=(4096, n))
     x = t ** (1.0 / d) * (rng.integers(0, 2, size=(4096, n)) * 2 - 1)
     ratios = np.asarray(g.evaluate(x), dtype=float) / t.sum(axis=1)
@@ -364,7 +365,7 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     n_batches = (budget + _MC_BATCH - 1) // _MC_BATCH
     for b in range(n_batches):
         size = min(_MC_BATCH, budget - b * _MC_BATCH)
-        rng = np.random.default_rng([max(0, int(seed)), b])
+        rng = np.random.default_rng([seed, b])
         t = rng.gamma(1.0 / d, 1.0, size=(size, n))
         x = t ** (1.0 / d)
         x *= rng.integers(0, 2, size=(size, n)) * 2 - 1
@@ -441,7 +442,7 @@ def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     inside_mask = np.empty(m**n, dtype=bool)
     slice_sums = np.zeros((len(live), m))
     fmax = np.zeros(len(live))
-    rng = np.random.default_rng([max(0, int(seed)), 515])
+    rng = np.random.default_rng([seed, 515])
     for i0 in range(0, m, per):
         i1 = min(m, i0 + per)
         pts = np.empty((i1 - i0, len(tail), n))
@@ -479,6 +480,13 @@ _BACKENDS = {
 }
 
 
+def _check_seed(seed) -> int:
+    """seed as an int; a negative seed is rejected, not aliased to another stream."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     """(volume, moments) of one backend pass, one entry per distinct alpha in order.
 
@@ -491,6 +499,7 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     budget = DEFAULT_BUDGETS[backend] if budget is None else int(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    seed = _check_seed(seed)
     moments = {tuple(a): (0.0, 0.0) for a in alphas}
     live = [a for a in moments if any(a) and not _symmetry_zero(g, a)]
     vol, vol_err, values, errors, nodes, ess = _BACKENDS[backend](g, live, budget, seed)
@@ -608,8 +617,8 @@ def moment_matrix(
     """Moment matrix M[a, b] = moment(g, a + b) over the half-degree basis.
 
     half_degree counts exponent numerators (so d*q/2 by default, which must
-    be an integer).  Each distinct a + b is estimated once and mirrored, so
-    M is symmetric by construction.
+    be an integer).  Each distinct a + b is estimated once and mirrored by
+    _hankel_matrix, so M is symmetric by construction.
     """
     if half_degree is None:
         twice = g.degree * g.q
@@ -618,10 +627,20 @@ def moment_matrix(
                 f"d*q = {twice} is odd; pass half_degree explicitly"
             )
         half_degree = int(twice) // 2
-    basis, gammas, index = _hankel_layout(g.n, int(half_degree))
+    _, gammas, _ = _hankel_layout(g.n, int(half_degree))
     est, moments = _estimate(g, gammas, backend, budget, seed)
-    table = np.array([moments[key] for key in gammas])
-    return MomentMatrix(basis, table[index, 0], table[index, 1], g.q, est)
+    return _hankel_matrix(MomentTable(g.q, moments, est), int(half_degree))
+
+
+def _hankel_matrix(table: MomentTable, half_degree: int) -> MomentMatrix:
+    """M[a, b] = moment(a + b) over the half-degree basis, from a table holding each a + b.
+
+    At half_degree = d*q/2 the sums are g's degree-d slice, so g's default table gives M.
+    """
+    n = len(next(iter(table.entries)))
+    basis, gammas, index = _hankel_layout(n, half_degree)
+    values = np.array([table.entries[gamma] for gamma in gammas])
+    return MomentMatrix(basis, values[index, 0], values[index, 1], table.q, table.normalization)
 
 
 def euler_residual(
@@ -642,20 +661,17 @@ def euler_residual(
     return integral_g - n / (n + d) * est.value
 
 
-def finite_volume_test(
-    g: GeneralizedPolynomial,
-    restarts: int = 8,
-    seed: int = 0,
-) -> FeasibilityVerdict:
+def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVerdict:
     """Minimum of g over the unit sphere by a scan and a batched zoom search.
 
     The exact axes +-e_i always count.  One rule picks the candidates: the
-    axes and the diagonal, then for n <= 3 the `restarts` best nodes of the
-    sphere grid the spherical backend builds at _GATE_BUDGET (for n = 2,
+    axes and the diagonal, then for n <= 3 the _GATE_RESTARTS best nodes of
+    the sphere grid the spherical backend builds at _GATE_BUDGET (for n = 2,
     2048 equally spaced angles), for n >= 4 seeded random directions up to
-    max(restarts, n + 1) in all.  So only n >= 4 reads `seed`.  The axes and
-    the diagonal stay at n <= 3 too: g(-v) = +-g(v), so the best nodes come
-    in antipodal pairs and may all sit in one basin.  One zoom follows: each
+    max(_GATE_RESTARTS, n + 1) in all.  So only n >= 4 reads `seed`, which
+    must be >= 0 all the same.  The axes and the diagonal stay at n <= 3
+    too: g(-v) = +-g(v), so the best nodes come in antipodal pairs and may
+    all sit in one basin.  One zoom follows: each
     level lays a 5**k stencil of radius r on a k-column frame at every
     candidate, projects the trials back onto the sphere, keeps the best and
     shrinks r from 0.5 down to 1e-10.  For n <= 4 (k = n - 1) the frame at
@@ -673,7 +689,7 @@ def finite_volume_test(
     was found; minima at exactly zero are reported as infeasible because
     the sublevel set is then unbounded along the minimizing direction.
     """
-    n = g.n
+    n, seed = g.n, _check_seed(seed)
     smin = _axis_minimum(g._exponents, g._coeffs)
     if n == 1:
         return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
@@ -684,10 +700,10 @@ def finite_volume_test(
         nodes = _sphere_grid(n, _GATE_BUDGET)[0]
         values = g.evaluate(nodes)
         smin = min(smin, float(values.min()))
-        starts.extend(nodes[np.argsort(values)[: max(1, restarts)]])
+        starts.extend(nodes[np.argsort(values)[:_GATE_RESTARTS]])
     else:
-        rng = np.random.default_rng([max(0, int(seed)), 911])
-        while len(starts) < max(restarts, n + 1):
+        rng = np.random.default_rng([seed, 911])
+        while len(starts) < max(_GATE_RESTARTS, n + 1):
             v = rng.normal(size=n)
             starts.append(v / np.linalg.norm(v))
     best = np.array(starts)

@@ -20,12 +20,14 @@ from ballrep import (
     certify_p3,
     closed_form_ball_moment,
     closed_form_ball_volume,
+    enumerate_indices,
     ld_polynomial,
     minimal_trace_axis_gram,
     moment_matrix,
     moment_table,
     refute_ld_for_p3,
     scale_to_target_volume,
+    solve_p3,
 )
 
 
@@ -277,6 +279,28 @@ class TestCertify:
         cert, est = certify("p3", gram, "spherical", 8192, 0, None)
         assert (cert, est) == (certify_p3(gram, mm), mm.normalization)
 
+    @pytest.mark.parametrize("make_gram,backend,budget", [
+        (lambda: minimal_trace_axis_gram(2, 4), "spherical", None),
+        (lambda: minimal_trace_axis_gram(3, 4), "spherical", None),
+        (lambda: solve_p3(3, 6).solution, "spherical", 4096),
+        (lambda: minimal_trace_axis_gram(2, 4), "monte_carlo", 5000),
+    ], ids=["axis-2-4", "axis-3-4", "p3-3-6-solution", "axis-2-4-monte-carlo"])
+    def test_p3_table_pass_equals_the_moment_matrix(self, make_gram, backend, budget):
+        # the sums a + b of the degree-d/2 basis are the degree-d slice in its
+        # canonical order, so the table pass is the matrix pass bit for bit
+        gram = make_gram()
+        mm = moment_matrix(gram.expand(), gram.degree // 2, backend=backend, budget=budget, seed=3)
+        want = certify_p3(gram, mm)
+        cert, est = certify("p3", gram, backend, budget, 3, None)
+        assert est == mm.normalization
+        assert cert == want  # verdict, residuals and duals, psi_spectrum included
+
+    def test_hankel_sums_are_the_degree_slice(self):
+        layout = sys.modules["ballrep.polynomials"]._hankel_layout
+        for n in range(1, 6):
+            for half in range(5):
+                assert layout(n, half)[1] == tuple(enumerate_indices(n, 2 * half)), (n, half)
+
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValueError, match="unknown problem"):
             certify("p1q", ld_polynomial(2, 4), "spherical", 1024, 0, None)
@@ -310,28 +334,27 @@ class TestCertify:
 class TestRescaledMoments:
     """The solve's homogeneity map against a fresh pass on the rescaled candidate."""
 
-    @pytest.mark.parametrize("problem,candidate", [
-        ("p1", GeneralizedPolynomial(3, Fraction(1, 2), 4, {
-            (2, 0, 0): 0.9, (1, 1, 0): 0.3, (1, 0, 1): 0.2, (0, 2, 0): 1.1, (0, 0, 2): 1.0})),
-        ("p2", ld_polynomial(2, 4).to_convention("multinomial")),
-        ("p3", GramForm(2, 4, np.array([[1.0, 0.0, 0.2], [0.0, 0.5, 0.0], [0.2, 0.0, 0.8]]))),
+    @pytest.mark.parametrize("candidate", [
+        GeneralizedPolynomial(3, Fraction(1, 2), 4, {
+            (2, 0, 0): 0.9, (1, 1, 0): 0.3, (1, 0, 1): 0.2, (0, 2, 0): 1.1, (0, 0, 2): 1.0}),
+        ld_polynomial(2, 4).to_convention("multinomial"),
+        GramForm(2, 4, np.array([[1.0, 0.0, 0.2], [0.0, 0.5, 0.0], [0.2, 0.0, 0.8]])),
     ], ids=["p1q", "p2", "p3"])
     @pytest.mark.parametrize("k", [0.37, 2.9])
-    def test_matches_a_pass_on_the_rescaled_candidate(self, problem, candidate, k):
-        certificates = sys.modules["ballrep.certificates"]
-        data = certificates._certificate_moments(problem, candidate, "spherical", 4096, 0)
-        got = certificates._rescaled_moments(data, k, candidate.degree)
-        want = certificates._certificate_moments(
-            problem, candidate.rescale(k), "spherical", 4096, 0)
+    def test_matches_a_pass_on_the_rescaled_candidate(self, candidate, k):
+        # every problem's certificate pass is the degree-d moment table of the
+        # candidate's polynomial, a Gram form's expansion for p3
+        def table(obj):
+            return moment_table(obj.expand() if isinstance(obj, GramForm) else obj, budget=4096)
+
+        rescaled = sys.modules["ballrep.certificates"]._rescaled_moments
+        got = rescaled(table(candidate), k, candidate.degree)
+        want = table(candidate.rescale(k))
         assert got.normalization.value == pytest.approx(want.normalization.value, rel=1e-14)
         assert got.normalization.std_error == want.normalization.std_error == 0.0
-        if problem == "p3":
-            scale = np.abs(want.values).max()
-            assert np.abs(got.values - want.values).max() <= 1e-14 * scale
-        else:
-            assert list(got.entries) == list(want.entries)
-            for a, (value, _) in want.entries.items():
-                assert got.value(a) == pytest.approx(value, rel=1e-13, abs=0.0), a
+        assert list(got.entries) == list(want.entries)
+        for a, (value, _) in want.entries.items():
+            assert got.value(a) == pytest.approx(value, rel=1e-13, abs=0.0), a
 
     def test_errors_scale_like_their_moments(self):
         g = ld_polynomial(2, 4)

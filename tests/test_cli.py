@@ -59,6 +59,11 @@ class TestVolumeCommand:
         assert main(["volume", disk_file, "--backend", backend, "--budget", budget]) == 2
         assert "budget must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--force", "--backend", "mc"]])
+    def test_negative_seed_is_an_input_error(self, disk_file, capsys, extra):
+        assert main(["volume", disk_file, "--seed", "-1"] + extra) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2}')

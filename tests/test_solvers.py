@@ -74,6 +74,11 @@ class TestSolveConfig:
     def test_zero_cert_tol_is_valid(self):
         assert SolveConfig(cert_tol=0.0).cert_tol == 0.0
 
+    @pytest.mark.parametrize("seed", [-1, -508841])
+    def test_rejects_negative_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SolveConfig(seed=seed)
+
 
 class TestLatticeValidation:
     def test_p1_odd_classical_degree_rejected(self):
@@ -329,7 +334,7 @@ class TestSolveP2:
         u = coefficient_vector(ld_polynomial(3, 6), basis) * root_w + noise
         u *= math.sqrt(3.0) / np.linalg.norm(u)
         start = from_coefficient_vector(3, 6, 1, basis, u / root_w, MULTINOMIAL)
-        verdict = finite_volume_test(start, restarts=6, seed=508841)
+        verdict = finite_volume_test(start, seed=508841)
         assert not verdict.finite_volume
         assert verdict.sphere_minimum == pytest.approx(-0.023, abs=1e-3)
         nodes = sys.modules["ballrep.volume"]._sphere_grid(3, 2048)[0]
@@ -341,6 +346,17 @@ class TestSolveP2:
         assert res.converged
         assert res.certificate.passed
         assert res.certificate.residuals["max_coefficient"] <= 1e-10
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (3, 6)])
+    def test_rescaled_pass_matches_a_fresh_one(self, n, d):
+        # the certificate pass runs before the scale to leading coefficient 1,
+        # and homogeneity maps its moments to the returned solution's ball
+        cfg = SolveConfig()
+        res = solve_p2(n, d, config=cfg)
+        fresh = moment_table(res.solution, budget=cfg.certificate_budget)
+        assert res.volume == pytest.approx(fresh.normalization.value, rel=1e-13)
+        assert res.certificate.passed
+        assert max(res.certificate.residuals.values()) <= 1e-13
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_quartic_is_the_square_of_the_euclidean_norm(self, n):
@@ -413,7 +429,7 @@ class TestDefaultStarts:
             if max(alpha) == sum(alpha):  # a pure power
                 assert coeff > 0.0
         assert np.abs(x0).sum() == pytest.approx(n, rel=1e-14)
-        assert finite_volume_test(kw["make"](x0), restarts=6).sphere_minimum > 0.0
+        assert finite_volume_test(kw["make"](x0)).sphere_minimum > 0.0
 
 
 class TestSolveP3:
@@ -763,17 +779,25 @@ class TestOnePassPerTrial:
 
     def test_p3_descent_needs_no_moment_matrix(self, monkeypatch):
         # the trials take their gradient from the design matrix and the
-        # transposed Gram layout; only the certificate builds a moment matrix
-        certificates = sys.modules["ballrep.certificates"]
-        calls = []
-        real_moment_matrix = certificates.moment_matrix
+        # transposed Gram layout; the certificate reads its moment matrix
+        # from the one degree-d moment table of the solve
+        calls = {"moment_matrix": [], "moment_table": []}
 
-        def counting_moment_matrix(*args, **kwargs):
-            calls.append(kwargs.get("budget"))
-            return real_moment_matrix(*args, **kwargs)
+        def counting(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(certificates, "moment_matrix", counting_moment_matrix)
+            def counted(*args, **kwargs):
+                calls[name].append(kwargs.get("budget"))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in ("volume", "certificates", "solvers"):
+            module = sys.modules[f"ballrep.{module}"]
+            for name in calls:
+                if hasattr(module, name):
+                    counting(module, name)
         cfg = SolveConfig()
         res = solve_p3(2, 4, config=cfg)
         assert res.converged
-        assert calls == [cfg.certificate_budget]
+        assert calls == {"moment_matrix": [], "moment_table": [cfg.certificate_budget]}

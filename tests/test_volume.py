@@ -245,6 +245,23 @@ class TestEulerIdentity:
             assert abs(euler_residual(g, budget=4096)) / vol <= 1e-12
 
 
+class TestNegativeSeeds:
+    """A negative seed is an input error, not an alias of seed 0."""
+
+    @pytest.mark.parametrize("backend", ["spherical", "monte_carlo", "grid_oracle"])
+    def test_every_pass_rejects_it(self, backend):
+        g = ld_polynomial(2, 4)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            volume(g, backend, 5000, seed=-3)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            moment_table(g, backend=backend, budget=5000, seed=-1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gate_rejects_it(self, n):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            finite_volume_test(ld_polynomial(n, 4), seed=-1)
+
+
 class TestFeasibility:
     def test_figure_one_sphere_minimum(self):
         verdict = finite_volume_test(FIG1_QUARTIC)
@@ -763,7 +780,7 @@ class TestFeasibilityGate:
     ])
     def test_evaluation_count(self, monkeypatch, n, points):
         # the scan (a sphere grid for n <= 3), then every zoom level over all
-        # candidates at restarts=8: the n axes and the diagonal, plus 8 grid
+        # candidates: the n axes and the diagonal, plus _GATE_RESTARTS = 8 grid
         # nodes for n <= 3 or seeded directions up to 8 in all for n >= 4
         counts = []
         evaluate = GeneralizedPolynomial.evaluate
