@@ -10,7 +10,8 @@ polynomial evaluated with |x|**alpha, positively homogeneous of degree d.
 
 Every evaluation goes through one monomial kernel, ``monomials``: integer
 powers of one base per lattice (x when classical, |x|**(1/q) otherwise) over
-an exponent matrix and coefficient vector precomputed at construction.
+an exponent matrix and coefficient vector precomputed at construction.  The
+kernel builds a large call in cache-sized chunks of points.
 
 Two coefficient conventions are supported.  In the monomial convention the
 stored coefficient multiplies x**alpha directly.  In the multinomial
@@ -34,6 +35,8 @@ MONOMIAL = "monomial"
 MULTINOMIAL = "multinomial"
 
 Exponent = tuple[int, ...]
+
+_KERNEL_ENTRIES = 1 << 16  # most output entries (512 KB of float64) one kernel chunk builds
 
 
 def enumerate_indices(n: int, total: int) -> list[Exponent]:
@@ -71,12 +74,30 @@ def monomials(base, exponents) -> np.ndarray:
 
     The integer powers of each variable come from a power table built by
     repeated multiplication, so 0**0 = 1 and signed bases keep their signs;
-    one table buffer serves every variable in turn.
+    one table buffer serves every variable in turn.  A call whose T * N
+    output entries pass _KERNEL_ENTRIES is built in chunks of points of at
+    most that many entries each.  A whole call's power table and gathered
+    rows would be temporaries of megabytes, fresh pages faulted in on every
+    call and streamed through memory once per variable; a chunk's are small
+    enough to stay in cache and for the allocator to reuse.  Each output
+    column comes from the same multiplications whatever the chunk, so the
+    chunking never shows in an answer.
     """
-    base = np.asarray(base, dtype=float).T
-    table = np.empty((int(exponents.max(initial=0)) + 1, base.shape[1]))
+    base = np.asarray(base, dtype=float)
+    step = max(1, _KERNEL_ENTRIES // max(1, len(exponents)))
+    if len(base) <= step:
+        return _monomial_chunk(base.T, exponents)
+    out = np.empty((len(exponents), len(base)))
+    for lo in range(0, len(base), step):
+        out[:, lo : lo + step] = _monomial_chunk(base[lo : lo + step].T, exponents)
+    return out
+
+
+def _monomial_chunk(columns: np.ndarray, exponents) -> np.ndarray:
+    """monomials at the points whose coordinates are the rows of ``columns`` (n, N)."""
+    table = np.empty((int(exponents.max(initial=0)) + 1, columns.shape[1]))
     table[0] = 1.0
-    for i, column in enumerate(base):
+    for i, column in enumerate(columns):
         for p in range(1, len(table)):
             np.multiply(table[p - 1], column, out=table[p])
         if i == 0:

@@ -18,7 +18,11 @@ steps follow, halving at rejected or infeasible iterates (a sphere value at
 or below the gate's tolerance).  p2's optimum, whose weighted coefficients
 are proportional to the degree-d moments of its own ball, is a fixed point
 of T(u) = project(-grad(u)), which an Anderson iteration finds, line-search
-free.
+free.  For q = 1 that optimum is known: it is unique and invariant under
+every orthogonal change of variables, so it is (sum x_i**2)**(d/2), and the
+iteration starts there.  It then only checks the start on the solve's own
+rule, and the certificate pass still decides; from a given start, or from
+B_d when q > 1, it iterates.
 
 One solve path, _descend, serves the three problems, and each solve_pX
 passes only its geometry and its iteration.  The coefficients are linear in
@@ -55,11 +59,13 @@ from .polynomials import (
     enumerate_indices,
     from_coefficient_vector,
     ld_polynomial,
+    multinomial_coefficient,
 )
 from .projections import project_l1_ball, project_psd_trace
 from .volume import (
     SPHERICAL,
     InfiniteVolumeError,
+    _check_seed,
     _finite_or_raise,
     _sphere_design,
     closed_form_ball_volume,
@@ -93,8 +99,9 @@ class SolveConfig:
     <= 1e-14 (1 + |u|_inf).  Each descent pass of ``backend`` uses budget
     (spherical: the grid of the solve's design matrix); one pass at 4 *
     budget gives the final rescaling and the certificate's moments, and the
-    check uses cert_tol, finite and >= 0.  seed (>= 0) is read only by Monte
-    Carlo and grid passes and, for n >= 4, the gate on a given start.
+    check uses cert_tol, finite and >= 0.  seed, an integer >= 0 (any float
+    is rejected, as in every estimator pass), is read only by Monte Carlo
+    and grid passes and, for n >= 4, the gate on a given start.
     """
 
     max_iters: int = 400
@@ -108,8 +115,7 @@ class SolveConfig:
             raise ValueError("max_iters must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if not (math.isfinite(self.cert_tol) and self.cert_tol >= 0):
             raise ValueError(f"cert_tol must be finite and >= 0, got {self.cert_tol}")
 
@@ -399,10 +405,11 @@ def solve_p2(
 
     Works in whitened coordinates u = sqrt(c_alpha) * g_alpha, where the
     constraint is a plain Euclidean ball, and solves u = project(-grad(u))
-    by _anderson from the projected B_d coefficients, with no gate call.
-    The solution is scaled to leading coefficient 1 (at d*e_1, multinomial
-    convention), where the degree-4 optimum is exactly (sum x_i**2)**2; the
-    moments of the certificate pass at the unscaled solution follow by
+    by _anderson, with no gate call, from the projected coefficients of
+    (sum x_i**2)**(d/2) for q = 1 and of B_d for q > 1.  The solution is
+    scaled to leading coefficient 1 (at d*e_1, multinomial convention),
+    where the q = 1 optimum is exactly (sum x_i**2)**(d/2) at every even d;
+    the moments of the certificate pass at the unscaled solution follow by
     homogeneity, and the proportionality certificate is scale invariant.
     """
     cfg = config or SolveConfig()
@@ -421,15 +428,25 @@ def solve_p2(
             raise RuntimeError(f"solver left the positive cone: leading coefficient {lead:.6g}")
         return 1.0 / lead
 
+    def coords(g):
+        return coefficient_vector(g.to_convention(convention), basis) * root_w
+
     project = _ball_boundary(lambda u_vec, radius: u_vec, np.linalg.norm, math.sqrt(float(n)))
+    # for q = 1 the optimum is unique, and like the weighted norm and the
+    # volume invariant under x -> Ux for orthogonal U: so it is a multiple of
+    # (sum x_i**2)**(d/2), whose monomial coefficient at 2 beta is (d/2)! / beta!
+    if q == 1:
+        terms = {tuple(2 * b for b in beta): float(multinomial_coefficient(beta))
+                 for beta in enumerate_indices(n, int(d) // 2)}
+        ball = GeneralizedPolynomial(n, d, 1, terms)
+    else:
+        ball = ld_polynomial(n, d, q)
     # whitened coordinates: d f / d u_alpha = (d f / d g_alpha) / sqrt(c_alpha)
     return _descend(
-        "p2", n, d, q, start, cfg, iterate=_anderson, make=make,
-        coords=lambda g: coefficient_vector(g.to_convention(convention), basis) * root_w,
+        "p2", n, d, q, start, cfg, iterate=_anderson, make=make, coords=coords,
         coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad / root_w,
         project=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
-        default_start=project(coefficient_vector(ld_polynomial(n, d, q), basis) * root_w),
-        scale=lead_to_one,
+        default_start=project(coords(ball)), scale=lead_to_one,
     )
 
 

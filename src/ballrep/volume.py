@@ -21,10 +21,12 @@ moments of G have two equivalent expressions that the backends exploit:
   spherical descent skips these passes: _sphere_design keeps its P instead.
 Every backend lays out its kernel rows the same way.  The spherical pass
 makes one kernel call; Monte Carlo and the grid oracle make one per block of
-at most _BLOCK points (the grid's blocks are whole slices, at least one), so
-the kernel output stays in cache, and their random streams do not depend on
-the block.  Every backend returns only plain numbers and arrays aligned with
-the alphas it was given.  The dispatcher _estimate builds every answer: it
+at most _BLOCK points (the grid's blocks are whole slices, at least one),
+which bounds the memory of a block's samples and kernel output, and their
+random streams do not depend on the block.  The kernel keeps its own working
+set small, whatever the backend: it builds a large call in chunks of points
+(polynomials._KERNEL_ENTRIES).  Every backend returns only plain numbers and
+arrays aligned with the alphas it was given.  The dispatcher _estimate builds every answer: it
 gives each distinct alpha one entry (the all-zeros alpha reads the volume,
 moments that vanish by symmetry read exact zeros, a backend estimates only
 the rest) and turns the backend's numbers into the VolumeEstimate and the
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +67,7 @@ CLOSED_FORM = "closed_form"
 DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000}
 
 _MC_BATCH = 1 << 16  # samples per Monte Carlo stream
-_BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; keeps P in cache
+_BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; bounds a block's memory
 _GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
 _GATE_BUDGET = 2048  # sphere grid screened by the n <= 3 feasibility gate
 _GATE_RESTARTS = 8  # zoom candidates besides the axes and the diagonal
@@ -481,10 +484,14 @@ _BACKENDS = {
 
 
 def _check_seed(seed) -> int:
-    """seed as an int; a negative seed is rejected, not aliased to another stream."""
-    if seed < 0:
+    """seed as an int; a fractional or negative seed is rejected, not aliased to another stream."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if value < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return int(seed)
+    return value
 
 
 def _estimate(g, alphas, backend: str, budget: int | None, seed: int):

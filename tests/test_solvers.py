@@ -79,6 +79,11 @@ class TestSolveConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SolveConfig(seed=seed)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0])
+    def test_rejects_fractional_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SolveConfig(seed=seed)
+
 
 class TestLatticeValidation:
     def test_p1_odd_classical_degree_rejected(self):
@@ -275,6 +280,22 @@ class TestAnderson:
         np.testing.assert_array_equal(x, np.zeros(2))
 
 
+def _euclidean_power(n, d):
+    """(sum x_i**2)**(d/2) in the multinomial convention, canonical order.
+
+    Its monomial coefficient at alpha = 2 beta is (d/2)! / beta!, and the
+    multinomial convention divides that by d! / alpha!.
+    """
+    out = []
+    for alpha in enumerate_indices(n, d):
+        if any(a % 2 for a in alpha):
+            out.append(0.0)
+            continue
+        mono = math.factorial(d // 2) / math.prod(math.factorial(a // 2) for a in alpha)
+        out.append(mono * math.prod(math.factorial(a) for a in alpha) / math.factorial(d))
+    return np.array(out)
+
+
 class TestSolveP2:
     def test_quadratic_matches_p1(self):
         res = solve_p2(2, 2)
@@ -367,6 +388,30 @@ class TestSolveP2:
         for alpha, got in res.solution.terms.items():
             want = 1.0 if 4 in alpha else 1.0 / 3.0 if set(alpha) <= {0, 2} else 0.0
             assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(2, 6), (2, 8), (3, 8)])
+    def test_default_start_is_the_euclidean_power(self, n, d):
+        # the start is the optimum, so the fixed-point test passes at once
+        res = solve_p2(n, d)
+        assert res.converged
+        assert len(res.iterations) == 1
+        got = coefficient_vector(res.solution, enumerate_indices(n, d))
+        assert np.abs(got - _euclidean_power(n, d)).max() <= 1e-12
+        assert res.certificate.passed
+
+    def test_anderson_reaches_the_euclidean_power_from_a_perturbed_start(self):
+        # monomial-convention noise of at most 0.02 on each of the 28 terms
+        # keeps the start's sphere minimum above 1 - 28 * 0.02 > 0
+        basis = enumerate_indices(3, 6)
+        want = _euclidean_power(3, 6)
+        mono = want * np.array([float(multinomial_coefficient(a)) for a in basis])
+        noise = np.random.default_rng(6).uniform(-0.02, 0.02, size=len(basis))
+        start = from_coefficient_vector(3, 6, 1, basis, mono + noise, MONOMIAL)
+        res = solve_p2(3, 6, start=start)
+        assert res.converged
+        assert len(res.iterations) > 1
+        assert np.abs(coefficient_vector(res.solution, basis) - want).max() <= 1e-12
+        assert res.certificate.passed
 
     def test_start_with_infinite_volume_rejected(self):
         # x1**4 - 3 x1**2 x2**2 + x2**4 is negative on the diagonal
@@ -647,7 +692,11 @@ class TestGoldenSolves:
     when the descent began trying a Barzilai-Borwein step first were
     re-recorded, at both seeds: p1(3,4) and p1(3,6) 5 -> 4 entries, p3(2,4)
     4 -> 3, p3(3,6) 13 -> 7 and p1q 68 -> 14.  p1(2,4) (3 entries), p3(3,4)
-    (2) and the p2 entries were kept and still match.
+    (2) and the p2 entries were kept and still match.  When p2 at q = 1
+    began at its closed-form optimum (sum x_i**2)**(d/2), only the
+    trace_length of its six entries was re-recorded, at both seeds: p2(2,4)
+    and p2(3,4) 8 -> 1 entries, p2(3,6) 10 -> 1.  The start already passes
+    the fixed-point test; solutions and objectives still match.
     """
 
     @pytest.mark.parametrize(

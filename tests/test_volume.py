@@ -20,9 +20,10 @@ from ballrep import (
     moment_matrix,
     moment_table,
     region_hash,
+    solve_p2,
     volume,
 )
-from ballrep.polynomials import enumerate_indices
+from ballrep.polynomials import enumerate_indices, monomials
 from ballrep.volume import _sphere_grid
 from conftest import agree, random_feasible_quartic
 
@@ -246,7 +247,7 @@ class TestEulerIdentity:
 
 
 class TestNegativeSeeds:
-    """A negative seed is an input error, not an alias of seed 0."""
+    """A negative or fractional seed is an input error, not an alias of another stream."""
 
     @pytest.mark.parametrize("backend", ["spherical", "monte_carlo", "grid_oracle"])
     def test_every_pass_rejects_it(self, backend):
@@ -260,6 +261,23 @@ class TestNegativeSeeds:
     def test_gate_rejects_it(self, n):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             finite_volume_test(ld_polynomial(n, 4), seed=-1)
+
+    @pytest.mark.parametrize("backend", ["spherical", "monte_carlo", "grid_oracle"])
+    def test_every_pass_rejects_a_fractional_seed(self, backend):
+        # int(2.7) would read the stream of seed 2
+        g = ld_polynomial(2, 4)
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
+            volume(g, backend, 5000, seed=2.7)
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.0"):
+            moment_table(g, backend=backend, budget=5000, seed=2.0)
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
+            finite_volume_test(ld_polynomial(4, 4), seed=2.7)
+
+    def test_numpy_integers_stay_valid(self):
+        # the disk, not B_4: on B_4 every importance weight is 1 at any seed
+        disk = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0})
+        at = {seed: volume(disk, "monte_carlo", 5000, seed=seed) for seed in (np.int64(2), 2, 3)}
+        assert at[np.int64(2)] == at[2] != at[3]
 
 
 class TestFeasibility:
@@ -848,6 +866,49 @@ class TestKernelBlocks:
         assert small.ess < 0.01 * 200_000
         assert small.value == pytest.approx(large.value, rel=1e-13, abs=0.0)
         assert small.ess == pytest.approx(large.ess, rel=1e-13, abs=0.0)
+
+    # the kernel's chunk size is the same kind of setting; 100 entries give
+    # 3-point chunks at 28 rows, and 8192 nodes are not a multiple of 3
+    KERNEL_ENTRIES = (100, 1 << 30)
+
+    def _at_kernel_chunks(self, monkeypatch, run):
+        out = []
+        for entries in self.KERNEL_ENTRIES:
+            monkeypatch.setattr(sys.modules["ballrep.polynomials"], "_KERNEL_ENTRIES", entries)
+            out.append(run())
+        return out
+
+    @pytest.mark.parametrize("n,rows,points", [(1, 3, 1000), (2, 9, 4099), (3, 28, 8192),
+                                               (4, 35, 777), (3, 0, 50)])
+    def test_kernel_chunks_are_bit_identical(self, monkeypatch, n, rows, points):
+        rng = np.random.default_rng(rows)
+        base = rng.normal(size=(points, n))
+        base[::7] = 0.0  # 0**0 = 1 in every chunk
+        exponents = rng.integers(0, 7, size=(rows, n))
+        small, large = self._at_kernel_chunks(monkeypatch, lambda: monomials(base, exponents))
+        assert small.shape == (rows, points)
+        assert np.array_equal(small, large)
+
+    def test_kernel_chunks_keep_sextic_tables_bit_identical(self, monkeypatch):
+        g = _perturbed_ball(3, 6, scale=0.05, seed=2)
+        assert len(g.terms) == 28 and 8192 % (self.KERNEL_ENTRIES[0] // 28) != 0
+
+        def run():
+            table = moment_table(g, budget=8192)
+            mm = moment_matrix(g, budget=8192)
+            return table, mm.values, mm.errors, mm.normalization
+
+        small, large = self._at_kernel_chunks(monkeypatch, run)
+        assert small[0].normalization.samples_or_nodes == 8192
+        assert small[0] == large[0]
+        assert np.array_equal(small[1], large[1]) and np.array_equal(small[2], large[2])
+        assert small[3] == large[3]
+
+    def test_kernel_chunks_keep_the_p2_certificate_bit_identical(self, monkeypatch):
+        small, large = self._at_kernel_chunks(monkeypatch, lambda: solve_p2(3, 6))
+        assert small.certificate == large.certificate
+        assert small.solution == large.solution
+        assert small.objective == large.objective
 
     def test_monte_carlo_overflow_raises_at_every_block(self, monkeypatch):
         # off the axes exp(-g) outgrows the reference by more than e**700 in
