@@ -187,6 +187,8 @@ class GeneralizedPolynomial:
                     f"exponent {alpha} sums to {sum(alpha)}, expected d*q = {target}"
                 )
             clean[alpha] = float(coeff)
+            if not math.isfinite(clean[alpha]):
+                raise ValueError(f"coefficient {coeff} of exponent {alpha} is not finite")
         # read-only view: instances are shared freely across workers
         object.__setattr__(self, "terms", MappingProxyType(clean))
         # kernel data outside the dataclass fields: exponent matrix A and the
@@ -202,7 +204,7 @@ class GeneralizedPolynomial:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_classical", self.q == 1 and target % 2 == 0)
-        object.__setattr__(self, "_even_support", not (keys % 2).any())
+        object.__setattr__(self, "_even_support", not (exponents % 2).any())
 
     # -- structure ---------------------------------------------------------
 
@@ -221,11 +223,11 @@ class GeneralizedPolynomial:
         return sorted(keys, reverse=True)
 
     def has_even_support(self) -> bool:
-        """True when every stored exponent numerator is even.
+        """True when every exponent numerator of a nonzero term is even.
 
         For classical polynomials this makes the sublevel set invariant
         under per-coordinate sign flips, which zeroes every moment with an
-        odd exponent exactly.
+        odd exponent exactly; a stored zero coefficient does not break it.
         """
         return self._even_support
 
@@ -342,6 +344,8 @@ class GramForm:
         size = count_indices(self.n, self.degree // 2)
         if Q.shape != (size, size):
             raise ValueError(f"Q has shape {Q.shape}, expected ({size}, {size})")
+        if not np.isfinite(Q).all():
+            raise ValueError("Q has an entry that is not finite")
         scale = max(1.0, float(np.abs(Q).max()))
         if np.abs(Q - Q.T).max() > self._SYMMETRY_RTOL * scale:
             raise ValueError("Q is not symmetric within 1e-12 relative tolerance")

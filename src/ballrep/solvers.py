@@ -25,15 +25,16 @@ rule, and the certificate pass still decides; from a given start, or from
 B_d when q > 1, it iterates.
 
 One solve path, _descend, serves the three problems, and each solve_pX
-passes only its geometry and its iteration.  The coefficients are linear in
-the solver coordinates: the coefficients themselves for p1, whitened
-coefficients for p2, the Gram matrix Q for p3.  A trial's volume and its
-gradient, -(n + d)/d times the degree-d moments, which the transposed linear
-map pulls back to the solver coordinates, come from one moment table over
-the degree-d slice, or on the spherical backend from two products with the
-solve's design matrix.  Every pass of a solve uses the same seed, so the
-Monte Carlo line search compares like with like.  The objective is the
-problem's norm of the normalized solver coordinates, as in the trace.
+passes only its geometry and its iteration.  The monomial coefficients of
+the degree-d slice are linear in the solver coordinates: the coefficients
+themselves for p1, whitened coefficients for p2, the Gram matrix Q for p3.
+A trial reads its volume and the slice's moments m from one run of the
+solve's spherical pass, whose design matrix is built once, or on the other
+backends from one moment table; its gradient in the solver coordinates is
+pullback(-(n + d)/d m), pullback being the adjoint of that linear map.
+Every pass of a solve uses the same seed, so the Monte Carlo line search
+compares like with like.  The objective is the problem's norm of the
+normalized solver coordinates, as in the trace.
 Default starts are feasible by construction, so no default solve calls the
 feasibility gate and a spherical solve does not depend on its seed; only a
 caller's start, outside input, is gated.
@@ -65,13 +66,12 @@ from .projections import project_l1_ball, project_psd_trace
 from .volume import (
     SPHERICAL,
     InfiniteVolumeError,
-    _check_seed,
+    _check_integer,
     _finite_or_raise,
-    _sphere_design,
+    _sphere_pass,
     closed_form_ball_volume,
     finite_volume_test,
     grad_volume,  # noqa: F401  (unused; perfbench/selftest.py checks it is bound here)
-    gradient_vector,
     moment_table,
     volume,
 )
@@ -99,9 +99,10 @@ class SolveConfig:
     <= 1e-14 (1 + |u|_inf).  Each descent pass of ``backend`` uses budget
     (spherical: the grid of the solve's design matrix); one pass at 4 *
     budget gives the final rescaling and the certificate's moments, and the
-    check uses cert_tol, finite and >= 0.  seed, an integer >= 0 (any float
-    is rejected, as in every estimator pass), is read only by Monte Carlo
-    and grid passes and, for n >= 4, the gate on a given start.
+    check uses cert_tol, finite and >= 0.  max_iters and budget are integers
+    >= 1 and seed one >= 0 (a float or a bool is rejected, as in every
+    estimator pass); seed is read only by Monte Carlo and grid passes and,
+    for n >= 4, the gate on a given start.
     """
 
     max_iters: int = 400
@@ -111,11 +112,9 @@ class SolveConfig:
     cert_tol: float = 1e-2
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        _check_seed(self.seed)
+        _check_integer(self.max_iters, "max_iters", 1)
+        _check_integer(self.budget, "budget", 1)
+        _check_integer(self.seed, "seed", 0)
         if not (math.isfinite(self.cert_tol) and self.cert_tol >= 0):
             raise ValueError(f"cert_tol must be finite and >= 0, got {self.cert_tol}")
 
@@ -270,14 +269,16 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
 
     make(x) builds the polynomial or Gram form from the solver coordinates
     x, linearly; coords is its inverse, coefficients(x) the monomial
-    coefficients of the degree-d slice in canonical order, and pullback maps
-    a gradient in make(x)'s stored coefficients to one in x.  A given start
-    is projected onto the ball and must pass the feasibility gate; the array
-    default_start is feasible by construction.  Every solve ends alike: one
-    moment_table pass at the certificate budget on solution = make(x), one
-    factor k (scale(solution), or else the scale to vol(B_d) from the pass),
-    then solution.rescale(k) and the pass's moments mapped to its ball.  The
-    objective, like each trace entry, is norm of the normalized coordinates.
+    coefficients of the degree-d slice in canonical order, and pullback, the
+    adjoint of coefficients, maps a gradient in those coefficients to one in
+    x; a trial is None where its pass raises InfiniteVolumeError.  A given
+    start is projected onto the ball and must pass the feasibility gate; the
+    array default_start is feasible by construction.  Every solve ends
+    alike: one moment_table pass at the certificate budget on solution =
+    make(x), one factor k (scale(solution), or else the scale to vol(B_d)
+    from the pass), then solution.rescale(k) and the pass's moments mapped
+    to its ball.  The objective, like each trace entry, is norm of the
+    normalized coordinates.
     """
     def polynomial(obj):
         return obj.expand() if isinstance(obj, GramForm) else obj
@@ -293,23 +294,30 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         verdict = finite_volume_test(polynomial(make(x0)), seed=cfg.seed)
         _finite_or_raise(verdict, "initial iterate")
     rho = closed_form_ball_volume(n, d)
+    basis = enumerate_indices(n, int(d * q))
+    factor = -(n + float(d)) / float(d)  # the volume gradient over the slice's moments
+    block = [(0, len(basis), n + float(d))]  # the whole slice, at k = n + d
+    run = None
+    if cfg.backend == SPHERICAL:  # P of the degree-d slice, built once for every trial
+        run = _sphere_pass(polynomial(make(x0)), cfg.budget, np.array(basis, dtype=np.intp))
 
-    if cfg.backend == SPHERICAL:
-        evaluate = _sphere_design(polynomial(make(x0)), cfg.budget, coefficients, pullback)
-    else:
-        def evaluate(x, seed):
-            poly = polynomial(make(x))
-            try:
-                table = moment_table(poly, backend=cfg.backend, budget=cfg.budget, seed=seed)
-            except InfiniteVolumeError:
-                return None
-            return table.normalization.value, pullback(gradient_vector(poly, table.entries))
+    def evaluate(x, seed):
+        try:
+            if run is not None:
+                vol, (m,) = run(coefficients(x), block)
+            else:
+                table = moment_table(polynomial(make(x)), backend=cfg.backend,
+                                     budget=cfg.budget, seed=seed)
+                vol, m = table.normalization.value, np.array([table.value(a) for a in basis])
+        except InfiniteVolumeError:
+            return None
+        return vol, pullback(factor * m)
 
     def report(x, vol):
         return norm(x * (vol / rho) ** (float(d) / n))
 
     x, trace, converged = iterate(x0, evaluate, project, report, cfg)
-    del evaluate  # frees _sphere_design's P before the certificate-budget pass
+    del evaluate, run  # frees the spherical pass's P before the certificate-budget pass
     solution = make(x)
     table = moment_table(polynomial(solution), backend=cfg.backend,
                          budget=cfg.certificate_budget, seed=cfg.seed)
@@ -441,10 +449,10 @@ def solve_p2(
         ball = GeneralizedPolynomial(n, d, 1, terms)
     else:
         ball = ld_polynomial(n, d, q)
-    # whitened coordinates: d f / d u_alpha = (d f / d g_alpha) / sqrt(c_alpha)
+    # the monomial coefficient at alpha is c_alpha * u_alpha / sqrt(c_alpha) = sqrt(c_alpha) u_alpha
     return _descend(
         "p2", n, d, q, start, cfg, iterate=_anderson, make=make, coords=coords,
-        coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad / root_w,
+        coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad * root_w,
         project=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
         default_start=project(coords(ball)), scale=lead_to_one,
     )

@@ -12,13 +12,14 @@ moments of G have two equivalent expressions that the backends exploit:
         = (n + |alpha|)^-1 * integral_S theta^alpha h(theta)^-(n+|alpha|)/d dsigma,
   with h the restriction of g to the sphere, which drives the deterministic
   spherical backend (periodic trapezoid for n = 2, product Gauss-Legendre
-  for n = 3).  Sphere grids are cached read-only per (n, budget).  A pass
-  makes one monomial kernel call whose rows are g's own exponents, which
-  give h, followed by the requested alphas they miss; the moments sharing
-  k = n + |alpha| read one contiguous block of those rows against one
-  radial weight w * h**(-k/d).  The volume and the degree-d moments (and
-  with them the volume gradient) thus come from the same pass.  A solve's
-  spherical descent skips these passes: _sphere_design keeps its P instead.
+  for n = 3).  Sphere grids are cached read-only per (n, budget).  One
+  function, _sphere_pass, makes one monomial kernel call P; each run reads h
+  from its leading rows and the moments sharing k = n + |alpha| from one
+  contiguous block of rows against one radial weight w * h**(-k/d).  A
+  query's rows are g's own exponents, then the requested alphas they miss,
+  so the volume and the degree-d moments (and with them the volume
+  gradient) come from the same pass; a solve's spherical descent runs one
+  pass on the degree-d slice at every trial.
 Every backend lays out its kernel rows the same way.  The spherical pass
 makes one kernel call; Monte Carlo and the grid oracle make one per block of
 at most _BLOCK points (the grid's blocks are whole slices, at least one),
@@ -257,62 +258,56 @@ def _kernel_rows(g: GeneralizedPolynomial, live):
     return rows, [row[a] for a in live]
 
 
-def _axis_minimum(exponents: np.ndarray, coeffs: np.ndarray) -> float:
+def _axis_minimum(coeffs: np.ndarray, pure: np.ndarray, n: int) -> float:
     """min of g on the axes +-e_i, which sphere grids miss: its pure powers' coefficients, or 0."""
-    values = coeffs[np.count_nonzero(exponents, axis=1) == 1]
-    return float(values.min(initial=np.inf if len(values) == exponents.shape[1] else 0.0))
+    values = coeffs[pure]
+    return float(values.min(initial=np.inf if len(values) == n else 0.0))
 
 
-def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
-    n, d = g.n, g.degree_float
-    dirs, w = _sphere_grid(n, budget)
-    rows, live_rows = _kernel_rows(g, live)
-    P = monomials(g.lattice_base(dirs), rows)
-    h = g._coeffs @ P[: len(g._exponents)]
-    hmin = min(float(h.min()), _axis_minimum(g._exponents, g._coeffs))
-    if hmin <= _GATE_TOLERANCE:
-        raise InfiniteVolumeError(
-            f"sublevel set has infinite volume (sphere minimum {hmin:.6g})",
-            sphere_minimum=hmin,
-        )
-    vol = np.dot(w, h ** (-n / d)) / n
-    degrees = [sum(a) for a in live]
-    moments = np.empty(len(rows))
-    for degree in set(degrees):
-        # the alphas of one total degree share k and one block of kernel rows;
-        # moments[r] is the moment of kernel row r once its block is done
-        at = [r for r, t in zip(live_rows, degrees) if t == degree]
-        lo, hi = min(at), max(at)
-        k = n + degree / g.q
-        moments[lo : hi + 1] = P[lo : hi + 1] @ (w * h ** (-k / d)) / k
-    return vol, 0.0, moments[live_rows], np.zeros(len(live)), len(w), None
+def _sphere_pass(g: GeneralizedPolynomial, budget: int, rows: np.ndarray):
+    """The spherical pass on kernel rows ``rows``: run(c, blocks) -> (volume, moment blocks).
 
-
-def _sphere_design(g: GeneralizedPolynomial, budget: int, coefficients, pullback):
-    """A solve's spherical trial oracle x -> (volume, gradient in x), or None.
-
-    P, the degree-d slice's monomials at the grid nodes, is computed once.  A
-    trial reads h = coefficients(x) @ P (monomial convention), the volume
-    w.h**(-n/d)/n and the moments P(w h**(-(n+d)/d))/(n+d); pullback maps
-    their gradient in g's stored coefficients to x.  None where the
-    spherical pass raises: h or an exact axis value is <= _GATE_TOLERANCE.
+    P, the monomials of rows at the nodes of the (n, budget) sphere grid, and
+    the mask of its pure-power rows are built once, so a solve's trials share
+    them.  run(c, blocks) reads h = c @ P[:len(c)], the restriction to the
+    sphere of the polynomial with monomial coefficients c on the leading
+    rows, and returns the volume w.h**(-n/d)/n and, per block (lo, hi, k),
+    the moments P[lo:hi] (w h**(-k/d)) / k of rows lo to hi, whose alphas
+    all have k = n + |alpha|.  It raises InfiniteVolumeError where h or an
+    exact axis value is <= _GATE_TOLERANCE.
     """
     n, d = g.n, g.degree_float
     dirs, w = _sphere_grid(n, budget)
-    basis = enumerate_indices(n, int(g.degree * g.q))
-    exponents = np.array(basis, dtype=np.intp)
-    P = monomials(g.lattice_base(dirs), exponents)
-    factor = gradient_vector(g, dict.fromkeys(basis, (1.0, 0.0)))  # per unit moment
+    P = monomials(g.lattice_base(dirs), rows)
+    pure = np.count_nonzero(rows, axis=1) == 1
 
-    def evaluate(x, seed):
-        c = coefficients(x)
-        h = c @ P
-        if min(h.min(), _axis_minimum(exponents, c)) <= _GATE_TOLERANCE:
-            return None
+    def run(c, blocks):
+        h = c @ P[: len(c)]
+        hmin = min(float(h.min()), _axis_minimum(c, pure[: len(c)], n))
+        if hmin <= _GATE_TOLERANCE:
+            raise InfiniteVolumeError(
+                f"sublevel set has infinite volume (sphere minimum {hmin:.6g})",
+                sphere_minimum=hmin,
+            )
         vol = np.dot(w, h ** (-n / d)) / n
-        return float(vol), pullback(factor * (P @ (w * h ** (-(n + d) / d)) / (n + d)))
+        return float(vol), [P[lo:hi] @ (w * h ** (-k / d)) / k for lo, hi, k in blocks]
 
-    return evaluate
+    return run
+
+
+def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
+    rows, live_rows = _kernel_rows(g, live)
+    # the alphas of one total degree share k and one contiguous block of kernel rows
+    at = {}
+    for r, alpha in zip(live_rows, live):
+        at.setdefault(sum(alpha), []).append(r)
+    blocks = [(min(rs), max(rs) + 1, g.n + t / g.q) for t, rs in at.items()]
+    vol, values = _sphere_pass(g, budget, rows)(g._coeffs, blocks)
+    moments = np.empty(len(rows))  # moments[r]: the moment of kernel row r, once its block is done
+    for (lo, hi, _), value in zip(blocks, values):
+        moments[lo:hi] = value
+    nodes = len(_sphere_grid(g.n, budget)[1])
+    return vol, 0.0, moments[live_rows], np.zeros(len(live)), nodes, None
 
 
 # -- Monte Carlo backend ------------------------------------------------------
@@ -483,15 +478,17 @@ _BACKENDS = {
 }
 
 
-def _check_seed(seed) -> int:
-    """seed as an int; a fractional or negative seed is rejected, not aliased to another stream."""
+def _check_integer(value, name: str, least: int) -> int:
+    """value as an int >= least; a bool or a fractional value is rejected, not aliased or truncated."""
     try:
-        value = operator.index(seed)
+        if isinstance(value, bool):
+            raise TypeError  # operator.index(True) is 1
+        out = operator.index(value)
     except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if value < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return value
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if out < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return out
 
 
 def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
@@ -503,10 +500,8 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
-    budget = DEFAULT_BUDGETS[backend] if budget is None else int(budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    seed = _check_seed(seed)
+    budget = DEFAULT_BUDGETS[backend] if budget is None else _check_integer(budget, "budget", 1)
+    seed = _check_integer(seed, "seed", 0)
     moments = {tuple(a): (0.0, 0.0) for a in alphas}
     live = [a for a in moments if any(a) and not _symmetry_zero(g, a)]
     vol, vol_err, values, errors, nodes, ess = _BACKENDS[backend](g, live, budget, seed)
@@ -595,23 +590,14 @@ def grad_volume(
     G; in the multinomial convention the chain rule through the stored
     coefficient multiplies by c_alpha.
     """
-    basis = enumerate_indices(g.n, int(g.degree * g.q))
+    total = int(g.degree * g.q)
+    basis = enumerate_indices(g.n, total)
     _, moments = _estimate(g, basis, backend, budget, seed)
-    return dict(zip(basis, gradient_vector(g, moments).tolist()))
-
-
-def gradient_vector(g: GeneralizedPolynomial, moments) -> np.ndarray:
-    """grad_volume at g as an array in the canonical order of the degree-d slice.
-
-    ``moments`` maps every alpha of that slice to (value, std_error), as the
-    entries of g's default MomentTable do, so a caller holding that table
-    takes the volume and the gradient from one pass.
-    """
-    basis = enumerate_indices(g.n, int(g.degree * g.q))
     factor = -(g.n + g.degree_float) / g.degree_float
     if g.convention == "multinomial":
-        factor = factor * _slice_weights(g.n, int(g.degree * g.q), g.q)
-    return factor * np.array([moments[a][0] for a in basis])
+        factor = factor * _slice_weights(g.n, total, g.q)
+    grad = factor * np.array([moments[a][0] for a in basis])
+    return dict(zip(basis, grad.tolist()))
 
 
 def moment_matrix(
@@ -696,8 +682,8 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
     was found; minima at exactly zero are reported as infeasible because
     the sublevel set is then unbounded along the minimizing direction.
     """
-    n, seed = g.n, _check_seed(seed)
-    smin = _axis_minimum(g._exponents, g._coeffs)
+    n, seed = g.n, _check_integer(seed, "seed", 0)
+    smin = _axis_minimum(g._coeffs, np.count_nonzero(g._exponents, axis=1) == 1, n)
     if n == 1:
         return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
     starts = list(np.eye(n))

@@ -64,6 +64,21 @@ class TestVolumeCommand:
         assert main(["volume", disk_file, "--seed", "-1"] + extra) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_coefficient_is_an_input_error(self, tmp_path, capsys, value):
+        # Python's json reads both; before the check, Infinity gave volume 0.0 with exit 0
+        path = tmp_path / "non-finite.json"
+        path.write_text(serialize_polynomial(DISK4).replace("2.0", value))
+        assert main(["volume", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_gram_entry_is_an_input_error(self, tmp_path, capsys, value):
+        path = tmp_path / "non-finite-gram.json"
+        path.write_text('{"n": 2, "d": 2, "Q": [[1, 0], [0, %s]]}' % value)
+        assert main(["certify", "p3", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2}')

@@ -78,10 +78,11 @@ class TestMultinomialCoefficient:
 
 
 class TestEvenSupport:
-    def test_counts_every_stored_term_including_zeros(self):
-        # a stored zero coefficient on an odd exponent still breaks the flip symmetry flag
+    def test_reads_only_the_nonzero_terms(self):
+        # a stored zero coefficient on an odd exponent leaves {g <= 1} flip symmetric
         g = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): 0.0})
-        assert not g.has_even_support()
+        assert g.has_even_support()
+        assert not GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (3, 1): 1e-300}).has_even_support()
         assert ld_polynomial(2, 4).has_even_support()
         assert GeneralizedPolynomial(2, 4, 1, {}).has_even_support()
 
@@ -277,6 +278,18 @@ class TestInvariantValidation:
     def test_multinomial_requires_unit_lattice(self):
         with pytest.raises(ValueError):
             GeneralizedPolynomial(2, Fraction(1, 2), 2, {(1, 0): 1.0}, convention="multinomial")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match=r"coefficient .* of exponent \(2, 2\) is not finite"):
+            GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): value, (0, 4): 1.0})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_gram_entry_rejected(self, value):
+        Q = np.eye(3)
+        Q[1, 1] = value
+        with pytest.raises(ValueError, match="not finite"):
+            GramForm(2, 4, Q)
 
 
 class TestNorms:

@@ -16,9 +16,11 @@ from ballrep import (
     SolveConfig,
     closed_form_ball_volume,
     coefficient_vector,
+    count_indices,
     enumerate_indices,
     finite_volume_test,
     from_coefficient_vector,
+    grad_volume,
     ld_polynomial,
     moment_table,
     multinomial_coefficient,
@@ -60,7 +62,7 @@ class TestScaleToTargetVolume:
 
 
 class TestSolveConfig:
-    @pytest.mark.parametrize("field", ["budget"])
+    @pytest.mark.parametrize("field", ["budget", "max_iters"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_rejects_non_positive_budgets(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
@@ -83,6 +85,20 @@ class TestSolveConfig:
     def test_rejects_fractional_seeds(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             SolveConfig(seed=seed)
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_iters", 2.5), ("max_iters", True), ("budget", 2048.7), ("budget", 2048.0),
+        ("budget", True), ("seed", True), ("seed", False),
+    ])
+    def test_rejects_bools_and_non_integers(self, field, value):
+        # max_iters=2.5 used to fail in range() mid-solve, budget=2048.7 to be
+        # truncated, and seed=True to read the stream of seed 1
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            SolveConfig(**{field: value})
+
+    def test_numpy_integers_stay_valid(self):
+        cfg = SolveConfig(max_iters=np.int64(3), budget=np.int32(512), seed=np.uint8(2))
+        assert (cfg.max_iters, cfg.budget, cfg.seed) == (3, 512, 2)
 
 
 class TestLatticeValidation:
@@ -297,6 +313,14 @@ def _euclidean_power(n, d):
 
 
 class TestSolveP2:
+    def test_lattice_start_converges_and_certifies(self):
+        # q > 1 has no closed-form optimum: the iteration starts at the projected B_d
+        res = solve_p2(2, Fraction(3, 2), q=2)
+        assert res.converged
+        assert len(res.iterations) == 8
+        assert res.certificate.passed
+        assert res.certificate.residuals["max_coefficient"] == pytest.approx(1.46e-4, rel=1e-2)
+
     def test_quadratic_matches_p1(self):
         res = solve_p2(2, 2)
         assert res.solution.terms[(2, 0)] == pytest.approx(1.0, abs=1e-6)
@@ -600,7 +624,7 @@ def _captured_oracle(monkeypatch, solve):
 
 
 def _reference_oracle(problem, n, d, q):
-    """make(x) and the pullback of the moment-table trial path."""
+    """make(x), and the chain rule from make(x)'s stored coefficients to x."""
     basis = enumerate_indices(n, int(Fraction(d) * q))
     if problem == "p3":
         index = sys.modules["ballrep.polynomials"]._hankel_layout(n, d // 2)[2]
@@ -613,15 +637,14 @@ def _reference_oracle(problem, n, d, q):
 
 
 def _reference_trial(problem, n, d, q, x, budget):
-    """(volume, gradient in x) from moment_table and gradient_vector, None if infinite."""
+    """(volume, gradient in x) from volume and grad_volume, None if infinite."""
     make, pullback = _reference_oracle(problem, n, d, q)
     poly = make(x)
     try:
-        table = moment_table(poly, budget=budget)
+        vol, grad = volume(poly, budget=budget).value, grad_volume(poly, budget=budget)
     except InfiniteVolumeError:
         return None
-    grad = sys.modules["ballrep.volume"].gradient_vector(poly, table.entries)
-    return table.normalization.value, pullback(grad)
+    return vol, pullback(np.array(list(grad.values())))
 
 
 DESIGN_CASES = [("p1", 2, 4, 1), ("p1", 3, 4, 1), ("p1", 3, 6, 1),
@@ -629,7 +652,7 @@ DESIGN_CASES = [("p1", 2, 4, 1), ("p1", 3, 4, 1), ("p1", 3, 6, 1),
 
 
 class TestSphereDesign:
-    """The spherical trial oracle's two products with P against the moment-table path."""
+    """The descent's trial oracle against volume and grad_volume at the same point."""
 
     @staticmethod
     def _oracle(monkeypatch, problem, n, d, q, cfg):
@@ -671,6 +694,34 @@ class TestSphereDesign:
         _, evaluate, _ = self._oracle(monkeypatch, problem, n, d, q, cfg)
         assert _reference_trial(problem, n, d, q, x, cfg.budget) is None
         assert evaluate(x, cfg.seed) is None
+
+    def test_none_where_the_monte_carlo_pass_raises(self, monkeypatch):
+        # -1000 (x1**4 + x2**4): every importance weight exp(1001 sum |x_i|**4)
+        # beyond sum |x_i|**4 ~ 0.71 overflows, so the trial's table raises
+        cfg = SolveConfig(backend="monte_carlo", budget=2000)
+        _, evaluate, _ = self._oracle(monkeypatch, "p1", 2, 4, 1, cfg)
+        x = np.array([-1000.0, 0.0, 0.0, 0.0, -1000.0])
+        with pytest.raises(InfiniteVolumeError):
+            moment_table(GeneralizedPolynomial(2, 4, 1, {(4, 0): -1000.0, (0, 4): -1000.0}),
+                         backend=cfg.backend, budget=cfg.budget, seed=cfg.seed)
+        assert evaluate(x, cfg.seed) is None
+
+
+@pytest.mark.parametrize("problem,n,d,q", [
+    ("p1", 3, 6, 1), ("p1", 3, Fraction(1, 2), 4), ("p2", 3, 6, 1), ("p2", 2, Fraction(3, 2), 2),
+    ("p3", 3, 6, 1),
+], ids=lambda v: str(v))
+def test_pullback_is_the_adjoint_of_coefficients(monkeypatch, problem, n, d, q):
+    # the descent maps the volume gradient in the monomial coefficients to
+    # the solver coordinates by pullback: <coefficients(x), y> = <x, pullback(y)>
+    monkeypatch.setattr(sys.modules["ballrep.solvers"], "_descend", lambda *args, **kw: kw)
+    kw = solve_p3(n, d) if problem == "p3" else (solve_p1 if problem == "p1" else solve_p2)(n, d, q=q)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = rng.normal(size=np.shape(kw["default_start"]))
+        y = rng.normal(size=count_indices(n, int(Fraction(d) * q)))
+        left, right = np.vdot(kw["coefficients"](x), y), np.vdot(x, kw["pullback"](y))
+        assert left == pytest.approx(right, rel=1e-13, abs=1e-13)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_solves.json").read_text())
@@ -825,6 +876,25 @@ class TestOnePassPerTrial:
         assert kernel_calls[0] == size
         assert len(kernel_calls) == 1 + len(passes)
         assert res.volume == pytest.approx(closed_form_ball_volume(n, d), rel=1e-12)
+
+    @pytest.mark.parametrize("solve", [solve_p1, solve_p2], ids=["p1", "p2"])
+    def test_certificate_pass_skips_the_odd_moments(self, monkeypatch, solve):
+        # the solution stores its odd slice terms as exact zeros; they leave
+        # {g <= 1} flip symmetric, so only the 10 all-even alphas of the 28 in
+        # the degree-6 slice reach the backend
+        volume_module = sys.modules["ballrep.volume"]
+        real = volume_module._BACKENDS["spherical"]
+        handed = []
+
+        def counting(g, live, budget, seed):
+            handed.append(len(live))
+            return real(g, live, budget, seed)
+
+        monkeypatch.setitem(volume_module._BACKENDS, "spherical", counting)
+        res = solve(3, 6)
+        assert res.converged and res.certificate.passed
+        assert len(res.solution.terms) == 28
+        assert handed == [10]
 
     def test_p3_descent_needs_no_moment_matrix(self, monkeypatch):
         # the trials take their gradient from the design matrix and the

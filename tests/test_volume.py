@@ -247,7 +247,7 @@ class TestEulerIdentity:
 
 
 class TestNegativeSeeds:
-    """A negative or fractional seed is an input error, not an alias of another stream."""
+    """A negative, fractional or bool seed is an input error, not an alias of another stream."""
 
     @pytest.mark.parametrize("backend", ["spherical", "monte_carlo", "grid_oracle"])
     def test_every_pass_rejects_it(self, backend):
@@ -272,6 +272,26 @@ class TestNegativeSeeds:
             moment_table(g, backend=backend, budget=5000, seed=2.0)
         with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
             finite_volume_test(ld_polynomial(4, 4), seed=2.7)
+
+    @pytest.mark.parametrize("backend", ["spherical", "monte_carlo", "grid_oracle"])
+    def test_every_pass_rejects_a_bool_seed(self, backend):
+        # operator.index(True) is 1, so seed=True would read the stream of seed 1
+        g = ld_polynomial(2, 4)
+        with pytest.raises(ValueError, match="seed must be an integer, got True"):
+            volume(g, backend, 5000, seed=True)
+        with pytest.raises(ValueError, match="seed must be an integer, got False"):
+            moment_table(g, backend=backend, budget=5000, seed=False)
+        with pytest.raises(ValueError, match="seed must be an integer, got True"):
+            finite_volume_test(ld_polynomial(4, 4), seed=True)
+
+    @pytest.mark.parametrize("backend", ["spherical", "monte_carlo", "grid_oracle"])
+    def test_every_pass_rejects_a_fractional_or_bool_budget(self, backend):
+        # int(2048.7) would run a pass at budget 2048
+        g = ld_polynomial(2, 4)
+        with pytest.raises(ValueError, match="budget must be an integer, got 2048.7"):
+            volume(g, backend, 2048.7)
+        with pytest.raises(ValueError, match="budget must be an integer, got True"):
+            moment_table(g, backend=backend, budget=True)
 
     def test_numpy_integers_stay_valid(self):
         # the disk, not B_4: on B_4 every importance weight is 1 at any seed
@@ -681,6 +701,13 @@ def _hidden_direction_form(n, c):
 
 
 class TestFeasibilityGate:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_dimension_reads_the_axis(self, sign):
+        # n = 1: the sphere is the two axis points, where g is its one coefficient
+        verdict = finite_volume_test(GeneralizedPolynomial(1, 4, 1, {(4,): sign}), seed=0)
+        assert verdict.finite_volume == (sign > 0)
+        assert verdict.sphere_minimum == sign
+
     def test_shifted_random_sextics_classified(self):
         sphere = _sphere_power(3, 6)
         rng = np.random.default_rng(2024)
