@@ -29,12 +29,14 @@ passes only its geometry and its iteration.  The monomial coefficients of
 the degree-d slice are linear in the solver coordinates: the coefficients
 themselves for p1, whitened coefficients for p2, the Gram matrix Q for p3.
 A trial reads its volume and the slice's moments m from one run of the
-solve's spherical pass, whose design matrix is built once, or on the other
-backends from one moment table; its gradient in the solver coordinates is
-pullback(-(n + d)/d m), pullback being the adjoint of that linear map.
-Every pass of a solve uses the same seed, so the Monte Carlo line search
-compares like with like.  The objective is the problem's norm of the
-normalized solver coordinates, as in the trace.
+solve's radial pass, whose design matrix is built once, on the sphere grid
+or on the Monte Carlo cone nodes of the solve's seed, or on the grid oracle
+from one moment table; its gradient in the solver coordinates is
+pullback(-(n + d)/d m), pullback being the adjoint of that linear map.  So
+a Monte Carlo solve minimizes one sample-average volume, deterministic
+given its seed, and every trial of its line search reads the same nodes.
+The objective is the problem's norm of the normalized solver coordinates,
+as in the trace.
 Default starts are feasible by construction, so no default solve calls the
 feasibility gate and a spherical solve does not depend on its seed; only a
 caller's start, outside input, is gated.
@@ -64,10 +66,13 @@ from .polynomials import (
 )
 from .projections import project_l1_ball, project_psd_trace
 from .volume import (
+    MONTE_CARLO,
     SPHERICAL,
     InfiniteVolumeError,
     _check_integer,
+    _cone_nodes,
     _finite_or_raise,
+    _sphere_grid,
     _sphere_pass,
     closed_form_ball_volume,
     finite_volume_test,
@@ -96,13 +101,14 @@ class SolveConfig:
     A solve stops after max_iters iterations, or earlier: p1 and p3 when a
     projected step no longer moves or the volume's relative change stays
     within 1e-10 for three accepted steps in a row, p2 once |T(u) - u|_inf
-    <= 1e-14 (1 + |u|_inf).  Each descent pass of ``backend`` uses budget
-    (spherical: the grid of the solve's design matrix); one pass at 4 *
-    budget gives the final rescaling and the certificate's moments, and the
-    check uses cert_tol, finite and >= 0.  max_iters and budget are integers
-    >= 1 and seed one >= 0 (a float or a bool is rejected, as in every
-    estimator pass); seed is read only by Monte Carlo and grid passes and,
-    for n >= 4, the gate on a given start.
+    <= 1e-14 (1 + |u|_inf).  The descent's ``backend`` nodes number
+    budget (spherical: the grid of the solve's design matrix; Monte Carlo:
+    the cone nodes of seed, drawn once per solve); one pass at 4 * budget
+    gives the final rescaling and the certificate's moments, and the check
+    uses cert_tol, finite and >= 0.  max_iters and budget are integers >= 1
+    and seed one >= 0 (a float or a bool is rejected, as in every estimator
+    pass); seed is read only by Monte Carlo and grid passes and, for n >= 4,
+    the gate on a given start.
     """
 
     max_iters: int = 400
@@ -180,10 +186,9 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     s.s / s.y (Barzilai & Borwein 1988) when s.y > 0; if it is rejected, or
     there is none, the trials are min(_INITIAL_STEP, 2 t) for the last
     accepted step t, halved after each rejection.  Every pass uses
-    cfg.seed, so a Monte Carlo Armijo test compares f(z) and f(x) on the
-    same samples (common random numbers); the deterministic backends ignore
-    the seed.  Returns the final state, the iteration trace and the
-    convergence flag.
+    cfg.seed; a spherical or Monte Carlo ``evaluate`` reads one fixed set of
+    nodes, so the Armijo test compares f(z) and f(x) on the same nodes.
+    Returns the final state, the iteration trace and the convergence flag.
     """
     x = state0
     start = evaluate(x, cfg.seed)
@@ -297,9 +302,11 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     basis = enumerate_indices(n, int(d * q))
     factor = -(n + float(d)) / float(d)  # the volume gradient over the slice's moments
     block = [(0, len(basis), n + float(d))]  # the whole slice, at k = n + d
-    run = None
-    if cfg.backend == SPHERICAL:  # P of the degree-d slice, built once for every trial
-        run = _sphere_pass(polynomial(make(x0)), cfg.budget, np.array(basis, dtype=np.intp))
+    run = None  # the grid oracle reads one moment table per trial
+    if cfg.backend in (SPHERICAL, MONTE_CARLO):  # P of the slice, built once for every trial
+        nodes = (_sphere_grid(n, cfg.budget) if cfg.backend == SPHERICAL
+                 else _cone_nodes(n, float(d), cfg.budget, cfg.seed))
+        run = _sphere_pass(polynomial(make(x0)), *nodes, np.array(basis, dtype=np.intp))
 
     def evaluate(x, seed):
         try:
@@ -317,7 +324,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         return norm(x * (vol / rho) ** (float(d) / n))
 
     x, trace, converged = iterate(x0, evaluate, project, report, cfg)
-    del evaluate, run  # frees the spherical pass's P before the certificate-budget pass
+    del evaluate, run  # frees the descent pass's P before the certificate-budget pass
     solution = make(x)
     table = moment_table(polynomial(solution), backend=cfg.backend,
                          budget=cfg.certificate_budget, seed=cfg.seed)

@@ -1,25 +1,23 @@
 """Volumes and moments of polynomial sublevel sets G = {x : g(x) <= 1}.
 
-For a positively homogeneous g of degree d the Lebesgue volume and the
-moments of G have two equivalent expressions that the backends exploit:
-
-* an exponential integral over all of R^n,
-      integral_G x^alpha dx
-        = Gamma(1 + (n + |alpha|)/d)^-1 * integral x^alpha exp(-g(x)) dx,
-  which drives the importance-sampling backend, and
-* a radial reduction over the unit sphere,
+For a positively homogeneous g of degree d every answer comes from one
+radial reduction: for any star-shaped sphere S about the origin with its
+cone measure sigma,
       integral_G x^alpha dx
         = (n + |alpha|)^-1 * integral_S theta^alpha h(theta)^-(n+|alpha|)/d dsigma,
-  with h the restriction of g to the sphere, which drives the deterministic
-  spherical backend (periodic trapezoid for n = 2, product Gauss-Legendre
-  for n = 3).  Sphere grids are cached read-only per (n, budget).  One
-  function, _sphere_pass, makes one monomial kernel call P; each run reads h
-  from its leading rows and the moments sharing k = n + |alpha| from one
-  contiguous block of rows against one radial weight w * h**(-k/d).  A
-  query's rows are g's own exponents, then the requested alphas they miss,
-  so the volume and the degree-d moments (and with them the volume
-  gradient) come from the same pass; a solve's spherical descent runs one
-  pass on the degree-d slice at every trial.
+with h the restriction of g to S.  The deterministic spherical backend
+takes S the unit sphere and a quadrature rule on it (periodic trapezoid for
+n = 2, product Gauss-Legendre for n = 3), cached read-only per (n, budget);
+Monte Carlo takes S the unit l_d sphere and random nodes of its cone
+measure, of total n vol(B_d), so on B_d itself h = 1 at every node.  One
+function, _sphere_pass, makes one monomial kernel call P at given nodes and
+weights; _radial reads h from its leading rows, rejects infinite volume and
+gives the radial factors, and the moments sharing k = n + |alpha| come from
+one contiguous block of rows against one radial weight w * h**(-k/d).  A
+query's rows are g's own exponents, then the requested alphas they miss,
+so the volume and the degree-d moments (and with them the volume
+gradient) come from the same pass; a solve's spherical or Monte Carlo
+descent builds one pass on the degree-d slice and runs it at every trial.
 Every backend lays out its kernel rows the same way.  The spherical pass
 makes one kernel call; Monte Carlo and the grid oracle make one per block of
 at most _BLOCK points (the grid's blocks are whole slices, at least one),
@@ -37,7 +35,8 @@ A slow grid indicator oracle provides an independent cross-check.  All
 estimates carry a standard error: zero for the spherical backend,
 statistical for Monte Carlo, and a boundary-cell bound for the grid.
 Infinite volume has one tolerance, _GATE_TOLERANCE: the feasibility gate and
-the spherical pass reject a sphere minimum, exact axes included, at or below it.
+both radial backends reject a minimum of g over their nodes, exact axes
+included, at or below it.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class InfiniteVolumeError(ValueError):
 
 
 class EffectiveSampleSizeWarning(UserWarning):
-    """Importance weights are heavy-tailed; the input is near infeasibility."""
+    """Monte Carlo's radial weights h**(-n/d) are heavy-tailed; the input is near infeasibility."""
 
 
 @dataclass(frozen=True)
@@ -154,37 +153,38 @@ class MomentMatrix:
 # -- closed forms -------------------------------------------------------------
 
 
-def closed_form_ball_volume(n: int, d) -> float:
-    """Volume of {x : sum |x_i|**d <= 1}: 2^n Gamma(1/d)^n / (n d^(n-1) Gamma(n/d))."""
+def _ball_moment(n: int, d, alpha, q: int = 1) -> float:
+    """integral over B_d of prod |x_i|**(alpha_i / q), by Dirichlet's formula
+
+    2^n prod Gamma((a_i + 1)/d) / (d^n Gamma(1 + (n + |a|)/d)), a = alpha / q.
+    """
     d = float(Fraction(d)) if not isinstance(d, float) else d
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not d > 0:
         raise ValueError(f"degree must be positive, got {d}")
-    log_vol = (
-        n * math.log(2.0)
-        + n * math.lgamma(1.0 / d)
-        - math.log(n)
-        - (n - 1) * math.log(d)
-        - math.lgamma(n / d)
+    a = [float(ai) / q for ai in alpha]
+    log_value = (
+        n * math.log(2.0 / d)
+        + sum(math.lgamma((ai + 1.0) / d) for ai in a)
+        - math.lgamma(1.0 + (n + sum(a)) / d)
     )
-    if log_vol > 709.0:
+    if not -745.0 <= log_value <= 709.0:
         raise OverflowError(
-            f"ball volume overflows double precision for n={n}, d={d} "
-            f"(log volume {log_vol:.1f})"
+            f"closed form {'overflows' if log_value > 0 else 'underflows'} double "
+            f"precision for n={n}, d={d} (log value {log_value:.1f})"
         )
-    if log_vol < -745.0:
-        raise OverflowError(
-            f"ball volume underflows double precision for n={n}, d={d} "
-            f"(log volume {log_vol:.1f})"
-        )
-    return math.exp(log_vol)
+    return math.exp(log_value)
+
+
+def closed_form_ball_volume(n: int, d) -> float:
+    """Volume of {x : sum |x_i|**d <= 1}: 2^n Gamma(1/d)^n / (d^n Gamma(1 + n/d))."""
+    return _ball_moment(n, d, [0] * n)
 
 
 def closed_form_ball_moment(n: int, d) -> float:
     """integral over the d-ball of |x_i|**d, for any axis i: its volume / (n + d)."""
-    d = float(Fraction(d)) if not isinstance(d, float) else d
-    return closed_form_ball_volume(n, d) / (n + d)
+    return _ball_moment(n, d, [float(Fraction(d))] + [0.0] * (n - 1))
 
 
 # -- symmetry zeros -----------------------------------------------------------
@@ -264,33 +264,42 @@ def _axis_minimum(coeffs: np.ndarray, pure: np.ndarray, n: int) -> float:
     return float(values.min(initial=np.inf if len(values) == n else 0.0))
 
 
-def _sphere_pass(g: GeneralizedPolynomial, budget: int, rows: np.ndarray):
-    """The spherical pass on kernel rows ``rows``: run(c, blocks) -> (volume, moment blocks).
+def _radial(c, P, pure, n: int, d: float, ks):
+    """The radial factors h**(-k/d) at P's nodes, one array per k of ks.
 
-    P, the monomials of rows at the nodes of the (n, budget) sphere grid, and
-    the mask of its pure-power rows are built once, so a solve's trials share
-    them.  run(c, blocks) reads h = c @ P[:len(c)], the restriction to the
-    sphere of the polynomial with monomial coefficients c on the leading
-    rows, and returns the volume w.h**(-n/d)/n and, per block (lo, hi, k),
-    the moments P[lo:hi] (w h**(-k/d)) / k of rows lo to hi, whose alphas
-    all have k = n + |alpha|.  It raises InfiniteVolumeError where h or an
-    exact axis value is <= _GATE_TOLERANCE.
+    h = c @ P[:len(c)] is g at the nodes, for the monomial coefficients c on
+    P's leading rows; where h or an exact axis value (pure marks P's
+    pure-power rows) is <= _GATE_TOLERANCE, it raises InfiniteVolumeError.
+    A node of weight w adds w h**(-k/d) / k times its monomial to every
+    moment of k = n + |alpha|, the volume's k being n.
+    """
+    h = c @ P[: len(c)]
+    hmin = min(float(h.min()), _axis_minimum(c, pure[: len(c)], n))
+    if hmin <= _GATE_TOLERANCE:
+        raise InfiniteVolumeError(
+            f"sublevel set has infinite volume (sphere minimum {hmin:.6g})",
+            sphere_minimum=hmin,
+        )
+    return [h ** (-k / d) for k in ks]
+
+
+def _sphere_pass(g: GeneralizedPolynomial, dirs: np.ndarray, w: np.ndarray, rows: np.ndarray):
+    """The radial formula at nodes ``dirs`` of weights ``w``: run(c, blocks) -> (volume, moments).
+
+    P, the monomials of rows at the nodes, and the mask of its pure-power
+    rows are built once, so a solve's trials share them.  run(c, blocks)
+    reads _radial's factors for c and returns the volume w.h**(-n/d)/n and,
+    per block (lo, hi, k), the moments P[lo:hi] (w h**(-k/d)) / k of rows lo
+    to hi, whose alphas all have k = n + |alpha|.
     """
     n, d = g.n, g.degree_float
-    dirs, w = _sphere_grid(n, budget)
     P = monomials(g.lattice_base(dirs), rows)
     pure = np.count_nonzero(rows, axis=1) == 1
 
     def run(c, blocks):
-        h = c @ P[: len(c)]
-        hmin = min(float(h.min()), _axis_minimum(c, pure[: len(c)], n))
-        if hmin <= _GATE_TOLERANCE:
-            raise InfiniteVolumeError(
-                f"sublevel set has infinite volume (sphere minimum {hmin:.6g})",
-                sphere_minimum=hmin,
-            )
-        vol = np.dot(w, h ** (-n / d)) / n
-        return float(vol), [P[lo:hi] @ (w * h ** (-k / d)) / k for lo, hi, k in blocks]
+        radial, *factors = _radial(c, P, pure, n, d, [n] + [k for _, _, k in blocks])
+        vol = np.dot(w, radial) / n
+        return float(vol), [P[lo:hi] @ (w * f) / k for (lo, hi, k), f in zip(blocks, factors)]
 
     return run
 
@@ -302,91 +311,73 @@ def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     for r, alpha in zip(live_rows, live):
         at.setdefault(sum(alpha), []).append(r)
     blocks = [(min(rs), max(rs) + 1, g.n + t / g.q) for t, rs in at.items()]
-    vol, values = _sphere_pass(g, budget, rows)(g._coeffs, blocks)
+    dirs, w = _sphere_grid(g.n, budget)
+    vol, values = _sphere_pass(g, dirs, w, rows)(g._coeffs, blocks)
     moments = np.empty(len(rows))  # moments[r]: the moment of kernel row r, once its block is done
     for (lo, hi, _), value in zip(blocks, values):
         moments[lo:hi] = value
-    nodes = len(_sphere_grid(g.n, budget)[1])
-    return vol, 0.0, moments[live_rows], np.zeros(len(live)), nodes, None
+    return vol, 0.0, moments[live_rows], np.zeros(len(live)), len(w), None
 
 
 # -- Monte Carlo backend ------------------------------------------------------
 
 
-def _reference_ratio_minimum(g: GeneralizedPolynomial, seed: int) -> float:
-    """Seeded probe of min over directions of g / sum |x_i|^d.
+def _cone_nodes(n: int, d: float, budget: int, seed: int):
+    """budget random nodes of the cone measure on the l_d unit sphere, and their equal weights.
 
-    Both functions are positively homogeneous of the same degree, so the
-    ratio is constant along rays and can be evaluated at raw samples; axis
-    and diagonal directions (where cross terms bite) are always included.
+    |x_i|^d = t_i ~ Gamma(1/d) with random signs, in streams of _MC_BATCH
+    samples each, default_rng([seed, b]) for batch b, so the nodes depend
+    only on (seed, budget).  theta = x / (sum_i t_i)**(1/d) then follows
+    the cone measure of B_d, whose total is n vol(B_d); every node weighs
+    n vol(B_d) / budget.
     """
-    n, d = g.n, g.degree_float
-    rng = np.random.default_rng([seed, 131071])
-    t = rng.gamma(1.0 / d, 1.0, size=(4096, n))
-    x = t ** (1.0 / d) * (rng.integers(0, 2, size=(4096, n)) * 2 - 1)
-    ratios = np.asarray(g.evaluate(x), dtype=float) / t.sum(axis=1)
-    probes = np.vstack([np.ones(n), -np.ones(n), np.eye(n), -np.eye(n)])
-    ratios = np.append(ratios, g.evaluate(probes) / np.sum(np.abs(probes) ** d, axis=1))
-    return float(ratios.min())
+    dirs = np.empty((budget, n))
+    for b, lo in enumerate(range(0, budget, _MC_BATCH)):
+        size = min(_MC_BATCH, budget - lo)
+        rng = np.random.default_rng([seed, b])
+        t = rng.gamma(1.0 / d, 1.0, size=(size, n))
+        theta = dirs[lo : lo + size]
+        # t @ ones sums a row in a fraction of the time of t.sum(axis=1)
+        np.power(t / (t @ np.ones(n))[:, None], 1.0 / d, out=theta)
+        theta *= rng.integers(0, 2, size=(size, n)) * 2 - 1
+    return dirs, np.full(budget, n * closed_form_ball_volume(n, d) / budget)
 
 
 def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
-    """Importance sampling with reference density proportional to exp(-sum |x_i|^d).
+    """The spherical pass's radial formula on random nodes, _cone_nodes(n, d, budget, seed).
 
-    Coordinates are drawn via |x_i|^d ~ Gamma(1/d) with random signs.  The
-    streams are _MC_BATCH samples each, one per batch index, so the samples
-    depend only on (seed, budget); the kernel, the weights and the sums run
-    over _BLOCK-sample chunks of a batch, which changes results only at
-    round-off, through the summation order.
-
-    The reference only dominates exp(-2g) when g is at least about half of
-    sum |x_i|^d in every direction; otherwise the weights are heavy-tailed
-    and the plain estimator has infinite variance.  In that case the
-    estimator is applied to the rescaled input tau * g and mapped back
-    exactly through homogeneity, f(g) = tau**(n/d) f(tau g), which keeps
-    the reference family fixed while taming the weights.  Where even that
-    leaves a weight, a squared weight or a squared weighted moment (or a
-    sum of them) beyond the float range, no estimate or standard error is
-    left to report, and the pass raises InfiniteVolumeError.
+    As in _sphere_pass, an answer is the sum over the nodes of w h**(-k/d) / k
+    times the node's monomial; the weights are equal, so it is budget times
+    the mean of those terms, and its standard error comes from their second
+    moments.
+    The kernel, the radial factors and the sums run over _BLOCK-node chunks,
+    which changes results only at round-off, through the summation order;
+    the sums are centred at the first chunk's means, so the variance does
+    not cancel away (on B_d, where h = 1 at every node, it is round-off).
+    A node where g is <= _GATE_TOLERANCE counts as infinite volume, as in
+    the spherical pass, and raises.  The ESS is that of the volume's
+    weights h**(-n/d); below 1% of the budget it warns.
     """
     n, d = g.n, g.degree_float
-    ratio_min = _reference_ratio_minimum(g, seed)
-    tau = 1.0
-    if 0.0 < ratio_min < 0.75:
-        tau = min(0.75 / ratio_min, 1e6)
-        g = g.rescale(tau)
-    log_zref = n * (math.log(2.0) + math.lgamma(1.0 + 1.0 / d))
-    # row 0 sums the weights themselves, for the volume; row 1 + i sums live[i]
-    sums = np.zeros(len(live) + 1)
-    sums2 = np.zeros(len(live) + 1)
     rows, live_rows = _kernel_rows(g, live)
-    n_batches = (budget + _MC_BATCH - 1) // _MC_BATCH
-    for b in range(n_batches):
-        size = min(_MC_BATCH, budget - b * _MC_BATCH)
-        rng = np.random.default_rng([seed, b])
-        t = rng.gamma(1.0 / d, 1.0, size=(size, n))
-        x = t ** (1.0 / d)
-        x *= rng.integers(0, 2, size=(size, n)) * 2 - 1
-        for lo in range(0, size, _BLOCK):
-            P = monomials(g.lattice_base(x[lo : lo + _BLOCK]), rows)
-            excess = g._coeffs @ P[: len(g._exponents)] - t[lo : lo + _BLOCK].sum(axis=1)
-            # an overflowing weight, square or sum leaves an inf or nan in sums2
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = np.exp(-excess)
-                sums[0] += w.sum()
-                sums2[0] += (w * w).sum()
-                fw = P[live_rows]
-                fw *= w
-                sums[1:] += fw.sum(axis=1)
-                fw *= fw
-                sums2[1:] += fw.sum(axis=1)
-            if not np.isfinite(sums2).all():
-                raise InfiniteVolumeError(
-                    "importance weights overflow: the integrand exp(-g) is not "
-                    "dominated by the axis-power reference density"
-                )
-    # sums[0]**2 <= budget * sums2[0] may overflow; this order cannot
-    ess = float(sums[0] * (sums[0] / sums2[0])) if sums2[0] > 0 else 0.0
+    pure = np.count_nonzero(rows, axis=1) == 1
+    # sample row 0 is the volume's, row 1 + i that of live[i]
+    ks, k_of = np.unique([n] + [n + sum(a) / g.q for a in live], return_inverse=True)
+    dirs, w = _cone_nodes(n, d, budget, seed)
+    sums = sums2 = 0.0
+    for lo in range(0, budget, _BLOCK):
+        P = monomials(g.lattice_base(dirs[lo : lo + _BLOCK]), rows)
+        samples = np.array(_radial(g._coeffs, P, pure, n, d, ks))[k_of]
+        samples[1:] *= P[live_rows]
+        if lo == 0:
+            centre = samples.mean(axis=1)
+        samples -= centre[:, None]
+        sums = sums + samples.sum(axis=1)
+        sums2 = sums2 + np.einsum("ij,ij->i", samples, samples)
+    mean = sums / budget
+    var = np.maximum(0.0, sums2 / budget - mean * mean)
+    mean += centre
+    ess = budget / (1.0 + var[0] / mean[0] ** 2)
     if ess < 0.01 * budget:
         warnings.warn(
             f"effective sample size {ess:.1f} below 1% of budget {budget}; "
@@ -394,14 +385,9 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
             EffectiveSampleSizeWarning,
             stacklevel=3,
         )
-    mean = sums / budget
-    se = np.sqrt(np.maximum(0.0, sums2 / budget - mean * mean) / max(1, budget - 1))
-    # map the tempered estimates back through f(g) = tau**(k/d) f(tau g), with
-    # k = n for the volume and k = n + |alpha| for each moment
-    ks = [n] + [n + sum(a) / g.q for a in live]
-    c = np.array([math.exp(log_zref - math.lgamma(1.0 + k / d)) * tau ** (k / d) for k in ks])
-    value, err = c * mean, c * se
-    return value[0], err[0], value[1:], err[1:], budget, ess
+    scale = w.sum() / ks[k_of]
+    value, err = scale * mean, scale * np.sqrt(var / max(1, budget - 1))
+    return value[0], err[0], value[1:], err[1:], budget, float(ess)
 
 
 # -- grid oracle --------------------------------------------------------------

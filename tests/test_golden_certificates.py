@@ -81,9 +81,11 @@ class TestGoldenCertificates:
     """Verdicts, residuals and duals against tests/data/golden_certificates.json.
 
     The file was recorded at commit b1b0e33, before the certificates moved to
-    array arithmetic.  In both Monte Carlo cases a residual exceeds the
-    tolerance 1e-2 and only the propagated moment errors let them pass, so
-    their verdicts also pin the error propagation.  The p1q entry follows
+    array arithmetic.  The two Monte Carlo cases were re-recorded when Monte
+    Carlo moved to the radial formula on cone-measure nodes: their largest
+    residuals fell from 0.0139 to 0.00093 (p1) and from 0.0374 to 0.0054
+    (p2), below the tolerance 1e-2, so their verdicts no longer hinge on the
+    propagated moment errors.  The p1q entry follows
     the solver and was re-recorded whenever its solution moved, last when
     the descent began with Barzilai-Borwein trials (objective 3.0155282 ->
     3.0155284, still failing at support stationarity 0.0272).

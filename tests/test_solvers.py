@@ -562,27 +562,57 @@ class TestStochasticBackendSolve:
         assert res.certificate.passed
         assert res.objective == pytest.approx(8.0 / 3.0, rel=1e-2)
 
-    def test_line_search_compares_on_common_samples(self, monkeypatch):
-        # with one seed per solve, f(z) and f(x) share their samples, so few
-        # trials are rejected: on average at most one per accepted step, plus
-        # the passes of the start and the certificate (which also rescales);
-        # the bound keeps a third pass, the separate rescale of older solves
-        volume_module = sys.modules["ballrep.volume"]
-        passes = []
-        real_estimate = volume_module._estimate
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+    def test_quartics_in_four_variables(self, problem, seed):
+        # n = 4 has no sphere grid: only the cone nodes reach it
+        cfg = SolveConfig(backend="monte_carlo", budget=20_000, seed=seed)
+        res = {"p1": solve_p1, "p2": solve_p2, "p3": solve_p3}[problem](4, 4, config=cfg)
+        assert res.converged
+        assert res.certificate.passed
+        if problem == "p1":
+            assert res.objective == pytest.approx(4.0, rel=cfg.cert_tol)
 
-        def counting_estimate(g, alphas, backend, budget, seed):
-            passes.append(budget)
-            return real_estimate(g, alphas, backend, budget, seed)
+    def test_monte_carlo_descent_builds_one_pass(self, monkeypatch):
+        # the descent draws its cone nodes and builds P once, so every trial
+        # is a product with P on the same nodes: no estimator pass, no redraw;
+        # and so its trial count does not hinge on the last bits of the step,
+        # here the BB step s.s / s.y against move**2 / s.y
+        solvers = sys.modules["ballrep.solvers"]
+        built = []
+        for name in ("_cone_nodes", "_sphere_pass"):
+            def counted(*args, real=getattr(solvers, name), name=name):
+                built.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(volume_module, "_estimate", counting_estimate)
+            monkeypatch.setattr(solvers, name, counted)
+        passes, per_call = _count_oracle_work(monkeypatch, [])
         for seed in (1, 2, 3):
-            passes.clear()
             cfg = SolveConfig(backend="monte_carlo", budget=60_000, seed=seed)
-            res = solve_p1(2, 4, config=cfg)
-            steps = len(res.iterations) - 1
-            assert steps >= 1, seed
-            assert len(passes) <= 2 * steps + 3, seed
+            trials = []
+            for numpy in (np, _RoundedSquares()):
+                monkeypatch.setattr(solvers, "np", numpy)
+                for log in (built, passes, per_call):
+                    log.clear()
+                res = solve_p1(2, 4, config=cfg)
+                assert res.converged and res.certificate.passed, seed
+                assert built == ["_cone_nodes", "_sphere_pass"], seed
+                assert per_call == [(0,)] * len(per_call), seed
+                assert passes == [cfg.certificate_budget], seed
+                trials.append(len(per_call))
+            assert trials[0] == trials[1], seed
+
+
+class _RoundedSquares:
+    """numpy, but vdot(s, s) rounded through its square root, as move**2 is."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def vdot(a, b):
+        out = np.vdot(a, b)
+        return np.sqrt(out.real) ** 2 if a is b else out
 
 
 class TestSeedRobustness:
@@ -696,8 +726,8 @@ class TestSphereDesign:
         assert evaluate(x, cfg.seed) is None
 
     def test_none_where_the_monte_carlo_pass_raises(self, monkeypatch):
-        # -1000 (x1**4 + x2**4): every importance weight exp(1001 sum |x_i|**4)
-        # beyond sum |x_i|**4 ~ 0.71 overflows, so the trial's table raises
+        # -1000 (x1**4 + x2**4) is negative at every cone node, so the
+        # trial's table and the descent's pass raise alike
         cfg = SolveConfig(backend="monte_carlo", budget=2000)
         _, evaluate, _ = self._oracle(monkeypatch, "p1", 2, 4, 1, cfg)
         x = np.array([-1000.0, 0.0, 0.0, 0.0, -1000.0])
@@ -825,11 +855,12 @@ def _count_kernel_calls(monkeypatch):
 
 class TestOnePassPerTrial:
     def test_p2_pays_one_estimator_pass_per_oracle_call(self, monkeypatch):
-        # off the spherical backend every trial reads one moment table
+        # on the grid oracle every trial reads one moment table (its answers
+        # are piecewise constant, so p2 never meets its stop rule there)
         passes, per_call = _count_oracle_work(monkeypatch, [])
-        cfg = SolveConfig(backend="monte_carlo", budget=5000, seed=0)
+        cfg = SolveConfig(backend="grid_oracle", budget=4096, seed=0, max_iters=5)
         res = solve_p2(2, 4, config=cfg)
-        assert res.converged
+        assert res.certificate.passed
         # one call per iterate, plus one per mixed point that fell back
         assert len(per_call) >= len(res.iterations)
         assert per_call == [(1,)] * len(per_call)

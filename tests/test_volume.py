@@ -24,12 +24,14 @@ from ballrep import (
     volume,
 )
 from ballrep.polynomials import enumerate_indices, monomials
-from ballrep.volume import _sphere_grid
+from ballrep.volume import _ball_moment, _sphere_grid
 from conftest import agree, random_feasible_quartic
 
 DISK4 = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
 FIG1_QUARTIC = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1.925})
 FIG1_SEXTIC = GeneralizedPolynomial(2, 6, 1, {(6, 0): 1.0, (0, 6): 1.0, (3, 3): -1.925})
+# sphere minimum 4e-8 / 4 = 1e-8: finite volume, but heavy-tailed radial weights
+NEAR_BOUNDARY = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -(2.0 - 4e-8)})
 
 
 class TestClosedForms:
@@ -294,7 +296,8 @@ class TestNegativeSeeds:
             moment_table(g, backend=backend, budget=True)
 
     def test_numpy_integers_stay_valid(self):
-        # the disk, not B_4: on B_4 every importance weight is 1 at any seed
+        # the disk, not B_4: g is 1 at every cone node of B_4, so its volume
+        # is the same at any seed
         disk = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0})
         at = {seed: volume(disk, "monte_carlo", 5000, seed=seed) for seed in (np.int64(2), 2, 3)}
         assert at[np.int64(2)] == at[2] != at[3]
@@ -392,26 +395,62 @@ class TestMonteCarlo:
         assert est.value == pytest.approx(closed_form_ball_volume(3, 4), rel=1e-12)
         assert est.ess == pytest.approx(30_000.0)
 
-    def test_ess_diagnostic_fires_for_infeasible_input(self):
-        # negative on an open cone: no rescale can make the reference dominate
-        bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -3.0})
+    def test_ess_diagnostic_fires_near_the_boundary(self):
+        # sphere minimum 1e-8, just above the infinite-volume tolerance: the
+        # weights h**(-1/2) peak near the diagonals (ESS/N measured 0.0049)
         with pytest.warns(EffectiveSampleSizeWarning):
-            est = volume(bad, backend="monte_carlo", budget=200_000, seed=0)
+            est = volume(NEAR_BOUNDARY, backend="monte_carlo", budget=200_000, seed=0)
         assert est.ess < 0.01 * 200_000
 
     @pytest.mark.parametrize("cross,query", [
         (-300.0, lambda g: volume(g, backend="monte_carlo", budget=1000, seed=0)),
         (-168.0, lambda g: moment_table(g, max_order=8, backend="monte_carlo",
                                         budget=1000, seed=0)),
-    ], ids=["squared-weight", "squared-moment"])
+        (-3.0, lambda g: volume(g, backend="monte_carlo", budget=200_000, seed=0)),
+    ], ids=["squared-weight", "squared-moment", "negative-cone"])
     def test_overflowing_squares_raise(self, cross, query):
-        # at -300 some weights lie between e**355 and e**700: finite, but
-        # their squares are not (the volume came out as 1.2e271 with a nan
-        # std_error); at -168 the weights square finitely but the weighted
-        # moment at (0, 8) does not (its std_error came out inf)
+        # the inputs that overflowed the squared importance weights (-300)
+        # and squared weighted moments (-168) of the former estimator, and
+        # the one its ESS warning flagged (-3): each is negative on an open
+        # cone, so some node has g < 0, which proves infinite volume
         bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): cross})
-        with pytest.raises(InfiniteVolumeError, match="importance weights overflow"):
+        with pytest.raises(InfiniteVolumeError, match="infinite volume") as caught:
             query(bad)
+        assert caught.value.sphere_minimum < 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("d,q", [(4, 1), (6, 1), (Fraction(1, 2), 4)], ids=["4", "6", "1/2-q4"])
+    def test_error_bars_bound_the_ball_moments(self, n, d, q):
+        # every moment of lattice order <= 4 against Dirichlet's closed form;
+        # g is 1 at every cone node of B_d, so the volume is exact
+        g = ld_polynomial(n, d, q)
+        table = moment_table(g, max_order=Fraction(4, q), backend="monte_carlo",
+                             budget=20_000, seed=n)
+        exact = {a: 0.0 if g.q == 1 and any(x % 2 for x in a) else _ball_moment(n, d, a, q)
+                 for a in table.entries}
+        vol = table.normalization
+        assert vol.value == pytest.approx(closed_form_ball_volume(n, d), rel=1e-12, abs=0.0)
+        assert vol.std_error <= 1e-12 * vol.value
+        for a, (value, err) in table.entries.items():
+            assert abs(value - exact[a]) <= 4.0 * err + 1e-12 * exact[a], a
+        assert sum(err > 0 for _, err in table.entries.values()) > 1
+
+    def test_error_bars_bound_random_inputs(self):
+        # dense random quartics shifted to sphere minimum +0.02, against a
+        # 32768-node spherical table whose own error is far below these bars
+        euclid = GeneralizedPolynomial(3, 4, 1, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0,
+                                                 (2, 2, 0): 2.0, (2, 0, 2): 2.0, (0, 2, 2): 2.0})
+        for seed in range(12):
+            rng = np.random.default_rng([seed, 3])
+            terms = {a: euclid.terms.get(a, 0.0) + 0.5 * rng.normal()
+                     for a in enumerate_indices(3, 4)}
+            low = finite_volume_test(GeneralizedPolynomial(3, 4, 1, terms)).sphere_minimum
+            g = GeneralizedPolynomial(3, 4, 1, {a: c + (0.02 - low) * euclid.terms.get(a, 0.0)
+                                                for a, c in terms.items()})
+            ref = moment_table(g, budget=32768)
+            mc = moment_table(g, backend="monte_carlo", budget=20_000, seed=seed)
+            for a, (value, err) in mc.entries.items():
+                assert abs(value - ref.value(a)) <= 4.0 * err, (seed, a)
 
     def test_table_rows_agree_with_spherical(self):
         # every row of a mixed-degree table: g's own terms, missing alphas of
@@ -882,12 +921,10 @@ class TestKernelBlocks:
         assert small.normalization.ess == pytest.approx(large.normalization.ess, rel=1e-13)
 
     def test_monte_carlo_heavy_tails_warn_at_every_block(self, monkeypatch):
-        # the input of TestMonteCarlo.test_ess_diagnostic_fires_for_infeasible_input
-        bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -3.0})
-
+        # the input of TestMonteCarlo.test_ess_diagnostic_fires_near_the_boundary
         def run():
             with pytest.warns(EffectiveSampleSizeWarning):
-                return volume(bad, backend="monte_carlo", budget=200_000, seed=0)
+                return volume(NEAR_BOUNDARY, backend="monte_carlo", budget=200_000, seed=0)
 
         small, large = self._at_blocks(monkeypatch, run)
         assert small.ess < 0.01 * 200_000
@@ -938,10 +975,11 @@ class TestKernelBlocks:
         assert small.objective == large.objective
 
     def test_monte_carlo_overflow_raises_at_every_block(self, monkeypatch):
-        # off the axes exp(-g) outgrows the reference by more than e**700 in
-        # most samples, so the first block of either size already holds one
+        # negative but in thin cones about the axes (it overflowed the former
+        # importance weights), so the first block of either size holds a node with g < 0
         bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1e4})
         for block in self.BLOCKS:
             monkeypatch.setattr(sys.modules["ballrep.volume"], "_BLOCK", block)
-            with pytest.raises(InfiniteVolumeError, match="importance weights overflow"):
+            with pytest.raises(InfiniteVolumeError, match="infinite volume") as caught:
                 volume(bad, backend="monte_carlo", budget=100_000, seed=0)
+            assert caught.value.sphere_minimum < 0.0
