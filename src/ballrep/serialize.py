@@ -17,7 +17,6 @@ canonical index order, floats via repr so that round trips are exact, so
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -121,6 +120,8 @@ def parse_polynomial(text: str) -> GeneralizedPolynomial:
 
 def region_hash(g: GeneralizedPolynomial) -> str:
     """Content hash of the defining polynomial (canonical JSON)."""
+    import hashlib  # only `moments --format json` hashes; the other commands skip its import
+
     return hashlib.sha256(serialize_polynomial(g).encode()).hexdigest()[:16]
 
 

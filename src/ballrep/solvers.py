@@ -35,6 +35,12 @@ from one moment table; its gradient in the solver coordinates is
 pullback(-(n + d)/d m), pullback being the adjoint of that linear map.  So
 a Monte Carlo solve minimizes one sample-average volume, deterministic
 given its seed, and every trial of its line search reads the same nodes.
+A spherical descent from a start that every sign flip x_i -> -x_i leaves
+unchanged (every default start, every q > 1 start) folds: its pass runs on
+one orthant of the grid and on the slice's sign-symmetric rows only (the
+all-even alphas for q = 1, all of them for q > 1), and the odd moments are
+exact zeros.  The gradient is then exactly 0 in the odd coordinates, and
+p1's l1 projection, p2's Anderson mix and p3's parity mask keep them at 0.
 The objective is the problem's norm of the normalized solver coordinates,
 as in the trace.
 Default starts are feasible by construction, so no default solve calls the
@@ -72,6 +78,7 @@ from .volume import (
     _check_integer,
     _cone_nodes,
     _finite_or_raise,
+    _sign_symmetric,
     _sphere_grid,
     _sphere_pass,
     closed_form_ball_volume,
@@ -102,8 +109,9 @@ class SolveConfig:
     projected step no longer moves or the volume's relative change stays
     within 1e-10 for three accepted steps in a row, p2 once |T(u) - u|_inf
     <= 1e-14 (1 + |u|_inf).  The descent's ``backend`` nodes number
-    budget (spherical: the grid of the solve's design matrix; Monte Carlo:
-    the cone nodes of seed, drawn once per solve); one pass at 4 * budget
+    budget (spherical: the grid of the solve's design matrix, of which a
+    sign-symmetric start evaluates one orthant; Monte Carlo: the cone nodes
+    of seed, drawn once per solve); one pass at 4 * budget
     gives the final rescaling and the certificate's moments, and the check
     uses cert_tol, finite and >= 0.  max_iters and budget are integers >= 1
     and seed one >= 0 (a float or a bool is rejected, as in every estimator
@@ -278,12 +286,17 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     adjoint of coefficients, maps a gradient in those coefficients to one in
     x; a trial is None where its pass raises InfiniteVolumeError.  A given
     start is projected onto the ball and must pass the feasibility gate; the
-    array default_start is feasible by construction.  Every solve ends
-    alike: one moment_table pass at the certificate budget on solution =
-    make(x), one factor k (scale(solution), or else the scale to vol(B_d)
-    from the pass), then solution.rescale(k) and the pass's moments mapped
-    to its ball.  The objective, like each trace entry, is norm of the
-    normalized coordinates.
+    array default_start is feasible by construction.  On the spherical
+    backend a start that every sign flip leaves unchanged folds the pass:
+    the orthant grid, the rows _even_rows keeps, and exact zeros scattered
+    into the other moments.  That relies on the iterates keeping exact
+    zeros in the coordinates that feed only odd coefficients, so project
+    must map a point that is zero there to one that is zero there.  Every
+    solve ends alike: one moment_table pass at the certificate budget on
+    solution = make(x), one factor k (scale(solution), or else the scale to
+    vol(B_d) from the pass), then solution.rescale(k) and the pass's moments
+    mapped to its ball.  The objective, like each trace entry, is norm of
+    the normalized coordinates.
     """
     def polynomial(obj):
         return obj.expand() if isinstance(obj, GramForm) else obj
@@ -301,17 +314,24 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     rho = closed_form_ball_volume(n, d)
     basis = enumerate_indices(n, int(d * q))
     factor = -(n + float(d)) / float(d)  # the volume gradient over the slice's moments
-    block = [(0, len(basis), n + float(d))]  # the whole slice, at k = n + d
     run = None  # the grid oracle reads one moment table per trial
     if cfg.backend in (SPHERICAL, MONTE_CARLO):  # P of the slice, built once for every trial
-        nodes = (_sphere_grid(n, cfg.budget) if cfg.backend == SPHERICAL
+        g0 = polynomial(make(x0))
+        # from a sign-symmetric start the gradient is exactly 0 in the odd
+        # coordinates, so they stay 0: the trials read the even rows on the orthant
+        folded = cfg.backend == SPHERICAL and _sign_symmetric(g0)
+        live = _even_rows(basis, q) if folded else np.ones(len(basis), dtype=bool)
+        nodes = (_sphere_grid(n, cfg.budget, folded) if cfg.backend == SPHERICAL
                  else _cone_nodes(n, float(d), cfg.budget, cfg.seed))
-        run = _sphere_pass(polynomial(make(x0)), *nodes, np.array(basis, dtype=np.intp))
+        run = _sphere_pass(g0, *nodes, np.array(basis, dtype=np.intp)[live])
+        block = [(0, int(live.sum()), n + float(d))]  # the live rows, at k = n + d
 
     def evaluate(x, seed):
         try:
             if run is not None:
-                vol, (m,) = run(coefficients(x), block)
+                vol, (values,) = run(coefficients(x)[live], block)
+                m = np.zeros(len(basis))  # a folded pass's odd moments are exact zeros
+                m[live] = values
             else:
                 table = moment_table(polynomial(make(x)), backend=cfg.backend,
                                      budget=cfg.budget, seed=seed)
@@ -339,6 +359,14 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         certificate=_check(problem, solution, table, cfg.cert_tol),
         converged=converged,
     )
+
+
+def _even_rows(basis, q: int) -> np.ndarray:
+    """Mask of the slice's monomials that every sign flip leaves unchanged.
+
+    All of them when q > 1, as the lattice evaluates at |x|; else the all-even ones.
+    """
+    return np.array([q > 1 or not any(a % 2 for a in alpha) for alpha in basis])
 
 
 def _ball_boundary(ball, size, radius: float):
@@ -398,7 +426,7 @@ def solve_p1(
     # the l1 sphere with terms >= 0 and n pure powers > 0, so g >= (n / sum(s))
     # sum_i |x_i|**d > 0 off the origin: finite volume by construction, yet
     # dense, so the descent still has to find the sparse optimum
-    s = np.array([q > 1 or not any(a % 2 for a in alpha) for alpha in basis], dtype=float)
+    s = _even_rows(basis, q).astype(float)
     return _descend(
         "p1", n, d, q, start, cfg, iterate=_projected_gradient,
         make=lambda vec: from_coefficient_vector(n, d, q, basis, vec, MONOMIAL),
@@ -485,11 +513,14 @@ def solve_p3(
     # the exact projection is block-diagonal over the parity classes of the
     # basis, so from a start that is zero wherever a + b has an odd component
     # the iterates stay so; the mask keeps those zeros exact against the
-    # eigensolver's round-off, and with them the solution's even support
+    # eigensolver's round-off, and with them the solution's even support.
+    # Such entries add only to odd coefficients, so a start whose expansion
+    # has even support is masked too (its entries there cancel): a folded
+    # descent, which reads only the even coefficients, needs them at zero
     parity = np.array(basis) % 2
     mask = (parity[:, None] == parity[None, :]).all(axis=2)
-    start_q = getattr(start, "Q", None)
-    if start is not None and (np.shape(start_q) != mask.shape or start_q[~mask].any()):
+    if start is not None and (np.shape(getattr(start, "Q", None)) != mask.shape
+                              or not start.expand().has_even_support()):
         mask = 1.0  # a start with odd support keeps the plain projection
     ball = _ball_boundary(project_psd_trace, np.trace, float(n))
 

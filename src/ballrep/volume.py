@@ -7,17 +7,23 @@ cone measure sigma,
         = (n + |alpha|)^-1 * integral_S theta^alpha h(theta)^-(n+|alpha|)/d dsigma,
 with h the restriction of g to S.  The deterministic spherical backend
 takes S the unit sphere and a quadrature rule on it (periodic trapezoid for
-n = 2, product Gauss-Legendre for n = 3), cached read-only per (n, budget);
-Monte Carlo takes S the unit l_d sphere and random nodes of its cone
-measure, of total n vol(B_d), so on B_d itself h = 1 at every node.  One
-function, _sphere_pass, makes one monomial kernel call P at given nodes and
-weights; _radial reads h from its leading rows, rejects infinite volume and
-gives the radial factors, and the moments sharing k = n + |alpha| come from
-one contiguous block of rows against one radial weight w * h**(-k/d).  A
-query's rows are g's own exponents, then the requested alphas they miss,
-so the volume and the degree-d moments (and with them the volume
-gradient) come from the same pass; a solve's spherical or Monte Carlo
-descent builds one pass on the degree-d slice and runs it at every trial.
+n = 2, product Gauss-Legendre for n = 3), cached read-only per (n, budget,
+orthant).  An input unchanged by every sign flip x_i -> -x_i (every
+generalized one, and a classical one of even support) reads only the rule's
+nodes in one orthant, each weighted by its sign orbit: 1/4 (n = 2) or 1/8
+(n = 3) of the nodes, for the same answers up to round-off; the
+feasibility gate reads the full grid.  Monte Carlo takes S the unit l_d
+sphere and random nodes of its cone measure, of total n vol(B_d), so on
+B_d itself h = 1 at every node.  One function, _sphere_pass, makes one
+monomial kernel call P at given nodes and weights; _radial reads h from
+its leading rows, rejects infinite volume and gives the radial factors,
+and the moments sharing k = n + |alpha| come from one contiguous block of
+rows against one radial weight w * h**(-k/d).  A query's rows are g's own
+exponents, then the requested alphas they miss, so the volume and the
+degree-d moments (and with them the volume gradient) come from the same
+pass; a solve's spherical or Monte Carlo descent builds one pass on the
+degree-d slice (a sign-symmetric spherical one on the slice's
+sign-symmetric rows and the orthant) and runs it at every trial.
 Every backend lays out its kernel rows the same way.  The spherical pass
 makes one kernel call; Monte Carlo and the grid oracle make one per block of
 at most _BLOCK points (the grid's blocks are whole slices, at least one),
@@ -68,7 +74,9 @@ DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000
 
 _MC_BATCH = 1 << 16  # samples per Monte Carlo stream
 _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; bounds a block's memory
-_GRID_CACHE_SIZE = 8  # sphere grids kept; an n = 3, budget 32768 grid is 1 MB
+# sphere grids kept, a full grid and its orthant counted apart; an n = 3,
+# budget 32768 full grid is 1 MB, its orthant an eighth of that
+_GRID_CACHE_SIZE = 8
 _GATE_BUDGET = 2048  # sphere grid screened by the n <= 3 feasibility gate
 _GATE_RESTARTS = 8  # zoom candidates besides the axes and the diagonal
 _GATE_ZOOM_DIMS = 3  # most tangent directions one gate zoom level spans
@@ -94,7 +102,9 @@ class VolumeEstimate:
 
     std_error is 0 for the spherical backend, a statistical standard error
     for Monte Carlo, and a boundary-cell discretization bound for the grid
-    oracle.  ess is the effective sample size (Monte Carlo only).
+    oracle.  samples_or_nodes counts the points evaluated: the orthant's
+    nodes for a sign-symmetric spherical pass.  ess is the effective sample
+    size (Monte Carlo only).
     """
 
     value: float
@@ -206,32 +216,69 @@ def _symmetry_zero(g: GeneralizedPolynomial, alpha: Exponent) -> bool:
     return g.has_even_support() and any(a % 2 == 1 for a in alpha)
 
 
+def _sign_symmetric(g: GeneralizedPolynomial) -> bool:
+    """True when g is unchanged by every sign flip x_i -> -x_i.
+
+    Generalized inputs are evaluated at |x|; a classical one needs even
+    support.  Every moment a backend then estimates is flip invariant too
+    (_symmetry_zero drops a classical g's odd alphas), so the spherical
+    backend integrates on one orthant of its grid.
+    """
+    return not g.is_classical or g.has_even_support()
+
+
 # -- spherical backend --------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _sphere_grid(n: int, budget: int):
-    """Quadrature directions and weights on the unit sphere S^(n-1), read-only."""
+def _sphere_grid(n: int, budget: int, orthant: bool):
+    """Quadrature directions and weights on the unit sphere S^(n-1), read-only.
+
+    n = 2 takes the periodic trapezoid rule on N = max(16, budget) angles,
+    less N mod 4; n = 3 the product of Gauss-Legendre in u = cos(polar
+    angle) at half = round(sqrt(budget / 2)) nodes and the trapezoid rule on
+    2 half azimuths.  With orthant the nodes of that rule with every
+    coordinate >= 0 are built directly: the angles j = 0..N/4 (n = 2), the
+    nodes u >= 0 times the azimuths in [0, pi/2] (n = 3).  A node on a
+    coordinate plane gets exact zeros there, and it carries the weight of
+    its whole sign orbit, 2**(nonzero coordinates) times its own.  So an
+    integrand unchanged by every sign flip x_i -> -x_i integrates as on the
+    full grid, up to round-off, at 1/4 (n = 2) or 1/8 (n = 3) of the nodes.
+    Cached per (n, budget, orthant); callers pass all three positionally,
+    since a keyword would give the same grid a second cache entry.
+    """
+
+    def circle(count):  # cos and sin of count equal azimuths, or of those in [0, pi/2]
+        k = np.arange(count // 4 + 1 if orthant else count)
+        angle = 2.0 * math.pi * k / count
+        cos = np.cos(angle)
+        if orthant:
+            cos[4 * k == count] = 0.0  # cos(pi/2) is 6e-17
+        return cos, np.sin(angle)
+
     if n == 2:
         nodes = max(16, int(budget))
         nodes -= nodes % 4  # multiple of 4 keeps coordinate symmetries exact
-        theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        weights = np.full(nodes, 2.0 * math.pi / nodes)
+        dirs = np.stack(circle(nodes), axis=-1)
+        weights = np.full(len(dirs), 2.0 * math.pi / nodes)
     elif n == 3:
         half = max(4, int(round(math.sqrt(max(budget, 32) / 2.0))))
         azim = 2 * half
         u, wu = np.polynomial.legendre.leggauss(half)  # u = cos(polar angle)
-        psi = 2.0 * math.pi * np.arange(azim) / azim
+        if orthant:  # leggauss's nodes ascend and mirror exactly, an odd half's middle one is 0.0
+            u, wu = u[half // 2 :], wu[half // 2 :]
+        cos, sin = circle(azim)
         s = np.sqrt(1.0 - u**2)
-        dirs = np.empty((half, azim, 3))
-        dirs[..., 0] = s[:, None] * np.cos(psi)[None, :]
-        dirs[..., 1] = s[:, None] * np.sin(psi)[None, :]
+        dirs = np.empty((len(u), len(cos), 3))
+        dirs[..., 0] = s[:, None] * cos[None, :]
+        dirs[..., 1] = s[:, None] * sin[None, :]
         dirs[..., 2] = u[:, None]
         dirs = dirs.reshape(-1, 3)
-        weights = np.repeat(wu * (2.0 * math.pi / azim), azim)
+        weights = np.repeat(wu * (2.0 * math.pi / azim), len(cos))
     else:
         raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
+    if orthant:
+        weights *= 2.0 ** np.count_nonzero(dirs, axis=1)
     for arr in (dirs, weights):
         arr.setflags(write=False)
     return dirs, weights
@@ -311,7 +358,7 @@ def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     for r, alpha in zip(live_rows, live):
         at.setdefault(sum(alpha), []).append(r)
     blocks = [(min(rs), max(rs) + 1, g.n + t / g.q) for t, rs in at.items()]
-    dirs, w = _sphere_grid(g.n, budget)
+    dirs, w = _sphere_grid(g.n, budget, _sign_symmetric(g))
     vol, values = _sphere_pass(g, dirs, w, rows)(g._coeffs, blocks)
     moments = np.empty(len(rows))  # moments[r]: the moment of kernel row r, once its block is done
     for (lo, hi, _), value in zip(blocks, values):
@@ -676,7 +723,7 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
     starts.append(np.full(n, 1.0 / math.sqrt(n)))
     if n <= 3:
         # every grid node is a unit direction, so a negative grid value is proof
-        nodes = _sphere_grid(n, _GATE_BUDGET)[0]
+        nodes = _sphere_grid(n, _GATE_BUDGET, False)[0]
         values = g.evaluate(nodes)
         smin = min(smin, float(values.min()))
         starts.extend(nodes[np.argsort(values)[:_GATE_RESTARTS]])

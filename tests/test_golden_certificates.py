@@ -88,7 +88,11 @@ class TestGoldenCertificates:
     propagated moment errors.  The p1q entry follows
     the solver and was re-recorded whenever its solution moved, last when
     the descent began with Barzilai-Borwein trials (objective 3.0155282 ->
-    3.0155284, still failing at support stationarity 0.0272).
+    3.0155284, still failing at support stationarity 0.0272), and again
+    when sign-symmetric inputs moved onto one orthant of the sphere grid
+    (dominance 1.8e-9 -> 0, the duals of the x1 <-> x2 pair now equal).
+    That move also re-recorded the p3 identity's volume residual,
+    1.4e-15 -> 5.7e-16, a round-off change.
     """
 
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))

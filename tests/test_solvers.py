@@ -382,7 +382,7 @@ class TestSolveP2:
         verdict = finite_volume_test(start, seed=508841)
         assert not verdict.finite_volume
         assert verdict.sphere_minimum == pytest.approx(-0.023, abs=1e-3)
-        nodes = sys.modules["ballrep.volume"]._sphere_grid(3, 2048)[0]
+        nodes = sys.modules["ballrep.volume"]._sphere_grid(3, 2048, False)[0]
         assert start.evaluate(nodes).min() < 0.0
 
     @pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (3, 6)])
@@ -696,8 +696,15 @@ class TestSphereDesign:
         cfg = SolveConfig(seed=5)
         x0, evaluate, project = self._oracle(monkeypatch, problem, n, d, q, cfg)
         rng = np.random.default_rng(2024)
+        # a descent from a sign-symmetric start reads only the even rows, and
+        # its iterates keep the odd coordinates at 0, so the noise does too
+        # (p3's projection masks them)
+        odd = [q == 1 and any(a % 2 for a in alpha)
+               for alpha in enumerate_indices(n, int(Fraction(d) * q))]
         for _ in range(4):
             noise = rng.uniform(-0.1, 0.1, size=x0.shape)
+            if problem != "p3":
+                noise[odd] = 0.0
             x = project(x0 + (noise + noise.T if problem == "p3" else noise))
             want = _reference_trial(problem, n, d, q, x, cfg.budget)
             got = evaluate(x, cfg.seed)
@@ -777,7 +784,13 @@ class TestGoldenSolves:
     began at its closed-form optimum (sum x_i**2)**(d/2), only the
     trace_length of its six entries was re-recorded, at both seeds: p2(2,4)
     and p2(3,4) 8 -> 1 entries, p2(3,6) 10 -> 1.  The start already passes
-    the fixed-point test; solutions and objectives still match.
+    the fixed-point test; solutions and objectives still match.  When the
+    spherical passes of sign-symmetric inputs moved onto one orthant of the
+    grid, p3(3,6) and p1q were re-recorded at both seeds: p3(3,6) moved by
+    8.7e-11 relative (objective 2.3440363700300226 -> 2.344036370030016,
+    still 7 entries), and p1q, whose |x|**(1/4) the full grid's 1e-16 plane
+    coordinates had perturbed, by 2.7e-9 (objective 3.0155284432 ->
+    3.0155284454, 14 -> 9 entries, still failing its certificate).
     """
 
     @pytest.mark.parametrize(
@@ -879,14 +892,14 @@ class TestOnePassPerTrial:
         assert per_call == [(0, 0)] * len(per_call)
         # outside the descent only the certificate's moment table remains
         assert passes == [cfg.certificate_budget]
-        # P, the 15 monomials of the degree-4 slice, is built once; the
-        # certificate's pass makes the only other kernel call
-        assert kernel_calls[0] == 15
+        # P, the 6 all-even monomials of the 15 in the degree-4 slice, is
+        # built once; the certificate's pass makes the only other kernel call
+        assert kernel_calls[0] == 6
         assert len(kernel_calls) == 1 + len(passes)
 
     @pytest.mark.parametrize("problem,n,d,q,size", [
-        ("p1", 3, 4, 1, 15), ("p1", 3, Fraction(1, 2), 4, 6), ("p3", 2, 4, 1, 5),
-        ("p3", 3, 6, 1, 28),
+        ("p1", 3, 4, 1, 6), ("p1", 3, Fraction(1, 2), 4, 6), ("p3", 2, 4, 1, 3),
+        ("p3", 3, 6, 1, 10),
     ], ids=lambda v: str(v))
     def test_descent_then_one_certificate_budget_pass(self, monkeypatch, problem, n, d, q, size):
         # the rescale to vol(B_d) and the certificate share one pass: its
@@ -902,8 +915,9 @@ class TestOnePassPerTrial:
         assert len(per_call) >= len(res.iterations)
         assert per_call == [(0, 0)] * len(per_call)
         assert passes == [cfg.certificate_budget]
-        # P, the monomials of the degree-d slice, is built once; the
-        # certificate's pass makes the only other kernel call
+        # P, the monomials of the degree-d slice that every sign flip keeps
+        # (all of them when q > 1), is built once; the certificate's pass
+        # makes the only other kernel call
         assert kernel_calls[0] == size
         assert len(kernel_calls) == 1 + len(passes)
         assert res.volume == pytest.approx(closed_form_ball_volume(n, d), rel=1e-12)
@@ -951,3 +965,82 @@ class TestOnePassPerTrial:
         res = solve_p3(2, 4, config=cfg)
         assert res.converged
         assert calls == {"moment_matrix": [], "moment_table": [cfg.certificate_budget]}
+
+
+def _record_descent(monkeypatch):
+    """(nodes, rows) of every pass a solve's descent builds, and a copy of every trial point."""
+    solvers = sys.modules["ballrep.solvers"]
+    passes, trials = [], []
+    real_pass = solvers._sphere_pass
+
+    def recording_pass(g, dirs, w, rows):
+        passes.append((len(dirs), len(rows)))
+        return real_pass(g, dirs, w, rows)
+
+    def recording(real_iteration):
+        def recording_iteration(state0, evaluate, *rest):
+            def oracle(x, seed):
+                trials.append(np.array(x, copy=True))
+                return evaluate(x, seed)
+
+            return real_iteration(state0, oracle, *rest)
+
+        return recording_iteration
+
+    monkeypatch.setattr(solvers, "_sphere_pass", recording_pass)
+    for name in ITERATIONS:
+        monkeypatch.setattr(solvers, name, recording(getattr(solvers, name)))
+    return passes, trials
+
+
+def _odd_coordinates(problem, n, d):
+    """Mask of the q = 1 solver coordinates that feed only coefficients with an odd exponent."""
+    if problem == "p3":
+        parity = np.array(sys.modules["ballrep.polynomials"]._hankel_layout(n, d // 2)[0]) % 2
+        return (parity[:, None] != parity[None, :]).any(axis=2)
+    return np.array([any(a % 2 for a in alpha) for alpha in enumerate_indices(n, d)])
+
+
+class TestFoldedDescent:
+    """A spherical descent from a sign-symmetric start reads the orthant grid and the even rows.
+
+    Its odd moments are exact zeros, so is the gradient in the odd
+    coordinates, and p1's l1 projection, p2's Anderson mix and p3's parity
+    mask keep those coordinates at exactly 0 in every trial.
+    """
+
+    @pytest.mark.parametrize("problem,n,d,rows",
+                             [("p1", 3, 6, 10), ("p2", 3, 4, 6), ("p3", 3, 6, 10)])
+    def test_default_start_folds_and_keeps_odd_coordinates_zero(self, monkeypatch, problem, n, d,
+                                                                 rows):
+        passes, trials = _record_descent(monkeypatch)
+        res = {"p1": solve_p1, "p2": solve_p2, "p3": solve_p3}[problem](n, d)
+        assert res.converged and res.certificate.passed
+        # one pass, on the 272 orthant nodes of the 2048-node grid
+        assert passes == [(272, rows)]
+        odd = _odd_coordinates(problem, n, d)
+        assert trials and all(not x[odd].any() for x in trials)
+
+    def test_p1_start_with_odd_support_keeps_the_full_grid(self, monkeypatch):
+        passes, trials = _record_descent(monkeypatch)
+        start = GeneralizedPolynomial(3, 6, 1, {**ld_polynomial(3, 6).terms, (3, 3, 0): 0.1})
+        solve_p1(3, 6, start=start, config=SolveConfig(max_iters=3))
+        assert passes == [(2048, 28)]
+        assert trials[0][_odd_coordinates("p1", 3, 6)].any()
+
+    def test_p3_start_whose_odd_entries_cancel_is_masked(self, monkeypatch):
+        # Q[(2,0,0), (0,1,1)] and Q[(1,1,0), (1,0,1)] both add into the
+        # coefficient at (2,1,1) and cancel there: the expansion has even
+        # support, so the descent folds, and the mask must zero both entries
+        basis = list(sys.modules["ballrep.polynomials"]._hankel_layout(3, 2)[0])
+        gram = 0.5 * np.eye(len(basis))
+        for a, b, value in [((2, 0, 0), (0, 1, 1), 0.05), ((1, 1, 0), (1, 0, 1), -0.05)]:
+            i, j = basis.index(a), basis.index(b)
+            gram[i, j] = gram[j, i] = value
+        start = GramForm(3, 4, gram)
+        assert start.expand().has_even_support()
+        passes, trials = _record_descent(monkeypatch)
+        solve_p3(3, 4, start=start)
+        assert passes == [(272, 6)]
+        odd = _odd_coordinates("p3", 3, 4)
+        assert all(not x[odd].any() for x in trials)

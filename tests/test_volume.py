@@ -540,13 +540,21 @@ def _perturbed_ball(n, d, q=1, scale=0.01, seed=0):
     return GeneralizedPolynomial(n, Fraction(d), q, terms)
 
 
+def _backend_grid(g, budget):
+    """The spherical backend's grid for g: one orthant when every sign flip leaves g unchanged."""
+    return _sphere_grid(g.n, budget, not g.is_classical or g.has_even_support())
+
+
 def _per_alpha_moments(g, alphas, budget):
     """{alpha: (value, scale)} by the per-alpha spherical formula.
 
-    g and each x^alpha are raised term by term with np.prod on the cached
-    grid; scale is the same quadrature of the integrand's magnitude.
+    g and each x^alpha are raised term by term with np.prod on the grid the
+    backend reads; scale is the same quadrature of the integrand's
+    magnitude.  On an orthant grid a classical alpha with an odd entry sums
+    to zero over every sign orbit, so its value is 0.
     """
-    dirs, w = _sphere_grid(g.n, budget)
+    dirs, w = _backend_grid(g, budget)
+    odd_vanish = g.is_classical and g.has_even_support()
 
     def power(a):
         if g.is_classical:
@@ -559,7 +567,8 @@ def _per_alpha_moments(g, alphas, budget):
     for alpha in set(alphas):
         k = g.n + sum(alpha) / g.q
         integrand = w * power(alpha) * h ** (-k / g.degree_float)
-        out[alpha] = (integrand.sum() / k, np.abs(integrand).sum() / k)
+        value = 0.0 if odd_vanish and any(a % 2 for a in alpha) else integrand.sum() / k
+        out[alpha] = (value, np.abs(integrand).sum() / k)
     return out
 
 
@@ -648,7 +657,7 @@ class TestSingleKernelPass:
             want, scale = reference[alpha]
             assert abs(got - want) <= 1e-12 * scale, alpha
         # the volume still comes from the evaluated polynomial, bit for bit
-        dirs, w = _sphere_grid(g.n, self.BUDGET)
+        dirs, w = _backend_grid(g, self.BUDGET)
         h = g.evaluate(dirs)
         assert table.normalization.value == float(np.dot(w, h ** (-g.n / g.degree_float)) / g.n)
 
@@ -683,8 +692,8 @@ class TestSingleKernelPass:
 class TestSphereGridCache:
     @pytest.mark.parametrize("n", [2, 3])
     def test_cached_arrays_are_shared_and_read_only(self, n):
-        dirs, weights = _sphere_grid(n, 2048)
-        again = _sphere_grid(n, 2048)
+        dirs, weights = _sphere_grid(n, 2048, False)
+        again = _sphere_grid(n, 2048, False)
         assert again[0] is dirs and again[1] is weights
         with pytest.raises(ValueError, match="read-only"):
             dirs[0, 0] = 0.5
@@ -692,6 +701,71 @@ class TestSphereGridCache:
             weights[0] = 0.5
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
         assert weights.sum() == pytest.approx(2.0 * math.pi if n == 2 else 4.0 * math.pi)
+
+
+def _even_perturbed_sextic(seed=4):
+    """B_6 at n = 3 plus seeded noise on its all-even terms only, so every sign flip keeps it."""
+    rng = np.random.default_rng(seed)
+    even = [a for a in enumerate_indices(3, 6) if not any(x % 2 for x in a)]
+    terms = {a: rng.uniform(-0.02, 0.02) for a in even}
+    for a, c in ld_polynomial(3, 6).terms.items():
+        terms[a] += c
+    return GeneralizedPolynomial(3, 6, 1, terms)
+
+
+class TestOrthantFold:
+    """A sign-symmetric input reads one orthant of the grid, each node weighing its sign orbit."""
+
+    @pytest.mark.parametrize("n,budget,full,orthant", [
+        (2, 2048, 2048, 513), (2, 8192, 8192, 2049), (3, 2048, 2048, 272), (3, 8192, 8192, 1056),
+    ])
+    def test_node_counts(self, n, budget, full, orthant):
+        assert len(_sphere_grid(n, budget, False)[0]) == full
+        assert len(_sphere_grid(n, budget, True)[0]) == orthant
+        assert volume(ld_polynomial(n, 4), budget=budget).samples_or_nodes == orthant
+
+    @pytest.mark.parametrize("budget", [2048, 4096, 5000])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orthant_nodes_and_orbit_weights(self, n, budget):
+        dirs, weights = _sphere_grid(n, budget, True)
+        full_dirs, full_weights = _sphere_grid(n, budget, False)
+        again = _sphere_grid(n, budget, True)
+        assert again[0] is dirs and again[1] is weights
+        assert not dirs.flags.writeable and not weights.flags.writeable
+        assert (dirs >= 0.0).all()
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        # nodes on a coordinate plane carry exact zeros, not cos(pi/2) = 6e-17
+        assert dirs[dirs != 0.0].min() > 1e-6
+        # the sign orbits tile the full grid: every full node folds onto an
+        # orthant node, each orthant node is one, and it weighs its orbit
+        gap = np.abs(np.abs(full_dirs)[:, None, :] - dirs[None, :, :]).max(axis=2)
+        assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
+        orbit = np.bincount(gap.argmin(axis=1), weights=full_weights, minlength=len(dirs))
+        assert np.abs(orbit - weights).max() <= 1e-14 * weights.max()
+        sphere = 2.0 * math.pi if n == 2 else 4.0 * math.pi
+        assert weights.sum() == pytest.approx(sphere, rel=1e-14)
+        assert weights.sum() == pytest.approx(full_weights.sum(), rel=1e-14)
+
+    @pytest.mark.parametrize("g", [ld_polynomial(2, 4), ld_polynomial(3, 6),
+                                   _even_perturbed_sextic()], ids=["B4-2", "B6-3", "even-sextic"])
+    def test_tables_match_the_full_grid(self, monkeypatch, g):
+        assert g.has_even_support()
+        orthant = moment_table(g, max_order=g.degree, budget=4096)
+        monkeypatch.setattr(sys.modules["ballrep.volume"], "_sign_symmetric", lambda g: False)
+        full = moment_table(g, max_order=g.degree, budget=4096)
+        assert orthant.normalization.samples_or_nodes < full.normalization.samples_or_nodes
+        assert orthant.entries.keys() == full.entries.keys()
+        for alpha, (want, _) in full.entries.items():
+            got = orthant.value(alpha)
+            assert abs(got - want) <= 1e-14 * abs(want), alpha
+        assert orthant.normalization.value == pytest.approx(full.normalization.value, rel=1e-14)
+
+    def test_an_odd_term_keeps_the_full_grid(self):
+        g = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0, (3, 1): 1e-9})
+        assert volume(g, budget=2048).samples_or_nodes == 2048
+        assert volume(DISK4, budget=2048).samples_or_nodes == 513
+        full, orthant = volume(g, budget=2048).value, volume(DISK4, budget=2048).value
+        assert orthant == pytest.approx(full, rel=1e-12)
 
 
 def _sphere_power(n, d):
