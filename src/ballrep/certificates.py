@@ -41,6 +41,7 @@ from .polynomials import (
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
+    _flip_invariant,
     _slice_weights,
     coefficient_vector,
     enumerate_indices,
@@ -211,9 +212,9 @@ def certify_p2(
     residuals = {f"g({','.join(map(str, a))})": r for a, r in zip(basis, gap.tolist())}
     residuals["max_coefficient"] = float(gap.max())
 
-    # strict positivity of the even-index coefficients accompanies any optimum
-    even = (np.array(basis) % 2 == 0).all(axis=1) | (g.q != 1)
-    positivity = float(np.max(-coeffs[even], initial=-np.inf))
+    # strict positivity of the flip-invariant coefficients accompanies any optimum
+    invariant = _flip_invariant(basis, g.is_classical)
+    positivity = float(np.max(-coeffs[invariant], initial=-np.inf))
     residuals["even_coefficient_positivity"] = max(0.0, positivity)
     failed = np.any(gap > allowance) or positivity >= 0.0
 

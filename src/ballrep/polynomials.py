@@ -107,6 +107,15 @@ def _monomial_chunk(columns: np.ndarray, exponents) -> np.ndarray:
     return out
 
 
+def _flip_invariant(alphas, classical: bool) -> np.ndarray:
+    """Mask of the rows alpha of alphas whose monomial every sign flip x_i -> -x_i keeps.
+
+    All of them for a generalized polynomial, which is evaluated at |x|; the
+    all-even ones for a classical one.
+    """
+    return ~(np.asarray(alphas, dtype=np.intp) % 2).any(axis=-1) | (not classical)
+
+
 def multinomial_coefficient(alpha: Iterable[int]) -> int:
     """c_alpha = (sum alpha)! / (alpha_1! ... alpha_n!) for integer exponents."""
     return _multinomial(tuple(alpha))
@@ -230,6 +239,14 @@ class GeneralizedPolynomial:
         odd exponent exactly; a stored zero coefficient does not break it.
         """
         return self._even_support
+
+    @property
+    def sign_symmetric(self) -> bool:
+        """True when every sign flip x_i -> -x_i leaves g unchanged: each term is _flip_invariant.
+
+        Every generalized polynomial is; a classical one needs even support.
+        """
+        return not self._classical or self._even_support
 
     # -- algebra -----------------------------------------------------------
 

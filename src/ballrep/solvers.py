@@ -30,17 +30,19 @@ the degree-d slice are linear in the solver coordinates: the coefficients
 themselves for p1, whitened coefficients for p2, the Gram matrix Q for p3.
 A trial reads its volume and the slice's moments m from one run of the
 solve's radial pass, whose design matrix is built once, on the sphere grid
-or on the Monte Carlo cone nodes of the solve's seed, or on the grid oracle
-from one moment table; its gradient in the solver coordinates is
-pullback(-(n + d)/d m), pullback being the adjoint of that linear map.  So
-a Monte Carlo solve minimizes one sample-average volume, deterministic
-given its seed, and every trial of its line search reads the same nodes.
+or on the Monte Carlo cone nodes of the solve's seed; its gradient in the
+solver coordinates is pullback(-(n + d)/d m), pullback being the adjoint of
+that linear map.  So a Monte Carlo solve minimizes one sample-average
+volume, deterministic given its seed, and every trial of its line search
+reads the same nodes; the grid oracle is a query cross-check, no solve
+backend.
 A spherical descent from a start that every sign flip x_i -> -x_i leaves
 unchanged (every default start, every q > 1 start) folds: its pass runs on
-one orthant of the grid and on the slice's sign-symmetric rows only (the
-all-even alphas for q = 1, all of them for q > 1), and the odd moments are
-exact zeros.  The gradient is then exactly 0 in the odd coordinates, and
-p1's l1 projection, p2's Anderson mix and p3's parity mask keep them at 0.
+one orthant of the grid and on the slice's flip-invariant rows only
+(polynomials._flip_invariant: the all-even alphas for q = 1, all of them
+for q > 1), and the odd moments are exact zeros.  The gradient is then
+exactly 0 in the odd coordinates, and p1's l1 projection, p2's Anderson
+mix and p3's parity mask keep them at 0.
 The objective is the problem's norm of the normalized solver coordinates,
 as in the trace.
 Default starts are feasible by construction, so no default solve calls the
@@ -62,6 +64,7 @@ from .polynomials import (
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
+    _flip_invariant,
     _hankel_layout,
     _slice_weights,
     coefficient_vector,
@@ -78,7 +81,6 @@ from .volume import (
     _check_integer,
     _cone_nodes,
     _finite_or_raise,
-    _sign_symmetric,
     _sphere_grid,
     _sphere_pass,
     closed_form_ball_volume,
@@ -108,14 +110,14 @@ class SolveConfig:
     A solve stops after max_iters iterations, or earlier: p1 and p3 when a
     projected step no longer moves or the volume's relative change stays
     within 1e-10 for three accepted steps in a row, p2 once |T(u) - u|_inf
-    <= 1e-14 (1 + |u|_inf).  The descent's ``backend`` nodes number
-    budget (spherical: the grid of the solve's design matrix, of which a
-    sign-symmetric start evaluates one orthant; Monte Carlo: the cone nodes
-    of seed, drawn once per solve); one pass at 4 * budget
-    gives the final rescaling and the certificate's moments, and the check
-    uses cert_tol, finite and >= 0.  max_iters and budget are integers >= 1
-    and seed one >= 0 (a float or a bool is rejected, as in every estimator
-    pass); seed is read only by Monte Carlo and grid passes and, for n >= 4,
+    <= 1e-14 (1 + |u|_inf).  backend is spherical or monte_carlo, and the
+    descent's nodes number budget (spherical: the grid of the solve's design
+    matrix, of which a sign-symmetric start evaluates one orthant; Monte
+    Carlo: the cone nodes of seed, drawn once per solve); one pass at
+    4 * budget gives the final rescaling and the certificate's moments, and
+    the check uses cert_tol, finite and >= 0.  max_iters and budget are
+    integers >= 1 and seed one >= 0 (a float or a bool is rejected, as in
+    every estimator pass); seed is read only by Monte Carlo and, for n >= 4,
     the gate on a given start.
     """
 
@@ -129,6 +131,9 @@ class SolveConfig:
         _check_integer(self.max_iters, "max_iters", 1)
         _check_integer(self.budget, "budget", 1)
         _check_integer(self.seed, "seed", 0)
+        if self.backend not in (SPHERICAL, MONTE_CARLO):
+            raise ValueError(f"a solve runs on the {SPHERICAL!r} or {MONTE_CARLO!r} backend, "
+                             f"got {self.backend!r}")
         if not (math.isfinite(self.cert_tol) and self.cert_tol >= 0):
             raise ValueError(f"cert_tol must be finite and >= 0, got {self.cert_tol}")
 
@@ -184,22 +189,22 @@ def _target_scale(est, target: float, d, n: int) -> float:
 def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     """Monotone projected-gradient descent of the volume functional.
 
-    The problem geometry comes in three callables: ``evaluate(x, seed)``
-    returns (volume, gradient) at x from one estimator pass, or None when x
-    lies outside the feasible cone; ``project`` maps onto the norm ball
+    The problem geometry comes in three callables: ``evaluate(x)`` returns
+    (volume, gradient) at x from one run of the solve's radial pass, or None
+    when x lies outside the feasible cone; ``project`` maps onto the norm ball
     (with boundary saturation); ``report(x, volume)`` gives the equivalent
     objective.  Each trial point of the line search is evaluated once, and
     the accepted point's gradient drives the next iteration.  The first
     trial after an accepted move s with gradient change y is the BB1 step
     s.s / s.y (Barzilai & Borwein 1988) when s.y > 0; if it is rejected, or
     there is none, the trials are min(_INITIAL_STEP, 2 t) for the last
-    accepted step t, halved after each rejection.  Every pass uses
-    cfg.seed; a spherical or Monte Carlo ``evaluate`` reads one fixed set of
-    nodes, so the Armijo test compares f(z) and f(x) on the same nodes.
+    accepted step t, halved after each rejection.  ``evaluate`` reads one
+    fixed set of nodes, so the Armijo test compares f(z) and f(x) on the
+    same nodes.
     Returns the final state, the iteration trace and the convergence flag.
     """
     x = state0
-    start = evaluate(x, cfg.seed)
+    start = evaluate(x)
     if start is None:
         raise InfiniteVolumeError("initial iterate has infinite volume")
     fx, grad = start
@@ -218,7 +223,7 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
             if move <= 1e-14 * (1.0 + float(np.sqrt(np.vdot(x, x).real))):
                 stalled = True
                 break
-            trial = evaluate(z, cfg.seed)
+            trial = evaluate(z)
             decrease = _SUFFICIENT_DECREASE * float(np.vdot(grad, dx).real)
             if trial is not None and trial[0] <= fx + min(0.0, decrease):
                 accepted = True
@@ -253,7 +258,7 @@ def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
     the solve stops unconverged.  Converged: |T(x) - x|_inf <= 1e-14 (1 + |x|_inf).
     Arguments and return value are those of _projected_gradient.
     """
-    x, out = state0, evaluate(state0, cfg.seed)
+    x, out = state0, evaluate(state0)
     if out is None:
         raise InfiniteVolumeError("initial iterate has infinite volume")
     trace, history = [], []  # history: (T(x), T(x) - x) of the latest iterates
@@ -267,9 +272,9 @@ def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
         if len(history) > 1:
             d_step, d_residual = np.diff(history, axis=0).transpose(1, 2, 0)
             z = project(tx - d_step @ np.linalg.lstsq(d_residual, tx - x, rcond=None)[0])
-        out = evaluate(z, cfg.seed)
+        out = evaluate(z)
         if out is None and z is not tx:
-            z, out = tx, evaluate(tx, cfg.seed)
+            z, out = tx, evaluate(tx)
         if out is None:
             return x, trace, False
         x = z
@@ -286,58 +291,49 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     adjoint of coefficients, maps a gradient in those coefficients to one in
     x; a trial is None where its pass raises InfiniteVolumeError.  A given
     start is projected onto the ball and must pass the feasibility gate; the
-    array default_start is feasible by construction.  On the spherical
-    backend a start that every sign flip leaves unchanged folds the pass:
-    the orthant grid, the rows _even_rows keeps, and exact zeros scattered
-    into the other moments.  That relies on the iterates keeping exact
-    zeros in the coordinates that feed only odd coefficients, so project
-    must map a point that is zero there to one that is zero there.  Every
-    solve ends alike: one moment_table pass at the certificate budget on
-    solution = make(x), one factor k (scale(solution), or else the scale to
-    vol(B_d) from the pass), then solution.rescale(k) and the pass's moments
-    mapped to its ball.  The objective, like each trace entry, is norm of
-    the normalized coordinates.
+    array default_start is feasible by construction.  Every trial runs one
+    _sphere_pass, built once on the slice at the solve's nodes: the sphere
+    grid, or the Monte Carlo cone nodes of cfg.seed.  On the spherical
+    backend a sign-symmetric start folds the pass: the orthant grid, the
+    flip-invariant rows, and exact zeros scattered into the other moments.
+    That relies on the iterates keeping exact zeros in the coordinates that
+    feed only odd coefficients, so project must map a point that is zero
+    there to one that is zero there.  Every solve ends alike: one
+    moment_table pass at the certificate budget on solution = make(x), one
+    factor k (scale(solution), or else the scale to vol(B_d) from the pass),
+    then solution.rescale(k) and the pass's moments mapped to its ball.  The
+    objective, like each trace entry, is norm of the normalized coordinates.
     """
     def polynomial(obj):
         return obj.expand() if isinstance(obj, GramForm) else obj
 
-    if start is None:
-        x0 = default_start
-    else:
+    if start is not None:
         _check_candidate(problem, start)
         if (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
             raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
-        x0 = project(coords(start))
-        # outside input: only the gate can tell whether its volume is finite
-        verdict = finite_volume_test(polynomial(make(x0)), seed=cfg.seed)
-        _finite_or_raise(verdict, "initial iterate")
+    x0 = default_start if start is None else project(coords(start))
+    g0 = polynomial(make(x0))
+    if start is not None:  # outside input: only the gate can tell whether its volume is finite
+        _finite_or_raise(finite_volume_test(g0, seed=cfg.seed), "initial iterate")
     rho = closed_form_ball_volume(n, d)
-    basis = enumerate_indices(n, int(d * q))
+    basis = np.array(enumerate_indices(n, int(d * q)), dtype=np.intp)
     factor = -(n + float(d)) / float(d)  # the volume gradient over the slice's moments
-    run = None  # the grid oracle reads one moment table per trial
-    if cfg.backend in (SPHERICAL, MONTE_CARLO):  # P of the slice, built once for every trial
-        g0 = polynomial(make(x0))
-        # from a sign-symmetric start the gradient is exactly 0 in the odd
-        # coordinates, so they stay 0: the trials read the even rows on the orthant
-        folded = cfg.backend == SPHERICAL and _sign_symmetric(g0)
-        live = _even_rows(basis, q) if folded else np.ones(len(basis), dtype=bool)
-        nodes = (_sphere_grid(n, cfg.budget, folded) if cfg.backend == SPHERICAL
-                 else _cone_nodes(n, float(d), cfg.budget, cfg.seed))
-        run = _sphere_pass(g0, *nodes, np.array(basis, dtype=np.intp)[live])
-        block = [(0, int(live.sum()), n + float(d))]  # the live rows, at k = n + d
+    # from a sign-symmetric start the gradient is exactly 0 in the odd
+    # coordinates, so they stay 0: the trials read the flip-invariant rows on the orthant
+    folded = cfg.backend == SPHERICAL and g0.sign_symmetric
+    live = _flip_invariant(basis, g0.is_classical) | (not folded)
+    nodes = (_sphere_grid(n, cfg.budget, folded) if cfg.backend == SPHERICAL
+             else _cone_nodes(n, float(d), cfg.budget, cfg.seed))
+    run = _sphere_pass(g0, *nodes, basis[live])  # P of the slice, built once for every trial
+    block = [(0, int(live.sum()), n + float(d))]  # the live rows, at k = n + d
 
-    def evaluate(x, seed):
+    def evaluate(x):
         try:
-            if run is not None:
-                vol, (values,) = run(coefficients(x)[live], block)
-                m = np.zeros(len(basis))  # a folded pass's odd moments are exact zeros
-                m[live] = values
-            else:
-                table = moment_table(polynomial(make(x)), backend=cfg.backend,
-                                     budget=cfg.budget, seed=seed)
-                vol, m = table.normalization.value, np.array([table.value(a) for a in basis])
+            vol, (values,) = run(coefficients(x)[live], block)
         except InfiniteVolumeError:
             return None
+        m = np.zeros(len(basis))  # a folded pass's odd moments are exact zeros
+        m[live] = values
         return vol, pullback(factor * m)
 
     def report(x, vol):
@@ -359,14 +355,6 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         certificate=_check(problem, solution, table, cfg.cert_tol),
         converged=converged,
     )
-
-
-def _even_rows(basis, q: int) -> np.ndarray:
-    """Mask of the slice's monomials that every sign flip leaves unchanged.
-
-    All of them when q > 1, as the lattice evaluates at |x|; else the all-even ones.
-    """
-    return np.array([q > 1 or not any(a % 2 for a in alpha) for alpha in basis])
 
 
 def _ball_boundary(ball, size, radius: float):
@@ -426,7 +414,7 @@ def solve_p1(
     # the l1 sphere with terms >= 0 and n pure powers > 0, so g >= (n / sum(s))
     # sum_i |x_i|**d > 0 off the origin: finite volume by construction, yet
     # dense, so the descent still has to find the sparse optimum
-    s = _even_rows(basis, q).astype(float)
+    s = _flip_invariant(basis, q == 1).astype(float)
     return _descend(
         "p1", n, d, q, start, cfg, iterate=_projected_gradient,
         make=lambda vec: from_coefficient_vector(n, d, q, basis, vec, MONOMIAL),
@@ -509,18 +497,17 @@ def solve_p3(
     cfg = config or SolveConfig()
     if d % 2 != 0 or d < 2:
         raise ValueError(f"the Gram trace problem needs an even degree >= 2, got {d}")
-    basis, _, index = _hankel_layout(n, d // 2)
+    basis, gammas, index = _hankel_layout(n, d // 2)
     # the exact projection is block-diagonal over the parity classes of the
-    # basis, so from a start that is zero wherever a + b has an odd component
-    # the iterates stay so; the mask keeps those zeros exact against the
-    # eigensolver's round-off, and with them the solution's even support.
-    # Such entries add only to odd coefficients, so a start whose expansion
-    # has even support is masked too (its entries there cancel): a folded
-    # descent, which reads only the even coefficients, needs them at zero
-    parity = np.array(basis) % 2
-    mask = (parity[:, None] == parity[None, :]).all(axis=2)
+    # basis, so from a start that is zero wherever a + b is not flip
+    # invariant the iterates stay so; the mask keeps those zeros exact
+    # against the eigensolver's round-off, and with them the solution's even
+    # support.  Such entries add only to odd coefficients, so a start whose
+    # expansion is sign symmetric is masked too (its entries there cancel):
+    # a folded descent, which reads only the even coefficients, needs them at zero
+    mask = _flip_invariant(gammas, True)[index]
     if start is not None and (np.shape(getattr(start, "Q", None)) != mask.shape
-                              or not start.expand().has_even_support()):
+                              or not start.expand().sign_symmetric):
         mask = 1.0  # a start with odd support keeps the plain projection
     ball = _ball_boundary(project_psd_trace, np.trace, float(n))
 

@@ -8,22 +8,20 @@ cone measure sigma,
 with h the restriction of g to S.  The deterministic spherical backend
 takes S the unit sphere and a quadrature rule on it (periodic trapezoid for
 n = 2, product Gauss-Legendre for n = 3), cached read-only per (n, budget,
-orthant).  An input unchanged by every sign flip x_i -> -x_i (every
-generalized one, and a classical one of even support) reads only the rule's
-nodes in one orthant, each weighted by its sign orbit: 1/4 (n = 2) or 1/8
-(n = 3) of the nodes, for the same answers up to round-off; the
-feasibility gate reads the full grid.  Monte Carlo takes S the unit l_d
-sphere and random nodes of its cone measure, of total n vol(B_d), so on
-B_d itself h = 1 at every node.  One function, _sphere_pass, makes one
-monomial kernel call P at given nodes and weights; _radial reads h from
-its leading rows, rejects infinite volume and gives the radial factors,
-and the moments sharing k = n + |alpha| come from one contiguous block of
-rows against one radial weight w * h**(-k/d).  A query's rows are g's own
-exponents, then the requested alphas they miss, so the volume and the
-degree-d moments (and with them the volume gradient) come from the same
-pass; a solve's spherical or Monte Carlo descent builds one pass on the
-degree-d slice (a sign-symmetric spherical one on the slice's
-sign-symmetric rows and the orthant) and runs it at every trial.
+orthant).  A sign-symmetric input (GeneralizedPolynomial.sign_symmetric)
+reads only the rule's nodes in one orthant, each weighted by its sign
+orbit: 1/4 (n = 2) or 1/8 (n = 3) of the nodes, for the same answers up to
+round-off; the feasibility gate reads the full grid.  Monte Carlo takes S
+the unit l_d sphere and random nodes of its cone measure, of total
+n vol(B_d), so on B_d itself h = 1 at every node.  One function,
+_sphere_pass, makes one monomial kernel call P at given nodes and weights;
+_radial reads h from its leading rows, rejects infinite volume and gives
+the radial factors, and the moments sharing k = n + |alpha| come from one
+contiguous block of rows against one radial weight w * h**(-k/d).  A
+query's rows are g's own exponents, then the requested alphas they miss,
+so the volume and the degree-d moments (and with them the volume gradient)
+come from the same pass; a solve's descent builds one spherical or Monte
+Carlo pass on the degree-d slice and runs it at every trial.
 Every backend lays out its kernel rows the same way.  The spherical pass
 makes one kernel call; Monte Carlo and the grid oracle make one per block of
 at most _BLOCK points (the grid's blocks are whole slices, at least one),
@@ -31,18 +29,18 @@ which bounds the memory of a block's samples and kernel output, and their
 random streams do not depend on the block.  The kernel keeps its own working
 set small, whatever the backend: it builds a large call in chunks of points
 (polynomials._KERNEL_ENTRIES).  Every backend returns only plain numbers and
-arrays aligned with the alphas it was given.  The dispatcher _estimate builds every answer: it
-gives each distinct alpha one entry (the all-zeros alpha reads the volume,
-moments that vanish by symmetry read exact zeros, a backend estimates only
-the rest) and turns the backend's numbers into the VolumeEstimate and the
-moment entries.
+arrays aligned with the alphas it was given.  The dispatcher _estimate
+builds every answer: it gives each distinct alpha one entry (the all-zeros
+alpha reads the volume, moments that vanish by symmetry read exact zeros, a
+backend estimates only the rest) and turns the backend's numbers into the
+VolumeEstimate and the moment entries.
 
-A slow grid indicator oracle provides an independent cross-check.  All
-estimates carry a standard error: zero for the spherical backend,
-statistical for Monte Carlo, and a boundary-cell bound for the grid.
-Infinite volume has one tolerance, _GATE_TOLERANCE: the feasibility gate and
-both radial backends reject a minimum of g over their nodes, exact axes
-included, at or below it.
+A slow grid indicator oracle cross-checks volume and moment queries; no
+solve reads it.  All estimates carry a standard error: zero for the
+spherical backend, statistical for Monte Carlo, and a boundary-cell bound
+for the grid.  Infinite volume has one tolerance, _GATE_TOLERANCE: the
+feasibility gate and both radial backends reject a minimum of g over their
+nodes, exact axes included, at or below it.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ import numpy as np
 from .polynomials import (
     Exponent,
     GeneralizedPolynomial,
+    _flip_invariant,
     _hankel_layout,
     _slice_weights,
     enumerate_indices,
@@ -200,31 +199,20 @@ def closed_form_ball_moment(n: int, d) -> float:
 # -- symmetry zeros -----------------------------------------------------------
 
 
-def _symmetry_zero(g: GeneralizedPolynomial, alpha: Exponent) -> bool:
-    """True when integral_G x^alpha vanishes exactly by symmetry.
+def _symmetry_zero(g: GeneralizedPolynomial, alphas: list[Exponent]) -> list[bool]:
+    """Mask of the alphas whose integral_G x^alpha vanishes exactly by symmetry.
 
     Classical (even-degree) polynomials give centrally symmetric G, killing
     every moment of odd total degree; when additionally every stored
     exponent is even, G is invariant under per-coordinate sign flips and
-    any alpha with an odd component vanishes.  _estimate returns such
-    moments as exact zeros and never hands them to a backend.
+    every alpha that is not _flip_invariant vanishes.  _estimate returns
+    such moments as exact zeros and never hands them to a backend.
     """
-    if not g.is_classical:
-        return False
-    if sum(alpha) % 2 == 1:
-        return True
-    return g.has_even_support() and any(a % 2 == 1 for a in alpha)
-
-
-def _sign_symmetric(g: GeneralizedPolynomial) -> bool:
-    """True when g is unchanged by every sign flip x_i -> -x_i.
-
-    Generalized inputs are evaluated at |x|; a classical one needs even
-    support.  Every moment a backend then estimates is flip invariant too
-    (_symmetry_zero drops a classical g's odd alphas), so the spherical
-    backend integrates on one orthant of its grid.
-    """
-    return not g.is_classical or g.has_even_support()
+    if not (g.is_classical and alphas):
+        return [False] * len(alphas)
+    alphas = np.array(alphas)
+    odd = alphas.sum(axis=1) % 2 == 1
+    return (odd | (g.has_even_support() & ~_flip_invariant(alphas, True))).tolist()
 
 
 # -- spherical backend --------------------------------------------------------
@@ -358,7 +346,9 @@ def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     for r, alpha in zip(live_rows, live):
         at.setdefault(sum(alpha), []).append(r)
     blocks = [(min(rs), max(rs) + 1, g.n + t / g.q) for t, rs in at.items()]
-    dirs, w = _sphere_grid(g.n, budget, _sign_symmetric(g))
+    # every live alpha of a sign-symmetric g is flip invariant (_symmetry_zero
+    # drops the others), so one orthant of the grid integrates it
+    dirs, w = _sphere_grid(g.n, budget, g.sign_symmetric)
     vol, values = _sphere_pass(g, dirs, w, rows)(g._coeffs, blocks)
     moments = np.empty(len(rows))  # moments[r]: the moment of kernel row r, once its block is done
     for (lo, hi, _), value in zip(blocks, values):
@@ -536,7 +526,8 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     budget = DEFAULT_BUDGETS[backend] if budget is None else _check_integer(budget, "budget", 1)
     seed = _check_integer(seed, "seed", 0)
     moments = {tuple(a): (0.0, 0.0) for a in alphas}
-    live = [a for a in moments if any(a) and not _symmetry_zero(g, a)]
+    zero = _symmetry_zero(g, list(moments))
+    live = [a for a, z in zip(moments, zero) if any(a) and not z]
     vol, vol_err, values, errors, nodes, ess = _BACKENDS[backend](g, live, budget, seed)
     moments.update(zip(live, zip(values.tolist(), errors.tolist())))
     est = VolumeEstimate(float(vol), float(vol_err), backend, nodes, ess)

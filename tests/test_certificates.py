@@ -127,6 +127,17 @@ class TestCertifyP2:
         assert cert_printed.passed
         assert cert_printed.residuals["max_coefficient"] <= 1e-5
 
+    def test_generalized_q1_cubic_counts_every_coefficient(self):
+        # a q = 1 polynomial of odd degree is generalized, evaluated at |x|:
+        # every monomial is flip invariant, so the -0.1 coefficient breaks
+        # positivity even though no exponent of the cubic is all even
+        g = GeneralizedPolynomial(2, 3, 1, {(3, 0): 1.0, (2, 1): -0.1, (0, 3): 1.0},
+                                  "multinomial")
+        assert not g.is_classical
+        cert = certify_p2(g, moment_table(g))
+        assert cert.residuals["even_coefficient_positivity"] == pytest.approx(0.1)
+        assert cert.verdict == "fail"
+
     def test_axis_power_fails_on_cross_residual(self):
         g = ld_polynomial(2, 4).to_convention("multinomial")
         cert = certify_p2(g, moment_table(g, budget=8192), tol=1e-6)

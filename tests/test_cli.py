@@ -240,6 +240,13 @@ class TestSolveCommand:
     def test_unconverged_exit_code(self, capsys):
         assert main(["solve", "p1", "--n", "2", "--d", "4", "--max-iters", "1"]) == 4
 
+    def test_grid_backend_is_an_input_error(self, capsys):
+        # the grid oracle cross-checks queries; a solve would descend on a
+        # 1,000,000-cell grid per trial, so it is refused before any pass
+        assert main(["solve", "p2", "--n", "2", "--d", "4", "--backend", "grid"]) == 2
+        captured = capsys.readouterr()
+        assert "'spherical' or 'monte_carlo'" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance_is_an_input_error(self, capsys, tol):
         assert main(["solve", "p1", "--n", "2", "--d", "4", "--tol", tol]) == 2

@@ -20,6 +20,7 @@ from ballrep import (
     norms,
     serialize_polynomial,
 )
+from ballrep.polynomials import _flip_invariant
 
 
 class TestEnumerateIndices:
@@ -85,6 +86,24 @@ class TestEvenSupport:
         assert not GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (3, 1): 1e-300}).has_even_support()
         assert ld_polynomial(2, 4).has_even_support()
         assert GeneralizedPolynomial(2, 4, 1, {}).has_even_support()
+
+    @pytest.mark.parametrize("g", [
+        ld_polynomial(2, 4),
+        GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): 0.0}),
+        GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): 0.2}),
+        GeneralizedPolynomial(3, 6, 1, {(6, 0, 0): 1.0, (2, 2, 2): 0.5, (1, 1, 4): 0.1}),
+        GeneralizedPolynomial(2, 3, 1, {(3, 0): 1.0, (2, 1): -0.1, (0, 3): 1.0}),
+        ld_polynomial(3, Fraction(1, 2), q=4),
+    ], ids=["B4", "zero-odd-term", "odd-term", "odd-sextic", "q1-cubic", "p1q"])
+    def test_sign_symmetric_matches_every_sign_flip(self, g):
+        x = np.random.default_rng(3).normal(size=(5, g.n))
+        flips = np.array(np.meshgrid(*[[-1.0, 1.0]] * g.n)).reshape(g.n, -1).T
+        same = all(np.array_equal(g.evaluate(x * f), g.evaluate(x)) for f in flips)
+        assert g.sign_symmetric == same
+        # the rule reads term by term: all of a generalized g, the all-even ones of a classical one
+        rows = _flip_invariant(list(g.terms), g.is_classical)
+        want = [not g.is_classical or all(a % 2 == 0 for a in alpha) for alpha in g.terms]
+        assert rows.tolist() == want
 
 
 class TestEvaluate:

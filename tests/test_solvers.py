@@ -96,6 +96,12 @@ class TestSolveConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
             SolveConfig(**{field: value})
 
+    @pytest.mark.parametrize("backend", ["grid_oracle", "quadrature"])
+    def test_rejects_backends_a_solve_cannot_descend_on(self, backend):
+        # the grid oracle is a cross-check of volume and moment queries only
+        with pytest.raises(ValueError, match="'spherical' or 'monte_carlo'"):
+            SolveConfig(backend=backend)
+
     def test_numpy_integers_stay_valid(self):
         cfg = SolveConfig(max_iters=np.int64(3), budget=np.int32(512), seed=np.uint8(2))
         assert (cfg.max_iters, cfg.budget, cfg.seed) == (3, 512, 2)
@@ -125,7 +131,7 @@ class TestLineSearch:
 
     CENTER = np.array([0.5, 0.5])
 
-    def evaluate(self, x, seed):
+    def evaluate(self, x):
         # f = 50 |x - c|**2 + 1 has curvature 100: the unit step overshoots
         # by a factor 99 and lands where the fake reports an infinite volume
         if x[0] < -1.0:
@@ -137,8 +143,8 @@ class TestLineSearch:
         solvers = sys.modules["ballrep.solvers"]
         outcomes = []
 
-        def counted(x, seed):
-            out = self.evaluate(x, seed)
+        def counted(x):
+            out = self.evaluate(x)
             outcomes.append(out)
             return out
 
@@ -159,9 +165,9 @@ class TestLineSearch:
         solvers = sys.modules["ballrep.solvers"]
         calls = []
 
-        def only_start(x, seed):
+        def only_start(x):
             calls.append(x)
-            return self.evaluate(x, seed) if len(calls) == 1 else None
+            return self.evaluate(x) if len(calls) == 1 else None
 
         x, trace, converged = solvers._projected_gradient(
             np.array([2.0, 2.0]), only_start, lambda x: x, lambda x, vol: vol, SolveConfig(),
@@ -263,7 +269,7 @@ class TestAnderson:
         solvers = sys.modules["ballrep.solvers"]
         calls = []
 
-        def evaluate(x, seed):
+        def evaluate(x):
             calls.append(x)
             return (1.0, -(self.A @ x + self.B)) if feasible(len(calls)) else None
 
@@ -707,7 +713,7 @@ class TestSphereDesign:
                 noise[odd] = 0.0
             x = project(x0 + (noise + noise.T if problem == "p3" else noise))
             want = _reference_trial(problem, n, d, q, x, cfg.budget)
-            got = evaluate(x, cfg.seed)
+            got = evaluate(x)
             assert want is not None and got is not None
             assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
             assert np.abs(got[1] - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
@@ -730,7 +736,7 @@ class TestSphereDesign:
         cfg = SolveConfig()
         _, evaluate, _ = self._oracle(monkeypatch, problem, n, d, q, cfg)
         assert _reference_trial(problem, n, d, q, x, cfg.budget) is None
-        assert evaluate(x, cfg.seed) is None
+        assert evaluate(x) is None
 
     def test_none_where_the_monte_carlo_pass_raises(self, monkeypatch):
         # -1000 (x1**4 + x2**4) is negative at every cone node, so the
@@ -741,7 +747,7 @@ class TestSphereDesign:
         with pytest.raises(InfiniteVolumeError):
             moment_table(GeneralizedPolynomial(2, 4, 1, {(4, 0): -1000.0, (0, 4): -1000.0}),
                          backend=cfg.backend, budget=cfg.budget, seed=cfg.seed)
-        assert evaluate(x, cfg.seed) is None
+        assert evaluate(x) is None
 
 
 @pytest.mark.parametrize("problem,n,d,q", [
@@ -835,9 +841,9 @@ def _count_oracle_work(monkeypatch, counted):
 
     def counting(real_iteration):
         def counting_iteration(state0, evaluate, *rest):
-            def oracle(x, seed):
+            def oracle(x):
                 before = (len(passes), *map(len, counted))
-                out = evaluate(x, seed)
+                out = evaluate(x)
                 after = (len(passes), *map(len, counted))
                 per_call.append(tuple(b - a for a, b in zip(before, after)))
                 return out
@@ -867,20 +873,6 @@ def _count_kernel_calls(monkeypatch):
 
 
 class TestOnePassPerTrial:
-    def test_p2_pays_one_estimator_pass_per_oracle_call(self, monkeypatch):
-        # on the grid oracle every trial reads one moment table (its answers
-        # are piecewise constant, so p2 never meets its stop rule there)
-        passes, per_call = _count_oracle_work(monkeypatch, [])
-        cfg = SolveConfig(backend="grid_oracle", budget=4096, seed=0, max_iters=5)
-        res = solve_p2(2, 4, config=cfg)
-        assert res.certificate.passed
-        # one call per iterate, plus one per mixed point that fell back
-        assert len(per_call) >= len(res.iterations)
-        assert per_call == [(1,)] * len(per_call)
-        # outside the descent only the certificate's moment table remains
-        # (p2 rescales by its leading coefficient, without a volume pass)
-        assert passes == [cfg.budget] * len(per_call) + [cfg.certificate_budget]
-
     def test_p2_spherical_descent_reads_one_design_matrix(self, monkeypatch):
         kernel_calls = _count_kernel_calls(monkeypatch)
         passes, per_call = _count_oracle_work(monkeypatch, [kernel_calls])
@@ -979,9 +971,9 @@ def _record_descent(monkeypatch):
 
     def recording(real_iteration):
         def recording_iteration(state0, evaluate, *rest):
-            def oracle(x, seed):
+            def oracle(x):
                 trials.append(np.array(x, copy=True))
-                return evaluate(x, seed)
+                return evaluate(x)
 
             return real_iteration(state0, oracle, *rest)
 
