@@ -48,7 +48,6 @@ from .polynomials import (
     ld_polynomial,
 )
 from .volume import (
-    CLOSED_FORM,
     SPHERICAL,
     MomentMatrix,
     MomentTable,
@@ -60,8 +59,6 @@ from .volume import (
 
 PASS = "pass"
 FAIL = "fail"
-
-_DETERMINISTIC = (SPHERICAL, CLOSED_FORM)
 
 
 class CertificatePreconditionError(ValueError):
@@ -89,7 +86,7 @@ class Certificate:
 
 def _default_tol(backend: str, tol: float | None) -> float:
     if tol is None:
-        return 1e-6 if backend in _DETERMINISTIC else 1e-2
+        return 1e-6 if backend == SPHERICAL else 1e-2
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"certificate tolerance must be finite and >= 0, got {tol}")
     return float(tol)

@@ -11,7 +11,8 @@ n = 2, product Gauss-Legendre for n = 3), cached read-only per (n, budget,
 orthant).  A sign-symmetric input (GeneralizedPolynomial.sign_symmetric)
 reads only the rule's nodes in one orthant, each weighted by its sign
 orbit: 1/4 (n = 2) or 1/8 (n = 3) of the nodes, for the same answers up to
-round-off; the feasibility gate reads the full grid.  Monte Carlo takes S
+round-off; only classical inputs with odd terms read the full grid, in
+queries, descents and the feasibility gate alike.  Monte Carlo takes S
 the unit l_d sphere and random nodes of its cone measure, of total
 n vol(B_d), so on B_d itself h = 1 at every node.  One function,
 _sphere_pass, makes one monomial kernel call P at given nodes and weights;
@@ -67,7 +68,6 @@ from .polynomials import (
 SPHERICAL = "spherical"
 MONTE_CARLO = "monte_carlo"
 GRID_ORACLE = "grid_oracle"
-CLOSED_FORM = "closed_form"
 
 DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000}
 
@@ -76,9 +76,9 @@ _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; bounds a bl
 # sphere grids kept, a full grid and its orthant counted apart; an n = 3,
 # budget 32768 full grid is 1 MB, its orthant an eighth of that
 _GRID_CACHE_SIZE = 8
-_GATE_BUDGET = 2048  # sphere grid screened by the n <= 3 feasibility gate
-_GATE_RESTARTS = 8  # zoom candidates besides the axes and the diagonal
-_GATE_ZOOM_DIMS = 3  # most tangent directions one gate zoom level spans
+_GATE_BUDGET = 2048  # sphere grid (n <= 3) or cone nodes (n >= 4) the gate scans
+_GATE_RESTARTS = 8  # best scan nodes zoomed besides the axes and the diagonal
+_GATE_ZOOM_DIMS = 3  # most chart axes one gate zoom level spans
 _GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this counts as infinite volume
 _HANKEL_SIGMAS = 3.0  # standard errors the Hankel diagonal bound allows
 
@@ -514,6 +514,17 @@ def _check_integer(value, name: str, least: int) -> int:
     return out
 
 
+def _check_alpha(alpha, n: int) -> Exponent:
+    """alpha as a tuple of n ints >= 0; ValueError naming it otherwise (a bool is no integer)."""
+    try:
+        out = tuple(_check_integer(a, "entry", 0) for a in alpha)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or len(out) != n:
+        raise ValueError(f"alpha must be {n} non-negative integers, got {alpha!r}")
+    return out
+
+
 def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     """(volume, moments) of one backend pass, one entry per distinct alpha in order.
 
@@ -525,7 +536,7 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     budget = DEFAULT_BUDGETS[backend] if budget is None else _check_integer(budget, "budget", 1)
     seed = _check_integer(seed, "seed", 0)
-    moments = {tuple(a): (0.0, 0.0) for a in alphas}
+    moments = {_check_alpha(a, g.n): (0.0, 0.0) for a in alphas}
     zero = _symmetry_zero(g, list(moments))
     live = [a for a, z in zip(moments, zero) if any(a) and not z]
     vol, vol_err, values, errors, nodes, ess = _BACKENDS[backend](g, live, budget, seed)
@@ -566,8 +577,9 @@ def moment(
     Classical inputs integrate the signed monomial, generalized inputs the
     absolute one; Gamma normalization follows 1 + (n + |alpha|)/d.
     """
-    _, moments = _estimate(g, [tuple(alpha)], backend, budget, seed)
-    return moments[tuple(alpha)]
+    _, moments = _estimate(g, [alpha], backend, budget, seed)
+    [entry] = moments.values()
+    return entry
 
 
 def moment_table(
@@ -681,64 +693,48 @@ def euler_residual(
 def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVerdict:
     """Minimum of g over the unit sphere by a scan and a batched zoom search.
 
-    The exact axes +-e_i always count.  One rule picks the candidates: the
-    axes and the diagonal, then for n <= 3 the _GATE_RESTARTS best nodes of
-    the sphere grid the spherical backend builds at _GATE_BUDGET (for n = 2,
-    2048 equally spaced angles), for n >= 4 seeded random directions up to
-    max(_GATE_RESTARTS, n + 1) in all.  So only n >= 4 reads `seed`, which
-    must be >= 0 all the same.  The axes and the diagonal stay at n <= 3
-    too: g(-v) = +-g(v), so the best nodes come in antipodal pairs and may
-    all sit in one basin.  One zoom follows: each
-    level lays a 5**k stencil of radius r on a k-column frame at every
-    candidate, projects the trials back onto the sphere, keeps the best and
-    shrinks r from 0.5 down to 1e-10.  For n <= 4 (k = n - 1) the frame at
-    v is every axis but j = argmax |v_j|: since |v_j| >= 1/sqrt(n), those
-    coordinates chart the sphere around v with bounded distortion, so the n
-    frames are built once per call, and r halves each level.  Above that the
-    frame spans a seeded random 3-dimensional tangent subspace at v (k = 3),
-    orthonormalized by QR, so its size stays bounded, and r halves once
-    every (n - 1)/3 levels.  The search uses no derivatives, so the kinks of
-    generalized inputs do not stall it.
+    One rule for every n >= 2.  The scan evaluates _GATE_BUDGET unit
+    directions: the sphere grid for n <= 3 (one orthant of it when g is
+    sign_symmetric), the uniform cone nodes _cone_nodes(n, 2, _GATE_BUDGET,
+    seed) for n >= 4, the only reader of `seed`.  The candidates are the n
+    axes, the diagonal and the _GATE_RESTARTS best scan nodes.  Each zoom
+    level lays a 5**k stencil of radius r on every candidate v in the fixed
+    chart of every axis but j = argmax |v_j| (|v_j| >= 1/sqrt(n) bounds its
+    distortion), projects the trials onto the sphere and keeps the best.
+    k = min(n - 1, _GATE_ZOOM_DIMS): above n = 4 a level zooms k of the
+    chart's n - 1 axes, the next level the next k, and r halves once per
+    n - 1 axes zoomed, from 0.5 down to 1e-10.  No derivatives, so the kinks
+    of generalized inputs do not stall it.
 
-    Every tried point is a unit direction and counts towards the minimum,
-    so a strictly negative minimum proves infinite volume (g is negative on
+    The exact axes +-e_i and every tried point are unit directions and
+    count, so a strictly negative minimum proves infinite volume (g < 0 on
     an open cone).  finite_volume = True only means no negative direction
-    was found; minima at exactly zero are reported as infeasible because
-    the sublevel set is then unbounded along the minimizing direction.
+    was found; a minimum at zero is infeasible, the set being unbounded
+    along it.
     """
     n, seed = g.n, _check_integer(seed, "seed", 0)
     smin = _axis_minimum(g._coeffs, np.count_nonzero(g._exponents, axis=1) == 1, n)
     if n == 1:
         return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
-    starts = list(np.eye(n))
-    starts.append(np.full(n, 1.0 / math.sqrt(n)))
     if n <= 3:
-        # every grid node is a unit direction, so a negative grid value is proof
-        nodes = _sphere_grid(n, _GATE_BUDGET, False)[0]
-        values = g.evaluate(nodes)
-        smin = min(smin, float(values.min()))
-        starts.extend(nodes[np.argsort(values)[:_GATE_RESTARTS]])
+        nodes = _sphere_grid(n, _GATE_BUDGET, g.sign_symmetric)[0]
     else:
-        rng = np.random.default_rng([seed, 911])
-        while len(starts) < max(_GATE_RESTARTS, n + 1):
-            v = rng.normal(size=n)
-            starts.append(v / np.linalg.norm(v))
-    best = np.array(starts)
+        nodes = _cone_nodes(n, 2.0, _GATE_BUDGET, seed)[0]
+    values = g.evaluate(nodes)
+    smin = min(smin, float(values.min()))
+    diagonal = np.full((1, n), 1.0 / math.sqrt(n))
+    best = np.concatenate([np.eye(n), diagonal, nodes[np.argsort(values)[:_GATE_RESTARTS]]])
     k = min(n - 1, _GATE_ZOOM_DIMS)
     axis = np.linspace(-1.0, 1.0, 5)
     stencil = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), -1).reshape(-1, k)
-    # frames[j] is every axis but x_j, the fixed frame of the n <= 4 zoom
-    frames = np.stack([np.delete(np.eye(n), j, axis=1) for j in range(n)])
-    rows = np.arange(len(best))
+    charts = np.stack([np.delete(np.eye(n), j, axis=1) for j in range(n)])  # [j]: all axes but x_j
+    rows, cols = np.arange(len(best)), np.arange(k)
     r = 0.5
     while r >= 1e-10:
-        if k == n - 1:
-            frame = frames[np.abs(best).argmax(axis=1)]
-        else:
-            # Q of [v, M] is orthogonal with first column +-v even when v is
-            # an axis, so its other k columns span a tangent subspace at v
-            frame = np.concatenate([best[:, :, None], rng.normal(size=(len(best), n, k))], axis=2)
-            frame = np.linalg.qr(frame)[0][:, :, 1:]
+        frame = charts[np.abs(best).argmax(axis=1)]
+        if k < n - 1:
+            frame = frame[:, :, cols]
+            cols = (cols + k) % (n - 1)
         trial = best[:, None, :] + r * stencil @ frame.transpose(0, 2, 1)
         trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
         values = g.evaluate(trial)

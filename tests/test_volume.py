@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -193,6 +194,17 @@ class TestMomentTable:
         assert grades == set(range(5))
         top = [a for a in table.entries if sum(a) == 4]
         assert len(top) == 5
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 2), (2, 0, 0), (-2, 4), (1.5, 0.5), (True, 3)],
+                             ids=["too-long", "too-long-even", "negative", "fractional", "bool"])
+    def test_malformed_alpha_rejected(self, alpha):
+        # a 3-tuple read as a symmetry zero or broke the kernel's shapes, a
+        # negative exponent wrapped the power table, a fractional one gave
+        # zeros, a bool counted as 1
+        with pytest.raises(ValueError, match=re.escape(f"got {alpha!r}")):
+            moment(DISK4, alpha)
+        with pytest.raises(ValueError, match=re.escape(f"got {alpha!r}")):
+            moment_table(DISK4, alphas=[(4, 0), alpha])
 
 
 class TestGradient:
@@ -900,8 +912,8 @@ class TestFeasibilityGate:
         assert verdict.sphere_minimum == pytest.approx(1.0 - c, abs=1e-9)
 
     def test_chart_zoom_needs_no_qr(self, monkeypatch):
-        # n <= 4 zooms in fixed coordinate charts; only the random tangent
-        # subspaces of n >= 5 are orthonormalized
+        # every n zooms in fixed coordinate charts; no tangent frame is
+        # orthonormalized, the n = 6 one included
         class QRCalled(Exception):
             pass
 
@@ -918,8 +930,24 @@ class TestFeasibilityGate:
         verdict = finite_volume_test(ld_polynomial(4, 4))
         assert verdict.finite_volume
         assert verdict.sphere_minimum == pytest.approx(0.25, abs=1e-12)
-        with pytest.raises(QRCalled):
-            finite_volume_test(_hidden_direction_form(6, 0.98), seed=3)
+        verdict = finite_volume_test(_hidden_direction_form(6, 0.98), seed=3)
+        assert verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(0.02, abs=1e-9)
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_six_dimensional_noisy_quartics_reach_the_brute_force_minimum(self, draw):
+        # ld_polynomial(6, 4) plus uniform(-0.3, 0.3) on every term, the draws
+        # of default_rng([6, 3]) in turn; tangent frames of random directions
+        # stopped at 0.118 on the fourth, where 200k directions reach 0.078
+        rng = np.random.default_rng([6, 3])
+        for _ in range(draw + 1):
+            base = ld_polynomial(6, 4)
+            terms = {a: base.terms.get(a, 0.0) + rng.uniform(-0.3, 0.3)
+                     for a in enumerate_indices(6, 4)}
+        g = GeneralizedPolynomial(6, 4, 1, terms)
+        verdict = finite_volume_test(g, seed=3)
+        assert verdict.finite_volume
+        assert verdict.sphere_minimum <= _brute_minimum(g, 200_000) + 1e-9
 
     @pytest.mark.parametrize("g", [
         _random_form(2, 4, np.random.default_rng([0, 2, 4])),
@@ -934,12 +962,16 @@ class TestFeasibilityGate:
             assert finite_volume_test(g, seed=seed) == first, seed
 
     @pytest.mark.parametrize("n,points", [
-        (2, 2048 + 33 * (3 + 8) * 5), (3, 2048 + 33 * (4 + 8) * 25), (4, 33 * 8 * 125),
+        (2, 513 + 33 * (2 + 9) * 5),
+        (3, 272 + 33 * (3 + 9) * 25),
+        (4, 2048 + 33 * (4 + 9) * 125),
+        (5, 2048 + 43 * (5 + 9) * 125),
     ])
     def test_evaluation_count(self, monkeypatch, n, points):
-        # the scan (a sphere grid for n <= 3), then every zoom level over all
-        # candidates: the n axes and the diagonal, plus _GATE_RESTARTS = 8 grid
-        # nodes for n <= 3 or seeded directions up to 8 in all for n >= 4
+        # the scan (one orthant of the sphere grid for the sign-symmetric
+        # ld_polynomial at n <= 3, 2048 cone nodes at n >= 4), then every zoom
+        # level over the n axes, the diagonal and the _GATE_RESTARTS = 8 best
+        # scan nodes; r halves over 33 levels, at n = 5 by 2**(3/4) over 43
         counts = []
         evaluate = GeneralizedPolynomial.evaluate
 
