@@ -45,12 +45,17 @@ def _load_json(text: str):
         raise SchemaError("document", f"malformed JSON: {exc}") from exc
 
 
+def _is(value, kinds) -> bool:
+    """isinstance(value, kinds), but JSON true and false (Python bools, so ints) are no numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _require(doc: dict, field: str, kinds, where: str = ""):
     label = f"{where}{field}"
     if field not in doc:
         raise SchemaError(label, "missing required field")
     value = doc[field]
-    if not isinstance(value, kinds):
+    if not _is(value, kinds):
         raise SchemaError(label, f"expected {kinds}, got {type(value).__name__}")
     return value
 
@@ -77,7 +82,7 @@ def polynomial_from_dict(doc: dict) -> GeneralizedPolynomial:
         raise SchemaError("document", "expected a JSON object")
     n = _require(doc, "n", int)
     d_pair = _require(doc, "d", list)
-    if len(d_pair) != 2 or not all(isinstance(v, int) for v in d_pair):
+    if len(d_pair) != 2 or not all(_is(v, int) for v in d_pair):
         raise SchemaError("d", "expected a [numerator, denominator] pair of integers")
     if d_pair[1] == 0:
         raise SchemaError("d", "zero denominator")
@@ -93,7 +98,7 @@ def polynomial_from_dict(doc: dict) -> GeneralizedPolynomial:
         if not isinstance(entry, dict):
             raise SchemaError(f"terms[{k}]", "expected an object")
         alpha = _require(entry, "alpha_times_q", list, where)
-        if not all(isinstance(a, int) and a >= 0 for a in alpha):
+        if not all(_is(a, int) and a >= 0 for a in alpha):
             raise SchemaError(where + "alpha_times_q", "expected non-negative integers")
         coeff = _require(entry, "coeff", (int, float), where)
         key = tuple(alpha)
@@ -145,7 +150,7 @@ def gram_from_dict(doc: dict) -> GramForm:
     if not rows or not all(isinstance(r, list) and len(r) == len(rows) for r in rows):
         raise SchemaError("Q", "expected a square matrix of numbers")
     for r in rows:
-        if not all(isinstance(v, (int, float)) for v in r):
+        if not all(_is(v, (int, float)) for v in r):
             raise SchemaError("Q", "expected a square matrix of numbers")
     try:
         return GramForm(n, degree, np.array(rows, dtype=float))

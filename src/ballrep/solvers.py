@@ -28,21 +28,16 @@ One solve path, _descend, serves the three problems, and each solve_pX
 passes only its geometry and its iteration.  The monomial coefficients of
 the degree-d slice are linear in the solver coordinates: the coefficients
 themselves for p1, whitened coefficients for p2, the Gram matrix Q for p3.
-A trial reads its volume and the slice's moments m from one run of the
-solve's radial pass, whose design matrix is built once, on the sphere grid
-or on the Monte Carlo cone nodes of the solve's seed; its gradient in the
-solver coordinates is pullback(-(n + d)/d m), pullback being the adjoint of
-that linear map.  So a Monte Carlo solve minimizes one sample-average
+A trial reads its volume and the slice's moments m from one run of
+volume._radial_pass, built once for the start as given, on the nodes, fold
+and rows a query of that start reads; its gradient in the solver
+coordinates is pullback(-(n + d)/d m), pullback being the adjoint of that
+linear map.  Moments that vanish by symmetry at the start are exact zeros,
+so every projection keeps the coordinates that feed none of the live
+coefficients at 0.  So a Monte Carlo solve minimizes one sample-average
 volume, deterministic given its seed, and every trial of its line search
 reads the same nodes; the grid oracle is a query cross-check, no solve
 backend.
-A spherical descent from a start that every sign flip x_i -> -x_i leaves
-unchanged (every default start, every q > 1 start) folds: its pass runs on
-one orthant of the grid and on the slice's flip-invariant rows only
-(polynomials._flip_invariant: the all-even alphas for q = 1, all of them
-for q > 1), and the odd moments are exact zeros.  The gradient is then
-exactly 0 in the odd coordinates, and p1's l1 projection, p2's Anderson
-mix and p3's parity mask keep them at 0.
 The objective is the problem's norm of the normalized solver coordinates,
 as in the trace.
 Default starts are feasible by construction, so no default solve calls the
@@ -79,10 +74,8 @@ from .volume import (
     SPHERICAL,
     InfiniteVolumeError,
     _check_integer,
-    _cone_nodes,
     _finite_or_raise,
-    _sphere_grid,
-    _sphere_pass,
+    _radial_pass,
     closed_form_ball_volume,
     finite_volume_test,
     grad_volume,  # noqa: F401  (unused; perfbench/selftest.py checks it is bound here)
@@ -111,9 +104,9 @@ class SolveConfig:
     projected step no longer moves or the volume's relative change stays
     within 1e-10 for three accepted steps in a row, p2 once |T(u) - u|_inf
     <= 1e-14 (1 + |u|_inf).  backend is spherical or monte_carlo, and the
-    descent's nodes number budget (spherical: the grid of the solve's design
-    matrix, of which a sign-symmetric start evaluates one orthant; Monte
-    Carlo: the cone nodes of seed, drawn once per solve); one pass at
+    descent's pass, built once per solve, has the nodes a query of the start
+    would read at budget (the sphere grid, one orthant of it for a
+    sign-symmetric start, or the cone nodes of seed); one pass at
     4 * budget gives the final rescaling and the certificate's moments, and
     the check uses cert_tol, finite and >= 0.  max_iters and budget are
     integers >= 1 and seed one >= 0 (a float or a bool is rejected, as in
@@ -282,23 +275,20 @@ def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
 
 
 def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords, coefficients,
-             pullback, project, norm, default_start, scale=None) -> SolveResult:
+             pullback, projection, norm, default_start, scale=None) -> SolveResult:
     """Start, iterate, normalize and certify one problem.
 
     make(x) builds the polynomial or Gram form from the solver coordinates
     x, linearly; coords is its inverse, coefficients(x) the monomial
     coefficients of the degree-d slice in canonical order, and pullback, the
     adjoint of coefficients, maps a gradient in those coefficients to one in
-    x; a trial is None where its pass raises InfiniteVolumeError.  A given
-    start is projected onto the ball and must pass the feasibility gate; the
-    array default_start is feasible by construction.  Every trial runs one
-    _sphere_pass, built once on the slice at the solve's nodes: the sphere
-    grid, or the Monte Carlo cone nodes of cfg.seed.  On the spherical
-    backend a sign-symmetric start folds the pass: the orthant grid, the
-    flip-invariant rows, and exact zeros scattered into the other moments.
-    That relies on the iterates keeping exact zeros in the coordinates that
-    feed only odd coefficients, so project must map a point that is zero
-    there to one that is zero there.  Every solve ends alike: one
+    x; a trial is None where its pass raises InfiniteVolumeError.  Every
+    trial runs the one _radial_pass of the start as given (default_start, or
+    the caller's start before projection) on the slice, and projection(x)
+    becomes keep * projection(x): keep marks the coordinates that feed a live
+    coefficient, pullback(live) != 0.  A given start is projected so and
+    must pass the feasibility gate; the array default_start is feasible by
+    construction.  Every solve ends alike: one
     moment_table pass at the certificate budget on solution = make(x), one
     factor k (scale(solution), or else the scale to vol(B_d) from the pass),
     then solution.rescale(k) and the pass's moments mapped to its ball.  The
@@ -311,29 +301,27 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         _check_candidate(problem, start)
         if (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
             raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
+    # the start as given decides the fold: a projection's round-off may break its symmetry
+    basis = enumerate_indices(n, int(d * q))
+    given = polynomial(make(default_start) if start is None else start)
+    live, _, run = _radial_pass(given, basis, cfg.backend, cfg.budget, cfg.seed, descent=True)
+    keep = pullback(live) != 0  # the coordinates that feed a live coefficient; the rest stay 0
+
+    def project(x):
+        return keep * projection(x)
+
     x0 = default_start if start is None else project(coords(start))
-    g0 = polynomial(make(x0))
     if start is not None:  # outside input: only the gate can tell whether its volume is finite
+        g0 = polynomial(make(x0))
         _finite_or_raise(finite_volume_test(g0, seed=cfg.seed), "initial iterate")
     rho = closed_form_ball_volume(n, d)
-    basis = np.array(enumerate_indices(n, int(d * q)), dtype=np.intp)
     factor = -(n + float(d)) / float(d)  # the volume gradient over the slice's moments
-    # from a sign-symmetric start the gradient is exactly 0 in the odd
-    # coordinates, so they stay 0: the trials read the flip-invariant rows on the orthant
-    folded = cfg.backend == SPHERICAL and g0.sign_symmetric
-    live = _flip_invariant(basis, g0.is_classical) | (not folded)
-    nodes = (_sphere_grid(n, cfg.budget, folded) if cfg.backend == SPHERICAL
-             else _cone_nodes(n, float(d), cfg.budget, cfg.seed))
-    run = _sphere_pass(g0, *nodes, basis[live])  # P of the slice, built once for every trial
-    block = [(0, int(live.sum()), n + float(d))]  # the live rows, at k = n + d
 
     def evaluate(x):
         try:
-            vol, (values,) = run(coefficients(x)[live], block)
+            vol, m = run(coefficients(x)[live])
         except InfiniteVolumeError:
             return None
-        m = np.zeros(len(basis))  # a folded pass's odd moments are exact zeros
-        m[live] = values
         return vol, pullback(factor * m)
 
     def report(x, vol):
@@ -420,7 +408,7 @@ def solve_p1(
         make=lambda vec: from_coefficient_vector(n, d, q, basis, vec, MONOMIAL),
         coords=lambda g: coefficient_vector(g.to_convention(MONOMIAL), basis),
         coefficients=lambda vec: vec, pullback=lambda grad: grad,
-        project=_ball_boundary(project_l1_ball, l1, float(n)), norm=l1,
+        projection=_ball_boundary(project_l1_ball, l1, float(n)), norm=l1,
         default_start=n * s / s.sum(),
     )
 
@@ -476,7 +464,7 @@ def solve_p2(
     return _descend(
         "p2", n, d, q, start, cfg, iterate=_anderson, make=make, coords=coords,
         coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad * root_w,
-        project=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
+        projection=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
         default_start=project(coords(ball)), scale=lead_to_one,
     )
 
@@ -497,19 +485,7 @@ def solve_p3(
     cfg = config or SolveConfig()
     if d % 2 != 0 or d < 2:
         raise ValueError(f"the Gram trace problem needs an even degree >= 2, got {d}")
-    basis, gammas, index = _hankel_layout(n, d // 2)
-    # the exact projection is block-diagonal over the parity classes of the
-    # basis, so from a start that is zero wherever a + b is not flip
-    # invariant the iterates stay so; the mask keeps those zeros exact
-    # against the eigensolver's round-off, and with them the solution's even
-    # support.  Such entries add only to odd coefficients, so a start whose
-    # expansion is sign symmetric is masked too (its entries there cancel):
-    # a folded descent, which reads only the even coefficients, needs them at zero
-    mask = _flip_invariant(gammas, True)[index]
-    if start is not None and (np.shape(getattr(start, "Q", None)) != mask.shape
-                              or not start.expand().sign_symmetric):
-        mask = 1.0  # a start with odd support keeps the plain projection
-    ball = _ball_boundary(project_psd_trace, np.trace, float(n))
+    basis, _, index = _hankel_layout(n, d // 2)
 
     # expand_gram adds Q[a, b] into the coefficient at a + b, so its
     # transpose gathers the coefficient gradient at a + b into entry (a, b);
@@ -519,6 +495,7 @@ def solve_p3(
         coords=lambda gram: np.asarray(gram.Q, dtype=float),
         coefficients=lambda mat: np.bincount(index.ravel(), weights=mat.ravel()),
         pullback=lambda grad: grad[index], iterate=_projected_gradient,
-        project=lambda mat: mask * ball(mat), norm=lambda mat: float(np.trace(mat)),
+        projection=_ball_boundary(project_psd_trace, np.trace, float(n)),
+        norm=lambda mat: float(np.trace(mat)),
         default_start=(float(n) / len(basis)) * np.eye(len(basis)),
     )

@@ -15,17 +15,21 @@ round-off; only classical inputs with odd terms read the full grid, in
 queries, descents and the feasibility gate alike.  Monte Carlo takes S
 the unit l_d sphere and random nodes of its cone measure, of total
 n vol(B_d), so on B_d itself h = 1 at every node.  One function,
-_sphere_pass, makes one monomial kernel call P at given nodes and weights;
-_radial reads h from its leading rows, rejects infinite volume and gives
-the radial factors, and the moments sharing k = n + |alpha| come from one
-contiguous block of rows against one radial weight w * h**(-k/d).  A
+_radial_pass, builds every spherical query pass and every solve's descent
+pass, spherical or Monte Carlo: it drops a descent's alphas that vanish by
+symmetry (_symmetry_zero, the rule _estimate applies to every query), picks
+the nodes and their fold, lays out the kernel rows and makes one monomial
+kernel call P.  Its run(c) has _radial read h from P's leading rows,
+reject infinite volume and give the radial factors, and the moments
+sharing k = n + |alpha| come from one contiguous block of rows against one
+radial weight w * h**(-k/d).  A
 query's rows are g's own exponents, then the requested alphas they miss,
 so the volume and the degree-d moments (and with them the volume gradient)
-come from the same pass; a solve's descent builds one spherical or Monte
-Carlo pass on the degree-d slice and runs it at every trial.
-Every backend lays out its kernel rows the same way.  The spherical pass
-makes one kernel call; Monte Carlo and the grid oracle make one per block of
-at most _BLOCK points (the grid's blocks are whole slices, at least one),
+come from the same pass; a descent's rows are the live alphas of the
+degree-d slice at its start, and every trial runs the same pass.
+Every backend lays out its kernel rows the same way.  _radial_pass makes
+one kernel call; Monte Carlo queries and the grid oracle make one per block
+of at most _BLOCK points (the grid's blocks are whole slices, at least one),
 which bounds the memory of a block's samples and kernel output, and their
 random streams do not depend on the block.  The kernel keeps its own working
 set small, whatever the backend: it builds a large call in chunks of points
@@ -199,7 +203,7 @@ def closed_form_ball_moment(n: int, d) -> float:
 # -- symmetry zeros -----------------------------------------------------------
 
 
-def _symmetry_zero(g: GeneralizedPolynomial, alphas: list[Exponent]) -> list[bool]:
+def _symmetry_zero(g: GeneralizedPolynomial, alphas: list[Exponent]) -> np.ndarray:
     """Mask of the alphas whose integral_G x^alpha vanishes exactly by symmetry.
 
     Classical (even-degree) polynomials give centrally symmetric G, killing
@@ -209,10 +213,10 @@ def _symmetry_zero(g: GeneralizedPolynomial, alphas: list[Exponent]) -> list[boo
     such moments as exact zeros and never hands them to a backend.
     """
     if not (g.is_classical and alphas):
-        return [False] * len(alphas)
+        return np.zeros(len(alphas), dtype=bool)
     alphas = np.array(alphas)
     odd = alphas.sum(axis=1) % 2 == 1
-    return (odd | (g.has_even_support() & ~_flip_invariant(alphas, True))).tolist()
+    return odd | (g.has_even_support() & ~_flip_invariant(alphas, True))
 
 
 # -- spherical backend --------------------------------------------------------
@@ -272,25 +276,30 @@ def _sphere_grid(n: int, budget: int, orthant: bool):
     return dirs, weights
 
 
-def _kernel_rows(g: GeneralizedPolynomial, live):
-    """Exponent rows of a pass's one kernel call, and the row of each live alpha.
+def _kernel_rows(g: GeneralizedPolynomial, live, lead=None):
+    """Exponent rows of a pass's kernel call, the row of each live alpha, and its k-blocks.
 
-    g's own exponents come first, so g is ``g._coeffs @ P[:len(g._exponents)]``
-    on the kernel output P; the live alphas they miss follow, grouped by
-    total degree with g's own degree leading, so the alphas of one total
-    degree (one k) occupy one contiguous block of rows.
+    lead's rows come first, g's own exponents by default, so g is
+    ``g._coeffs @ P[:len(g._exponents)]`` on the kernel output P; the live
+    alphas they miss follow, grouped by total degree with g's own degree
+    leading, so the alphas of one total degree (one k) occupy one contiguous
+    block of rows, (lo, hi, k) in blocks.
     """
-    rows = g._exponents
-    row = {alpha: i for i, alpha in enumerate(map(tuple, rows.tolist()))}
+    lead = list(map(tuple, g._exponents.tolist())) if lead is None else lead
+    row = {alpha: i for i, alpha in enumerate(lead)}
     total = int(g.degree * g.q)
     extra = sorted(
         (a for a in live if a not in row),
         key=lambda a: (sum(a) != total, sum(a)),
     )
-    row.update((a, len(rows) + i) for i, a in enumerate(extra))
-    if extra:
-        rows = np.vstack([rows, np.array(extra, dtype=np.intp)])
-    return rows, [row[a] for a in live]
+    row.update((a, len(lead) + i) for i, a in enumerate(extra))
+    rows = np.array(lead + extra, dtype=np.intp).reshape(-1, g.n)
+    live_rows = [row[a] for a in live]
+    at = {}
+    for r, alpha in zip(live_rows, live):
+        at.setdefault(sum(alpha), []).append(r)
+    blocks = [(min(rs), max(rs) + 1, g.n + t / g.q) for t, rs in at.items()]
+    return rows, live_rows, blocks
 
 
 def _axis_minimum(coeffs: np.ndarray, pure: np.ndarray, n: int) -> float:
@@ -318,42 +327,53 @@ def _radial(c, P, pure, n: int, d: float, ks):
     return [h ** (-k / d) for k in ks]
 
 
-def _sphere_pass(g: GeneralizedPolynomial, dirs: np.ndarray, w: np.ndarray, rows: np.ndarray):
-    """The radial formula at nodes ``dirs`` of weights ``w``: run(c, blocks) -> (volume, moments).
+def _radial_pass(g: GeneralizedPolynomial, alphas, backend: str, budget: int, seed: int,
+                 descent: bool = False):
+    """The radial formula over the alphas, built once for g: (live, nodes, run).
 
-    P, the monomials of rows at the nodes, and the mask of its pure-power
-    rows are built once, so a solve's trials share them.  run(c, blocks)
-    reads _radial's factors for c and returns the volume w.h**(-n/d)/n and,
-    per block (lo, hi, k), the moments P[lo:hi] (w h**(-k/d)) / k of rows lo
-    to hi, whose alphas all have k = n + |alpha|.
+    live masks the alphas that do not vanish by symmetry: a descent drops
+    its slice's zeros here by _symmetry_zero, the rule by which _estimate
+    drops a query's before they reach a backend.  The nodes are the sphere
+    grid of budget, one orthant of it for a sign-symmetric g, or the Monte
+    Carlo cone nodes of (budget, seed).  P, the monomials of the kernel rows
+    at the nodes, and the mask of its pure-power rows are built here; the
+    rows lead with g's own exponents, or for a descent with the live
+    alphas, so c, the argument of run, is g._coeffs or a trial's
+    coefficients on them.  run(c) reads _radial's factors for c and returns
+    the volume w.h**(-n/d)/n and the moments of the alphas, exact zeros off
+    live, per k-block (lo, hi, k) the moments P[lo:hi] (w h**(-k/d)) / k of
+    rows lo to hi.  So a descent's trials share the nodes, P and the fold of
+    its start g.
     """
     n, d = g.n, g.degree_float
+    live = ~_symmetry_zero(g, alphas) if descent else np.ones(len(alphas), dtype=bool)
+    kept = [a for a, keep in zip(alphas, live) if keep]
+    rows, live_rows, blocks = _kernel_rows(g, kept, kept if descent else None)
+    if backend == SPHERICAL:
+        dirs, w = _sphere_grid(n, budget, g.sign_symmetric)
+    else:
+        dirs, w = _cone_nodes(n, d, budget, seed)
     P = monomials(g.lattice_base(dirs), rows)
     pure = np.count_nonzero(rows, axis=1) == 1
+    ks = [n] + [k for _, _, k in blocks]
+    # slot[r]: the alpha that reads row r's moment, or a spare entry past the end
+    slot = np.full(len(rows), len(alphas))
+    slot[live_rows] = np.flatnonzero(live)
 
-    def run(c, blocks):
-        radial, *factors = _radial(c, P, pure, n, d, [n] + [k for _, _, k in blocks])
-        vol = np.dot(w, radial) / n
-        return float(vol), [P[lo:hi] @ (w * f) / k for (lo, hi, k), f in zip(blocks, factors)]
+    def run(c):
+        radial, *factors = _radial(c, P, pure, n, d, ks)
+        out = np.zeros(len(alphas) + 1)
+        for (lo, hi, k), f in zip(blocks, factors):
+            out[slot[lo:hi]] = P[lo:hi] @ (w * f) / k
+        return float(np.dot(w, radial) / n), out[:-1]
 
-    return run
+    return live, len(w), run
 
 
 def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
-    rows, live_rows = _kernel_rows(g, live)
-    # the alphas of one total degree share k and one contiguous block of kernel rows
-    at = {}
-    for r, alpha in zip(live_rows, live):
-        at.setdefault(sum(alpha), []).append(r)
-    blocks = [(min(rs), max(rs) + 1, g.n + t / g.q) for t, rs in at.items()]
-    # every live alpha of a sign-symmetric g is flip invariant (_symmetry_zero
-    # drops the others), so one orthant of the grid integrates it
-    dirs, w = _sphere_grid(g.n, budget, g.sign_symmetric)
-    vol, values = _sphere_pass(g, dirs, w, rows)(g._coeffs, blocks)
-    moments = np.empty(len(rows))  # moments[r]: the moment of kernel row r, once its block is done
-    for (lo, hi, _), value in zip(blocks, values):
-        moments[lo:hi] = value
-    return vol, 0.0, moments[live_rows], np.zeros(len(live)), len(w), None
+    _, nodes, run = _radial_pass(g, live, SPHERICAL, budget, seed)
+    vol, moments = run(g._coeffs)
+    return vol, 0.0, moments, np.zeros(len(live)), nodes, None
 
 
 # -- Monte Carlo backend ------------------------------------------------------
@@ -383,7 +403,7 @@ def _cone_nodes(n: int, d: float, budget: int, seed: int):
 def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     """The spherical pass's radial formula on random nodes, _cone_nodes(n, d, budget, seed).
 
-    As in _sphere_pass, an answer is the sum over the nodes of w h**(-k/d) / k
+    As in _radial_pass, an answer is the sum over the nodes of w h**(-k/d) / k
     times the node's monomial; the weights are equal, so it is budget times
     the mean of those terms, and its standard error comes from their second
     moments.
@@ -396,7 +416,7 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     weights h**(-n/d); below 1% of the budget it warns.
     """
     n, d = g.n, g.degree_float
-    rows, live_rows = _kernel_rows(g, live)
+    rows, live_rows, _ = _kernel_rows(g, live)
     pure = np.count_nonzero(rows, axis=1) == 1
     # sample row 0 is the volume's, row 1 + i that of live[i]
     ks, k_of = np.unique([n] + [n + sum(a) / g.q for a in live], return_inverse=True)
@@ -450,13 +470,13 @@ def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
         raise ValueError(f"grid oracle supports n in {{2, 3}}, got {n}")
     hmin = _finite_or_raise(finite_volume_test(g, seed=seed), "sublevel set")
     half_width = hmin ** (-1.0 / d)
-    m = math.isqrt(budget) if n == 2 else round(budget ** (1.0 / 3.0))
+    m = round(budget ** (1.0 / n))
     m -= m**n > budget  # the exact integer root: m**n <= budget < (m + 1)**n
     m = max(8, m)
     step = 2.0 * half_width / m
     corners = -half_width + step * np.arange(m)
     cell = step**n
-    rows, live_rows = _kernel_rows(g, live)
+    rows, live_rows, _ = _kernel_rows(g, live)
     tail = np.stack(np.meshgrid(*([corners] * (n - 1)), indexing="ij"), axis=-1)
     tail = tail.reshape(-1, n - 1)
     per = max(1, _BLOCK // len(tail))  # whole slices per kernel call

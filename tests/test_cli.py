@@ -79,6 +79,14 @@ class TestVolumeCommand:
         assert main(["certify", "p3", str(path)]) == 2
         assert "not finite" in capsys.readouterr().err
 
+    def test_boolean_lattice_denominator_is_an_input_error(self, tmp_path, capsys):
+        doc = json.loads(serialize_polynomial(DISK4))
+        doc["q"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert main(["volume", str(path)]) == 2
+        assert "q:" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2}')
@@ -287,6 +295,19 @@ class TestCertifyCommand:
         path = tmp_path / "axis.json"
         path.write_text(serialize_polynomial(ld_polynomial(2, 4)))
         assert main(["certify", "p3", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "p1", "--n", "2", "--d", "x/y"], "d: not a rational number: 'x/y'"),
+    (["volume", "MISSING"], "file: "),
+    (["ball-table", "--n-range", "2-3", "--d-list", "2"], "n-range: expected LO:HI, got '2-3'"),
+    (["solve", "p3", "--n", "2", "--d", "1/2"],
+     "d: the Gram trace problem needs an integer degree"),
+], ids=["non-rational-d", "unreadable-file", "n-range-dash", "p3-fractional-d"])
+def test_input_error_exit_code(tmp_path, capsys, argv, message):
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestBallTableCommand:

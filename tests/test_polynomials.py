@@ -298,6 +298,25 @@ class TestInvariantValidation:
         with pytest.raises(ValueError):
             GeneralizedPolynomial(2, Fraction(1, 2), 2, {(1, 0): 1.0}, convention="multinomial")
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: GeneralizedPolynomial(0, 4, 1, {}), "dimension must be >= 1"),
+        (lambda: GeneralizedPolynomial(2, 4, 0, {}), "lattice denominator must be >= 1"),
+        (lambda: GeneralizedPolynomial(2, 0, 1, {}), "degree must be positive"),
+        (lambda: GeneralizedPolynomial(2, -4, 1, {}), "degree must be positive"),
+        (lambda: GeneralizedPolynomial(2, 4, 1, {}, convention="binomial"), "unknown convention"),
+        (lambda: GeneralizedPolynomial(2, 4, 1, {(5, -1): 1.0}), "negative exponent numerator"),
+        (lambda: ld_polynomial(2, 4).evaluate(np.ones(3)), "dimension 3, expected 2"),
+        (lambda: ld_polynomial(2, Fraction(1, 3), q=2), "does not lie on the 1/2 lattice"),
+        (lambda: GramForm(0, 2, np.eye(1)), "dimension must be >= 1"),
+        (lambda: GramForm(2, 3, np.eye(2)), "even integer >= 2"),
+        (lambda: from_coefficient_vector(2, 4, 1, enumerate_indices(2, 4), np.ones(4)),
+         r"shape \(4,\), expected \(5,\)"),
+    ], ids=["n", "q", "degree-zero", "degree-negative", "convention", "negative-numerator",
+            "evaluate-dimension", "ld-off-lattice", "gram-n", "gram-odd-degree", "vector-shape"])
+    def test_rejected_with_its_reason(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_coefficient_rejected(self, value):
         with pytest.raises(ValueError, match=r"coefficient .* of exponent \(2, 2\) is not finite"):

@@ -129,3 +129,16 @@ class TestPsdTraceProjection:
                 z = b @ b.T
                 z *= rng.uniform(0.0, 2.0) / max(np.trace(z), 1e-12)
                 assert np.tensordot(a - p, z - p) <= 1e-8
+
+
+@pytest.mark.parametrize("project,message", [
+    (lambda bound: project_simplex(np.ones(3), bound), "simplex total must be positive"),
+    (lambda bound: project_l1_ball(np.ones(3), bound), "l1 radius must be positive"),
+    (lambda bound: project_weighted_l2_ball(np.ones(3), np.ones(3), bound),
+     "squared radius must be positive"),
+    (lambda bound: project_psd_trace(np.eye(3), bound), "trace bound must be positive"),
+], ids=["simplex", "l1", "weighted-l2", "psd-trace"])
+@pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+def test_non_positive_radius_is_rejected(project, message, bound):
+    with pytest.raises(ValueError, match=message):
+        project(bound)

@@ -97,6 +97,50 @@ class TestPolynomialErrors:
             parse_polynomial(json.dumps(doc))
 
 
+def _set(*path):
+    """Edit setting the entry at path (keys, then the new value) of a document."""
+    *keys, last, value = path
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+class TestBooleansAreNoNumbers:
+    # a JSON true or false is a Python bool, an int subclass: read as 1 or 0
+    # it would build a polynomial whose q is True, whose document (and with
+    # it region_hash) differs from that of the same region with "q": 1
+    @pytest.mark.parametrize("edit,field", [
+        (_set("n", True), "n"),
+        (_set("q", True), "q"),
+        (_set("d", 1, True), "d"),
+        (_set("d", 0, False), "d"),
+        (_set("terms", 1, "alpha_times_q", 0, False), "terms[1].alpha_times_q"),
+        (_set("terms", 0, "coeff", True), "terms[0].coeff"),
+    ], ids=["n", "q", "d-denominator", "d-numerator", "alpha", "coeff"])
+    def test_polynomial_field(self, edit, field):
+        doc = polynomial_to_dict(ld_polynomial(2, 4))
+        edit(doc)
+        with pytest.raises(SchemaError) as err:
+            parse_polynomial(json.dumps(doc))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("edit,field", [
+        (_set("n", True), "n"),
+        (_set("d", True), "d"),
+        (_set("Q", 0, 0, True), "Q"),
+    ], ids=["n", "d", "Q"])
+    def test_gram_field(self, edit, field):
+        doc = {"n": 1, "d": 2, "Q": [[1.0]]}
+        edit(doc)
+        with pytest.raises(SchemaError) as err:
+            parse_gram(json.dumps(doc))
+        assert err.value.field == field
+
+
 class TestGramDocuments:
     def test_round_trip(self):
         gram = GramForm(2, 4, np.array([[1.0, 0.0, 0.7], [0.0, 0.2, 0.0], [0.7, 0.0, 1.0]]))

@@ -393,6 +393,11 @@ class TestBackendAgreement:
         assert agree(sph[0], sph[1], mc[0], mc[1])
         assert agree(sph[0], sph[1], grid[0], grid[1])
 
+    @pytest.mark.parametrize("query", [volume, moment_table])
+    def test_unknown_backend_is_named(self, query):
+        with pytest.raises(ValueError, match="unknown backend 'mc'; choose from"):
+            query(DISK4, backend="mc")
+
 
 class TestMonteCarlo:
     def test_reproducible_given_seed(self):
@@ -541,6 +546,11 @@ class TestGridOracle:
     def test_side_is_the_exact_integer_cube_root(self, budget, side):
         est = volume(ld_polynomial(3, 4), backend="grid_oracle", budget=budget)
         assert est.samples_or_nodes == side**3
+
+    @pytest.mark.parametrize("budget,side", [(1_000_000, 1000), (999_999, 999), (1_002_000, 1000)])
+    def test_side_is_the_exact_integer_square_root(self, budget, side):
+        est = volume(ld_polynomial(2, 4), backend="grid_oracle", budget=budget)
+        assert est.samples_or_nodes == side**2
 
 
 def _perturbed_ball(n, d, q=1, scale=0.01, seed=0):
