@@ -28,16 +28,15 @@ One solve path, _descend, serves the three problems, and each solve_pX
 passes only its geometry and its iteration.  The monomial coefficients of
 the degree-d slice are linear in the solver coordinates: the coefficients
 themselves for p1, whitened coefficients for p2, the Gram matrix Q for p3.
-A trial reads its volume and the slice's moments m from one run of
-volume._radial_pass, built once for the start as given, on the nodes, fold
-and rows a query of that start reads; its gradient in the solver
-coordinates is pullback(-(n + d)/d m), pullback being the adjoint of that
-linear map.  Moments that vanish by symmetry at the start are exact zeros,
-so every projection keeps the coordinates that feed none of the live
-coefficients at 0.  So a Monte Carlo solve minimizes one sample-average
-volume, deterministic given its seed, and every trial of its line search
-reads the same nodes; the grid oracle is a query cross-check, no solve
-backend.
+A trial reads its volume and the slice's moments m from one run of the
+pass volume._descent_pass builds once, on the nodes, fold and rows a query
+of the start as given reads; its gradient in the solver coordinates is
+pullback(-(n + d)/d m), pullback being the adjoint of that linear map.
+Moments that vanish by symmetry at the start are exact zeros, and every
+projection keeps the coordinates that feed only those at 0.  So a Monte
+Carlo solve minimizes one sample-average volume, deterministic given its
+seed, and every trial of its line search reads the same nodes; the grid
+oracle is a query cross-check, no solve backend.
 The objective is the problem's norm of the normalized solver coordinates,
 as in the trace.
 Default starts are feasible by construction, so no default solve calls the
@@ -75,7 +74,7 @@ from .volume import (
     InfiniteVolumeError,
     _check_integer,
     _finite_or_raise,
-    _radial_pass,
+    _descent_pass,
     closed_form_ball_volume,
     finite_volume_test,
     grad_volume,  # noqa: F401  (unused; perfbench/selftest.py checks it is bound here)
@@ -91,7 +90,7 @@ _INITIAL_STEP = 1.0
 _STEP_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 _MAX_BACKTRACKS = 48
-# converged: the volume's relative change stays within this for 3 steps
+# converged: the volume's relative change is within this (see _projected_gradient)
 _TOL_OBJECTIVE = 1e-10
 _ANDERSON_MEMORY = 4  # residual differences the p2 fixed-point iteration mixes
 
@@ -102,11 +101,12 @@ class SolveConfig:
 
     A solve stops after max_iters iterations, or earlier: p1 and p3 when a
     projected step no longer moves or the volume's relative change stays
-    within 1e-10 for three accepted steps in a row, p2 once |T(u) - u|_inf
-    <= 1e-14 (1 + |u|_inf).  backend is spherical or monte_carlo, and the
-    descent's pass, built once per solve, has the nodes a query of the start
-    would read at budget (the sphere grid, one orthant of it for a
-    sign-symmetric start, or the cone nodes of seed); one pass at
+    within 1e-10 for three accepted steps in a row or for a rejected trial
+    and its first-order prediction, p2 once |T(u) - u|_inf <= 1e-14
+    (1 + |u|_inf).  backend is spherical or monte_carlo; the descent's pass,
+    built once per solve, reads the nodes a query of the start reads at
+    budget (the sphere grid, one orthant of it for a sign-symmetric start,
+    or the cone nodes of seed); one pass at
     4 * budget gives the final rescaling and the certificate's moments, and
     the check uses cert_tol, finite and >= 0.  max_iters and budget are
     integers >= 1 and seed one >= 0 (a float or a bool is rejected, as in
@@ -193,7 +193,9 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     there is none, the trials are min(_INITIAL_STEP, 2 t) for the last
     accepted step t, halved after each rejection.  ``evaluate`` reads one
     fixed set of nodes, so the Armijo test compares f(z) and f(x) on the
-    same nodes.
+    same nodes.  Converged: the step no longer moves, or the volume changes
+    within _TOL_OBJECTIVE (relative) on three accepted steps in a row, or on
+    a rejected trial whose first-order prediction vdot(grad, z - x) does too.
     Returns the final state, the iteration trace and the convergence flag.
     """
     x = state0
@@ -217,9 +219,12 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
                 stalled = True
                 break
             trial = evaluate(z)
-            decrease = _SUFFICIENT_DECREASE * float(np.vdot(grad, dx).real)
-            if trial is not None and trial[0] <= fx + min(0.0, decrease):
+            slope = float(np.vdot(grad, dx).real)  # the volume's first-order change
+            if trial is not None and trial[0] <= fx + min(0.0, _SUFFICIENT_DECREASE * slope):
                 accepted = True
+                break
+            if trial is not None and max(trial[0] - fx, -slope) <= _TOL_OBJECTIVE * fx:
+                stalled = True  # a shorter step cannot gain more than the stop tolerance
                 break
         if stalled:
             converged = True
@@ -283,16 +288,16 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     coefficients of the degree-d slice in canonical order, and pullback, the
     adjoint of coefficients, maps a gradient in those coefficients to one in
     x; a trial is None where its pass raises InfiniteVolumeError.  Every
-    trial runs the one _radial_pass of the start as given (default_start, or
-    the caller's start before projection) on the slice, and projection(x)
-    becomes keep * projection(x): keep marks the coordinates that feed a live
-    coefficient, pullback(live) != 0.  A given start is projected so and
-    must pass the feasibility gate; the array default_start is feasible by
-    construction.  Every solve ends alike: one
-    moment_table pass at the certificate budget on solution = make(x), one
-    factor k (scale(solution), or else the scale to vol(B_d) from the pass),
-    then solution.rescale(k) and the pass's moments mapped to its ball.  The
-    objective, like each trace entry, is norm of the normalized coordinates.
+    trial runs the one _descent_pass of the start as given (default_start,
+    or the caller's start before projection), and projection(x) becomes
+    keep * projection(x), keep = pullback(live) != 0 marking the coordinates
+    that feed a live coefficient.  A given start is projected so and must
+    pass the feasibility gate; the array default_start is feasible by
+    construction.  Every solve ends alike: one moment_table pass at the
+    certificate budget on solution = make(x), one factor k (scale(solution),
+    or else the scale to vol(B_d) from the pass), then solution.rescale(k)
+    and the pass's moments mapped to its ball.  The objective, like each
+    trace entry, is norm of the normalized coordinates.
     """
     def polynomial(obj):
         return obj.expand() if isinstance(obj, GramForm) else obj
@@ -302,9 +307,9 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         if (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
             raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
     # the start as given decides the fold: a projection's round-off may break its symmetry
-    basis = enumerate_indices(n, int(d * q))
+    basis = np.array(enumerate_indices(n, int(d * q)), dtype=np.intp)
     given = polynomial(make(default_start) if start is None else start)
-    live, _, run = _radial_pass(given, basis, cfg.backend, cfg.budget, cfg.seed, descent=True)
+    live, run = _descent_pass(given, basis, cfg.backend, cfg.budget, cfg.seed)
     keep = pullback(live) != 0  # the coordinates that feed a live coefficient; the rest stay 0
 
     def project(x):

@@ -15,18 +15,15 @@ round-off; only classical inputs with odd terms read the full grid, in
 queries, descents and the feasibility gate alike.  Monte Carlo takes S
 the unit l_d sphere and random nodes of its cone measure, of total
 n vol(B_d), so on B_d itself h = 1 at every node.  One function,
-_radial_pass, builds every spherical query pass and every solve's descent
-pass, spherical or Monte Carlo: it drops a descent's alphas that vanish by
-symmetry (_symmetry_zero, the rule _estimate applies to every query), picks
-the nodes and their fold, lays out the kernel rows and makes one monomial
-kernel call P.  Its run(c) has _radial read h from P's leading rows,
-reject infinite volume and give the radial factors, and the moments
-sharing k = n + |alpha| come from one contiguous block of rows against one
-radial weight w * h**(-k/d).  A
-query's rows are g's own exponents, then the requested alphas they miss,
-so the volume and the degree-d moments (and with them the volume gradient)
-come from the same pass; a descent's rows are the live alphas of the
-degree-d slice at its start, and every trial runs the same pass.
+_radial_pass, picks the nodes and their fold and makes one monomial kernel
+call P on given rows; _radial reads h from P's leading rows, rejects
+infinite volume and gives the radial factors, and the moments sharing
+k = n + |alpha| come from one contiguous block of rows against one radial
+weight w * h**(-k/d).  A query's rows are g's own exponents, then the
+requested alphas they miss, so the volume and the degree-d moments (and
+with them the volume gradient) come from the same pass; a solve asks
+_descent_pass for one pass on the degree-d slice, whose rows drop the
+moments that vanish by symmetry at its start, and runs it at every trial.
 Every backend lays out its kernel rows the same way.  _radial_pass makes
 one kernel call; Monte Carlo queries and the grid oracle make one per block
 of at most _BLOCK points (the grid's blocks are whole slices, at least one),
@@ -203,20 +200,20 @@ def closed_form_ball_moment(n: int, d) -> float:
 # -- symmetry zeros -----------------------------------------------------------
 
 
-def _symmetry_zero(g: GeneralizedPolynomial, alphas: list[Exponent]) -> np.ndarray:
+def _symmetry_zero(g: GeneralizedPolynomial, alphas) -> np.ndarray:
     """Mask of the alphas whose integral_G x^alpha vanishes exactly by symmetry.
 
     Classical (even-degree) polynomials give centrally symmetric G, killing
     every moment of odd total degree; when additionally every stored
     exponent is even, G is invariant under per-coordinate sign flips and
-    every alpha that is not _flip_invariant vanishes.  _estimate returns
-    such moments as exact zeros and never hands them to a backend.
+    every alpha that is not _flip_invariant vanishes.  _estimate and
+    _descent_pass return such moments as exact zeros, never computed.
     """
-    if not (g.is_classical and alphas):
+    if not (g.is_classical and len(alphas)):
         return np.zeros(len(alphas), dtype=bool)
-    alphas = np.array(alphas)
-    odd = alphas.sum(axis=1) % 2 == 1
-    return odd | (g.has_even_support() & ~_flip_invariant(alphas, True))
+    if g.has_even_support():  # an odd total degree has an odd exponent: flip invariance decides
+        return ~_flip_invariant(alphas, True)
+    return np.asarray(alphas).sum(axis=1) % 2 == 1
 
 
 # -- spherical backend --------------------------------------------------------
@@ -276,30 +273,25 @@ def _sphere_grid(n: int, budget: int, orthant: bool):
     return dirs, weights
 
 
-def _kernel_rows(g: GeneralizedPolynomial, live, lead=None):
-    """Exponent rows of a pass's kernel call, the row of each live alpha, and its k-blocks.
+def _kernel_rows(g: GeneralizedPolynomial, live):
+    """Exponent rows of a pass's one kernel call, and the row of each live alpha.
 
-    lead's rows come first, g's own exponents by default, so g is
-    ``g._coeffs @ P[:len(g._exponents)]`` on the kernel output P; the live
-    alphas they miss follow, grouped by total degree with g's own degree
-    leading, so the alphas of one total degree (one k) occupy one contiguous
-    block of rows, (lo, hi, k) in blocks.
+    g's own exponents come first, so g is ``g._coeffs @ P[:len(g._exponents)]``
+    on the kernel output P; the live alphas they miss follow, grouped by
+    total degree with g's own degree leading, so the alphas of one total
+    degree (one k) occupy one contiguous block of rows.
     """
-    lead = list(map(tuple, g._exponents.tolist())) if lead is None else lead
-    row = {alpha: i for i, alpha in enumerate(lead)}
+    rows = g._exponents
+    row = {alpha: i for i, alpha in enumerate(map(tuple, rows.tolist()))}
     total = int(g.degree * g.q)
     extra = sorted(
         (a for a in live if a not in row),
         key=lambda a: (sum(a) != total, sum(a)),
     )
-    row.update((a, len(lead) + i) for i, a in enumerate(extra))
-    rows = np.array(lead + extra, dtype=np.intp).reshape(-1, g.n)
-    live_rows = [row[a] for a in live]
-    at = {}
-    for r, alpha in zip(live_rows, live):
-        at.setdefault(sum(alpha), []).append(r)
-    blocks = [(min(rs), max(rs) + 1, g.n + t / g.q) for t, rs in at.items()]
-    return rows, live_rows, blocks
+    row.update((a, len(rows) + i) for i, a in enumerate(extra))
+    if extra:
+        rows = np.vstack([rows, np.array(extra, dtype=np.intp)])
+    return rows, [row[a] for a in live]
 
 
 def _axis_minimum(coeffs: np.ndarray, pure: np.ndarray, n: int) -> float:
@@ -327,53 +319,57 @@ def _radial(c, P, pure, n: int, d: float, ks):
     return [h ** (-k / d) for k in ks]
 
 
-def _radial_pass(g: GeneralizedPolynomial, alphas, backend: str, budget: int, seed: int,
-                 descent: bool = False):
-    """The radial formula over the alphas, built once for g: (live, nodes, run).
+def _radial_pass(g: GeneralizedPolynomial, rows, blocks, size, backend, budget, seed):
+    """The radial formula on the nodes of backend, built once for g: (nodes, run).
 
-    live masks the alphas that do not vanish by symmetry: a descent drops
-    its slice's zeros here by _symmetry_zero, the rule by which _estimate
-    drops a query's before they reach a backend.  The nodes are the sphere
-    grid of budget, one orthant of it for a sign-symmetric g, or the Monte
-    Carlo cone nodes of (budget, seed).  P, the monomials of the kernel rows
-    at the nodes, and the mask of its pure-power rows are built here; the
-    rows lead with g's own exponents, or for a descent with the live
-    alphas, so c, the argument of run, is g._coeffs or a trial's
-    coefficients on them.  run(c) reads _radial's factors for c and returns
-    the volume w.h**(-n/d)/n and the moments of the alphas, exact zeros off
-    live, per k-block (lo, hi, k) the moments P[lo:hi] (w h**(-k/d)) / k of
-    rows lo to hi.  So a descent's trials share the nodes, P and the fold of
-    its start g.
+    The nodes are the sphere grid of budget (one orthant of it for a
+    sign-symmetric g, whose rows _symmetry_zero keeps flip invariant) or the
+    Monte Carlo cone nodes of (budget, seed); P, the monomials of rows at
+    them, serves every run.  run(c), c the coefficients on the leading rows,
+    returns the volume w.h**(-n/d)/n and size moments, 0 but where a block
+    (lo, hi, k, at) puts its rows' moments P[lo:hi] (w h**(-k/d)) / k.
     """
     n, d = g.n, g.degree_float
-    live = ~_symmetry_zero(g, alphas) if descent else np.ones(len(alphas), dtype=bool)
-    kept = [a for a, keep in zip(alphas, live) if keep]
-    rows, live_rows, blocks = _kernel_rows(g, kept, kept if descent else None)
-    if backend == SPHERICAL:
-        dirs, w = _sphere_grid(n, budget, g.sign_symmetric)
-    else:
-        dirs, w = _cone_nodes(n, d, budget, seed)
+    dirs, w = (_sphere_grid(n, budget, g.sign_symmetric) if backend == SPHERICAL
+               else _cone_nodes(n, d, budget, seed))
     P = monomials(g.lattice_base(dirs), rows)
     pure = np.count_nonzero(rows, axis=1) == 1
-    ks = [n] + [k for _, _, k in blocks]
-    # slot[r]: the alpha that reads row r's moment, or a spare entry past the end
-    slot = np.full(len(rows), len(alphas))
-    slot[live_rows] = np.flatnonzero(live)
+    ks = [n] + [block[2] for block in blocks]
 
     def run(c):
         radial, *factors = _radial(c, P, pure, n, d, ks)
-        out = np.zeros(len(alphas) + 1)
-        for (lo, hi, k), f in zip(blocks, factors):
-            out[slot[lo:hi]] = P[lo:hi] @ (w * f) / k
-        return float(np.dot(w, radial) / n), out[:-1]
+        moments = np.zeros(size)
+        for (lo, hi, k, at), f in zip(blocks, factors):
+            moments[at] = P[lo:hi] @ (w * f) / k
+        return float(np.dot(w, radial) / n), moments
 
-    return live, len(w), run
+    return len(w), run
+
+
+def _descent_pass(g: GeneralizedPolynomial, basis, backend: str, budget: int, seed: int):
+    """A descent's one pass on the degree-d slice basis from its start g: (live, run).
+
+    Its rows, one block at k = n + d, are the alphas live of basis that do
+    not vanish by symmetry at g (_symmetry_zero, as for every query), and
+    run(c[live]) gives the slice's moments, exact zeros off live.
+    """
+    live = ~_symmetry_zero(g, basis)
+    block = (0, int(live.sum()), g.n + g.degree_float, live)
+    _, run = _radial_pass(g, basis[live], [block], len(basis), backend, budget, seed)
+    return live, run
 
 
 def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
-    _, nodes, run = _radial_pass(g, live, SPHERICAL, budget, seed)
-    vol, moments = run(g._coeffs)
-    return vol, 0.0, moments, np.zeros(len(live)), nodes, None
+    rows, live_rows = _kernel_rows(g, live)
+    # the alphas of one total degree share k and one contiguous block of kernel rows
+    at = {}
+    for r, alpha in zip(live_rows, live):
+        at.setdefault(sum(alpha), []).append(r)
+    blocks = [(min(rs), max(rs) + 1, g.n + t / g.q, slice(min(rs), max(rs) + 1))
+              for t, rs in at.items()]
+    nodes, run = _radial_pass(g, rows, blocks, len(rows), SPHERICAL, budget, seed)
+    vol, moments = run(g._coeffs)  # moments[r]: the moment of kernel row r
+    return vol, 0.0, moments[live_rows], np.zeros(len(live)), nodes, None
 
 
 # -- Monte Carlo backend ------------------------------------------------------
@@ -416,7 +412,7 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     weights h**(-n/d); below 1% of the budget it warns.
     """
     n, d = g.n, g.degree_float
-    rows, live_rows, _ = _kernel_rows(g, live)
+    rows, live_rows = _kernel_rows(g, live)
     pure = np.count_nonzero(rows, axis=1) == 1
     # sample row 0 is the volume's, row 1 + i that of live[i]
     ks, k_of = np.unique([n] + [n + sum(a) / g.q for a in live], return_inverse=True)
@@ -476,7 +472,7 @@ def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     step = 2.0 * half_width / m
     corners = -half_width + step * np.arange(m)
     cell = step**n
-    rows, live_rows, _ = _kernel_rows(g, live)
+    rows, live_rows = _kernel_rows(g, live)
     tail = np.stack(np.meshgrid(*([corners] * (n - 1)), indexing="ij"), axis=-1)
     tail = tail.reshape(-1, n - 1)
     per = max(1, _BLOCK // len(tail))  # whole slices per kernel call
