@@ -82,15 +82,16 @@ from .volume import (
     volume,
 )
 
-# Armijo line search: the cap on the plain first trial step (twice the last
-# accepted one; a Barzilai-Borwein trial, when there is one, goes before it
-# uncapped), its shrink factor per backtrack, and the sufficient-decrease
-# fraction of the linear prediction
+# Armijo line search: the first plain trial step of every iteration (a
+# Barzilai-Borwein trial, when there is one, goes before it), its shrink
+# factor per backtrack, and the sufficient-decrease fraction of the linear
+# prediction
 _INITIAL_STEP = 1.0
 _STEP_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 _MAX_BACKTRACKS = 48
-# converged: the volume's relative change is within this (see _projected_gradient)
+# converged: a rejected trial's relative volume change and first-order
+# prediction are both within this (see _projected_gradient)
 _TOL_OBJECTIVE = 1e-10
 _ANDERSON_MEMORY = 4  # residual differences the p2 fixed-point iteration mixes
 
@@ -100,13 +101,12 @@ class SolveConfig:
     """Iteration and estimation knobs shared by the three solvers.
 
     A solve stops after max_iters iterations, or earlier: p1 and p3 when a
-    projected step no longer moves or the volume's relative change stays
-    within 1e-10 for three accepted steps in a row or for a rejected trial
-    and its first-order prediction, p2 once |T(u) - u|_inf <= 1e-14
-    (1 + |u|_inf).  backend is spherical or monte_carlo; the descent's pass,
-    built once per solve, reads the nodes a query of the start reads at
-    budget (the sphere grid, one orthant of it for a sign-symmetric start,
-    or the cone nodes of seed); one pass at
+    projected step no longer moves or a rejected trial's relative volume
+    change and its first-order prediction are both within 1e-10, p2 once
+    |T(u) - u|_inf <= 1e-14 (1 + |u|_inf).  backend is spherical or
+    monte_carlo; the descent's pass, built once per solve, reads the nodes
+    a query of the start reads at budget (the sphere grid, one orthant of
+    it for a sign-symmetric start, or the cone nodes of seed); one pass at
     4 * budget gives the final rescaling and the certificate's moments, and
     the check uses cert_tol, finite and >= 0.  max_iters and budget are
     integers >= 1 and seed one >= 0 (a float or a bool is rejected, as in
@@ -190,12 +190,12 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     the accepted point's gradient drives the next iteration.  The first
     trial after an accepted move s with gradient change y is the BB1 step
     s.s / s.y (Barzilai & Borwein 1988) when s.y > 0; if it is rejected, or
-    there is none, the trials are min(_INITIAL_STEP, 2 t) for the last
-    accepted step t, halved after each rejection.  ``evaluate`` reads one
-    fixed set of nodes, so the Armijo test compares f(z) and f(x) on the
-    same nodes.  Converged: the step no longer moves, or the volume changes
-    within _TOL_OBJECTIVE (relative) on three accepted steps in a row, or on
-    a rejected trial whose first-order prediction vdot(grad, z - x) does too.
+    there is none, the trials are _INITIAL_STEP halved after each rejection,
+    whatever step the last iteration took.  ``evaluate`` reads one fixed set
+    of nodes, so the Armijo test compares f(z) and f(x) on the same nodes.
+    Converged, only where the line search ends at round-off: the step no
+    longer moves, or a rejected trial's volume change and its first-order
+    prediction vdot(grad, z - x) are both within _TOL_OBJECTIVE (relative).
     Returns the final state, the iteration trace and the convergence flag.
     """
     x = state0
@@ -204,46 +204,30 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
         raise InfiniteVolumeError("initial iterate has infinite volume")
     fx, grad = start
     trace = [(report(x, fx), fx)]
-    step = _INITIAL_STEP
+    plain = [_INITIAL_STEP * _STEP_SHRINK**k for k in range(_MAX_BACKTRACKS)]
     bb = []  # the BB1 trial step after a move with positive curvature
-    converged = False
-    streak = 0
     for _ in range(cfg.max_iters):
-        accepted = False
-        stalled = False
-        for t in bb + [step * _STEP_SHRINK**k for k in range(_MAX_BACKTRACKS)]:
+        for t in bb + plain:
             z = project(x - t * grad)
             dx = z - x
             move = float(np.sqrt(np.vdot(dx, dx).real))
             if move <= 1e-14 * (1.0 + float(np.sqrt(np.vdot(x, x).real))):
-                stalled = True
-                break
+                return x, trace, True  # the step no longer moves
             trial = evaluate(z)
+            if trial is None:
+                continue
             slope = float(np.vdot(grad, dx).real)  # the volume's first-order change
-            if trial is not None and trial[0] <= fx + min(0.0, _SUFFICIENT_DECREASE * slope):
-                accepted = True
+            if trial[0] <= fx + min(0.0, _SUFFICIENT_DECREASE * slope):
                 break
-            if trial is not None and max(trial[0] - fx, -slope) <= _TOL_OBJECTIVE * fx:
-                stalled = True  # a shorter step cannot gain more than the stop tolerance
-                break
-        if stalled:
-            converged = True
-            break
-        if not accepted:
-            break
-        fz, gz = trial
-        curvature = float(np.vdot(dx, gz - grad).real)  # s.y: s = dx, y the gradient change
+            if max(trial[0] - fx, -slope) <= _TOL_OBJECTIVE * fx:
+                return x, trace, True  # a shorter step cannot gain more than the stop tolerance
+        else:
+            break  # every trial was infeasible or rejected
+        curvature = float(np.vdot(dx, trial[1] - grad).real)  # s.y: s = dx, y the gradient change
         bb = [float(np.vdot(dx, dx).real) / curvature] if curvature > 0 else []
-        grad = gz
-        rel_change = abs(fx - fz) / max(abs(fz), 1e-300)
-        x, fx = z, fz
+        x, (fx, grad) = z, trial
         trace.append((report(x, fx), fx))
-        streak = streak + 1 if rel_change <= _TOL_OBJECTIVE else 0
-        if streak >= 3:
-            converged = True
-            break
-        step = min(_INITIAL_STEP, 2.0 * t)
-    return x, trace, converged
+    return x, trace, False
 
 
 def _anderson(state0, evaluate, project, report, cfg: SolveConfig):

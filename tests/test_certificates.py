@@ -85,6 +85,12 @@ class TestCertifyP1:
         with pytest.raises(MomentCoverageError, match="missing"):
             certify_p1(g, table)
 
+    def test_non_positive_axis_moment_is_precondition_error(self):
+        rho = closed_form_ball_volume(2, 4)
+        table = closed_form_table(2, 4, dict.fromkeys(enumerate_indices(2, 4), 0.0), rho)
+        with pytest.raises(CertificatePreconditionError, match=r"axis moment at \(4, 0\) is 0"):
+            certify_p1(ld_polynomial(2, 4), table)
+
     def test_lattice_mismatch_rejected(self):
         g = ld_polynomial(2, Fraction(1, 2), q=4)
         table = moment_table(ld_polynomial(2, Fraction(1, 2), q=2), budget=8192)
@@ -198,6 +204,12 @@ class TestCertifyP2:
         with pytest.raises(ValueError, match="multinomial"):
             certify_p2(g, moment_table(g, budget=1024))
 
+    def test_non_positive_volume_is_precondition_error(self):
+        g = ld_polynomial(2, 4).to_convention("multinomial")
+        table = closed_form_table(2, 4, dict.fromkeys(enumerate_indices(2, 4), 0.1), 0.0)
+        with pytest.raises(CertificatePreconditionError, match="volume estimate 0 is not positive"):
+            certify_p2(g, table)
+
 
 class TestCertifyP3:
     def test_identity_with_closed_form_moments(self):
@@ -263,6 +275,10 @@ class TestRefutation:
     def test_quadratic_not_applicable(self):
         with pytest.raises(ValueError, match="not applicable"):
             refute_ld_for_p3(2, 2)
+
+    def test_axis_gram_needs_an_even_degree(self):
+        with pytest.raises(ValueError, match="even integer >= 2, got 3"):
+            minimal_trace_axis_gram(2, 3)
 
     def test_corner_structure(self):
         # A has zero diagonal at the pure powers and a nonzero corner entry

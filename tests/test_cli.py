@@ -126,6 +126,14 @@ class TestMomentsCommand:
         assert table["3,1"] == 0.0
         assert table["1,0"] == 0.0
 
+    def test_csv_out_file_holds_the_printed_rows(self, disk_file, tmp_path, capsys):
+        assert main(["moments", disk_file, "--max-order", "2"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "moments.csv"
+        assert main(["moments", disk_file, "--max-order", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
     def test_json_format(self, disk_file, capsys):
         assert main(["moments", disk_file, "--max-order", "2", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

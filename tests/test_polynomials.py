@@ -148,10 +148,12 @@ class TestEvaluate:
             convention="multinomial",
         )
         assert g.evaluate([1.0, 1.0]) == pytest.approx(4.0)
+        assert g.monomial_coefficient((2, 2)) == pytest.approx(2.0)
 
     def test_classical_odd_power_signs(self):
         g = GeneralizedPolynomial(2, 4, 1, {(3, 1): 1.0})
         assert g.evaluate([2.0, -1.0]) == pytest.approx(-8.0)
+        assert g([2.0, -1.0]) == g.evaluate([2.0, -1.0])
 
 
 def _term_by_term(g, x):
@@ -254,10 +256,10 @@ class TestRescale:
         assert norms(g.rescale(2.0)).l1 == pytest.approx(4.0)
 
     def test_rejects_non_positive(self):
-        g = ld_polynomial(2, 2)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                g.rescale(bad)
+        for g in (ld_polynomial(2, 2), GramForm(2, 2, np.eye(2))):
+            for bad in (0.0, -1.0):
+                with pytest.raises(ValueError, match="scale factor must be positive"):
+                    g.rescale(bad)
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
@@ -304,6 +306,7 @@ class TestInvariantValidation:
         (lambda: GeneralizedPolynomial(2, 0, 1, {}), "degree must be positive"),
         (lambda: GeneralizedPolynomial(2, -4, 1, {}), "degree must be positive"),
         (lambda: GeneralizedPolynomial(2, 4, 1, {}, convention="binomial"), "unknown convention"),
+        (lambda: ld_polynomial(2, 4).to_convention("binomial"), "unknown convention"),
         (lambda: GeneralizedPolynomial(2, 4, 1, {(5, -1): 1.0}), "negative exponent numerator"),
         (lambda: ld_polynomial(2, 4).evaluate(np.ones(3)), "dimension 3, expected 2"),
         (lambda: ld_polynomial(2, Fraction(1, 3), q=2), "does not lie on the 1/2 lattice"),
@@ -311,7 +314,8 @@ class TestInvariantValidation:
         (lambda: GramForm(2, 3, np.eye(2)), "even integer >= 2"),
         (lambda: from_coefficient_vector(2, 4, 1, enumerate_indices(2, 4), np.ones(4)),
          r"shape \(4,\), expected \(5,\)"),
-    ], ids=["n", "q", "degree-zero", "degree-negative", "convention", "negative-numerator",
+    ], ids=["n", "q", "degree-zero", "degree-negative", "convention", "to-convention",
+            "negative-numerator",
             "evaluate-dimension", "ld-off-lattice", "gram-n", "gram-odd-degree", "vector-shape"])
     def test_rejected_with_its_reason(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -412,9 +416,11 @@ class TestGramExpansion:
         q = rng.normal(size=(3, 3))
         gram = GramForm(2, 4, 0.5 * (q + q.T))
         pts = rng.normal(size=(10, 2))
+        assert gram.basis == [(2, 0), (1, 1), (0, 2)]
         v = np.stack([pts[:, 0] ** 2, pts[:, 0] * pts[:, 1], pts[:, 1] ** 2], axis=-1)
         direct = np.einsum("ki,ij,kj->k", v, gram.Q, v)
         np.testing.assert_allclose(gram.expand().evaluate(pts), direct, rtol=1e-12)
+        np.testing.assert_array_equal(gram.evaluate(pts), gram.expand().evaluate(pts))
 
     def test_rejects_asymmetric_matrix(self):
         q = np.array([[1.0, 0.5], [0.1, 1.0]])

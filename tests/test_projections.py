@@ -30,6 +30,10 @@ class TestJacobiEigh:
         with pytest.raises(ValueError, match="finite"):
             jacobi_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+            jacobi_eigh(np.zeros((2, 3)))
+
 
 class TestSimplexProjection:
     def test_interior_point_moves_to_face(self):

@@ -68,6 +68,16 @@ class TestPolynomialErrors:
         with pytest.raises(SchemaError, match="malformed"):
             parse_polynomial("{not json")
 
+    @pytest.mark.parametrize("doc,field", [
+        ([4, 0], "document"),
+        ({"n": 2, "d": [4, 0], "q": 1, "convention": "monomial", "terms": []}, "d"),
+        ({"n": 2, "d": [4, 1], "q": 1, "convention": "monomial", "terms": [[4, 0]]}, "terms[0]"),
+    ], ids=["not-an-object", "zero-denominator", "term-not-an-object"])
+    def test_rejected_with_its_field(self, doc, field):
+        with pytest.raises(SchemaError) as err:
+            parse_polynomial(json.dumps(doc))
+        assert err.value.field == field
+
     def test_missing_field(self):
         with pytest.raises(SchemaError, match="missing required field"):
             parse_polynomial(json.dumps({"n": 2}))
@@ -152,6 +162,11 @@ class TestGramDocuments:
             parse_gram(json.dumps(doc))
         assert err.value.field == "Q"
 
+    def test_document_must_be_an_object(self):
+        with pytest.raises(SchemaError) as err:
+            parse_gram("[[1.0]]")
+        assert err.value.field == "document"
+
     def test_ragged_matrix(self):
         doc = {"n": 2, "d": 2, "Q": [[1.0, 0.0], [0.0]]}
         with pytest.raises(SchemaError, match="square"):
@@ -179,3 +194,5 @@ class TestMomentCsv:
         text = "alpha_times_q;value;std_error\n0,0;oops;0.0\n"
         with pytest.raises(SchemaError, match="line 2"):
             moment_rows_from_csv(text)
+        with pytest.raises(SchemaError, match="line 3.*3 semicolon-separated fields"):
+            moment_rows_from_csv("alpha_times_q;value;std_error\n0,0;1.0;0.0\n2,0;0.5\n")

@@ -14,6 +14,7 @@ from ballrep import (
     GramForm,
     InfiniteVolumeError,
     SolveConfig,
+    VolumeEstimate,
     closed_form_ball_volume,
     coefficient_vector,
     count_indices,
@@ -59,6 +60,13 @@ class TestScaleToTargetVolume:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             scale_to_target_volume(ld_polynomial(2, 2), -1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_unusable_volume_estimate_raises(self, value):
+        target_scale = sys.modules["ballrep.solvers"]._target_scale
+        est = VolumeEstimate(value, 0.0, "spherical", 1)
+        with pytest.raises(InfiniteVolumeError, match="is not usable"):
+            target_scale(est, math.pi, 2, 2)
 
 
 class TestSolveConfig:
@@ -124,6 +132,10 @@ class TestLatticeValidation:
     def test_p3_odd_degree_rejected(self):
         with pytest.raises(ValueError, match="even degree"):
             solve_p3(2, 3)
+
+    def test_lattice_denominator_below_one_rejected(self):
+        with pytest.raises(ValueError, match="lattice denominator must be >= 1, got 0"):
+            solve_p1(2, 4, q=0)
 
 
 class TestLineSearch:
@@ -682,6 +694,37 @@ def test_round_off_rejection_ends_the_descent(gradient, evaluations, converged):
     _, _, done = descend(np.zeros(1), evaluate, lambda x: x, lambda x, vol: vol,
                          SolveConfig(max_iters=1))
     assert (len(calls), done) == (evaluations, converged)
+
+
+def test_small_accepted_gains_do_not_end_the_descent():
+    # three accepted steps in a row each gain 1e-12 of the volume: only a
+    # line search that ends at round-off converges, so the fourth step is
+    # taken and the descent stops unconverged at max_iters
+    descend = sys.modules["ballrep.solvers"]._projected_gradient
+    volumes, calls = iter([1.0, 1.0 - 1e-12, 1.0 - 2e-12, 1.0 - 3e-12, 0.5]), []
+
+    def evaluate(x):
+        calls.append(x)
+        return next(volumes), np.array([-1e-9])
+
+    _, trace, done = descend(np.zeros(1), evaluate, lambda x: x, lambda x, vol: vol,
+                             SolveConfig(max_iters=4))
+    assert (len(calls), len(trace), done) == (5, 5, False)
+
+
+def test_each_iteration_starts_its_plain_trials_at_the_initial_step():
+    # the first iteration accepts only t = 0.25 (two rejections); no step is
+    # remembered, so the second iteration's first trial is x + 1.0 again
+    solvers = sys.modules["ballrep.solvers"]
+    volumes, calls = iter([1.0, 2.0, 2.0, 0.9, 0.8]), []
+
+    def evaluate(x):
+        calls.append(float(x[0]))
+        return next(volumes), np.array([-1.0])
+
+    solvers._projected_gradient(np.zeros(1), evaluate, lambda x: x, lambda x, vol: vol,
+                                SolveConfig(max_iters=2))
+    assert calls == [0.0, 1.0, 0.5, 0.25, 0.25 + solvers._INITIAL_STEP]
 
 
 def _captured_oracle(monkeypatch, solve):

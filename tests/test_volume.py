@@ -104,6 +104,18 @@ class TestSphericalBackend:
             est = volume(ld_polynomial(n, d), budget=16384)
             assert est.value == pytest.approx(closed_form_ball_volume(n, d), rel=1e-8)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_ball_moments_match_the_closed_form(self, n, d):
+        # the default spherical table of B_d against Dirichlet's formula: an
+        # exact reference, so unlike the Euler identity this check can fail
+        table = moment_table(ld_polynomial(n, d), max_order=4)
+        exact = {a: 0.0 if any(x % 2 for x in a) else _ball_moment(n, d, a)
+                 for a in table.entries}
+        worst = max(abs(value - exact[a]) for a, (value, _) in table.entries.items())
+        assert worst <= 1e-13 * max(exact.values())
+        assert all(table.entries[a][0] == 0.0 for a, want in exact.items() if want == 0.0)
+
     def test_generalized_half_power_volume(self):
         est = volume(ld_polynomial(2, Fraction(1, 2), q=2), budget=65536)
         assert est.value == pytest.approx(2.0 / 3.0, abs=1e-4)
