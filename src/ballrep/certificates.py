@@ -71,7 +71,12 @@ class MomentCoverageError(ValueError):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Structured optimality verdict with residual magnitudes and duals."""
+    """Structured optimality verdict with residual magnitudes and duals.
+
+    ``ballrep certify`` prints these fields as they are, in this order,
+    without a None-valued one, so every field must stay a plain JSON value
+    (or a dataclass of them).
+    """
 
     kind: str
     verdict: str

@@ -1,10 +1,12 @@
 """Command-line interface: volumes, moments, solves, certificates, tables.
 
 JSON results go to standard output; CSV tables go to --out when given
-(standard output otherwise).  Exit codes partition outcomes: 0 ok,
-2 input error, 3 infeasible input, 4 solver did not converge,
-5 certificate failed.  Runs are deterministic for a fixed invocation and
-seed.
+(standard output otherwise).  A JSON result is its dataclass's own fields
+in field order (``VolumeEstimate``, ``Certificate``, ``SolveResult``), with
+None-valued fields left out and a solution in the polynomial or Gram
+schema.  Exit codes partition outcomes: 0 ok, 2 input error, 3 infeasible
+input, 4 solver did not converge, 5 certificate failed.  Runs are
+deterministic for a fixed invocation and seed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,32 +62,9 @@ _BACKEND_ALIASES = {
 }
 
 
-def certificate_to_dict(cert) -> dict:
-    return {
-        "kind": cert.kind,
-        "verdict": cert.verdict,
-        "tolerance": cert.tolerance,
-        "residuals": cert.residuals,
-        "duals": cert.duals,
-    }
-
-
-def solve_result_to_dict(result) -> dict:
-    solution = result.solution
-    solution_doc = (
-        gram_to_dict(solution)
-        if isinstance(solution, GramForm)
-        else polynomial_to_dict(solution)
-    )
-    return {
-        "problem": result.problem,
-        "objective": result.objective,
-        "volume": result.volume,
-        "solution": solution_doc,
-        "iterations": [[obj, vol] for obj, vol in result.iterations],
-        "certificate": certificate_to_dict(result.certificate),
-        "converged": result.converged,
-    }
+def _document(result) -> dict:
+    """The result dataclass as a JSON object, without its None-valued fields."""
+    return {name: value for name, value in asdict(result).items() if value is not None}
 
 
 def _emit_json(doc: dict, out: str | None):
@@ -130,15 +110,7 @@ def cmd_volume(args) -> int:
     g = _read(args.poly, parse_polynomial)
     _gate(g, args)
     est = volume(g, backend=args.backend, budget=args.budget, seed=args.seed)
-    doc = {
-        "value": est.value,
-        "std_error": est.std_error,
-        "backend": est.backend,
-        "samples_or_nodes": est.samples_or_nodes,
-    }
-    if est.ess is not None:
-        doc["ess"] = est.ess
-    _emit_json(doc, args.out)
+    _emit_json(_document(est), args.out)
     return EXIT_OK
 
 
@@ -153,6 +125,7 @@ def cmd_moments(args) -> int:
         doc = {
             "q": table.q,
             "region": region_hash(g),
+            "normalization": _document(table.normalization),
             "rows": [
                 {"alpha_times_q": list(a), "value": v, "std_error": e}
                 for a, v, e in table.rows()
@@ -189,14 +162,15 @@ def cmd_solve(args) -> int:
         if args.q != 1:
             raise SchemaError("q", "the Gram trace problem has no lattice denominator q > 1")
         result = solve_p3(args.n, int(d), start=start, config=config)
-    _emit_json(solve_result_to_dict(result), args.out)
+    to_dict = gram_to_dict if isinstance(result.solution, GramForm) else polynomial_to_dict
+    _emit_json(_document(replace(result, solution=to_dict(result.solution))), args.out)
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
 def cmd_certify(args) -> int:
     candidate = _read(args.candidate, parse_candidate)
     cert, _ = certify(args.problem, candidate, args.backend, args.budget, args.seed, args.tol)
-    _emit_json(certificate_to_dict(cert), args.out)
+    _emit_json(_document(cert), args.out)
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
 

@@ -18,6 +18,7 @@ canonical index order, floats via repr so that round trips are exact, so
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -198,7 +199,12 @@ def moment_rows_from_csv(text: str) -> list[tuple[tuple[int, ...], float, float]
             raise SchemaError(f"line {k}", "expected 3 semicolon-separated fields")
         try:
             alpha = tuple(int(a) for a in parts[0].split(","))
-            rows.append((alpha, float(parts[1]), float(parts[2])))
+            value, error = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise SchemaError(f"line {k}", str(exc)) from exc
+        if min(alpha) < 0:
+            raise SchemaError(f"line {k}", f"negative exponent numerator in {alpha}")
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise SchemaError(f"line {k}", f"value {value} or std_error {error} is not finite")
+        rows.append((alpha, value, error))
     return rows

@@ -142,12 +142,17 @@ class SolveResult:
     iterations holds (equivalent objective, volume) pairs per accepted
     iterate: the norm the iterate would have at the target volume, which the
     p1/p3 descents (not p2's fixed-point iteration) keep non-increasing.
+
+    ``ballrep solve`` prints these fields as they are, in this order,
+    without a None-valued one and with the solution in the polynomial or
+    Gram schema; every other field must stay a plain JSON value (or a
+    dataclass of them).
     """
 
     problem: str
-    solution: GeneralizedPolynomial | GramForm
     objective: float
     volume: float
+    solution: GeneralizedPolynomial | GramForm
     iterations: list[tuple[float, float]] = field(default_factory=list)
     certificate: Certificate | None = None
     converged: bool = False

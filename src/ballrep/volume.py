@@ -105,6 +105,11 @@ class VolumeEstimate:
     oracle.  samples_or_nodes counts the points evaluated: the orthant's
     nodes for a sign-symmetric spherical pass.  ess is the effective sample
     size (Monte Carlo only).
+
+    ``ballrep volume`` and the normalization of a ``ballrep moments`` JSON
+    document print these fields as they are, in this order, without a
+    None-valued one, so every field must stay a plain JSON value (or a
+    dataclass of them).
     """
 
     value: float

@@ -11,15 +11,18 @@ from fractions import Fraction
 import numpy as np
 
 from ballrep import (
+    MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
     MomentMatrix,
     SolveConfig,
     VolumeEstimate,
+    certify,
     certify_p2,
     certify_p3,
     closed_form_ball_moment,
     closed_form_ball_volume,
+    enumerate_indices,
     euler_residual,
     grad_volume,
     hankel_diag_bound_check,
@@ -27,6 +30,7 @@ from ballrep import (
     moment,
     moment_table,
     moment_matrix,
+    multinomial_coefficient,
     refute_ld_for_p3,
     solve_p1,
     solve_p2,
@@ -110,6 +114,27 @@ def test_criterion_04_euler_identity():
         vol = volume(g, budget=4096).value
         worst = max(worst, abs(euler_residual(g, budget=4096)) / vol)
     _report(4, worst <= 1e-6, f"worst relative Euler residual {worst:.2e} over 20 quartics")
+
+
+def test_criterion_04_certificates_at_known_optima():
+    # the Euler identity holds for every g; these residuals vanish only at an optimum:
+    # sum x_i**d for p1, and for p2 (sum x_i**2)**(d/2), whose multinomial-convention
+    # coefficient at alpha = 2 beta is multinomial(beta) / multinomial(alpha)
+    worst = 0.0
+    for n in (2, 3):
+        for d in (4, 6):
+            euclidean = {
+                alpha: multinomial_coefficient([a // 2 for a in alpha])
+                / multinomial_coefficient(alpha)
+                for alpha in enumerate_indices(n, d) if not any(a % 2 for a in alpha)
+            }
+            optima = (("p1", ld_polynomial(n, d)),
+                      ("p2", GeneralizedPolynomial(n, d, 1, euclidean, MULTINOMIAL)))
+            for problem, g in optima:
+                cert, _ = certify(problem, g, "spherical", None, 0, None)
+                worst = max(worst, *(abs(r) for r in cert.residuals.values()))
+    _report(4, worst <= 1e-12,
+            f"worst p1/p2 certificate residual {worst:.2e} at n in (2, 3), d in (4, 6)")
 
 
 def test_criterion_05_gradient_check():

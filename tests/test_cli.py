@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,10 @@ import pytest
 
 import ballrep
 from ballrep import (
+    Certificate,
     GeneralizedPolynomial,
+    SolveResult,
+    VolumeEstimate,
     ld_polynomial,
     minimal_trace_axis_gram,
     region_hash,
@@ -22,6 +26,11 @@ from ballrep.cli import main
 
 DISK4 = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
 INFEASIBLE = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -2.1})
+
+
+def field_names(cls, omit=()):
+    """A JSON result prints its dataclass's fields in order; None-valued ones are left out."""
+    return [f.name for f in fields(cls) if f.name not in omit]
 
 
 @pytest.fixture
@@ -45,6 +54,7 @@ class TestVolumeCommand:
         assert doc["value"] == pytest.approx(math.pi, abs=1e-6)
         assert doc["backend"] == "spherical"
         assert doc["std_error"] == 0.0
+        assert list(doc) == field_names(VolumeEstimate, omit=("ess",))
 
     def test_infeasible_exit_code_and_message(self, infeasible_file, capsys):
         assert main(["volume", infeasible_file]) == 3
@@ -99,6 +109,7 @@ class TestVolumeCommand:
         main(["volume", disk_file, "--backend", "mc", "--budget", "20000", "--seed", "7"])
         second = capsys.readouterr().out
         assert first == second
+        assert list(json.loads(first)) == field_names(VolumeEstimate)
 
     @pytest.mark.parametrize("command", [["volume"], ["moments", "--max-order", "2"]])
     def test_tol_is_not_an_option(self, disk_file, capsys, command):
@@ -137,10 +148,25 @@ class TestMomentsCommand:
     def test_json_format(self, disk_file, capsys):
         assert main(["moments", disk_file, "--max-order", "2", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["q", "region", "normalization", "rows"]
         assert doc["q"] == 1
         assert doc["region"] == region_hash(DISK4)
         rows = {tuple(r["alpha_times_q"]): r["value"] for r in doc["rows"]}
         assert rows[(2, 0)] == pytest.approx(math.pi / 4, rel=1e-6)
+        # the normalization says which pass produced the table
+        normalization = doc["normalization"]
+        assert list(normalization) == field_names(VolumeEstimate, omit=("ess",))
+        assert normalization["backend"] == "spherical"
+        assert normalization["value"] == rows[(0, 0)]
+
+    def test_json_normalization_of_a_monte_carlo_table(self, disk_file, capsys):
+        args = ["moments", disk_file, "--max-order", "2", "--format", "json",
+                "--backend", "mc", "--budget", "20000", "--seed", "3"]
+        assert main(args) == 0
+        normalization = json.loads(capsys.readouterr().out)["normalization"]
+        assert list(normalization) == field_names(VolumeEstimate)
+        assert normalization["backend"] == "monte_carlo"
+        assert normalization["samples_or_nodes"] == 20000
 
     def test_generalized_order(self, tmp_path, capsys):
         path = tmp_path / "b12.json"
@@ -169,6 +195,8 @@ class TestSolveCommand:
         assert doc["converged"] is True
         assert doc["objective"] == pytest.approx(2.0, abs=1e-2)
         assert doc["certificate"]["verdict"] == "pass"
+        assert list(doc) == field_names(SolveResult)
+        assert list(doc["certificate"]) == field_names(Certificate)
         coeffs = {tuple(t["alpha_times_q"]): t["coeff"] for t in doc["solution"]["terms"]}
         assert coeffs[(4, 0)] == pytest.approx(1.0, abs=1e-2)
         assert isinstance(doc["iterations"], list) and len(doc["iterations"]) >= 2
@@ -277,6 +305,7 @@ class TestCertifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "pass"
         assert doc["kind"] == "p1_kkt"
+        assert list(doc) == field_names(Certificate)
 
     def test_p2_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "axis.json"

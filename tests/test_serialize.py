@@ -196,3 +196,16 @@ class TestMomentCsv:
             moment_rows_from_csv(text)
         with pytest.raises(SchemaError, match="line 3.*3 semicolon-separated fields"):
             moment_rows_from_csv("alpha_times_q;value;std_error\n0,0;1.0;0.0\n2,0;0.5\n")
+
+    @pytest.mark.parametrize("row,message", [
+        ("-1,2;0.5;0.0", "negative exponent numerator"),
+        ("1,2;nan;0.0", "not finite"),
+        ("1,2;0.5;inf", "not finite"),
+        ("1,2;-inf;0.0", "not finite"),
+        ("-1,2;nan;inf", "negative exponent numerator"),
+    ])
+    def test_impossible_row(self, row, message):
+        # float() reads nan and inf, and int() a minus sign, so these parsed before
+        text = f"alpha_times_q;value;std_error\n0,0;1.0;0.0\n{row}\n"
+        with pytest.raises(SchemaError, match=f"line 3: .*{message}"):
+            moment_rows_from_csv(text)
