@@ -26,7 +26,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -157,6 +156,20 @@ class NormReport:
     trace: float | None = None
 
 
+class _Terms(dict):
+    """A polynomial's terms: a dict that refuses changes, yet copies and pickles as one."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a polynomial's terms are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _Terms, (dict(self),)
+
+
 @dataclass(frozen=True)
 class GeneralizedPolynomial:
     """Finite sum of terms coeff * x**(alpha/q) with all alpha/q summing to d."""
@@ -198,8 +211,8 @@ class GeneralizedPolynomial:
             clean[alpha] = float(coeff)
             if not math.isfinite(clean[alpha]):
                 raise ValueError(f"coefficient {coeff} of exponent {alpha} is not finite")
-        # read-only view: instances are shared freely across workers
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        # read-only: instances are shared freely across workers
+        object.__setattr__(self, "terms", _Terms(clean))
         # kernel data outside the dataclass fields: exponent matrix A and the
         # monomial-convention coefficients c of the nonzero terms, plus the
         # structure flags the moment backends ask for on every call

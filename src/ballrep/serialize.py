@@ -206,5 +206,10 @@ def moment_rows_from_csv(text: str) -> list[tuple[tuple[int, ...], float, float]
             raise SchemaError(f"line {k}", f"negative exponent numerator in {alpha}")
         if not (math.isfinite(value) and math.isfinite(error)):
             raise SchemaError(f"line {k}", f"value {value} or std_error {error} is not finite")
+        if error < 0:
+            raise SchemaError(f"line {k}", f"negative std_error {error}")
+        if rows and len(alpha) != len(rows[0][0]):
+            width = len(rows[0][0])
+            raise SchemaError(f"line {k}", f"{len(alpha)} exponents, but line 2 has {width}")
         rows.append((alpha, value, error))
     return rows

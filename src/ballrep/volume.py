@@ -28,10 +28,16 @@ Every backend lays out its kernel rows the same way.  _radial_pass makes
 one kernel call; Monte Carlo queries and the grid oracle make one per block
 of at most _BLOCK points (the grid's blocks are whole slices, at least one),
 which bounds the memory of a block's samples and kernel output, and their
-random streams do not depend on the block.  The kernel keeps its own working
-set small, whatever the backend: it builds a large call in chunks of points
-(polynomials._KERNEL_ENTRIES).  Every backend returns only plain numbers and
-arrays aligned with the alphas it was given.  The dispatcher _estimate
+random streams do not depend on the block.  Monte Carlo nodes come in
+batches of _MC_BATCH, each from its own stream; a query takes its blocks
+in order as the batches arrive, while a worker thread draws up to
+_DRAW_AHEAD batches ahead on a second CPU (_cone_batches).  So its answers
+do not depend on where a batch was drawn, its nodes in memory are those of
+the batches in flight, and an infeasible input raises at its first bad
+block, before the later batches are drawn.  The kernel keeps its own
+working set small, whatever the backend: it builds a large call in chunks
+of points (polynomials._KERNEL_ENTRIES).  Every backend returns only plain
+numbers and arrays aligned with the alphas it was given.  The dispatcher _estimate
 builds every answer: it gives each distinct alpha one entry (the all-zeros
 alpha reads the volume, moments that vanish by symmetry read exact zeros, a
 backend estimates only the rest) and turns the backend's numbers into the
@@ -47,9 +53,12 @@ nodes, exact axes included, at or below it.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +82,7 @@ GRID_ORACLE = "grid_oracle"
 DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000}
 
 _MC_BATCH = 1 << 16  # samples per Monte Carlo stream
+_DRAW_AHEAD = 2  # Monte Carlo batches drawn ahead of the one in use, on a worker thread
 _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; bounds a block's memory
 # sphere grids kept, a full grid and its orthant counted apart; an n = 3,
 # budget 32768 full grid is 1 MB, its orthant an eighth of that
@@ -380,25 +390,96 @@ def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
 # -- Monte Carlo backend ------------------------------------------------------
 
 
+def _cone_batch(n: int, d: float, budget: int, seed: int, b: int):
+    """Batch b of _cone_nodes(n, d, budget, seed): its nodes b _MC_BATCH onwards.
+
+    |x_i|^d = t_i ~ Gamma(1/d) with random signs, from the batch's own
+    stream default_rng([seed, b]); theta = x / (sum_i t_i)**(1/d).
+    """
+    size = min(_MC_BATCH, budget - b * _MC_BATCH)
+    rng = np.random.default_rng([seed, b])
+    t = rng.gamma(1.0 / d, 1.0, size=(size, n))
+    # t @ ones sums a row in a fraction of the time of t.sum(axis=1)
+    theta = t / (t @ np.ones(n))[:, None]
+    np.power(theta, 1.0 / d, out=theta)
+    theta *= rng.integers(0, 2, size=(size, n)) * 2 - 1
+    return theta
+
+
+def _cone_batches(n: int, d: float, budget: int, seed: int):
+    """The batches of _cone_nodes(n, d, budget, seed), in order.
+
+    Batch 0 is drawn inline; while the caller holds batch b, batches b + 1
+    to b + _DRAW_AHEAD are drawn on the process's draw thread (_draw_pool),
+    and the draws still pending when the caller stops early are cancelled.
+    A process limited to one CPU draws every batch inline, as there the
+    thread would only take turns with the caller.  Every batch has its own
+    stream, so where it is drawn does not show in its nodes.
+    """
+    count = -(-budget // _MC_BATCH)
+    most = _DRAW_AHEAD if _cpu_count() > 1 else 0
+    ahead = collections.deque()  # futures of batches b + 1, b + 2, ...
+    try:
+        for b in range(count):
+            mine = ahead.popleft() if ahead else None
+            while len(ahead) < most and b + 1 + len(ahead) < count:
+                later = b + 1 + len(ahead)
+                ahead.append(_draw_pool(os.getpid()).submit(_cone_batch, n, d, budget, seed, later))
+            yield _cone_batch(n, d, budget, seed, b) if mine is None else mine.result()
+    finally:
+        for future in ahead:
+            future.cancel()
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _draw_pool(pid: int):
+    """The worker thread that draws Monte Carlo batches ahead in process pid.
+
+    Keyed by os.getpid(), as a forked child has none of its parent's threads.
+    """
+    # only a multi-batch draw needs it; it costs about 8 ms at import
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="ballrep-draw")
+
+
 def _cone_nodes(n: int, d: float, budget: int, seed: int):
     """budget random nodes of the cone measure on the l_d unit sphere, and their equal weights.
 
-    |x_i|^d = t_i ~ Gamma(1/d) with random signs, in streams of _MC_BATCH
-    samples each, default_rng([seed, b]) for batch b, so the nodes depend
-    only on (seed, budget).  theta = x / (sum_i t_i)**(1/d) then follows
-    the cone measure of B_d, whose total is n vol(B_d); every node weighs
-    n vol(B_d) / budget.
+    The nodes are the _cone_batches of _MC_BATCH samples each, batch b
+    from the stream default_rng([seed, b]), so they depend only on (seed,
+    budget).  They follow the cone measure of B_d, whose total is
+    n vol(B_d); every node weighs n vol(B_d) / budget.
     """
-    dirs = np.empty((budget, n))
-    for b, lo in enumerate(range(0, budget, _MC_BATCH)):
-        size = min(_MC_BATCH, budget - lo)
-        rng = np.random.default_rng([seed, b])
-        t = rng.gamma(1.0 / d, 1.0, size=(size, n))
-        theta = dirs[lo : lo + size]
-        # t @ ones sums a row in a fraction of the time of t.sum(axis=1)
-        np.power(t / (t @ np.ones(n))[:, None], 1.0 / d, out=theta)
-        theta *= rng.integers(0, 2, size=(size, n)) * 2 - 1
+    dirs = np.concatenate(list(_cone_batches(n, d, budget, seed)))
     return dirs, np.full(budget, n * closed_form_ball_volume(n, d) / budget)
+
+
+def _blocks(batches, size: int):
+    """The rows of the arrays batches yields, cut into consecutive blocks of size rows.
+
+    The last block may be shorter; a block can span batches, so the blocks
+    do not depend on how the rows were batched.
+    """
+    held, have = [], 0
+    for batch in batches:
+        held.append(batch)
+        have += len(batch)
+        if have < size:
+            continue
+        rows = np.concatenate(held) if len(held) > 1 else batch
+        full = have - have % size
+        yield from (rows[lo : lo + size] for lo in range(0, full, size))
+        held, have = ([rows[full:]] if full < have else []), have - full
+    if held:
+        yield np.concatenate(held)
 
 
 def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
@@ -408,10 +489,13 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     times the node's monomial; the weights are equal, so it is budget times
     the mean of those terms, and its standard error comes from their second
     moments.
-    The kernel, the radial factors and the sums run over _BLOCK-node chunks,
-    which changes results only at round-off, through the summation order;
-    the sums are centred at the first chunk's means, so the variance does
-    not cancel away (on B_d, where h = 1 at every node, it is round-off).
+    The kernel, the radial factors and the sums run over _BLOCK-node blocks,
+    taken in order from _cone_batches as they are drawn, so the nodes in
+    memory are those of a block and the batches in flight, and an infeasible
+    input raises before the later batches are drawn.  The block size changes
+    results only at round-off, through the summation order; the sums are
+    centred at the first block's means, so the variance does not cancel away
+    (on B_d, where h = 1 at every node, it is round-off).
     A node where g is <= _GATE_TOLERANCE counts as infinite volume, as in
     the spherical pass, and raises.  The ESS is that of the volume's
     weights h**(-n/d); below 1% of the budget it warns.
@@ -421,17 +505,18 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     pure = np.count_nonzero(rows, axis=1) == 1
     # sample row 0 is the volume's, row 1 + i that of live[i]
     ks, k_of = np.unique([n] + [n + sum(a) / g.q for a in live], return_inverse=True)
-    dirs, w = _cone_nodes(n, d, budget, seed)
     sums = sums2 = 0.0
-    for lo in range(0, budget, _BLOCK):
-        P = monomials(g.lattice_base(dirs[lo : lo + _BLOCK]), rows)
-        samples = np.array(_radial(g._coeffs, P, pure, n, d, ks))[k_of]
-        samples[1:] *= P[live_rows]
-        if lo == 0:
-            centre = samples.mean(axis=1)
-        samples -= centre[:, None]
-        sums = sums + samples.sum(axis=1)
-        sums2 = sums2 + np.einsum("ij,ij->i", samples, samples)
+    centre = None
+    with contextlib.closing(_blocks(_cone_batches(n, d, budget, seed), _BLOCK)) as blocks:
+        for dirs in blocks:
+            P = monomials(g.lattice_base(dirs), rows)
+            samples = np.array(_radial(g._coeffs, P, pure, n, d, ks))[k_of]
+            samples[1:] *= P[live_rows]
+            if centre is None:
+                centre = samples.mean(axis=1)
+            samples -= centre[:, None]
+            sums = sums + samples.sum(axis=1)
+            sums2 = sums2 + np.einsum("ij,ij->i", samples, samples)
     mean = sums / budget
     var = np.maximum(0.0, sums2 / budget - mean * mean)
     mean += centre
@@ -443,7 +528,9 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
             EffectiveSampleSizeWarning,
             stacklevel=3,
         )
-    scale = w.sum() / ks[k_of]
+    # the same pairwise sum as that of _cone_nodes's budget equal weights, without their array
+    weights = np.broadcast_to(n * closed_form_ball_volume(n, d) / budget, budget).sum()
+    scale = weights / ks[k_of]
     value, err = scale * mean, scale * np.sqrt(var / max(1, budget - 1))
     return value[0], err[0], value[1:], err[1:], budget, float(ess)
 

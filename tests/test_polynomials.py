@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from ballrep import (
     multinomial_coefficient,
     norms,
     serialize_polynomial,
+    solve_p1,
 )
 from ballrep.polynomials import _flip_invariant
 
@@ -236,14 +239,31 @@ class TestMonomialKernel:
         with pytest.raises(TypeError, match="unhashable"):
             hash(g)  # the terms mapping field has never been hashable
         assert repr(g) == (
-            "GeneralizedPolynomial(n=2, degree=Fraction(4, 1), q=1, terms=mappingproxy("
-            "{(4, 0): 1.0, (3, 1): 0.0, (2, 2): 0.5, (0, 4): 1.0}), convention='multinomial')"
+            "GeneralizedPolynomial(n=2, degree=Fraction(4, 1), q=1, terms="
+            "{(4, 0): 1.0, (3, 1): 0.0, (2, 2): 0.5, (0, 4): 1.0}, convention='multinomial')"
         )
         assert serialize_polynomial(g) == (
             '{"n": 2, "d": [4, 1], "q": 1, "convention": "multinomial", "terms": '
             '[{"alpha_times_q": [4, 0], "coeff": 1.0}, {"alpha_times_q": [3, 1], "coeff": 0.0}, '
             '{"alpha_times_q": [2, 2], "coeff": 0.5}, {"alpha_times_q": [0, 4], "coeff": 1.0}]}'
         )
+
+
+    def test_terms_are_read_only_but_copyable(self):
+        g = ld_polynomial(2, 4)
+        copied = copy.deepcopy(g)
+        assert copied == g and copied.terms is not g.terms
+        assert pickle.loads(pickle.dumps(g)) == g
+        solution = dataclasses.asdict(solve_p1(2, 4))["solution"]
+        assert solution["n"] == 2 and set(solution["terms"]) == set(enumerate_indices(2, 4))
+        for terms in (g.terms, copied.terms, solution["terms"]):
+            with pytest.raises(TypeError, match="read-only"):
+                terms[(4, 0)] = 1.0
+            for change in (lambda: terms.update({(0, 4): 2.0}), lambda: terms.pop((4, 0)),
+                           lambda: terms.clear(), lambda: terms.__delitem__((4, 0))):
+                with pytest.raises(TypeError, match="read-only"):
+                    change()
+        assert g.terms == {(4, 0): 1.0, (0, 4): 1.0}
 
 
 class TestRescale:

@@ -598,25 +598,34 @@ class TestStochasticBackendSolve:
         # here the BB step s.s / s.y against move**2 / s.y: where those bits
         # decide a trial, the volume is flat to round-off and the descent stops
         solvers, volume_module = sys.modules["ballrep.solvers"], sys.modules["ballrep.volume"]
-        built = []
-        for name in ("_radial_pass", "_cone_nodes"):
-            def counted(*args, real=getattr(volume_module, name), name=name):
-                built.append(name)
-                return real(*args)
+        built, drawn = [], []
 
-            monkeypatch.setattr(volume_module, name, counted)
+        def radial_pass(*args, real=volume_module._radial_pass):
+            built.append("_radial_pass")
+            return real(*args)
+
+        def cone_batch(n, d, budget, seed, b, real=volume_module._cone_batch):
+            drawn.append((budget, b))  # some batches are drawn on the draw thread
+            return real(n, d, budget, seed, b)
+
+        monkeypatch.setattr(volume_module, "_radial_pass", radial_pass)
+        monkeypatch.setattr(volume_module, "_cone_batch", cone_batch)
         passes, per_call = _count_oracle_work(monkeypatch, [])
         for seed in (1, 2, 3):
             cfg = SolveConfig(backend="monte_carlo", budget=60_000, seed=seed)
             trials = []
             for numpy in (np, _RoundedSquares()):
                 monkeypatch.setattr(solvers, "np", numpy)
-                for log in (built, passes, per_call):
+                for log in (built, drawn, passes, per_call):
                     log.clear()
                 res = solve_p1(2, 4, config=cfg)
                 assert res.converged and res.certificate.passed, seed
-                # the descent's one pass draws its nodes once; the certificate pass draws its own
-                assert built == ["_radial_pass", "_cone_nodes", "_cone_nodes"], seed
+                # the descent's one pass draws its nodes once; the certificate
+                # pass draws its own: each batch of either budget once
+                assert built == ["_radial_pass"], seed
+                budgets = (cfg.budget, cfg.certificate_budget)
+                assert sorted(drawn) == [(budget, b) for budget in budgets
+                                         for b in range(-(-budget // volume_module._MC_BATCH))], seed
                 assert per_call == [(0,)] * len(per_call), seed
                 assert passes == [cfg.certificate_budget], seed
                 trials.append(len(per_call))

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import re
 import sys
 from fractions import Fraction
@@ -1111,3 +1112,111 @@ class TestKernelBlocks:
             with pytest.raises(InfiniteVolumeError, match="infinite volume") as caught:
                 volume(bad, backend="monte_carlo", budget=100_000, seed=0)
             assert caught.value.sphere_minimum < 0.0
+
+
+def _serial_cone_nodes(n, d, budget, seed):
+    """The cone nodes as one loop over the batch streams, on the calling thread alone."""
+    batch = sys.modules["ballrep.volume"]._MC_BATCH
+    dirs = np.empty((budget, n))
+    for b, lo in enumerate(range(0, budget, batch)):
+        size = min(batch, budget - lo)
+        rng = np.random.default_rng([seed, b])
+        t = rng.gamma(1.0 / d, 1.0, size=(size, n))
+        dirs[lo : lo + size] = (t / (t @ np.ones(n))[:, None]) ** (1.0 / d)
+        dirs[lo : lo + size] *= rng.integers(0, 2, size=(size, n)) * 2 - 1
+    return dirs
+
+
+def _child_table(conn, budget):
+    conn.send(moment_table(ODD_QUARTIC, max_order=2, backend="monte_carlo", budget=budget, seed=2))
+    conn.close()
+
+
+class TestDrawAhead:
+    """Drawing Monte Carlo batches ahead on a worker thread must not show in any answer."""
+
+    @pytest.mark.parametrize("block", [1000, 1 << 20])
+    @pytest.mark.parametrize("budget", [65537, 140_000])
+    def test_tables_are_bit_identical(self, monkeypatch, budget, block):
+        # 2 and 3 batches, the last one short; 1000-node blocks span batches
+        volume_module = sys.modules["ballrep.volume"]
+        monkeypatch.setattr(volume_module, "_BLOCK", block)
+
+        def table():
+            return moment_table(ODD_QUARTIC, max_order=4, backend="monte_carlo",
+                                budget=budget, seed=4)
+
+        nodes = _serial_cone_nodes(2, 4.0, budget, 4)
+        tables = []
+        for ahead in (1, 3):
+            monkeypatch.setattr(volume_module, "_DRAW_AHEAD", ahead)
+            assert np.array_equal(volume_module._cone_nodes(2, 4.0, budget, 4)[0], nodes)
+            tables.append(table())
+        # the reference: every node in one array, cut into blocks as it comes
+        monkeypatch.setattr(volume_module, "_cone_batches", lambda *args: iter([nodes]))
+        tables.append(table())
+        assert tables[0] == tables[1] == tables[2]
+        assert tables[0].normalization.samples_or_nodes == budget
+
+    def test_one_cpu_draws_every_batch_inline(self, monkeypatch):
+        volume_module = sys.modules["ballrep.volume"]
+        monkeypatch.setattr(volume_module, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(volume_module, "_draw_pool", None)  # so a submit would raise
+        dirs, _ = volume_module._cone_nodes(2, 4.0, 140_000, 4)
+        assert np.array_equal(dirs, _serial_cone_nodes(2, 4.0, 140_000, 4))
+
+    @pytest.mark.parametrize("n,d", [(3, 6.0), (4, 2.0)])
+    def test_cone_nodes_match_the_serial_loop(self, n, d):
+        volume_module = sys.modules["ballrep.volume"]
+        for budget in (1, 65536, 3 * 65536 + 7):
+            dirs, w = volume_module._cone_nodes(n, d, budget, 3)
+            assert np.array_equal(dirs, _serial_cone_nodes(n, d, budget, 3))
+            assert np.array_equal(w, np.full(budget, w[0]))
+
+    def test_infeasible_input_stops_drawing(self, monkeypatch):
+        # g < 0 about the diagonals, so the first block raises; 400000 nodes are 7 batches
+        bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -2.1})
+        volume_module = sys.modules["ballrep.volume"]
+
+        def run():
+            with pytest.raises(InfiniteVolumeError, match="infinite volume") as caught:
+                volume(bad, backend="monte_carlo", budget=400_000, seed=0)
+            return str(caught.value), caught.value.sphere_minimum
+
+        nodes = _serial_cone_nodes(2, 4.0, 400_000, 0)
+        with monkeypatch.context() as serial:
+            serial.setattr(volume_module, "_cone_batches", lambda *args: iter([nodes]))
+            reference = run()
+        drawn = []
+
+        def counted(*args, real=volume_module._cone_batch):
+            drawn.append(args[-1])  # list.append is atomic, and some draws run on the draw thread
+            return real(*args)
+
+        monkeypatch.setattr(volume_module, "_cone_batch", counted)
+        assert run() == reference
+        assert reference[1] < 0.0
+        assert 1 <= len(drawn) <= 1 + volume_module._DRAW_AHEAD < 7
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="fork is unavailable")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_draws_on_its_own_thread(self):
+        # the parent's table starts its draw thread, which a forked child does not inherit
+        budget = 140_000
+        expected = moment_table(ODD_QUARTIC, max_order=2, backend="monte_carlo",
+                                budget=budget, seed=2)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_table, args=(send, budget))
+        child.start()
+        try:
+            assert receive.poll(60), "the forked child hung on its Monte Carlo table"
+            assert receive.recv() == expected
+        finally:
+            if child.is_alive():
+                child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
