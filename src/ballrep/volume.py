@@ -30,14 +30,15 @@ of at most _BLOCK points (the grid's blocks are whole slices, at least one),
 which bounds the memory of a block's samples and kernel output, and their
 random streams do not depend on the block.  Monte Carlo nodes come in
 batches of _MC_BATCH, each from its own stream; a query takes its blocks
-in order as the batches arrive, while a worker thread draws up to
-_DRAW_AHEAD batches ahead on a second CPU (_cone_batches).  So its answers
-do not depend on where a batch was drawn, its nodes in memory are those of
-the batches in flight, and an infeasible input raises at its first bad
-block, before the later batches are drawn.  The kernel keeps its own
-working set small, whatever the backend: it builds a large call in chunks
-of points (polynomials._KERNEL_ENTRIES).  Every backend returns only plain
-numbers and arrays aligned with the alphas it was given.  The dispatcher _estimate
+in order as the batches arrive, while a worker thread draws the next
+_DRAW_AHEAD batches (_cone_batches); that saves time only where the
+process has a CPU to spare for the thread.  Its answers do not depend on
+where a batch was drawn, its nodes in memory are those of the batches in
+flight, and an infeasible input raises at its first bad block, before the
+later batches are drawn.  The kernel keeps its own working set small,
+whatever the backend: it builds a large call in chunks of points
+(polynomials._KERNEL_ENTRIES).  Every backend returns only plain numbers
+and arrays aligned with the alphas it was given.  The dispatcher _estimate
 builds every answer: it gives each distinct alpha one entry (the all-zeros
 alpha reads the volume, moments that vanish by symmetry read exact zeros, a
 backend estimates only the rest) and turns the backend's numbers into the
@@ -82,8 +83,11 @@ GRID_ORACLE = "grid_oracle"
 DEFAULT_BUDGETS = {SPHERICAL: 8192, MONTE_CARLO: 200_000, GRID_ORACLE: 1_000_000}
 
 _MC_BATCH = 1 << 16  # samples per Monte Carlo stream
-_DRAW_AHEAD = 2  # Monte Carlo batches drawn ahead of the one in use, on a worker thread
+# Monte Carlo batches drawn ahead of the one in use, on a worker thread; at 1
+# the thread, done with batch 1, would idle while the caller runs batch 0's kernel
+_DRAW_AHEAD = 2
 _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; bounds a block's memory
+assert _MC_BATCH % _BLOCK == 0  # so a Monte Carlo block never spans two batches
 # sphere grids kept, a full grid and its orthant counted apart; an n = 3,
 # budget 32768 full grid is 1 MB, its orthant an eighth of that
 _GRID_CACHE_SIZE = 8
@@ -412,17 +416,15 @@ def _cone_batches(n: int, d: float, budget: int, seed: int):
     Batch 0 is drawn inline; while the caller holds batch b, batches b + 1
     to b + _DRAW_AHEAD are drawn on the process's draw thread (_draw_pool),
     and the draws still pending when the caller stops early are cancelled.
-    A process limited to one CPU draws every batch inline, as there the
-    thread would only take turns with the caller.  Every batch has its own
-    stream, so where it is drawn does not show in its nodes.
+    Every batch has its own stream, so where it is drawn does not show in
+    its nodes.
     """
     count = -(-budget // _MC_BATCH)
-    most = _DRAW_AHEAD if _cpu_count() > 1 else 0
     ahead = collections.deque()  # futures of batches b + 1, b + 2, ...
     try:
         for b in range(count):
             mine = ahead.popleft() if ahead else None
-            while len(ahead) < most and b + 1 + len(ahead) < count:
+            while len(ahead) < _DRAW_AHEAD and b + 1 + len(ahead) < count:
                 later = b + 1 + len(ahead)
                 ahead.append(_draw_pool(os.getpid()).submit(_cone_batch, n, d, budget, seed, later))
             yield _cone_batch(n, d, budget, seed, b) if mine is None else mine.result()
@@ -431,18 +433,17 @@ def _cone_batches(n: int, d: float, budget: int, seed: int):
             future.cancel()
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @functools.lru_cache(maxsize=None)
 def _draw_pool(pid: int):
     """The worker thread that draws Monte Carlo batches ahead in process pid.
 
     Keyed by os.getpid(), as a forked child has none of its parent's threads.
+    It is made at the first multi-batch draw and lives as long as the
+    process, idle between queries; so a process forked after that runs with
+    a thread alive, which Python 3.12+ reports as a DeprecationWarning
+    ("This process ... is multi-threaded, use of fork() may lead to
+    deadlocks"), an error under -W error.  The child itself draws on a
+    thread of its own.
     """
     # only a multi-batch draw needs it; it costs about 8 ms at import
     from concurrent.futures import ThreadPoolExecutor
@@ -462,26 +463,6 @@ def _cone_nodes(n: int, d: float, budget: int, seed: int):
     return dirs, np.full(budget, n * closed_form_ball_volume(n, d) / budget)
 
 
-def _blocks(batches, size: int):
-    """The rows of the arrays batches yields, cut into consecutive blocks of size rows.
-
-    The last block may be shorter; a block can span batches, so the blocks
-    do not depend on how the rows were batched.
-    """
-    held, have = [], 0
-    for batch in batches:
-        held.append(batch)
-        have += len(batch)
-        if have < size:
-            continue
-        rows = np.concatenate(held) if len(held) > 1 else batch
-        full = have - have % size
-        yield from (rows[lo : lo + size] for lo in range(0, full, size))
-        held, have = ([rows[full:]] if full < have else []), have - full
-    if held:
-        yield np.concatenate(held)
-
-
 def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     """The spherical pass's radial formula on random nodes, _cone_nodes(n, d, budget, seed).
 
@@ -490,8 +471,8 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     the mean of those terms, and its standard error comes from their second
     moments.
     The kernel, the radial factors and the sums run over _BLOCK-node blocks,
-    taken in order from _cone_batches as they are drawn, so the nodes in
-    memory are those of a block and the batches in flight, and an infeasible
+    cut in order from each batch of _cone_batches as it is drawn, so the
+    nodes in memory are those of the batches in flight, and an infeasible
     input raises before the later batches are drawn.  The block size changes
     results only at round-off, through the summation order; the sums are
     centred at the first block's means, so the variance does not cancel away
@@ -507,16 +488,17 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     ks, k_of = np.unique([n] + [n + sum(a) / g.q for a in live], return_inverse=True)
     sums = sums2 = 0.0
     centre = None
-    with contextlib.closing(_blocks(_cone_batches(n, d, budget, seed), _BLOCK)) as blocks:
-        for dirs in blocks:
-            P = monomials(g.lattice_base(dirs), rows)
-            samples = np.array(_radial(g._coeffs, P, pure, n, d, ks))[k_of]
-            samples[1:] *= P[live_rows]
-            if centre is None:
-                centre = samples.mean(axis=1)
-            samples -= centre[:, None]
-            sums = sums + samples.sum(axis=1)
-            sums2 = sums2 + np.einsum("ij,ij->i", samples, samples)
+    with contextlib.closing(_cone_batches(n, d, budget, seed)) as batches:
+        for batch in batches:
+            for lo in range(0, len(batch), _BLOCK):
+                P = monomials(g.lattice_base(batch[lo : lo + _BLOCK]), rows)
+                samples = np.array(_radial(g._coeffs, P, pure, n, d, ks))[k_of]
+                samples[1:] *= P[live_rows]
+                if centre is None:
+                    centre = samples.mean(axis=1)
+                samples -= centre[:, None]
+                sums = sums + samples.sum(axis=1)
+                sums2 = sums2 + np.einsum("ij,ij->i", samples, samples)
     mean = sums / budget
     var = np.maximum(0.0, sums2 / budget - mean * mean)
     mean += centre

@@ -1135,10 +1135,10 @@ def _child_table(conn, budget):
 class TestDrawAhead:
     """Drawing Monte Carlo batches ahead on a worker thread must not show in any answer."""
 
-    @pytest.mark.parametrize("block", [1000, 1 << 20])
+    @pytest.mark.parametrize("block", [1 << 10, 1 << 16])
     @pytest.mark.parametrize("budget", [65537, 140_000])
     def test_tables_are_bit_identical(self, monkeypatch, budget, block):
-        # 2 and 3 batches, the last one short; 1000-node blocks span batches
+        # 2 and 3 batches, the last one short; a block divides a batch, down to a whole one
         volume_module = sys.modules["ballrep.volume"]
         monkeypatch.setattr(volume_module, "_BLOCK", block)
 
@@ -1153,17 +1153,10 @@ class TestDrawAhead:
             assert np.array_equal(volume_module._cone_nodes(2, 4.0, budget, 4)[0], nodes)
             tables.append(table())
         # the reference: every node in one array, cut into blocks as it comes
-        monkeypatch.setattr(volume_module, "_cone_batches", lambda *args: iter([nodes]))
+        monkeypatch.setattr(volume_module, "_cone_batches", lambda *_: (b for b in [nodes]))
         tables.append(table())
         assert tables[0] == tables[1] == tables[2]
         assert tables[0].normalization.samples_or_nodes == budget
-
-    def test_one_cpu_draws_every_batch_inline(self, monkeypatch):
-        volume_module = sys.modules["ballrep.volume"]
-        monkeypatch.setattr(volume_module, "_cpu_count", lambda: 1)
-        monkeypatch.setattr(volume_module, "_draw_pool", None)  # so a submit would raise
-        dirs, _ = volume_module._cone_nodes(2, 4.0, 140_000, 4)
-        assert np.array_equal(dirs, _serial_cone_nodes(2, 4.0, 140_000, 4))
 
     @pytest.mark.parametrize("n,d", [(3, 6.0), (4, 2.0)])
     def test_cone_nodes_match_the_serial_loop(self, n, d):
@@ -1185,7 +1178,7 @@ class TestDrawAhead:
 
         nodes = _serial_cone_nodes(2, 4.0, 400_000, 0)
         with monkeypatch.context() as serial:
-            serial.setattr(volume_module, "_cone_batches", lambda *args: iter([nodes]))
+            serial.setattr(volume_module, "_cone_batches", lambda *_: (b for b in [nodes]))
             reference = run()
         drawn = []
 
