@@ -192,7 +192,7 @@ def moment_rows_from_csv(text: str) -> list[tuple[tuple[int, ...], float, float]
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != MOMENT_CSV_HEADER:
         raise SchemaError("header", f"expected {MOMENT_CSV_HEADER!r}")
-    rows = []
+    rows, seen = [], {}  # seen: the line of each alpha read so far
     for k, line in enumerate(lines[1:], start=2):
         parts = line.split(";")
         if len(parts) != 3:
@@ -211,5 +211,7 @@ def moment_rows_from_csv(text: str) -> list[tuple[tuple[int, ...], float, float]
         if rows and len(alpha) != len(rows[0][0]):
             width = len(rows[0][0])
             raise SchemaError(f"line {k}", f"{len(alpha)} exponents, but line 2 has {width}")
+        if seen.setdefault(alpha, k) != k:
+            raise SchemaError(f"line {k}", f"alpha {alpha} repeats line {seen[alpha]}")
         rows.append((alpha, value, error))
     return rows

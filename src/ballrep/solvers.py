@@ -105,13 +105,13 @@ class SolveConfig:
     change and its first-order prediction are both within 1e-10, p2 once
     |T(u) - u|_inf <= 1e-14 (1 + |u|_inf).  backend is spherical or
     monte_carlo; the descent's pass, built once per solve, reads the nodes
-    a query of the start reads at budget (the sphere grid, one orthant of
-    it for a sign-symmetric start, or the cone nodes of seed); one pass at
-    4 * budget gives the final rescaling and the certificate's moments, and
-    the check uses cert_tol, finite and >= 0.  max_iters and budget are
-    integers >= 1 and seed one >= 0 (a float or a bool is rejected, as in
-    every estimator pass); seed is read only by Monte Carlo and, for n >= 4,
-    the gate on a given start.
+    a query of the start reads at budget (the sphere grid's orthant for a
+    sign-symmetric start, else its half; or the cone nodes of seed); one
+    pass at 4 * budget gives the final rescaling and the certificate's
+    moments, and the check uses cert_tol, finite and >= 0.  max_iters and
+    budget are integers >= 1 and seed one >= 0 (a float or a bool is
+    rejected, as in every estimator pass); seed is read only by Monte Carlo
+    and, for n >= 4, the gate on a given start.
     """
 
     max_iters: int = 400
@@ -313,9 +313,11 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
 
     def evaluate(x):
         try:
-            vol, m = run(coefficients(x)[live])
+            vol, moments = run(coefficients(x)[live])
         except InfiniteVolumeError:
             return None
+        m = np.zeros(len(live))
+        m[live] = moments
         return vol, pullback(factor * m)
 
     def report(x, vol):

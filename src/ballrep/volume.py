@@ -8,18 +8,19 @@ cone measure sigma,
 with h the restriction of g to S.  The deterministic spherical backend
 takes S the unit sphere and a quadrature rule on it (periodic trapezoid for
 n = 2, product Gauss-Legendre for n = 3), cached read-only per (n, budget,
-orthant).  A sign-symmetric input (GeneralizedPolynomial.sign_symmetric)
-reads only the rule's nodes in one orthant, each weighted by its sign
-orbit: 1/4 (n = 2) or 1/8 (n = 3) of the nodes, for the same answers up to
-round-off; only classical inputs with odd terms read the full grid, in
-queries, descents and the feasibility gate alike.  Monte Carlo takes S
+orthant).  No pass reads the whole rule.  A sign-symmetric input
+(GeneralizedPolynomial.sign_symmetric) reads its nodes in one orthant, each
+weighted by its sign orbit (1/4 of them at n = 2, 1/8 at n = 3); any other
+is classical, so g(-x) = g(x), and reads those of azimuth in [0, pi), each
+weighted for its antipode too: queries, descents and the feasibility gate
+alike, for the whole rule's answers up to round-off.  Monte Carlo takes S
 the unit l_d sphere and random nodes of its cone measure, of total
 n vol(B_d), so on B_d itself h = 1 at every node.  One function,
 _radial_pass, picks the nodes and their fold and makes one monomial kernel
 call P on given rows; _radial reads h from P's leading rows, rejects
 infinite volume and gives the radial factors, and the moments sharing
-k = n + |alpha| come from one contiguous block of rows against one radial
-weight w * h**(-k/d).  A query's rows are g's own exponents, then the
+k = n + |alpha| come from one contiguous run of rows (_k_runs) against one
+radial weight w * h**(-k/d).  A query's rows are g's own exponents, then the
 requested alphas they miss, so the volume and the degree-d moments (and
 with them the volume gradient) come from the same pass; a solve asks
 _descent_pass for one pass on the degree-d slice, whose rows drop the
@@ -88,9 +89,7 @@ _MC_BATCH = 1 << 16  # samples per Monte Carlo stream
 _DRAW_AHEAD = 2
 _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; bounds a block's memory
 assert _MC_BATCH % _BLOCK == 0  # so a Monte Carlo block never spans two batches
-# sphere grids kept, a full grid and its orthant counted apart; an n = 3,
-# budget 32768 full grid is 1 MB, its orthant an eighth of that
-_GRID_CACHE_SIZE = 8
+_GRID_CACHE_SIZE = 8  # sphere grids kept; at n = 3, budget 32768 a half grid is 0.5 MB, an orthant 1/4
 _GATE_BUDGET = 2048  # sphere grid (n <= 3) or cone nodes (n >= 4) the gate scans
 _GATE_RESTARTS = 8  # best scan nodes zoomed besides the axes and the diagonal
 _GATE_ZOOM_DIMS = 3  # most chart axes one gate zoom level spans
@@ -116,9 +115,9 @@ class VolumeEstimate:
 
     std_error is 0 for the spherical backend, a statistical standard error
     for Monte Carlo, and a boundary-cell discretization bound for the grid
-    oracle.  samples_or_nodes counts the points evaluated: the orthant's
-    nodes for a sign-symmetric spherical pass.  ess is the effective sample
-    size (Monte Carlo only).
+    oracle.  samples_or_nodes counts the points evaluated: for a spherical
+    pass the orthant's nodes (sign-symmetric input) or the half grid's (any
+    other).  ess is the effective sample size (Monte Carlo only).
 
     ``ballrep volume`` and the normalization of a ``ballrep moments`` JSON
     document print these fields as they are, in this order, without a
@@ -245,23 +244,23 @@ def _sphere_grid(n: int, budget: int, orthant: bool):
     n = 2 takes the periodic trapezoid rule on N = max(16, budget) angles,
     less N mod 4; n = 3 the product of Gauss-Legendre in u = cos(polar
     angle) at half = round(sqrt(budget / 2)) nodes and the trapezoid rule on
-    2 half azimuths.  With orthant the nodes of that rule with every
-    coordinate >= 0 are built directly: the angles j = 0..N/4 (n = 2), the
-    nodes u >= 0 times the azimuths in [0, pi/2] (n = 3).  A node on a
-    coordinate plane gets exact zeros there, and it carries the weight of
-    its whole sign orbit, 2**(nonzero coordinates) times its own.  So an
-    integrand unchanged by every sign flip x_i -> -x_i integrates as on the
-    full grid, up to round-off, at 1/4 (n = 2) or 1/8 (n = 3) of the nodes.
-    Cached per (n, budget, orthant); callers pass all three positionally,
-    since a keyword would give the same grid a second cache entry.
+    2 half azimuths; only a part of that rule is built.  Without orthant,
+    the nodes of azimuth in [0, pi), at twice their weight for their
+    antipodes: an integrand even under x -> -x integrates as on the whole
+    rule, up to round-off, at half the nodes.  With orthant, the nodes with
+    every coordinate >= 0 (angles j = 0..N/4; u >= 0 times azimuths in [0,
+    pi/2]) at their sign orbit's weight, 2**(nonzero coordinates) times
+    their own: an integrand unchanged by every flip x_i -> -x_i integrates
+    so at 1/4 (n = 2) or 1/8 (n = 3) of the nodes.  Nodes on a coordinate
+    plane have exact zeros there.  Cached per (n, budget, orthant), passed
+    positionally: a keyword would give the same grid a second cache entry.
     """
 
-    def circle(count):  # cos and sin of count equal azimuths, or of those in [0, pi/2]
-        k = np.arange(count // 4 + 1 if orthant else count)
+    def circle(count):  # cos and sin of count equal azimuths: those in [0, pi/2], or in [0, pi)
+        k = np.arange(count // 4 + 1 if orthant else count // 2)
         angle = 2.0 * math.pi * k / count
         cos = np.cos(angle)
-        if orthant:
-            cos[4 * k == count] = 0.0  # cos(pi/2) is 6e-17
+        cos[4 * k == count] = 0.0  # cos(pi/2) is 6e-17
         return cos, np.sin(angle)
 
     if n == 2:
@@ -285,8 +284,7 @@ def _sphere_grid(n: int, budget: int, orthant: bool):
         weights = np.repeat(wu * (2.0 * math.pi / azim), len(cos))
     else:
         raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
-    if orthant:
-        weights *= 2.0 ** np.count_nonzero(dirs, axis=1)
+    weights *= 2.0 ** np.count_nonzero(dirs, axis=1) if orthant else 2.0
     for arr in (dirs, weights):
         arr.setflags(write=False)
     return dirs, weights
@@ -338,28 +336,35 @@ def _radial(c, P, pure, n: int, d: float, ks):
     return [h ** (-k / d) for k in ks]
 
 
-def _radial_pass(g: GeneralizedPolynomial, rows, blocks, size, backend, budget, seed):
+def _k_runs(rows, n: int, q: int):
+    """(lo, hi, k) for each run rows[lo:hi] of one total degree t, k = n + t/q their moments' k."""
+    total = rows.sum(axis=1).tolist()
+    edges = [i for i in range(len(total) + 1) if i in (0, len(total)) or total[i] != total[i - 1]]
+    return [(lo, hi, n + total[lo] / q) for lo, hi in zip(edges, edges[1:])]
+
+
+def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed):
     """The radial formula on the nodes of backend, built once for g: (nodes, run).
 
-    The nodes are the sphere grid of budget (one orthant of it for a
-    sign-symmetric g, whose rows _symmetry_zero keeps flip invariant) or the
-    Monte Carlo cone nodes of (budget, seed); P, the monomials of rows at
+    The nodes are the sphere grid of budget (its orthant for a sign-symmetric
+    g, else its half; the rows _symmetry_zero keeps share that symmetry) or
+    the Monte Carlo cone nodes of (budget, seed); P, the monomials of rows at
     them, serves every run.  run(c), c the coefficients on the leading rows,
-    returns the volume w.h**(-n/d)/n and size moments, 0 but where a block
-    (lo, hi, k, at) puts its rows' moments P[lo:hi] (w h**(-k/d)) / k.
+    returns the volume w.h**(-n/d)/n and every row's moment, at its run's k.
     """
     n, d = g.n, g.degree_float
     dirs, w = (_sphere_grid(n, budget, g.sign_symmetric) if backend == SPHERICAL
                else _cone_nodes(n, d, budget, seed))
     P = monomials(g.lattice_base(dirs), rows)
     pure = np.count_nonzero(rows, axis=1) == 1
-    ks = [n] + [block[2] for block in blocks]
+    runs = _k_runs(rows, n, g.q)
+    ks = [n] + [k for _, _, k in runs]
 
     def run(c):
         radial, *factors = _radial(c, P, pure, n, d, ks)
-        moments = np.zeros(size)
-        for (lo, hi, k, at), f in zip(blocks, factors):
-            moments[at] = P[lo:hi] @ (w * f) / k
+        moments = np.empty(len(rows))
+        for (lo, hi, k), f in zip(runs, factors):
+            moments[lo:hi] = P[lo:hi] @ (w * f) / k
         return float(np.dot(w, radial) / n), moments
 
     return len(w), run
@@ -368,26 +373,17 @@ def _radial_pass(g: GeneralizedPolynomial, rows, blocks, size, backend, budget, 
 def _descent_pass(g: GeneralizedPolynomial, basis, backend: str, budget: int, seed: int):
     """A descent's one pass on the degree-d slice basis from its start g: (live, run).
 
-    Its rows, one block at k = n + d, are the alphas live of basis that do
-    not vanish by symmetry at g (_symmetry_zero, as for every query), and
-    run(c[live]) gives the slice's moments, exact zeros off live.
+    Its rows are the alphas live of basis that do not vanish by symmetry at g
+    (_symmetry_zero, as for every query); run(c[live]) gives their moments.
     """
     live = ~_symmetry_zero(g, basis)
-    block = (0, int(live.sum()), g.n + g.degree_float, live)
-    _, run = _radial_pass(g, basis[live], [block], len(basis), backend, budget, seed)
-    return live, run
+    return live, _radial_pass(g, basis[live], backend, budget, seed)[1]
 
 
 def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     rows, live_rows = _kernel_rows(g, live)
-    # the alphas of one total degree share k and one contiguous block of kernel rows
-    at = {}
-    for r, alpha in zip(live_rows, live):
-        at.setdefault(sum(alpha), []).append(r)
-    blocks = [(min(rs), max(rs) + 1, g.n + t / g.q, slice(min(rs), max(rs) + 1))
-              for t, rs in at.items()]
-    nodes, run = _radial_pass(g, rows, blocks, len(rows), SPHERICAL, budget, seed)
-    vol, moments = run(g._coeffs)  # moments[r]: the moment of kernel row r
+    nodes, run = _radial_pass(g, rows, SPHERICAL, budget, seed)
+    vol, moments = run(g._coeffs)
     return vol, 0.0, moments[live_rows], np.zeros(len(live)), nodes, None
 
 
@@ -784,8 +780,8 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
     """Minimum of g over the unit sphere by a scan and a batched zoom search.
 
     One rule for every n >= 2.  The scan evaluates _GATE_BUDGET unit
-    directions: the sphere grid for n <= 3 (one orthant of it when g is
-    sign_symmetric), the uniform cone nodes _cone_nodes(n, 2, _GATE_BUDGET,
+    directions: the sphere grid for n <= 3 (its orthant if g is sign_symmetric,
+    else its half), the uniform cone nodes _cone_nodes(n, 2, _GATE_BUDGET,
     seed) for n >= 4, the only reader of `seed`.  The candidates are the n
     axes, the diagonal and the _GATE_RESTARTS best scan nodes.  Each zoom
     level lays a 5**k stencil of radius r on every candidate v in the fixed

@@ -206,6 +206,7 @@ class TestMomentCsv:
         ("1,2;0.5;-0.5", "negative std_error -0.5"),
         ("1;0.5;0.0", "1 exponents, but line 2 has 2"),
         ("1,2,0;0.5;0.0", "3 exponents, but line 2 has 2"),
+        ("0,0;2.0;0.0", r"alpha \(0, 0\) repeats line 2"),
     ])
     def test_impossible_row(self, row, message):
         # float() reads nan and inf, and int() a minus sign, so these parsed before

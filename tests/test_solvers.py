@@ -1117,11 +1117,12 @@ class TestFoldedDescent:
         odd = _odd_coordinates(problem, n, d)
         assert trials and all(not x[odd].any() for x in trials)
 
-    def test_p1_start_with_odd_support_keeps_the_full_grid(self, monkeypatch):
+    def test_p1_start_with_odd_support_reads_half_the_grid(self, monkeypatch):
         passes, trials = _record_descent(monkeypatch)
         start = GeneralizedPolynomial(3, 6, 1, {**ld_polynomial(3, 6).terms, (3, 3, 0): 0.1})
         solve_p1(3, 6, start=start, config=SolveConfig(max_iters=3))
-        assert passes == [(2048, 28)]
+        # all 28 rows, each of even total degree, on the 1024 nodes of the half grid
+        assert passes == [(1024, 28)]
         assert trials[0][_odd_coordinates("p1", 3, 6)].any()
 
     def test_p3_start_whose_odd_entries_cancel_is_masked(self, monkeypatch):

@@ -576,7 +576,10 @@ def _perturbed_ball(n, d, q=1, scale=0.01, seed=0):
 
 
 def _backend_grid(g, budget):
-    """The spherical backend's grid for g: one orthant when every sign flip leaves g unchanged."""
+    """The spherical backend's grid for g: one orthant when every sign flip leaves g unchanged.
+
+    Else the half sphere of azimuth in [0, pi), each node at twice its weight.
+    """
     return _sphere_grid(g.n, budget, not g.is_classical or g.has_even_support())
 
 
@@ -584,11 +587,15 @@ def _per_alpha_moments(g, alphas, budget):
     """{alpha: (value, scale)} by the per-alpha spherical formula.
 
     g and each x^alpha are raised term by term with np.prod on the grid the
-    backend reads; scale is the same quadrature of the integrand's
-    magnitude.  On an orthant grid a classical alpha with an odd entry sums
-    to zero over every sign orbit, so its value is 0.
+    backend reads, a half grid joined by its antipodes, each node then at
+    half its weight, so that an odd integrand has the whole sphere's honest
+    value near 0; scale is the same quadrature of the integrand's magnitude.
+    On an orthant grid a classical alpha with an odd entry sums to zero over
+    every sign orbit, so its value is 0.
     """
     dirs, w = _backend_grid(g, budget)
+    if g.is_classical and not g.has_even_support():
+        dirs, w = np.concatenate([dirs, -dirs]), np.concatenate([w, w]) / 2.0
     odd_vanish = g.is_classical and g.has_even_support()
 
     def power(a):
@@ -749,13 +756,18 @@ def _even_perturbed_sextic(seed=4):
 
 
 class TestOrthantFold:
-    """A sign-symmetric input reads one orthant of the grid, each node weighing its sign orbit."""
+    """A sign-symmetric input reads one orthant of the grid, each node weighing its sign orbit.
 
+    Every other input is classical, so even under x -> -x, and reads the
+    half grid of azimuth in [0, pi), each node weighing itself and its antipode.
+    """
+
+    # full counts the nodes of the whole-sphere rule, of which the half grid keeps half
     @pytest.mark.parametrize("n,budget,full,orthant", [
         (2, 2048, 2048, 513), (2, 8192, 8192, 2049), (3, 2048, 2048, 272), (3, 8192, 8192, 1056),
     ])
     def test_node_counts(self, n, budget, full, orthant):
-        assert len(_sphere_grid(n, budget, False)[0]) == full
+        assert len(_sphere_grid(n, budget, False)[0]) == full // 2
         assert len(_sphere_grid(n, budget, True)[0]) == orthant
         assert volume(ld_polynomial(n, 4), budget=budget).samples_or_nodes == orthant
 
@@ -763,7 +775,7 @@ class TestOrthantFold:
     @pytest.mark.parametrize("n", [2, 3])
     def test_orthant_nodes_and_orbit_weights(self, n, budget):
         dirs, weights = _sphere_grid(n, budget, True)
-        full_dirs, full_weights = _sphere_grid(n, budget, False)
+        half_dirs, half_weights = _sphere_grid(n, budget, False)
         again = _sphere_grid(n, budget, True)
         assert again[0] is dirs and again[1] is weights
         assert not dirs.flags.writeable and not weights.flags.writeable
@@ -771,21 +783,23 @@ class TestOrthantFold:
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
         # nodes on a coordinate plane carry exact zeros, not cos(pi/2) = 6e-17
         assert dirs[dirs != 0.0].min() > 1e-6
-        # the sign orbits tile the full grid: every full node folds onto an
-        # orthant node, each orthant node is one, and it weighs its orbit
-        gap = np.abs(np.abs(full_dirs)[:, None, :] - dirs[None, :, :]).max(axis=2)
+        # the sign orbits tile the half grid, whose nodes weigh their
+        # antipodes too: every half-grid node folds onto an orthant node,
+        # each orthant node is one, and it weighs its orbit
+        gap = np.abs(np.abs(half_dirs)[:, None, :] - dirs[None, :, :]).max(axis=2)
         assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
-        orbit = np.bincount(gap.argmin(axis=1), weights=full_weights, minlength=len(dirs))
+        orbit = np.bincount(gap.argmin(axis=1), weights=half_weights, minlength=len(dirs))
         assert np.abs(orbit - weights).max() <= 1e-14 * weights.max()
         sphere = 2.0 * math.pi if n == 2 else 4.0 * math.pi
         assert weights.sum() == pytest.approx(sphere, rel=1e-14)
-        assert weights.sum() == pytest.approx(full_weights.sum(), rel=1e-14)
+        assert weights.sum() == pytest.approx(half_weights.sum(), rel=1e-14)
 
     @pytest.mark.parametrize("g", [ld_polynomial(2, 4), ld_polynomial(3, 6),
                                    _even_perturbed_sextic()], ids=["B4-2", "B6-3", "even-sextic"])
     def test_tables_match_the_full_grid(self, monkeypatch, g):
         assert g.has_even_support()
         orthant = moment_table(g, max_order=g.degree, budget=4096)
+        # unfolded, g reads the half grid, whose antipodes make the full one
         monkeypatch.setattr(GeneralizedPolynomial, "sign_symmetric", property(lambda g: False))
         full = moment_table(g, max_order=g.degree, budget=4096)
         assert orthant.normalization.samples_or_nodes < full.normalization.samples_or_nodes
@@ -795,12 +809,68 @@ class TestOrthantFold:
             assert abs(got - want) <= 1e-14 * abs(want), alpha
         assert orthant.normalization.value == pytest.approx(full.normalization.value, rel=1e-14)
 
-    def test_an_odd_term_keeps_the_full_grid(self):
+    def test_an_odd_term_reads_half_the_grid(self):
         g = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0, (3, 1): 1e-9})
-        assert volume(g, budget=2048).samples_or_nodes == 2048
+        assert volume(g, budget=2048).samples_or_nodes == 1024
         assert volume(DISK4, budget=2048).samples_or_nodes == 513
         full, orthant = volume(g, budget=2048).value, volume(DISK4, budget=2048).value
         assert orthant == pytest.approx(full, rel=1e-12)
+
+
+def _quadratic_power(a, p):
+    """(x^T a x)**p in the monomial convention: odd terms wherever a is off-diagonal."""
+    n = len(a)
+    quadratic = {}
+    for i in range(n):
+        for j in range(n):
+            key = tuple((k == i) + (k == j) for k in range(n))
+            quadratic[key] = quadratic.get(key, 0.0) + a[i][j]
+    terms = {(0,) * n: 1.0}
+    for _ in range(p):
+        product = {}
+        for x, c in terms.items():
+            for y, e in quadratic.items():
+                key = tuple(u + v for u, v in zip(x, y))
+                product[key] = product.get(key, 0.0) + c * e
+        terms = product
+    return GeneralizedPolynomial(n, 2 * p, 1, terms)
+
+
+SPD = {2: [[2.0, 0.5], [0.5, 1.0]], 3: [[2.0, 0.5, 0.3], [0.5, 1.0, -0.4], [0.3, -0.4, 1.5]]}
+
+
+class TestExactReferences:
+    """Spherical answers against closed forms: ellipsoids with odd terms, and the balls B_d."""
+
+    @pytest.mark.parametrize("budget", [2048, 8192])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ellipsoid_volume_and_second_moments(self, n, p, budget):
+        # {(x^T a x)**p <= 1} is the ellipsoid {x^T a x <= 1}, of volume
+        # vol(unit ball) / sqrt(det a) and second moments vol a^-1 / (n + 2);
+        # its odd terms leave g(-x) = g(x), so it reads half the grid
+        a = np.array(SPD[n])
+        g = _quadratic_power(a, p)
+        assert not g.has_even_support()
+        alphas = enumerate_indices(n, 2)
+        table = moment_table(g, alphas=alphas, budget=budget)
+        vol = closed_form_ball_volume(n, 2) / math.sqrt(np.linalg.det(a))
+        second = vol * np.linalg.inv(a) / (n + 2)
+        assert table.normalization.samples_or_nodes == budget // 2
+        assert table.normalization.value == pytest.approx(vol, rel=1e-13, abs=0.0)
+        for alpha in alphas:
+            i, j = np.repeat(np.arange(n), alpha)
+            assert table.value(alpha) == pytest.approx(second[i, j], rel=1e-13, abs=0.0), alpha
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (2, 6), (3, 6)])
+    def test_ball_moments_to_order_four(self, n, d):
+        # every moment of B_d by Dirichlet's formula, 0 where an entry of alpha is odd
+        table = moment_table(ld_polynomial(n, d), max_order=4)
+        vol = closed_form_ball_volume(n, d)
+        assert len(table.entries) == sum(len(enumerate_indices(n, t)) for t in range(5))
+        for alpha, (value, _) in table.entries.items():
+            want = 0.0 if any(x % 2 for x in alpha) else _ball_moment(n, d, alpha)
+            assert abs(value - want) <= 1e-13 * vol, alpha
 
 
 def _sphere_power(n, d):
@@ -995,17 +1065,33 @@ class TestFeasibilityGate:
         # ld_polynomial at n <= 3, 2048 cone nodes at n >= 4), then every zoom
         # level over the n axes, the diagonal and the _GATE_RESTARTS = 8 best
         # scan nodes; r halves over 33 levels, at n = 5 by 2**(3/4) over 43
-        counts = []
-        evaluate = GeneralizedPolynomial.evaluate
+        assert _gate_evaluations(monkeypatch, ld_polynomial(n, 4)) == points
 
-        def counted(self, x):
-            out = evaluate(self, x)
-            counts.append(np.size(out))
-            return out
+    @pytest.mark.parametrize("n,points", [
+        (2, 1024 + 33 * (2 + 9) * 5),
+        (3, 1024 + 33 * (3 + 9) * 25),
+    ])
+    def test_evaluation_count_of_an_odd_quartic(self, monkeypatch, n, points):
+        # an odd term leaves g(-x) = g(x), so the scan reads the half grid,
+        # 1024 of the 2048 nodes
+        g = ODD_QUARTIC if n == 2 else _perturbed_ball(3, 4)
+        assert not g.has_even_support()
+        assert _gate_evaluations(monkeypatch, g) == points
 
-        monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counted)
-        finite_volume_test(ld_polynomial(n, 4))
-        assert sum(counts) == points
+
+def _gate_evaluations(monkeypatch, g):
+    """The points at which finite_volume_test(g) evaluates g."""
+    counts = []
+    evaluate = GeneralizedPolynomial.evaluate
+
+    def counted(self, x):
+        out = evaluate(self, x)
+        counts.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counted)
+    finite_volume_test(g)
+    return sum(counts)
 
 
 # an odd-support form, so the tables below hold honest odd moments too
@@ -1061,7 +1147,8 @@ class TestKernelBlocks:
         assert small.ess == pytest.approx(large.ess, rel=1e-13, abs=0.0)
 
     # the kernel's chunk size is the same kind of setting; 100 entries give
-    # 3-point chunks at 28 rows, and 8192 nodes are not a multiple of 3
+    # 3-point chunks at 28 rows, and the 4096 nodes that an odd sextic reads
+    # of the 8192-node grid are not a multiple of 3
     KERNEL_ENTRIES = (100, 1 << 30)
 
     def _at_kernel_chunks(self, monkeypatch, run):
@@ -1084,7 +1171,7 @@ class TestKernelBlocks:
 
     def test_kernel_chunks_keep_sextic_tables_bit_identical(self, monkeypatch):
         g = _perturbed_ball(3, 6, scale=0.05, seed=2)
-        assert len(g.terms) == 28 and 8192 % (self.KERNEL_ENTRIES[0] // 28) != 0
+        assert len(g.terms) == 28 and 4096 % (self.KERNEL_ENTRIES[0] // 28) != 0
 
         def run():
             table = moment_table(g, budget=8192)
@@ -1092,7 +1179,7 @@ class TestKernelBlocks:
             return table, mm.values, mm.errors, mm.normalization
 
         small, large = self._at_kernel_chunks(monkeypatch, run)
-        assert small[0].normalization.samples_or_nodes == 8192
+        assert small[0].normalization.samples_or_nodes == 4096
         assert small[0] == large[0]
         assert np.array_equal(small[1], large[1]) and np.array_equal(small[2], large[2])
         assert small[3] == large[3]
