@@ -38,6 +38,7 @@ import numpy as np
 
 from .jacobi import jacobi_eigh
 from .polynomials import (
+    MONOMIAL,
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
@@ -148,8 +149,7 @@ def certify_p1(
         raise CertificatePreconditionError(
             f"axis moment at {basis[0]} is {m1:.6g}, expected positive"
         )
-    mono = g.to_convention("monomial") if g.q == 1 else g
-    coeffs = coefficient_vector(mono, basis)
+    coeffs = coefficient_vector(g.to_convention(MONOMIAL), basis)
     support = np.abs(coeffs) > tol * np.abs(coeffs).max()
 
     theta = (g.degree_float / (g.n + g.degree_float)) / m1
@@ -185,18 +185,16 @@ def certify_p2(
     moments: MomentTable,
     tol: float | None = None,
 ) -> Certificate:
-    """Check the weighted l2 proportionality at a multinomial-convention candidate.
+    """Check the weighted l2 proportionality at a candidate in either convention.
 
-    The characterization is scale invariant (both sides scale linearly in
-    the candidate), so the candidate may sit at any volume; the moments
-    must simply belong to its own sublevel set.
+    A q = 1 candidate is read in the multinomial convention.  The
+    characterization is scale invariant (both sides scale linearly in the
+    candidate), so the candidate may sit at any volume; the moments must
+    simply belong to its own sublevel set.
     """
     tol = _default_tol(moments.normalization.backend, tol)
-    if g.q == 1 and g.convention != MULTINOMIAL:
-        raise ValueError(
-            "certify_p2 expects multinomial-convention coefficients; "
-            "convert with to_convention('multinomial')"
-        )
+    if g.q == 1:
+        g = g.to_convention(MULTINOMIAL)
     basis, values, errors = _degree_slice(g, moments)
 
     vol = moments.normalization.value
@@ -301,16 +299,11 @@ def _rescaled_moments(table: MomentTable, k: float, degree) -> MomentTable:
 def _check(problem: str, candidate, table: MomentTable, tol: float | None) -> Certificate:
     """The certificate of ``problem`` at candidate against its degree-d moment table.
 
-    p3 reads the moment matrix over the degree-d/2 basis from the table; p2
-    reads a q = 1 candidate in the multinomial convention.
+    p3 reads the moment matrix over the degree-d/2 basis from the table.
     """
     if problem == "p3":
         return certify_p3(candidate, _hankel_matrix(table, candidate.degree // 2), tol)
-    if problem == "p1":
-        return certify_p1(candidate, table, tol)
-    if candidate.q == 1:
-        candidate = candidate.to_convention(MULTINOMIAL)
-    return certify_p2(candidate, table, tol)
+    return (certify_p1 if problem == "p1" else certify_p2)(candidate, table, tol)
 
 
 def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: str,

@@ -34,7 +34,6 @@ from .serialize import (
 )
 from .solvers import SolveConfig, solve_p1, solve_p2, solve_p3
 from .volume import (
-    DEFAULT_BUDGETS,
     GRID_ORACLE,
     InfiniteVolumeError,
     MONTE_CARLO,
@@ -139,14 +138,10 @@ def cmd_moments(args) -> int:
 
 def cmd_solve(args) -> int:
     d = _parse_fraction(args.d)
-    # options left out keep SolveConfig's defaults; --budget has a per-backend one
-    given = {"max_iters": args.max_iters, "cert_tol": args.tol}
-    config = SolveConfig(
-        budget=DEFAULT_BUDGETS[args.backend] if args.budget is None else args.budget,
-        seed=args.seed,
-        backend=args.backend,
-        **{name: value for name, value in given.items() if value is not None},
-    )
+    # options left out keep SolveConfig's defaults
+    given = {"max_iters": args.max_iters, "budget": args.budget, "cert_tol": args.tol}
+    config = SolveConfig(seed=args.seed, backend=args.backend,
+                         **{name: value for name, value in given.items() if value is not None})
     start = None
     if args.start:
         start = _read(args.start, parse_candidate)

@@ -441,8 +441,7 @@ def norms(obj: GeneralizedPolynomial | GramForm) -> NormReport:
     if isinstance(obj, GramForm):
         report = norms(obj.expand())
         return NormReport(report.l0, report.l1, report.l2_weighted_sq, obj.trace)
-    mono = obj.to_convention(MONOMIAL) if obj.q == 1 else obj
-    values = list(mono.terms.values())
+    values = list(obj.to_convention(MONOMIAL).terms.values())
     l0 = sum(1 for c in values if c != 0.0)
     l1 = float(sum(abs(c) for c in values))
     l2 = None

@@ -69,6 +69,7 @@ from .polynomials import (
 )
 from .projections import project_l1_ball, project_psd_trace
 from .volume import (
+    DEFAULT_BUDGETS,
     MONTE_CARLO,
     SPHERICAL,
     InfiniteVolumeError,
@@ -108,25 +109,30 @@ class SolveConfig:
     a query of the start reads at budget (the sphere grid's orthant for a
     sign-symmetric start, else its half; or the cone nodes of seed); one
     pass at 4 * budget gives the final rescaling and the certificate's
-    moments, and the check uses cert_tol, finite and >= 0.  max_iters and
-    budget are integers >= 1 and seed one >= 0 (a float or a bool is
-    rejected, as in every estimator pass); seed is read only by Monte Carlo
-    and, for n >= 4, the gate on a given start.
+    moments, and the check uses cert_tol, finite and >= 0.  budget defaults
+    to DEFAULT_BUDGETS[backend] // 4 (2048 spherical, 50000 Monte Carlo), so
+    that pass is a default certify()'s; it is resolved at construction, so
+    dataclasses.replace keeps it.  max_iters and budget are integers >= 1
+    and seed one >= 0 (a float or a bool is rejected, as in every estimator
+    pass); seed is read only by Monte Carlo and, for n >= 4, the gate on a
+    given start.
     """
 
     max_iters: int = 400
-    budget: int = 2048
+    budget: int | None = None
     seed: int = 0
     backend: str = SPHERICAL
     cert_tol: float = 1e-2
 
     def __post_init__(self):
         _check_integer(self.max_iters, "max_iters", 1)
-        _check_integer(self.budget, "budget", 1)
         _check_integer(self.seed, "seed", 0)
         if self.backend not in (SPHERICAL, MONTE_CARLO):
             raise ValueError(f"a solve runs on the {SPHERICAL!r} or {MONTE_CARLO!r} backend, "
                              f"got {self.backend!r}")
+        if self.budget is None:
+            object.__setattr__(self, "budget", DEFAULT_BUDGETS[self.backend] // 4)
+        _check_integer(self.budget, "budget", 1)
         if not (math.isfinite(self.cert_tol) and self.cert_tol >= 0):
             raise ValueError(f"cert_tol must be finite and >= 0, got {self.cert_tol}")
 

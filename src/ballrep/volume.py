@@ -681,8 +681,13 @@ def moment_table(
     By default the table covers the degree-d lattice slice (the index set
     of g's own coefficients).  With max_order it covers every lattice
     multi-index of total degree <= max_order, including the all-zeros
-    volume row.
+    volume row.  alphas and max_order are exclusive, and a bool max_order
+    is rejected, not read as 0 or 1.
     """
+    if alphas is not None and max_order is not None:
+        raise ValueError("give alphas or max_order, not both")
+    if isinstance(max_order, bool):
+        raise ValueError(f"max_order must be a number, got {max_order!r}")
     if alphas is None:
         if max_order is not None:
             if Fraction(max_order) < 0:
@@ -742,9 +747,10 @@ def moment_matrix(
                 f"d*q = {twice} is odd; pass half_degree explicitly"
             )
         half_degree = int(twice) // 2
-    _, gammas, _ = _hankel_layout(g.n, int(half_degree))
+    half_degree = _check_integer(half_degree, "half_degree", 0)
+    _, gammas, _ = _hankel_layout(g.n, half_degree)
     est, moments = _estimate(g, gammas, backend, budget, seed)
-    return _hankel_matrix(MomentTable(g.q, moments, est), int(half_degree))
+    return _hankel_matrix(MomentTable(g.q, moments, est), half_degree)
 
 
 def _hankel_matrix(table: MomentTable, half_degree: int) -> MomentMatrix:

@@ -199,10 +199,16 @@ class TestCertifyP2:
         change2 = doubled.residuals["g(2,2)"] - base.residuals["g(2,2)"]
         assert change2 == pytest.approx(2 * change, rel=2e-2)
 
-    def test_requires_multinomial_convention(self):
-        g = ld_polynomial(2, 4)
-        with pytest.raises(ValueError, match="multinomial"):
-            certify_p2(g, moment_table(g, budget=1024))
+    def test_reads_either_convention(self):
+        # a q = 1 candidate is converted to the multinomial convention, as
+        # certify("p2") and the solves already did for it
+        multi = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): 1.0 / 3.0, (0, 4): 1.0},
+                                      convention="multinomial")
+        mono = multi.to_convention("monomial")
+        table = moment_table(mono, budget=1024)
+        cert = certify_p2(multi, table)
+        assert cert.passed
+        assert certify_p2(mono, table) == cert
 
     def test_non_positive_volume_is_precondition_error(self):
         g = ld_polynomial(2, 4).to_convention("multinomial")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -256,9 +257,24 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert seen == [start]
-        config = ballrep.SolveConfig(budget=cli.DEFAULT_BUDGETS["spherical"])
-        from_library = ballrep.solve_p1(2, 4, start=start, config=config)
+        from_library = ballrep.solve_p1(2, 4, start=start, config=ballrep.SolveConfig())
         assert doc["iterations"] == [list(entry) for entry in from_library.iterations]
+
+    @pytest.mark.parametrize("problem,n,options,config", [
+        ("p1", 3, [], {}),
+        ("p3", 2, [], {}),
+        ("p2", 3, ["--backend", "mc", "--seed", "1"], {"backend": "monte_carlo", "seed": 1}),
+    ])
+    def test_default_budget_is_the_library_default(self, capsys, problem, n, options, config):
+        # with no --budget the command prints the document of the library's solve
+        cli = sys.modules["ballrep.cli"]
+        code = main(["solve", problem, "--n", str(n), "--d", "4", *options])
+        doc = json.loads(capsys.readouterr().out)
+        res = getattr(ballrep, f"solve_{problem}")(n, 4, config=ballrep.SolveConfig(**config))
+        to_dict = ballrep.gram_to_dict if problem == "p3" else ballrep.polynomial_to_dict
+        expected = cli._document(dataclasses.replace(res, solution=to_dict(res.solution)))
+        assert code == 0
+        assert doc == json.loads(json.dumps(expected))
 
     def test_infeasible_start_exit_code(self, tmp_path, capsys):
         # the l1 projection of this start is 2 x1**4, of infinite volume

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ballrep import (
     InfiniteVolumeError,
     SolveConfig,
     VolumeEstimate,
+    certify,
     closed_form_ball_volume,
     coefficient_vector,
     count_indices,
@@ -113,6 +115,34 @@ class TestSolveConfig:
     def test_numpy_integers_stay_valid(self):
         cfg = SolveConfig(max_iters=np.int64(3), budget=np.int32(512), seed=np.uint8(2))
         assert (cfg.max_iters, cfg.budget, cfg.seed) == (3, 512, 2)
+
+
+class TestDefaultBudget:
+    """A solve left at its default budget certifies on the pass a default certify() makes."""
+
+    def test_budget_is_a_quarter_of_the_query_budget(self):
+        assert SolveConfig().budget == 2048
+        assert SolveConfig(backend="monte_carlo").budget == 50_000
+        assert SolveConfig(backend="monte_carlo").certificate_budget == 200_000
+        # resolved at construction, so replace keeps the number, not the rule
+        assert replace(SolveConfig(), backend="monte_carlo").budget == 2048
+
+    @pytest.mark.parametrize("problem,n,backend,seed", [
+        ("p2", 3, "monte_carlo", 1),
+        ("p1", 4, "monte_carlo", 0),
+        ("p3", 2, "spherical", 0),
+    ])
+    def test_solve_certificate_is_that_of_certify(self, problem, n, backend, seed):
+        # the solve's certificate pass maps the final iterate's moments to the
+        # solution's by homogeneity; certify estimates the solution's directly
+        solve = {"p1": solve_p1, "p2": solve_p2, "p3": solve_p3}[problem]
+        config = SolveConfig(backend=backend, seed=seed)
+        res = solve(n, 4, config=config)
+        cert, _ = certify(problem, res.solution, backend, None, seed, config.cert_tol)
+        assert res.certificate.verdict == cert.verdict
+        assert res.certificate.residuals.keys() == cert.residuals.keys()
+        for key, value in cert.residuals.items():
+            assert res.certificate.residuals[key] == pytest.approx(value, abs=1e-12), key
 
 
 class TestLatticeValidation:

@@ -219,6 +219,17 @@ class TestMomentTable:
         with pytest.raises(ValueError, match=re.escape(f"got {alpha!r}")):
             moment_table(DISK4, alphas=[(4, 0), alpha])
 
+    def test_alphas_and_max_order_are_exclusive(self):
+        # max_order used to be dropped silently, leaving only the (4, 0) row
+        with pytest.raises(ValueError, match="not both"):
+            moment_table(ld_polynomial(2, 4), alphas=[(4, 0)], max_order=2)
+
+    @pytest.mark.parametrize("order", [True, False])
+    def test_bool_max_order_rejected(self, order):
+        # True used to read as max_order 1
+        with pytest.raises(ValueError, match=f"max_order must be a number, got {order}"):
+            moment_table(ld_polynomial(2, 4), max_order=order)
+
 
 class TestGradient:
     def test_disk_gradient_component(self):
@@ -530,6 +541,12 @@ class TestMomentMatrixAndHankel:
         g = ld_polynomial(2, 3, q=1)
         with pytest.raises(ValueError, match="half_degree"):
             moment_matrix(g)
+
+    @pytest.mark.parametrize("half_degree", [2.7, 2.0, True])
+    def test_half_degree_is_an_integer(self, half_degree):
+        # 2.7 used to build the half_degree = 2 basis and True the degree-1 one
+        with pytest.raises(ValueError, match=f"half_degree must be an integer, got {half_degree}"):
+            moment_matrix(ld_polynomial(2, 4), half_degree)
 
 
 class TestGridOracle:
