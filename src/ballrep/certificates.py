@@ -42,6 +42,7 @@ from .polynomials import (
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
+    _check_even_degree,
     _flip_invariant,
     _slice_weights,
     coefficient_vector,
@@ -90,11 +91,12 @@ class Certificate:
         return self.verdict == PASS
 
 
-def _default_tol(backend: str, tol: float | None) -> float:
+def _default_tol(backend: str, tol: float | None, name: str = "certificate tolerance") -> float:
+    """tol as a float, or the backend's default for None; finite and >= 0, never a bool."""
     if tol is None:
         return 1e-6 if backend == SPHERICAL else 1e-2
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"certificate tolerance must be finite and >= 0, got {tol}")
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
     return float(tol)
 
 
@@ -306,15 +308,16 @@ def _check(problem: str, candidate, table: MomentTable, tol: float | None) -> Ce
     return (certify_p1 if problem == "p1" else certify_p2)(candidate, table, tol)
 
 
-def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: str,
-            budget: int | None, seed: int,
-            tol: float | None) -> tuple[Certificate, VolumeEstimate]:
+def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: str = SPHERICAL,
+            budget: int | None = None, seed: int = 0,
+            tol: float | None = None) -> tuple[Certificate, VolumeEstimate]:
     """Estimate the degree-d moments of candidate's ball, then check ``problem``.
 
     One pass for every problem: the default moment_table of candidate's
-    polynomial (a GramForm expanded), then _check.  A solve makes the same
-    pass and check, with the homogeneity map _rescaled_moments between
-    them.  Returns the certificate and the volume estimate of the one pass.
+    polynomial (a GramForm expanded; backend, budget and seed default as in
+    every estimator), then _check.  A solve makes the same pass and check,
+    with the homogeneity map _rescaled_moments between them.  Returns the
+    certificate and the volume estimate of the one pass.
     """
     if problem not in ("p1", "p2", "p3"):
         raise ValueError(f"unknown problem {problem!r}; choose p1, p2 or p3")
@@ -341,8 +344,7 @@ def minimal_trace_axis_gram(n: int, d: int) -> GramForm:
     on each pure power x_i**(d/2) and adjust off-diagonal pairs against the
     middle diagonal; trace is minimized by the plain diagonal.
     """
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"degree must be an even integer >= 2, got {d}")
+    d = _check_even_degree(d, "the axis-power Gram form")
     diag = coefficient_vector(ld_polynomial(n, d // 2), enumerate_indices(n, d // 2))
     return GramForm(n, d, np.diag(diag))
 

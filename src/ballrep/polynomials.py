@@ -18,12 +18,19 @@ stored coefficient multiplies x**alpha directly.  In the multinomial
 convention (q = 1 only) the stored coefficient g_alpha belongs to the term
 c_alpha * g_alpha * x**alpha with c_alpha = d! / (alpha_1! ... alpha_n!),
 the natural coordinates for the weighted norm sum(c_alpha * g_alpha**2).
+
+Each kind of number has one rule, checked here for the whole package:
+integers (_check_integer, _check_alphas for exponent tuples), rationals
+(_check_rational) and even degrees (_check_even_degree).  A bool is none of
+them, a numpy integer is read as an int, and ValueError names the argument.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -38,6 +45,59 @@ Exponent = tuple[int, ...]
 _KERNEL_ENTRIES = 1 << 16  # most output entries (512 KB of float64) one kernel chunk builds
 
 
+def _check_integer(value, name: str, least: int) -> int:
+    """value as an int >= least; a bool or a fractional value is rejected, not aliased or truncated."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError  # operator.index(True) is 1
+        out = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if out < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return out
+
+
+def _check_alphas(alphas, n: int) -> list[Exponent]:
+    """alphas as tuples of n Python ints >= 0; ValueError naming the first that is not."""
+    given = list(alphas)
+    try:  # plain ints pass a few C-level passes; only a list that fails them is read entry by entry
+        out = list(map(tuple, given))
+        entries = list(itertools.chain.from_iterable(out))
+        if ({int}.issuperset(map(type, entries)) and {n}.issuperset(map(len, out))
+                and min(entries, default=0) >= 0):
+            return out
+    except TypeError:  # an alpha that is no sequence
+        pass
+    out = []
+    for alpha in given:
+        try:
+            out.append(tuple(_check_integer(a, "alpha", 0) for a in alpha))
+        except (TypeError, ValueError):
+            out.append(())
+        if len(out[-1]) != n:
+            raise ValueError(f"alpha must be {n} non-negative exponent numerators, got {alpha!r}")
+    return out
+
+
+def _check_rational(value, name: str) -> Fraction:
+    """value as a Fraction: whatever Fraction reads, but never a bool."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError  # Fraction(True) is 1
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _check_even_degree(value, what: str) -> int:
+    """value as an int, an even integer >= 2; else ValueError saying that ``what`` needs one."""
+    degree = _check_rational(value, "degree")
+    if degree.denominator != 1 or degree < 2 or degree % 2:
+        raise ValueError(f"{what} needs an even degree, an even integer >= 2, got {value}")
+    return int(degree)
+
+
 def enumerate_indices(n: int, total: int) -> list[Exponent]:
     """All length-n tuples of non-negative integers summing to ``total``.
 
@@ -47,11 +107,8 @@ def enumerate_indices(n: int, total: int) -> list[Exponent]:
     On a lattice with denominator q the tuple ``alpha`` stands for the
     exponent vector ``alpha / q`` of total degree ``total / q``.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if total < 0:
-        raise ValueError(f"total degree numerator must be >= 0, got {total}")
-    return list(_indices(n, total))
+    n = _check_integer(n, "dimension", 1)
+    return list(_indices(n, _check_integer(total, "total degree numerator", 0)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -117,7 +174,8 @@ def _flip_invariant(alphas, classical: bool) -> np.ndarray:
 
 def multinomial_coefficient(alpha: Iterable[int]) -> int:
     """c_alpha = (sum alpha)! / (alpha_1! ... alpha_n!) for integer exponents."""
-    return _multinomial(tuple(alpha))
+    alpha = tuple(alpha)
+    return _multinomial(_check_alphas([alpha], len(alpha))[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -130,12 +188,9 @@ def _slice_weights(n: int, total: int, q: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4096)
-def _multinomial(alpha: tuple) -> int:
-    parts = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in parts):
-        raise ValueError(f"negative exponent in {parts}")
-    out = math.factorial(sum(parts))
-    for a in parts:
+def _multinomial(alpha: Exponent) -> int:  # of an exponent that _check_alphas has passed
+    out = math.factorial(sum(alpha))
+    for a in alpha:
         out //= math.factorial(a)
     return out
 
@@ -144,10 +199,10 @@ def _multinomial(alpha: tuple) -> int:
 class NormReport:
     """Coefficient norms of one polynomial or Gram form.
 
-    l0 and l1 are taken over monomial-convention coefficients,
-    l2_weighted_sq is sum(c_alpha * g_alpha**2) over multinomial-convention
-    coefficients (None when q != 1, where the weights are undefined), and
-    trace is the Gram trace (None for plain polynomials).
+    l0 and l1 are taken over monomial-convention coefficients, l2_weighted_sq
+    is p2's norm sum(w_alpha * g_alpha**2), w = _slice_weights (c_alpha over
+    multinomial coefficients if q = 1, else 1), and trace is the Gram trace
+    (None for plain polynomials).
     """
 
     l0: int
@@ -181,12 +236,10 @@ class GeneralizedPolynomial:
     convention: str = MONOMIAL
 
     def __post_init__(self):
-        degree = Fraction(self.degree)
+        degree = _check_rational(self.degree, "degree")
+        object.__setattr__(self, "n", _check_integer(self.n, "dimension", 1))
+        object.__setattr__(self, "q", _check_integer(self.q, "lattice denominator", 1))
         object.__setattr__(self, "degree", degree)
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.q < 1:
-            raise ValueError(f"lattice denominator must be >= 1, got {self.q}")
         if degree <= 0:
             raise ValueError(f"degree must be positive, got {degree}")
         if self.convention not in (MONOMIAL, MULTINOMIAL):
@@ -198,16 +251,9 @@ class GeneralizedPolynomial:
             raise ValueError(f"degree {degree} does not lie on the 1/{self.q} lattice")
         target = int(target)
         clean: dict[Exponent, float] = {}
-        for alpha, coeff in self.terms.items():
-            alpha = tuple(map(int, alpha))
-            if len(alpha) != self.n:
-                raise ValueError(f"exponent {alpha} has length != n = {self.n}")
-            if min(alpha) < 0:
-                raise ValueError(f"negative exponent numerator in {alpha}")
+        for alpha, coeff in zip(_check_alphas(self.terms, self.n), self.terms.values()):
             if sum(alpha) != target:
-                raise ValueError(
-                    f"exponent {alpha} sums to {sum(alpha)}, expected d*q = {target}"
-                )
+                raise ValueError(f"exponent {alpha} sums to {sum(alpha)}, expected d*q = {target}")
             clean[alpha] = float(coeff)
             if not math.isfinite(clean[alpha]):
                 raise ValueError(f"coefficient {coeff} of exponent {alpha} is not finite")
@@ -221,7 +267,7 @@ class GeneralizedPolynomial:
         live = values != 0.0
         exponents, coeffs = keys[live], values[live]
         if self.convention == MULTINOMIAL:
-            coeffs *= [float(multinomial_coefficient(a)) for a in exponents.tolist()]
+            coeffs *= [float(_multinomial(tuple(a))) for a in exponents.tolist()]
         for name, value in (("_exponents", exponents), ("_coeffs", coeffs)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -266,8 +312,8 @@ class GeneralizedPolynomial:
     def monomial_coefficient(self, alpha: Exponent) -> float:
         """Coefficient of x**(alpha/q) in the monomial convention."""
         coeff = self.terms.get(tuple(alpha), 0.0)
-        if self.convention == MULTINOMIAL:
-            coeff *= multinomial_coefficient(alpha)
+        if self.convention == MULTINOMIAL and coeff:  # a stored key, so a checked exponent
+            coeff *= _multinomial(tuple(alpha))
         return coeff
 
     def to_convention(self, convention: str) -> "GeneralizedPolynomial":
@@ -276,9 +322,9 @@ class GeneralizedPolynomial:
         if self.q != 1:
             raise ValueError("convention changes are only defined for q = 1")
         if convention == MONOMIAL:
-            terms = {a: c * multinomial_coefficient(a) for a, c in self.terms.items()}
+            terms = {a: c * _multinomial(a) for a, c in self.terms.items()}
         elif convention == MULTINOMIAL:
-            terms = {a: c / multinomial_coefficient(a) for a, c in self.terms.items()}
+            terms = {a: c / _multinomial(a) for a, c in self.terms.items()}
         else:
             raise ValueError(f"unknown convention {convention!r}")
         return GeneralizedPolynomial(self.n, self.degree, self.q, terms, convention)
@@ -316,13 +362,9 @@ class GeneralizedPolynomial:
 
 def ld_polynomial(n: int, degree, q: int = 1, convention: str = MONOMIAL) -> GeneralizedPolynomial:
     """The axis-power polynomial sum_i |x_i|**d on the lattice with denominator q."""
-    degree = Fraction(degree)
+    degree = _check_rational(degree, "degree")
     total = int(degree * q)  # off the lattice, GeneralizedPolynomial raises before it reads a term
-    terms: dict[Exponent, float] = {}
-    for i in range(n):
-        alpha = [0] * n
-        alpha[i] = total
-        terms[tuple(alpha)] = 1.0
+    terms = {(0,) * i + (total,) + (0,) * (n - 1 - i): 1.0 for i in range(n)}
     return GeneralizedPolynomial(n, degree, q, terms, convention)
 
 
@@ -340,7 +382,7 @@ def from_coefficient_vector(
     if vec.shape != (len(basis),):
         raise ValueError(f"coefficient vector has shape {vec.shape}, expected ({len(basis)},)")
     terms = {a: float(c) for a, c in zip(basis, vec)}
-    return GeneralizedPolynomial(n, Fraction(degree), q, terms, convention)
+    return GeneralizedPolynomial(n, degree, q, terms, convention)
 
 
 def coefficient_vector(g: GeneralizedPolynomial, basis: Iterable[Exponent]) -> np.ndarray:
@@ -363,10 +405,8 @@ class GramForm:
     _SYMMETRY_RTOL = 1e-12
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.degree < 2 or self.degree % 2 != 0:
-            raise ValueError(f"Gram degree must be an even integer >= 2, got {self.degree}")
+        object.__setattr__(self, "n", _check_integer(self.n, "dimension", 1))
+        object.__setattr__(self, "degree", _check_even_degree(self.degree, "a Gram form"))
         Q = np.array(self.Q, dtype=float)
         size = count_indices(self.n, self.degree // 2)
         if Q.shape != (size, size):
@@ -417,7 +457,7 @@ def expand_gram(gram: GramForm) -> GeneralizedPolynomial:
     _, gammas, index = _hankel_layout(gram.n, gram.degree // 2)
     coeffs = np.bincount(index.ravel(), weights=gram.Q.ravel(), minlength=len(gammas))
     terms = {gamma: c for gamma, c in zip(gammas, coeffs.tolist()) if c != 0.0}
-    return GeneralizedPolynomial(gram.n, Fraction(gram.degree), 1, terms, MONOMIAL)
+    return GeneralizedPolynomial(gram.n, gram.degree, 1, terms, MONOMIAL)
 
 
 @functools.lru_cache(maxsize=64)
@@ -444,10 +484,7 @@ def norms(obj: GeneralizedPolynomial | GramForm) -> NormReport:
     values = list(obj.to_convention(MONOMIAL).terms.values())
     l0 = sum(1 for c in values if c != 0.0)
     l1 = float(sum(abs(c) for c in values))
-    l2 = None
-    if obj.q == 1:
-        multi = obj.to_convention(MULTINOMIAL)
-        l2 = float(
-            sum(multinomial_coefficient(a) * c * c for a, c in multi.terms.items())
-        )
-    return NormReport(l0, l1, l2, None)
+    total = int(obj.degree * obj.q)
+    weighted = obj.to_convention(MULTINOMIAL) if obj.q == 1 else obj
+    coeffs = coefficient_vector(weighted, enumerate_indices(obj.n, total))
+    return NormReport(l0, l1, float(_slice_weights(obj.n, total, obj.q) @ coeffs**2), None)

@@ -52,12 +52,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import Certificate, _check, _check_candidate, _rescaled_moments
+from .certificates import Certificate, _check, _check_candidate, _default_tol, _rescaled_moments
 from .polynomials import (
     MONOMIAL,
     MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
+    _check_even_degree,
+    _check_integer,
+    _check_rational,
     _flip_invariant,
     _hankel_layout,
     _slice_weights,
@@ -73,7 +76,6 @@ from .volume import (
     MONTE_CARLO,
     SPHERICAL,
     InfiniteVolumeError,
-    _check_integer,
     _finite_or_raise,
     _descent_pass,
     closed_form_ball_volume,
@@ -106,16 +108,16 @@ class SolveConfig:
     change and its first-order prediction are both within 1e-10, p2 once
     |T(u) - u|_inf <= 1e-14 (1 + |u|_inf).  backend is spherical or
     monte_carlo; the descent's pass, built once per solve, reads the nodes
-    a query of the start reads at budget (the sphere grid's orthant for a
-    sign-symmetric start, else its half; or the cone nodes of seed); one
-    pass at 4 * budget gives the final rescaling and the certificate's
-    moments, and the check uses cert_tol, finite and >= 0.  budget defaults
-    to DEFAULT_BUDGETS[backend] // 4 (2048 spherical, 50000 Monte Carlo), so
-    that pass is a default certify()'s; it is resolved at construction, so
-    dataclasses.replace keeps it.  max_iters and budget are integers >= 1
-    and seed one >= 0 (a float or a bool is rejected, as in every estimator
-    pass); seed is read only by Monte Carlo and, for n >= 4, the gate on a
-    given start.
+    a query of the start reads at descent_budget (the sphere grid's orthant
+    for a sign-symmetric start, else its half; or the cone nodes of seed);
+    one pass at 4 * descent_budget gives the final rescaling and the
+    certificate's moments, checked at cert_tol.  descent_budget is budget,
+    or for None DEFAULT_BUDGETS[backend] // 4 (2048 spherical, 50000 Monte
+    Carlo), so that pass is a default certify()'s; None stays None, so
+    dataclasses.replace to another backend reads its default.  max_iters
+    and budget are integers >= 1, seed one >= 0 and cert_tol a tolerance,
+    each by the package's one rule; seed is read only by Monte Carlo and,
+    for n >= 4, the gate on a given start.
     """
 
     max_iters: int = 400
@@ -130,15 +132,17 @@ class SolveConfig:
         if self.backend not in (SPHERICAL, MONTE_CARLO):
             raise ValueError(f"a solve runs on the {SPHERICAL!r} or {MONTE_CARLO!r} backend, "
                              f"got {self.backend!r}")
-        if self.budget is None:
-            object.__setattr__(self, "budget", DEFAULT_BUDGETS[self.backend] // 4)
-        _check_integer(self.budget, "budget", 1)
-        if not (math.isfinite(self.cert_tol) and self.cert_tol >= 0):
-            raise ValueError(f"cert_tol must be finite and >= 0, got {self.cert_tol}")
+        if self.budget is not None:
+            _check_integer(self.budget, "budget", 1)
+        _default_tol(self.backend, self.cert_tol, "cert_tol")
+
+    @property
+    def descent_budget(self) -> int:
+        return DEFAULT_BUDGETS[self.backend] // 4 if self.budget is None else self.budget
 
     @property
     def certificate_budget(self) -> int:
-        return 4 * self.budget
+        return 4 * self.descent_budget
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     # the start as given decides the fold: a projection's round-off may break its symmetry
     basis = np.array(enumerate_indices(n, int(d * q)), dtype=np.intp)
     given = polynomial(make(default_start) if start is None else start)
-    live, run = _descent_pass(given, basis, cfg.backend, cfg.budget, cfg.seed)
+    live, run = _descent_pass(given, basis, cfg.backend, cfg.descent_budget, cfg.seed)
     keep = pullback(live) != 0  # the coordinates that feed a live coefficient; the rest stay 0
 
     def project(x):
@@ -358,22 +362,15 @@ def _ball_boundary(ball, size, radius: float):
     return project
 
 
-def _validate_lattice(problem: str, d: Fraction, q: int, half_lattice: bool):
-    if q < 1:
-        raise ValueError(f"lattice denominator must be >= 1, got {q}")
+def _validate_lattice(problem: str, d, q, half_lattice: bool) -> tuple[Fraction, int]:
+    d, q = _check_rational(d, "degree"), _check_integer(q, "lattice denominator", 1)
     if q == 1:
-        if d.denominator != 1 or int(d) % 2 != 0 or d < 2:
-            raise ValueError(
-                f"{problem} with q = 1 needs an even integer degree >= 2, got {d}"
-            )
-        return
-    need = d * q / 2 if half_lattice else d * q
-    if need.denominator != 1:
+        _check_even_degree(d, f"{problem} with q = 1")
+    elif (d * q / 2 if half_lattice else d * q).denominator != 1:
         grain = "q/2" if half_lattice else "q"
-        raise ValueError(
-            f"{problem} needs d * {grain} to be an integer so that the exponent "
-            f"lattice closes under the moment pairing; got d = {d}, q = {q}"
-        )
+        raise ValueError(f"{problem} needs d * {grain} to be an integer so that the exponent "
+                         f"lattice closes under the moment pairing; got d = {d}, q = {q}")
+    return d, q
 
 
 def solve_p1(
@@ -392,8 +389,7 @@ def solve_p1(
     dual system at the reported solution.
     """
     cfg = config or SolveConfig()
-    d = Fraction(d)
-    _validate_lattice("the l1 problem", d, q, half_lattice=True)
+    d, q = _validate_lattice("the l1 problem", d, q, half_lattice=True)
     basis = enumerate_indices(n, int(d * q))
 
     def l1(vec):
@@ -434,8 +430,7 @@ def solve_p2(
     homogeneity, and the proportionality certificate is scale invariant.
     """
     cfg = config or SolveConfig()
-    d = Fraction(d)
-    _validate_lattice("the weighted l2 problem", d, q, half_lattice=False)
+    d, q = _validate_lattice("the weighted l2 problem", d, q, half_lattice=False)
     basis = enumerate_indices(n, int(d * q))
     convention = MULTINOMIAL if q == 1 else MONOMIAL
     root_w = np.sqrt(_slice_weights(n, int(d * q), q))
@@ -485,8 +480,7 @@ def solve_p3(
     and checked against the PSD trace certificate.
     """
     cfg = config or SolveConfig()
-    if d % 2 != 0 or d < 2:
-        raise ValueError(f"the Gram trace problem needs an even degree >= 2, got {d}")
+    d = _check_even_degree(d, "the Gram trace problem")
     basis, _, index = _hankel_layout(n, d // 2)
 
     # expand_gram adds Q[a, b] into the coefficient at a + b, so its

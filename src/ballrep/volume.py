@@ -59,7 +59,6 @@ import collections
 import contextlib
 import functools
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -70,6 +69,10 @@ import numpy as np
 from .polynomials import (
     Exponent,
     GeneralizedPolynomial,
+    _check_alphas,
+    _check_even_degree,
+    _check_integer,
+    _check_rational,
     _flip_invariant,
     _hankel_layout,
     _slice_weights,
@@ -186,9 +189,8 @@ def _ball_moment(n: int, d, alpha, q: int = 1) -> float:
 
     2^n prod Gamma((a_i + 1)/d) / (d^n Gamma(1 + (n + |a|)/d)), a = alpha / q.
     """
-    d = float(Fraction(d)) if not isinstance(d, float) else d
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    d = float(_check_rational(d, "degree"))
+    n = _check_integer(n, "dimension", 1)
     if not d > 0:
         raise ValueError(f"degree must be positive, got {d}")
     a = [float(ai) / q for ai in alpha]
@@ -587,30 +589,6 @@ _BACKENDS = {
 }
 
 
-def _check_integer(value, name: str, least: int) -> int:
-    """value as an int >= least; a bool or a fractional value is rejected, not aliased or truncated."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError  # operator.index(True) is 1
-        out = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if out < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return out
-
-
-def _check_alpha(alpha, n: int) -> Exponent:
-    """alpha as a tuple of n ints >= 0; ValueError naming it otherwise (a bool is no integer)."""
-    try:
-        out = tuple(_check_integer(a, "entry", 0) for a in alpha)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or len(out) != n:
-        raise ValueError(f"alpha must be {n} non-negative integers, got {alpha!r}")
-    return out
-
-
 def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     """(volume, moments) of one backend pass, one entry per distinct alpha in order.
 
@@ -622,7 +600,7 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     budget = DEFAULT_BUDGETS[backend] if budget is None else _check_integer(budget, "budget", 1)
     seed = _check_integer(seed, "seed", 0)
-    moments = {_check_alpha(a, g.n): (0.0, 0.0) for a in alphas}
+    moments = dict.fromkeys(_check_alphas(alphas, g.n), (0.0, 0.0))
     zero = _symmetry_zero(g, list(moments))
     live = [a for a, z in zip(moments, zero) if any(a) and not z]
     vol, vol_err, values, errors, nodes, ess = _BACKENDS[backend](g, live, budget, seed)
@@ -681,23 +659,17 @@ def moment_table(
     By default the table covers the degree-d lattice slice (the index set
     of g's own coefficients).  With max_order it covers every lattice
     multi-index of total degree <= max_order, including the all-zeros
-    volume row.  alphas and max_order are exclusive, and a bool max_order
-    is rejected, not read as 0 or 1.
+    volume row.  alphas and max_order are exclusive.
     """
     if alphas is not None and max_order is not None:
         raise ValueError("give alphas or max_order, not both")
-    if isinstance(max_order, bool):
-        raise ValueError(f"max_order must be a number, got {max_order!r}")
     if alphas is None:
         if max_order is not None:
-            if Fraction(max_order) < 0:
+            max_order = _check_rational(max_order, "max_order")
+            if max_order < 0:
                 raise ValueError(f"max_order must be >= 0, got {max_order}")
-            top = int(Fraction(max_order) * g.q)
-            alphas = [
-                a
-                for k in range(top + 1)
-                for a in enumerate_indices(g.n, k)
-            ]
+            top = int(max_order * g.q)
+            alphas = [a for k in range(top + 1) for a in enumerate_indices(g.n, k)]
         else:
             alphas = enumerate_indices(g.n, int(g.degree * g.q))
     est, moments = _estimate(g, alphas, backend, budget, seed)
@@ -741,12 +713,7 @@ def moment_matrix(
     _hankel_matrix, so M is symmetric by construction.
     """
     if half_degree is None:
-        twice = g.degree * g.q
-        if twice.denominator != 1 or int(twice) % 2 != 0:
-            raise ValueError(
-                f"d*q = {twice} is odd; pass half_degree explicitly"
-            )
-        half_degree = int(twice) // 2
+        half_degree = _check_even_degree(g.degree * g.q, "the default half_degree, d*q/2,") // 2
     half_degree = _check_integer(half_degree, "half_degree", 0)
     _, gammas, _ = _hankel_layout(g.n, half_degree)
     est, moments = _estimate(g, gammas, backend, budget, seed)

@@ -363,6 +363,13 @@ class TestCertify:
         cert, _ = certify("p2", ld_polynomial(2, 4), "spherical", 1024, 0, 0.0)
         assert cert.tolerance == 0.0
 
+    def test_defaults_are_the_estimators(self):
+        # certify used to need all six arguments; the default budget is 8192
+        disk = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
+        short = certify("p2", disk)
+        assert short == certify("p2", disk, "spherical", 8192, 0, None)
+        assert short[0].verdict == "pass"
+
 
 class TestRescaledMoments:
     """The solve's homogeneity map against a fresh pass on the rescaled candidate."""

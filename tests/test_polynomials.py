@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +19,17 @@ from ballrep import (
     enumerate_indices,
     expand_gram,
     from_coefficient_vector,
+    SolveConfig,
+    certify,
     ld_polynomial,
+    minimal_trace_axis_gram,
     multinomial_coefficient,
     norms,
+    polynomial_to_dict,
     serialize_polynomial,
     solve_p1,
+    solve_p2,
+    solve_p3,
 )
 from ballrep.polynomials import _flip_invariant
 
@@ -372,9 +380,11 @@ class TestNorms:
         report = norms(GeneralizedPolynomial(2, 4, 1, {}))
         assert (report.l0, report.l1, report.l2_weighted_sq) == (0, 0.0, 0.0)
 
-    def test_generalized_l2_undefined(self):
-        report = norms(ld_polynomial(2, Fraction(1, 2), q=2))
-        assert report.l2_weighted_sq is None
+    def test_generalized_l2_has_unit_weights(self):
+        # p2's weights are 1 for q > 1; the norm used to be None there
+        g = ld_polynomial(2, Fraction(1, 2), q=2)
+        report = norms(g)
+        assert report.l2_weighted_sq == 2.0 == certify("p2", g)[0].duals["l2_star"]
         assert report.l1 == pytest.approx(2.0)
 
     def test_gram_trace_reported(self):
@@ -463,3 +473,60 @@ class TestCoefficientVectors:
         g = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): 1e-9, (0, 4): 1.0})
         assert g.support(1e-6) == [(4, 0), (0, 4)]
         assert g.support() == [(4, 0), (2, 2), (0, 4)]
+
+
+_DISK = {(4, 0): 1.0, (0, 4): 1.0}
+
+
+class TestNumberRules:
+    """Each kind of number has one rule: a malformed one raises ValueError naming it."""
+
+    @pytest.mark.parametrize("call,message", [
+        # each of these was accepted or misread, or raised TypeError or AttributeError
+        (lambda: GeneralizedPolynomial(2, 4, 1, {(2.9, 2.9): 2.0, **_DISK}),
+         "alpha must be 2 non-negative exponent numerators, got (2.9, 2.9)"),
+        (lambda: GeneralizedPolynomial(2, 4, 1, {(True, 3): 2.0, **_DISK}), "got (True, 3)"),
+        (lambda: GeneralizedPolynomial(2, 4, 1, {("4", "0"): 1.0, (0, 4): 1.0}),
+         "got ('4', '0')"),
+        (lambda: multinomial_coefficient((2.5, 1.5)), "got (2.5, 1.5)"),
+        (lambda: GeneralizedPolynomial(2, 4, True, _DISK),
+         "lattice denominator must be an integer, got True"),
+        (lambda: solve_p1(2, 4, q=True), "lattice denominator must be an integer, got True"),
+        (lambda: solve_p2(2, 4, q=True), "lattice denominator must be an integer, got True"),
+        (lambda: GeneralizedPolynomial(2, True, 1, {(1, 0): 1.0, (0, 1): 1.0}),
+         "degree must be a number, got True"),
+        (lambda: SolveConfig(cert_tol=True), "cert_tol must be finite and >= 0, got True"),
+        (lambda: certify("p1", ld_polynomial(2, 4), "spherical", None, 0, True),
+         "certificate tolerance must be finite and >= 0, got True"),
+        (lambda: solve_p1(2, 4, q=2.0), "lattice denominator must be an integer, got 2.0"),
+        (lambda: GeneralizedPolynomial(2, 4, 2.0, {(8, 0): 1.0, (0, 8): 1.0}),
+         "lattice denominator must be an integer, got 2.0"),
+        (lambda: GeneralizedPolynomial(2.0, 4, 1, _DISK), "dimension must be an integer, got 2.0"),
+        (lambda: solve_p3(2.0, 4), "dimension must be an integer, got 2.0"),
+        (lambda: GramForm(2.0, 4, np.eye(3)), "dimension must be an integer, got 2.0"),
+    ], ids=["alpha-fraction", "alpha-bool", "alpha-string", "multinomial-fraction",
+            "q-bool", "p1-q-bool", "p2-q-bool", "degree-bool", "cert-tol-bool", "certify-tol-bool",
+            "p1-q-float", "q-float", "n-float", "p3-n-float", "gram-n-float"])
+    def test_malformed_number_rejected(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_float_total_rejected_after_the_int_is_cached(self):
+        # the cache used to answer (2, 4.0) with the (2, 4) list
+        assert len(enumerate_indices(2, 4)) == 5
+        with pytest.raises(ValueError, match="total degree numerator must be an integer, got 4.0"):
+            enumerate_indices(2, 4.0)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        g = GeneralizedPolynomial(np.int64(2), 4, np.int64(1),
+                                  {(np.int64(4), np.int64(0)): 1.0, (0, 4): 1.0})
+        assert type(g.n) is int and type(g.q) is int
+        assert all(type(a) is int for alpha in g.terms for a in alpha)
+        assert json.loads(json.dumps(polynomial_to_dict(g))) == polynomial_to_dict(ld_polynomial(2, 4))
+
+    @pytest.mark.parametrize("degree", [4, Fraction(4), 4.0, np.int64(4)])
+    def test_a_degree_is_a_rational(self, degree):
+        gram = GramForm(2, degree, np.eye(3))
+        assert gram == GramForm(2, 4, np.eye(3)) and type(gram.degree) is int
+        assert minimal_trace_axis_gram(2, degree) == minimal_trace_axis_gram(2, 4)
+        assert solve_p3(2, degree).objective == solve_p3(2, 4).objective

@@ -121,11 +121,20 @@ class TestDefaultBudget:
     """A solve left at its default budget certifies on the pass a default certify() makes."""
 
     def test_budget_is_a_quarter_of_the_query_budget(self):
-        assert SolveConfig().budget == 2048
-        assert SolveConfig(backend="monte_carlo").budget == 50_000
+        assert SolveConfig().descent_budget == 2048
+        assert SolveConfig(backend="monte_carlo").descent_budget == 50_000
         assert SolveConfig(backend="monte_carlo").certificate_budget == 200_000
-        # resolved at construction, so replace keeps the number, not the rule
-        assert replace(SolveConfig(), backend="monte_carlo").budget == 2048
+        # a budget left out stays None; a budget given stays that number
+        assert SolveConfig().budget is None
+        assert replace(SolveConfig(budget=512), backend="monte_carlo").descent_budget == 512
+
+    def test_replace_reads_the_new_backend_default(self):
+        # the default used to be resolved at construction, so replace kept
+        # the spherical 2048 for a Monte Carlo solve
+        switched = replace(SolveConfig(), backend="monte_carlo")
+        fresh = SolveConfig(backend="monte_carlo")
+        assert (switched.descent_budget, switched.certificate_budget) == (
+            fresh.descent_budget, fresh.certificate_budget)
 
     @pytest.mark.parametrize("problem,n,backend,seed", [
         ("p2", 3, "monte_carlo", 1),
@@ -833,7 +842,7 @@ class TestSphereDesign:
             if problem != "p3":
                 noise[odd] = 0.0
             x = project(x0 + (noise + noise.T if problem == "p3" else noise))
-            want = _reference_trial(problem, n, d, q, x, cfg.budget)
+            want = _reference_trial(problem, n, d, q, x, cfg.descent_budget)
             got = evaluate(x)
             assert want is not None and got is not None
             assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
@@ -856,7 +865,7 @@ class TestSphereDesign:
     def test_none_exactly_where_the_spherical_pass_raises(self, monkeypatch, problem, n, d, q, x):
         cfg = SolveConfig()
         _, evaluate, _ = self._oracle(monkeypatch, problem, n, d, q, cfg)
-        assert _reference_trial(problem, n, d, q, x, cfg.budget) is None
+        assert _reference_trial(problem, n, d, q, x, cfg.descent_budget) is None
         assert evaluate(x) is None
 
     def test_none_where_the_monte_carlo_pass_raises(self, monkeypatch):
