@@ -32,6 +32,7 @@ error hypot(sm, |m| sm1 / |m1|) / |m1|.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,11 +93,12 @@ class Certificate:
 
 
 def _default_tol(backend: str, tol: float | None, name: str = "certificate tolerance") -> float:
-    """tol as a float, or the backend's default for None; finite and >= 0, never a bool."""
+    """tol as a float, or the backend's default for None; a finite real >= 0, never a bool."""
     if tol is None:
         return 1e-6 if backend == SPHERICAL else 1e-2
-    if isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol >= 0)):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     return float(tol)
 
 

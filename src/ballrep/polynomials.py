@@ -362,6 +362,7 @@ class GeneralizedPolynomial:
 
 def ld_polynomial(n: int, degree, q: int = 1, convention: str = MONOMIAL) -> GeneralizedPolynomial:
     """The axis-power polynomial sum_i |x_i|**d on the lattice with denominator q."""
+    n = _check_integer(n, "dimension", 1)  # before range(n) reads it
     degree = _check_rational(degree, "degree")
     total = int(degree * q)  # off the lattice, GeneralizedPolynomial raises before it reads a term
     terms = {(0,) * i + (total,) + (0,) * (n - 1 - i): 1.0 for i in range(n)}

@@ -45,6 +45,11 @@ alpha reads the volume, moments that vanish by symmetry read exact zeros, a
 backend estimates only the rest) and turns the backend's numbers into the
 VolumeEstimate and the moment entries.
 
+A spherical query given no budget on a scaled ball power
+c (sum_i |x_i|**e)**m (_ball_power), whose G is c**(-1/d) B_e, reads no
+nodes: every answer, and the gate's minimum, comes from Dirichlet's
+formula, at any n.
+
 A slow grid indicator oracle cross-checks volume and moment queries; no
 solve reads it.  All estimates carry a standard error: zero for the
 spherical backend, statistical for Monte Carlo, and a boundary-cell bound
@@ -75,6 +80,7 @@ from .polynomials import (
     _check_rational,
     _flip_invariant,
     _hankel_layout,
+    _multinomial,
     _slice_weights,
     enumerate_indices,
     monomials,
@@ -120,7 +126,8 @@ class VolumeEstimate:
     for Monte Carlo, and a boundary-cell discretization bound for the grid
     oracle.  samples_or_nodes counts the points evaluated: for a spherical
     pass the orthant's nodes (sign-symmetric input) or the half grid's (any
-    other).  ess is the effective sample size (Monte Carlo only).
+    other), and 0 for a closed form (a scaled ball power queried with no
+    budget).  ess is the effective sample size (Monte Carlo only).
 
     ``ballrep volume`` and the normalization of a ``ballrep moments`` JSON
     document print these fields as they are, in this order, without a
@@ -215,6 +222,32 @@ def closed_form_ball_volume(n: int, d) -> float:
 def closed_form_ball_moment(n: int, d) -> float:
     """integral over the d-ball of |x_i|**d, for any axis i: its volume / (n + d)."""
     return _ball_moment(n, d, [float(Fraction(d))] + [0.0] * (n - 1))
+
+
+def _ball_power(g: GeneralizedPolynomial):
+    """(c, e) if g = c (sum_i |x_i|**e)**m exactly, c > 0 and m = d/e an integer; else None.
+
+    For a divisor m of d*q, step = d*q/m (even if g is classical): g's rows
+    are step times the C(n - 1 + m, m) multi-indices beta of total m, and each
+    monomial coefficient is c times beta's multinomial, with no tolerance.
+    """
+    rows, total = g._exponents, int(g.degree * g.q)
+    for m in range(1, total + 1):
+        step = total // m
+        if (total % m or len(rows) != math.comb(g.n - 1 + m, m)
+                or g.is_classical and step % 2 or (rows % step).any()):
+            continue
+        c = g._coeffs / [_multinomial(beta) for beta in map(tuple, (rows // step).tolist())]
+        if c[0] > 0 and (c == c[0]).all():
+            return float(c[0]), Fraction(step, g.q)
+    return None
+
+
+def _ball_power_estimate(g: GeneralizedPolynomial, live, c: float, e):
+    """A backend's numbers for g = c (sum_i |x_i|**e)**m: c**(-(n + |alpha|/q)/d) times B_e's."""
+    values = [c ** (-(g.n + sum(a) / g.q) / g.degree_float) * _ball_moment(g.n, e, a, g.q)
+              for a in [(0,) * g.n] + live]
+    return values[0], 0.0, np.array(values[1:]), np.zeros(len(live)), 0, None
 
 
 # -- symmetry zeros -----------------------------------------------------------
@@ -345,21 +378,23 @@ def _k_runs(rows, n: int, q: int):
     return [(lo, hi, n + total[lo] / q) for lo, hi in zip(edges, edges[1:])]
 
 
-def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed):
+def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=None):
     """The radial formula on the nodes of backend, built once for g: (nodes, run).
 
     The nodes are the sphere grid of budget (its orthant for a sign-symmetric
     g, else its half; the rows _symmetry_zero keeps share that symmetry) or
     the Monte Carlo cone nodes of (budget, seed); P, the monomials of rows at
     them, serves every run.  run(c), c the coefficients on the leading rows,
-    returns the volume w.h**(-n/d)/n and every row's moment, at its run's k.
+    returns the volume w.h**(-n/d)/n and every row's moment at its run's k,
+    in the runs holding a row index of wanted (None: all; the rest unset).
     """
     n, d = g.n, g.degree_float
     dirs, w = (_sphere_grid(n, budget, g.sign_symmetric) if backend == SPHERICAL
                else _cone_nodes(n, d, budget, seed))
     P = monomials(g.lattice_base(dirs), rows)
     pure = np.count_nonzero(rows, axis=1) == 1
-    runs = _k_runs(rows, n, g.q)
+    runs = [(lo, hi, k) for lo, hi, k in _k_runs(rows, n, g.q)
+            if wanted is None or any(lo <= i < hi for i in wanted)]
     ks = [n] + [k for _, _, k in runs]
 
     def run(c):
@@ -384,7 +419,7 @@ def _descent_pass(g: GeneralizedPolynomial, basis, backend: str, budget: int, se
 
 def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     rows, live_rows = _kernel_rows(g, live)
-    nodes, run = _radial_pass(g, rows, SPHERICAL, budget, seed)
+    nodes, run = _radial_pass(g, rows, SPHERICAL, budget, seed, live_rows)
     vol, moments = run(g._coeffs)
     return vol, 0.0, moments[live_rows], np.zeros(len(live)), nodes, None
 
@@ -598,12 +633,14 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
+    ball = _ball_power(g) if backend == SPHERICAL and budget is None else None
     budget = DEFAULT_BUDGETS[backend] if budget is None else _check_integer(budget, "budget", 1)
     seed = _check_integer(seed, "seed", 0)
     moments = dict.fromkeys(_check_alphas(alphas, g.n), (0.0, 0.0))
     zero = _symmetry_zero(g, list(moments))
     live = [a for a, z in zip(moments, zero) if any(a) and not z]
-    vol, vol_err, values, errors, nodes, ess = _BACKENDS[backend](g, live, budget, seed)
+    vol, vol_err, values, errors, nodes, ess = (
+        _ball_power_estimate(g, live, *ball) if ball else _BACKENDS[backend](g, live, budget, seed))
     moments.update(zip(live, zip(values.tolist(), errors.tolist())))
     est = VolumeEstimate(float(vol), float(vol_err), backend, nodes, ess)
     if (0,) * g.n in moments:
@@ -769,11 +806,17 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
     count, so a strictly negative minimum proves infinite volume (g < 0 on
     an open cone).  finite_volume = True only means no negative direction
     was found; a minimum at zero is infeasible, the set being unbounded
-    along it.
+    along it.  A scaled ball power c (sum_i |x_i|**e)**m (_ball_power) skips
+    the search: its minimum is c n**((1 - e/2) m) for e >= 2 (the diagonal)
+    and c for e <= 2 (the axes), exactly, and finite_volume = True a proof.
     """
     n, seed = g.n, _check_integer(seed, "seed", 0)
     smin = _axis_minimum(g._coeffs, np.count_nonzero(g._exponents, axis=1) == 1, n)
     if n == 1:
+        return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
+    if ball := _ball_power(g):
+        c, e = ball
+        smin = c * (n ** (1.0 - e / 2) if e >= 2 else 1.0) ** int(g.degree / e)
         return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
     if n <= 3:
         nodes = _sphere_grid(n, _GATE_BUDGET, g.sign_symmetric)[0]

@@ -278,6 +278,13 @@ class TestRefutation:
         assert not report.certificate.passed
         assert report.min_eigenvalue < 0.0
 
+    def test_degree_four_four_dimensional(self):
+        # beyond the sphere grid: the moments of B_4 at n = 4 come in closed form
+        report = refute_ld_for_p3(4, 4)
+        assert not report.certificate.passed
+        assert report.min_eigenvalue < -0.01
+        assert report.certificate.residuals["volume"] <= 1e-14
+
     def test_quadratic_not_applicable(self):
         with pytest.raises(ValueError, match="not applicable"):
             refute_ld_for_p3(2, 2)
@@ -364,11 +371,14 @@ class TestCertify:
         assert cert.tolerance == 0.0
 
     def test_defaults_are_the_estimators(self):
-        # certify used to need all six arguments; the default budget is 8192
-        disk = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
+        # certify used to need all six arguments; the default budget is 8192.
+        # The quartic disk with its x1^2 x2^2 coefficient one ulp above 2 is no
+        # exact ball power, so its default pass reads the sphere grid too
+        disk = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0,
+                                               (2, 2): float(np.nextafter(2.0, 3.0))})
         short = certify("p2", disk)
         assert short == certify("p2", disk, "spherical", 8192, 0, None)
-        assert short[0].verdict == "pass"
+        assert short[0].verdict == "pass" and short[1].samples_or_nodes > 0
 
 
 class TestRescaledMoments:

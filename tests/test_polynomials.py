@@ -504,9 +504,15 @@ class TestNumberRules:
         (lambda: GeneralizedPolynomial(2.0, 4, 1, _DISK), "dimension must be an integer, got 2.0"),
         (lambda: solve_p3(2.0, 4), "dimension must be an integer, got 2.0"),
         (lambda: GramForm(2.0, 4, np.eye(3)), "dimension must be an integer, got 2.0"),
+        (lambda: ld_polynomial(2.0, 4), "dimension must be an integer, got 2.0"),
+        (lambda: minimal_trace_axis_gram(2.0, 4), "dimension must be an integer, got 2.0"),
+        (lambda: SolveConfig(cert_tol="x"), "cert_tol must be finite and >= 0, got 'x'"),
+        (lambda: certify("p2", ld_polynomial(2, 4), tol="0.1"),
+         "certificate tolerance must be finite and >= 0, got '0.1'"),
     ], ids=["alpha-fraction", "alpha-bool", "alpha-string", "multinomial-fraction",
             "q-bool", "p1-q-bool", "p2-q-bool", "degree-bool", "cert-tol-bool", "certify-tol-bool",
-            "p1-q-float", "q-float", "n-float", "p3-n-float", "gram-n-float"])
+            "p1-q-float", "q-float", "n-float", "p3-n-float", "gram-n-float", "ld-n-float",
+            "axis-gram-n-float", "cert-tol-string", "certify-tol-string"])
     def test_malformed_number_rejected(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

@@ -10,6 +10,7 @@ import pytest
 from ballrep import (
     EffectiveSampleSizeWarning,
     GeneralizedPolynomial,
+    certify,
     InfiniteVolumeError,
     closed_form_ball_moment,
     closed_form_ball_volume,
@@ -25,8 +26,8 @@ from ballrep import (
     solve_p2,
     volume,
 )
-from ballrep.polynomials import enumerate_indices, monomials
-from ballrep.volume import _ball_moment, _sphere_grid
+from ballrep.polynomials import enumerate_indices, monomials, multinomial_coefficient
+from ballrep.volume import _ball_moment, _ball_power, _sphere_grid
 from conftest import agree, random_feasible_quartic
 
 DISK4 = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
@@ -127,8 +128,13 @@ class TestSphericalBackend:
             volume(bad, budget=1024)
 
     def test_unsupported_dimension(self):
+        # a budget-free ball power answers in closed form at any n; a budget,
+        # or an input that is no ball power, reads the sphere grid, which has no n = 4
         with pytest.raises(ValueError, match="n in"):
-            volume(ld_polynomial(4, 2), backend="spherical")
+            volume(ld_polynomial(4, 2), backend="spherical", budget=8192)
+        ellipsoid = GeneralizedPolynomial(4, 2, 1, {**ld_polynomial(4, 2).terms, (0, 0, 0, 2): 2.0})
+        with pytest.raises(ValueError, match="n in"):
+            volume(ellipsoid, backend="spherical")
 
     def test_zero_sphere_minimum_raises(self):
         # 2 x1**4 vanishes on the x2 axis, where the sublevel set is unbounded
@@ -1078,11 +1084,15 @@ class TestFeasibilityGate:
         (5, 2048 + 43 * (5 + 9) * 125),
     ])
     def test_evaluation_count(self, monkeypatch, n, points):
-        # the scan (one orthant of the sphere grid for the sign-symmetric
-        # ld_polynomial at n <= 3, 2048 cone nodes at n >= 4), then every zoom
-        # level over the n axes, the diagonal and the _GATE_RESTARTS = 8 best
-        # scan nodes; r halves over 33 levels, at n = 5 by 2**(3/4) over 43
-        assert _gate_evaluations(monkeypatch, ld_polynomial(n, 4)) == points
+        # the scan (one orthant of the sphere grid for a sign-symmetric input
+        # at n <= 3, 2048 cone nodes at n >= 4), then every zoom level over the
+        # n axes, the diagonal and the _GATE_RESTARTS = 8 best scan nodes; r
+        # halves over 33 levels, at n = 5 by 2**(3/4) over 43.  The x1^2 x2^2
+        # term keeps the even support of ld_polynomial(n, 4), which the gate
+        # would answer in closed form with no evaluation
+        g = GeneralizedPolynomial(n, 4, 1, {**ld_polynomial(n, 4).terms, (2, 2) + (0,) * (n - 2): 0.1})
+        assert _ball_power(g) is None and g.sign_symmetric
+        assert _gate_evaluations(monkeypatch, g) == points
 
     @pytest.mark.parametrize("n,points", [
         (2, 1024 + 33 * (2 + 9) * 5),
@@ -1317,3 +1327,123 @@ class TestDrawAhead:
                 child.kill()
                 child.join(10)
         assert not child.is_alive() and child.exitcode == 0
+
+
+def _ball_power_poly(n, e, q, m, c):
+    """c (sum_i |x_i|**e)**m expanded on the lattice 1/q, in the monomial convention."""
+    step = int(Fraction(e) * q)
+    terms = {tuple(step * b for b in beta): c * multinomial_coefficient(beta)
+             for beta in enumerate_indices(n, m)}
+    return GeneralizedPolynomial(n, Fraction(e) * m, q, terms)
+
+
+# (e, q, m): the benchmark's balls at m = 1 and 2; e = 1 at m = 2 on the
+# lattice 1/2, since on 1/1 the square (x1 + ... + xn)**2 is classical and no
+# ball power; and the Euclidean powers (sum_i x_i**2)**(d/2) at d = 4 and 6
+_BALL_POWERS = [(4, 1, 1), (4, 1, 2), (6, 1, 1), (6, 1, 2), (Fraction(1, 2), 4, 1),
+                (Fraction(1, 2), 4, 2), (1, 1, 1), (1, 2, 2), (Fraction(3, 2), 2, 1),
+                (Fraction(3, 2), 2, 2), (2, 1, 2), (2, 1, 3)]
+
+
+class TestBallPowerClosedForm:
+    """Budget-free spherical queries and the gate on c (sum_i |x_i|**e)**m read no nodes."""
+
+    @staticmethod
+    def expected(g, e, m, c, alpha):
+        """The moment at alpha of G = s B_e, s = c**(-1/(m e)); a classical g's odd ones vanish."""
+        if g.is_classical and any(a % 2 for a in alpha):
+            return 0.0
+        s = c ** (-1.0 / (m * float(e)))
+        return s ** (g.n + sum(alpha) / g.q) * _ball_moment(g.n, e, alpha, g.q)
+
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    @pytest.mark.parametrize("e,q,m", _BALL_POWERS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_queries_match_dirichlet(self, n, e, q, m, c):
+        g = _ball_power_poly(n, e, q, m, c)
+        # at n = 1, c |x|**(m e) is also c (|x|**(m e))**1, the form the recognizer reads first
+        assert _ball_power(g) == (c, Fraction(e) * (m if n == 1 else 1))
+        orders = [a for k in range(5) for a in enumerate_indices(n, k)]
+        slice_ = enumerate_indices(n, int(g.degree * q))
+        want = {a: self.expected(g, e, m, c, a) for a in orders + slice_}
+
+        def close(got, alpha, factor=1.0):
+            return abs(got - factor * want[alpha]) <= 1e-14 * abs(factor * want[alpha])
+
+        est = volume(g)
+        assert (est.std_error, est.backend, est.samples_or_nodes) == (0.0, "spherical", 0)
+        assert close(est.value, (0,) * n)
+        table = moment_table(g, orders)
+        assert table.normalization == est
+        assert all(close(v, a) and err == 0.0 for a, (v, err) in table.entries.items())
+        mm = moment_matrix(g, 2)
+        for i, a in enumerate(mm.basis):
+            for j, b in enumerate(mm.basis):
+                assert close(mm.values[i, j], tuple(x + y for x, y in zip(a, b)))
+        assert not mm.errors.any()
+        factor = -(n + float(g.degree)) / float(g.degree)
+        assert all(close(v, a, factor) for a, v in grad_volume(g).items())
+        cert, cert_est = certify("p2", g)
+        assert cert_est == est
+        if (e, q) == (2, 1):  # (sum_i x_i**2)**(d/2) is p2's optimum at every scale
+            assert cert.passed and max(cert.residuals.values()) <= 1e-12
+
+    @pytest.mark.parametrize("d,q", [(4, 1), (6, 1), (Fraction(1, 2), 4), (1, 1), (Fraction(3, 2), 2)])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_axis_power_certifies_p1_exactly(self, n, d, q):
+        cert, est = certify("p1", ld_polynomial(n, d, q))
+        assert est.samples_or_nodes == 0
+        assert cert.passed and max(cert.residuals.values()) <= 1e-12
+
+    @pytest.mark.parametrize("e,q,m", _BALL_POWERS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_gate_reads_the_exact_minimum(self, monkeypatch, n, e, q, m):
+        g = _ball_power_poly(n, e, q, m, 2.5)
+        # sum_i |x_i|**e on the unit sphere is least on the diagonal for e >= 2, else on an axis
+        point = np.full(n, n**-0.5) if e >= 2 else np.eye(n)[0]
+        verdict = finite_volume_test(g)
+        assert verdict.finite_volume
+        assert verdict.sphere_minimum == pytest.approx(float(g.evaluate(point)), rel=1e-14)
+        assert _gate_evaluations(monkeypatch, g) == 0
+
+    @pytest.mark.parametrize("g,finite", [
+        (GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): float(np.nextafter(2.0, 3.0)),
+                                         (0, 4): 1.0}), True),
+        # (x1^2 + x2^2 + x3^2)^2 without its x1^2 x2^2 term
+        (GeneralizedPolynomial(3, 4, 1, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0,
+                                         (2, 0, 2): 2.0, (0, 2, 2): 2.0}), True),
+        # (x1 + x2)^2 is classical, so its e = 1 is odd: the strip |x1 + x2| <= 1
+        (GeneralizedPolynomial(2, 2, 1, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}), False),
+    ], ids=["one-ulp-off", "term-missing", "odd-e-classical"])
+    def test_near_balls_take_the_node_path(self, monkeypatch, g, finite):
+        assert _ball_power(g) is None
+        assert finite_volume_test(g).finite_volume == finite
+        if finite:
+            assert volume(g).samples_or_nodes > 0
+        else:
+            with pytest.raises(InfiniteVolumeError):
+                volume(g)
+        assert _gate_evaluations(monkeypatch, g) > 0
+
+    def test_explicit_budgets_and_other_backends_read_nodes(self):
+        for budget in (2048, 8192):
+            est = volume(DISK4, budget=budget)
+            assert est.samples_or_nodes == len(_sphere_grid(2, budget, True)[1])
+            assert est.value == pytest.approx(math.pi, rel=1e-12)
+        assert volume(DISK4, backend="monte_carlo").samples_or_nodes == 200_000
+        assert volume(DISK4, backend="grid_oracle").samples_or_nodes == 1_000_000
+
+    @pytest.mark.parametrize("g,budget", [(ld_polynomial(3, 6), 32768), (ODD_QUARTIC, 4096)],
+                             ids=["sextic-ball", "odd-quartic"])
+    def test_a_pass_computes_only_the_runs_asked_for(self, monkeypatch, g, budget):
+        # a volume-only pass computes no moment; its volume is that of every table, float for float
+        full = moment_table(g, max_order=g.degree, budget=budget)
+        volume_module = sys.modules["ballrep.volume"]
+        radial, ks = volume_module._radial, []
+        monkeypatch.setattr(volume_module, "_radial",
+                            lambda *args: ks.append(args[-1]) or radial(*args))
+        assert volume(g, budget=budget) == full.normalization
+        assert ks == [[g.n]]  # only the volume's radial factor
+        monkeypatch.undo()
+        for alpha in full.entries:
+            assert moment_table(g, [alpha], budget=budget).normalization == full.normalization
