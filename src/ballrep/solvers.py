@@ -108,8 +108,8 @@ class SolveConfig:
     change and its first-order prediction are both within 1e-10, p2 once
     |T(u) - u|_inf <= 1e-14 (1 + |u|_inf).  backend is spherical or
     monte_carlo; the descent's pass, built once per solve, reads the nodes
-    a query of the start reads at descent_budget (the sphere grid's orthant
-    for a sign-symmetric start, else its half; or the cone nodes of seed);
+    a query of the start reads at descent_budget (a classical start's sphere
+    grid, a generalized one's lattice grid, or the cone nodes of seed);
     one pass at 4 * descent_budget gives the final rescaling and the
     certificate's moments, checked at cert_tol.  descent_budget is budget,
     or for None DEFAULT_BUDGETS[backend] // 4 (2048 spherical, 50000 Monte

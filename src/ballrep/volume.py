@@ -6,16 +6,20 @@ cone measure sigma,
       integral_G x^alpha dx
         = (n + |alpha|)^-1 * integral_S theta^alpha h(theta)^-(n+|alpha|)/d dsigma,
 with h the restriction of g to S.  The deterministic spherical backend
-takes S the unit sphere and a quadrature rule on it (periodic trapezoid for
-n = 2, product Gauss-Legendre for n = 3), cached read-only per (n, budget,
-orthant).  No pass reads the whole rule.  A sign-symmetric input
-(GeneralizedPolynomial.sign_symmetric) reads its nodes in one orthant, each
-weighted by its sign orbit (1/4 of them at n = 2, 1/8 at n = 3); any other
-is classical, so g(-x) = g(x), and reads those of azimuth in [0, pi), each
-weighted for its antipode too: queries, descents and the feasibility gate
-alike, for the whole rule's answers up to round-off.  Monte Carlo takes S
-the unit l_d sphere and random nodes of its cone measure, of total
-n vol(B_d), so on B_d itself h = 1 at every node.  One function,
+takes, for a classical g, S the unit sphere and a quadrature rule on it
+(periodic trapezoid for n = 2, product Gauss-Legendre for n = 3), cached
+read-only per (n, budget, orthant).  No pass reads the whole rule.  A
+sign-symmetric classical input (GeneralizedPolynomial.sign_symmetric) reads
+its nodes in one orthant, each weighted by its sign orbit (1/4 of them at
+n = 2, 1/8 at n = 3); any other is even, g(-x) = g(x), and reads those of
+azimuth in [0, pi), each weighted for its antipode too: queries, descents
+and the feasibility gate alike, for the whole rule's answers up to
+round-off.  A generalized g, g(x) = p(y) at y = |x|**(1/q), integrates in y
+on the third node source, _lattice_grid: Gauss-Legendre on the orthant of
+the unit sphere, where the kinks of |x|**(1/q) never show, so it converges
+spectrally.  Monte Carlo takes S the unit l_d sphere and random nodes of
+its cone measure, of total n vol(B_d), so on B_d itself h = 1 at every
+node.  One function,
 _radial_pass, picks the nodes and their fold and makes one monomial kernel
 call P on given rows; _radial reads h from P's leading rows, rejects
 infinite volume and gives the radial factors, and the moments sharing
@@ -99,6 +103,7 @@ _DRAW_AHEAD = 2
 _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; bounds a block's memory
 assert _MC_BATCH % _BLOCK == 0  # so a Monte Carlo block never spans two batches
 _GRID_CACHE_SIZE = 8  # sphere grids kept; at n = 3, budget 32768 a half grid is 0.5 MB, an orthant 1/4
+_LATTICE_NODES = 64  # most Gauss-Legendre nodes per angle of a lattice grid (64**2 at n = 3)
 _GATE_BUDGET = 2048  # sphere grid (n <= 3) or cone nodes (n >= 4) the gate scans
 _GATE_RESTARTS = 8  # best scan nodes zoomed besides the axes and the diagonal
 _GATE_ZOOM_DIMS = 3  # most chart axes one gate zoom level spans
@@ -125,9 +130,10 @@ class VolumeEstimate:
     std_error is 0 for the spherical backend, a statistical standard error
     for Monte Carlo, and a boundary-cell discretization bound for the grid
     oracle.  samples_or_nodes counts the points evaluated: for a spherical
-    pass the orthant's nodes (sign-symmetric input) or the half grid's (any
-    other), and 0 for a closed form (a scaled ball power queried with no
-    budget).  ess is the effective sample size (Monte Carlo only).
+    pass on a classical input the orthant's nodes (sign-symmetric input) or
+    the half grid's (any other), on a generalized input the lattice grid's,
+    and 0 for a closed form (a scaled ball power queried with no budget).
+    ess is the effective sample size (Monte Carlo only).
 
     ``ballrep volume`` and the normalization of a ``ballrep moments`` JSON
     document print these fields as they are, in this order, without a
@@ -325,6 +331,34 @@ def _sphere_grid(n: int, budget: int, orthant: bool):
     return dirs, weights
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _lattice_grid(n: int, q: int, budget: int):
+    """Nodes of the unit sphere's nonnegative orthant and weights for a generalized g, read-only.
+
+    In y = |x|**(1/q), dx = q**n prod y_i**(q - 1) dy on each of the 2**n
+    orthants, so the nodes are the kernel's base and the weights carry
+    2**n q**(n - 1) prod y_i**(q - 1).  The integrand is then analytic on the
+    closed orthant, so tensor Gauss-Legendre in the n - 1 hyperspherical
+    angles on [0, pi/2], m = (budget / 2**n)**(1/(n - 1)) nodes each (at most
+    _LATTICE_NODES: leggauss(m) builds an m x m matrix), converges spectrally.
+    """
+    if n not in (2, 3):
+        raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
+    m = min(_LATTICE_NODES, max(2, round((budget / 2**n) ** (1.0 / (n - 1)))))
+    x, wx = np.polynomial.legendre.leggauss(m)
+    idx = np.indices((m,) * (n - 1)).reshape(n - 1, -1).T
+    angles, weights = math.pi / 4 * (x[idx] + 1.0), np.prod(math.pi / 4 * wx[idx], axis=1)
+    dirs = np.ones((len(idx), n))
+    for j in range(n - 1):  # theta_j = cos(phi_j) prod_{i<j} sin(phi_i); dsigma has sin(phi_j)**(n-2-j)
+        dirs[:, j] *= np.cos(angles[:, j])
+        dirs[:, j + 1 :] *= np.sin(angles[:, j])[:, None]
+        weights *= np.sin(angles[:, j]) ** (n - 2 - j)
+    weights *= 2.0**n * q ** (n - 1) * np.prod(dirs ** (q - 1), axis=1)
+    for arr in (dirs, weights):
+        arr.setflags(write=False)
+    return dirs, weights
+
+
 def _kernel_rows(g: GeneralizedPolynomial, live):
     """Exponent rows of a pass's one kernel call, and the row of each live alpha.
 
@@ -381,17 +415,19 @@ def _k_runs(rows, n: int, q: int):
 def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=None):
     """The radial formula on the nodes of backend, built once for g: (nodes, run).
 
-    The nodes are the sphere grid of budget (its orthant for a sign-symmetric
-    g, else its half; the rows _symmetry_zero keeps share that symmetry) or
-    the Monte Carlo cone nodes of (budget, seed); P, the monomials of rows at
-    them, serves every run.  run(c), c the coefficients on the leading rows,
+    The nodes are the sphere grid of budget for a classical g (its orthant
+    if sign-symmetric, else its half; the rows _symmetry_zero keeps share
+    that symmetry), the lattice grid of (q, budget), already the lattice
+    base, for any other, or the Monte Carlo cone nodes of (budget, seed); P,
+    the monomials of rows at the base, serves every run.  run(c), c the coefficients on the leading rows,
     returns the volume w.h**(-n/d)/n and every row's moment at its run's k,
     in the runs holding a row index of wanted (None: all; the rest unset).
     """
     n, d = g.n, g.degree_float
-    dirs, w = (_sphere_grid(n, budget, g.sign_symmetric) if backend == SPHERICAL
-               else _cone_nodes(n, d, budget, seed))
-    P = monomials(g.lattice_base(dirs), rows)
+    dirs, w = (_cone_nodes(n, d, budget, seed) if backend != SPHERICAL
+               else _sphere_grid(n, budget, g.sign_symmetric) if g.is_classical
+               else _lattice_grid(n, g.q, budget))
+    P = monomials(dirs if backend == SPHERICAL else g.lattice_base(dirs), rows)
     pure = np.count_nonzero(rows, axis=1) == 1
     runs = [(lo, hi, k) for lo, hi, k in _k_runs(rows, n, g.q)
             if wanted is None or any(lo <= i < hi for i in wanted)]

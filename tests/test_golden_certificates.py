@@ -28,7 +28,7 @@ def _disk4():
 
 
 def _p1q_certificate():
-    """The p1 certificate of the p1q(3, 1/2, q=4) solution, which fails."""
+    """The p1 certificate of the p1q(3, 1/2, q=4) solution."""
     g = solve_p1(3, Fraction(1, 2), q=4).solution
     return certify_p1(g, moment_table(g, budget=8192), tol=1e-2)
 
@@ -92,7 +92,10 @@ class TestGoldenCertificates:
     when sign-symmetric inputs moved onto one orthant of the sphere grid
     (dominance 1.8e-9 -> 0, the duals of the x1 <-> x2 pair now equal).
     That move also re-recorded the p3 identity's volume residual,
-    1.4e-15 -> 5.7e-16, a round-off change.
+    1.4e-15 -> 5.7e-16, a round-off change.  When generalized inputs moved
+    onto the lattice grid, the p1q solution reached B_{1/2} and its entry
+    was re-recorded: the verdict went fail -> pass, support stationarity
+    0.0272 -> 1.2e-9 and complementary slackness 0.0282 -> 0.
     """
 
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))

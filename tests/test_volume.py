@@ -27,7 +27,7 @@ from ballrep import (
     volume,
 )
 from ballrep.polynomials import enumerate_indices, monomials, multinomial_coefficient
-from ballrep.volume import _ball_moment, _ball_power, _sphere_grid
+from ballrep.volume import _LATTICE_NODES, _ball_moment, _ball_power, _lattice_grid, _sphere_grid
 from conftest import agree, random_feasible_quartic
 
 DISK4 = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
@@ -599,22 +599,34 @@ def _perturbed_ball(n, d, q=1, scale=0.01, seed=0):
 
 
 def _backend_grid(g, budget):
-    """The spherical backend's grid for g: one orthant when every sign flip leaves g unchanged.
+    """The nodes the spherical pass reads for g, as the kernel's base, and their weights.
 
-    Else the half sphere of azimuth in [0, pi), each node at twice its weight.
+    A generalized g reads the lattice grid, whose nodes are y = |x|**(1/q)
+    on the orthant.  A classical g reads the sphere grid: one orthant when
+    every sign flip leaves g unchanged, else the half sphere of azimuth in
+    [0, pi), each node at twice its weight.
     """
-    return _sphere_grid(g.n, budget, not g.is_classical or g.has_even_support())
+    if not g.is_classical:
+        return _lattice_grid(g.n, g.q, budget)
+    return _sphere_grid(g.n, budget, g.has_even_support())
+
+
+def _lattice_form(g):
+    """g in the kernel's base y = |x|**(1/q): p(y) = g(x), degree d*q on q = 1 (g itself if classical)."""
+    terms = {a: g.monomial_coefficient(a) for a in g.terms}
+    return GeneralizedPolynomial(g.n, g.degree * g.q, 1, terms)
 
 
 def _per_alpha_moments(g, alphas, budget):
     """{alpha: (value, scale)} by the per-alpha spherical formula.
 
-    g and each x^alpha are raised term by term with np.prod on the grid the
-    backend reads, a half grid joined by its antipodes, each node then at
-    half its weight, so that an odd integrand has the whole sphere's honest
-    value near 0; scale is the same quadrature of the integrand's magnitude.
-    On an orthant grid a classical alpha with an odd entry sums to zero over
-    every sign orbit, so its value is 0.
+    g and each base power y^alpha are raised term by term with np.prod on the
+    nodes the backend reads (a classical g's half grid joined by its
+    antipodes, each node then at half its weight, so that an odd integrand
+    has the whole sphere's honest value near 0); scale is the same
+    quadrature of the integrand's magnitude.  On an orthant grid a classical
+    alpha with an odd entry sums to zero over every sign orbit, so its value
+    is 0.
     """
     dirs, w = _backend_grid(g, budget)
     if g.is_classical and not g.has_even_support():
@@ -622,9 +634,7 @@ def _per_alpha_moments(g, alphas, budget):
     odd_vanish = g.is_classical and g.has_even_support()
 
     def power(a):
-        if g.is_classical:
-            return np.prod(dirs ** np.asarray(a), axis=-1)
-        return np.prod(np.abs(dirs) ** (np.asarray(a) / g.q), axis=-1)
+        return np.prod(dirs ** np.asarray(a), axis=-1)
 
     h = sum(g.monomial_coefficient(a) * power(a) for a in g.terms)
     assert h.min() > 0.0
@@ -723,7 +733,7 @@ class TestSingleKernelPass:
             assert abs(got - want) <= 1e-12 * scale, alpha
         # the volume still comes from the evaluated polynomial, bit for bit
         dirs, w = _backend_grid(g, self.BUDGET)
-        h = g.evaluate(dirs)
+        h = _lattice_form(g).evaluate(dirs)
         assert table.normalization.value == float(np.dot(w, h ** (-g.n / g.degree_float)) / g.n)
 
     @pytest.mark.parametrize("g", SPARSE_BALLS, ids=SPARSE_IDS)
@@ -766,6 +776,19 @@ class TestSphereGridCache:
             weights[0] = 0.5
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
         assert weights.sum() == pytest.approx(2.0 * math.pi if n == 2 else 4.0 * math.pi)
+
+    @pytest.mark.parametrize("n,budget,per_angle", [(2, 2048, 64), (2, 4, 2), (3, 2048, 16),
+                                                    (3, 8192, 32), (3, 10**7, 64)])
+    def test_lattice_grid_nodes_and_weights(self, n, budget, per_angle):
+        # q = 1 carries no Jacobian beyond the 2**n orthants, so the weights sum to the sphere
+        dirs, weights = _lattice_grid(n, 1, budget)
+        assert _lattice_grid(n, 1, budget)[0] is dirs
+        assert not dirs.flags.writeable and not weights.flags.writeable
+        assert len(dirs) == per_angle ** (n - 1) and per_angle <= _LATTICE_NODES
+        assert (dirs > 0.0).all()
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        sphere = 2.0 * math.pi if n == 2 else 4.0 * math.pi
+        assert weights.sum() == pytest.approx(sphere, rel=1e-14)
 
 
 def _even_perturbed_sextic(seed=4):
@@ -894,6 +917,35 @@ class TestExactReferences:
         for alpha, (value, _) in table.entries.items():
             want = 0.0 if any(x % 2 for x in alpha) else _ball_moment(n, d, alpha)
             assert abs(value - want) <= 1e-13 * vol, alpha
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d,q,max_order", [
+        (4, 1, 4), (6, 1, 4),
+        (Fraction(1, 2), 4, 2), (1, 2, 2), (Fraction(3, 2), 2, 2), (Fraction(1, 3), 3, 2), (3, 1, 2),
+    ], ids=["4", "6", "1/2-q4", "1-q2", "3/2-q2", "1/3-q3", "3-q1"])
+    def test_ball_moments_at_an_explicit_budget(self, n, d, q, max_order):
+        # an explicit budget reads nodes, not the closed form: the sphere grid
+        # for classical B_4 and B_6, the lattice grid (y = |x|**(1/q) on the
+        # orthant, spectrally accurate) for every generalized B_d
+        g = ld_polynomial(n, d, q)
+        table = moment_table(g, max_order=max_order, budget=8192)
+        vol = closed_form_ball_volume(n, d)
+        if not g.is_classical:
+            assert table.normalization.samples_or_nodes == (64 if n == 2 else 1024)
+        for alpha, (value, _) in table.entries.items():
+            if g.is_classical:
+                want = 0.0 if any(x % 2 for x in alpha) else _ball_moment(n, d, alpha)
+                assert abs(value - want) <= 1e-13 * vol, alpha
+            else:
+                want = _ball_moment(n, d, alpha, q)
+                assert abs(value - want) <= 1e-12 * want, alpha
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lattice_node_count_is_capped(self, n):
+        # leggauss(m) builds an m x m matrix, so a huge budget must not reach it uncapped
+        est = volume(ld_polynomial(n, Fraction(1, 2), q=4), budget=10**7)
+        assert 0 < est.samples_or_nodes <= _LATTICE_NODES ** (n - 1)
+        assert est.value == pytest.approx(closed_form_ball_volume(n, Fraction(1, 2)), rel=1e-12)
 
 
 def _sphere_power(n, d):
