@@ -159,6 +159,8 @@ def cmd_solve(args) -> int:
         result = solve_p3(args.n, int(d), start=start, config=config)
     to_dict = gram_to_dict if isinstance(result.solution, GramForm) else polynomial_to_dict
     _emit_json(_document(replace(result, solution=to_dict(result.solution))), args.out)
+    if not result.certificate.passed:  # a failed certificate outranks convergence
+        return EXIT_CERTIFICATE
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 

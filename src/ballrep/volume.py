@@ -14,9 +14,12 @@ its nodes in one orthant, each weighted by its sign orbit (1/4 of them at
 n = 2, 1/8 at n = 3); any other is even, g(-x) = g(x), and reads those of
 azimuth in [0, pi), each weighted for its antipode too: queries, descents
 and the feasibility gate alike, for the whole rule's answers up to
-round-off.  A generalized g, g(x) = p(y) at y = |x|**(1/q), integrates in y
-on the third node source, _lattice_grid: Gauss-Legendre on the orthant of
-the unit sphere, where the kinks of |x|**(1/q) never show, so it converges
+round-off.  Every pass but the gate's moves that half grid into G's
+isotropic position (_isotropic_grid), where G's second moments are a
+multiple of the identity: the same node count, exact for ellipsoids.  A
+generalized g, g(x) = p(y) at y = |x|**(1/q), integrates in y on the third
+node source, _lattice_grid: Gauss-Legendre on the orthant of the unit
+sphere, where the kinks of |x|**(1/q) never show, so it converges
 spectrally.  Monte Carlo takes S the unit l_d sphere and random nodes of
 its cone measure, of total n vol(B_d), so on B_d itself h = 1 at every
 node.  One function,
@@ -405,6 +408,26 @@ def _radial(c, P, pure, n: int, d: float, ks):
     return [h ** (-k / d) for k in ks]
 
 
+def _isotropic_grid(g: GeneralizedPolynomial, dirs, w):
+    """The half grid (dirs, w) moved into G's isotropic position: nodes Ay/|Ay|, weights w/|Ay|**n.
+
+    A = M**(1/2) / det(M)**(1/(2n)), of determinant 1, for M = sum w theta
+    theta^T h(theta)**(-(n+2)/d) on the gate's half grid, (n + 2) times G's
+    second-moment matrix.  y -> Ay/|Ay| has Jacobian |Ay|**-n on the sphere;
+    on an ellipsoid {x^T Q x <= 1}, where A Q A is a multiple of I, it makes
+    every moment's integrand a polynomial, which the grid integrates exactly.
+    """
+    n = g.n
+    pilot, pw = _sphere_grid(n, _GATE_BUDGET, False)
+    pure = np.count_nonzero(g._exponents, axis=1) == 1
+    [f] = _radial(g._coeffs, monomials(pilot, g._exponents), pure, n, g.degree_float, [n + 2])
+    lam, v = np.linalg.eigh((pilot.T * (pw * f)) @ pilot)
+    y = (v * np.sqrt(lam / math.prod(lam) ** (1.0 / n))) @ v.T @ dirs.T  # (n, N): contiguous rows
+    s = 1.0 / np.sqrt(np.einsum("ij,ij->j", y, y))
+    y *= s
+    return y.T, w * s**n
+
+
 def _k_runs(rows, n: int, q: int):
     """(lo, hi, k) for each run rows[lo:hi] of one total degree t, k = n + t/q their moments' k."""
     total = rows.sum(axis=1).tolist()
@@ -416,10 +439,12 @@ def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=N
     """The radial formula on the nodes of backend, built once for g: (nodes, run).
 
     The nodes are the sphere grid of budget for a classical g (its orthant
-    if sign-symmetric, else its half; the rows _symmetry_zero keeps share
-    that symmetry), the lattice grid of (q, budget), already the lattice
-    base, for any other, or the Monte Carlo cone nodes of (budget, seed); P,
-    the monomials of rows at the base, serves every run.  run(c), c the coefficients on the leading rows,
+    if sign-symmetric, else its half, moved into G's isotropic position once
+    per pass, so every trial of a descent reads the same nodes; the rows
+    _symmetry_zero keeps share that symmetry), the lattice grid of (q,
+    budget), already the lattice base, for any other, or the Monte Carlo
+    cone nodes of (budget, seed); P, the monomials of rows at the base,
+    serves every run.  run(c), c the coefficients on the leading rows,
     returns the volume w.h**(-n/d)/n and every row's moment at its run's k,
     in the runs holding a row index of wanted (None: all; the rest unset).
     """
@@ -427,6 +452,8 @@ def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=N
     dirs, w = (_cone_nodes(n, d, budget, seed) if backend != SPHERICAL
                else _sphere_grid(n, budget, g.sign_symmetric) if g.is_classical
                else _lattice_grid(n, g.q, budget))
+    if backend == SPHERICAL and g.is_classical and not g.sign_symmetric:
+        dirs, w = _isotropic_grid(g, dirs, w)
     P = monomials(dirs if backend == SPHERICAL else g.lattice_base(dirs), rows)
     pure = np.count_nonzero(rows, axis=1) == 1
     runs = [(lo, hi, k) for lo, hi, k in _k_runs(rows, n, g.q)

@@ -298,7 +298,20 @@ class TestSolveCommand:
         assert f"must be a {expected}" in captured.err and captured.out == ""
 
     def test_unconverged_exit_code(self, capsys):
-        assert main(["solve", "p1", "--n", "2", "--d", "4", "--max-iters", "1"]) == 4
+        # two iterations do not converge, but the iterate they reach certifies
+        assert main(["solve", "p1", "--n", "3", "--d", "6", "--max-iters", "2"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["converged"] and doc["certificate"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("options,converged", [
+        (["--n", "2", "--d", "4", "--max-iters", "1"], False),
+        (["--n", "4", "--d", "4", "--backend", "mc", "--budget", "2048", "--seed", "0"], True),
+    ], ids=["unconverged", "converged-mc"])
+    def test_failed_certificate_exit_code(self, capsys, options, converged):
+        # a failed certificate exits 5, whether or not the solve converged
+        assert main(["solve", "p1", *options]) == 5
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] == converged and doc["certificate"]["verdict"] == "fail"
 
     def test_grid_backend_is_an_input_error(self, capsys):
         # the grid oracle cross-checks queries; a solve would descend on a

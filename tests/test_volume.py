@@ -27,7 +27,14 @@ from ballrep import (
     volume,
 )
 from ballrep.polynomials import enumerate_indices, monomials, multinomial_coefficient
-from ballrep.volume import _LATTICE_NODES, _ball_moment, _ball_power, _lattice_grid, _sphere_grid
+from ballrep.volume import (
+    _LATTICE_NODES,
+    _ball_moment,
+    _ball_power,
+    _isotropic_grid,
+    _lattice_grid,
+    _sphere_grid,
+)
 from conftest import agree, random_feasible_quartic
 
 DISK4 = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
@@ -604,11 +611,13 @@ def _backend_grid(g, budget):
     A generalized g reads the lattice grid, whose nodes are y = |x|**(1/q)
     on the orthant.  A classical g reads the sphere grid: one orthant when
     every sign flip leaves g unchanged, else the half sphere of azimuth in
-    [0, pi), each node at twice its weight.
+    [0, pi), each node at twice its weight, moved into G's isotropic position.
     """
     if not g.is_classical:
         return _lattice_grid(g.n, g.q, budget)
-    return _sphere_grid(g.n, budget, g.has_even_support())
+    if g.has_even_support():
+        return _sphere_grid(g.n, budget, True)
+    return _isotropic_grid(g, *_sphere_grid(g.n, budget, False))
 
 
 def _lattice_form(g):
@@ -621,7 +630,7 @@ def _per_alpha_moments(g, alphas, budget):
     """{alpha: (value, scale)} by the per-alpha spherical formula.
 
     g and each base power y^alpha are raised term by term with np.prod on the
-    nodes the backend reads (a classical g's half grid joined by its
+    nodes the backend reads (a classical g's moved half grid joined by its
     antipodes, each node then at half its weight, so that an odd integrand
     has the whole sphere's honest value near 0); scale is the same
     quadrature of the integrand's magnitude.  On an orthant grid a classical
@@ -805,7 +814,8 @@ class TestOrthantFold:
     """A sign-symmetric input reads one orthant of the grid, each node weighing its sign orbit.
 
     Every other input is classical, so even under x -> -x, and reads the
-    half grid of azimuth in [0, pi), each node weighing itself and its antipode.
+    half grid of azimuth in [0, pi), each node weighing itself and its
+    antipode, moved into G's isotropic position.
     """
 
     # full counts the nodes of the whole-sphere rule, of which the half grid keeps half
@@ -845,8 +855,10 @@ class TestOrthantFold:
     def test_tables_match_the_full_grid(self, monkeypatch, g):
         assert g.has_even_support()
         orthant = moment_table(g, max_order=g.degree, budget=4096)
-        # unfolded, g reads the half grid, whose antipodes make the full one
+        # unfolded and unmoved, g reads the half grid, whose antipodes make the full one
         monkeypatch.setattr(GeneralizedPolynomial, "sign_symmetric", property(lambda g: False))
+        monkeypatch.setattr(sys.modules["ballrep.volume"], "_isotropic_grid",
+                            lambda g, dirs, w: (dirs, w))
         full = moment_table(g, max_order=g.degree, budget=4096)
         assert orthant.normalization.samples_or_nodes < full.normalization.samples_or_nodes
         assert orthant.entries.keys() == full.entries.keys()
@@ -907,6 +919,26 @@ class TestExactReferences:
         for alpha in alphas:
             i, j = np.repeat(np.arange(n), alpha)
             assert table.value(alpha) == pytest.approx(second[i, j], rel=1e-13, abs=0.0), alpha
+
+    @pytest.mark.parametrize("budget", [2048, 4096, 8192])
+    @pytest.mark.parametrize("n,d", [(2, 4), (2, 6), (3, 4), (3, 6)])
+    def test_elongated_ellipsoid_is_exact(self, n, d, budget):
+        # a rotated ellipsoid of condition 100: on the fixed half grid the
+        # peak of h**(-k/d) falls between nodes (2e-5 off at n = 3, budget
+        # 2048); moved into G's isotropic position the integrand is a
+        # polynomial, which the grid integrates exactly
+        rot, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+        a = rot @ np.diag(np.geomspace(1.0, 100.0, n)) @ rot.T
+        g = _quadratic_power(a, d // 2)
+        alphas = enumerate_indices(n, 2)
+        table = moment_table(g, alphas=alphas, budget=budget)
+        vol = closed_form_ball_volume(n, 2) / math.sqrt(np.linalg.det(a))
+        second = vol * np.linalg.inv(a) / (n + 2)
+        assert table.normalization.samples_or_nodes == len(_sphere_grid(n, budget, False)[0])
+        assert abs(table.normalization.value - vol) <= 1e-12 * vol
+        for alpha in alphas:
+            i, j = np.repeat(np.arange(n), alpha)
+            assert abs(table.value(alpha) - second[i, j]) <= 1e-12 * np.abs(second).max(), alpha
 
     @pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (2, 6), (3, 6)])
     def test_ball_moments_to_order_four(self, n, d):
@@ -1495,7 +1527,9 @@ class TestBallPowerClosedForm:
         monkeypatch.setattr(volume_module, "_radial",
                             lambda *args: ks.append(args[-1]) or radial(*args))
         assert volume(g, budget=budget) == full.normalization
-        assert ks == [[g.n]]  # only the volume's radial factor
+        # only the volume's radial factor, after the second moments that move the
+        # half grid of an input that is not sign-symmetric
+        assert ks == ([] if g.sign_symmetric else [[g.n + 2]]) + [[g.n]]
         monkeypatch.undo()
         for alpha in full.entries:
             assert moment_table(g, [alpha], budget=budget).normalization == full.normalization
