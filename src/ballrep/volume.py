@@ -60,9 +60,9 @@ formula, at any n.
 A slow grid indicator oracle cross-checks volume and moment queries; no
 solve reads it.  All estimates carry a standard error: zero for the
 spherical backend, statistical for Monte Carlo, and a boundary-cell bound
-for the grid.  Infinite volume has one tolerance, _GATE_TOLERANCE: the
-feasibility gate and both radial backends reject a minimum of g over their
-nodes, exact axes included, at or below it.
+for the grid.  Infinite volume has one rule: the feasibility gate and both
+radial backends reject a minimum of g over their nodes, exact axes
+included, at or below _GATE_TOLERANCE max |c_alpha|, which scales with g.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ _LATTICE_NODES = 64  # most Gauss-Legendre nodes per angle of a lattice grid (64
 _GATE_BUDGET = 2048  # sphere grid (n <= 3) or cone nodes (n >= 4) the gate scans
 _GATE_RESTARTS = 8  # best scan nodes zoomed besides the axes and the diagonal
 _GATE_ZOOM_DIMS = 3  # most chart axes one gate zoom level spans
-_GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this counts as infinite volume
+_GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this times max |c_alpha| is infinite volume
 _HANKEL_SIGMAS = 3.0  # standard errors the Hankel diagonal bound allows
 
 
@@ -394,13 +394,13 @@ def _radial(c, P, pure, n: int, d: float, ks):
 
     h = c @ P[:len(c)] is g at the nodes, for the monomial coefficients c on
     P's leading rows; where h or an exact axis value (pure marks P's
-    pure-power rows) is <= _GATE_TOLERANCE, it raises InfiniteVolumeError.
-    A node of weight w adds w h**(-k/d) / k times its monomial to every
-    moment of k = n + |alpha|, the volume's k being n.
+    pure-power rows) is <= _GATE_TOLERANCE max |c|, it raises
+    InfiniteVolumeError.  A node of weight w adds w h**(-k/d) / k times its
+    monomial to every moment of k = n + |alpha|, the volume's k being n.
     """
     h = c @ P[: len(c)]
     hmin = min(float(h.min()), _axis_minimum(c, pure[: len(c)], n))
-    if hmin <= _GATE_TOLERANCE:
+    if hmin <= _GATE_TOLERANCE * float(np.abs(c).max(initial=0.0)):
         raise InfiniteVolumeError(
             f"sublevel set has infinite volume (sphere minimum {hmin:.6g})",
             sphere_minimum=hmin,
@@ -573,9 +573,9 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     results only at round-off, through the summation order; the sums are
     centred at the first block's means, so the variance does not cancel away
     (on B_d, where h = 1 at every node, it is round-off).
-    A node where g is <= _GATE_TOLERANCE counts as infinite volume, as in
-    the spherical pass, and raises.  The ESS is that of the volume's
-    weights h**(-n/d); below 1% of the budget it warns.
+    A node where g is <= _GATE_TOLERANCE max |c_alpha| counts as infinite
+    volume, as in the spherical pass, and raises.  The ESS is that of the
+    volume's weights h**(-n/d); below 1% of the budget it warns.
     """
     n, d = g.n, g.degree_float
     rows, live_rows = _kernel_rows(g, live)
@@ -869,18 +869,20 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
     count, so a strictly negative minimum proves infinite volume (g < 0 on
     an open cone).  finite_volume = True only means no negative direction
     was found; a minimum at zero is infeasible, the set being unbounded
-    along it.  A scaled ball power c (sum_i |x_i|**e)**m (_ball_power) skips
+    along it, and so is one <= _GATE_TOLERANCE max |c_alpha|, which scales
+    with g.  A scaled ball power c (sum_i |x_i|**e)**m (_ball_power) skips
     the search: its minimum is c n**((1 - e/2) m) for e >= 2 (the diagonal)
     and c for e <= 2 (the axes), exactly, and finite_volume = True a proof.
     """
     n, seed = g.n, _check_integer(seed, "seed", 0)
+    tol = _GATE_TOLERANCE * float(np.abs(g._coeffs).max(initial=0.0))
     smin = _axis_minimum(g._coeffs, np.count_nonzero(g._exponents, axis=1) == 1, n)
     if n == 1:
-        return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
+        return FeasibilityVerdict(smin > tol, smin)
     if ball := _ball_power(g):
         c, e = ball
         smin = c * (n ** (1.0 - e / 2) if e >= 2 else 1.0) ** int(g.degree / e)
-        return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
+        return FeasibilityVerdict(smin > tol, smin)
     if n <= 3:
         nodes = _sphere_grid(n, _GATE_BUDGET, g.sign_symmetric)[0]
     else:
@@ -906,7 +908,7 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
         smin = min(smin, float(values.min()))
         best = trial[rows, values.argmin(axis=1)]
         r /= 2.0 ** (k / (n - 1))
-    return FeasibilityVerdict(smin > _GATE_TOLERANCE, smin)
+    return FeasibilityVerdict(smin > tol, smin)
 
 
 def _finite_or_raise(verdict: FeasibilityVerdict, what: str) -> float:

@@ -17,6 +17,7 @@ from ballrep import (
     GeneralizedPolynomial,
     SolveResult,
     VolumeEstimate,
+    closed_form_ball_volume,
     ld_polynomial,
     minimal_trace_axis_gram,
     region_hash,
@@ -63,6 +64,16 @@ class TestVolumeCommand:
         assert "infinite volume" in err
         assert "sphere minimum" in err
         assert "-0.025" in err
+
+    def test_a_small_scaled_ball_is_finite(self, tmp_path, capsys):
+        # sum x_i**4 / 1e10 has sphere minimum 5e-11, below the old absolute
+        # tolerance 1e-9; the tolerance scales with the coefficients, so the
+        # volume is that of B_4 times 1e5, as homogeneity says
+        path = tmp_path / "small-ball.json"
+        path.write_text(serialize_polynomial(ld_polynomial(2, 4).rescale(1e-10)))
+        assert main(["volume", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == pytest.approx(1e5 * closed_form_ball_volume(2, 4), rel=1e-12)
 
     @pytest.mark.parametrize("backend", ["spherical", "mc", "grid"])
     @pytest.mark.parametrize("budget", ["0", "-5"])

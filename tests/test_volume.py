@@ -1533,3 +1533,66 @@ class TestBallPowerClosedForm:
         monkeypatch.undo()
         for alpha in full.entries:
             assert moment_table(g, [alpha], budget=budget).normalization == full.normalization
+
+
+def _benchmark_like_form(n, d, seed, shift):
+    """(sum x_i**2)**(d/2) plus 0.5 N(0, 1) on every term, moved along the
+    first to a sphere minimum of about shift, as the benchmark's gate inputs."""
+    sphere = _sphere_power(n, d)
+    noise = _random_form(n, d, np.random.default_rng([seed, n, d]))
+    terms = {a: sphere.get(a, 0.0) + 0.5 * c for a, c in noise.terms.items()}
+    low = _brute_minimum(GeneralizedPolynomial(n, d, 1, terms), 100_000)
+    for a, c in sphere.items():
+        terms[a] += (shift - low) * c
+    return GeneralizedPolynomial(n, d, 1, terms)
+
+
+SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
+
+
+class TestScaleFreeTolerance:
+    """{k g <= 1} is k**(-1/d) {g <= 1}: a verdict or a relative volume must not depend on k."""
+
+    @pytest.mark.parametrize("g", [
+        FIG1_QUARTIC,
+        NEAR_BOUNDARY,
+        GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -2.1}),
+        GeneralizedPolynomial(2, 4, 1, {(4, 0): 2.0}),
+        GeneralizedPolynomial(3, 4, 1, {(4, 0, 0): 1.0, (2, 2, 0): 2.0, (0, 4, 0): 1.0}),
+        GeneralizedPolynomial(3, Fraction(1, 2), 4, {(2, 0, 0): 1.0}),
+        GeneralizedPolynomial(2, 2, 1, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}),
+        ld_polynomial(3, Fraction(1, 2), q=4),
+        ld_polynomial(4, 4),
+        _hidden_direction_form(6, 0.98),
+        _hidden_direction_form(6, 1.02),
+        _benchmark_like_form(2, 4, 0, 0.02),
+        _benchmark_like_form(2, 6, 1, -0.02),
+        _benchmark_like_form(3, 4, 2, 0.02),
+        _benchmark_like_form(3, 6, 3, -0.02),
+    ], ids=lambda g: f"n{g.n}-d{g.degree}-terms{len(g.terms)}")
+    def test_gate_verdict(self, g):
+        verdict = finite_volume_test(g, seed=3)
+        for k in SCALES:
+            assert finite_volume_test(g.rescale(k), seed=3).finite_volume == verdict.finite_volume, k
+
+    @pytest.mark.parametrize("g", [
+        ld_polynomial(2, 4), ld_polynomial(3, 6), ld_polynomial(3, Fraction(1, 2), q=4),
+        ld_polynomial(2, Fraction(3, 2), q=2),
+        _benchmark_like_form(2, 4, 4, 0.02), _benchmark_like_form(3, 4, 5, 0.02),
+        _benchmark_like_form(3, 6, 6, 0.02),
+    ], ids=lambda g: f"n{g.n}-d{g.degree}-terms{len(g.terms)}")
+    def test_relative_volume(self, g):
+        # both radial backends, on the nodes of an explicit budget
+        for backend, budget in (("spherical", 4096), ("monte_carlo", 5000)):
+            base = volume(g, backend=backend, budget=budget).value
+            for k in SCALES:
+                got = volume(g.rescale(k), backend=backend, budget=budget).value
+                assert got * k ** (g.n / g.degree_float) == pytest.approx(base, rel=1e-12), k
+
+    def test_small_scaled_ball(self):
+        # sphere minimum 5e-11, which the old absolute tolerance 1e-9 called infinite
+        g = ld_polynomial(2, 4).rescale(1e-10)
+        verdict = finite_volume_test(g)
+        assert verdict.finite_volume and verdict.sphere_minimum == pytest.approx(5e-11, rel=1e-14)
+        assert volume(g, budget=8192).value == pytest.approx(1e5 * closed_form_ball_volume(2, 4),
+                                                             rel=1e-12)
