@@ -477,6 +477,20 @@ def _hankel_layout(n: int, half_degree: int):
     return basis, tuple(gammas), index
 
 
+@functools.lru_cache(maxsize=64)
+def _permutation_orbits(n: int, total: int, width: int = 1):
+    """Orbit number of each width-tuple of enumerate_indices(n, total), in row-major order,
+    under the permutations of the coordinates (width 1 a slice's exponents, width 2 the
+    entries of a Gram matrix on that basis), and the index of each orbit's first member."""
+    where: dict = {}
+    groups = itertools.product(enumerate_indices(n, total), repeat=width)
+    orbit = np.array([where.setdefault(tuple(sorted(zip(*g))), len(where)) for g in groups])
+    first = np.unique(orbit, return_index=True)[1]
+    for arr in (orbit, first):
+        arr.setflags(write=False)
+    return orbit, first
+
+
 def norms(obj: GeneralizedPolynomial | GramForm) -> NormReport:
     """NormReport of a polynomial or a Gram form (see NormReport docs)."""
     if isinstance(obj, GramForm):

@@ -36,7 +36,11 @@ Moments that vanish by symmetry at the start are exact zeros, and every
 projection keeps the coordinates that feed only those at 0.  So a Monte
 Carlo solve minimizes one sample-average volume, deterministic given its
 seed, and every trial of its line search reads the same nodes; the grid
-oracle is a query cross-check, no solve backend.
+oracle is a query cross-check, no solve backend.  The problems and their
+unique optima are invariant under permuting the coordinates, the nodes are
+not: from a start every permutation keeps (as every default one), m becomes
+its orbit means, the moments of the permutation-averaged rule, whose volume
+on an invariant iterate is the rule's own.
 The objective is the problem's norm of the normalized solver coordinates,
 as in the trace.
 Default starts are feasible by construction, so no default solve calls the
@@ -63,6 +67,7 @@ from .polynomials import (
     _check_rational,
     _flip_invariant,
     _hankel_layout,
+    _permutation_orbits,
     _slice_weights,
     coefficient_vector,
     enumerate_indices,
@@ -109,7 +114,8 @@ class SolveConfig:
     |T(u) - u|_inf <= 1e-14 (1 + |u|_inf).  backend is spherical or
     monte_carlo; the descent's pass, built once per solve, reads the nodes
     a query of the start reads at descent_budget (a classical start's sphere
-    grid, a generalized one's lattice grid, or the cone nodes of seed);
+    grid, a generalized one's lattice grid, or the cone nodes of seed),
+    averaged over the coordinate permutations from an invariant start;
     one pass at 4 * descent_budget gives the final rescaling and the
     certificate's moments, checked at cert_tol.  descent_budget is budget,
     or for None DEFAULT_BUDGETS[backend] // 4 (2048 spherical, 50000 Monte
@@ -290,13 +296,15 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     trial runs the one _descent_pass of the start as given (default_start,
     or the caller's start before projection), and projection(x) becomes
     keep * projection(x), keep = pullback(live) != 0 marking the coordinates
-    that feed a live coefficient.  A given start is projected so and must
-    pass the feasibility gate; the array default_start is feasible by
-    construction.  Every solve ends alike: one moment_table pass at the
-    certificate budget on solution = make(x), one factor k (scale(solution),
-    or else the scale to vol(B_d) from the pass), then solution.rescale(k)
-    and the pass's moments mapped to its ball.  The objective, like each
-    trace entry, is norm of the normalized coordinates.
+    that feed a live coefficient.  From a start that every coordinate
+    permutation keeps (each entry equal to its orbit's first; p3: Q, rows and
+    columns together), a trial's moments are their orbit means.  A given
+    start is projected so and must pass the feasibility gate; the array
+    default_start is feasible by construction.  Every solve ends alike: one
+    moment_table pass at the certificate budget on solution = make(x), one
+    factor k (scale(solution), or else the scale to vol(B_d) from the pass),
+    then solution.rescale(k) and the pass's moments mapped to its ball.  The
+    objective, like each trace entry, is norm of the normalized coordinates.
     """
     def polynomial(obj):
         return obj.expand() if isinstance(obj, GramForm) else obj
@@ -305,10 +313,14 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         _check_candidate(problem, start)
         if (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
             raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
-    # the start as given decides the fold: a projection's round-off may break its symmetry
+    # the start as given decides the fold and the orbit means: a projection may round
     basis = np.array(enumerate_indices(n, int(d * q)), dtype=np.intp)
     given = polynomial(make(default_start) if start is None else start)
     live, run = _descent_pass(given, basis, cfg.backend, cfg.descent_budget, cfg.seed)
+    x_given = np.asarray(default_start if start is None else coords(start))
+    at, first = _permutation_orbits(n, int(d * q) // x_given.ndim, x_given.ndim)
+    symmetric = (x_given.ravel() == x_given.flat[first][at]).all()
+    orbit, _ = _permutation_orbits(n, int(d * q))
     keep = pullback(live) != 0  # the coordinates that feed a live coefficient; the rest stay 0
 
     def project(x):
@@ -328,6 +340,8 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
             return None
         m = np.zeros(len(live))
         m[live] = moments
+        if symmetric:  # the moments of the permutation-averaged rule
+            m = (np.bincount(orbit, m) / np.bincount(orbit))[orbit]
         return vol, pullback(factor * m)
 
     def report(x, vol):

@@ -309,17 +309,27 @@ class TestSolveCommand:
         assert f"must be a {expected}" in captured.err and captured.out == ""
 
     def test_unconverged_exit_code(self, capsys):
-        # two iterations do not converge, but the iterate they reach certifies
-        assert main(["solve", "p1", "--n", "3", "--d", "6", "--max-iters", "2"]) == 4
+        # two iterations do not converge (p3 (3, 6) takes six trace entries),
+        # but the iterate they reach certifies; p1 (3, 6) now converges at
+        # its first iteration
+        assert main(["solve", "p3", "--n", "3", "--d", "6", "--max-iters", "2"]) == 4
         doc = json.loads(capsys.readouterr().out)
         assert not doc["converged"] and doc["certificate"]["verdict"] == "pass"
 
     @pytest.mark.parametrize("options,converged", [
         (["--n", "2", "--d", "4", "--max-iters", "1"], False),
-        (["--n", "4", "--d", "4", "--backend", "mc", "--budget", "2048", "--seed", "0"], True),
+        # from the default start, invariant under permutations, the descent
+        # reads orbit-averaged moments and certifies; from this start it reads
+        # the raw cone nodes of seed 0, as every descent did before
+        (["--n", "4", "--d", "4", "--backend", "mc", "--budget", "2048", "--seed", "0",
+          "--start", "AXIS"], True),
     ], ids=["unconverged", "converged-mc"])
-    def test_failed_certificate_exit_code(self, capsys, options, converged):
+    def test_failed_certificate_exit_code(self, tmp_path, capsys, options, converged):
         # a failed certificate exits 5, whether or not the solve converged
+        axis = tmp_path / "axis.json"  # x1**4 + x2**4 + x3**4 + 1.01 x4**4
+        terms = {(4, 0, 0, 0): 1.0, (0, 4, 0, 0): 1.0, (0, 0, 4, 0): 1.0, (0, 0, 0, 4): 1.01}
+        axis.write_text(serialize_polynomial(GeneralizedPolynomial(4, 4, 1, terms)))
+        options = [str(axis) if option == "AXIS" else option for option in options]
         assert main(["solve", "p1", *options]) == 5
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] == converged and doc["certificate"]["verdict"] == "fail"

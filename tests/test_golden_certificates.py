@@ -95,7 +95,12 @@ class TestGoldenCertificates:
     1.4e-15 -> 5.7e-16, a round-off change.  When generalized inputs moved
     onto the lattice grid, the p1q solution reached B_{1/2} and its entry
     was re-recorded: the verdict went fail -> pass, support stationarity
-    0.0272 -> 1.2e-9 and complementary slackness 0.0282 -> 0.
+    0.0272 -> 1.2e-9 and complementary slackness 0.0282 -> 0.  When a
+    descent from a permutation-invariant start began to read orbit-averaged
+    moments, the p1q solution's three coefficients became equal and its
+    entry was re-recorded: dominance and support stationarity 1.2e-9 ->
+    2.2e-16, theta 5.625000004651 -> 5.625000000000009, and the duals of
+    the three axes (and of the three cross terms) now agree to round-off.
     """
 
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -379,10 +380,12 @@ def _euclidean_power(n, d):
 
 class TestSolveP2:
     def test_lattice_start_converges_and_certifies(self):
-        # q > 1 has no closed-form optimum: the iteration starts at the projected B_d
+        # q > 1 has no closed-form optimum: the iteration starts at the projected
+        # B_d; that start is permutation-invariant, so the trials read orbit
+        # means of the moments, and the iteration takes 7 entries (8 on the raw rule)
         res = solve_p2(2, Fraction(3, 2), q=2)
         assert res.converged
-        assert len(res.iterations) == 8
+        assert len(res.iterations) == 7
         assert res.certificate.passed
         assert res.certificate.residuals["max_coefficient"] <= 1e-12
 
@@ -820,15 +823,32 @@ def _reference_oracle(problem, n, d, q):
     return lambda x: from_coefficient_vector(n, d, q, basis, x, MONOMIAL), lambda grad: grad
 
 
-def _reference_trial(problem, n, d, q, x, budget):
-    """(volume, gradient in x) from volume and grad_volume, None if infinite."""
+def _permutation_mean(values, basis):
+    """The mean over every coordinate permutation sigma of values[sigma a, sigma b, ...],
+    values being indexed by basis along each of its axes."""
+    where = {a: i for i, a in enumerate(basis)}
+    perms = [[where[tuple(a[i] for i in sigma)] for a in basis]
+             for sigma in itertools.permutations(range(len(basis[0])))]
+    return np.mean([values[np.ix_(*[p] * values.ndim)] for p in perms], axis=0)
+
+
+def _reference_trial(problem, n, d, q, x, budget, averaged=False):
+    """(volume, gradient in x) from volume and grad_volume, None if infinite.
+
+    averaged: the gradient in the monomial coefficients is first averaged
+    over every permutation of the coordinates, the gradient of the
+    permutation-averaged rule at an invariant x.
+    """
     make, pullback = _reference_oracle(problem, n, d, q)
     poly = make(x)
     try:
         vol, grad = volume(poly, budget=budget).value, grad_volume(poly, budget=budget)
     except InfiniteVolumeError:
         return None
-    return vol, pullback(np.array(list(grad.values())))
+    grad = np.array(list(grad.values()))
+    if averaged:
+        grad = _permutation_mean(grad, enumerate_indices(n, int(Fraction(d) * q)))
+    return vol, pullback(grad)
 
 
 DESIGN_CASES = [("p1", 2, 4, 1), ("p1", 3, 4, 1), ("p1", 3, 6, 1),
@@ -845,10 +865,10 @@ class TestSphereDesign:
         solver = solve_p1 if problem == "p1" else solve_p2
         return _captured_oracle(monkeypatch, lambda: solver(n, d, q=q, config=cfg))
 
-    @pytest.mark.parametrize("problem,n,d,q", DESIGN_CASES, ids=lambda v: str(v))
-    def test_matches_moment_table_path(self, monkeypatch, problem, n, d, q):
-        cfg = SolveConfig(seed=5)
-        x0, evaluate, project = self._oracle(monkeypatch, problem, n, d, q, cfg)
+    @staticmethod
+    def _check_trials(oracle, problem, n, d, q, budget, averaged):
+        """Four noisy points near the start: evaluate against _reference_trial, to 1e-13."""
+        x0, evaluate, project = oracle
         rng = np.random.default_rng(2024)
         # a descent from a sign-symmetric start reads only the even rows, and
         # its iterates keep the odd coordinates at 0, so the noise does too
@@ -859,12 +879,43 @@ class TestSphereDesign:
             noise = rng.uniform(-0.1, 0.1, size=x0.shape)
             if problem != "p3":
                 noise[odd] = 0.0
-            x = project(x0 + (noise + noise.T if problem == "p3" else noise))
-            want = _reference_trial(problem, n, d, q, x, cfg.descent_budget)
+            noise = noise + noise.T if problem == "p3" else noise
+            if averaged:  # the iterates of an invariant start stay invariant, so the noise does too
+                half = enumerate_indices(n, int(Fraction(d) * q) // x0.ndim)
+                noise = _permutation_mean(noise, half)
+            x = project(x0 + noise)
+            want = _reference_trial(problem, n, d, q, x, budget, averaged)
             got = evaluate(x)
             assert want is not None and got is not None
             assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
             assert np.abs(got[1] - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
+
+    @pytest.mark.parametrize("problem,n,d,q", DESIGN_CASES, ids=lambda v: str(v))
+    def test_matches_moment_table_path(self, monkeypatch, problem, n, d, q):
+        # every default start is invariant under the coordinate permutations,
+        # so its trials read the moments averaged over their permutation orbits
+        cfg = SolveConfig(seed=5)
+        oracle = self._oracle(monkeypatch, problem, n, d, q, cfg)
+        self._check_trials(oracle, problem, n, d, q, cfg.descent_budget, averaged=True)
+
+    @pytest.mark.parametrize("problem,start,averaged", [
+        ("p1", GeneralizedPolynomial(3, 6, 1, {(6, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 6): 1.01}),
+         False),
+        # I plus 0.05 where a + b is even: invariant, and sign-symmetric like
+        # the default start, so the pass and the reference read one fold
+        ("p3", GramForm(3, 6, np.eye(10) + 0.05 * np.array(
+            [[not np.any(np.add(a, b) % 2) for b in enumerate_indices(3, 3)]
+             for a in enumerate_indices(3, 3)])), True),
+        ("p3", GramForm(3, 6, np.diag([1.0] * 9 + [1.1])), False),
+    ], ids=["p1-axis-asymmetric", "p3-invariant", "p3-diagonal-asymmetric"])
+    def test_given_start_decides_the_rule(self, monkeypatch, problem, start, averaged):
+        # a given start reads orbit means only if every permutation of the
+        # coordinates keeps it (p3: its Gram matrix, rows and columns together);
+        # otherwise its trials read the moments of the rule as they are
+        cfg = SolveConfig(seed=5)
+        solve = solve_p3 if problem == "p3" else solve_p1
+        oracle = _captured_oracle(monkeypatch, lambda: solve(3, 6, start=start, config=cfg))
+        self._check_trials(oracle, problem, 3, 6, 1, cfg.descent_budget, averaged)
 
     @pytest.mark.parametrize("problem,n,d,q,x", [
         # the cone-boundary start 2 * x1**4: h vanishes at the x2 axis
@@ -915,6 +966,56 @@ def test_pullback_is_the_adjoint_of_coefficients(monkeypatch, problem, n, d, q):
         assert left == pytest.approx(right, rel=1e-13, abs=1e-13)
 
 
+PAPER_CASES = [("p1", 2, 4, 1), ("p1", 3, 4, 1), ("p1", 3, 6, 1), ("p2", 2, 4, 1), ("p2", 3, 4, 1),
+               ("p2", 3, 6, 1), ("p3", 2, 4, 1), ("p3", 3, 4, 1), ("p3", 3, 6, 1),
+               ("p1", 3, Fraction(1, 2), 4)]
+
+
+class TestSymmetricDescent:
+    """A start that every coordinate permutation keeps descends on the permutation-averaged rule."""
+
+    @pytest.mark.parametrize("problem,n,d,q", PAPER_CASES, ids=lambda v: str(v))
+    def test_paper_cases_certify_to_round_off(self, problem, n, d, q):
+        res = solve_p3(n, d) if problem == "p3" else (solve_p1 if problem == "p1" else solve_p2)(
+            n, d, q=q)
+        assert res.converged and res.certificate.passed
+        assert max(res.certificate.residuals.values()) <= 1e-12
+
+    @pytest.mark.parametrize("n,d,q,entries", [
+        (3, 4, 1, 2), (3, 6, 1, 2), (3, Fraction(1, 2), 4, 4),
+    ], ids=lambda v: str(v))
+    def test_p1_coefficients_are_equal_within_each_orbit(self, n, d, q, entries):
+        res = solve_p1(n, d, q=q)
+        basis = enumerate_indices(n, int(Fraction(d) * q))
+        coeffs = np.array([res.solution.terms.get(a, 0.0) for a in basis])
+        where = {a: i for i, a in enumerate(basis)}
+        for sigma in itertools.permutations(range(n)):
+            permuted = [where[tuple(a[i] for i in sigma)] for a in basis]
+            assert np.array_equal(coeffs, coeffs[permuted])
+        # the optimum, the n axis powers; at q = 1 one descent step reaches it
+        assert np.count_nonzero(coeffs) == n
+        assert len(res.iterations) == entries
+
+    def test_asymmetric_start_keeps_the_raw_rule(self):
+        # x1**6 + x2**6 + 1.01 x3**6 is changed by a permutation, so its
+        # descent reads the moments of the rule as they are; this is the solve
+        # recorded before the orbit means were introduced, float for float
+        start = GeneralizedPolynomial(3, 6, 1, {(6, 0, 0): 1.0, (0, 6, 0): 1.0, (0, 0, 6): 1.01})
+        res = solve_p1(3, 6, start=start)
+        nonzero = {a: c for a, c in res.solution.terms.items() if c != 0.0}
+        assert nonzero == {(6, 0, 0): float.fromhex("0x1.000000854c46dp+0"),
+                           (0, 6, 0): float.fromhex("0x1.000000854c46dp+0"),
+                           (0, 0, 6): float.fromhex("0x1.fffffdeacee6fp-1")}
+        assert res.objective == float.fromhex("0x1.8000000000009p+1")
+        assert res.volume == float.fromhex("0x1.cd4a754ccb1fep+2")
+        assert res.iterations == [(float.fromhex(a), float.fromhex(b)) for a, b in [
+            ("0x1.8001170bb6358p+1", "0x1.cd4b1ce7c2215p+2"),
+            ("0x1.80000aed5f2b4p+1", "0x1.cd4a7bdd01140p+2"),
+            ("0x1.80000008fda77p+1", "0x1.cd4a755231968p+2"),
+            ("0x1.80000008f5d4cp+1", "0x1.cd4a75522ce3bp+2"),
+        ]]
+
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_solves.json").read_text())
 
 
@@ -952,7 +1053,19 @@ class TestGoldenSolves:
     spherical passes of generalized inputs moved onto the lattice grid
     (Gauss-Legendre in y = |x|**(1/q) on the orthant), p1q was re-recorded
     at both seeds: it now reaches B_{1/2} (objective 3.0155284454 ->
-    2.9999999999999996, 9 -> 5 entries) and its certificate passes.
+    2.9999999999999996, 9 -> 5 entries) and its certificate passes.  When a
+    descent from a permutation-invariant start began to read the orbit
+    means of its moments (the permutation-averaged rule), the entries
+    whose start is invariant and whose rule is not were re-recorded, at
+    both seeds.  p1(3,4): 4 -> 2 entries, coefficients moved by at most
+    3.5e-12, objective unchanged.  p1(3,6): 4 -> 2 entries, the three axis
+    coefficients 1 + 3.2e-8, 1 + 3.2e-8, 1 - 6.5e-8 -> three equal
+    1 + 4.4e-16 (largest move 6.5e-8), objective 3.000000000000012 ->
+    3.0000000000000013.  p3(3,6): still 6 entries, Q moved by at most
+    2.6e-11 relative, objective 2.3440363700300164 -> 2.3440363700300146.
+    p1q: 5 -> 4 entries, coefficients moved by at most 8.3e-10, objective
+    unchanged.  The other twelve entries were kept: each solve is still
+    within 9.1e-15 relative of its record, at the same trace length.
     """
 
     @pytest.mark.parametrize(
