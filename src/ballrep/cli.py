@@ -152,11 +152,9 @@ def cmd_solve(args) -> int:
     elif args.problem == "p2":
         result = solve_p2(args.n, d, q=args.q, start=start, config=config)
     else:
-        if d.denominator != 1:
-            raise SchemaError("d", "the Gram trace problem needs an integer degree")
         if args.q != 1:
             raise SchemaError("q", "the Gram trace problem has no lattice denominator q > 1")
-        result = solve_p3(args.n, int(d), start=start, config=config)
+        result = solve_p3(args.n, d, start=start, config=config)
     to_dict = gram_to_dict if isinstance(result.solution, GramForm) else polynomial_to_dict
     _emit_json(_document(replace(result, solution=to_dict(result.solution))), args.out)
     if not result.certificate.passed:  # a failed certificate outranks convergence
@@ -192,8 +190,7 @@ def cmd_ball_table(args) -> int:
 def cmd_boundary(args) -> int:
     g = _read(args.poly, parse_polynomial)
     if g.n != 2:
-        print("boundary sampling is only defined for n = 2", file=sys.stderr)
-        return EXIT_INPUT
+        raise SchemaError("n", f"boundary sampling is only defined for n = 2, got {g.n}")
     count = args.count
     if count < 1:
         raise SchemaError("count", f"must be >= 1, got {count}")

@@ -38,9 +38,10 @@ of at most _BLOCK points (the grid's blocks are whole slices, at least one),
 which bounds the memory of a block's samples and kernel output, and their
 random streams do not depend on the block.  Monte Carlo nodes come in
 batches of _MC_BATCH, each from its own stream; a query takes its blocks
-in order as the batches arrive, while a worker thread draws the next
-_DRAW_AHEAD batches (_cone_batches); that saves time only where the
-process has a CPU to spare for the thread.  Its answers do not depend on
+in order as the batches arrive, while a worker thread of its own, joined
+before it returns or raises, draws the next _DRAW_AHEAD batches
+(_cone_batches); that saves time only where the process has a CPU to
+spare for the thread.  Its answers do not depend on
 where a batch was drawn, its nodes in memory are those of the batches in
 flight, and an infeasible input raises at its first bad block, before the
 later batches are drawn.  The kernel keeps its own working set small,
@@ -71,7 +72,6 @@ import collections
 import contextlib
 import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -510,41 +510,29 @@ def _cone_batches(n: int, d: float, budget: int, seed: int):
     """The batches of _cone_nodes(n, d, budget, seed), in order.
 
     Batch 0 is drawn inline; while the caller holds batch b, batches b + 1
-    to b + _DRAW_AHEAD are drawn on the process's draw thread (_draw_pool),
-    and the draws still pending when the caller stops early are cancelled.
-    Every batch has its own stream, so where it is drawn does not show in
-    its nodes.
+    to b + _DRAW_AHEAD are drawn on a worker thread that a draw of more than
+    one batch starts for itself.  However the draw ends (its last batch, an
+    error, or the caller closing it early), the pending draws are cancelled
+    and the thread is joined, so none outlives the draw.  Every batch has
+    its own stream, so where it is drawn does not show in its nodes.
     """
     count = -(-budget // _MC_BATCH)
+    if count == 1:
+        yield _cone_batch(n, d, budget, seed, 0)
+        return
+    # only a multi-batch draw needs the thread; the import costs about 8 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1, thread_name_prefix="ballrep-draw")
     ahead = collections.deque()  # futures of batches b + 1, b + 2, ...
     try:
         for b in range(count):
             mine = ahead.popleft() if ahead else None
             while len(ahead) < _DRAW_AHEAD and b + 1 + len(ahead) < count:
-                later = b + 1 + len(ahead)
-                ahead.append(_draw_pool(os.getpid()).submit(_cone_batch, n, d, budget, seed, later))
+                ahead.append(pool.submit(_cone_batch, n, d, budget, seed, b + 1 + len(ahead)))
             yield _cone_batch(n, d, budget, seed, b) if mine is None else mine.result()
     finally:
-        for future in ahead:
-            future.cancel()
-
-
-@functools.lru_cache(maxsize=None)
-def _draw_pool(pid: int):
-    """The worker thread that draws Monte Carlo batches ahead in process pid.
-
-    Keyed by os.getpid(), as a forked child has none of its parent's threads.
-    It is made at the first multi-batch draw and lives as long as the
-    process, idle between queries; so a process forked after that runs with
-    a thread alive, which Python 3.12+ reports as a DeprecationWarning
-    ("This process ... is multi-threaded, use of fork() may lead to
-    deadlocks"), an error under -W error.  The child itself draws on a
-    thread of its own.
-    """
-    # only a multi-batch draw needs it; it costs about 8 ms at import
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(1, thread_name_prefix="ballrep-draw")
+        pool.shutdown(cancel_futures=True)
 
 
 def _cone_nodes(n: int, d: float, budget: int, seed: int):
@@ -760,6 +748,9 @@ def moment_table(
     of g's own coefficients).  With max_order it covers every lattice
     multi-index of total degree <= max_order, including the all-zeros
     volume row.  alphas and max_order are exclusive.
+    A moment's last bits depend on which requested rows share its k run
+    (_radial_pass sums a run in one matrix-vector product), so tables of
+    different alpha lists agree to round-off, not bit for bit.
     """
     if alphas is not None and max_order is not None:
         raise ValueError("give alphas or max_order, not both")

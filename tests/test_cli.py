@@ -389,7 +389,7 @@ class TestCertifyCommand:
     (["volume", "MISSING"], "file: "),
     (["ball-table", "--n-range", "2-3", "--d-list", "2"], "n-range: expected LO:HI, got '2-3'"),
     (["solve", "p3", "--n", "2", "--d", "1/2"],
-     "d: the Gram trace problem needs an integer degree"),
+     "error: the Gram trace problem needs an even degree, an even integer >= 2, got 1/2"),
 ], ids=["non-rational-d", "unreadable-file", "n-range-dash", "p3-fractional-d"])
 def test_input_error_exit_code(tmp_path, capsys, argv, message):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
@@ -433,6 +433,9 @@ class TestBoundaryCommand:
         path = tmp_path / "ball3.json"
         path.write_text(serialize_polynomial(ld_polynomial(3, 2)))
         assert main(["boundary", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n: boundary sampling is only defined for n = 2, got 3\n"
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_non_positive_count_is_an_input_error(self, disk_file, capsys, count):

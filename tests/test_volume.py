@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import re
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,9 @@ class TestSphericalBackend:
         ellipsoid = GeneralizedPolynomial(4, 2, 1, {**ld_polynomial(4, 2).terms, (0, 0, 0, 2): 2.0})
         with pytest.raises(ValueError, match="n in"):
             volume(ellipsoid, backend="spherical")
+        # a generalized input reads the lattice rule, which has no n = 4 either
+        with pytest.raises(ValueError, match=r"spherical backend supports n in \{2, 3\}, got 4"):
+            volume(ld_polynomial(4, Fraction(1, 2), q=4), budget=4096)
 
     def test_zero_sphere_minimum_raises(self):
         # 2 x1**4 vanishes on the x2 axis, where the sublevel set is unbounded
@@ -221,15 +225,17 @@ class TestMomentTable:
         top = [a for a in table.entries if sum(a) == 4]
         assert len(top) == 5
 
-    @pytest.mark.parametrize("alpha", [(1, 1, 2), (2, 0, 0), (-2, 4), (1.5, 0.5), (True, 3)],
-                             ids=["too-long", "too-long-even", "negative", "fractional", "bool"])
+    @pytest.mark.parametrize("alpha", [(1, 1, 2), (2, 0, 0), (-2, 4), (1.5, 0.5), (True, 3), 3],
+                             ids=["too-long", "too-long-even", "negative", "fractional", "bool",
+                                  "no-sequence"])
     def test_malformed_alpha_rejected(self, alpha):
         # a 3-tuple read as a symmetry zero or broke the kernel's shapes, a
         # negative exponent wrapped the power table, a fractional one gave
         # zeros, a bool counted as 1
-        with pytest.raises(ValueError, match=re.escape(f"got {alpha!r}")):
+        message = re.escape(f"alpha must be 2 non-negative exponent numerators, got {alpha!r}")
+        with pytest.raises(ValueError, match=message):
             moment(DISK4, alpha)
-        with pytest.raises(ValueError, match=re.escape(f"got {alpha!r}")):
+        with pytest.raises(ValueError, match=message):
             moment_table(DISK4, alphas=[(4, 0), alpha])
 
     def test_alphas_and_max_order_are_exclusive(self):
@@ -1325,6 +1331,11 @@ def _serial_cone_nodes(n, d, budget, seed):
     return dirs
 
 
+def _draw_threads():
+    """The live threads that draw Monte Carlo batches ahead."""
+    return [t for t in threading.enumerate() if t.name.startswith("ballrep-draw")]
+
+
 def _child_table(conn, budget):
     conn.send(moment_table(ODD_QUARTIC, max_order=2, backend="monte_carlo", budget=budget, seed=2))
     conn.close()
@@ -1386,14 +1397,31 @@ class TestDrawAhead:
 
         monkeypatch.setattr(volume_module, "_cone_batch", counted)
         assert run() == reference
+        assert not _draw_threads()
         assert reference[1] < 0.0
         assert 1 <= len(drawn) <= 1 + volume_module._DRAW_AHEAD < 7
 
+    def test_no_draw_thread_outlives_its_draw(self, monkeypatch):
+        # 140000 nodes are 3 batches: batch 0 inline, batches 1 and 2 on the draw's own thread
+        volume_module = sys.modules["ballrep.volume"]
+        drawn_on = []
+
+        def named(*args, real=volume_module._cone_batch):
+            drawn_on.append(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(volume_module, "_cone_batch", named)
+        moment_table(ODD_QUARTIC, max_order=2, backend="monte_carlo", budget=140_000, seed=2)
+        assert not _draw_threads()
+        volume_module._cone_nodes(2, 4.0, 140_000, 3)
+        assert not _draw_threads()
+        assert sorted(name.startswith("ballrep-draw") for name in drawn_on) == [False] * 2 + [True] * 4
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="fork is unavailable")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_forked_child_draws_on_its_own_thread(self):
-        # the parent's table starts its draw thread, which a forked child does not inherit
+        # the parent's table joins its draw thread before it returns, so the
+        # parent forks with no thread alive and the child starts one of its own
         budget = 140_000
         expected = moment_table(ODD_QUARTIC, max_order=2, backend="monte_carlo",
                                 budget=budget, seed=2)
