@@ -80,7 +80,6 @@ from .volume import (
     euler_residual,
     finite_volume_test,
     grad_volume,
-    hankel_diag_bound_check,
     moment,
     moment_matrix,
     moment_table,

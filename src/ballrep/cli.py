@@ -16,13 +16,12 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .certificates import certify
-from .polynomials import GeneralizedPolynomial, GramForm
+from .polynomials import GeneralizedPolynomial, GramForm, _check_rational
 from .serialize import (
     SchemaError,
     gram_to_dict,
@@ -80,13 +79,6 @@ def _emit_csv(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError("d", f"not a rational number: {text!r}") from exc
-
-
 def _read(path: str, parse):
     """parse(text) of the file at path; an unreadable file is a SchemaError."""
     try:
@@ -116,7 +108,7 @@ def cmd_volume(args) -> int:
 def cmd_moments(args) -> int:
     g = _read(args.poly, parse_polynomial)
     _gate(g, args)
-    order = _parse_fraction(args.max_order)
+    order = _check_rational(args.max_order, "--max-order")
     table = moment_table(
         g, max_order=order, backend=args.backend, budget=args.budget, seed=args.seed
     )
@@ -137,7 +129,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    d = _parse_fraction(args.d)
+    d = _check_rational(args.d, "--d")
     # options left out keep SolveConfig's defaults
     given = {"max_iters": args.max_iters, "budget": args.budget, "cert_tol": args.tol}
     config = SolveConfig(seed=args.seed, backend=args.backend,
@@ -176,7 +168,7 @@ def cmd_ball_table(args) -> int:
         raise SchemaError("n-range", f"expected LO:HI, got {args.n_range!r}") from exc
     if lo < 1 or hi < lo:
         raise SchemaError("n-range", f"invalid range {args.n_range!r}")
-    degrees = [_parse_fraction(part) for part in args.d_list.split(",")]
+    degrees = [_check_rational(part, "--d-list") for part in args.d_list.split(",")]
     lines = ["n;d;volume;axis_moment"]
     for n in range(lo, hi + 1):
         for d in degrees:

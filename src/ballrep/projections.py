@@ -14,11 +14,19 @@ import numpy as np
 from .jacobi import jacobi_eigh
 
 
+def _check_vector(v) -> np.ndarray:
+    """v as a float array; ValueError unless it is a non-empty 1-D array of finite numbers."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not v.size or not np.isfinite(v).all():
+        raise ValueError(f"v must be a non-empty 1-D array of finite numbers, got {v!r}")
+    return v
+
+
 def project_simplex(v, total: float) -> np.ndarray:
     """Project onto {x >= 0, sum x = total} (sort-based)."""
     if not total > 0:
         raise ValueError(f"simplex total must be positive, got {total}")
-    v = np.asarray(v, dtype=float)
+    v = _check_vector(v)
     # stable descending sort keeps ties in canonical index order
     dropping = np.sort(v, kind="stable")[::-1]
     cumulative = np.cumsum(dropping) - total
@@ -33,7 +41,7 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     """Project onto {x : sum |x_i| <= radius}."""
     if not radius > 0:
         raise ValueError(f"l1 radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=float)
+    v = _check_vector(v)
     if np.abs(v).sum() <= radius:
         return v.copy()
     magnitudes = project_simplex(np.abs(v), radius)

@@ -264,9 +264,8 @@ def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
     x, out = state0, evaluate(state0)
     if out is None:
         raise InfiniteVolumeError("initial iterate has infinite volume")
-    trace, history = [], []  # history: (T(x), T(x) - x) of the latest iterates
+    trace, history = [(report(x, out[0]), out[0])], []  # history: the latest (T(x), T(x) - x)
     for _ in range(cfg.max_iters):
-        trace.append((report(x, out[0]), out[0]))
         tx = project(-out[1])
         if np.abs(tx - x).max() <= 1e-14 * (1.0 + np.abs(x).max()):
             return x, trace, True
@@ -281,6 +280,7 @@ def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
         if out is None:
             return x, trace, False
         x = z
+        trace.append((report(x, out[0]), out[0]))
     return x, trace, False
 
 

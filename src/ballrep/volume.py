@@ -61,9 +61,10 @@ formula, at any n.
 A slow grid indicator oracle cross-checks volume and moment queries; no
 solve reads it.  All estimates carry a standard error: zero for the
 spherical backend, statistical for Monte Carlo, and a boundary-cell bound
-for the grid.  Infinite volume has one rule: the feasibility gate and both
-radial backends reject a minimum of g over their nodes, exact axes
-included, at or below _GATE_TOLERANCE max |c_alpha|, which scales with g.
+for the grid.  Infinite volume has one rule, _volume_verdict: the
+feasibility gate and both radial backends reject a minimum of g over their
+nodes, exact axes included, at or below _GATE_TOLERANCE max |c_alpha|,
+which scales with g.
 """
 
 from __future__ import annotations
@@ -111,11 +112,18 @@ _GATE_BUDGET = 2048  # sphere grid (n <= 3) or cone nodes (n >= 4) the gate scan
 _GATE_RESTARTS = 8  # best scan nodes zoomed besides the axes and the diagonal
 _GATE_ZOOM_DIMS = 3  # most chart axes one gate zoom level spans
 _GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this times max |c_alpha| is infinite volume
-_HANKEL_SIGMAS = 3.0  # standard errors the Hankel diagonal bound allows
 
 
 class InfiniteVolumeError(ValueError):
-    """The sublevel set is (or looks) of infinite Lebesgue volume."""
+    """The sublevel set is (or looks) of infinite Lebesgue volume.
+
+    sphere_minimum is the least value of g that _volume_verdict saw, exact
+    axes included.  From the feasibility gate it is g's minimum found on the
+    unit sphere; from a pass, g's least value at that pass's nodes, which
+    are unit vectors only on the sphere grids: Monte Carlo nodes lie on the
+    unit l_d sphere, and lattice nodes are unit vectors in y = |x|**(1/q),
+    so |x| <= 1 there.
+    """
 
     def __init__(self, message: str, sphere_minimum: float | None = None):
         super().__init__(message)
@@ -383,28 +391,31 @@ def _kernel_rows(g: GeneralizedPolynomial, live):
     return rows, [row[a] for a in live]
 
 
-def _axis_minimum(coeffs: np.ndarray, pure: np.ndarray, n: int) -> float:
-    """min of g on the axes +-e_i, which sphere grids miss: its pure powers' coefficients, or 0."""
-    values = coeffs[pure]
-    return float(values.min(initial=np.inf if len(values) == n else 0.0))
+def _volume_verdict(c, pure, n: int, values) -> FeasibilityVerdict:
+    """Finite volume or not, and g's least value seen, exact axes included.
+
+    c holds g's monomial coefficients, pure marks their pure-power rows and
+    values is g at the points seen.  On the axes +-e_i, which sphere grids
+    miss, g is its pure powers' coefficients, or 0 on an axis with none.
+    The one rule of the feasibility gate and every radial pass: a minimum
+    not above _GATE_TOLERANCE max |c|, which scales with g, is infinite volume.
+    """
+    axes = c[pure]
+    smin = min(float(np.min(values)), float(axes.min(initial=np.inf if len(axes) == n else 0.0)))
+    return FeasibilityVerdict(smin > _GATE_TOLERANCE * float(np.abs(c).max(initial=0.0)), smin)
 
 
 def _radial(c, P, pure, n: int, d: float, ks):
     """The radial factors h**(-k/d) at P's nodes, one array per k of ks.
 
     h = c @ P[:len(c)] is g at the nodes, for the monomial coefficients c on
-    P's leading rows; where h or an exact axis value (pure marks P's
-    pure-power rows) is <= _GATE_TOLERANCE max |c|, it raises
-    InfiniteVolumeError.  A node of weight w adds w h**(-k/d) / k times its
-    monomial to every moment of k = n + |alpha|, the volume's k being n.
+    P's leading rows (pure marks P's pure-power rows); where _volume_verdict
+    finds infinite volume, it raises InfiniteVolumeError.  A node of weight w
+    adds w h**(-k/d) / k times its monomial to every moment of
+    k = n + |alpha|, the volume's k being n.
     """
     h = c @ P[: len(c)]
-    hmin = min(float(h.min()), _axis_minimum(c, pure[: len(c)], n))
-    if hmin <= _GATE_TOLERANCE * float(np.abs(c).max(initial=0.0)):
-        raise InfiniteVolumeError(
-            f"sublevel set has infinite volume (sphere minimum {hmin:.6g})",
-            sphere_minimum=hmin,
-        )
+    _finite_or_raise(_volume_verdict(c, pure[: len(c)], n, h), "sublevel set")
     return [h ** (-k / d) for k in ks]
 
 
@@ -561,9 +572,8 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     results only at round-off, through the summation order; the sums are
     centred at the first block's means, so the variance does not cancel away
     (on B_d, where h = 1 at every node, it is round-off).
-    A node where g is <= _GATE_TOLERANCE max |c_alpha| counts as infinite
-    volume, as in the spherical pass, and raises.  The ESS is that of the
-    volume's weights h**(-n/d); below 1% of the budget it warns.
+    Each block raises on infinite volume, as the spherical pass does; the
+    ESS, that of the volume's weights h**(-n/d), warns below 1% of the budget.
     """
     n, d = g.n, g.degree_float
     rows, live_rows = _kernel_rows(g, live)
@@ -592,7 +602,7 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
             f"effective sample size {ess:.1f} below 1% of budget {budget}; "
             "the polynomial is near the feasibility boundary",
             EffectiveSampleSizeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of volume, moment_table and the other queries
         )
     # the same pairwise sum as that of _cone_nodes's budget equal weights, without their array
     weights = np.broadcast_to(n * closed_form_ball_volume(n, d) / budget, budget).sum()
@@ -860,46 +870,44 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
     count, so a strictly negative minimum proves infinite volume (g < 0 on
     an open cone).  finite_volume = True only means no negative direction
     was found; a minimum at zero is infeasible, the set being unbounded
-    along it, and so is one <= _GATE_TOLERANCE max |c_alpha|, which scales
-    with g.  A scaled ball power c (sum_i |x_i|**e)**m (_ball_power) skips
-    the search: its minimum is c n**((1 - e/2) m) for e >= 2 (the diagonal)
-    and c for e <= 2 (the axes), exactly, and finite_volume = True a proof.
+    along it, and so is any other that _volume_verdict, the rule of every
+    radial pass too, rejects.  A scaled ball power c (sum_i |x_i|**e)**m
+    (_ball_power) skips the search: its minimum is c n**((1 - e/2) m) for
+    e >= 2 (the diagonal) and c for e <= 2 (the axes), exactly, and
+    finite_volume = True a proof.
     """
     n, seed = g.n, _check_integer(seed, "seed", 0)
-    tol = _GATE_TOLERANCE * float(np.abs(g._coeffs).max(initial=0.0))
-    smin = _axis_minimum(g._coeffs, np.count_nonzero(g._exponents, axis=1) == 1, n)
-    if n == 1:
-        return FeasibilityVerdict(smin > tol, smin)
-    if ball := _ball_power(g):
+    smin = math.inf  # g's least value seen off the axes, which at n = 1 are the whole sphere
+    if n > 1 and (ball := _ball_power(g)):
         c, e = ball
         smin = c * (n ** (1.0 - e / 2) if e >= 2 else 1.0) ** int(g.degree / e)
-        return FeasibilityVerdict(smin > tol, smin)
-    if n <= 3:
-        nodes = _sphere_grid(n, _GATE_BUDGET, g.sign_symmetric)[0]
-    else:
-        nodes = _cone_nodes(n, 2.0, _GATE_BUDGET, seed)[0]
-    values = g.evaluate(nodes)
-    smin = min(smin, float(values.min()))
-    diagonal = np.full((1, n), 1.0 / math.sqrt(n))
-    best = np.concatenate([np.eye(n), diagonal, nodes[np.argsort(values)[:_GATE_RESTARTS]]])
-    k = min(n - 1, _GATE_ZOOM_DIMS)
-    axis = np.linspace(-1.0, 1.0, 5)
-    stencil = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), -1).reshape(-1, k)
-    charts = np.stack([np.delete(np.eye(n), j, axis=1) for j in range(n)])  # [j]: all axes but x_j
-    rows, cols = np.arange(len(best)), np.arange(k)
-    r = 0.5
-    while r >= 1e-10:
-        frame = charts[np.abs(best).argmax(axis=1)]
-        if k < n - 1:
-            frame = frame[:, :, cols]
-            cols = (cols + k) % (n - 1)
-        trial = best[:, None, :] + r * stencil @ frame.transpose(0, 2, 1)
-        trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
-        values = g.evaluate(trial)
+    elif n > 1:
+        if n <= 3:
+            nodes = _sphere_grid(n, _GATE_BUDGET, g.sign_symmetric)[0]
+        else:
+            nodes = _cone_nodes(n, 2.0, _GATE_BUDGET, seed)[0]
+        values = g.evaluate(nodes)
         smin = min(smin, float(values.min()))
-        best = trial[rows, values.argmin(axis=1)]
-        r /= 2.0 ** (k / (n - 1))
-    return FeasibilityVerdict(smin > tol, smin)
+        diagonal = np.full((1, n), 1.0 / math.sqrt(n))
+        best = np.concatenate([np.eye(n), diagonal, nodes[np.argsort(values)[:_GATE_RESTARTS]]])
+        k = min(n - 1, _GATE_ZOOM_DIMS)
+        axis = np.linspace(-1.0, 1.0, 5)
+        stencil = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), -1).reshape(-1, k)
+        charts = np.stack([np.delete(np.eye(n), j, axis=1) for j in range(n)])  # [j]: all axes but x_j
+        rows, cols = np.arange(len(best)), np.arange(k)
+        r = 0.5
+        while r >= 1e-10:
+            frame = charts[np.abs(best).argmax(axis=1)]
+            if k < n - 1:
+                frame = frame[:, :, cols]
+                cols = (cols + k) % (n - 1)
+            trial = best[:, None, :] + r * stencil @ frame.transpose(0, 2, 1)
+            trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+            values = g.evaluate(trial)
+            smin = min(smin, float(values.min()))
+            best = trial[rows, values.argmin(axis=1)]
+            r /= 2.0 ** (k / (n - 1))
+    return _volume_verdict(g._coeffs, np.count_nonzero(g._exponents, axis=1) == 1, n, smin)
 
 
 def _finite_or_raise(verdict: FeasibilityVerdict, what: str) -> float:
@@ -910,26 +918,3 @@ def _finite_or_raise(verdict: FeasibilityVerdict, what: str) -> float:
             sphere_minimum=verdict.sphere_minimum,
         )
     return verdict.sphere_minimum
-
-
-def hankel_diag_bound_check(mm: MomentMatrix) -> bool:
-    """Check |M[a, b]| <= max axis moment, up to three combined standard errors.
-
-    The axis moments are the diagonal entries at the pure powers
-    (d*q/2) * e_i; for the ball B_d they dominate every other moment, a
-    structural consequence of M being positive semidefinite Hankel.
-    """
-    basis = list(mm.basis)
-    half = sum(basis[0])
-    bound = -math.inf
-    bound_err = 0.0
-    n = len(basis[0])
-    for i in range(n):
-        pure = tuple(half if j == i else 0 for j in range(n))
-        k = basis.index(pure)
-        if mm.values[k, k] > bound:
-            bound = float(mm.values[k, k])
-            bound_err = float(mm.errors[k, k])
-    excess = np.abs(mm.values) - bound
-    allowance = _HANKEL_SIGMAS * np.hypot(mm.errors, bound_err)
-    return bool((excess <= allowance).all())

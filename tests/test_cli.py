@@ -385,16 +385,22 @@ class TestCertifyCommand:
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["solve", "p1", "--n", "2", "--d", "x/y"], "d: not a rational number: 'x/y'"),
+    (["solve", "p1", "--n", "2", "--d", "x/y"], "error: --d must be a number, got 'x/y'\n"),
     (["volume", "MISSING"], "file: "),
     (["ball-table", "--n-range", "2-3", "--d-list", "2"], "n-range: expected LO:HI, got '2-3'"),
     (["solve", "p3", "--n", "2", "--d", "1/2"],
      "error: the Gram trace problem needs an even degree, an even integer >= 2, got 1/2"),
-], ids=["non-rational-d", "unreadable-file", "n-range-dash", "p3-fractional-d"])
-def test_input_error_exit_code(tmp_path, capsys, argv, message):
-    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    (["moments", "DISK", "--max-order", "x"], "error: --max-order must be a number, got 'x'\n"),
+    (["ball-table", "--n-range", "2:2", "--d-list", "4,zz"],
+     "error: --d-list must be a number, got 'zz'\n"),
+], ids=["non-rational-d", "unreadable-file", "n-range-dash", "p3-fractional-d",
+        "non-rational-max-order", "non-rational-d-list"])
+def test_input_error_exit_code(tmp_path, capsys, disk_file, argv, message):
+    paths = {"MISSING": str(tmp_path / "missing.json"), "DISK": disk_file}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert not out
 
 
 class TestBallTableCommand:

@@ -146,3 +146,11 @@ class TestPsdTraceProjection:
 def test_non_positive_radius_is_rejected(project, message, bound):
     with pytest.raises(ValueError, match=message):
         project(bound)
+
+
+@pytest.mark.parametrize("project", [project_simplex, project_l1_ball], ids=["simplex", "l1"])
+@pytest.mark.parametrize("v", [[], [float("nan"), 1.0], [float("inf"), 1.0], [[0.5, 0.5]]],
+                         ids=["empty", "nan", "inf", "two-dimensional"])
+def test_bad_vector_is_rejected(project, v):
+    with pytest.raises(ValueError, match="v must be a non-empty 1-D array of finite numbers"):
+        project(v, 1.0)

@@ -738,13 +738,25 @@ def test_infinite_initial_iterate_raises(name):
 @pytest.mark.parametrize("max_iters,converged,end", [(1, False, 1.0), (50, True, 2.0)])
 def test_anderson_stops_unconverged_at_max_iters(max_iters, converged, end):
     # T(x) = project(-grad(x)) = x / 2 + 1, fixed point 2: one iteration moves
-    # x from 0 to T(0) = 1 and stops there unconverged; fifty reach the point
+    # x from 0 to T(0) = 1 and stops there unconverged; fifty reach the point.
+    # The trace reports x itself, so its last entry is the iterate returned
     anderson = sys.modules["ballrep.solvers"]._anderson
     x, trace, done = anderson(np.zeros(1), lambda x: (1.0, -(0.5 * x + 1.0)), lambda x: x,
-                              lambda x, vol: vol, SolveConfig(max_iters=max_iters))
+                              lambda x, vol: float(x[0]), SolveConfig(max_iters=max_iters))
     assert done is converged
     assert x == pytest.approx([end], abs=1e-14)
-    assert len(trace) <= max_iters
+    assert trace[-1][0] == x[0]
+    assert len(trace) <= max_iters if converged else len(trace) == max_iters + 1
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_unconverged_p2_traces_every_iterate(max_iters):
+    # from a given start p2 iterates: stopped by max_iters, its trace holds
+    # the start and each of the max_iters iterates, the one returned last
+    start = ld_polynomial(3, 6, convention="multinomial")
+    res = solve_p2(3, 6, start=start, config=SolveConfig(max_iters=max_iters))
+    assert not res.converged
+    assert len(res.iterations) == max_iters + 1
 
 
 @pytest.mark.parametrize("gradient,evaluations,converged", [(-1e-12, 2, True), (-1.0, 3, False)])

@@ -18,7 +18,6 @@ from ballrep import (
     euler_residual,
     finite_volume_test,
     grad_volume,
-    hankel_diag_bound_check,
     ld_polynomial,
     moment,
     moment_matrix,
@@ -36,7 +35,7 @@ from ballrep.volume import (
     _lattice_grid,
     _sphere_grid,
 )
-from conftest import agree, random_feasible_quartic
+from conftest import agree, dirichlet_error, random_feasible_quartic
 
 DISK4 = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
 FIG1_QUARTIC = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1.925})
@@ -462,6 +461,12 @@ class TestMonteCarlo:
             est = volume(NEAR_BOUNDARY, backend="monte_carlo", budget=200_000, seed=0)
         assert est.ess < 0.01 * 200_000
 
+    def test_ess_warning_points_at_the_caller(self):
+        with pytest.warns(EffectiveSampleSizeWarning) as record:
+            volume(NEAR_BOUNDARY, backend="monte_carlo", budget=200_000, seed=0)
+            moment_table(NEAR_BOUNDARY, backend="monte_carlo", budget=200_000, seed=0)
+        assert [w.filename for w in record] == [__file__] * 2
+
     @pytest.mark.parametrize("cross,query", [
         (-300.0, lambda g: volume(g, backend="monte_carlo", budget=1000, seed=0)),
         (-168.0, lambda g: moment_table(g, max_order=8, backend="monte_carlo",
@@ -546,15 +551,17 @@ class TestMomentMatrixAndHankel:
             mm = moment_matrix(g, 2, budget=8192)
             assert np.linalg.eigvalsh(mm.values).min() >= -1e-10
 
-    def test_hankel_bound_on_balls(self):
-        assert hankel_diag_bound_check(moment_matrix(ld_polynomial(2, 4), 2, budget=8192))
-        assert hankel_diag_bound_check(moment_matrix(ld_polynomial(2, 2), 1, budget=2048))
+    def test_ball_matrices_match_dirichlet(self):
+        # an explicit budget reads the sphere grid, not the closed form
+        for d, half_degree, budget in ((4, 2, 8192), (2, 1, 2048)):
+            g = ld_polynomial(2, d)
+            assert dirichlet_error(g, moment_matrix(g, half_degree, budget=budget)) <= 1e-12
 
-    def test_hankel_bound_generalized(self):
+    def test_generalized_ball_matrix_matches_dirichlet(self):
         g = ld_polynomial(2, Fraction(1, 2), q=4)
         mm = moment_matrix(g, budget=65536)
         assert mm.values.shape == (2, 2)
-        assert hankel_diag_bound_check(mm)
+        assert dirichlet_error(g, mm) <= 1e-12
 
     def test_odd_half_lattice_needs_explicit_half_degree(self):
         g = ld_polynomial(2, 3, q=1)
