@@ -89,9 +89,8 @@ def _read(path: str, parse):
 
 
 def _gate(g: GeneralizedPolynomial, args):
-    """Run the feasibility gate unless --force; infinite volume raises (exit 3)."""
-    if not args.force:
-        _finite_or_raise(finite_volume_test(g, seed=args.seed), "sublevel set")
+    """Run the feasibility gate; infinite volume raises (exit 3)."""
+    _finite_or_raise(finite_volume_test(g, seed=args.seed), "sublevel set")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -222,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="volume of a polynomial sublevel set")
     p.add_argument("poly", help="polynomial JSON file")
-    p.add_argument("--force", action="store_true",
-                   help="skip the finite-volume feasibility gate")
     _add_common(p)
     p.set_defaults(handler=cmd_volume)
 
@@ -232,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", required=True,
                    help="largest total degree, e.g. 4 or 1/2")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--force", action="store_true",
-                   help="skip the finite-volume feasibility gate")
     _add_common(p)
     p.set_defaults(handler=cmd_moments)
 

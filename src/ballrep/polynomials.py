@@ -251,23 +251,25 @@ class GeneralizedPolynomial:
             raise ValueError(f"degree {degree} does not lie on the 1/{self.q} lattice")
         target = int(target)
         clean: dict[Exponent, float] = {}
+        stored: dict[Exponent, float] = {}  # in the monomial convention, as the kernel reads them
+        multinomial = self.convention == MULTINOMIAL
         for alpha, coeff in zip(_check_alphas(self.terms, self.n), self.terms.values()):
             if sum(alpha) != target:
                 raise ValueError(f"exponent {alpha} sums to {sum(alpha)}, expected d*q = {target}")
             clean[alpha] = float(coeff)
-            if not math.isfinite(clean[alpha]):
-                raise ValueError(f"coefficient {coeff} of exponent {alpha} is not finite")
+            # the stored value must be finite; a float product overflows to inf, with no warning
+            stored[alpha] = clean[alpha] * (_multinomial(alpha) if multinomial else 1)
+            if not math.isfinite(stored[alpha]):
+                raise ValueError(f"coefficient {stored[alpha]} of exponent {alpha} is not finite")
         # read-only: instances are shared freely across workers
         object.__setattr__(self, "terms", _Terms(clean))
         # kernel data outside the dataclass fields: exponent matrix A and the
         # monomial-convention coefficients c of the nonzero terms, plus the
         # structure flags the moment backends ask for on every call
         keys = np.array(list(clean), dtype=np.intp).reshape(len(clean), self.n)
-        values = np.fromiter(clean.values(), dtype=float, count=len(clean))
+        values = np.fromiter(stored.values(), dtype=float, count=len(stored))
         live = values != 0.0
         exponents, coeffs = keys[live], values[live]
-        if self.convention == MULTINOMIAL:
-            coeffs *= [float(_multinomial(tuple(a))) for a in exponents.tolist()]
         for name, value in (("_exponents", exponents), ("_coeffs", coeffs)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -348,8 +350,9 @@ class GeneralizedPolynomial:
         special casing.
         """
         arr = np.asarray(x, dtype=float)
-        if arr.shape[-1] != self.n:
-            raise ValueError(f"point has dimension {arr.shape[-1]}, expected {self.n}")
+        if arr.shape[-1:] != (self.n,):  # a 0-d input has no coordinate axis
+            raise ValueError(f"point has dimension {arr.shape[-1] if arr.ndim else 0}, "
+                             f"expected {self.n}")
         flat = arr.reshape(-1, self.n)
         out = self._coeffs @ monomials(self.lattice_base(flat), self._exponents)
         if arr.ndim == 1:

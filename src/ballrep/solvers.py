@@ -200,30 +200,28 @@ def _target_scale(est, target: float, d, n: int) -> float:
     return (est.value / target) ** (float(d) / n)
 
 
-def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
+def _projected_gradient(state0, first, evaluate, project, report, cfg: SolveConfig):
     """Monotone projected-gradient descent of the volume functional.
 
-    The problem geometry comes in three callables: ``evaluate(x)`` returns
-    (volume, gradient) at x from one run of the solve's radial pass, or None
-    when x lies outside the feasible cone; ``project`` maps onto the norm ball
-    (with boundary saturation); ``report(x, volume)`` gives the equivalent
-    objective.  Each trial point of the line search is evaluated once, and
-    the accepted point's gradient drives the next iteration.  The first
-    trial after an accepted move s with gradient change y is the BB1 step
-    s.s / s.y (Barzilai & Borwein 1988) when s.y > 0; if it is rejected, or
-    there is none, the trials are _INITIAL_STEP halved after each rejection,
-    whatever step the last iteration took.  ``evaluate`` reads one fixed set
-    of nodes, so the Armijo test compares f(z) and f(x) on the same nodes.
+    The descent starts at state0, whose (volume, gradient) first _descend
+    has evaluated and checked.  The problem geometry comes in three
+    callables: ``evaluate(x)`` returns (volume, gradient) at x from one run
+    of the solve's radial pass, or None when x lies outside the feasible
+    cone; ``project`` maps onto the norm ball (with boundary saturation);
+    ``report(x, volume)`` gives the equivalent objective.  Each trial point
+    of the line search is evaluated once, and the accepted point's gradient
+    drives the next iteration.  The first trial after an accepted move s
+    with gradient change y is the BB1 step s.s / s.y (Barzilai & Borwein
+    1988) when s.y > 0; if it is rejected, or there is none, the trials are
+    _INITIAL_STEP halved after each rejection, whatever step the last
+    iteration took.  ``evaluate`` reads one fixed set of nodes, so the
+    Armijo test compares f(z) and f(x) on the same nodes.
     Converged, only where the line search ends at round-off: the step no
     longer moves, or a rejected trial's volume change and its first-order
     prediction vdot(grad, z - x) are both within _TOL_OBJECTIVE (relative).
     Returns the final state, the iteration trace and the convergence flag.
     """
-    x = state0
-    start = evaluate(x)
-    if start is None:
-        raise InfiniteVolumeError("initial iterate has infinite volume")
-    fx, grad = start
+    x, (fx, grad) = state0, first
     trace = [(report(x, fx), fx)]
     plain = [_INITIAL_STEP * _STEP_SHRINK**k for k in range(_MAX_BACKTRACKS)]
     bb = []  # the BB1 trial step after a move with positive curvature
@@ -251,7 +249,7 @@ def _projected_gradient(state0, evaluate, project, report, cfg: SolveConfig):
     return x, trace, False
 
 
-def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
+def _anderson(state0, first, evaluate, project, report, cfg: SolveConfig):
     """Safeguarded Anderson iteration on p2's stationarity map T(x) = project(-grad(x)).
 
     The next point mixes T over the last _ANDERSON_MEMORY residual differences
@@ -259,11 +257,10 @@ def _anderson(state0, evaluate, project, report, cfg: SolveConfig):
     step T(x) replaces it; for even d that step is feasible (-grad is a
     positive combination of d-th powers of linear forms), so if it is not,
     the solve stops unconverged.  Converged: |T(x) - x|_inf <= 1e-14 (1 + |x|_inf).
-    Arguments and return value are those of _projected_gradient.
+    Arguments, the checked start's (volume, gradient) first among them, and
+    return value are those of _projected_gradient.
     """
-    x, out = state0, evaluate(state0)
-    if out is None:
-        raise InfiniteVolumeError("initial iterate has infinite volume")
+    x, out = state0, first
     trace, history = [(report(x, out[0]), out[0])], []  # history: the latest (T(x), T(x) - x)
     for _ in range(cfg.max_iters):
         tx = project(-out[1])
@@ -300,11 +297,14 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     permutation keeps (each entry equal to its orbit's first; p3: Q, rows and
     columns together), a trial's moments are their orbit means.  A given
     start is projected so and must pass the feasibility gate; the array
-    default_start is feasible by construction.  Every solve ends alike: one
-    moment_table pass at the certificate budget on solution = make(x), one
-    factor k (scale(solution), or else the scale to vol(B_d) from the pass),
-    then solution.rescale(k) and the pass's moments mapped to its ball.  The
-    objective, like each trace entry, is norm of the normalized coordinates.
+    default_start is feasible by construction.  Either start is checked
+    once, here: its trial, first, is None only at infinite volume, which
+    raises, and iterate(x0, first, evaluate, project, report, cfg) starts
+    from it.  Every solve ends alike: one moment_table pass at the
+    certificate budget on solution = make(x), one factor k (scale(solution),
+    or else the scale to vol(B_d) from the pass), then solution.rescale(k)
+    and the pass's moments mapped to its ball.  The objective, like each
+    trace entry, is norm of the normalized coordinates.
     """
     def polynomial(obj):
         return obj.expand() if isinstance(obj, GramForm) else obj
@@ -347,7 +347,10 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     def report(x, vol):
         return norm(x * (vol / rho) ** (float(d) / n))
 
-    x, trace, converged = iterate(x0, evaluate, project, report, cfg)
+    first = evaluate(x0)  # the start's one check on the solve's own pass
+    if first is None:
+        raise InfiniteVolumeError("initial iterate has infinite volume")
+    x, trace, converged = iterate(x0, first, evaluate, project, report, cfg)
     del evaluate, run  # frees the descent pass's P before the certificate-budget pass
     solution = make(x)
     table = moment_table(polynomial(solution), backend=cfg.backend,
@@ -452,12 +455,6 @@ def solve_p2(
     def make(u_vec):
         return from_coefficient_vector(n, d, q, basis, u_vec / root_w, convention)
 
-    def lead_to_one(g):  # the factor that scales g to leading coefficient 1
-        lead = g.terms[basis[0]]  # d * e_1 comes first in the canonical order
-        if not lead > 0:
-            raise RuntimeError(f"solver left the positive cone: leading coefficient {lead:.6g}")
-        return 1.0 / lead
-
     def coords(g):
         return coefficient_vector(g.to_convention(convention), basis) * root_w
 
@@ -476,7 +473,9 @@ def solve_p2(
         "p2", n, d, q, start, cfg, iterate=_anderson, make=make, coords=coords,
         coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad * root_w,
         projection=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
-        default_start=project(coords(ball)), scale=lead_to_one,
+        # to leading coefficient 1: d * e_1 comes first in the canonical order, and the
+        # certificate pass has already rejected an axis coefficient <= 1e-9 max |c|
+        default_start=project(coords(ball)), scale=lambda g: 1.0 / g.terms[basis[0]],
     )
 
 

@@ -453,18 +453,24 @@ def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=N
     if sign-symmetric, else its half, moved into G's isotropic position once
     per pass, so every trial of a descent reads the same nodes; the rows
     _symmetry_zero keeps share that symmetry), the lattice grid of (q,
-    budget), already the lattice base, for any other, or the Monte Carlo
-    cone nodes of (budget, seed); P, the monomials of rows at the base,
-    serves every run.  run(c), c the coefficients on the leading rows,
-    returns the volume w.h**(-n/d)/n and every row's moment at its run's k,
-    in the runs holding a row index of wanted (None: all; the rest unset).
+    budget), already the lattice base, for any other, or on Monte Carlo the
+    _cone_batches of (budget, seed) in one array, each node of weight
+    n vol(B_d) / budget, the cone measure's total shared equally; P, the
+    monomials of rows at the base, serves every run.  run(c), c the
+    coefficients on the leading rows, returns the volume w.h**(-n/d)/n and
+    every row's moment at its run's k, in the runs holding a row index of
+    wanted (None: all; the rest unset).
     """
     n, d = g.n, g.degree_float
-    dirs, w = (_cone_nodes(n, d, budget, seed) if backend != SPHERICAL
-               else _sphere_grid(n, budget, g.sign_symmetric) if g.is_classical
-               else _lattice_grid(n, g.q, budget))
-    if backend == SPHERICAL and g.is_classical and not g.sign_symmetric:
-        dirs, w = _isotropic_grid(g, dirs, w)
+    if backend != SPHERICAL:
+        dirs = np.concatenate(list(_cone_batches(n, d, budget, seed)))
+        w = np.full(budget, n * closed_form_ball_volume(n, d) / budget)
+    elif not g.is_classical:
+        dirs, w = _lattice_grid(n, g.q, budget)
+    elif g.sign_symmetric:
+        dirs, w = _sphere_grid(n, budget, True)
+    else:
+        dirs, w = _isotropic_grid(g, *_sphere_grid(n, budget, False))
     P = monomials(dirs if backend == SPHERICAL else g.lattice_base(dirs), rows)
     pure = np.count_nonzero(rows, axis=1) == 1
     runs = [(lo, hi, k) for lo, hi, k in _k_runs(rows, n, g.q)
@@ -502,10 +508,12 @@ def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
 
 
 def _cone_batch(n: int, d: float, budget: int, seed: int, b: int):
-    """Batch b of _cone_nodes(n, d, budget, seed): its nodes b _MC_BATCH onwards.
+    """Batch b of the budget random nodes of seed: its nodes b _MC_BATCH onwards.
 
-    |x_i|^d = t_i ~ Gamma(1/d) with random signs, from the batch's own
-    stream default_rng([seed, b]); theta = x / (sum_i t_i)**(1/d).
+    The nodes follow the cone measure of B_d on the unit l_d sphere, whose
+    total is n vol(B_d): |x_i|^d = t_i ~ Gamma(1/d) with random signs, from
+    the batch's own stream default_rng([seed, b]); theta = x / (sum_i
+    t_i)**(1/d).  So they depend only on (seed, budget), not on who draws them.
     """
     size = min(_MC_BATCH, budget - b * _MC_BATCH)
     rng = np.random.default_rng([seed, b])
@@ -518,7 +526,7 @@ def _cone_batch(n: int, d: float, budget: int, seed: int, b: int):
 
 
 def _cone_batches(n: int, d: float, budget: int, seed: int):
-    """The batches of _cone_nodes(n, d, budget, seed), in order.
+    """The batches of (n, d, budget, seed) in order, each a _cone_batch.
 
     Batch 0 is drawn inline; while the caller holds batch b, batches b + 1
     to b + _DRAW_AHEAD are drawn on a worker thread that a draw of more than
@@ -546,20 +554,8 @@ def _cone_batches(n: int, d: float, budget: int, seed: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _cone_nodes(n: int, d: float, budget: int, seed: int):
-    """budget random nodes of the cone measure on the l_d unit sphere, and their equal weights.
-
-    The nodes are the _cone_batches of _MC_BATCH samples each, batch b
-    from the stream default_rng([seed, b]), so they depend only on (seed,
-    budget).  They follow the cone measure of B_d, whose total is
-    n vol(B_d); every node weighs n vol(B_d) / budget.
-    """
-    dirs = np.concatenate(list(_cone_batches(n, d, budget, seed)))
-    return dirs, np.full(budget, n * closed_form_ball_volume(n, d) / budget)
-
-
 def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
-    """The spherical pass's radial formula on random nodes, _cone_nodes(n, d, budget, seed).
+    """The spherical pass's radial formula on random nodes, the _cone_batches of (budget, seed).
 
     As in _radial_pass, an answer is the sum over the nodes of w h**(-k/d) / k
     times the node's monomial; the weights are equal, so it is budget times
@@ -604,7 +600,8 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
             EffectiveSampleSizeWarning,
             stacklevel=4,  # the caller of volume, moment_table and the other queries
         )
-    # the same pairwise sum as that of _cone_nodes's budget equal weights, without their array
+    # the pairwise sum of the budget equal weights _radial_pass gives these
+    # nodes, without their array
     weights = np.broadcast_to(n * closed_form_ball_volume(n, d) / budget, budget).sum()
     scale = weights / ks[k_of]
     value, err = scale * mean, scale * np.sqrt(var / max(1, budget - 1))
@@ -855,8 +852,8 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
 
     One rule for every n >= 2.  The scan evaluates _GATE_BUDGET unit
     directions: the sphere grid for n <= 3 (its orthant if g is sign_symmetric,
-    else its half), the uniform cone nodes _cone_nodes(n, 2, _GATE_BUDGET,
-    seed) for n >= 4, the only reader of `seed`.  The candidates are the n
+    else its half), for n >= 4 the uniform cone nodes of (_GATE_BUDGET,
+    seed), one _cone_batch, the only reader of `seed`.  The candidates are the n
     axes, the diagonal and the _GATE_RESTARTS best scan nodes.  Each zoom
     level lays a 5**k stencil of radius r on every candidate v in the fixed
     chart of every axis but j = argmax |v_j| (|v_j| >= 1/sqrt(n) bounds its
@@ -885,7 +882,7 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
         if n <= 3:
             nodes = _sphere_grid(n, _GATE_BUDGET, g.sign_symmetric)[0]
         else:
-            nodes = _cone_nodes(n, 2.0, _GATE_BUDGET, seed)[0]
+            nodes = _cone_batch(n, 2.0, _GATE_BUDGET, seed, 0)  # _GATE_BUDGET < _MC_BATCH
         values = g.evaluate(nodes)
         smin = min(smin, float(values.min()))
         diagonal = np.full((1, n), 1.0 / math.sqrt(n))

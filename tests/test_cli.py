@@ -81,16 +81,33 @@ class TestVolumeCommand:
         assert main(["volume", disk_file, "--backend", backend, "--budget", budget]) == 2
         assert "budget must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [[], ["--force", "--backend", "mc"]])
-    def test_negative_seed_is_an_input_error(self, disk_file, capsys, extra):
-        assert main(["volume", disk_file, "--seed", "-1"] + extra) == 2
+    def test_negative_seed_is_an_input_error(self, disk_file, capsys):
+        assert main(["volume", disk_file, "--seed", "-1"]) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["volume"], ["moments", "--max-order", "2"]])
+    def test_the_gate_cannot_be_skipped(self, disk_file, capsys, command):
+        # no --force: an unknown option is a usage error, exit 2
+        with pytest.raises(SystemExit) as caught:
+            main([command[0], disk_file, *command[1:], "--force"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["Infinity", "NaN"])
     def test_non_finite_coefficient_is_an_input_error(self, tmp_path, capsys, value):
         # Python's json reads both; before the check, Infinity gave volume 0.0 with exit 0
         path = tmp_path / "non-finite.json"
         path.write_text(serialize_polynomial(DISK4).replace("2.0", value))
+        assert main(["volume", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_overflowing_multinomial_coefficient_is_an_input_error(self, tmp_path, capsys):
+        # 1e308 is finite, but stored times its multinomial 6 it is not
+        terms = {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 1e308}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "n": 2, "d": [4, 1], "q": 1, "convention": "multinomial",
+            "terms": [{"alpha_times_q": list(a), "coeff": c} for a, c in terms.items()]}))
         assert main(["volume", str(path)]) == 2
         assert "not finite" in capsys.readouterr().err
 

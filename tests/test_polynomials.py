@@ -337,6 +337,8 @@ class TestInvariantValidation:
         (lambda: ld_polynomial(2, 4).to_convention("binomial"), "unknown convention"),
         (lambda: GeneralizedPolynomial(2, 4, 1, {(5, -1): 1.0}), "negative exponent numerator"),
         (lambda: ld_polynomial(2, 4).evaluate(np.ones(3)), "dimension 3, expected 2"),
+        # a scalar has no coordinate axis, so it is no point even at n = 1
+        (lambda: ld_polynomial(1, 4).evaluate(1.0), "point has dimension 0, expected 1"),
         (lambda: ld_polynomial(2, Fraction(1, 3), q=2), "does not lie on the 1/2 lattice"),
         (lambda: GramForm(0, 2, np.eye(1)), "dimension must be >= 1"),
         (lambda: GramForm(2, 3, np.eye(2)), "even integer >= 2"),
@@ -344,7 +346,8 @@ class TestInvariantValidation:
          r"shape \(4,\), expected \(5,\)"),
     ], ids=["n", "q", "degree-zero", "degree-negative", "convention", "to-convention",
             "negative-numerator",
-            "evaluate-dimension", "ld-off-lattice", "gram-n", "gram-odd-degree", "vector-shape"])
+            "evaluate-dimension", "evaluate-scalar", "ld-off-lattice", "gram-n", "gram-odd-degree",
+            "vector-shape"])
     def test_rejected_with_its_reason(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -353,6 +356,12 @@ class TestInvariantValidation:
     def test_non_finite_coefficient_rejected(self, value):
         with pytest.raises(ValueError, match=r"coefficient .* of exponent \(2, 2\) is not finite"):
             GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): value, (0, 4): 1.0})
+
+    def test_overflowing_stored_coefficient_rejected(self):
+        # 1e308 is finite, but the multinomial convention stores it times 6, which is not
+        terms = {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 1e308}
+        with pytest.raises(ValueError, match=r"coefficient inf of exponent \(2, 2\) is not finite"):
+            GeneralizedPolynomial(2, 4, 1, terms, convention="multinomial")
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_gram_entry_rejected(self, value):

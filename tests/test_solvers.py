@@ -200,8 +200,9 @@ class TestLineSearch:
             outcomes.append(out)
             return out
 
+        x0 = np.array([2.0, 2.0])
         x, trace, converged = solvers._projected_gradient(
-            np.array([2.0, 2.0]), counted, lambda x: x, lambda x, vol: vol, SolveConfig(),
+            x0, counted(x0), counted, lambda x: x, lambda x, vol: vol, SolveConfig(),
         )
         assert converged
         assert np.allclose(x, self.CENTER, atol=1e-5)
@@ -221,8 +222,9 @@ class TestLineSearch:
             calls.append(x)
             return self.evaluate(x) if len(calls) == 1 else None
 
+        x0 = np.array([2.0, 2.0])
         x, trace, converged = solvers._projected_gradient(
-            np.array([2.0, 2.0]), only_start, lambda x: x, lambda x, vol: vol, SolveConfig(),
+            x0, only_start(x0), only_start, lambda x: x, lambda x, vol: vol, SolveConfig(),
         )
         assert not converged
         assert len(trace) == 1
@@ -333,8 +335,9 @@ class TestAnderson:
             calls.append(x)
             return (1.0, -(self.A @ x + self.B)) if feasible(len(calls)) else None
 
+        x0 = np.zeros(2)
         out = solvers._anderson(
-            np.zeros(2), evaluate, lambda x: x, lambda x, vol: vol, SolveConfig(),
+            x0, evaluate(x0), evaluate, lambda x: x, lambda x, vol: vol, SolveConfig(),
         )
         return (*out, calls)
 
@@ -729,10 +732,24 @@ ITERATIONS = ("_projected_gradient", "_anderson")
 
 
 @pytest.mark.parametrize("name", ITERATIONS)
-def test_infinite_initial_iterate_raises(name):
-    iterate = getattr(sys.modules["ballrep.solvers"], name)
+def test_infinite_initial_iterate_raises(monkeypatch, name):
+    # _descend checks the start on the solve's own pass, once, before the iteration
+    solvers = sys.modules["ballrep.solvers"]
+    real = solvers._descent_pass
+
+    def infinite(*args):
+        def run(c):
+            raise InfiniteVolumeError("sublevel set has infinite volume")
+        return real(*args)[0], run
+
+    def iterate(*args):
+        raise AssertionError("the iteration ran from an infinite start")
+
+    monkeypatch.setattr(solvers, "_descent_pass", infinite)
+    monkeypatch.setattr(solvers, name, iterate)
+    solve = solve_p2 if name == "_anderson" else solve_p1
     with pytest.raises(InfiniteVolumeError, match="initial iterate has infinite volume"):
-        iterate(np.zeros(2), lambda x: None, lambda x: x, lambda x, vol: 0.0, SolveConfig())
+        solve(2, 4)
 
 
 @pytest.mark.parametrize("max_iters,converged,end", [(1, False, 1.0), (50, True, 2.0)])
@@ -741,7 +758,11 @@ def test_anderson_stops_unconverged_at_max_iters(max_iters, converged, end):
     # x from 0 to T(0) = 1 and stops there unconverged; fifty reach the point.
     # The trace reports x itself, so its last entry is the iterate returned
     anderson = sys.modules["ballrep.solvers"]._anderson
-    x, trace, done = anderson(np.zeros(1), lambda x: (1.0, -(0.5 * x + 1.0)), lambda x: x,
+
+    def evaluate(x):
+        return 1.0, -(0.5 * x + 1.0)
+
+    x, trace, done = anderson(np.zeros(1), evaluate(np.zeros(1)), evaluate, lambda x: x,
                               lambda x, vol: float(x[0]), SolveConfig(max_iters=max_iters))
     assert done is converged
     assert x == pytest.approx([end], abs=1e-14)
@@ -772,8 +793,8 @@ def test_round_off_rejection_ends_the_descent(gradient, evaluations, converged):
         calls.append(x)
         return next(volumes), np.array([gradient])
 
-    _, _, done = descend(np.zeros(1), evaluate, lambda x: x, lambda x, vol: vol,
-                         SolveConfig(max_iters=1))
+    _, _, done = descend(np.zeros(1), evaluate(np.zeros(1)), evaluate, lambda x: x,
+                         lambda x, vol: vol, SolveConfig(max_iters=1))
     assert (len(calls), done) == (evaluations, converged)
 
 
@@ -788,8 +809,8 @@ def test_small_accepted_gains_do_not_end_the_descent():
         calls.append(x)
         return next(volumes), np.array([-1e-9])
 
-    _, trace, done = descend(np.zeros(1), evaluate, lambda x: x, lambda x, vol: vol,
-                             SolveConfig(max_iters=4))
+    _, trace, done = descend(np.zeros(1), evaluate(np.zeros(1)), evaluate, lambda x: x,
+                             lambda x, vol: vol, SolveConfig(max_iters=4))
     assert (len(calls), len(trace), done) == (5, 5, False)
 
 
@@ -803,8 +824,8 @@ def test_each_iteration_starts_its_plain_trials_at_the_initial_step():
         calls.append(float(x[0]))
         return next(volumes), np.array([-1.0])
 
-    solvers._projected_gradient(np.zeros(1), evaluate, lambda x: x, lambda x, vol: vol,
-                                SolveConfig(max_iters=2))
+    solvers._projected_gradient(np.zeros(1), evaluate(np.zeros(1)), evaluate, lambda x: x,
+                                lambda x, vol: vol, SolveConfig(max_iters=2))
     assert calls == [0.0, 1.0, 0.5, 0.25, 0.25 + solvers._INITIAL_STEP]
 
 
@@ -812,7 +833,7 @@ def _captured_oracle(monkeypatch, solve):
     """(start, evaluate, project) of a solve's iteration, which is not run."""
     solvers = sys.modules["ballrep.solvers"]
 
-    def capture(state0, evaluate, project, report, cfg):
+    def capture(state0, first, evaluate, project, report, cfg):
         raise _Captured(state0, evaluate, project)
 
     for name in ITERATIONS:
@@ -1105,9 +1126,10 @@ class TestGoldenSolves:
 
 
 def _count_oracle_work(monkeypatch, counted):
-    """Budgets of all _estimate passes, and per oracle call the passes it made.
+    """Budgets of all _estimate passes, and per trial the passes it made.
 
-    Each per-call entry also holds the growth of every list in ``counted``.
+    A trial is one run of the descent's pass, the start's included.  Each
+    per-call entry also holds the growth of every list in ``counted``.
     """
     solvers = sys.modules["ballrep.solvers"]
     volume_module = sys.modules["ballrep.volume"]
@@ -1120,22 +1142,21 @@ def _count_oracle_work(monkeypatch, counted):
 
     per_call = []
 
-    def counting(real_iteration):
-        def counting_iteration(state0, evaluate, *rest):
-            def oracle(x):
-                before = (len(passes), *map(len, counted))
-                out = evaluate(x)
+    def counting_descent(*args, real=solvers._descent_pass):
+        live, run = real(*args)
+
+        def counting_run(c):
+            before = (len(passes), *map(len, counted))
+            try:
+                return run(c)
+            finally:
                 after = (len(passes), *map(len, counted))
                 per_call.append(tuple(b - a for a, b in zip(before, after)))
-                return out
 
-            return real_iteration(state0, oracle, *rest)
-
-        return counting_iteration
+        return live, counting_run
 
     monkeypatch.setattr(volume_module, "_estimate", counting_estimate)
-    for name in ITERATIONS:
-        monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
+    monkeypatch.setattr(solvers, "_descent_pass", counting_descent)
     return passes, per_call
 
 
@@ -1260,12 +1281,13 @@ def _record_descent(monkeypatch):
             monkeypatch.setattr(volume_module, "_radial_pass", real_radial)
 
     def recording(real_iteration):
-        def recording_iteration(state0, evaluate, *rest):
+        def recording_iteration(state0, first, evaluate, *rest):
             def oracle(x):
                 trials.append(np.array(x, copy=True))
                 return evaluate(x)
 
-            return real_iteration(state0, oracle, *rest)
+            trials.append(np.array(state0, copy=True))  # the start, evaluated by _descend
+            return real_iteration(state0, first, oracle, *rest)
 
         return recording_iteration
 

@@ -1366,7 +1366,8 @@ class TestDrawAhead:
         tables = []
         for ahead in (1, 3):
             monkeypatch.setattr(volume_module, "_DRAW_AHEAD", ahead)
-            assert np.array_equal(volume_module._cone_nodes(2, 4.0, budget, 4)[0], nodes)
+            drawn = np.concatenate(list(volume_module._cone_batches(2, 4.0, budget, 4)))
+            assert np.array_equal(drawn, nodes)
             tables.append(table())
         # the reference: every node in one array, cut into blocks as it comes
         monkeypatch.setattr(volume_module, "_cone_batches", lambda *_: (b for b in [nodes]))
@@ -1377,10 +1378,18 @@ class TestDrawAhead:
     @pytest.mark.parametrize("n,d", [(3, 6.0), (4, 2.0)])
     def test_cone_nodes_match_the_serial_loop(self, n, d):
         volume_module = sys.modules["ballrep.volume"]
+        # sum_i (i + 1) |x_i|**d varies over the nodes, so its volume sees each weight
+        g = GeneralizedPolynomial(n, int(d), 1, {
+            tuple(int(d) * (j == i) for j in range(n)): i + 1.0 for i in range(n)})
         for budget in (1, 65536, 3 * 65536 + 7):
-            dirs, w = volume_module._cone_nodes(n, d, budget, 3)
+            dirs = np.concatenate(list(volume_module._cone_batches(n, d, budget, 3)))
             assert np.array_equal(dirs, _serial_cone_nodes(n, d, budget, 3))
-            assert np.array_equal(w, np.full(budget, w[0]))
+            # a Monte Carlo pass weighs every node alike, n vol(B_d) / budget
+            nodes, run = volume_module._radial_pass(g, g._exponents, "monte_carlo", budget, 3)
+            weight = n * closed_form_ball_volume(n, d) / budget
+            assert nodes == budget
+            assert run(g._coeffs)[0] == pytest.approx(
+                weight * np.sum(g.evaluate(dirs) ** (-n / d)) / n, rel=1e-12)
 
     def test_infeasible_input_stops_drawing(self, monkeypatch):
         # g < 0 about the diagonals, so the first block raises; 400000 nodes are 7 batches
@@ -1420,7 +1429,7 @@ class TestDrawAhead:
         monkeypatch.setattr(volume_module, "_cone_batch", named)
         moment_table(ODD_QUARTIC, max_order=2, backend="monte_carlo", budget=140_000, seed=2)
         assert not _draw_threads()
-        volume_module._cone_nodes(2, 4.0, 140_000, 3)
+        np.concatenate(list(volume_module._cone_batches(2, 4.0, 140_000, 3)))
         assert not _draw_threads()
         assert sorted(name.startswith("ballrep-draw") for name in drawn_on) == [False] * 2 + [True] * 4
 
