@@ -241,17 +241,14 @@ def certify_p3(
     trace-minimization problem.
     """
     tol = _default_tol(mm.normalization.backend, tol)
-    size = gram.Q.shape[0]
-    if mm.values.shape != (size, size):
-        raise ValueError(
-            f"moment matrix has shape {mm.values.shape}, expected ({size}, {size})"
-        )
+    if mm.basis != tuple(gram.basis):
+        raise MomentCoverageError(f"moment matrix of shape {mm.values.shape} is not on Q's basis")
     n, d = gram.n, float(gram.degree)
     rho, volume_residual = _ball_volume_residual(n, gram.degree, mm.normalization, tol)
 
     trace = gram.trace
     scale = (n + d) * trace / (n * rho)
-    a_matrix = np.eye(size) - scale * mm.values
+    a_matrix = np.eye(len(mm.basis)) - scale * mm.values
     eigenvalues, _ = jacobi_eigh(a_matrix)
     min_eig = float(eigenvalues[0])
     eig_allowance = 3.0 * scale * float(np.linalg.norm(mm.errors))
@@ -325,8 +322,7 @@ def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: 
         raise ValueError(f"unknown problem {problem!r}; choose p1, p2 or p3")
     _check_candidate(problem, candidate)
     tol = _default_tol(backend, tol)  # rejects a bad input before the moment pass
-    poly = candidate.expand() if problem == "p3" else candidate
-    table = moment_table(poly, backend=backend, budget=budget, seed=seed)
+    table = moment_table(candidate.expand(), backend=backend, budget=budget, seed=seed)
     return _check(problem, candidate, table, tol), table.normalization
 
 

@@ -338,6 +338,10 @@ class GeneralizedPolynomial:
         terms = {a: lam * c for a, c in self.terms.items()}
         return GeneralizedPolynomial(self.n, self.degree, self.q, terms, self.convention)
 
+    def expand(self) -> "GeneralizedPolynomial":
+        """Itself: a candidate's polynomial, as GramForm.expand gives a Gram form's."""
+        return self
+
     def lattice_base(self, x) -> np.ndarray:
         """x if classical, else |x|**(1/q): the base whose integer powers A give x**(A/q)."""
         return x if self._classical else np.abs(x) ** (1.0 / self.q)

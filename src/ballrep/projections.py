@@ -24,8 +24,8 @@ def _check_vector(v) -> np.ndarray:
 
 def project_simplex(v, total: float) -> np.ndarray:
     """Project onto {x >= 0, sum x = total} (sort-based)."""
-    if not total > 0:
-        raise ValueError(f"simplex total must be positive, got {total}")
+    if not 0 < total < np.inf:
+        raise ValueError(f"simplex total must be positive and finite, got {total}")
     v = _check_vector(v)
     # stable descending sort keeps ties in canonical index order
     dropping = np.sort(v, kind="stable")[::-1]

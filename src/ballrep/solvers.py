@@ -188,9 +188,8 @@ def scale_to_target_volume(
     """
     if not target > 0:
         raise ValueError(f"target volume must be positive, got {target}")
-    poly = obj.expand() if isinstance(obj, GramForm) else obj
-    est = volume(poly, backend=backend, budget=budget, seed=seed)
-    return obj.rescale(_target_scale(est, target, poly.degree, poly.n))
+    est = volume(obj.expand(), backend=backend, budget=budget, seed=seed)
+    return obj.rescale(_target_scale(est, target, obj.degree, obj.n))
 
 
 def _target_scale(est, target: float, d, n: int) -> float:
@@ -306,16 +305,13 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     and the pass's moments mapped to its ball.  The objective, like each
     trace entry, is norm of the normalized coordinates.
     """
-    def polynomial(obj):
-        return obj.expand() if isinstance(obj, GramForm) else obj
-
     if start is not None:
         _check_candidate(problem, start)
         if (start.n, start.degree, getattr(start, "q", 1)) != (n, d, q):
             raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
     # the start as given decides the fold and the orbit means: a projection may round
     basis = np.array(enumerate_indices(n, int(d * q)), dtype=np.intp)
-    given = polynomial(make(default_start) if start is None else start)
+    given = (make(default_start) if start is None else start).expand()
     live, run = _descent_pass(given, basis, cfg.backend, cfg.descent_budget, cfg.seed)
     x_given = np.asarray(default_start if start is None else coords(start))
     at, first = _permutation_orbits(n, int(d * q) // x_given.ndim, x_given.ndim)
@@ -328,8 +324,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
 
     x0 = default_start if start is None else project(coords(start))
     if start is not None:  # outside input: only the gate can tell whether its volume is finite
-        g0 = polynomial(make(x0))
-        _finite_or_raise(finite_volume_test(g0, seed=cfg.seed), "initial iterate")
+        _finite_or_raise(finite_volume_test(make(x0).expand(), seed=cfg.seed), "initial iterate")
     rho = closed_form_ball_volume(n, d)
     factor = -(n + float(d)) / float(d)  # the volume gradient over the slice's moments
 
@@ -353,7 +348,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     x, trace, converged = iterate(x0, first, evaluate, project, report, cfg)
     del evaluate, run  # frees the descent pass's P before the certificate-budget pass
     solution = make(x)
-    table = moment_table(polynomial(solution), backend=cfg.backend,
+    table = moment_table(solution.expand(), backend=cfg.backend,
                          budget=cfg.certificate_budget, seed=cfg.seed)
     k = _target_scale(table.normalization, rho, d, n) if scale is None else scale(solution)
     solution, table = solution.rescale(k), _rescaled_moments(table, k, d)

@@ -22,17 +22,17 @@ node source, _lattice_grid: Gauss-Legendre on the orthant of the unit
 sphere, where the kinks of |x|**(1/q) never show, so it converges
 spectrally.  Monte Carlo takes S the unit l_d sphere and random nodes of
 its cone measure, of total n vol(B_d), so on B_d itself h = 1 at every
-node.  One function,
-_radial_pass, picks the nodes and their fold and makes one monomial kernel
-call P on given rows; _radial reads h from P's leading rows, rejects
+node.  One function, _radial_pass, checks the spherical reach (n in {2, 3}),
+picks the nodes, their fold and their kernel base, and makes one monomial
+kernel call P on given rows; _radial reads h from P's leading rows, rejects
 infinite volume and gives the radial factors, and the moments sharing
 k = n + |alpha| come from one contiguous run of rows (_k_runs) against one
-radial weight w * h**(-k/d).  A query's rows are g's own exponents, then the
-requested alphas they miss, so the volume and the degree-d moments (and
+radial weight w * h**(-k/d).  A query's rows are g's own exponents, then
+the requested alphas they miss, so the volume and the degree-d moments (and
 with them the volume gradient) come from the same pass; a solve asks
 _descent_pass for one pass on the degree-d slice, whose rows drop the
 moments that vanish by symmetry at its start, and runs it at every trial.
-Every backend lays out its kernel rows the same way.  _radial_pass makes
+_estimate lays out a query's rows once, for any backend.  _radial_pass makes
 one kernel call; Monte Carlo queries and the grid oracle make one per block
 of at most _BLOCK points (the grid's blocks are whole slices, at least one),
 which bounds the memory of a block's samples and kernel output, and their
@@ -73,6 +73,7 @@ import collections
 import contextlib
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -306,6 +307,7 @@ def _sphere_grid(n: int, budget: int, orthant: bool):
     so at 1/4 (n = 2) or 1/8 (n = 3) of the nodes.  Nodes on a coordinate
     plane have exact zeros there.  Cached per (n, budget, orthant), passed
     positionally: a keyword would give the same grid a second cache entry.
+    n is 2 or 3: _radial_pass checks that reach, and the gate keeps to it.
     """
 
     def circle(count):  # cos and sin of count equal azimuths: those in [0, pi/2], or in [0, pi)
@@ -320,7 +322,7 @@ def _sphere_grid(n: int, budget: int, orthant: bool):
         nodes -= nodes % 4  # multiple of 4 keeps coordinate symmetries exact
         dirs = np.stack(circle(nodes), axis=-1)
         weights = np.full(len(dirs), 2.0 * math.pi / nodes)
-    elif n == 3:
+    else:  # n == 3
         half = max(4, int(round(math.sqrt(max(budget, 32) / 2.0))))
         azim = 2 * half
         u, wu = np.polynomial.legendre.leggauss(half)  # u = cos(polar angle)
@@ -334,8 +336,6 @@ def _sphere_grid(n: int, budget: int, orthant: bool):
         dirs[..., 2] = u[:, None]
         dirs = dirs.reshape(-1, 3)
         weights = np.repeat(wu * (2.0 * math.pi / azim), len(cos))
-    else:
-        raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
     weights *= 2.0 ** np.count_nonzero(dirs, axis=1) if orthant else 2.0
     for arr in (dirs, weights):
         arr.setflags(write=False)
@@ -352,9 +352,8 @@ def _lattice_grid(n: int, q: int, budget: int):
     closed orthant, so tensor Gauss-Legendre in the n - 1 hyperspherical
     angles on [0, pi/2], m = (budget / 2**n)**(1/(n - 1)) nodes each (at most
     _LATTICE_NODES: leggauss(m) builds an m x m matrix), converges spectrally.
+    Its one caller, _radial_pass, checks the spherical backend's reach first.
     """
-    if n not in (2, 3):
-        raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
     m = min(_LATTICE_NODES, max(2, round((budget / 2**n) ** (1.0 / (n - 1)))))
     x, wx = np.polynomial.legendre.leggauss(m)
     idx = np.indices((m,) * (n - 1)).reshape(n - 1, -1).T
@@ -449,29 +448,32 @@ def _k_runs(rows, n: int, q: int):
 def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=None):
     """The radial formula on the nodes of backend, built once for g: (nodes, run).
 
-    The nodes are the sphere grid of budget for a classical g (its orthant
-    if sign-symmetric, else its half, moved into G's isotropic position once
-    per pass, so every trial of a descent reads the same nodes; the rows
-    _symmetry_zero keeps share that symmetry), the lattice grid of (q,
-    budget), already the lattice base, for any other, or on Monte Carlo the
-    _cone_batches of (budget, seed) in one array, each node of weight
-    n vol(B_d) / budget, the cone measure's total shared equally; P, the
-    monomials of rows at the base, serves every run.  run(c), c the
+    The spherical backend's reach, n in {2, 3}, is checked here only.  Each
+    node source gives the kernel's base and weights: the sphere grid of
+    budget for a classical g (its orthant if sign-symmetric, else its half,
+    moved into G's isotropic position once per pass, so every trial of a
+    descent reads the same nodes; the rows _symmetry_zero keeps share that
+    symmetry), the lattice grid of (q, budget) for any other, or on Monte
+    Carlo the lattice base of the _cone_batches of (budget, seed), each node
+    of weight n vol(B_d) / budget, the cone measure's total shared equally.
+    P, the monomials of rows at the base, serves every run.  run(c), c the
     coefficients on the leading rows, returns the volume w.h**(-n/d)/n and
     every row's moment at its run's k, in the runs holding a row index of
     wanted (None: all; the rest unset).
     """
     n, d = g.n, g.degree_float
+    if backend == SPHERICAL and n not in (2, 3):
+        raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
     if backend != SPHERICAL:
-        dirs = np.concatenate(list(_cone_batches(n, d, budget, seed)))
+        base = g.lattice_base(np.concatenate(list(_cone_batches(n, d, budget, seed))))
         w = np.full(budget, n * closed_form_ball_volume(n, d) / budget)
     elif not g.is_classical:
-        dirs, w = _lattice_grid(n, g.q, budget)
+        base, w = _lattice_grid(n, g.q, budget)
     elif g.sign_symmetric:
-        dirs, w = _sphere_grid(n, budget, True)
+        base, w = _sphere_grid(n, budget, True)
     else:
-        dirs, w = _isotropic_grid(g, *_sphere_grid(n, budget, False))
-    P = monomials(dirs if backend == SPHERICAL else g.lattice_base(dirs), rows)
+        base, w = _isotropic_grid(g, *_sphere_grid(n, budget, False))
+    P = monomials(base, rows)
     pure = np.count_nonzero(rows, axis=1) == 1
     runs = [(lo, hi, k) for lo, hi, k in _k_runs(rows, n, g.q)
             if wanted is None or any(lo <= i < hi for i in wanted)]
@@ -497,11 +499,10 @@ def _descent_pass(g: GeneralizedPolynomial, basis, backend: str, budget: int, se
     return live, _radial_pass(g, basis[live], backend, budget, seed)[1]
 
 
-def _spherical_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
-    rows, live_rows = _kernel_rows(g, live)
+def _spherical_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: int):
     nodes, run = _radial_pass(g, rows, SPHERICAL, budget, seed, live_rows)
     vol, moments = run(g._coeffs)
-    return vol, 0.0, moments[live_rows], np.zeros(len(live)), nodes, None
+    return vol, 0.0, moments[live_rows], np.zeros(len(live_rows)), nodes, None
 
 
 # -- Monte Carlo backend ------------------------------------------------------
@@ -554,7 +555,7 @@ def _cone_batches(n: int, d: float, budget: int, seed: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
+def _mc_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: int):
     """The spherical pass's radial formula on random nodes, the _cone_batches of (budget, seed).
 
     As in _radial_pass, an answer is the sum over the nodes of w h**(-k/d) / k
@@ -572,10 +573,9 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     ESS, that of the volume's weights h**(-n/d), warns below 1% of the budget.
     """
     n, d = g.n, g.degree_float
-    rows, live_rows = _kernel_rows(g, live)
     pure = np.count_nonzero(rows, axis=1) == 1
-    # sample row 0 is the volume's, row 1 + i that of live[i]
-    ks, k_of = np.unique([n] + [n + sum(a) / g.q for a in live], return_inverse=True)
+    # sample row 0 is the volume's, row 1 + i that of rows[live_rows[i]]
+    ks, k_of = np.unique(np.r_[n, n + rows[live_rows].sum(axis=1) / g.q], return_inverse=True)
     sums = sums2 = 0.0
     centre = None
     with contextlib.closing(_cone_batches(n, d, budget, seed)) as batches:
@@ -594,24 +594,27 @@ def _mc_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     mean += centre
     ess = budget / (1.0 + var[0] / mean[0] ** 2)
     if ess < 0.01 * budget:
+        level, frame = 1, sys._getframe()  # warn at the first caller outside ballrep
+        while frame and frame.f_globals.get("__name__", "").partition(".")[0] == "ballrep":
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"effective sample size {ess:.1f} below 1% of budget {budget}; "
             "the polynomial is near the feasibility boundary",
             EffectiveSampleSizeWarning,
-            stacklevel=4,  # the caller of volume, moment_table and the other queries
+            stacklevel=level,
         )
     # the pairwise sum of the budget equal weights _radial_pass gives these
     # nodes, without their array
     weights = np.broadcast_to(n * closed_form_ball_volume(n, d) / budget, budget).sum()
     scale = weights / ks[k_of]
-    value, err = scale * mean, scale * np.sqrt(var / max(1, budget - 1))
+    value, err = scale * mean, scale * np.sqrt(var / (budget - 1))
     return value[0], err[0], value[1:], err[1:], budget, float(ess)
 
 
 # -- grid oracle --------------------------------------------------------------
 
 
-def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
+def _grid_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: int):
     """Indicator integration of g(x) <= 1 on a uniform cell grid.
 
     Intentionally simple and slow; the bounding half-width comes from the
@@ -637,13 +640,12 @@ def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
     step = 2.0 * half_width / m
     corners = -half_width + step * np.arange(m)
     cell = step**n
-    rows, live_rows = _kernel_rows(g, live)
     tail = np.stack(np.meshgrid(*([corners] * (n - 1)), indexing="ij"), axis=-1)
     tail = tail.reshape(-1, n - 1)
     per = max(1, _BLOCK // len(tail))  # whole slices per kernel call
     inside_mask = np.empty(m**n, dtype=bool)
-    slice_sums = np.zeros((len(live), m))
-    fmax = np.zeros(len(live))
+    slice_sums = np.zeros((len(live_rows), m))
+    fmax = np.zeros(len(live_rows))
     rng = np.random.default_rng([seed, 515])
     for i0 in range(0, m, per):
         i1 = min(m, i0 + per)
@@ -655,10 +657,10 @@ def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
         P = monomials(g.lattice_base(pts), rows)
         inside = g._coeffs @ P[: len(g._exponents)] <= 1.0
         inside_mask[i0 * len(tail) : i1 * len(tail)] = inside
-        if inside.any() and live:
+        if inside.any() and live_rows:
             f = P[live_rows] * inside
             # per-slice sums, so the totals do not depend on the block either
-            slice_sums[:, i0:i1] = f.reshape(len(live), i1 - i0, -1).sum(axis=2)
+            slice_sums[:, i0:i1] = f.reshape(len(live_rows), i1 - i0, -1).sum(axis=2)
             fmax = np.maximum(fmax, np.abs(f).max(axis=1))
     inside_mask = inside_mask.reshape((m,) * n)
     sums = slice_sums.sum(axis=1)
@@ -672,9 +674,9 @@ def _grid_estimate(g: GeneralizedPolynomial, live, budget: int, seed: int):
 
 # -- dispatch -----------------------------------------------------------------
 
-# each backend maps (g, live, budget, seed) to the volume and its error, the
-# live moments' values and errors as arrays aligned with live, the node or
-# sample count and the ESS (None outside Monte Carlo)
+# each backend maps (g, rows, live_rows, budget, seed), a query's _kernel_rows
+# between, to the volume and its error, the live moments' values and errors
+# aligned with live_rows, the node or sample count and the ESS (or None)
 _BACKENDS = {
     SPHERICAL: _spherical_estimate,
     MONTE_CARLO: _mc_estimate,
@@ -686,19 +688,21 @@ def _estimate(g, alphas, backend: str, budget: int | None, seed: int):
     """(volume, moments) of one backend pass, one entry per distinct alpha in order.
 
     The all-zeros alpha reads the volume and moments that vanish by symmetry
-    read exact zeros; only the remaining live alphas reach the backend, and
-    its plain numbers become the VolumeEstimate and the moment entries here.
+    read exact zeros; the rest reach the backend as the query's one row
+    layout, _kernel_rows, and its numbers become the answers here.
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     ball = _ball_power(g) if backend == SPHERICAL and budget is None else None
-    budget = DEFAULT_BUDGETS[backend] if budget is None else _check_integer(budget, "budget", 1)
+    least = 2 if backend == MONTE_CARLO else 1  # a standard error needs two samples
+    budget = DEFAULT_BUDGETS[backend] if budget is None else _check_integer(budget, "budget", least)
     seed = _check_integer(seed, "seed", 0)
     moments = dict.fromkeys(_check_alphas(alphas, g.n), (0.0, 0.0))
     zero = _symmetry_zero(g, list(moments))
     live = [a for a, z in zip(moments, zero) if any(a) and not z]
     vol, vol_err, values, errors, nodes, ess = (
-        _ball_power_estimate(g, live, *ball) if ball else _BACKENDS[backend](g, live, budget, seed))
+        _ball_power_estimate(g, live, *ball) if ball
+        else _BACKENDS[backend](g, *_kernel_rows(g, live), budget, seed))
     moments.update(zip(live, zip(values.tolist(), errors.tolist())))
     est = VolumeEstimate(float(vol), float(vol_err), backend, nodes, ess)
     if (0,) * g.n in moments:

@@ -251,6 +251,15 @@ class TestCertifyP3:
         with pytest.raises(ValueError, match="shape"):
             certify_p3(gram, mm)
 
+    def test_basis_mismatch_rejected(self):
+        # a 3 x 3 matrix over n = 3's degree-1 basis, at vol(B_4) of n = 2:
+        # the shape and the volume fit GramForm(2, 4, I), the basis does not
+        rho = closed_form_ball_volume(2, 4)
+        mm = MomentMatrix(tuple(enumerate_indices(3, 1)), 0.1 * np.eye(3), np.zeros((3, 3)), 1,
+                          VolumeEstimate(rho, 0.0, "closed_form", 0))
+        with pytest.raises(MomentCoverageError, match="basis"):
+            certify_p3(GramForm(2, 4, np.eye(3)), mm)
+
     def test_monotone_in_tolerance(self):
         # near-optimal candidate: passes at loose tolerances, fails at tight ones
         k = (math.pi / closed_form_ball_volume(2, 4)) ** 2

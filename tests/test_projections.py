@@ -148,6 +148,15 @@ def test_non_positive_radius_is_rejected(project, message, bound):
         project(bound)
 
 
+def test_infinite_simplex_total_is_rejected():
+    # a simplex of infinite total has no point; the balls' infinite radius stays valid
+    with pytest.raises(ValueError, match="simplex total must be positive and finite, got inf"):
+        project_simplex(np.ones(2), float("inf"))
+    assert project_l1_ball(np.ones(2), float("inf")).tolist() == [1.0, 1.0]
+    assert project_weighted_l2_ball(np.ones(2), np.ones(2), float("inf")).tolist() == [1.0, 1.0]
+    assert project_psd_trace(np.eye(2), float("inf")) == pytest.approx(np.eye(2))
+
+
 @pytest.mark.parametrize("project", [project_simplex, project_l1_ball], ids=["simplex", "l1"])
 @pytest.mark.parametrize("v", [[], [float("nan"), 1.0], [float("inf"), 1.0], [[0.5, 0.5]]],
                          ids=["empty", "nan", "inf", "two-dimensional"])

@@ -1225,9 +1225,9 @@ class TestOnePassPerTrial:
         real = volume_module._BACKENDS["spherical"]
         handed = []
 
-        def counting(g, live, budget, seed):
-            handed.append(len(live))
-            return real(g, live, budget, seed)
+        def counting(g, rows, live_rows, budget, seed):
+            handed.append(len(live_rows))
+            return real(g, rows, live_rows, budget, seed)
 
         monkeypatch.setitem(volume_module._BACKENDS, "spherical", counting)
         res = solve(3, 6)

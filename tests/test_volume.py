@@ -349,6 +349,13 @@ class TestNegativeSeeds:
         with pytest.raises(ValueError, match="budget must be an integer, got True"):
             moment_table(g, backend=backend, budget=True)
 
+    def test_monte_carlo_needs_two_samples(self):
+        # one sample has no spread: its standard error would read 0
+        for query in (volume, moment_table):
+            with pytest.raises(ValueError, match="budget must be >= 2, got 1"):
+                query(DISK4, backend="monte_carlo", budget=1)
+        assert volume(DISK4, backend="monte_carlo", budget=2).std_error > 0.0
+
     def test_numpy_integers_stay_valid(self):
         # the disk, not B_4: g is 1 at every cone node of B_4, so its volume
         # is the same at any seed
@@ -465,7 +472,8 @@ class TestMonteCarlo:
         with pytest.warns(EffectiveSampleSizeWarning) as record:
             volume(NEAR_BOUNDARY, backend="monte_carlo", budget=200_000, seed=0)
             moment_table(NEAR_BOUNDARY, backend="monte_carlo", budget=200_000, seed=0)
-        assert [w.filename for w in record] == [__file__] * 2
+            certify("p2", NEAR_BOUNDARY, backend="monte_carlo", budget=200_000)
+        assert [w.filename for w in record] == [__file__] * 3
 
     @pytest.mark.parametrize("cross,query", [
         (-300.0, lambda g: volume(g, backend="monte_carlo", budget=1000, seed=0)),
