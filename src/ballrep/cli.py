@@ -5,15 +5,26 @@ JSON results go to standard output; CSV tables go to --out when given
 in field order (``VolumeEstimate``, ``Certificate``, ``SolveResult``), with
 None-valued fields left out and a solution in the polynomial or Gram
 schema.  Exit codes partition outcomes: 0 ok, 2 input error, 3 infeasible
-input, 4 solver did not converge, 5 certificate failed.  Runs are
-deterministic for a fixed invocation and seed.
+input, 4 solver did not converge, 5 certificate failed; a --out path that
+cannot be written is an input error.  Runs are deterministic for a fixed
+invocation and seed.
+
+``run()`` is the process entry, behind both ``python -m ballrep.cli`` and
+the ``ballrep`` console script; ``main(argv)`` is the in-process call.  By
+the time ``run()`` starts, the package is imported, and what the import
+built lives as long as the process, so ``run()`` freezes it
+(``gc.freeze()``): no later collection walks it, the interpreter's
+shutdown collections included.  A closed standard output (``ballrep ... |
+head -1``) exits 1 with nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -65,16 +76,24 @@ def _document(result) -> dict:
     return {name: value for name, value in asdict(result).items() if value is not None}
 
 
+def _write(out: str, text: str):
+    """Write text to the --out path; an unwritable path is a SchemaError."""
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise SchemaError("out", str(exc)) from exc
+
+
 def _emit_json(doc: dict, out: str | None):
     text = json.dumps(doc, indent=2)
+    if out:  # before printing, so a failed write prints nothing
+        _write(out, text + "\n")
     print(text)
-    if out:
-        Path(out).write_text(text + "\n")
 
 
 def _emit_csv(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -279,5 +298,20 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run() -> int:
+    """The ``ballrep`` process: freeze the imported heap, run ``main()``, flush."""
+    gc.freeze()
+    try:
+        try:
+            return main()
+        finally:  # also when argparse exits, after --help or a usage error
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output; the interpreter flushes it once
+        # more at exit, so point it at devnull (Python's note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

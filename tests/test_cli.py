@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -28,6 +30,19 @@ from ballrep.cli import main
 
 DISK4 = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
 INFEASIBLE = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -2.1})
+SRC = str(Path(ballrep.__file__).resolve().parents[1])
+
+
+def package_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=package_env(), capture_output=True,
+                          text=True, timeout=120)
 
 
 def field_names(cls, omit=()):
@@ -410,10 +425,14 @@ class TestCertifyCommand:
     (["moments", "DISK", "--max-order", "x"], "error: --max-order must be a number, got 'x'\n"),
     (["ball-table", "--n-range", "2:2", "--d-list", "4,zz"],
      "error: --d-list must be a number, got 'zz'\n"),
+    (["volume", "DISK", "--out", "UNWRITABLE"], "error: out: "),
+    (["ball-table", "--n-range", "2:2", "--d-list", "4", "--out", "UNWRITABLE"], "error: out: "),
 ], ids=["non-rational-d", "unreadable-file", "n-range-dash", "p3-fractional-d",
-        "non-rational-max-order", "non-rational-d-list"])
+        "non-rational-max-order", "non-rational-d-list", "unwritable-json-out",
+        "unwritable-csv-out"])
 def test_input_error_exit_code(tmp_path, capsys, disk_file, argv, message):
-    paths = {"MISSING": str(tmp_path / "missing.json"), "DISK": disk_file}
+    paths = {"MISSING": str(tmp_path / "missing.json"), "DISK": disk_file,
+             "UNWRITABLE": str(tmp_path / "missing" / "out")}
     assert main([paths.get(a, a) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert message in err
@@ -486,15 +505,108 @@ class TestDeterminism:
 
 class TestImportFootprint:
     def test_cli_import_loads_no_scipy(self):
-        src = str(Path(ballrep.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # the first multi-batch Monte Carlo draw imports concurrent.futures, and
+        # only `moments --format json` hashes; a cold command pays for neither
         code = (
             "import sys, ballrep.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('concurrent.futures', 'hashlib')))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120, check=True,
-        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# records the freeze count after the command has run, at interpreter exit
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    "sys.argv = ['ballrep', 'ball-table', '--n-range', '2:2', '--d-list', '4']\n"
+)
+
+COLD_COMMANDS = {
+    "volume disk": ["volume", "DISK", "--seed", "1"],
+    "moments disk": ["moments", "DISK", "--max-order", "4", "--format", "json", "--seed", "1"],
+    "solve p3": ["solve", "p3", "--n", "2", "--d", "4", "--seed", "1"],
+    "certify p2": ["certify", "p2", "DISK", "--seed", "1"],
+    "ball-table": ["ball-table", "--n-range", "2:3", "--d-list", "4,1/2"],
+    "volume infeasible": ["volume", "INFEASIBLE", "--seed", "1"],
+    "volume ball(2,1/2)": ["volume", "BALL_HALF", "--seed", "1"],
+    "certify p1 ball(2,3/2)": ["certify", "p1", "BALL_THREE_HALVES", "--seed", "1"],
+}
+
+
+@pytest.fixture
+def cold_inputs(tmp_path, disk_file, infeasible_file):
+    paths = {"DISK": disk_file, "INFEASIBLE": infeasible_file}
+    for name, poly in [("BALL_HALF", ld_polynomial(2, Fraction(1, 2), q=4)),
+                       ("BALL_THREE_HALVES", ld_polynomial(2, Fraction(3, 2), q=2))]:
+        path = tmp_path / f"{name.lower()}.json"
+        path.write_text(serialize_polynomial(poly))
+        paths[name] = str(path)
+    return paths
+
+
+class TestProcessEntry:
+    def frozen(self, proc) -> int:
+        assert proc.returncode == 0, proc.stderr
+        label, count = proc.stdout.splitlines()[-1].split()
+        assert label == "frozen"
+        return int(count)
+
+    def test_main_module_freezes(self):
+        run = "import runpy\nrunpy.run_module('ballrep.cli', run_name='__main__', alter_sys=True)\n"
+        assert self.frozen(run_python("-c", FREEZE_PROBE + run)) > 0
+
+    def test_console_script_target_freezes(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]")[1]
+        module, name = re.search(r'^ballrep = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+        # what the generated console script does with its target
+        run = f"from {module} import {name}\nsys.exit({name}())\n"
+        assert self.frozen(run_python("-c", FREEZE_PROBE + run)) > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["volume", "DISK"],
+        ["moments", "DISK", "--max-order", "2"],
+        ["solve", "p3", "--n", "2", "--d", "4"],
+        ["certify", "p2", "DISK"],
+        ["ball-table", "--n-range", "2:2", "--d-list", "4"],
+        ["boundary", "DISK", "--count", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_main_does_not_freeze(self, disk_file, capsys, argv):
+        before = gc.get_freeze_count()
+        assert main([disk_file if a == "DISK" else a for a in argv]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("name", list(COLD_COMMANDS))
+    def test_process_matches_in_process(self, cold_inputs, capsys, name):
+        argv = [cold_inputs.get(a, a) for a in COLD_COMMANDS[name]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        proc = run_python("-m", "ballrep.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+    @pytest.mark.parametrize("argv,unbuffered", [
+        (["moments", "DISK", "--max-order", "4", "--format", "json"], True),
+        (["moments", "DISK", "--max-order", "4", "--format", "json"], False),
+        (["--help"], False),
+    ], ids=["print", "final-flush", "help"])
+    def test_closed_stdout_exits_1_quietly(self, disk_file, argv, unbuffered):
+        # the read end is closed before the child starts, so its first write
+        # fails: in print() when unbuffered, else in the entry's final flush,
+        # which also runs when argparse exits after --help
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [disk_file if a == "DISK" else a for a in argv]
+        try:
+            proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "ballrep.cli",
+                                   *argv], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
