@@ -8,9 +8,9 @@ makes one pass for every problem: the moment_table of the candidate's
 polynomial (a GramForm expanded), and _check runs the certificate against
 it; p3 reads its moment matrix from that table, as the sums a + b of the
 degree-d/2 basis are the degree-d slice.  A solve runs the same two, with
-_rescaled_moments between them, which maps the table of g's ball to that
-of k * g's exactly by homogeneity, so one pass both brings every solution
-to its reporting normalization and checks it.
+volume's homogeneity map, _rescaled_moments, between them, so one pass both
+brings every solution to its reporting normalization and checks it; this
+module scales nothing.
 Stochastic moment errors are propagated; a residual only counts as a
 violation when it exceeds the tolerance plus three combined standard
 errors, otherwise sampling noise would flip verdicts.  A ratio m / m1 of
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,25 +278,6 @@ def _check_candidate(problem: str, candidate) -> None:
         raise ValueError(f"{problem} candidates must be a {expected.__name__}")
 
 
-def _rescaled_moments(table: MomentTable, k: float, degree) -> MomentTable:
-    """The moment table of k * g's ball from that of g's ball, exact by homogeneity.
-
-    {k g <= 1} is k**(-1/d) times {g <= 1}, so the volume scales by
-    k**(-n/d) and the moment at alpha (numerators over q) by
-    k**(-(n + |alpha|/q)/d); the standard errors scale alike.
-    """
-    n = len(next(iter(table.entries)))
-
-    def factor(total):  # of a moment whose exponent numerators sum to total
-        return k ** (-(n + total / table.q) / float(degree))
-
-    f = {a: factor(sum(a)) for a in table.entries}
-    entries = {a: (v * f[a], e * f[a]) for a, (v, e) in table.entries.items()}
-    est, f0 = table.normalization, factor(0)
-    est = replace(est, value=est.value * f0, std_error=est.std_error * f0)
-    return replace(table, entries=entries, normalization=est)
-
-
 def _check(problem: str, candidate, table: MomentTable, tol: float | None) -> Certificate:
     """The certificate of ``problem`` at candidate against its degree-d moment table.
 
@@ -315,7 +296,7 @@ def certify(problem: str, candidate: GeneralizedPolynomial | GramForm, backend: 
     One pass for every problem: the default moment_table of candidate's
     polynomial (a GramForm expanded; backend, budget and seed default as in
     every estimator), then _check.  A solve makes the same pass and check,
-    with the homogeneity map _rescaled_moments between them.  Returns the
+    with volume's homogeneity map _rescaled_moments between them.  Returns the
     certificate and the volume estimate of the one pass.
     """
     if problem not in ("p1", "p2", "p3"):
@@ -362,7 +343,7 @@ def refute_ld_for_p3(
     eigenvalue that witnesses the failure: the cross moment puts a nonzero
     off-diagonal entry next to a zero diagonal in A.
     """
-    if d == 2:
+    if _check_even_degree(d, "the axis-power Gram form") == 2:
         raise ValueError(
             "not applicable at d = 2: the quadratic identity Gram satisfies the "
             "trace certificate, so there is nothing to refute"

@@ -333,8 +333,8 @@ class GeneralizedPolynomial:
 
     def rescale(self, lam: float) -> "GeneralizedPolynomial":
         """Multiply every coefficient by lam > 0 (degree and lattice unchanged)."""
-        if not lam > 0:
-            raise ValueError(f"scale factor must be positive, got {lam}")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {lam}")
         terms = {a: lam * c for a, c in self.terms.items()}
         return GeneralizedPolynomial(self.n, self.degree, self.q, terms, self.convention)
 
@@ -437,8 +437,8 @@ class GramForm:
         return float(np.trace(self.Q))
 
     def rescale(self, lam: float) -> "GramForm":
-        if not lam > 0:
-            raise ValueError(f"scale factor must be positive, got {lam}")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {lam}")
         return GramForm(self.n, self.degree, lam * np.asarray(self.Q))
 
     def expand(self) -> GeneralizedPolynomial:

@@ -56,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import Certificate, _check, _check_candidate, _default_tol, _rescaled_moments
+from .certificates import Certificate, _check, _check_candidate, _default_tol
 from .polynomials import (
     MONOMIAL,
     MULTINOMIAL,
@@ -83,6 +83,7 @@ from .volume import (
     InfiniteVolumeError,
     _finite_or_raise,
     _descent_pass,
+    _rescaled_moments,
     closed_form_ball_volume,
     finite_volume_test,
     grad_volume,  # noqa: F401  (unused; perfbench/selftest.py checks it is bound here)
@@ -186,17 +187,17 @@ def scale_to_target_volume(
     Uses k * g with k = (vol(g) / target)**(d/n); homogeneity of the
     volume functional makes this exact up to the volume estimate itself.
     """
-    if not target > 0:
-        raise ValueError(f"target volume must be positive, got {target}")
-    est = volume(obj.expand(), backend=backend, budget=budget, seed=seed)
-    return obj.rescale(_target_scale(est, target, obj.degree, obj.n))
+    if not 0 < target < math.inf:
+        raise ValueError(f"target volume must be positive and finite, got {target}")
+    vol = volume(obj.expand(), backend=backend, budget=budget, seed=seed).value
+    return obj.rescale(_target_scale(vol, target, obj.degree, obj.n))
 
 
-def _target_scale(est, target: float, d, n: int) -> float:
-    """k = (vol / target)**(d/n): k * g has volume target if g has the volume est."""
-    if not (math.isfinite(est.value) and est.value > 0):
-        raise InfiniteVolumeError(f"volume estimate {est.value} is not usable")
-    return (est.value / target) ** (float(d) / n)
+def _target_scale(vol: float, target: float, d, n: int) -> float:
+    """k = (vol / target)**(d/n): k * g has volume target if g has volume vol, by homogeneity."""
+    if not (math.isfinite(vol) and vol > 0):
+        raise InfiniteVolumeError(f"volume estimate {vol} is not usable")
+    return (vol / target) ** (float(d) / n)
 
 
 def _projected_gradient(state0, first, evaluate, project, report, cfg: SolveConfig):
@@ -340,7 +341,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
         return vol, pullback(factor * m)
 
     def report(x, vol):
-        return norm(x * (vol / rho) ** (float(d) / n))
+        return norm(x * _target_scale(vol, rho, d, n))
 
     first = evaluate(x0)  # the start's one check on the solve's own pass
     if first is None:
@@ -350,7 +351,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     solution = make(x)
     table = moment_table(solution.expand(), backend=cfg.backend,
                          budget=cfg.certificate_budget, seed=cfg.seed)
-    k = _target_scale(table.normalization, rho, d, n) if scale is None else scale(solution)
+    k = _target_scale(table.normalization.value, rho, d, n) if scale is None else scale(solution)
     solution, table = solution.rescale(k), _rescaled_moments(table, k, d)
     return SolveResult(
         problem="p1q" if problem == "p1" and q != 1 else problem,

@@ -53,10 +53,12 @@ alpha reads the volume, moments that vanish by symmetry read exact zeros, a
 backend estimates only the rest) and turns the backend's numbers into the
 VolumeEstimate and the moment entries.
 
-A spherical query given no budget on a scaled ball power
+Homogeneity, {k g <= 1} = k**(-1/d) {g <= 1}, has one home too:
+_homogeneity_factor, by which _rescaled_moments maps a solve's table to its
+rescaled ball.  A spherical query given no budget on a scaled ball power
 c (sum_i |x_i|**e)**m (_ball_power), whose G is c**(-1/d) B_e, reads no
-nodes: every answer, and the gate's minimum, comes from Dirichlet's
-formula, at any n.
+nodes: every answer is B_e's by Dirichlet's formula times that factor, at
+any n, and the gate's minimum is exact.
 
 A slow grid indicator oracle cross-checks volume and moment queries; no
 solve reads it.  All estimates carry a standard error: zero for the
@@ -75,7 +77,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +197,21 @@ class MomentTable:
         return out
 
 
+def _homogeneity_factor(k: float, n: int, total, q: int, degree) -> float:
+    """Moment of {k g <= 1} = k**(-1/d) {g <= 1} over g's, for numerators (over q) summing to total."""
+    return k ** (-(n + total / q) / float(degree))
+
+
+def _rescaled_moments(table: MomentTable, k: float, degree) -> MomentTable:
+    """k * g's moment table from g's, exact: every value and error, the volume's too, times its factor."""
+    n = len(next(iter(table.entries)))
+    f = {a: _homogeneity_factor(k, n, sum(a), table.q, degree) for a in table.entries}
+    entries = {a: (v * f[a], e * f[a]) for a, (v, e) in table.entries.items()}
+    est, f0 = table.normalization, _homogeneity_factor(k, n, 0, table.q, degree)
+    est = replace(est, value=est.value * f0, std_error=est.std_error * f0)
+    return replace(table, entries=entries, normalization=est)
+
+
 @dataclass(frozen=True)
 class MomentMatrix:
     """Matrix of moments M[a, b] = moment(g, a + b) over an ordered basis."""
@@ -239,7 +256,8 @@ def closed_form_ball_volume(n: int, d) -> float:
 
 def closed_form_ball_moment(n: int, d) -> float:
     """integral over the d-ball of |x_i|**d, for any axis i: its volume / (n + d)."""
-    return _ball_moment(n, d, [float(Fraction(d))] + [0.0] * (n - 1))
+    d, n = _check_rational(d, "degree"), _check_integer(n, "dimension", 1)
+    return _ball_moment(n, d, [d] + [0] * (n - 1))
 
 
 def _ball_power(g: GeneralizedPolynomial):
@@ -262,8 +280,8 @@ def _ball_power(g: GeneralizedPolynomial):
 
 
 def _ball_power_estimate(g: GeneralizedPolynomial, live, c: float, e):
-    """A backend's numbers for g = c (sum_i |x_i|**e)**m: c**(-(n + |alpha|/q)/d) times B_e's."""
-    values = [c ** (-(g.n + sum(a) / g.q) / g.degree_float) * _ball_moment(g.n, e, a, g.q)
+    """A backend's numbers for g = c (sum_i |x_i|**e)**m: B_e's, each times its _homogeneity_factor."""
+    values = [_homogeneity_factor(c, g.n, sum(a), g.q, g.degree) * _ball_moment(g.n, e, a, g.q)
               for a in [(0,) * g.n] + live]
     return values[0], 0.0, np.array(values[1:]), np.zeros(len(live)), 0, None
 
@@ -390,31 +408,32 @@ def _kernel_rows(g: GeneralizedPolynomial, live):
     return rows, [row[a] for a in live]
 
 
-def _volume_verdict(c, pure, n: int, values) -> FeasibilityVerdict:
+def _volume_verdict(c, rows, n: int, values) -> FeasibilityVerdict:
     """Finite volume or not, and g's least value seen, exact axes included.
 
-    c holds g's monomial coefficients, pure marks their pure-power rows and
-    values is g at the points seen.  On the axes +-e_i, which sphere grids
-    miss, g is its pure powers' coefficients, or 0 on an axis with none.
-    The one rule of the feasibility gate and every radial pass: a minimum
-    not above _GATE_TOLERANCE max |c|, which scales with g, is infinite volume.
+    c holds g's monomial coefficients on its exponent rows, values is g at
+    the points seen.  On the axes +-e_i, which sphere grids miss, g is the
+    coefficient of its pure power of x_i (the row nonzero only at i), or 0
+    if it has none.  The one rule of the feasibility gate and every radial
+    pass: a minimum not above _GATE_TOLERANCE max |c|, which scales with g,
+    is infinite volume.
     """
-    axes = c[pure]
+    axes = c[np.count_nonzero(rows, axis=1) == 1]
     smin = min(float(np.min(values)), float(axes.min(initial=np.inf if len(axes) == n else 0.0)))
     return FeasibilityVerdict(smin > _GATE_TOLERANCE * float(np.abs(c).max(initial=0.0)), smin)
 
 
-def _radial(c, P, pure, n: int, d: float, ks):
+def _radial(c, P, rows, n: int, d: float, ks):
     """The radial factors h**(-k/d) at P's nodes, one array per k of ks.
 
     h = c @ P[:len(c)] is g at the nodes, for the monomial coefficients c on
-    P's leading rows (pure marks P's pure-power rows); where _volume_verdict
-    finds infinite volume, it raises InfiniteVolumeError.  A node of weight w
-    adds w h**(-k/d) / k times its monomial to every moment of
-    k = n + |alpha|, the volume's k being n.
+    rows[:len(c)], the leading rows of P's exponent rows; where
+    _volume_verdict finds infinite volume on them, it raises
+    InfiniteVolumeError.  A node of weight w adds w h**(-k/d) / k times its
+    monomial to every moment of k = n + |alpha|, the volume's k being n.
     """
     h = c @ P[: len(c)]
-    _finite_or_raise(_volume_verdict(c, pure[: len(c)], n, h), "sublevel set")
+    _finite_or_raise(_volume_verdict(c, rows[: len(c)], n, h), "sublevel set")
     return [h ** (-k / d) for k in ks]
 
 
@@ -429,8 +448,8 @@ def _isotropic_grid(g: GeneralizedPolynomial, dirs, w):
     """
     n = g.n
     pilot, pw = _sphere_grid(n, _GATE_BUDGET, False)
-    pure = np.count_nonzero(g._exponents, axis=1) == 1
-    [f] = _radial(g._coeffs, monomials(pilot, g._exponents), pure, n, g.degree_float, [n + 2])
+    rows = g._exponents
+    [f] = _radial(g._coeffs, monomials(pilot, rows), rows, n, g.degree_float, [n + 2])
     lam, v = np.linalg.eigh((pilot.T * (pw * f)) @ pilot)
     y = (v * np.sqrt(lam / math.prod(lam) ** (1.0 / n))) @ v.T @ dirs.T  # (n, N): contiguous rows
     s = 1.0 / np.sqrt(np.einsum("ij,ij->j", y, y))
@@ -474,13 +493,12 @@ def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=N
     else:
         base, w = _isotropic_grid(g, *_sphere_grid(n, budget, False))
     P = monomials(base, rows)
-    pure = np.count_nonzero(rows, axis=1) == 1
     runs = [(lo, hi, k) for lo, hi, k in _k_runs(rows, n, g.q)
             if wanted is None or any(lo <= i < hi for i in wanted)]
     ks = [n] + [k for _, _, k in runs]
 
     def run(c):
-        radial, *factors = _radial(c, P, pure, n, d, ks)
+        radial, *factors = _radial(c, P, rows, n, d, ks)
         moments = np.empty(len(rows))
         for (lo, hi, k), f in zip(runs, factors):
             moments[lo:hi] = P[lo:hi] @ (w * f) / k
@@ -559,8 +577,9 @@ def _mc_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: i
     """The spherical pass's radial formula on random nodes, the _cone_batches of (budget, seed).
 
     As in _radial_pass, an answer is the sum over the nodes of w h**(-k/d) / k
-    times the node's monomial; the weights are equal, so it is budget times
-    the mean of those terms, and its standard error comes from their second
+    times the node's monomial; the weights are equal, their total the cone
+    measure's n vol(B_d), so it is n vol(B_d) / k times the mean of h**(-k/d)
+    times the monomial, and its standard error comes from their second
     moments.
     The kernel, the radial factors and the sums run over _BLOCK-node blocks,
     cut in order from each batch of _cone_batches as it is drawn, so the
@@ -573,7 +592,6 @@ def _mc_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: i
     ESS, that of the volume's weights h**(-n/d), warns below 1% of the budget.
     """
     n, d = g.n, g.degree_float
-    pure = np.count_nonzero(rows, axis=1) == 1
     # sample row 0 is the volume's, row 1 + i that of rows[live_rows[i]]
     ks, k_of = np.unique(np.r_[n, n + rows[live_rows].sum(axis=1) / g.q], return_inverse=True)
     sums = sums2 = 0.0
@@ -582,7 +600,7 @@ def _mc_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: i
         for batch in batches:
             for lo in range(0, len(batch), _BLOCK):
                 P = monomials(g.lattice_base(batch[lo : lo + _BLOCK]), rows)
-                samples = np.array(_radial(g._coeffs, P, pure, n, d, ks))[k_of]
+                samples = np.array(_radial(g._coeffs, P, rows, n, d, ks))[k_of]
                 samples[1:] *= P[live_rows]
                 if centre is None:
                     centre = samples.mean(axis=1)
@@ -603,10 +621,7 @@ def _mc_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: i
             EffectiveSampleSizeWarning,
             stacklevel=level,
         )
-    # the pairwise sum of the budget equal weights _radial_pass gives these
-    # nodes, without their array
-    weights = np.broadcast_to(n * closed_form_ball_volume(n, d) / budget, budget).sum()
-    scale = weights / ks[k_of]
+    scale = n * closed_form_ball_volume(n, d) / ks[k_of]
     value, err = scale * mean, scale * np.sqrt(var / (budget - 1))
     return value[0], err[0], value[1:], err[1:], budget, float(ess)
 
@@ -898,17 +913,15 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
         rows, cols = np.arange(len(best)), np.arange(k)
         r = 0.5
         while r >= 1e-10:
-            frame = charts[np.abs(best).argmax(axis=1)]
-            if k < n - 1:
-                frame = frame[:, :, cols]
-                cols = (cols + k) % (n - 1)
+            frame = charts[np.abs(best).argmax(axis=1)][:, :, cols]
+            cols = (cols + k) % (n - 1)
             trial = best[:, None, :] + r * stencil @ frame.transpose(0, 2, 1)
             trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
             values = g.evaluate(trial)
             smin = min(smin, float(values.min()))
             best = trial[rows, values.argmin(axis=1)]
             r /= 2.0 ** (k / (n - 1))
-    return _volume_verdict(g._coeffs, np.count_nonzero(g._exponents, axis=1) == 1, n, smin)
+    return _volume_verdict(g._coeffs, g._exponents, n, smin)
 
 
 def _finite_or_raise(verdict: FeasibilityVerdict, what: str) -> float:

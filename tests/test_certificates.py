@@ -25,6 +25,7 @@ from ballrep import (
     minimal_trace_axis_gram,
     moment_matrix,
     moment_table,
+    multinomial_coefficient,
     refute_ld_for_p3,
     scale_to_target_volume,
     solve_p3,
@@ -295,8 +296,10 @@ class TestRefutation:
         assert report.certificate.residuals["volume"] <= 1e-14
 
     def test_quadratic_not_applicable(self):
-        with pytest.raises(ValueError, match="not applicable"):
-            refute_ld_for_p3(2, 2)
+        # every spelling of the degree 2 that Fraction reads is the one degree
+        for d in (2, 2.0, "2", Fraction(2)):
+            with pytest.raises(ValueError, match="not applicable"):
+                refute_ld_for_p3(2, d)
 
     def test_axis_gram_needs_an_even_degree(self):
         with pytest.raises(ValueError, match="even integer >= 2, got 3"):
@@ -406,7 +409,7 @@ class TestRescaledMoments:
         def table(obj):
             return moment_table(obj.expand() if isinstance(obj, GramForm) else obj, budget=4096)
 
-        rescaled = sys.modules["ballrep.certificates"]._rescaled_moments
+        rescaled = sys.modules["ballrep.volume"]._rescaled_moments
         got = rescaled(table(candidate), k, candidate.degree)
         want = table(candidate.rescale(k))
         assert got.normalization.value == pytest.approx(want.normalization.value, rel=1e-14)
@@ -419,12 +422,26 @@ class TestRescaledMoments:
         g = ld_polynomial(2, 4)
         table = moment_table(g, max_order=4, backend="monte_carlo", budget=5000, seed=1)
         k = 3.0
-        got = sys.modules["ballrep.certificates"]._rescaled_moments(table, k, 4)
+        got = sys.modules["ballrep.volume"]._rescaled_moments(table, k, 4)
         for a, (value, err) in table.entries.items():
             factor = k ** (-(2 + sum(a)) / 4)
             assert got.entries[a] == (value * factor, err * factor)
         assert got.normalization.std_error == table.normalization.std_error * k ** -0.5
         assert got.normalization.ess == table.normalization.ess
+
+    @pytest.mark.parametrize("n,e,m,q", [(2, 2, 2, 1), (3, 4, 1, 1), (2, Fraction(1, 2), 2, 4)])
+    @pytest.mark.parametrize("c", [0.37, 2.9])
+    def test_a_scaled_ball_power_is_its_ball_rescaled(self, n, e, m, q, c):
+        # the closed form of c (sum_i |x_i|**e)**m and the solve's map take
+        # their factor from one place, so they agree bit for bit
+        terms = {tuple(int(e * q) * b for b in beta): c * multinomial_coefficient(beta)
+                 for beta in enumerate_indices(n, m)}
+        g = GeneralizedPolynomial(n, e * m, q, terms)
+        rescaled = sys.modules["ballrep.volume"]._rescaled_moments
+        want = moment_table(g, max_order=e * m)
+        got = rescaled(moment_table(ld_polynomial(n, e, q=q), max_order=e * m), c, e * m)
+        assert want.normalization.samples_or_nodes == 0
+        assert got == want
 
 
 class TestCertificateObject:

@@ -108,6 +108,31 @@ class TestVolumeCommand:
         assert caught.value.code == 2
         assert "unrecognized arguments: --force" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["spherical", "mc", "grid"])
+    @pytest.mark.parametrize("command", [["volume"], ["moments", "--max-order", "2"]])
+    def test_one_gate_call_per_query(self, disk_file, monkeypatch, backend, command):
+        # the grid backend gates by itself, so the command leaves the gate to it
+        calls = []
+        for module in ("ballrep.cli", "ballrep.volume"):
+            real = getattr(sys.modules[module], "finite_volume_test")
+
+            def counted(*args, real=real, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(sys.modules[module], "finite_volume_test", counted)
+        args = [command[0], disk_file, *command[1:], "--backend", backend, "--budget", "4096"]
+        assert main(args) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", [["volume"], ["moments", "--max-order", "2"]])
+    def test_infeasible_on_the_grid_backend(self, infeasible_file, capsys, command):
+        # the grid's own gate exits 3 with the message of the command's gate
+        assert main([command[0], infeasible_file, *command[1:]]) == 3
+        spherical = capsys.readouterr()
+        assert main([command[0], infeasible_file, *command[1:], "--backend", "grid"]) == 3
+        assert capsys.readouterr() == spherical
+
     @pytest.mark.parametrize("value", ["Infinity", "NaN"])
     def test_non_finite_coefficient_is_an_input_error(self, tmp_path, capsys, value):
         # Python's json reads both; before the check, Infinity gave volume 0.0 with exit 0

@@ -16,7 +16,6 @@ from ballrep import (
     GramForm,
     InfiniteVolumeError,
     SolveConfig,
-    VolumeEstimate,
     certify,
     closed_form_ball_volume,
     coefficient_vector,
@@ -61,15 +60,16 @@ class TestScaleToTargetVolume:
         np.testing.assert_allclose(back.Q, np.eye(2), rtol=1e-9)
 
     def test_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            scale_to_target_volume(ld_polynomial(2, 2), -1.0)
+        # an infinite target once passed the check and reached rescale(0.0)
+        for target in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="target volume must be positive and finite"):
+                scale_to_target_volume(ld_polynomial(2, 2), target)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
     def test_unusable_volume_estimate_raises(self, value):
         target_scale = sys.modules["ballrep.solvers"]._target_scale
-        est = VolumeEstimate(value, 0.0, "spherical", 1)
         with pytest.raises(InfiniteVolumeError, match="is not usable"):
-            target_scale(est, math.pi, 2, 2)
+            target_scale(value, math.pi, 2, 2)
 
 
 class TestSolveConfig:

@@ -82,6 +82,13 @@ class TestClosedForms:
             closed_form_ball_volume(0, 2)
         with pytest.raises(ValueError):
             closed_form_ball_volume(2, 0)
+        # the axis moment checks its arguments before it builds the exponent
+        with pytest.raises(ValueError, match="degree must be a number, got None"):
+            closed_form_ball_moment(2, None)
+        with pytest.raises(ValueError, match="degree must be a number, got 'x'"):
+            closed_form_ball_moment(2, "x")
+        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+            closed_form_ball_moment(2.0, 4)
 
 
 class TestSphericalBackend:
