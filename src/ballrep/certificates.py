@@ -44,6 +44,7 @@ from .polynomials import (
     GeneralizedPolynomial,
     GramForm,
     _check_even_degree,
+    _check_integer,
     _flip_invariant,
     _slice_weights,
     coefficient_vector,
@@ -336,7 +337,7 @@ def refute_ld_for_p3(
     seed: int = 0,
     tol: float | None = None,
 ) -> RefutationReport:
-    """Show the axis-power ball cannot minimize the Gram trace for d >= 4.
+    """Show the axis-power ball cannot minimize the Gram trace for n >= 2 and d >= 4.
 
     Builds the minimal-trace Gram of sum_i x_i**d, runs the trace
     certificate against the moment matrix of B_d, and reports the negative
@@ -348,6 +349,8 @@ def refute_ld_for_p3(
             "not applicable at d = 2: the quadratic identity Gram satisfies the "
             "trace certificate, so there is nothing to refute"
         )
+    if _check_integer(n, "dimension", 1) == 1:
+        raise ValueError("not applicable at n = 1: x**d is the only form of degree d")
     gram = minimal_trace_axis_gram(n, d)
     certificate, _ = certify("p3", gram, backend, budget, seed, tol)
     spectrum = certificate.duals["psi_spectrum"]

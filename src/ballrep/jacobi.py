@@ -14,13 +14,13 @@ import numpy as np
 def jacobi_eigh(matrix):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
-    Rejects non-square, non-finite and non-symmetric input (asymmetry above
-    1e-10 times the Frobenius norm), then decomposes the symmetrized matrix.
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, like
-    numpy.linalg.eigh.
+    Rejects empty, non-square, non-finite and non-symmetric input (asymmetry
+    above 1e-10 times the Frobenius norm), then decomposes the symmetrized
+    matrix.  Returns (eigenvalues, eigenvectors) with eigenvectors in
+    columns, like numpy.linalg.eigh.
     """
     a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")

@@ -21,8 +21,9 @@ the natural coordinates for the weighted norm sum(c_alpha * g_alpha**2).
 
 Each kind of number has one rule, checked here for the whole package:
 integers (_check_integer, _check_alphas for exponent tuples), rationals
-(_check_rational) and even degrees (_check_even_degree).  A bool is none of
-them, a numpy integer is read as an int, and ValueError names the argument.
+(_check_rational), positive reals (_check_positive) and even degrees
+(_check_even_degree).  A bool is none of them, a numpy integer is read as
+an int, and ValueError names the argument.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,6 +90,14 @@ def _check_rational(value, name: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _check_positive(value, name: str, finite: bool = True) -> float:
+    """value as a float > 0, finite unless finite=False; a bool or a non-real value is rejected."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0
+            or finite and not math.isfinite(value)):
+        raise ValueError(f"{name} must be positive{' and finite' * finite}, got {value!r}")
+    return float(value)
 
 
 def _check_even_degree(value, what: str) -> int:
@@ -333,8 +343,7 @@ class GeneralizedPolynomial:
 
     def rescale(self, lam: float) -> "GeneralizedPolynomial":
         """Multiply every coefficient by lam > 0 (degree and lattice unchanged)."""
-        if not 0 < lam < math.inf:
-            raise ValueError(f"scale factor must be positive and finite, got {lam}")
+        lam = _check_positive(lam, "scale factor")
         terms = {a: lam * c for a, c in self.terms.items()}
         return GeneralizedPolynomial(self.n, self.degree, self.q, terms, self.convention)
 
@@ -437,8 +446,7 @@ class GramForm:
         return float(np.trace(self.Q))
 
     def rescale(self, lam: float) -> "GramForm":
-        if not 0 < lam < math.inf:
-            raise ValueError(f"scale factor must be positive and finite, got {lam}")
+        lam = _check_positive(lam, "scale factor")
         return GramForm(self.n, self.degree, lam * np.asarray(self.Q))
 
     def expand(self) -> GeneralizedPolynomial:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jacobi import jacobi_eigh
+from .polynomials import _check_positive
 
 
 def _check_vector(v) -> np.ndarray:
@@ -24,8 +25,7 @@ def _check_vector(v) -> np.ndarray:
 
 def project_simplex(v, total: float) -> np.ndarray:
     """Project onto {x >= 0, sum x = total} (sort-based)."""
-    if not 0 < total < np.inf:
-        raise ValueError(f"simplex total must be positive and finite, got {total}")
+    total = _check_positive(total, "simplex total")
     v = _check_vector(v)
     # stable descending sort keeps ties in canonical index order
     dropping = np.sort(v, kind="stable")[::-1]
@@ -39,8 +39,7 @@ def project_simplex(v, total: float) -> np.ndarray:
 
 def project_l1_ball(v, radius: float) -> np.ndarray:
     """Project onto {x : sum |x_i| <= radius}."""
-    if not radius > 0:
-        raise ValueError(f"l1 radius must be positive, got {radius}")
+    radius = _check_positive(radius, "l1 radius", finite=False)
     v = _check_vector(v)
     if np.abs(v).sum() <= radius:
         return v.copy()
@@ -54,10 +53,10 @@ def project_weighted_l2_ball(v, weights, radius_sq: float) -> np.ndarray:
     Radial scaling is the true projection in the weighted inner product
     <x, y> = sum w_i x_i y_i, which is the geometry the solver works in.
     """
-    if not radius_sq > 0:
-        raise ValueError(f"squared radius must be positive, got {radius_sq}")
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    radius_sq = _check_positive(radius_sq, "squared radius", finite=False)
+    v, w = _check_vector(v), np.asarray(weights, dtype=float)
+    if w.shape != v.shape or not ((0 < w) & (w < np.inf)).all():
+        raise ValueError(f"weights must be {v.size} positive finite numbers, got {weights!r}")
     norm_sq = float(np.dot(w, v * v))
     if norm_sq <= radius_sq:
         return v.copy()
@@ -71,8 +70,7 @@ def project_psd_trace(matrix, trace_bound: float) -> np.ndarray:
     bound, shifted by the simplex projection; applied in the eigenbasis
     this is the exact projection onto the intersection.
     """
-    if not trace_bound > 0:
-        raise ValueError(f"trace bound must be positive, got {trace_bound}")
+    trace_bound = _check_positive(trace_bound, "trace bound", finite=False)
     eigenvalues, vectors = jacobi_eigh(matrix)
     clipped = np.maximum(eigenvalues, 0.0)
     if clipped.sum() > trace_bound:

@@ -64,6 +64,7 @@ from .polynomials import (
     GramForm,
     _check_even_degree,
     _check_integer,
+    _check_positive,
     _check_rational,
     _flip_invariant,
     _hankel_layout,
@@ -187,8 +188,7 @@ def scale_to_target_volume(
     Uses k * g with k = (vol(g) / target)**(d/n); homogeneity of the
     volume functional makes this exact up to the volume estimate itself.
     """
-    if not 0 < target < math.inf:
-        raise ValueError(f"target volume must be positive and finite, got {target}")
+    target = _check_positive(target, "target volume")
     vol = volume(obj.expand(), backend=backend, budget=budget, seed=seed).value
     return obj.rescale(_target_scale(vol, target, obj.degree, obj.n))
 

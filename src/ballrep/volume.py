@@ -231,8 +231,7 @@ def _ball_moment(n: int, d, alpha, q: int = 1) -> float:
 
     2^n prod Gamma((a_i + 1)/d) / (d^n Gamma(1 + (n + |a|)/d)), a = alpha / q.
     """
-    d = float(_check_rational(d, "degree"))
-    n = _check_integer(n, "dimension", 1)
+    d = float(d)
     if not d > 0:
         raise ValueError(f"degree must be positive, got {d}")
     a = [float(ai) / q for ai in alpha]
@@ -251,6 +250,7 @@ def _ball_moment(n: int, d, alpha, q: int = 1) -> float:
 
 def closed_form_ball_volume(n: int, d) -> float:
     """Volume of {x : sum |x_i|**d <= 1}: 2^n Gamma(1/d)^n / (d^n Gamma(1 + n/d))."""
+    n, d = _check_integer(n, "dimension", 1), _check_rational(d, "degree")
     return _ball_moment(n, d, [0] * n)
 
 
@@ -548,19 +548,16 @@ def _cone_batches(n: int, d: float, budget: int, seed: int):
     """The batches of (n, d, budget, seed) in order, each a _cone_batch.
 
     Batch 0 is drawn inline; while the caller holds batch b, batches b + 1
-    to b + _DRAW_AHEAD are drawn on a worker thread that a draw of more than
-    one batch starts for itself.  However the draw ends (its last batch, an
-    error, or the caller closing it early), the pending draws are cancelled
-    and the thread is joined, so none outlives the draw.  Every batch has
-    its own stream, so where it is drawn does not show in its nodes.
+    to b + _DRAW_AHEAD are drawn on a worker thread that the draw starts at
+    its first submission, so a one-batch draw starts none.  However the draw
+    ends (its last batch, an error, or the caller closing it early), the
+    pending draws are cancelled and the thread is joined, so none outlives
+    the draw.  Every batch has its own stream, so where it is drawn does not
+    show in its nodes.  The first draw in a process imports concurrent.futures.
     """
-    count = -(-budget // _MC_BATCH)
-    if count == 1:
-        yield _cone_batch(n, d, budget, seed, 0)
-        return
-    # only a multi-batch draw needs the thread; the import costs about 8 ms
     from concurrent.futures import ThreadPoolExecutor
 
+    count = -(-budget // _MC_BATCH)
     pool = ThreadPoolExecutor(1, thread_name_prefix="ballrep-draw")
     ahead = collections.deque()  # futures of batches b + 1, b + 2, ...
     try:

@@ -301,6 +301,12 @@ class TestRefutation:
             with pytest.raises(ValueError, match="not applicable"):
                 refute_ld_for_p3(2, d)
 
+    def test_one_dimension_not_applicable(self):
+        # x**d is the only form of degree d, so no Gram form beats the axis power's
+        for d in (4, 6):
+            with pytest.raises(ValueError, match="not applicable at n = 1"):
+                refute_ld_for_p3(1, d)
+
     def test_axis_gram_needs_an_even_degree(self):
         with pytest.raises(ValueError, match="even integer >= 2, got 3"):
             minimal_trace_axis_gram(2, 3)

@@ -530,7 +530,7 @@ class TestDeterminism:
 
 class TestImportFootprint:
     def test_cli_import_loads_no_scipy(self):
-        # the first multi-batch Monte Carlo draw imports concurrent.futures, and
+        # the first Monte Carlo draw imports concurrent.futures, and
         # only `moments --format json` hashes; a cold command pays for neither
         code = (
             "import sys, ballrep.cli; "

@@ -285,7 +285,7 @@ class TestRescale:
 
     def test_rejects_non_positive(self):
         for g in (ld_polynomial(2, 2), GramForm(2, 2, np.eye(2))):
-            for bad in (0.0, -1.0, math.inf, math.nan):
+            for bad in (0.0, -1.0, math.inf, math.nan, True, "1", None):
                 with pytest.raises(ValueError, match="scale factor must be positive"):
                     g.rescale(bad)
 

@@ -34,6 +34,12 @@ class TestJacobiEigh:
         with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
             jacobi_eigh(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        # the PSD projection decomposes through it, so it rejects the empty matrix too
+        for decompose in (jacobi_eigh, lambda a: project_psd_trace(a, 1.0)):
+            with pytest.raises(ValueError, match=r"square matrix, got shape \(0, 0\)"):
+                decompose(np.zeros((0, 0)))
+
 
 class TestSimplexProjection:
     def test_interior_point_moves_to_face(self):
@@ -142,7 +148,7 @@ class TestPsdTraceProjection:
      "squared radius must be positive"),
     (lambda bound: project_psd_trace(np.eye(3), bound), "trace bound must be positive"),
 ], ids=["simplex", "l1", "weighted-l2", "psd-trace"])
-@pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), True, "1", None])
 def test_non_positive_radius_is_rejected(project, message, bound):
     with pytest.raises(ValueError, match=message):
         project(bound)
@@ -157,9 +163,22 @@ def test_infinite_simplex_total_is_rejected():
     assert project_psd_trace(np.eye(2), float("inf")) == pytest.approx(np.eye(2))
 
 
-@pytest.mark.parametrize("project", [project_simplex, project_l1_ball], ids=["simplex", "l1"])
+@pytest.mark.parametrize("project", [
+    project_simplex,
+    project_l1_ball,
+    lambda v, bound: project_weighted_l2_ball(v, np.ones(2), bound),
+], ids=["simplex", "l1", "weighted-l2"])
 @pytest.mark.parametrize("v", [[], [float("nan"), 1.0], [float("inf"), 1.0], [[0.5, 0.5]]],
                          ids=["empty", "nan", "inf", "two-dimensional"])
 def test_bad_vector_is_rejected(project, v):
     with pytest.raises(ValueError, match="v must be a non-empty 1-D array of finite numbers"):
         project(v, 1.0)
+
+
+@pytest.mark.parametrize("weights", [[-1.0, 1.0], [0.0, 1.0], [float("nan"), 1.0],
+                                     [float("inf"), 1.0], [1.0, 1.0, 1.0]],
+                         ids=["negative", "zero", "nan", "inf", "three"])
+def test_bad_weights_are_rejected(weights):
+    # under weights [-1, 1], [3, 1] has "norm" -8, inside any ball, and would pass unprojected
+    with pytest.raises(ValueError, match="weights must be 2 positive finite numbers"):
+        project_weighted_l2_ball([3.0, 1.0], weights, 1.0)

@@ -61,7 +61,7 @@ class TestScaleToTargetVolume:
 
     def test_rejects_bad_target(self):
         # an infinite target once passed the check and reached rescale(0.0)
-        for target in (-1.0, math.inf, math.nan):
+        for target in (-1.0, math.inf, math.nan, True, "1", None):
             with pytest.raises(ValueError, match="target volume must be positive and finite"):
                 scale_to_target_volume(ld_polynomial(2, 2), target)
 

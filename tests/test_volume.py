@@ -82,13 +82,14 @@ class TestClosedForms:
             closed_form_ball_volume(0, 2)
         with pytest.raises(ValueError):
             closed_form_ball_volume(2, 0)
-        # the axis moment checks its arguments before it builds the exponent
-        with pytest.raises(ValueError, match="degree must be a number, got None"):
-            closed_form_ball_moment(2, None)
-        with pytest.raises(ValueError, match="degree must be a number, got 'x'"):
-            closed_form_ball_moment(2, "x")
-        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
-            closed_form_ball_moment(2.0, 4)
+        # both closed forms check their arguments before they build the exponent
+        for closed_form in (closed_form_ball_volume, closed_form_ball_moment):
+            with pytest.raises(ValueError, match="degree must be a number, got None"):
+                closed_form(2, None)
+            with pytest.raises(ValueError, match="degree must be a number, got 'x'"):
+                closed_form(2, "x")
+            with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+                closed_form(2.0, 4)
 
 
 class TestSphericalBackend:
@@ -1405,6 +1406,23 @@ class TestDrawAhead:
             assert nodes == budget
             assert run(g._coeffs)[0] == pytest.approx(
                 weight * np.sum(g.evaluate(dirs) ** (-n / d)) / n, rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, 1000, 65536])
+    def test_one_batch_is_drawn_inline(self, monkeypatch, budget):
+        # the draw submits nothing for a single batch, so it starts no thread
+        volume_module = sys.modules["ballrep.volume"]
+        drawn_on = []
+
+        def named(*args, real=volume_module._cone_batch):
+            drawn_on.append(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(volume_module, "_cone_batch", named)
+        batches = list(volume_module._cone_batches(3, 4.0, budget, 5))
+        assert len(batches) == 1
+        assert np.array_equal(batches[0], volume_module._cone_batch(3, 4.0, budget, 5, 0))
+        assert drawn_on == [threading.current_thread().name] * 2
+        assert not _draw_threads()
 
     def test_infeasible_input_stops_drawing(self, monkeypatch):
         # g < 0 about the diagonals, so the first block raises; 400000 nodes are 7 batches
