@@ -22,9 +22,9 @@ error hypot(sm, |m| sm1 / |m1|) / |m1|.
   u = max(s, 0), v = max(-s, 0), psi = 1 - |s| are feasible iff every
   |s_alpha| <= 1 (moment dominance), and complementarity forces
   sign(g_alpha) * s_alpha = 1 on the support.
-* weighted l2 problem: the coefficient proportionality
-  g_alpha = l2 * (n+d)/n * moment(alpha) / volume, which is invariant
-  under rescaling of the candidate, so no volume normalization is needed.
+* weighted l2 problem: the coefficient proportionality, in p2's coordinates
+  (polynomials._p2_vector), g_alpha = l2 * (n+d)/n * moment(alpha) / volume,
+  invariant under rescaling of the candidate, so no volume normalization is needed.
 * Gram trace problem: A = I - (n+d) trace(Q) / (n rho_d) * M must be
   positive semidefinite and orthogonal to Q, at volume rho_d exactly.
 """
@@ -32,7 +32,6 @@ error hypot(sm, |m| sm1 / |m1|) / |m1|.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +39,13 @@ import numpy as np
 from .jacobi import jacobi_eigh
 from .polynomials import (
     MONOMIAL,
-    MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
     _check_even_degree,
     _check_integer,
     _flip_invariant,
-    _slice_weights,
+    _p2_vector,
+    _real,
     coefficient_vector,
     enumerate_indices,
     ld_polynomial,
@@ -97,10 +96,10 @@ def _default_tol(backend: str, tol: float | None, name: str = "certificate toler
     """tol as a float, or the backend's default for None; a finite real >= 0, never a bool."""
     if tol is None:
         return 1e-6 if backend == SPHERICAL else 1e-2
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not (math.isfinite(tol) and tol >= 0)):
+    out = _real(tol)
+    if not 0 <= out < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
-    return float(tol)
+    return out
 
 
 def _ratio_error(m, sm, m1, sm1):
@@ -192,14 +191,12 @@ def certify_p2(
 ) -> Certificate:
     """Check the weighted l2 proportionality at a candidate in either convention.
 
-    A q = 1 candidate is read in the multinomial convention.  The
+    A q = 1 candidate is read in the multinomial convention (_p2_vector).  The
     characterization is scale invariant (both sides scale linearly in the
     candidate), so the candidate may sit at any volume; the moments must
     simply belong to its own sublevel set.
     """
     tol = _default_tol(moments.normalization.backend, tol)
-    if g.q == 1:
-        g = g.to_convention(MULTINOMIAL)
     basis, values, errors = _degree_slice(g, moments)
 
     vol = moments.normalization.value
@@ -207,8 +204,7 @@ def certify_p2(
     if not vol > 0.0:
         raise CertificatePreconditionError(f"volume estimate {vol:.6g} is not positive")
 
-    weights = _slice_weights(g.n, int(g.degree * g.q), g.q)
-    coeffs = coefficient_vector(g, basis)
+    coeffs, weights, _ = _p2_vector(g)
     l2_sq = float(weights @ coeffs**2)
     factor = l2_sq * (g.n + g.degree_float) / g.n
 

@@ -207,14 +207,10 @@ def cmd_boundary(args) -> int:
         raise SchemaError("count", f"must be >= 1, got {count}")
     theta = 2.0 * math.pi * np.arange(count) / count
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    h = np.asarray(g.evaluate(dirs), dtype=float)
-    lines = ["x1;x2"]
-    d = g.degree_float
-    for k in range(count):
-        if h[k] <= 0.0:
-            continue  # the ray never crosses the boundary
-        r = float(h[k]) ** (-1.0 / d)
-        lines.append(f"{float(r * dirs[k, 0])!r};{float(r * dirs[k, 1])!r}")
+    h = g.evaluate(dirs)
+    keep = h > 0.0  # a ray with h <= 0 never crosses the boundary
+    points = dirs[keep] * h[keep, None] ** (-1.0 / g.degree_float)
+    lines = ["x1;x2"] + [f"{x!r};{y!r}" for x, y in points.tolist()]
     _emit_csv("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

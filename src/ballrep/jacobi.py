@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .polynomials import _float_array
+
 
 def jacobi_eigh(matrix):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
@@ -19,7 +21,7 @@ def jacobi_eigh(matrix):
     matrix.  Returns (eigenvalues, eigenvectors) with eigenvectors in
     columns, like numpy.linalg.eigh.
     """
-    a = np.array(matrix, dtype=float)
+    a = _float_array(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -17,13 +17,17 @@ Two coefficient conventions are supported.  In the monomial convention the
 stored coefficient multiplies x**alpha directly.  In the multinomial
 convention (q = 1 only) the stored coefficient g_alpha belongs to the term
 c_alpha * g_alpha * x**alpha with c_alpha = d! / (alpha_1! ... alpha_n!),
-the natural coordinates for the weighted norm sum(c_alpha * g_alpha**2).
+the natural coordinates for the weighted norm sum(c_alpha * g_alpha**2),
+Bombieri's, which p2 takes at q = 1 (at q > 1 the plain sum of squares);
+_p2_vector is the one home of that choice.
 
 Each kind of number has one rule, checked here for the whole package:
 integers (_check_integer, _check_alphas for exponent tuples), rationals
 (_check_rational), positive reals (_check_positive) and even degrees
 (_check_even_degree).  A bool is none of them, a numpy integer is read as
-an int, and ValueError names the argument.
+an int, and ValueError names the argument.  A real that no float holds
+reads as +-inf (_float, _float_array): a finite-only argument rejects it
+by name, a bound that may be infinite takes it as inf.
 """
 
 from __future__ import annotations
@@ -92,12 +96,33 @@ def _check_rational(value, name: str) -> Fraction:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
+def _float(value) -> float:
+    """float(value), where a real beyond the float range (an int or Fraction) reads as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _float_array(values) -> np.ndarray:
+    """np.asarray(values, dtype=float), where a real beyond the float range reads as +-inf."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.vectorize(_float, otypes=[float])(np.asarray(values, dtype=object))
+
+
+def _real(value) -> float:
+    """_float(value) of a numbers.Real that is not a bool, else nan, which every bound rejects."""
+    return math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else _float(value)
+
+
 def _check_positive(value, name: str, finite: bool = True) -> float:
     """value as a float > 0, finite unless finite=False; a bool or a non-real value is rejected."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0
-            or finite and not math.isfinite(value)):
+    out = _real(value)
+    if not out > 0 or finite and out == math.inf:
         raise ValueError(f"{name} must be positive{' and finite' * finite}, got {value!r}")
-    return float(value)
+    return out
 
 
 def _check_even_degree(value, what: str) -> int:
@@ -210,9 +235,8 @@ class NormReport:
     """Coefficient norms of one polynomial or Gram form.
 
     l0 and l1 are taken over monomial-convention coefficients, l2_weighted_sq
-    is p2's norm sum(w_alpha * g_alpha**2), w = _slice_weights (c_alpha over
-    multinomial coefficients if q = 1, else 1), and trace is the Gram trace
-    (None for plain polynomials).
+    is p2's norm (_p2_vector), and trace is the Gram trace (None for plain
+    polynomials).
     """
 
     l0: int
@@ -266,7 +290,7 @@ class GeneralizedPolynomial:
         for alpha, coeff in zip(_check_alphas(self.terms, self.n), self.terms.values()):
             if sum(alpha) != target:
                 raise ValueError(f"exponent {alpha} sums to {sum(alpha)}, expected d*q = {target}")
-            clean[alpha] = float(coeff)
+            clean[alpha] = _float(coeff)
             # the stored value must be finite; a float product overflows to inf, with no warning
             stored[alpha] = clean[alpha] * (_multinomial(alpha) if multinomial else 1)
             if not math.isfinite(stored[alpha]):
@@ -302,20 +326,12 @@ class GeneralizedPolynomial:
         keys = [a for a, c in self.terms.items() if abs(c) > cutoff]
         return sorted(keys, reverse=True)
 
-    def has_even_support(self) -> bool:
-        """True when every exponent numerator of a nonzero term is even.
-
-        For classical polynomials this makes the sublevel set invariant
-        under per-coordinate sign flips, which zeroes every moment with an
-        odd exponent exactly; a stored zero coefficient does not break it.
-        """
-        return self._even_support
-
     @property
     def sign_symmetric(self) -> bool:
         """True when every sign flip x_i -> -x_i leaves g unchanged: each term is _flip_invariant.
 
-        Every generalized polynomial is; a classical one needs even support.
+        Every generalized polynomial is; a classical one needs every exponent
+        numerator of a nonzero term even (a stored zero coefficient is none).
         """
         return not self._classical or self._even_support
 
@@ -395,7 +411,7 @@ def from_coefficient_vector(
 ) -> GeneralizedPolynomial:
     """Build a polynomial from an ordered basis and a coefficient vector."""
     basis = [tuple(a) for a in basis]
-    vec = np.asarray(coefficients, dtype=float)
+    vec = _float_array(coefficients)
     if vec.shape != (len(basis),):
         raise ValueError(f"coefficient vector has shape {vec.shape}, expected ({len(basis)},)")
     terms = {a: float(c) for a, c in zip(basis, vec)}
@@ -424,7 +440,7 @@ class GramForm:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_integer(self.n, "dimension", 1))
         object.__setattr__(self, "degree", _check_even_degree(self.degree, "a Gram form"))
-        Q = np.array(self.Q, dtype=float)
+        Q = _float_array(self.Q)
         size = count_indices(self.n, self.degree // 2)
         if Q.shape != (size, size):
             raise ValueError(f"Q has shape {Q.shape}, expected ({size}, {size})")
@@ -514,7 +530,14 @@ def norms(obj: GeneralizedPolynomial | GramForm) -> NormReport:
     values = list(obj.to_convention(MONOMIAL).terms.values())
     l0 = sum(1 for c in values if c != 0.0)
     l1 = float(sum(abs(c) for c in values))
-    total = int(obj.degree * obj.q)
-    weighted = obj.to_convention(MULTINOMIAL) if obj.q == 1 else obj
-    coeffs = coefficient_vector(weighted, enumerate_indices(obj.n, total))
-    return NormReport(l0, l1, float(_slice_weights(obj.n, total, obj.q) @ coeffs**2), None)
+    coeffs, weights, _ = _p2_vector(obj)
+    return NormReport(l0, l1, float(weights @ coeffs**2), None)
+
+
+def _p2_vector(g: GeneralizedPolynomial) -> tuple[np.ndarray, np.ndarray, str]:
+    """(a, w, convention): g's degree-d slice a in p2's convention, whose norm is sum(w * a**2):
+    multinomial at q = 1 (w = c_alpha, Bombieri's norm), else monomial (w = 1)."""
+    convention = MULTINOMIAL if g.q == 1 else MONOMIAL
+    total = int(g.degree * g.q)
+    coeffs = coefficient_vector(g.to_convention(convention), enumerate_indices(g.n, total))
+    return coeffs, _slice_weights(g.n, total, g.q), convention

@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .jacobi import jacobi_eigh
-from .polynomials import _check_positive
+from .polynomials import _check_positive, _float_array
 
 
 def _check_vector(v) -> np.ndarray:
     """v as a float array; ValueError unless it is a non-empty 1-D array of finite numbers."""
-    v = np.asarray(v, dtype=float)
+    v = _float_array(v)
     if v.ndim != 1 or not v.size or not np.isfinite(v).all():
         raise ValueError(f"v must be a non-empty 1-D array of finite numbers, got {v!r}")
     return v
@@ -54,7 +54,7 @@ def project_weighted_l2_ball(v, weights, radius_sq: float) -> np.ndarray:
     <x, y> = sum w_i x_i y_i, which is the geometry the solver works in.
     """
     radius_sq = _check_positive(radius_sq, "squared radius", finite=False)
-    v, w = _check_vector(v), np.asarray(weights, dtype=float)
+    v, w = _check_vector(v), _float_array(weights)
     if w.shape != v.shape or not ((0 < w) & (w < np.inf)).all():
         raise ValueError(f"weights must be {v.size} positive finite numbers, got {weights!r}")
     norm_sq = float(np.dot(w, v * v))

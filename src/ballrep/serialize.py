@@ -105,7 +105,7 @@ def polynomial_from_dict(doc: dict) -> GeneralizedPolynomial:
         key = tuple(alpha)
         if key in terms:
             raise SchemaError(where + "alpha_times_q", f"duplicate exponent {key}")
-        terms[key] = float(coeff)
+        terms[key] = coeff
     try:
         return GeneralizedPolynomial(n, degree, q, terms, convention)
     except ValueError as exc:
@@ -154,7 +154,7 @@ def gram_from_dict(doc: dict) -> GramForm:
         if not all(_is(v, (int, float)) for v in r):
             raise SchemaError("Q", "expected a square matrix of numbers")
     try:
-        return GramForm(n, degree, np.array(rows, dtype=float))
+        return GramForm(n, degree, rows)
     except ValueError as exc:
         raise SchemaError("Q", str(exc)) from exc
 

@@ -27,7 +27,8 @@ B_d when q > 1, it iterates.
 One solve path, _descend, serves the three problems, and each solve_pX
 passes only its geometry and its iteration.  The monomial coefficients of
 the degree-d slice are linear in the solver coordinates: the coefficients
-themselves for p1, whitened coefficients for p2, the Gram matrix Q for p3.
+themselves for p1, for p2 the whitened coefficients sqrt(w) * a of
+polynomials._p2_vector, the Gram matrix Q for p3.
 A trial reads its volume and the slice's moments m from one run of the
 pass volume._descent_pass builds once, on the nodes, fold and rows a query
 of the start as given reads; its gradient in the solver coordinates is
@@ -59,7 +60,6 @@ import numpy as np
 from .certificates import Certificate, _check, _check_candidate, _default_tol
 from .polynomials import (
     MONOMIAL,
-    MULTINOMIAL,
     GeneralizedPolynomial,
     GramForm,
     _check_even_degree,
@@ -68,8 +68,8 @@ from .polynomials import (
     _check_rational,
     _flip_invariant,
     _hankel_layout,
+    _p2_vector,
     _permutation_orbits,
-    _slice_weights,
     coefficient_vector,
     enumerate_indices,
     from_coefficient_vector,
@@ -445,16 +445,6 @@ def solve_p2(
     cfg = config or SolveConfig()
     d, q = _validate_lattice("the weighted l2 problem", d, q, half_lattice=False)
     basis = enumerate_indices(n, int(d * q))
-    convention = MULTINOMIAL if q == 1 else MONOMIAL
-    root_w = np.sqrt(_slice_weights(n, int(d * q), q))
-
-    def make(u_vec):
-        return from_coefficient_vector(n, d, q, basis, u_vec / root_w, convention)
-
-    def coords(g):
-        return coefficient_vector(g.to_convention(convention), basis) * root_w
-
-    project = _ball_boundary(lambda u_vec, radius: u_vec, np.linalg.norm, math.sqrt(float(n)))
     # for q = 1 the optimum is unique, and like the weighted norm and the
     # volume invariant under x -> Ux for orthogonal U: so it is a multiple of
     # (sum x_i**2)**(d/2), whose monomial coefficient at 2 beta is (d/2)! / beta!
@@ -464,14 +454,19 @@ def solve_p2(
         ball = GeneralizedPolynomial(n, d, 1, terms)
     else:
         ball = ld_polynomial(n, d, q)
+    coeffs, weights, convention = _p2_vector(ball)
+    root_w = np.sqrt(weights)
+    project = _ball_boundary(lambda u_vec, radius: u_vec, np.linalg.norm, math.sqrt(float(n)))
     # the monomial coefficient at alpha is c_alpha * u_alpha / sqrt(c_alpha) = sqrt(c_alpha) u_alpha
     return _descend(
-        "p2", n, d, q, start, cfg, iterate=_anderson, make=make, coords=coords,
+        "p2", n, d, q, start, cfg, iterate=_anderson,
+        make=lambda u_vec: from_coefficient_vector(n, d, q, basis, u_vec / root_w, convention),
+        coords=lambda g: _p2_vector(g)[0] * root_w,
         coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad * root_w,
         projection=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
         # to leading coefficient 1: d * e_1 comes first in the canonical order, and the
         # certificate pass has already rejected an axis coefficient <= 1e-9 max |c|
-        default_start=project(coords(ball)), scale=lambda g: 1.0 / g.terms[basis[0]],
+        default_start=project(coeffs * root_w), scale=lambda g: 1.0 / g.terms[basis[0]],
     )
 
 

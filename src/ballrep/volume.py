@@ -83,6 +83,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polynomials import (
+    MULTINOMIAL,
     Exponent,
     GeneralizedPolynomial,
     _check_alphas,
@@ -300,7 +301,7 @@ def _symmetry_zero(g: GeneralizedPolynomial, alphas) -> np.ndarray:
     """
     if not (g.is_classical and len(alphas)):
         return np.zeros(len(alphas), dtype=bool)
-    if g.has_even_support():  # an odd total degree has an odd exponent: flip invariance decides
+    if g._even_support:  # an odd total degree has an odd exponent: flip invariance decides
         return ~_flip_invariant(alphas, True)
     return np.asarray(alphas).sum(axis=1) % 2 == 1
 
@@ -807,7 +808,7 @@ def grad_volume(
     basis = enumerate_indices(g.n, total)
     _, moments = _estimate(g, basis, backend, budget, seed)
     factor = -(g.n + g.degree_float) / g.degree_float
-    if g.convention == "multinomial":
+    if g.convention == MULTINOMIAL:
         factor = factor * _slice_weights(g.n, total, g.q)
     grad = factor * np.array([moments[a][0] for a in basis])
     return dict(zip(basis, grad.tolist()))

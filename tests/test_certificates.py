@@ -337,6 +337,20 @@ class TestCertify:
         cert, est = certify("p3", gram, "spherical", 8192, 0, None)
         assert (cert, est) == (certify_p3(gram, mm), mm.normalization)
 
+    @pytest.mark.parametrize("g", [
+        ld_polynomial(2, 4),
+        GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0}),
+        GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (3, 1): 0.2, (2, 2): 1.5, (0, 4): 0.8}),
+        GeneralizedPolynomial(3, 4, 1, {(4, 0, 0): 1.0, (2, 2, 0): 0.5, (1, 1, 2): -0.1,
+                                        (0, 4, 0): 1.0, (0, 0, 4): 1.2}),
+    ], ids=["axis", "disk-squared", "odd-term", "n3"])
+    def test_p2_reads_a_q1_candidate_alike_in_either_convention(self, g):
+        # p2 reads a q = 1 candidate in the multinomial convention, whichever it is stored in
+        table = moment_table(g, budget=2048)
+        cert = certify_p2(g, table, 1e-6)
+        assert cert == certify_p2(g.to_convention("multinomial"), table, 1e-6)
+        assert cert == certify("p2", g, "spherical", 2048, 0, 1e-6)[0]
+
     @pytest.mark.parametrize("make_gram,backend,budget", [
         (lambda: minimal_trace_axis_gram(2, 4), "spherical", None),
         (lambda: minimal_trace_axis_gram(3, 4), "spherical", None),

@@ -452,12 +452,21 @@ class TestCertifyCommand:
      "error: --d-list must be a number, got 'zz'\n"),
     (["volume", "DISK", "--out", "UNWRITABLE"], "error: out: "),
     (["ball-table", "--n-range", "2:2", "--d-list", "4", "--out", "UNWRITABLE"], "error: out: "),
+    (["volume", "HUGE_COEFF"], "error: terms: coefficient inf of exponent (4, 0) is not finite"),
+    (["certify", "p3", "HUGE_GRAM"], "error: Q: Q has an entry that is not finite"),
 ], ids=["non-rational-d", "unreadable-file", "n-range-dash", "p3-fractional-d",
         "non-rational-max-order", "non-rational-d-list", "unwritable-json-out",
-        "unwritable-csv-out"])
+        "unwritable-csv-out", "coefficient-beyond-float", "gram-entry-beyond-float"])
 def test_input_error_exit_code(tmp_path, capsys, disk_file, argv, message):
+    # a 401-digit JSON number, which no float holds
+    huge = "1" + "0" * 400
+    (tmp_path / "coeff.json").write_text(
+        '{"n": 2, "d": [4, 1], "q": 1, "convention": "monomial", "terms": [{"alpha_times_q": '
+        f'[4, 0], "coeff": {huge}}}, {{"alpha_times_q": [0, 4], "coeff": 1.0}}]}}')
+    (tmp_path / "gram.json").write_text(f'{{"n": 2, "d": 2, "Q": [[{huge}, 0], [0, 1]]}}')
     paths = {"MISSING": str(tmp_path / "missing.json"), "DISK": disk_file,
-             "UNWRITABLE": str(tmp_path / "missing" / "out")}
+             "UNWRITABLE": str(tmp_path / "missing" / "out"),
+             "HUGE_COEFF": str(tmp_path / "coeff.json"), "HUGE_GRAM": str(tmp_path / "gram.json")}
     assert main([paths.get(a, a) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert message in err
@@ -495,6 +504,22 @@ class TestBoundaryCommand:
         assert main(["boundary", infeasible_file, "--count", "100"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert 1 < len(lines) < 101  # rays through the negative cone are dropped
+
+    def test_points_match_the_per_ray_loop(self, infeasible_file, capsys):
+        # the reference takes one ray at a time, with Python's float power; numpy's
+        # vectorized power may round h**(-1/d) differently in the last place
+        assert main(["boundary", infeasible_file, "--count", "100"]) == 0
+        got = [tuple(map(float, line.split(";"))) for line in capsys.readouterr().out.split()[1:]]
+        theta = 2.0 * math.pi * np.arange(100) / 100
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        want = []
+        # read from the file, so that g sums its terms in the order the command does
+        g = ballrep.parse_polynomial(Path(infeasible_file).read_text())
+        for direction, h in zip(dirs, g.evaluate(dirs)):
+            if h > 0.0:
+                want.append(tuple(float(h) ** (-1.0 / 4.0) * direction))
+        assert len(got) == len(want) < 100
+        assert np.abs(np.subtract(got, want)).max() <= 4 * np.spacing(np.abs(want).max())
 
     def test_dimension_guard(self, tmp_path, capsys):
         path = tmp_path / "ball3.json"

@@ -26,12 +26,13 @@ from ballrep import (
     multinomial_coefficient,
     norms,
     polynomial_to_dict,
+    scale_to_target_volume,
     serialize_polynomial,
     solve_p1,
     solve_p2,
     solve_p3,
 )
-from ballrep.polynomials import _flip_invariant
+from ballrep.polynomials import _flip_invariant, _p2_vector
 
 
 class TestEnumerateIndices:
@@ -93,10 +94,10 @@ class TestEvenSupport:
     def test_reads_only_the_nonzero_terms(self):
         # a stored zero coefficient on an odd exponent leaves {g <= 1} flip symmetric
         g = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (3, 1): 0.0})
-        assert g.has_even_support()
-        assert not GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (3, 1): 1e-300}).has_even_support()
-        assert ld_polynomial(2, 4).has_even_support()
-        assert GeneralizedPolynomial(2, 4, 1, {}).has_even_support()
+        assert g.sign_symmetric
+        assert not GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (3, 1): 1e-300}).sign_symmetric
+        assert ld_polynomial(2, 4).sign_symmetric
+        assert GeneralizedPolynomial(2, 4, 1, {}).sign_symmetric
 
     @pytest.mark.parametrize("g", [
         ld_polynomial(2, 4),
@@ -403,6 +404,27 @@ class TestNorms:
         assert report.l0 == 2
 
 
+class TestP2Vector:
+    """_p2_vector is p2's one reading of a polynomial: its slice, its weights, its convention."""
+
+    @pytest.mark.parametrize("g", [
+        GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (3, 1): -0.3, (2, 2): 2.0, (0, 4): 0.7}),
+        GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (3, 1): -0.3, (2, 2): 2.0, (0, 4): 0.7},
+                              convention="multinomial"),
+        GeneralizedPolynomial(2, Fraction(3, 2), 2, {(3, 0): 1.0, (2, 1): 0.4, (0, 3): 2.5}),
+    ], ids=["q1-monomial", "q1-multinomial", "q2"])
+    def test_vector_weights_and_convention(self, g):
+        a, w, convention = _p2_vector(g)
+        basis = enumerate_indices(g.n, int(g.degree * g.q))
+        assert convention == ("multinomial" if g.q == 1 else "monomial")
+        assert w.tolist() == [float(multinomial_coefficient(b)) if g.q == 1 else 1.0 for b in basis]
+        back = from_coefficient_vector(g.n, g.degree, g.q, basis, a, convention)
+        for alpha in basis:
+            want = g.monomial_coefficient(alpha)
+            assert back.monomial_coefficient(alpha) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert norms(g).l2_weighted_sq == float(w @ a**2)
+
+
 class TestGramExpansion:
     def test_identity_quadratic(self):
         gram = GramForm(2, 2, np.eye(2))
@@ -525,6 +547,30 @@ class TestNumberRules:
     def test_malformed_number_rejected(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda big: ld_polynomial(2, 4).rescale(big), "scale factor must be positive and finite"),
+        (lambda big: GramForm(2, 2, np.eye(2)).rescale(big),
+         "scale factor must be positive and finite"),
+        (lambda big: scale_to_target_volume(ld_polynomial(2, 4), big),
+         "target volume must be positive and finite"),
+        (lambda big: certify("p1", ld_polynomial(2, 4), tol=big),
+         "certificate tolerance must be finite and >= 0"),
+        (lambda big: SolveConfig(cert_tol=big), "cert_tol must be finite and >= 0"),
+        (lambda big: GeneralizedPolynomial(2, 4, 1, {(4, 0): big, (0, 4): 1.0}),
+         "coefficient inf of exponent (4, 0) is not finite"),
+        (lambda big: GeneralizedPolynomial(2, 4, 1, {(4, 0): -big, (0, 4): 1.0}),
+         "coefficient -inf of exponent (4, 0) is not finite"),
+        (lambda big: from_coefficient_vector(2, 4, 1, [(4, 0), (0, 4)], [big, 1.0]),
+         "coefficient inf of exponent (4, 0) is not finite"),
+        (lambda big: GramForm(2, 2, [[big, 0], [0, 1]]), "Q has an entry that is not finite"),
+    ], ids=["rescale", "gram-rescale", "target-volume", "certify-tol", "cert-tol",
+            "coefficient", "negative-coefficient", "coefficient-vector", "gram-entry"])
+    @pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+    def test_real_beyond_float_range_is_rejected(self, call, message, big):
+        # float() of either raises OverflowError; read as inf, each is rejected by name
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(big)
 
     def test_float_total_rejected_after_the_int_is_cached(self):
         # the cache used to answer (2, 4.0) with the (2, 4) list

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ class TestJacobiEigh:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             jacobi_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+    def test_rejects_an_entry_beyond_float_range(self, big):
+        # no float holds it: it reads as inf, so the PSD projection rejects it too
+        for decompose in (jacobi_eigh, lambda a: project_psd_trace(a, 1.0)):
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                decompose([[big, 0], [0, 1]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
@@ -163,21 +172,48 @@ def test_infinite_simplex_total_is_rejected():
     assert project_psd_trace(np.eye(2), float("inf")) == pytest.approx(np.eye(2))
 
 
+# a real that no float holds: float() of either raises OverflowError
+BEYOND_FLOAT = [10**400, Fraction(10**400)]
+BEYOND_FLOAT_IDS = ["int-beyond-float", "fraction-beyond-float"]
+
+
+@pytest.mark.parametrize("project", [
+    project_l1_ball,
+    lambda v, bound: project_weighted_l2_ball(v, np.ones(2), bound),
+], ids=["l1", "weighted-l2"])
+@pytest.mark.parametrize("bound", BEYOND_FLOAT, ids=BEYOND_FLOAT_IDS)
+def test_ball_bound_beyond_float_range_reads_as_infinite(project, bound):
+    assert project([1.0, 2.0], bound).tolist() == project([1.0, 2.0], float("inf")).tolist()
+
+
+@pytest.mark.parametrize("bound", BEYOND_FLOAT, ids=BEYOND_FLOAT_IDS)
+def test_trace_bound_beyond_float_range_reads_as_infinite(bound):
+    assert project_psd_trace(np.eye(2), bound) == pytest.approx(np.eye(2))
+
+
+@pytest.mark.parametrize("total", BEYOND_FLOAT, ids=BEYOND_FLOAT_IDS)
+def test_simplex_total_beyond_float_range_is_rejected(total):
+    with pytest.raises(ValueError, match="simplex total must be positive and finite, got "):
+        project_simplex(np.ones(2), total)
+
+
 @pytest.mark.parametrize("project", [
     project_simplex,
     project_l1_ball,
     lambda v, bound: project_weighted_l2_ball(v, np.ones(2), bound),
 ], ids=["simplex", "l1", "weighted-l2"])
-@pytest.mark.parametrize("v", [[], [float("nan"), 1.0], [float("inf"), 1.0], [[0.5, 0.5]]],
-                         ids=["empty", "nan", "inf", "two-dimensional"])
+@pytest.mark.parametrize("v", [[], [float("nan"), 1.0], [float("inf"), 1.0], [[0.5, 0.5]],
+                               *([big, 1.0] for big in BEYOND_FLOAT)],
+                         ids=["empty", "nan", "inf", "two-dimensional", *BEYOND_FLOAT_IDS])
 def test_bad_vector_is_rejected(project, v):
     with pytest.raises(ValueError, match="v must be a non-empty 1-D array of finite numbers"):
         project(v, 1.0)
 
 
 @pytest.mark.parametrize("weights", [[-1.0, 1.0], [0.0, 1.0], [float("nan"), 1.0],
-                                     [float("inf"), 1.0], [1.0, 1.0, 1.0]],
-                         ids=["negative", "zero", "nan", "inf", "three"])
+                                     [float("inf"), 1.0], [1.0, 1.0, 1.0],
+                                     *([big, 1.0] for big in BEYOND_FLOAT)],
+                         ids=["negative", "zero", "nan", "inf", "three", *BEYOND_FLOAT_IDS])
 def test_bad_weights_are_rejected(weights):
     # under weights [-1, 1], [3, 1] has "norm" -8, inside any ball, and would pass unprojected
     with pytest.raises(ValueError, match="weights must be 2 positive finite numbers"):

@@ -78,6 +78,16 @@ class TestPolynomialErrors:
             parse_polynomial(json.dumps(doc))
         assert err.value.field == field
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_coefficient_beyond_float_range_names_terms_field(self, sign):
+        # 10**400 is a JSON number that no float holds; it reads as +-inf, which terms rejects
+        text = ('{"n": 2, "d": [4, 1], "q": 1, "convention": "monomial", "terms": '
+                '[{"alpha_times_q": [4, 0], "coeff": ' + sign + "1" + "0" * 400 + '}, '
+                '{"alpha_times_q": [0, 4], "coeff": 1.0}]}')
+        with pytest.raises(SchemaError, match=f"coefficient {sign}inf of exponent .* not finite") as err:
+            parse_polynomial(text)
+        assert err.value.field == "terms"
+
     def test_missing_field(self):
         with pytest.raises(SchemaError, match="missing required field"):
             parse_polynomial(json.dumps({"n": 2}))
@@ -166,6 +176,12 @@ class TestGramDocuments:
         with pytest.raises(SchemaError) as err:
             parse_gram("[[1.0]]")
         assert err.value.field == "document"
+
+    def test_entry_beyond_float_range_names_q_field(self):
+        # 10**400 is a JSON number that no float holds; it reads as inf, which Q rejects
+        with pytest.raises(SchemaError, match="Q has an entry that is not finite") as err:
+            parse_gram('{"n": 2, "d": 2, "Q": [[1' + "0" * 400 + ', 0], [0, 1]]}')
+        assert err.value.field == "Q"
 
     def test_ragged_matrix(self):
         doc = {"n": 2, "d": 2, "Q": [[1.0, 0.0], [0.0]]}

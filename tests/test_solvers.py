@@ -618,7 +618,7 @@ class TestSolveP3:
         # blocks, so the solution and its certificate pass keep the symmetry zeros
         cfg = SolveConfig() if budget is None else SolveConfig(budget=budget)
         res = solve_p3(n, d, config=cfg)
-        assert res.solution.expand().has_even_support()
+        assert res.solution.expand().sign_symmetric
         assert res.certificate.passed
 
 
@@ -1343,7 +1343,7 @@ class TestFoldedDescent:
             i, j = basis.index(a), basis.index(b)
             gram[i, j] = gram[j, i] = value
         start = GramForm(3, 4, gram)
-        assert start.expand().has_even_support()
+        assert start.expand().sign_symmetric
         passes, trials = _record_descent(monkeypatch)
         solve_p3(3, 4, start=start)
         assert passes == [(272, 6)]

@@ -644,7 +644,7 @@ def _backend_grid(g, budget):
     """
     if not g.is_classical:
         return _lattice_grid(g.n, g.q, budget)
-    if g.has_even_support():
+    if g.sign_symmetric:
         return _sphere_grid(g.n, budget, True)
     return _isotropic_grid(g, *_sphere_grid(g.n, budget, False))
 
@@ -667,9 +667,9 @@ def _per_alpha_moments(g, alphas, budget):
     is 0.
     """
     dirs, w = _backend_grid(g, budget)
-    if g.is_classical and not g.has_even_support():
+    if g.is_classical and not g.sign_symmetric:
         dirs, w = np.concatenate([dirs, -dirs]), np.concatenate([w, w]) / 2.0
-    odd_vanish = g.is_classical and g.has_even_support()
+    odd_vanish = g.is_classical and g.sign_symmetric
 
     def power(a):
         return np.prod(dirs ** np.asarray(a), axis=-1)
@@ -882,7 +882,7 @@ class TestOrthantFold:
     @pytest.mark.parametrize("g", [ld_polynomial(2, 4), ld_polynomial(3, 6),
                                    _even_perturbed_sextic()], ids=["B4-2", "B6-3", "even-sextic"])
     def test_tables_match_the_full_grid(self, monkeypatch, g):
-        assert g.has_even_support()
+        assert g.sign_symmetric
         orthant = moment_table(g, max_order=g.degree, budget=4096)
         # unfolded and unmoved, g reads the half grid, whose antipodes make the full one
         monkeypatch.setattr(GeneralizedPolynomial, "sign_symmetric", property(lambda g: False))
@@ -938,7 +938,7 @@ class TestExactReferences:
         # its odd terms leave g(-x) = g(x), so it reads half the grid
         a = np.array(SPD[n])
         g = _quadratic_power(a, p)
-        assert not g.has_even_support()
+        assert not g.sign_symmetric
         alphas = enumerate_indices(n, 2)
         table = moment_table(g, alphas=alphas, budget=budget)
         vol = closed_form_ball_volume(n, 2) / math.sqrt(np.linalg.det(a))
@@ -1215,7 +1215,7 @@ class TestFeasibilityGate:
         # an odd term leaves g(-x) = g(x), so the scan reads the half grid,
         # 1024 of the 2048 nodes
         g = ODD_QUARTIC if n == 2 else _perturbed_ball(3, 4)
-        assert not g.has_even_support()
+        assert not g.sign_symmetric
         assert _gate_evaluations(monkeypatch, g) == points
 
 
