@@ -27,7 +27,9 @@ integers (_check_integer, _check_alphas for exponent tuples), rationals
 (_check_even_degree).  A bool is none of them, a numpy integer is read as
 an int, and ValueError names the argument.  A real that no float holds
 reads as +-inf (_float, _float_array): a finite-only argument rejects it
-by name, a bound that may be infinite takes it as inf.
+by name, a bound that may be infinite takes it as inf.  A rational must be
+finite as a float, so a degree or order that no float holds is rejected by
+name, and a degree must be positive as a float (_check_rational).
 """
 
 from __future__ import annotations
@@ -86,14 +88,17 @@ def _check_alphas(alphas, n: int) -> list[Exponent]:
     return out
 
 
-def _check_rational(value, name: str) -> Fraction:
-    """value as a Fraction: whatever Fraction reads, but never a bool."""
+def _check_rational(value, name: str, positive: bool = False) -> Fraction:
+    """value as a Fraction that a float holds, > 0 as a float if positive; never a bool."""
     try:
         if isinstance(value, bool):
             raise TypeError  # Fraction(True) is 1
-        return Fraction(value)
+        out = Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not (0.0 if positive else -math.inf) < _float(out) < math.inf:
+        raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {value!r}")
+    return out
 
 
 def _float(value) -> float:
@@ -270,12 +275,10 @@ class GeneralizedPolynomial:
     convention: str = MONOMIAL
 
     def __post_init__(self):
-        degree = _check_rational(self.degree, "degree")
+        degree = _check_rational(self.degree, "degree", positive=True)
         object.__setattr__(self, "n", _check_integer(self.n, "dimension", 1))
         object.__setattr__(self, "q", _check_integer(self.q, "lattice denominator", 1))
         object.__setattr__(self, "degree", degree)
-        if degree <= 0:
-            raise ValueError(f"degree must be positive, got {degree}")
         if self.convention not in (MONOMIAL, MULTINOMIAL):
             raise ValueError(f"unknown convention {self.convention!r}")
         if self.convention == MULTINOMIAL and self.q != 1:
@@ -378,7 +381,7 @@ class GeneralizedPolynomial:
         |x|**alpha.  0**0 is taken to be 1, so boundary axes need no
         special casing.
         """
-        arr = np.asarray(x, dtype=float)
+        arr = _float_array(x)
         if arr.shape[-1:] != (self.n,):  # a 0-d input has no coordinate axis
             raise ValueError(f"point has dimension {arr.shape[-1] if arr.ndim else 0}, "
                              f"expected {self.n}")

@@ -376,7 +376,7 @@ def _ball_boundary(ball, size, radius: float):
 
 
 def _validate_lattice(problem: str, d, q, half_lattice: bool) -> tuple[Fraction, int]:
-    d, q = _check_rational(d, "degree"), _check_integer(q, "lattice denominator", 1)
+    d, q = _check_rational(d, "degree", positive=True), _check_integer(q, "lattice denominator", 1)
     if q == 1:
         _check_even_degree(d, f"{problem} with q = 1")
     elif (d * q / 2 if half_lattice else d * q).denominator != 1:

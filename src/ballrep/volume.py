@@ -233,8 +233,6 @@ def _ball_moment(n: int, d, alpha, q: int = 1) -> float:
     2^n prod Gamma((a_i + 1)/d) / (d^n Gamma(1 + (n + |a|)/d)), a = alpha / q.
     """
     d = float(d)
-    if not d > 0:
-        raise ValueError(f"degree must be positive, got {d}")
     a = [float(ai) / q for ai in alpha]
     log_value = (
         n * math.log(2.0 / d)
@@ -251,13 +249,13 @@ def _ball_moment(n: int, d, alpha, q: int = 1) -> float:
 
 def closed_form_ball_volume(n: int, d) -> float:
     """Volume of {x : sum |x_i|**d <= 1}: 2^n Gamma(1/d)^n / (d^n Gamma(1 + n/d))."""
-    n, d = _check_integer(n, "dimension", 1), _check_rational(d, "degree")
+    n, d = _check_integer(n, "dimension", 1), _check_rational(d, "degree", positive=True)
     return _ball_moment(n, d, [0] * n)
 
 
 def closed_form_ball_moment(n: int, d) -> float:
     """integral over the d-ball of |x_i|**d, for any axis i: its volume / (n + d)."""
-    d, n = _check_rational(d, "degree"), _check_integer(n, "dimension", 1)
+    d, n = _check_rational(d, "degree", positive=True), _check_integer(n, "dimension", 1)
     return _ball_moment(n, d, [d] + [0] * (n - 1))
 
 
@@ -267,9 +265,11 @@ def _ball_power(g: GeneralizedPolynomial):
     For a divisor m of d*q, step = d*q/m (even if g is classical): g's rows
     are step times the C(n - 1 + m, m) multi-indices beta of total m, and each
     monomial coefficient is c times beta's multinomial, with no tolerance.
+    No m past len(rows) can match: C(n - 1 + m, m) >= m + 1 at n >= 2, and
+    at n = 1 every m gives the answer of m = 1.
     """
     rows, total = g._exponents, int(g.degree * g.q)
-    for m in range(1, total + 1):
+    for m in range(1, min(total, len(rows)) + 1):
         step = total // m
         if (total % m or len(rows) != math.comb(g.n - 1 + m, m)
                 or g.is_classical and step % 2 or (rows % step).any()):

@@ -454,9 +454,17 @@ class TestCertifyCommand:
     (["ball-table", "--n-range", "2:2", "--d-list", "4", "--out", "UNWRITABLE"], "error: out: "),
     (["volume", "HUGE_COEFF"], "error: terms: coefficient inf of exponent (4, 0) is not finite"),
     (["certify", "p3", "HUGE_GRAM"], "error: Q: Q has an entry that is not finite"),
+    (["solve", "p1", "--n", "2", "--d", "1e400"], "error: --d must be finite, got '1e400'\n"),
+    (["ball-table", "--n-range", "2:2", "--d-list", "1e400"],
+     "error: --d-list must be finite, got '1e400'\n"),
+    (["moments", "DISK", "--max-order", "1e400"],
+     "error: --max-order must be finite, got '1e400'\n"),
+    (["volume", "TINY_DEGREE"], "error: document: degree must be positive"),
 ], ids=["non-rational-d", "unreadable-file", "n-range-dash", "p3-fractional-d",
         "non-rational-max-order", "non-rational-d-list", "unwritable-json-out",
-        "unwritable-csv-out", "coefficient-beyond-float", "gram-entry-beyond-float"])
+        "unwritable-csv-out", "coefficient-beyond-float", "gram-entry-beyond-float",
+        "d-beyond-float", "d-list-beyond-float", "max-order-beyond-float",
+        "degree-below-float"])
 def test_input_error_exit_code(tmp_path, capsys, disk_file, argv, message):
     # a 401-digit JSON number, which no float holds
     huge = "1" + "0" * 400
@@ -464,9 +472,14 @@ def test_input_error_exit_code(tmp_path, capsys, disk_file, argv, message):
         '{"n": 2, "d": [4, 1], "q": 1, "convention": "monomial", "terms": [{"alpha_times_q": '
         f'[4, 0], "coeff": {huge}}}, {{"alpha_times_q": [0, 4], "coeff": 1.0}}]}}')
     (tmp_path / "gram.json").write_text(f'{{"n": 2, "d": 2, "Q": [[{huge}, 0], [0, 1]]}}')
+    # degree 1/huge lies on the lattice 1/huge, but its float is 0.0
+    (tmp_path / "tiny.json").write_text(
+        f'{{"n": 2, "d": [1, {huge}], "q": {huge}, "convention": "monomial", "terms": '
+        '[{"alpha_times_q": [1, 0], "coeff": 1.0}, {"alpha_times_q": [0, 1], "coeff": 1.0}]}')
     paths = {"MISSING": str(tmp_path / "missing.json"), "DISK": disk_file,
              "UNWRITABLE": str(tmp_path / "missing" / "out"),
-             "HUGE_COEFF": str(tmp_path / "coeff.json"), "HUGE_GRAM": str(tmp_path / "gram.json")}
+             "HUGE_COEFF": str(tmp_path / "coeff.json"), "HUGE_GRAM": str(tmp_path / "gram.json"),
+             "TINY_DEGREE": str(tmp_path / "tiny.json")}
     assert main([paths.get(a, a) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert message in err

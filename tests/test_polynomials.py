@@ -21,8 +21,11 @@ from ballrep import (
     from_coefficient_vector,
     SolveConfig,
     certify,
+    closed_form_ball_moment,
+    closed_form_ball_volume,
     ld_polynomial,
     minimal_trace_axis_gram,
+    moment_table,
     multinomial_coefficient,
     norms,
     polynomial_to_dict,
@@ -166,6 +169,14 @@ class TestEvaluate:
         g = GeneralizedPolynomial(2, 4, 1, {(3, 1): 1.0})
         assert g.evaluate([2.0, -1.0]) == pytest.approx(-8.0)
         assert g([2.0, -1.0]) == g.evaluate([2.0, -1.0])
+
+    @pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+    def test_coordinate_beyond_float_range_reads_as_infinite(self, big):
+        # float() of either raises OverflowError; the point reads it as inf
+        for form in (ld_polynomial(2, 4), GramForm(2, 4, np.eye(3))):
+            assert form.evaluate([big, 1]) == form.evaluate([math.inf, 1]) == math.inf
+            np.testing.assert_array_equal(form.evaluate([[-big, 1], [1.0, 2.0]]),
+                                          form.evaluate([[-math.inf, 1], [1.0, 2.0]]))
 
 
 def _term_by_term(g, x):
@@ -334,6 +345,13 @@ class TestInvariantValidation:
         (lambda: GeneralizedPolynomial(2, 4, 0, {}), "lattice denominator must be >= 1"),
         (lambda: GeneralizedPolynomial(2, 0, 1, {}), "degree must be positive"),
         (lambda: GeneralizedPolynomial(2, -4, 1, {}), "degree must be positive"),
+        # a positive degree whose float is 0.0, on a lattice that holds it
+        (lambda: GeneralizedPolynomial(2, Fraction(1, 10**400), 10**400, {}),
+         "degree must be positive and finite"),
+        (lambda: closed_form_ball_volume(2, Fraction(1, 10**400)),
+         "degree must be positive and finite"),
+        (lambda: closed_form_ball_moment(2, Fraction(1, 10**400)),
+         "degree must be positive and finite"),
         (lambda: GeneralizedPolynomial(2, 4, 1, {}, convention="binomial"), "unknown convention"),
         (lambda: ld_polynomial(2, 4).to_convention("binomial"), "unknown convention"),
         (lambda: GeneralizedPolynomial(2, 4, 1, {(5, -1): 1.0}), "negative exponent numerator"),
@@ -345,7 +363,9 @@ class TestInvariantValidation:
         (lambda: GramForm(2, 3, np.eye(2)), "even integer >= 2"),
         (lambda: from_coefficient_vector(2, 4, 1, enumerate_indices(2, 4), np.ones(4)),
          r"shape \(4,\), expected \(5,\)"),
-    ], ids=["n", "q", "degree-zero", "degree-negative", "convention", "to-convention",
+    ], ids=["n", "q", "degree-zero", "degree-negative", "degree-below-float",
+            "ball-volume-degree-below-float", "ball-moment-degree-below-float",
+            "convention", "to-convention",
             "negative-numerator",
             "evaluate-dimension", "evaluate-scalar", "ld-off-lattice", "gram-n", "gram-odd-degree",
             "vector-shape"])
@@ -564,8 +584,18 @@ class TestNumberRules:
         (lambda big: from_coefficient_vector(2, 4, 1, [(4, 0), (0, 4)], [big, 1.0]),
          "coefficient inf of exponent (4, 0) is not finite"),
         (lambda big: GramForm(2, 2, [[big, 0], [0, 1]]), "Q has an entry that is not finite"),
+        # a degree or order: each of these hung, allocated without bound or overflowed
+        (lambda big: GeneralizedPolynomial(2, big, 1, {}), "degree must be positive and finite"),
+        (lambda big: ld_polynomial(2, big), "degree must be finite"),
+        (lambda big: closed_form_ball_volume(2, big), "degree must be positive and finite"),
+        (lambda big: closed_form_ball_moment(2, big), "degree must be positive and finite"),
+        (lambda big: solve_p1(2, big), "degree must be positive and finite"),
+        (lambda big: solve_p3(2, big), "degree must be finite"),
+        (lambda big: moment_table(ld_polynomial(2, 4), max_order=big), "max_order must be finite"),
     ], ids=["rescale", "gram-rescale", "target-volume", "certify-tol", "cert-tol",
-            "coefficient", "negative-coefficient", "coefficient-vector", "gram-entry"])
+            "coefficient", "negative-coefficient", "coefficient-vector", "gram-entry",
+            "degree", "ld-degree", "ball-volume-degree", "ball-moment-degree", "p1-degree",
+            "p3-degree", "max-order"])
     @pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "fraction"])
     def test_real_beyond_float_range_is_rejected(self, call, message, big):
         # float() of either raises OverflowError; read as inf, each is rejected by name

@@ -1586,6 +1586,19 @@ class TestBallPowerClosedForm:
                 volume(g)
         assert _gate_evaluations(monkeypatch, g) > 0
 
+    @pytest.mark.parametrize("g", [
+        GeneralizedPolynomial(2, 12, 1, {(12, 0): 1.0, (6, 6): 1.0, (0, 12): 1.0}),
+        GeneralizedPolynomial(2, 720, 1, {(720, 0): 1.0, (360, 360): 3.0, (0, 720): 1.0}),
+        GeneralizedPolynomial(2, Fraction(5, 2), 4, {(10, 0): 1.0, (5, 5): 1.0, (0, 10): 1.0}),
+        GeneralizedPolynomial(1, 12, 1, {(12,): -1.0}),
+    ], ids=["d12", "d720", "d5/2-q4", "n1-negative"])
+    def test_tries_only_the_powers_its_rows_allow(self, monkeypatch, g):
+        # C(n - 1 + m, m) >= m + 1 at n >= 2, so no power m past len(rows) has len(rows) rows
+        comb, calls = math.comb, []
+        monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
+        assert _ball_power(g) is None
+        assert 0 < len(calls) <= len(g._exponents)
+
     def test_explicit_budgets_and_other_backends_read_nodes(self):
         for budget in (2048, 8192):
             est = volume(DISK4, budget=budget)
