@@ -27,9 +27,10 @@ integers (_check_integer, _check_alphas for exponent tuples), rationals
 (_check_even_degree).  A bool is none of them, a numpy integer is read as
 an int, and ValueError names the argument.  A real that no float holds
 reads as +-inf (_float, _float_array): a finite-only argument rejects it
-by name, a bound that may be infinite takes it as inf.  A rational must be
-finite as a float, so a degree or order that no float holds is rejected by
-name, and a degree must be positive as a float (_check_rational).
+by name, a bound that may be infinite takes it as inf.  An integer and a
+rational must be finite as a float, so a dimension, budget, degree or
+order that no float holds is rejected by name, and a degree must be
+positive as a float (_check_rational).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _KERNEL_ENTRIES = 1 << 16  # most output entries (512 KB of float64) one kernel 
 
 
 def _check_integer(value, name: str, least: int) -> int:
-    """value as an int >= least; a bool or a fractional value is rejected, not aliased or truncated."""
+    """value as an int >= least that a float holds; a bool or a fraction is rejected, not aliased or truncated."""
     try:
         if isinstance(value, bool):
             raise TypeError  # operator.index(True) is 1
@@ -63,6 +64,8 @@ def _check_integer(value, name: str, least: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if out < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if _float(out) == math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return out
 
 

@@ -116,7 +116,8 @@ class SolveConfig:
     |T(u) - u|_inf <= 1e-14 (1 + |u|_inf).  backend is spherical or
     monte_carlo; the descent's pass, built once per solve, reads the nodes
     a query of the start reads at descent_budget (a classical start's sphere
-    grid, a generalized one's lattice grid, or the cone nodes of seed),
+    grid, a generalized one's lattice grid), or on Monte Carlo the random
+    directions of seed on the descent's own streams, which no query reads,
     averaged over the coordinate permutations from an invariant start;
     one pass at 4 * descent_budget gives the final rescaling and the
     certificate's moments, checked at cert_tol.  descent_budget is budget,

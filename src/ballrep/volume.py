@@ -9,49 +9,54 @@ with h the restriction of g to S.  The deterministic spherical backend
 takes, for a classical g, S the unit sphere and a quadrature rule on it
 (periodic trapezoid for n = 2, product Gauss-Legendre for n = 3), cached
 read-only per (n, budget, orthant).  No pass reads the whole rule.  A
-sign-symmetric classical input (GeneralizedPolynomial.sign_symmetric) reads
-its nodes in one orthant, each weighted by its sign orbit (1/4 of them at
-n = 2, 1/8 at n = 3); any other is even, g(-x) = g(x), and reads those of
-azimuth in [0, pi), each weighted for its antipode too: queries, descents
-and the feasibility gate alike, for the whole rule's answers up to
-round-off.  Every pass but the gate's moves that half grid into G's
+sign-symmetric classical input (GeneralizedPolynomial.sign_symmetric)
+reads its nodes in one orthant, each weighted by its sign orbit (1/4 of
+them at n = 2, 1/8 at n = 3); any other is even, g(-x) = g(x), and reads
+those of azimuth in [0, pi), each weighted for its antipode too: queries,
+descents and the feasibility gate alike, for the whole rule's answers up
+to round-off.  Every pass but the gate's moves that half grid into G's
 isotropic position (_isotropic_grid), where G's second moments are a
 multiple of the identity: the same node count, exact for ellipsoids.  A
 generalized g, g(x) = p(y) at y = |x|**(1/q), integrates in y on the third
 node source, _lattice_grid: Gauss-Legendre on the orthant of the unit
 sphere, where the kinks of |x|**(1/q) never show, so it converges
-spectrally.  Monte Carlo takes S the unit l_d sphere and random nodes of
-its cone measure, of total n vol(B_d), so on B_d itself h = 1 at every
-node.  One function, _radial_pass, checks the spherical reach (n in {2, 3}),
-picks the nodes, their fold and their kernel base, and makes one monomial
-kernel call P on given rows; _radial reads h from P's leading rows, rejects
-infinite volume and gives the radial factors, and the moments sharing
-k = n + |alpha| come from one contiguous run of rows (_k_runs) against one
-radial weight w * h**(-k/d).  A query's rows are g's own exponents, then
-the requested alphas they miss, so the volume and the degree-d moments (and
-with them the volume gradient) come from the same pass; a solve asks
-_descent_pass for one pass on the degree-d slice, whose rows drop the
-moments that vanish by symmetry at its start, and runs it at every trial.
-_estimate lays out a query's rows once, for any backend.  _radial_pass makes
-one kernel call; Monte Carlo queries and the grid oracle make one per block
-of at most _BLOCK points (the grid's blocks are whole slices, at least one),
+spectrally.  Monte Carlo takes S the unit sphere too: random directions
+(normalized normal draws) moved into G's isotropic position by the same
+map, each weighted by its Jacobian, with B_d's integrand at the same nodes
+as a regression control variate of known mean (_mc_estimate), so B_d, a
+scaled B_d and an ellipsoid's volume come out exact.  One function,
+_radial_pass, checks the spherical reach (n in {2, 3}), picks the nodes,
+their fold and their kernel base, and makes one monomial kernel call P on
+given rows; _radial reads h from P's leading rows, rejects infinite volume
+and gives the radial factors, and the moments sharing k = n + |alpha| come
+from one contiguous run of rows (_k_runs) against one radial weight w *
+h**(-k/d).  A query's rows are g's own exponents, then the requested
+alphas they miss, so the volume and the degree-d moments (and with them
+the volume gradient) come from the same pass; a solve asks _descent_pass
+for one pass on the degree-d slice, whose rows drop the moments that
+vanish by symmetry at its start, and runs it at every trial.  _estimate
+lays out a query's rows once, for any backend.  _radial_pass makes one
+kernel call; Monte Carlo queries and the grid oracle make one per block of
+at most _BLOCK points (the grid's blocks are whole slices, at least one),
 which bounds the memory of a block's samples and kernel output, and their
 random streams do not depend on the block.  Monte Carlo nodes come in
 batches of _MC_BATCH, each from its own stream; a query takes its blocks
 in order as the batches arrive, while a worker thread of its own, joined
 before it returns or raises, draws the next _DRAW_AHEAD batches
-(_cone_batches); that saves time only where the process has a CPU to
-spare for the thread.  Its answers do not depend on
-where a batch was drawn, its nodes in memory are those of the batches in
-flight, and an infeasible input raises at its first bad block, before the
-later batches are drawn.  The kernel keeps its own working set small,
-whatever the backend: it builds a large call in chunks of points
+(_cone_batches) and does their node-only work (_mc_nodes: the isotropic
+move, the Jacobians and B_d's radial factors), so the caller runs only g's
+kernel and the sums; that saves time only where the process has a CPU to
+spare for the thread.  Its answers do not depend on where a batch was
+drawn, its nodes in memory are those of the batches in flight, and an
+infeasible input raises at its pilot (_mc_map) or its first bad block,
+before the later batches are drawn.  The kernel keeps its own working set
+small, whatever the backend: it builds a large call in chunks of points
 (polynomials._KERNEL_ENTRIES).  Every backend returns only plain numbers
 and arrays aligned with the alphas it was given.  The dispatcher _estimate
 builds every answer: it gives each distinct alpha one entry (the all-zeros
-alpha reads the volume, moments that vanish by symmetry read exact zeros, a
-backend estimates only the rest) and turns the backend's numbers into the
-VolumeEstimate and the moment entries.
+alpha reads the volume, moments that vanish by symmetry read exact zeros,
+a backend estimates only the rest) and turns the backend's numbers into
+the VolumeEstimate and the moment entries.
 
 Homogeneity, {k g <= 1} = k**(-1/d) {g <= 1}, has one home too:
 _homogeneity_factor, by which _rescaled_moments maps a solve's table to its
@@ -108,11 +113,14 @@ _MC_BATCH = 1 << 16  # samples per Monte Carlo stream
 # Monte Carlo batches drawn ahead of the one in use, on a worker thread; at 1
 # the thread, done with batch 1, would idle while the caller runs batch 0's kernel
 _DRAW_AHEAD = 2
+# extra stream words of the Monte Carlo draws: a query's batch b reads [seed, b], a
+# descent's [seed, b, 1], a pilot's [seed, 0, 2]; no two passes share a node
+_DESCENT_STREAM, _PILOT_STREAM = (1,), (2,)
 _BLOCK = 1 << 13  # most points per Monte Carlo or grid kernel call; bounds a block's memory
 assert _MC_BATCH % _BLOCK == 0  # so a Monte Carlo block never spans two batches
 _GRID_CACHE_SIZE = 8  # sphere grids kept; at n = 3, budget 32768 a half grid is 0.5 MB, an orthant 1/4
 _LATTICE_NODES = 64  # most Gauss-Legendre nodes per angle of a lattice grid (64**2 at n = 3)
-_GATE_BUDGET = 2048  # sphere grid (n <= 3) or cone nodes (n >= 4) the gate scans
+_GATE_BUDGET = 2048  # sphere grid (n <= 3) or random directions (n >= 4) the gate and a pilot scan
 _GATE_RESTARTS = 8  # best scan nodes zoomed besides the axes and the diagonal
 _GATE_ZOOM_DIMS = 3  # most chart axes one gate zoom level spans
 _GATE_TOLERANCE = 1e-9  # a sphere minimum at or below this times max |c_alpha| is infinite volume
@@ -124,9 +132,9 @@ class InfiniteVolumeError(ValueError):
     sphere_minimum is the least value of g that _volume_verdict saw, exact
     axes included.  From the feasibility gate it is g's minimum found on the
     unit sphere; from a pass, g's least value at that pass's nodes, which
-    are unit vectors only on the sphere grids: Monte Carlo nodes lie on the
-    unit l_d sphere, and lattice nodes are unit vectors in y = |x|**(1/q),
-    so |x| <= 1 there.
+    are unit vectors on the sphere grids and in Monte Carlo, its pilot's
+    included; lattice nodes are unit vectors in y = |x|**(1/q), so |x| <= 1
+    there.
     """
 
     def __init__(self, message: str, sphere_minimum: float | None = None):
@@ -135,7 +143,7 @@ class InfiniteVolumeError(ValueError):
 
 
 class EffectiveSampleSizeWarning(UserWarning):
-    """Monte Carlo's radial weights h**(-n/d) are heavy-tailed; the input is near infeasibility."""
+    """Monte Carlo's volume samples are heavy-tailed past their control; the input is near infeasibility."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,10 @@ class VolumeEstimate:
     pass on a classical input the orthant's nodes (sign-symmetric input) or
     the half grid's (any other), on a generalized input the lattice grid's,
     and 0 for a closed form (a scaled ball power queried with no budget).
-    ess is the effective sample size (Monte Carlo only).
+    ess is the effective sample size (Monte Carlo only), budget mean**2 /
+    (mean**2 + var) of the volume's samples after their control variate:
+    the budget itself where the control fits exactly (B_d, a scaled B_d, an
+    ellipsoid).
 
     ``ballrep volume`` and the normalization of a ``ballrep moments`` JSON
     document print these fields as they are, in this order, without a
@@ -409,53 +420,84 @@ def _kernel_rows(g: GeneralizedPolynomial, live):
     return rows, [row[a] for a in live]
 
 
-def _volume_verdict(c, rows, n: int, values) -> FeasibilityVerdict:
+def _axis_rows(rows, n: int):
+    """g's pure-power rows, once per pass: (index, initial) for _volume_verdict.
+
+    index lists the rows nonzero at exactly one coordinate.  On the axes
+    +-e_i, which sphere grids miss, g is the coefficient of its pure power
+    of x_i, or 0 if it has none: initial is inf if every axis has its row,
+    else 0.
+    """
+    index = np.flatnonzero(np.count_nonzero(rows, axis=1) == 1)
+    return index, np.inf if len(index) == n else 0.0
+
+
+def _volume_verdict(c, axes, values) -> FeasibilityVerdict:
     """Finite volume or not, and g's least value seen, exact axes included.
 
-    c holds g's monomial coefficients on its exponent rows, values is g at
-    the points seen.  On the axes +-e_i, which sphere grids miss, g is the
-    coefficient of its pure power of x_i (the row nonzero only at i), or 0
-    if it has none.  The one rule of the feasibility gate and every radial
-    pass: a minimum not above _GATE_TOLERANCE max |c|, which scales with g,
-    is infinite volume.
+    c holds g's monomial coefficients on its exponent rows, axes is their
+    _axis_rows, values is g at the points seen.  The one rule of the
+    feasibility gate and every radial pass: a minimum not above
+    _GATE_TOLERANCE max |c|, which scales with g, is infinite volume.
     """
-    axes = c[np.count_nonzero(rows, axis=1) == 1]
-    smin = min(float(np.min(values)), float(axes.min(initial=np.inf if len(axes) == n else 0.0)))
+    index, initial = axes
+    smin = min(float(np.min(values)), float(c[index].min(initial=initial)))
     return FeasibilityVerdict(smin > _GATE_TOLERANCE * float(np.abs(c).max(initial=0.0)), smin)
 
 
-def _radial(c, P, rows, n: int, d: float, ks):
+def _radial(c, P, axes, d: float, ks):
     """The radial factors h**(-k/d) at P's nodes, one array per k of ks.
 
     h = c @ P[:len(c)] is g at the nodes, for the monomial coefficients c on
-    rows[:len(c)], the leading rows of P's exponent rows; where
+    the leading rows of P's exponent rows, whose _axis_rows are axes; where
     _volume_verdict finds infinite volume on them, it raises
     InfiniteVolumeError.  A node of weight w adds w h**(-k/d) / k times its
     monomial to every moment of k = n + |alpha|, the volume's k being n.
     """
     h = c @ P[: len(c)]
-    _finite_or_raise(_volume_verdict(c, rows[: len(c)], n, h), "sublevel set")
+    _finite_or_raise(_volume_verdict(c, axes, h), "sublevel set")
     return [h ** (-k / d) for k in ks]
 
 
-def _isotropic_grid(g: GeneralizedPolynomial, dirs, w):
-    """The half grid (dirs, w) moved into G's isotropic position: nodes Ay/|Ay|, weights w/|Ay|**n.
+def _isotropic_map(g: GeneralizedPolynomial, pilot, weights):
+    """The map A of determinant 1 that moves G into its isotropic position.
 
-    A = M**(1/2) / det(M)**(1/(2n)), of determinant 1, for M = sum w theta
-    theta^T h(theta)**(-(n+2)/d) on the gate's half grid, (n + 2) times G's
-    second-moment matrix.  y -> Ay/|Ay| has Jacobian |Ay|**-n on the sphere;
-    on an ellipsoid {x^T Q x <= 1}, where A Q A is a multiple of I, it makes
-    every moment's integrand a polynomial, which the grid integrates exactly.
+    A = M**(1/2) / det(M)**(1/(2n)) for M = sum w theta theta^T
+    h(theta)**(-(n+2)/d) on the pilot nodes theta of weights w, (n + 2)
+    times G's second-moment matrix, g read through its lattice_base.  In
+    the position A**-1 G its second moments are a multiple of the identity;
+    on an ellipsoid {x^T Q x <= 1}, A Q A is a multiple of I.
     """
-    n = g.n
-    pilot, pw = _sphere_grid(n, _GATE_BUDGET, False)
-    rows = g._exponents
-    [f] = _radial(g._coeffs, monomials(pilot, rows), rows, n, g.degree_float, [n + 2])
-    lam, v = np.linalg.eigh((pilot.T * (pw * f)) @ pilot)
-    y = (v * np.sqrt(lam / math.prod(lam) ** (1.0 / n))) @ v.T @ dirs.T  # (n, N): contiguous rows
+    n, rows = g.n, g._exponents
+    P = monomials(g.lattice_base(pilot), rows)
+    [f] = _radial(g._coeffs, P, _axis_rows(rows, n), g.degree_float, [n + 2])
+    lam, v = np.linalg.eigh((pilot.T * (weights * f)) @ pilot)
+    if not 0.0 < math.prod(lam.tolist()) < math.inf:  # det(M) beyond the float range
+        lam = np.ldexp(lam, -math.frexp(lam[-1])[1])  # eigh of M 2**e: lam 2**e, the same v
+    return (v * np.sqrt(lam / math.prod(lam) ** (1.0 / n))) @ v.T
+
+
+def _isotropic_move(A, dirs):
+    """Unit directions dirs (N, n) moved to y = A theta / |A theta|, and the Jacobians |A theta|**-n.
+
+    theta -> A theta / |A theta| has Jacobian |A theta|**-n on the sphere
+    (det A = 1), so a node of weight w moves to y at weight w |A theta|**-n.
+    y is the transpose of a C-contiguous (n, N) array, as the kernel reads it.
+    """
+    y = A @ dirs.T
     s = 1.0 / np.sqrt(np.einsum("ij,ij->j", y, y))
     y *= s
-    return y.T, w * s**n
+    return y.T, s ** dirs.shape[1]
+
+
+def _isotropic_grid(g: GeneralizedPolynomial, dirs, w):
+    """The half grid (dirs, w) moved into G's isotropic position, its pilot the gate's half grid.
+
+    Every moment's integrand on an ellipsoid is then a polynomial, which
+    the grid integrates exactly.
+    """
+    y, jacobian = _isotropic_move(_isotropic_map(g, *_sphere_grid(g.n, _GATE_BUDGET, False)), dirs)
+    return y, w * jacobian
 
 
 def _k_runs(rows, n: int, q: int):
@@ -474,8 +516,9 @@ def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=N
     moved into G's isotropic position once per pass, so every trial of a
     descent reads the same nodes; the rows _symmetry_zero keeps share that
     symmetry), the lattice grid of (q, budget) for any other, or on Monte
-    Carlo the lattice base of the _cone_batches of (budget, seed), each node
-    of weight n vol(B_d) / budget, the cone measure's total shared equally.
+    Carlo the budget random directions of (seed, budget) on the descent's
+    own streams (_DESCENT_STREAM), moved into g's isotropic position
+    (_mc_nodes), each of weight |S^(n-1)| / budget times its Jacobian.
     P, the monomials of rows at the base, serves every run.  run(c), c the
     coefficients on the leading rows, returns the volume w.h**(-n/d)/n and
     every row's moment at its run's k, in the runs holding a row index of
@@ -485,8 +528,10 @@ def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=N
     if backend == SPHERICAL and n not in (2, 3):
         raise ValueError(f"spherical backend supports n in {{2, 3}}, got {n}")
     if backend != SPHERICAL:
-        base = g.lattice_base(np.concatenate(list(_cone_batches(n, d, budget, seed))))
-        w = np.full(budget, n * closed_form_ball_volume(n, d) / budget)
+        work = functools.partial(_mc_nodes, g, _mc_map(g, seed), [])
+        with contextlib.closing(_cone_batches(n, budget, seed, _DESCENT_STREAM, work)) as batches:
+            base, w = (np.concatenate(part) for part in zip(*batches))
+        w *= _sphere_area(n) / budget
     elif not g.is_classical:
         base, w = _lattice_grid(n, g.q, budget)
     elif g.sign_symmetric:
@@ -497,9 +542,10 @@ def _radial_pass(g: GeneralizedPolynomial, rows, backend, budget, seed, wanted=N
     runs = [(lo, hi, k) for lo, hi, k in _k_runs(rows, n, g.q)
             if wanted is None or any(lo <= i < hi for i in wanted)]
     ks = [n] + [k for _, _, k in runs]
+    axes = functools.cache(lambda lead: _axis_rows(rows[:lead], n))  # one c length per pass
 
     def run(c):
-        radial, *factors = _radial(c, P, rows, n, d, ks)
+        radial, *factors = _radial(c, P, axes(len(c)), d, ks)
         moments = np.empty(len(rows))
         for (lo, hi, k), f in zip(runs, factors):
             moments[lo:hi] = P[lo:hi] @ (w * f) / k
@@ -527,36 +573,44 @@ def _spherical_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, 
 # -- Monte Carlo backend ------------------------------------------------------
 
 
-def _cone_batch(n: int, d: float, budget: int, seed: int, b: int):
-    """Batch b of the budget random nodes of seed: its nodes b _MC_BATCH onwards.
+def _sphere_area(n: int) -> float:
+    """|S^(n-1)| = 2 pi**(n/2) / Gamma(n/2), the total of the sphere's surface measure."""
+    return 2.0 * math.exp(n / 2 * math.log(math.pi) - math.lgamma(n / 2))
 
-    The nodes follow the cone measure of B_d on the unit l_d sphere, whose
-    total is n vol(B_d): |x_i|^d = t_i ~ Gamma(1/d) with random signs, from
-    the batch's own stream default_rng([seed, b]); theta = x / (sum_i
-    t_i)**(1/d).  So they depend only on (seed, budget), not on who draws them.
+
+def _cone_batch(n: int, budget: int, seed: int, b: int, stream=()):
+    """Batch b of the budget random unit directions of seed: its nodes b _MC_BATCH onwards.
+
+    Normalized standard normal draws (Marsaglia, Ann. Math. Stat. 1972), so
+    uniform on the unit sphere, from the batch's own stream default_rng([seed,
+    b, *stream]): a query's batches read stream (), a descent's
+    _DESCENT_STREAM, a pilot's _PILOT_STREAM.  So they depend only on (seed,
+    budget, stream), not on who draws them.  The draw is coordinate-major:
+    the directions are the transpose of a C-contiguous (n, size) array, whose
+    rows the norms, the isotropic move and the kernel read contiguously.
     """
     size = min(_MC_BATCH, budget - b * _MC_BATCH)
-    rng = np.random.default_rng([seed, b])
-    t = rng.gamma(1.0 / d, 1.0, size=(size, n))
-    # t @ ones sums a row in a fraction of the time of t.sum(axis=1)
-    theta = t / (t @ np.ones(n))[:, None]
-    np.power(theta, 1.0 / d, out=theta)
-    theta *= rng.integers(0, 2, size=(size, n)) * 2 - 1
-    return theta
+    z = np.random.default_rng([seed, b, *stream]).standard_normal((n, size))
+    z /= np.sqrt(np.einsum("ij,ij->j", z, z))
+    return z.T
 
 
-def _cone_batches(n: int, d: float, budget: int, seed: int):
-    """The batches of (n, d, budget, seed) in order, each a _cone_batch.
+def _cone_batches(n: int, budget: int, seed: int, stream, work):
+    """work(batch) of each _cone_batch of (n, budget, seed, stream), in order.
 
-    Batch 0 is drawn inline; while the caller holds batch b, batches b + 1
-    to b + _DRAW_AHEAD are drawn on a worker thread that the draw starts at
-    its first submission, so a one-batch draw starts none.  However the draw
+    work does a batch's node-only work where the batch is drawn.  Batch 0
+    is drawn inline; while the caller holds batch b, batches b + 1 to b +
+    _DRAW_AHEAD are drawn on a worker thread that the draw starts at its
+    first submission, so a one-batch draw starts none.  However the draw
     ends (its last batch, an error, or the caller closing it early), the
     pending draws are cancelled and the thread is joined, so none outlives
     the draw.  Every batch has its own stream, so where it is drawn does not
     show in its nodes.  The first draw in a process imports concurrent.futures.
     """
     from concurrent.futures import ThreadPoolExecutor
+
+    def draw(b):
+        return work(_cone_batch(n, budget, seed, b, stream))
 
     count = -(-budget // _MC_BATCH)
     pool = ThreadPoolExecutor(1, thread_name_prefix="ballrep-draw")
@@ -565,50 +619,122 @@ def _cone_batches(n: int, d: float, budget: int, seed: int):
         for b in range(count):
             mine = ahead.popleft() if ahead else None
             while len(ahead) < _DRAW_AHEAD and b + 1 + len(ahead) < count:
-                ahead.append(pool.submit(_cone_batch, n, d, budget, seed, b + 1 + len(ahead)))
-            yield _cone_batch(n, d, budget, seed, b) if mine is None else mine.result()
+                ahead.append(pool.submit(draw, b + 1 + len(ahead)))
+            yield draw(b) if mine is None else mine.result()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _mc_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: int):
-    """The spherical pass's radial formula on random nodes, the _cone_batches of (budget, seed).
+def _mc_map(g: GeneralizedPolynomial, seed: int):
+    """The _isotropic_map of g for Monte Carlo, from a pilot that no pass's nodes are.
 
-    As in _radial_pass, an answer is the sum over the nodes of w h**(-k/d) / k
-    times the node's monomial; the weights are equal, their total the cone
-    measure's n vol(B_d), so it is n vol(B_d) / k times the mean of h**(-k/d)
-    times the monomial, and its standard error comes from their second
-    moments.
-    The kernel, the radial factors and the sums run over _BLOCK-node blocks,
-    cut in order from each batch of _cone_batches as it is drawn, so the
-    nodes in memory are those of the batches in flight, and an infeasible
-    input raises before the later batches are drawn.  The block size changes
-    results only at round-off, through the summation order; the sums are
-    centred at the first block's means, so the variance does not cancel away
-    (on B_d, where h = 1 at every node, it is round-off).
-    Each block raises on infinite volume, as the spherical pass does; the
-    ESS, that of the volume's weights h**(-n/d), warns below 1% of the budget.
+    At n in {2, 3} the pilot is the gate's half grid moved by the sphere
+    grid's own map (_isotropic_grid): the same M, integrated where its
+    integrand is nearly polynomial, so an ellipsoid's map is exact to
+    round-off (on the unmoved half grid, a rotated ellipsoid of condition
+    100 at n = 3 kept a relative error of 1e-6 in its 20000-node volume).
+    Else _GATE_BUDGET random directions of seed on the pilot's own stream,
+    equally weighted (A does not depend on the weights' scale).
+    """
+    n = g.n
+    if n in (2, 3):
+        return _isotropic_map(g, *_isotropic_grid(g, *_sphere_grid(n, _GATE_BUDGET, False)))
+    return _isotropic_map(g, _cone_batch(n, _GATE_BUDGET, seed, 0, _PILOT_STREAM),
+                          np.ones(_GATE_BUDGET))
+
+
+def _mc_nodes(g: GeneralizedPolynomial, A, ks, theta):
+    """The node-only work of a Monte Carlo batch theta: (base, w) or, given ks, (base, w, controls).
+
+    The directions move into G's isotropic position, y = A theta / |A
+    theta| (_isotropic_move); base is the kernel's base at y (g's
+    lattice_base), w the Jacobian |A theta|**-n.  controls[i] is w
+    h_B**(-ks[i]/d), h_B = sum_i |y_i|**d the l_d ball's g at y: the radial
+    factors of B_d's moments of k = ks[i].
+    """
+    y, w = _isotropic_move(A, theta)
+    base = g.lattice_base(y)
+    if not len(ks):
+        return base, w
+    d = g.degree_float
+    h_ball = ((y.T * y.T) ** (d / 2)).sum(axis=0)  # (n, N) rows; a square at d = 4
+    return base, w, w * h_ball ** (-np.asarray(ks)[:, None] / d)
+
+
+def _mc_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: int):
+    """The radial formula on random directions in G's isotropic position, with B_d as control.
+
+    A node y of the _cone_batches draw, moved by _mc_map, gives each answer
+    the sample f = y^alpha R_k, R_k = w h**(-k/d) with w its Jacobian; the
+    answer is |S^(n-1)| / k times their mean.  The control c = y^alpha C_k,
+    C_k = w h_B**(-k/d) (_mc_nodes), is that sample for B_d, of exact mean k
+    _ball_moment / |S^(n-1)| (0 for a classical alpha with an odd entry).
+    The estimate is the regression estimator mean(f) - beta (mean(c) - E c),
+    beta = cov(f, c) / var(c) per answer (Owen, Monte Carlo theory, methods
+    and examples, ch. 8), its standard error that of the residuals, of
+    budget - 2 degrees of freedom (at budget 2 the plain mean stands).  On
+    B_d, a scaled B_d and an ellipsoid's volume the residuals vanish: the
+    answer is exact, its standard error round-off.  The ESS, budget
+    mean**2 / (mean**2 + var) of the volume, warns below 1% of the budget.
+    The kernel, the radial factors and the sums run over _BLOCK-node
+    blocks, in order as the batches arrive, so the nodes in memory are
+    those of the batches in flight, and each block raises on infinite
+    volume before the later batches are drawn.  The sums are of c and of
+    D_k = R_k - beta0_k C_k times the monomial, beta0_k the slope of R_k on
+    C_k through the origin in the first block, so a fit of B_d or a scaled
+    B_d (R_k = lambda C_k) leaves D at round-off, where no variance cancels
+    away, even where both are constant (the Euclidean ball); the final beta
+    corrects beta0.  A moment's sums are one matrix product per k run
+    (_k_runs), as in _radial_pass.  The volume's are centred at their
+    first-block means, and its beta0 is the centred slope, so an
+    ellipsoid's constant samples leave round-off too; they stay within
+    range at any scale of g.  The block size changes results only at
+    round-off, through the summation order.
     """
     n, d = g.n, g.degree_float
-    # sample row 0 is the volume's, row 1 + i that of rows[live_rows[i]]
-    ks, k_of = np.unique(np.r_[n, n + rows[live_rows].sum(axis=1) / g.q], return_inverse=True)
-    sums = sums2 = 0.0
-    centre = None
-    with contextlib.closing(_cone_batches(n, d, budget, seed)) as batches:
-        for batch in batches:
-            for lo in range(0, len(batch), _BLOCK):
-                P = monomials(g.lattice_base(batch[lo : lo + _BLOCK]), rows)
-                samples = np.array(_radial(g._coeffs, P, rows, n, d, ks))[k_of]
-                samples[1:] *= P[live_rows]
-                if centre is None:
-                    centre = samples.mean(axis=1)
-                samples -= centre[:, None]
-                sums = sums + samples.sum(axis=1)
-                sums2 = sums2 + np.einsum("ij,ij->i", samples, samples)
-    mean = sums / budget
-    var = np.maximum(0.0, sums2 / budget - mean * mean)
-    mean += centre
-    ess = budget / (1.0 + var[0] / mean[0] ** 2)
+    runs = [(lo, hi, k) for lo, hi, k in _k_runs(rows, n, g.q)
+            if any(lo <= i < hi for i in live_rows)]
+    ks = [n] + [k for _, _, k in runs]
+    # answer 0 is the volume, 1 + i that of rows[live_rows[i]]; ks[k_of] their k
+    k_of = np.r_[0, np.searchsorted([lo for lo, _, _ in runs], live_rows, side="right")]
+    k_answer = np.array(ks)[k_of]
+    axes = _axis_rows(g._exponents, n)
+    fit = budget > 2
+    work = functools.partial(_mc_nodes, g, _mc_map(g, seed), ks)
+    beta0 = None
+    # sums of c, D, c c, c D and D D: the volume's centred, every run row's
+    volume_sums, row_sums = 0.0, np.zeros((len(rows), 5))
+    with contextlib.closing(_cone_batches(n, budget, seed, (), work)) as batches:
+        for base, w, controls in batches:
+            for lo in range(0, len(w), _BLOCK):
+                block = slice(lo, lo + _BLOCK)
+                P = monomials(base[block], rows)
+                D = np.array(_radial(g._coeffs, P, axes, d, ks))
+                D *= w[block]  # R_k
+                C = controls[:, block]
+                if beta0 is None:  # the first block fits beta0 and the volume's centres
+                    beta0 = _slope(np.einsum("ij,ij->i", D, C), np.einsum("ij,ij->i", C, C), fit)
+                    Rc, Cc = D[0] - D[0].mean(), C[0] - C[0].mean()
+                    beta0[0] = _slope(Rc @ Cc, Cc @ Cc, fit)
+                    centre = C[0].mean(), D[0].mean() - beta0[0] * C[0].mean()
+                D -= beta0[:, None] * C  # D_k
+                c, r = C[0] - centre[0], D[0] - centre[1]
+                volume_sums = volume_sums + np.array([c.sum(), r.sum(), c @ c, c @ r, r @ r])
+                for (lo_run, hi_run, _), c, r in zip(runs, C[1:], D[1:]):
+                    M = P[lo_run:hi_run]
+                    row_sums[lo_run:hi_run] += np.hstack([M @ np.stack([c, r]).T,
+                                                          (M * M) @ np.stack([c * c, c * r, r * r]).T])
+    mean_c, mean_d, cc, cd, dd = np.vstack([volume_sums, row_sums[live_rows]]).T / budget
+    var_c, cov, var_d = cc - mean_c * mean_c, cd - mean_c * mean_d, dd - mean_d * mean_d
+    mean_c[0] += centre[0]  # the volume's sums are centred
+    mean_d[0] += centre[1]
+    exact = k_answer * [  # E c, from B_d's moments
+        0.0 if g.is_classical and any(a % 2 for a in alpha) else _ball_moment(n, g.degree, alpha, g.q)
+        for alpha in [(0,) * n] + rows[live_rows].tolist()] / _sphere_area(n)
+    gamma = _slope(cov, var_c, fit)  # beta - beta0
+    mean = beta0[k_of] * exact + mean_d - gamma * (mean_c - exact)
+    var = np.maximum(0.0, var_d - gamma * cov)
+    ess = budget * mean[0] ** 2 / (mean[0] ** 2 + var[0])
     if ess < 0.01 * budget:
         level, frame = 1, sys._getframe()  # warn at the first caller outside ballrep
         while frame and frame.f_globals.get("__name__", "").partition(".")[0] == "ballrep":
@@ -619,9 +745,14 @@ def _mc_estimate(g: GeneralizedPolynomial, rows, live_rows, budget: int, seed: i
             EffectiveSampleSizeWarning,
             stacklevel=level,
         )
-    scale = n * closed_form_ball_volume(n, d) / ks[k_of]
-    value, err = scale * mean, scale * np.sqrt(var / (budget - 1))
+    scale = _sphere_area(n) / k_answer
+    value, err = scale * mean, scale * np.sqrt(var / (budget - 1 - fit))
     return value[0], err[0], value[1:], err[1:], budget, float(ess)
+
+
+def _slope(cov, var, fit: bool):
+    """cov / var where var > 0 and fit, else 0: a regression slope per row."""
+    return np.divide(cov, var, out=np.zeros_like(cov), where=fit & (var > 0))
 
 
 # -- grid oracle --------------------------------------------------------------
@@ -868,17 +999,17 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
     """Minimum of g over the unit sphere by a scan and a batched zoom search.
 
     One rule for every n >= 2.  The scan evaluates _GATE_BUDGET unit
-    directions: the sphere grid for n <= 3 (its orthant if g is sign_symmetric,
-    else its half), for n >= 4 the uniform cone nodes of (_GATE_BUDGET,
-    seed), one _cone_batch, the only reader of `seed`.  The candidates are the n
-    axes, the diagonal and the _GATE_RESTARTS best scan nodes.  Each zoom
-    level lays a 5**k stencil of radius r on every candidate v in the fixed
-    chart of every axis but j = argmax |v_j| (|v_j| >= 1/sqrt(n) bounds its
-    distortion), projects the trials onto the sphere and keeps the best.
-    k = min(n - 1, _GATE_ZOOM_DIMS): above n = 4 a level zooms k of the
-    chart's n - 1 axes, the next level the next k, and r halves once per
-    n - 1 axes zoomed, from 0.5 down to 1e-10.  No derivatives, so the kinks
-    of generalized inputs do not stall it.
+    directions: the sphere grid for n <= 3 (its orthant if g is
+    sign_symmetric, else its half), for n >= 4 the uniform random directions
+    of (_GATE_BUDGET, seed), one _cone_batch, the only reader of `seed`.
+    The candidates are the n axes, the diagonal and the _GATE_RESTARTS best
+    scan nodes.  Each zoom level lays a 5**k stencil of radius r on every
+    candidate v in the fixed chart of every axis but j = argmax |v_j| (|v_j|
+    >= 1/sqrt(n) bounds its distortion), projects the trials onto the sphere
+    and keeps the best.  k = min(n - 1, _GATE_ZOOM_DIMS): above n = 4 a
+    level zooms k of the chart's n - 1 axes, the next level the next k, and
+    r halves once per n - 1 axes zoomed, from 0.5 down to 1e-10.  No
+    derivatives, so the kinks of generalized inputs do not stall it.
 
     The exact axes +-e_i and every tried point are unit directions and
     count, so a strictly negative minimum proves infinite volume (g < 0 on
@@ -899,7 +1030,7 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
         if n <= 3:
             nodes = _sphere_grid(n, _GATE_BUDGET, g.sign_symmetric)[0]
         else:
-            nodes = _cone_batch(n, 2.0, _GATE_BUDGET, seed, 0)  # _GATE_BUDGET < _MC_BATCH
+            nodes = _cone_batch(n, _GATE_BUDGET, seed, 0)  # _GATE_BUDGET < _MC_BATCH
         values = g.evaluate(nodes)
         smin = min(smin, float(values.min()))
         diagonal = np.full((1, n), 1.0 / math.sqrt(n))
@@ -919,7 +1050,7 @@ def finite_volume_test(g: GeneralizedPolynomial, seed: int = 0) -> FeasibilityVe
             smin = min(smin, float(values.min()))
             best = trial[rows, values.argmin(axis=1)]
             r /= 2.0 ** (k / (n - 1))
-    return _volume_verdict(g._coeffs, g._exponents, n, smin)
+    return _volume_verdict(g._coeffs, _axis_rows(g._exponents, n), smin)
 
 
 def _finite_or_raise(verdict: FeasibilityVerdict, what: str) -> float:

@@ -25,6 +25,7 @@ from ballrep import (
     closed_form_ball_volume,
     ld_polynomial,
     minimal_trace_axis_gram,
+    moment_matrix,
     moment_table,
     multinomial_coefficient,
     norms,
@@ -34,6 +35,7 @@ from ballrep import (
     solve_p1,
     solve_p2,
     solve_p3,
+    volume,
 )
 from ballrep.polynomials import _flip_invariant, _p2_vector
 
@@ -592,10 +594,15 @@ class TestNumberRules:
         (lambda big: solve_p1(2, big), "degree must be positive and finite"),
         (lambda big: solve_p3(2, big), "degree must be finite"),
         (lambda big: moment_table(ld_polynomial(2, 4), max_order=big), "max_order must be finite"),
+        # an integer argument, given the int of big: each overflowed or allocated without bound
+        (lambda big: volume(ld_polynomial(2, 4), budget=int(big)), "budget must be finite"),
+        (lambda big: closed_form_ball_volume(int(big), 4), "dimension must be finite"),
+        (lambda big: moment_matrix(ld_polynomial(2, 4), half_degree=int(big)),
+         "half_degree must be finite"),
     ], ids=["rescale", "gram-rescale", "target-volume", "certify-tol", "cert-tol",
             "coefficient", "negative-coefficient", "coefficient-vector", "gram-entry",
             "degree", "ld-degree", "ball-volume-degree", "ball-moment-degree", "p1-degree",
-            "p3-degree", "max-order"])
+            "p3-degree", "max-order", "budget", "ball-volume-dimension", "half-degree"])
     @pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "fraction"])
     def test_real_beyond_float_range_is_rejected(self, call, message, big):
         # float() of either raises OverflowError; read as inf, each is rejected by name

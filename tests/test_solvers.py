@@ -667,9 +667,9 @@ class TestStochasticBackendSolve:
             built.append("_radial_pass")
             return real(*args)
 
-        def cone_batch(n, d, budget, seed, b, real=volume_module._cone_batch):
+        def cone_batch(n, budget, seed, b, stream=(), real=volume_module._cone_batch):
             drawn.append((budget, b))  # some batches are drawn on the draw thread
-            return real(n, d, budget, seed, b)
+            return real(n, budget, seed, b, stream)
 
         monkeypatch.setattr(volume_module, "_radial_pass", radial_pass)
         monkeypatch.setattr(volume_module, "_cone_batch", cone_batch)
@@ -693,6 +693,27 @@ class TestStochasticBackendSolve:
                 assert passes == [cfg.certificate_budget], seed
                 trials.append(len(per_call))
             assert trials[0] == trials[1], seed
+
+    def test_monte_carlo_certificate_reads_no_node_of_its_descent(self, monkeypatch):
+        # the descent draws on streams of its own, so the certificate's
+        # moments do not come from the nodes that the descent fitted g to
+        volume_module = sys.modules["ballrep.volume"]
+        drawn = {}
+
+        def cone_batch(n, budget, seed, b, stream=(), real=volume_module._cone_batch):
+            nodes = real(n, budget, seed, b, stream)
+            drawn.setdefault(stream, []).append(nodes)  # some batches are drawn on the draw thread
+            return nodes
+
+        monkeypatch.setattr(volume_module, "_cone_batch", cone_batch)
+        cfg = SolveConfig(backend="monte_carlo", budget=20_000, seed=1)
+        res = solve_p1(2, 4, config=cfg)
+        assert res.converged and res.certificate.passed
+        assert sorted(drawn) == [(), volume_module._DESCENT_STREAM]
+        descent, certificate = (set(map(tuple, np.concatenate(drawn[stream]).tolist()))
+                                for stream in (volume_module._DESCENT_STREAM, ()))
+        assert len(descent) == cfg.budget and len(certificate) == cfg.certificate_budget
+        assert not descent & certificate
 
 
 class _RoundedSquares:

@@ -361,14 +361,14 @@ class TestNegativeSeeds:
         # one sample has no spread: its standard error would read 0
         for query in (volume, moment_table):
             with pytest.raises(ValueError, match="budget must be >= 2, got 1"):
-                query(DISK4, backend="monte_carlo", budget=1)
-        assert volume(DISK4, backend="monte_carlo", budget=2).std_error > 0.0
+                query(FIG1_QUARTIC, backend="monte_carlo", budget=1)
+        assert volume(FIG1_QUARTIC, backend="monte_carlo", budget=2).std_error > 0.0
 
     def test_numpy_integers_stay_valid(self):
-        # the disk, not B_4: g is 1 at every cone node of B_4, so its volume
-        # is the same at any seed
-        disk = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0})
-        at = {seed: volume(disk, "monte_carlo", 5000, seed=seed) for seed in (np.int64(2), 2, 3)}
+        # the quartic of figure 1, not B_4 or the disk: Monte Carlo is exact
+        # on both, so their volumes are the same at any seed
+        at = {seed: volume(FIG1_QUARTIC, "monte_carlo", 5000, seed=seed)
+              for seed in (np.int64(2), 2, 3)}
         assert at[np.int64(2)] == at[2] != at[3]
 
 
@@ -515,6 +515,32 @@ class TestMonteCarlo:
         for a, (value, err) in table.entries.items():
             assert abs(value - exact[a]) <= 4.0 * err + 1e-12 * exact[a], a
         assert sum(err > 0 for _, err in table.entries.values()) > 1
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rotated_ellipsoid_volume_is_exact(self, n, p):
+        # {(x^T a x)**p <= 1}, a of condition 100: in G's isotropic position
+        # h**(-n/d) times the Jacobian is one constant at every node
+        rot, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+        a = rot @ np.diag(np.geomspace(1.0, 100.0, n)) @ rot.T
+        est = volume(_quadratic_power(a, p), backend="monte_carlo", budget=20_000, seed=1)
+        vol = closed_form_ball_volume(n, 2) / math.sqrt(np.linalg.det(a))
+        assert abs(est.value - vol) <= 1e-12 * vol
+        assert est.std_error <= 1e-12 * est.value
+        assert est.ess == pytest.approx(20_000.0)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scaled_ball_moments_are_exact(self, n, d):
+        # {3.7 sum_i |x_i|**d <= 1}: each sample is a constant times its
+        # control, even at d = 2, where both are constant at every node
+        g = ld_polynomial(n, d).rescale(3.7)
+        table = moment_table(g, max_order=2, backend="monte_carlo", budget=5000, seed=2)
+        vol = table.normalization.value
+        for a, (value, err) in table.entries.items():
+            exact = 0.0 if any(x % 2 for x in a) else _ball_moment(n, d, a) * 3.7 ** (-(n + sum(a)) / d)
+            assert abs(value - exact) <= 1e-14 * vol, a
+            assert err <= 1e-14 * vol, a
 
     def test_error_bars_bound_random_inputs(self):
         # dense random quartics shifted to sphere minimum +0.02, against a
@@ -1341,17 +1367,25 @@ class TestKernelBlocks:
             assert caught.value.sphere_minimum < 0.0
 
 
-def _serial_cone_nodes(n, d, budget, seed):
-    """The cone nodes as one loop over the batch streams, on the calling thread alone."""
+def _serial_cone_nodes(n, budget, seed, stream=()):
+    """The random directions as one loop over the batch streams, on the calling thread alone."""
     batch = sys.modules["ballrep.volume"]._MC_BATCH
-    dirs = np.empty((budget, n))
+    dirs = np.empty((n, budget))  # coordinate-major, as each batch is drawn
     for b, lo in enumerate(range(0, budget, batch)):
-        size = min(batch, budget - lo)
-        rng = np.random.default_rng([seed, b])
-        t = rng.gamma(1.0 / d, 1.0, size=(size, n))
-        dirs[lo : lo + size] = (t / (t @ np.ones(n))[:, None]) ** (1.0 / d)
-        dirs[lo : lo + size] *= rng.integers(0, 2, size=(size, n)) * 2 - 1
-    return dirs
+        z = np.random.default_rng([seed, b, *stream]).standard_normal((n, min(batch, budget - lo)))
+        dirs[:, lo : lo + z.shape[1]] = z / np.sqrt(np.einsum("ij,ij->j", z, z))
+    return dirs.T
+
+
+def _drawn(n, budget, seed, stream=()):
+    """Every direction of a _cone_batches draw, its node-only work left out."""
+    volume_module = sys.modules["ballrep.volume"]
+    return np.concatenate(list(volume_module._cone_batches(n, budget, seed, stream, lambda b: b)))
+
+
+def _one_draw(nodes):
+    """A _cone_batches stand-in that hands every node over in one batch."""
+    return lambda n, budget, seed, stream, work: (work(batch) for batch in [nodes])
 
 
 def _draw_threads():
@@ -1378,15 +1412,14 @@ class TestDrawAhead:
             return moment_table(ODD_QUARTIC, max_order=4, backend="monte_carlo",
                                 budget=budget, seed=4)
 
-        nodes = _serial_cone_nodes(2, 4.0, budget, 4)
+        nodes = _serial_cone_nodes(2, budget, 4)
         tables = []
         for ahead in (1, 3):
             monkeypatch.setattr(volume_module, "_DRAW_AHEAD", ahead)
-            drawn = np.concatenate(list(volume_module._cone_batches(2, 4.0, budget, 4)))
-            assert np.array_equal(drawn, nodes)
+            assert np.array_equal(_drawn(2, budget, 4), nodes)
             tables.append(table())
         # the reference: every node in one array, cut into blocks as it comes
-        monkeypatch.setattr(volume_module, "_cone_batches", lambda *_: (b for b in [nodes]))
+        monkeypatch.setattr(volume_module, "_cone_batches", _one_draw(nodes))
         tables.append(table())
         assert tables[0] == tables[1] == tables[2]
         assert tables[0].normalization.samples_or_nodes == budget
@@ -1397,15 +1430,19 @@ class TestDrawAhead:
         # sum_i (i + 1) |x_i|**d varies over the nodes, so its volume sees each weight
         g = GeneralizedPolynomial(n, int(d), 1, {
             tuple(int(d) * (j == i) for j in range(n)): i + 1.0 for i in range(n)})
+        stream = volume_module._DESCENT_STREAM
         for budget in (1, 65536, 3 * 65536 + 7):
-            dirs = np.concatenate(list(volume_module._cone_batches(n, d, budget, 3)))
-            assert np.array_equal(dirs, _serial_cone_nodes(n, d, budget, 3))
-            # a Monte Carlo pass weighs every node alike, n vol(B_d) / budget
+            assert np.array_equal(_drawn(n, budget, 3), _serial_cone_nodes(n, budget, 3))
+            dirs = _serial_cone_nodes(n, budget, 3, stream)
+            assert np.array_equal(_drawn(n, budget, 3, stream), dirs)
+            # a descent's pass weighs each node by |S^(n-1)| / budget times
+            # its Jacobian in G's isotropic position
+            y, jacobian = volume_module._isotropic_move(volume_module._mc_map(g, 3), dirs)
+            weight = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2) / budget
             nodes, run = volume_module._radial_pass(g, g._exponents, "monte_carlo", budget, 3)
-            weight = n * closed_form_ball_volume(n, d) / budget
             assert nodes == budget
             assert run(g._coeffs)[0] == pytest.approx(
-                weight * np.sum(g.evaluate(dirs) ** (-n / d)) / n, rel=1e-12)
+                weight * np.sum(jacobian * g.evaluate(y) ** (-n / d)) / n, rel=1e-12)
 
     @pytest.mark.parametrize("budget", [1, 1000, 65536])
     def test_one_batch_is_drawn_inline(self, monkeypatch, budget):
@@ -1418,37 +1455,51 @@ class TestDrawAhead:
             return real(*args)
 
         monkeypatch.setattr(volume_module, "_cone_batch", named)
-        batches = list(volume_module._cone_batches(3, 4.0, budget, 5))
+        batches = list(volume_module._cone_batches(3, budget, 5, (), lambda b: b))
         assert len(batches) == 1
-        assert np.array_equal(batches[0], volume_module._cone_batch(3, 4.0, budget, 5, 0))
+        assert np.array_equal(batches[0], volume_module._cone_batch(3, budget, 5, 0))
         assert drawn_on == [threading.current_thread().name] * 2
         assert not _draw_threads()
 
     def test_infeasible_input_stops_drawing(self, monkeypatch):
-        # g < 0 about the diagonals, so the first block raises; 400000 nodes are 7 batches
+        # g < 0 about the diagonals, so the first block raises; 400000 nodes
+        # are 7 batches.  The map into G's isotropic position is the identity
+        # here: its pilot, the gate's half grid, would raise before any draw
         bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -2.1})
         volume_module = sys.modules["ballrep.volume"]
+        monkeypatch.setattr(volume_module, "_mc_map", lambda g, seed: np.eye(g.n))
 
         def run():
             with pytest.raises(InfiniteVolumeError, match="infinite volume") as caught:
                 volume(bad, backend="monte_carlo", budget=400_000, seed=0)
             return str(caught.value), caught.value.sphere_minimum
 
-        nodes = _serial_cone_nodes(2, 4.0, 400_000, 0)
         with monkeypatch.context() as serial:
-            serial.setattr(volume_module, "_cone_batches", lambda *_: (b for b in [nodes]))
+            serial.setattr(volume_module, "_cone_batches",
+                           _one_draw(_serial_cone_nodes(2, 400_000, 0)))
             reference = run()
         drawn = []
 
-        def counted(*args, real=volume_module._cone_batch):
-            drawn.append(args[-1])  # list.append is atomic, and some draws run on the draw thread
-            return real(*args)
+        def counted(n, budget, seed, b, stream=(), real=volume_module._cone_batch):
+            drawn.append(b)  # list.append is atomic, and some draws run on the draw thread
+            return real(n, budget, seed, b, stream)
 
         monkeypatch.setattr(volume_module, "_cone_batch", counted)
         assert run() == reference
         assert not _draw_threads()
         assert reference[1] < 0.0
         assert 1 <= len(drawn) <= 1 + volume_module._DRAW_AHEAD < 7
+
+    def test_infeasible_pilot_draws_nothing(self, monkeypatch):
+        # the pilot of G's isotropic position sees g < 0 first: no batch is drawn
+        bad = GeneralizedPolynomial(2, 4, 1, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -2.1})
+        volume_module = sys.modules["ballrep.volume"]
+        drawn = []
+        monkeypatch.setattr(volume_module, "_cone_batch", lambda *args: drawn.append(args))
+        with pytest.raises(InfiniteVolumeError, match="infinite volume") as caught:
+            volume(bad, backend="monte_carlo", budget=400_000, seed=0)
+        assert caught.value.sphere_minimum < 0.0
+        assert drawn == [] and not _draw_threads()
 
     def test_no_draw_thread_outlives_its_draw(self, monkeypatch):
         # 140000 nodes are 3 batches: batch 0 inline, batches 1 and 2 on the draw's own thread
@@ -1462,7 +1513,7 @@ class TestDrawAhead:
         monkeypatch.setattr(volume_module, "_cone_batch", named)
         moment_table(ODD_QUARTIC, max_order=2, backend="monte_carlo", budget=140_000, seed=2)
         assert not _draw_threads()
-        np.concatenate(list(volume_module._cone_batches(2, 4.0, 140_000, 3)))
+        _drawn(2, 140_000, 3)
         assert not _draw_threads()
         assert sorted(name.startswith("ballrep-draw") for name in drawn_on) == [False] * 2 + [True] * 4
 
