@@ -1,38 +1,42 @@
 """Checkable first-order optimality certificates for the extremal problems.
 
-Each certificate is a pure function of (candidate, moment data, tolerance):
-it never re-estimates moments, so a verdict is reproducible from its
-inputs.  All three optimality systems are statements about the degree-d
-moments of the candidate's own ball, so certify(problem, candidate, ...)
-makes one pass for every problem: the moment_table of the candidate's
-polynomial (a GramForm expanded), and _check runs the certificate against
-it; p3 reads its moment matrix from that table, as the sums a + b of the
-degree-d/2 basis are the degree-d slice.  A solve runs the same two, with
-volume's homogeneity map, _rescaled_moments, between them, so one pass both
-brings every solution to its reporting normalization and checks it; this
-module scales nothing.
-Stochastic moment errors are propagated; a residual only counts as a
-violation when it exceeds the tolerance plus three combined standard
-errors, otherwise sampling noise would flip verdicts.  A ratio m / m1 of
-moments with standard errors sm, sm1 has, to first order, the standard
-error hypot(sm, |m| sm1 / |m1|) / |m1|.
+Each problem minimizes the volume of {g <= 1}, convex in solver coordinates
+x that g's degree-d slice is linear in, over a ball {N(x) <= r}: N is the
+coefficient l1 norm for p1 and p1q, the l2 norm of the whitened
+coefficients (polynomials._p2_layout) for p2, the trace on the PSD cone for
+p3.  _geometry is the one home of each problem's coordinates, norm and dual
+norm N*, and the solvers read it too.  The volume gradient is -(n+d)/d Pm,
+m the degree-d moments of g's ball and P, the pullback, the adjoint of the
+coefficient map x -> c(x).  So x is optimal iff <Pm, x> = N*(Pm) N(x),
+Fenchel-Young's equality, and one scalar decides all three problems:
 
-* l1 problem: the explicit dual construction from the optimality system.
-  With s_alpha = moment(alpha) / moment(d*e_1), the multipliers
-  u = max(s, 0), v = max(-s, 0), psi = 1 - |s| are feasible iff every
-  |s_alpha| <= 1 (moment dominance), and complementarity forces
-  sign(g_alpha) * s_alpha = 1 on the support.
-* weighted l2 problem: the coefficient proportionality, in p2's coordinates
-  (polynomials._p2_vector), g_alpha = l2 * (n+d)/n * moment(alpha) / volume,
-  invariant under rescaling of the candidate, so no volume normalization is needed.
-* Gram trace problem: A = I - (n+d) trace(Q) / (n rho_d) * M must be
-  positive semidefinite and orthogonal to Q, at volume rho_d exactly.
+    rho = N*(Pm) N(x) / <Pm, x> - 1 >= 0.
+
+By Euler's identity <Pm, x> = <m, c(x)> is n/(n+d) vol on every radial
+rule, so rho is scale free: a candidate may sit at any volume.  The
+Frank-Wolfe gap is (n/d) vol rho, so by convexity the objective is within a
+factor (1 - (n/d) rho)**(-d/n) of the optimum's on the same rule (squared
+for p2, whose objective is N(x)**2).  p2's rho is second order in the angle
+|x/N(x) - s|, s the maximizer of N*, so p2's verdict reads the angle; p3's
+also needs Q in the PSD cone.
+
+Each certificate is a pure function of (candidate, moment data, tolerance),
+so a verdict is reproducible from its inputs.  certify makes one pass for
+every problem, the moment_table of the candidate's polynomial (a GramForm
+expanded), and _check runs the certificate against it; p3 reads its moment
+matrix from that table.  A solve runs the same two, with volume's
+homogeneity map, _rescaled_moments, between them.  A residual fails only
+beyond the tolerance plus three of its standard errors, propagated to first
+order from the table's (taken as independent): rho's gradient in m is
+(N(x) c(s) - (1 + rho) c(x)) / <Pm, x>, and the angle moves by at most
+|P dm| / N*(Pm).  Spherical and closed-form tables carry no error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,11 +47,13 @@ from .polynomials import (
     GramForm,
     _check_even_degree,
     _check_integer,
-    _flip_invariant,
+    _hankel_layout,
+    _p2_layout,
     _p2_vector,
     _real,
     coefficient_vector,
     enumerate_indices,
+    from_coefficient_vector,
     ld_polynomial,
 )
 from .volume import (
@@ -56,7 +62,6 @@ from .volume import (
     MomentTable,
     VolumeEstimate,
     _hankel_matrix,
-    closed_form_ball_volume,
     moment_table,
 )
 
@@ -65,7 +70,7 @@ FAIL = "fail"
 
 
 class CertificatePreconditionError(ValueError):
-    """The candidate violates a certificate precondition (e.g. wrong volume)."""
+    """The moment data cannot be the candidate's: <Pm, x> is not positive."""
 
 
 class MomentCoverageError(ValueError):
@@ -75,6 +80,14 @@ class MomentCoverageError(ValueError):
 @dataclass(frozen=True)
 class Certificate:
     """Structured optimality verdict with residual magnitudes and duals.
+
+    residuals holds ``gap``, the normalized duality gap rho floored at 0;
+    p2 adds ``angle``, which its verdict reads, and p3 ``psd``,
+    max(0, -lambda_min(Q)) / sum |lambda(Q)|.  duals holds
+    ``objective_excess_bound``, the bound rho gives on objective / optimum
+    - 1 on the certificate's rule (None at (n/d) rho >= 1, which bounds
+    nothing), and p3 adds ``psi_spectrum``, the ascending spectrum of
+    A = I - trace(Q) / <M, Q> M, whose minimum is -rho.
 
     ``ballrep certify`` prints these fields as they are, in this order,
     without a None-valued one, so every field must stay a plain JSON value
@@ -102,13 +115,107 @@ def _default_tol(backend: str, tol: float | None, name: str = "certificate toler
     return out
 
 
-def _ratio_error(m, sm, m1, sm1):
-    """Standard error of m / m1 by first-order propagation, for m1 != 0."""
-    return np.hypot(sm, np.abs(m) * sm1 / abs(m1)) / abs(m1)
+@dataclass(frozen=True)
+class _Geometry:
+    """One problem's solver coordinates x, linear in the candidate.
+
+    make(x) builds the candidate and coords(candidate) is its inverse;
+    coefficients(x) is the monomial coefficient vector c(x) of the degree-d
+    slice in canonical order, and pullback, its adjoint, maps the slice's
+    moments m to Pm.  objective(x) = N(x)**power is the problem's objective,
+    and dual(y) = (N*(y), s), s maximizing <y, s> over N(s) <= 1: the
+    subgradient of N* at y.
+    """
+
+    make: Callable
+    coords: Callable
+    coefficients: Callable
+    pullback: Callable
+    objective: Callable
+    power: int
+    dual: Callable
+
+
+def _geometry(problem: str, n: int, d, q: int = 1) -> _Geometry:
+    """The geometry of p1 (p1q for q > 1), p2 or p3 at (n, d, q)."""
+    total = int(d * q)
+    if problem == "p3":
+        _, _, index = _hankel_layout(n, total // 2)
+
+        def top_eigenpair(mat):
+            values, vectors = jacobi_eigh(mat)
+            return max(0.0, float(values[-1])), np.outer(vectors[:, -1], vectors[:, -1])
+
+        # expand_gram adds Q[a, b] into the coefficient at a + b, so its
+        # transpose gathers the moment at a + b into entry (a, b)
+        return _Geometry(make=lambda mat: GramForm(n, d, mat),
+                         coords=lambda gram: np.asarray(gram.Q, dtype=float),
+                         coefficients=lambda mat: np.bincount(index.ravel(), weights=mat.ravel()),
+                         pullback=lambda m: m[index], objective=lambda mat: float(np.trace(mat)),
+                         power=1, dual=top_eigenpair)
+    basis = enumerate_indices(n, total)
+    if problem == "p1":
+        def l_inf(y):
+            j = np.argmax(np.abs(y))
+            return float(abs(y[j])), np.sign(y[j]) * (np.arange(len(y)) == j)
+
+        return _Geometry(make=lambda vec: from_coefficient_vector(n, d, q, basis, vec, MONOMIAL),
+                         coords=lambda g: coefficient_vector(g.to_convention(MONOMIAL), basis),
+                         coefficients=lambda vec: vec, pullback=lambda m: m,
+                         objective=lambda vec: float(np.abs(vec).sum()), power=1, dual=l_inf)
+    weights, convention = _p2_layout(n, total, q)
+    root_w = np.sqrt(weights)
+
+    def l2(y):
+        size = float(np.linalg.norm(y))
+        return size, y / size
+
+    # u = sqrt(w) a: the monomial coefficient w a is sqrt(w) u
+    return _Geometry(make=lambda u: from_coefficient_vector(n, d, q, basis, u / root_w, convention),
+                     coords=lambda g: _p2_vector(g)[0] * root_w,
+                     coefficients=lambda u: u * root_w, pullback=lambda m: m * root_w,
+                     objective=lambda u: float(np.dot(u, u)), power=2, dual=l2)
+
+
+_KINDS = {"p1": "p1_kkt", "p2": "p2_moment", "p3": "p3_psd"}
+
+
+def _gap_certificate(problem: str, candidate, m, sm, backend: str,
+                     tol: float | None) -> Certificate:
+    """The one check: candidate against the slice moments m of its ball, with errors sm."""
+    tol = _default_tol(backend, tol)
+    n, d = candidate.n, float(candidate.degree)
+    geo = _geometry(problem, n, candidate.degree, getattr(candidate, "q", 1))
+    x, y = geo.coords(candidate), geo.pullback(m)
+    inner = float(np.vdot(y, x))  # <m, c(x)> = n/(n+d) vol, by Euler's identity
+    if not inner > 0.0:
+        raise CertificatePreconditionError(
+            f"<Pm, x> = {inner:.6g} is not positive: these are not the moments of the "
+            "candidate's ball")
+    size = geo.objective(x) ** (1.0 / geo.power)
+    dual, s = geo.dual(y)
+    rho = dual * size / inner - 1.0
+    slope = (size * geo.coefficients(s) - (1.0 + rho) * geo.coefficients(x)) / inner
+    score, sigma = rho, float(np.linalg.norm(slope * sm))
+    gap = max(0.0, rho)
+    shrink = 1.0 - n / d * gap
+    residuals = {"gap": gap}
+    duals = {"objective_excess_bound":
+             shrink ** (-geo.power * d / n) - 1.0 if shrink > 0.0 else None}
+    if problem == "p2":  # the angle, first order where rho is second
+        score = residuals["angle"] = float(np.linalg.norm(x / size - s))
+        sigma = float(np.linalg.norm(geo.pullback(sm))) / dual
+    failed = score > tol + 3.0 * sigma
+    if problem == "p3":
+        spectrum = jacobi_eigh(x)[0]
+        residuals["psd"] = max(0.0, -float(spectrum[0])) / float(np.abs(spectrum).sum())
+        duals["psi_spectrum"] = jacobi_eigh(np.eye(len(x)) - (size / inner) * y)[0].tolist()
+        failed = failed or residuals["psd"] > tol
+    return Certificate(_KINDS[problem], FAIL if failed else PASS, tol, residuals, duals)
 
 
 def _degree_slice(g: GeneralizedPolynomial, moments: MomentTable):
-    """(basis, values, errors) of g's degree-d lattice slice in canonical order."""
+    """(values, errors) of g's degree-d lattice slice in canonical order."""
     if moments.q != g.q:
         raise MomentCoverageError(
             f"moment table lattice q={moments.q} does not match candidate q={g.q}"
@@ -118,154 +225,45 @@ def _degree_slice(g: GeneralizedPolynomial, moments: MomentTable):
     if missing:
         raise MomentCoverageError(f"missing moment entries, e.g. {missing[0]}")
     values, errors = np.array([moments.entries[a] for a in basis]).T
-    return basis, values, errors
+    return values, errors
 
 
-def _ball_volume_residual(n: int, d, est, tol: float) -> tuple[float, float]:
-    """(vol(B_d), relative volume residual); raises unless est is at vol(B_d)."""
-    rho = closed_form_ball_volume(n, d)
-    volume_residual = abs(est.value - rho) / rho
-    if volume_residual > tol + 3.0 * est.std_error / rho:
-        raise CertificatePreconditionError(
-            f"candidate volume {est.value:.6g} is not at vol(B_d) = {rho:.6g} "
-            f"within tolerance {tol:g}"
-        )
-    return rho, volume_residual
+def certify_p1(g: GeneralizedPolynomial, moments: MomentTable,
+               tol: float | None = None) -> Certificate:
+    """The l1 certificate of a p1 or p1q candidate against its ball's degree-d moments.
 
-
-def certify_p1(
-    g: GeneralizedPolynomial,
-    moments: MomentTable,
-    tol: float | None = None,
-) -> Certificate:
-    """Check the l1 optimality system at a candidate normalized to vol(B_d).
-
-    Requires moments for the full degree-d lattice slice of g's index set
-    and a volume estimate at vol(B_d) within tolerance.
+    N* is the max norm: g is optimal iff no moment exceeds max |m| and each
+    nonzero coefficient sits where |m_alpha| attains it, with m_alpha's sign.
     """
-    tol = _default_tol(moments.normalization.backend, tol)
-    basis, values, errors = _degree_slice(g, moments)
-    _, volume_residual = _ball_volume_residual(g.n, g.degree, moments.normalization, tol)
-
-    # d * e_1 leads the canonical order
-    m1, sm1 = values[0], errors[0]
-    if not m1 > 0.0:
-        raise CertificatePreconditionError(
-            f"axis moment at {basis[0]} is {m1:.6g}, expected positive"
-        )
-    coeffs = coefficient_vector(g.to_convention(MONOMIAL), basis)
-    support = np.abs(coeffs) > tol * np.abs(coeffs).max()
-
-    theta = (g.degree_float / (g.n + g.degree_float)) / m1
-    ratios = values / m1
-    err = _ratio_error(values, errors, m1, sm1)
-    excess = np.abs(ratios) - 1.0
-    c, r = coeffs[support], ratios[support]
-    gap = np.abs(np.sign(c) * r - 1.0)
-    slack = np.abs(c) * np.maximum(0.0, 1.0 - np.abs(r))
-    failed = (
-        np.any(excess > tol + 3.0 * err)
-        or np.any(gap > tol + 3.0 * err[support])
-        or np.any(slack > tol + 3.0 * np.abs(c) * err[support])
-    )
-    residuals = {
-        "volume": volume_residual,
-        "dominance": max(0.0, float(excess.max())),
-        "support_stationarity": float(gap.max(initial=0.0)),
-        "complementary_slackness": float(slack.max(initial=0.0)),
-    }
-    keys = [",".join(map(str, a)) for a in basis]
-    duals = {
-        "theta": theta,
-        "u": dict(zip(keys, np.maximum(0.0, ratios).tolist())),
-        "v": dict(zip(keys, np.maximum(0.0, -ratios).tolist())),
-        "psi": dict(zip(keys, (1.0 - np.abs(ratios)).tolist())),
-    }
-    return Certificate("p1_kkt", FAIL if failed else PASS, tol, residuals, duals)
+    values, errors = _degree_slice(g, moments)
+    return _gap_certificate("p1", g, values, errors, moments.normalization.backend, tol)
 
 
-def certify_p2(
-    g: GeneralizedPolynomial,
-    moments: MomentTable,
-    tol: float | None = None,
-) -> Certificate:
-    """Check the weighted l2 proportionality at a candidate in either convention.
+def certify_p2(g: GeneralizedPolynomial, moments: MomentTable,
+               tol: float | None = None) -> Certificate:
+    """The weighted l2 certificate of a candidate against its ball's degree-d moments.
 
-    A q = 1 candidate is read in the multinomial convention (_p2_vector).  The
-    characterization is scale invariant (both sides scale linearly in the
-    candidate), so the candidate may sit at any volume; the moments must
-    simply belong to its own sublevel set.
+    g is optimal iff its coefficients in p2's convention are proportional to
+    the moments; a q = 1 candidate is read in the multinomial convention,
+    whichever it is stored in.
     """
-    tol = _default_tol(moments.normalization.backend, tol)
-    basis, values, errors = _degree_slice(g, moments)
-
-    vol = moments.normalization.value
-    vol_err = moments.normalization.std_error
-    if not vol > 0.0:
-        raise CertificatePreconditionError(f"volume estimate {vol:.6g} is not positive")
-
-    coeffs, weights, _ = _p2_vector(g)
-    l2_sq = float(weights @ coeffs**2)
-    factor = l2_sq * (g.n + g.degree_float) / g.n
-
-    gap = np.abs(coeffs - factor * values / vol)
-    allowance = tol + 3.0 * factor * _ratio_error(values, errors, vol, vol_err)
-    residuals = {f"g({','.join(map(str, a))})": r for a, r in zip(basis, gap.tolist())}
-    residuals["max_coefficient"] = float(gap.max())
-
-    # strict positivity of the flip-invariant coefficients accompanies any optimum
-    invariant = _flip_invariant(basis, g.is_classical)
-    positivity = float(np.max(-coeffs[invariant], initial=-np.inf))
-    residuals["even_coefficient_positivity"] = max(0.0, positivity)
-    failed = np.any(gap > allowance) or positivity >= 0.0
-
-    duals = {
-        "l2_star": l2_sq,
-        "lambda_star": 4.0 * l2_sq * g.degree_float / (g.n * vol),
-    }
-    return Certificate("p2_moment", FAIL if failed else PASS, tol, residuals, duals)
+    values, errors = _degree_slice(g, moments)
+    return _gap_certificate("p2", g, values, errors, moments.normalization.backend, tol)
 
 
-def certify_p3(
-    gram: GramForm,
-    mm: MomentMatrix,
-    tol: float | None = None,
-) -> Certificate:
-    """Check the trace-optimality matrix condition at volume vol(B_d).
+def certify_p3(gram: GramForm, mm: MomentMatrix, tol: float | None = None) -> Certificate:
+    """The Gram trace certificate of Q against its ball's moment matrix M.
 
-    Forms A = I - (n+d) trace(Q) / (n rho_d) * M and verifies that A is
-    positive semidefinite with <Q, A> = 0, the first-order system of the
-    trace-minimization problem.
+    N* is max(0, lambda_max(M)): Q is optimal iff it is PSD and lives on the
+    top eigenspace of M, that is iff A = I - trace(Q) / <M, Q> M is PSD with
+    <Q, A> = 0.
     """
-    tol = _default_tol(mm.normalization.backend, tol)
     if mm.basis != tuple(gram.basis):
         raise MomentCoverageError(f"moment matrix of shape {mm.values.shape} is not on Q's basis")
-    n, d = gram.n, float(gram.degree)
-    rho, volume_residual = _ball_volume_residual(n, gram.degree, mm.normalization, tol)
-
-    trace = gram.trace
-    scale = (n + d) * trace / (n * rho)
-    a_matrix = np.eye(len(mm.basis)) - scale * mm.values
-    eigenvalues, _ = jacobi_eigh(a_matrix)
-    min_eig = float(eigenvalues[0])
-    eig_allowance = 3.0 * scale * float(np.linalg.norm(mm.errors))
-
-    inner = float(np.tensordot(gram.Q, a_matrix))
-    per_trace = max(1.0, abs(trace))
-    compl = abs(inner) / per_trace
-    compl_allowance = 3.0 * scale * float(np.linalg.norm(gram.Q * mm.errors)) / per_trace
-
-    ok = (min_eig >= -(tol + eig_allowance)) and (compl <= tol + compl_allowance)
-    residuals = {
-        "volume": volume_residual,
-        "min_eigenvalue": max(0.0, -min_eig),
-        "complementarity": compl,
-    }
-    duals = {
-        "lambda": d * trace / (n * rho),
-        "psi_spectrum": [float(v) for v in eigenvalues],
-    }
-    return Certificate("p3_psd", PASS if ok else FAIL, tol, residuals, duals)
+    index = _hankel_layout(gram.n, gram.degree // 2)[2].ravel()
+    first = np.unique(index, return_index=True)[1]  # where M holds each moment of the slice
+    return _gap_certificate("p3", gram, mm.values.ravel()[first],
+                            mm.errors.ravel()[first], mm.normalization.backend, tol)
 
 
 def _check_candidate(problem: str, candidate) -> None:

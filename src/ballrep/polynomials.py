@@ -19,7 +19,7 @@ convention (q = 1 only) the stored coefficient g_alpha belongs to the term
 c_alpha * g_alpha * x**alpha with c_alpha = d! / (alpha_1! ... alpha_n!),
 the natural coordinates for the weighted norm sum(c_alpha * g_alpha**2),
 Bombieri's, which p2 takes at q = 1 (at q > 1 the plain sum of squares);
-_p2_vector is the one home of that choice.
+_p2_layout is the one home of that choice.
 
 Each kind of number has one rule, checked here for the whole package:
 integers (_check_integer, _check_alphas for exponent tuples), rationals
@@ -540,10 +540,15 @@ def norms(obj: GeneralizedPolynomial | GramForm) -> NormReport:
     return NormReport(l0, l1, float(weights @ coeffs**2), None)
 
 
-def _p2_vector(g: GeneralizedPolynomial) -> tuple[np.ndarray, np.ndarray, str]:
-    """(a, w, convention): g's degree-d slice a in p2's convention, whose norm is sum(w * a**2):
+def _p2_layout(n: int, total: int, q: int) -> tuple[np.ndarray, str]:
+    """(w, convention) of p2 on the slice of total d * q, whose norm is sum(w * a**2):
     multinomial at q = 1 (w = c_alpha, Bombieri's norm), else monomial (w = 1)."""
-    convention = MULTINOMIAL if g.q == 1 else MONOMIAL
+    return _slice_weights(n, total, q), MULTINOMIAL if q == 1 else MONOMIAL
+
+
+def _p2_vector(g: GeneralizedPolynomial) -> tuple[np.ndarray, np.ndarray, str]:
+    """(a, w, convention): g's degree-d slice a in p2's convention (_p2_layout)."""
     total = int(g.degree * g.q)
+    weights, convention = _p2_layout(g.n, total, g.q)
     coeffs = coefficient_vector(g.to_convention(convention), enumerate_indices(g.n, total))
-    return coeffs, _slice_weights(g.n, total, g.q), convention
+    return coeffs, weights, convention

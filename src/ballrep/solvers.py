@@ -25,10 +25,11 @@ rule, and the certificate pass still decides; from a given start, or from
 B_d when q > 1, it iterates.
 
 One solve path, _descend, serves the three problems, and each solve_pX
-passes only its geometry and its iteration.  The monomial coefficients of
+passes only its geometry, the one the certificate reads
+(certificates._geometry), and its iteration.  The monomial coefficients of
 the degree-d slice are linear in the solver coordinates: the coefficients
 themselves for p1, for p2 the whitened coefficients sqrt(w) * a of
-polynomials._p2_vector, the Gram matrix Q for p3.
+polynomials._p2_layout, the Gram matrix Q for p3.
 A trial reads its volume and the slice's moments m from one run of the
 pass volume._descent_pass builds once, on the nodes, fold and rows a query
 of the start as given reads; its gradient in the solver coordinates is
@@ -57,9 +58,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import Certificate, _check, _check_candidate, _default_tol
+from .certificates import Certificate, _check, _check_candidate, _default_tol, _geometry
 from .polynomials import (
-    MONOMIAL,
     GeneralizedPolynomial,
     GramForm,
     _check_even_degree,
@@ -67,12 +67,8 @@ from .polynomials import (
     _check_positive,
     _check_rational,
     _flip_invariant,
-    _hankel_layout,
-    _p2_vector,
     _permutation_orbits,
-    coefficient_vector,
     enumerate_indices,
-    from_coefficient_vector,
     ld_polynomial,
     multinomial_coefficient,
 )
@@ -282,15 +278,15 @@ def _anderson(state0, first, evaluate, project, report, cfg: SolveConfig):
     return x, trace, False
 
 
-def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords, coefficients,
-             pullback, projection, norm, default_start, scale=None) -> SolveResult:
+def _descend(problem, n, d, q, start, cfg: SolveConfig, *, geo, iterate, projection,
+             default_start, scale=None) -> SolveResult:
     """Start, iterate, normalize and certify one problem.
 
-    make(x) builds the polynomial or Gram form from the solver coordinates
-    x, linearly; coords is its inverse, coefficients(x) the monomial
-    coefficients of the degree-d slice in canonical order, and pullback, the
-    adjoint of coefficients, maps a gradient in those coefficients to one in
-    x; a trial is None where its pass raises InfiniteVolumeError.  Every
+    geo is the problem's geometry (certificates._geometry): make(x) builds
+    the polynomial or Gram form from the solver coordinates x, linearly,
+    coords is its inverse, and pullback, the adjoint of the slice's
+    coefficients(x), maps a gradient in those coefficients to one in x; a
+    trial is None where its pass raises InfiniteVolumeError.  Every
     trial runs the one _descent_pass of the start as given (default_start,
     or the caller's start before projection), and projection(x) becomes
     keep * projection(x), keep = pullback(live) != 0 marking the coordinates
@@ -305,7 +301,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     certificate budget on solution = make(x), one factor k (scale(solution),
     or else the scale to vol(B_d) from the pass), then solution.rescale(k)
     and the pass's moments mapped to its ball.  The objective, like each
-    trace entry, is norm of the normalized coordinates.
+    trace entry, is geo.objective of the normalized coordinates.
     """
     if start is not None:
         _check_candidate(problem, start)
@@ -313,43 +309,44 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
             raise ValueError(f"start does not match (n, d, q) = ({n}, {d}, {q})")
     # the start as given decides the fold and the orbit means: a projection may round
     basis = np.array(enumerate_indices(n, int(d * q)), dtype=np.intp)
-    given = (make(default_start) if start is None else start).expand()
+    given = (geo.make(default_start) if start is None else start).expand()
     live, run = _descent_pass(given, basis, cfg.backend, cfg.descent_budget, cfg.seed)
-    x_given = np.asarray(default_start if start is None else coords(start))
+    x_given = np.asarray(default_start if start is None else geo.coords(start))
     at, first = _permutation_orbits(n, int(d * q) // x_given.ndim, x_given.ndim)
     symmetric = (x_given.ravel() == x_given.flat[first][at]).all()
     orbit, _ = _permutation_orbits(n, int(d * q))
-    keep = pullback(live) != 0  # the coordinates that feed a live coefficient; the rest stay 0
+    keep = geo.pullback(live) != 0  # the coordinates that feed a live coefficient; the rest stay 0
 
     def project(x):
         return keep * projection(x)
 
-    x0 = default_start if start is None else project(coords(start))
+    x0 = default_start if start is None else project(geo.coords(start))
     if start is not None:  # outside input: only the gate can tell whether its volume is finite
-        _finite_or_raise(finite_volume_test(make(x0).expand(), seed=cfg.seed), "initial iterate")
+        _finite_or_raise(finite_volume_test(geo.make(x0).expand(), seed=cfg.seed),
+                         "initial iterate")
     rho = closed_form_ball_volume(n, d)
     factor = -(n + float(d)) / float(d)  # the volume gradient over the slice's moments
 
     def evaluate(x):
         try:
-            vol, moments = run(coefficients(x)[live])
+            vol, moments = run(geo.coefficients(x)[live])
         except InfiniteVolumeError:
             return None
         m = np.zeros(len(live))
         m[live] = moments
         if symmetric:  # the moments of the permutation-averaged rule
             m = (np.bincount(orbit, m) / np.bincount(orbit))[orbit]
-        return vol, pullback(factor * m)
+        return vol, geo.pullback(factor * m)
 
     def report(x, vol):
-        return norm(x * _target_scale(vol, rho, d, n))
+        return geo.objective(x * _target_scale(vol, rho, d, n))
 
     first = evaluate(x0)  # the start's one check on the solve's own pass
     if first is None:
         raise InfiniteVolumeError("initial iterate has infinite volume")
     x, trace, converged = iterate(x0, first, evaluate, project, report, cfg)
     del evaluate, run  # frees the descent pass's P before the certificate-budget pass
-    solution = make(x)
+    solution = geo.make(x)
     table = moment_table(solution.expand(), backend=cfg.backend,
                          budget=cfg.certificate_budget, seed=cfg.seed)
     k = _target_scale(table.normalization.value, rho, d, n) if scale is None else scale(solution)
@@ -357,7 +354,7 @@ def _descend(problem, n, d, q, start, cfg: SolveConfig, *, iterate, make, coords
     return SolveResult(
         problem="p1q" if problem == "p1" and q != 1 else problem,
         solution=solution,
-        objective=norm(coords(solution)),
+        objective=geo.objective(geo.coords(solution)),
         volume=table.normalization.value,
         iterations=trace,
         certificate=_check(problem, solution, table, cfg.cert_tol),
@@ -405,10 +402,7 @@ def solve_p1(
     cfg = config or SolveConfig()
     d, q = _validate_lattice("the l1 problem", d, q, half_lattice=True)
     basis = enumerate_indices(n, int(d * q))
-
-    def l1(vec):
-        return float(np.abs(vec).sum())
-
+    geo = _geometry("p1", n, d, q)
     # s_alpha = 1 on the monomials >= 0 on all of R^n (all when q > 1, as g
     # is evaluated at |x|; the all-even ones when q = 1).  n s / sum(s) is on
     # the l1 sphere with terms >= 0 and n pure powers > 0, so g >= (n / sum(s))
@@ -416,11 +410,8 @@ def solve_p1(
     # dense, so the descent still has to find the sparse optimum
     s = _flip_invariant(basis, q == 1).astype(float)
     return _descend(
-        "p1", n, d, q, start, cfg, iterate=_projected_gradient,
-        make=lambda vec: from_coefficient_vector(n, d, q, basis, vec, MONOMIAL),
-        coords=lambda g: coefficient_vector(g.to_convention(MONOMIAL), basis),
-        coefficients=lambda vec: vec, pullback=lambda grad: grad,
-        projection=_ball_boundary(project_l1_ball, l1, float(n)), norm=l1,
+        "p1", n, d, q, start, cfg, geo=geo, iterate=_projected_gradient,
+        projection=_ball_boundary(project_l1_ball, geo.objective, float(n)),
         default_start=n * s / s.sum(),
     )
 
@@ -455,19 +446,12 @@ def solve_p2(
         ball = GeneralizedPolynomial(n, d, 1, terms)
     else:
         ball = ld_polynomial(n, d, q)
-    coeffs, weights, convention = _p2_vector(ball)
-    root_w = np.sqrt(weights)
+    geo = _geometry("p2", n, d, q)
     project = _ball_boundary(lambda u_vec, radius: u_vec, np.linalg.norm, math.sqrt(float(n)))
-    # the monomial coefficient at alpha is c_alpha * u_alpha / sqrt(c_alpha) = sqrt(c_alpha) u_alpha
+    # to leading coefficient 1, g(e_1) > 0: d * e_1 comes first in the canonical order
     return _descend(
-        "p2", n, d, q, start, cfg, iterate=_anderson,
-        make=lambda u_vec: from_coefficient_vector(n, d, q, basis, u_vec / root_w, convention),
-        coords=lambda g: _p2_vector(g)[0] * root_w,
-        coefficients=lambda u_vec: u_vec * root_w, pullback=lambda grad: grad * root_w,
-        projection=project, norm=lambda u_vec: float(np.dot(u_vec, u_vec)),
-        # to leading coefficient 1: d * e_1 comes first in the canonical order, and the
-        # certificate pass has already rejected an axis coefficient <= 1e-9 max |c|
-        default_start=project(coeffs * root_w), scale=lambda g: 1.0 / g.terms[basis[0]],
+        "p2", n, d, q, start, cfg, geo=geo, iterate=_anderson, projection=project,
+        default_start=project(geo.coords(ball)), scale=lambda g: 1.0 / g.terms[basis[0]],
     )
 
 
@@ -486,17 +470,9 @@ def solve_p3(
     """
     cfg = config or SolveConfig()
     d = _check_even_degree(d, "the Gram trace problem")
-    basis, _, index = _hankel_layout(n, d // 2)
-
-    # expand_gram adds Q[a, b] into the coefficient at a + b, so its
-    # transpose gathers the coefficient gradient at a + b into entry (a, b);
-    # index numbers the sums in the canonical order of the degree-d slice
+    size = len(enumerate_indices(n, d // 2))
     return _descend(
-        "p3", n, d, 1, start, cfg, make=lambda mat: GramForm(n, d, mat),
-        coords=lambda gram: np.asarray(gram.Q, dtype=float),
-        coefficients=lambda mat: np.bincount(index.ravel(), weights=mat.ravel()),
-        pullback=lambda grad: grad[index], iterate=_projected_gradient,
+        "p3", n, d, 1, start, cfg, geo=_geometry("p3", n, d), iterate=_projected_gradient,
         projection=_ball_boundary(project_psd_trace, np.trace, float(n)),
-        norm=lambda mat: float(np.trace(mat)),
-        default_start=(float(n) / len(basis)) * np.eye(len(basis)),
+        default_start=(float(n) / size) * np.eye(size),
     )

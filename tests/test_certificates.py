@@ -28,8 +28,11 @@ from ballrep import (
     multinomial_coefficient,
     refute_ld_for_p3,
     scale_to_target_volume,
+    solve_p1,
+    solve_p2,
     solve_p3,
 )
+from ballrep.certificates import _geometry
 
 
 def closed_form_table(n, d, entries, volume_value):
@@ -46,9 +49,9 @@ class TestCertifyP1:
         cert = certify_p1(g, table, tol=1e-6)
         assert cert.passed
         assert cert.kind == "p1_kkt"
-        # the dual at each axis power is 1 exactly by construction
-        axis_key = ",".join(str(d if i == 0 else 0) for i in range(n))
-        assert cert.duals["u"][axis_key] == pytest.approx(1.0)
+        # the axis moments attain the largest |moment|, so the gap closes to round-off
+        assert cert.residuals["gap"] <= 1e-13
+        assert cert.duals["objective_excess_bound"] <= 1e-13
 
     def test_default_tolerance_tracks_backend(self):
         g = ld_polynomial(2, 4)
@@ -66,7 +69,7 @@ class TestCertifyP1:
         )
         cert = certify_p1(candidate, moment_table(candidate, budget=8192), tol=1e-6)
         assert not cert.passed
-        assert cert.residuals["support_stationarity"] > 1e-2
+        assert cert.residuals["gap"] > 1e-2
 
     def test_generalized_candidate_passes(self):
         g = ld_polynomial(2, Fraction(1, 2), q=4)
@@ -74,10 +77,14 @@ class TestCertifyP1:
         cert = certify_p1(g, table, tol=1e-3)
         assert cert.passed
 
-    def test_wrong_volume_is_precondition_error(self):
-        g = ld_polynomial(2, 4).rescale(2.0)
-        with pytest.raises(CertificatePreconditionError, match="volume"):
-            certify_p1(g, moment_table(g, budget=4096), tol=1e-6)
+    def test_rescaled_candidate_certifies_alike(self):
+        # the gap is scale free, so a candidate away from vol(B_d) needs no rescaling
+        g = ld_polynomial(2, 4)
+        scaled = g.rescale(2.0)
+        cert = certify_p1(scaled, moment_table(scaled, budget=4096), tol=1e-6)
+        assert cert.passed
+        assert cert.residuals["gap"] == pytest.approx(
+            certify_p1(g, moment_table(g, budget=4096), tol=1e-6).residuals["gap"], abs=1e-14)
 
     def test_missing_moments_rejected(self):
         g = ld_polynomial(2, 4)
@@ -89,7 +96,7 @@ class TestCertifyP1:
     def test_non_positive_axis_moment_is_precondition_error(self):
         rho = closed_form_ball_volume(2, 4)
         table = closed_form_table(2, 4, dict.fromkeys(enumerate_indices(2, 4), 0.0), rho)
-        with pytest.raises(CertificatePreconditionError, match=r"axis moment at \(4, 0\) is 0"):
+        with pytest.raises(CertificatePreconditionError, match=r"<Pm, x> = 0 is not positive"):
             certify_p1(ld_polynomial(2, 4), table)
 
     def test_lattice_mismatch_rejected(self):
@@ -120,9 +127,9 @@ class TestCertifyP2:
         )
         cert = certify_p2(g, exact, tol=1e-6)
         assert cert.passed
-        assert cert.duals["l2_star"] == pytest.approx(8.0 / 3.0)
-        assert cert.residuals["g(4,0)"] <= 1e-9
-        assert cert.residuals["g(2,2)"] <= 1e-9
+        assert cert.residuals["angle"] <= 1e-9
+        assert cert.residuals["gap"] <= 1e-9
+        assert cert.duals["objective_excess_bound"] <= 1e-9
         # the six-decimal printed values close the same identity to ~1e-5
         printed = closed_form_table(
             2, 4,
@@ -132,24 +139,24 @@ class TestCertifyP2:
         )
         cert_printed = certify_p2(g, printed, tol=1e-5)
         assert cert_printed.passed
-        assert cert_printed.residuals["max_coefficient"] <= 1e-5
+        assert cert_printed.residuals["angle"] <= 1e-5
 
     def test_generalized_q1_cubic_counts_every_coefficient(self):
         # a q = 1 polynomial of odd degree is generalized, evaluated at |x|:
-        # every monomial is flip invariant, so the -0.1 coefficient breaks
-        # positivity even though no exponent of the cubic is all even
+        # every moment is positive, so the -0.1 coefficient and the zero at
+        # (1, 2) point away from them, though no exponent of the cubic is all even
         g = GeneralizedPolynomial(2, 3, 1, {(3, 0): 1.0, (2, 1): -0.1, (0, 3): 1.0},
                                   "multinomial")
         assert not g.is_classical
         cert = certify_p2(g, moment_table(g))
-        assert cert.residuals["even_coefficient_positivity"] == pytest.approx(0.1)
+        assert cert.residuals["angle"] >= 0.5
         assert cert.verdict == "fail"
 
     def test_axis_power_fails_on_cross_residual(self):
         g = ld_polynomial(2, 4).to_convention("multinomial")
         cert = certify_p2(g, moment_table(g, budget=8192), tol=1e-6)
         assert not cert.passed
-        assert cert.residuals["g(2,2)"] >= 0.1
+        assert cert.residuals["angle"] >= 0.1
 
     def test_dimension_three_closed_form(self):
         # (sum x_i^2)^2 at volume of the Euclidean ball: axis moment ratio 3/35,
@@ -184,20 +191,18 @@ class TestCertifyP2:
         bumped_terms[(2, 2)] += delta
         bumped = GeneralizedPolynomial(2, 4, 1, bumped_terms, convention="multinomial")
         shifted = certify_p2(bumped, table)
-        # moments and volume held fixed: the candidate norm feeds back into the
-        # predicted coefficient, so the first-order slope of the (2,2) residual
-        # is 1 - 2 c22 g22 (n+d)/n * m22/vol = 1/2 at this point, not 1
-        m22 = table.value((2, 2))
-        vol = table.normalization.value
-        slope = 1.0 - 2.0 * 6.0 * (1.0 / 3.0) * 3.0 * m22 / vol
-        change = shifted.residuals["g(2,2)"] - base.residuals["g(2,2)"]
-        assert change == pytest.approx(delta * slope, rel=5e-3)
+        # moments held fixed, u = sqrt(c) g moves by sqrt(6) delta along the
+        # (2,2) axis; the part of that move across the unit vector u/|u|, of
+        # |u|**2 = 8/3, turns it: the angle grows by sqrt(6) delta
+        # sqrt(1 - 6 g22**2 / |u|**2) / |u| = 3 sqrt(3) delta / 4 to first order
+        change = shifted.residuals["angle"] - base.residuals["angle"]
+        assert change == pytest.approx(0.75 * math.sqrt(3.0) * delta, rel=5e-3)
         # doubling delta doubles the response (linearity)
         bumped_terms[(2, 2)] = g.terms[(2, 2)] + 2 * delta
         doubled = certify_p2(
             GeneralizedPolynomial(2, 4, 1, bumped_terms, convention="multinomial"), table
         )
-        change2 = doubled.residuals["g(2,2)"] - base.residuals["g(2,2)"]
+        change2 = doubled.residuals["angle"] - base.residuals["angle"]
         assert change2 == pytest.approx(2 * change, rel=2e-2)
 
     def test_reads_either_convention(self):
@@ -212,9 +217,10 @@ class TestCertifyP2:
         assert certify_p2(mono, table) == cert
 
     def test_non_positive_volume_is_precondition_error(self):
+        # a ball of volume 0 has moments 0, so <Pm, x> = n/(n+d) vol is not positive
         g = ld_polynomial(2, 4).to_convention("multinomial")
-        table = closed_form_table(2, 4, dict.fromkeys(enumerate_indices(2, 4), 0.1), 0.0)
-        with pytest.raises(CertificatePreconditionError, match="volume estimate 0 is not positive"):
+        table = closed_form_table(2, 4, dict.fromkeys(enumerate_indices(2, 4), 0.0), 0.0)
+        with pytest.raises(CertificatePreconditionError, match="<Pm, x> = 0 is not positive"):
             certify_p2(g, table)
 
 
@@ -230,8 +236,8 @@ class TestCertifyP3:
         )
         cert = certify_p3(GramForm(n, 2, np.eye(n)), mm, tol=1e-8)
         assert cert.passed
-        assert cert.residuals["min_eigenvalue"] <= 1e-12
-        assert cert.residuals["complementarity"] <= 1e-12
+        assert cert.residuals["gap"] <= 1e-12
+        assert cert.residuals["psd"] == 0.0
 
     def test_axis_power_gram_fails_at_degree_four(self):
         gram = minimal_trace_axis_gram(2, 4)
@@ -240,11 +246,12 @@ class TestCertifyP3:
         assert not cert.passed
         assert min(cert.duals["psi_spectrum"]) <= -0.01
 
-    def test_wrong_volume_is_precondition_error(self):
+    def test_rescaled_candidate_certifies_alike(self):
+        # the gap is scale free, so 2 I at d = 2 certifies as I does
         gram = GramForm(2, 2, 2.0 * np.eye(2))
-        mm = moment_matrix(gram.expand(), 1, budget=2048)
-        with pytest.raises(CertificatePreconditionError, match="volume"):
-            certify_p3(gram, mm, tol=1e-6)
+        cert = certify_p3(gram, moment_matrix(gram.expand(), 1, budget=2048), tol=1e-6)
+        assert cert.passed
+        assert cert.residuals["gap"] <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         gram = GramForm(2, 4, np.eye(3))
@@ -293,7 +300,12 @@ class TestRefutation:
         report = refute_ld_for_p3(4, 4)
         assert not report.certificate.passed
         assert report.min_eigenvalue < -0.01
-        assert report.certificate.residuals["volume"] <= 1e-14
+        # diag(1, 0, 1, ...) is PSD: the gap alone fails it, and A's least eigenvalue is -gap
+        assert report.certificate.residuals["psd"] == 0.0
+        assert report.certificate.residuals["gap"] == pytest.approx(-report.min_eigenvalue,
+                                                                     rel=1e-12)
+        # a gap of 1.37 >= d/n = 1 bounds the objective by nothing
+        assert report.certificate.duals["objective_excess_bound"] is None
 
     def test_quadratic_not_applicable(self):
         # every spelling of the degree 2 that Fraction reads is the one degree
@@ -321,6 +333,51 @@ class TestRefutation:
         assert a_matrix[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert a_matrix[2, 2] == pytest.approx(0.0, abs=1e-9)
         assert abs(a_matrix[0, 2]) > 0.1
+
+
+SOLVES = {"p1": solve_p1, "p2": solve_p2, "p3": solve_p3}
+
+
+class TestDualityGap:
+    """The duality gap rho tracks the distance to the optimum and bounds the objective."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    @pytest.mark.parametrize("n,d", [(2, 4), (3, 4), (3, 6)])
+    @pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+    def test_gap_is_of_the_order_of_the_perturbation(self, problem, n, d, eps):
+        # the optimum moved by eps relative, in a seeded random direction (for
+        # p3 a PSD one, which keeps Q in the cone), at any volume: rho (for p2
+        # the angle, first order where rho is second) lies within 10x of eps
+        geo = _geometry(problem, n, d)
+        x = geo.coords(SOLVES[problem](n, d).solution)
+        r = np.random.default_rng([n, d, 23]).normal(size=x.shape)
+        if problem == "p3":
+            r = r @ r.T
+        candidate = geo.make(x + eps * np.linalg.norm(x) * r / np.linalg.norm(r))
+        cert, _ = certify(problem, candidate)
+        score = cert.residuals["angle" if problem == "p2" else "gap"]
+        assert 0.1 * eps <= score <= 10.0 * eps
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (3, 4)])
+    def test_p3_outside_the_psd_cone_fails_on_psd(self, n, d):
+        # the p3 optima at d = 4 are singular, so a symmetric perturbation
+        # leaves the cone, where the gap alone cannot judge Q
+        geo = _geometry("p3", n, d)
+        x = geo.coords(solve_p3(n, d).solution)
+        r = np.random.default_rng([n, d, 23]).normal(size=x.shape)
+        candidate = geo.make(x + 1e-3 * np.linalg.norm(x) * (r + r.T) / np.linalg.norm(r + r.T))
+        cert, _ = certify("p3", candidate)
+        assert not cert.passed
+        assert cert.residuals["psd"] > cert.tolerance
+
+    def test_objective_excess_bound_is_a_bound(self):
+        # p3 (3, 6) from I + 0.05 11^T stops converged at rho 6.1e-6 with an
+        # objective only 5.7e-11 above the default solve's: a bound, not the error
+        res = solve_p3(3, 6, start=GramForm(3, 6, np.eye(10) + 0.05 * np.ones((10, 10))))
+        excess = res.objective / solve_p3(3, 6).objective - 1.0
+        assert res.converged and res.certificate.passed
+        assert res.certificate.residuals["gap"] > 1e-7
+        assert res.certificate.duals["objective_excess_bound"] >= excess
 
 
 class TestCertify:

@@ -419,7 +419,7 @@ class TestCertifyCommand:
         path.write_text(serialize_polynomial(ld_polynomial(2, 4)))
         assert main(["certify", "p2", str(path), "--budget", "8192"]) == 5
         doc = json.loads(capsys.readouterr().out)
-        assert doc["residuals"]["g(2,2)"] >= 0.1
+        assert doc["residuals"]["angle"] >= 0.1
 
     def test_p3_diagonal_gram_fails(self, tmp_path, capsys):
         path = tmp_path / "gram.json"
@@ -673,3 +673,15 @@ class TestProcessEntry:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_reader_closing_early_exits_1_quietly(self, disk_file):
+        # 220 kB of moments overflow the 64 KiB pipe buffer, so the child is
+        # still writing when its reader takes one byte and closes (``ballrep
+        # moments ... | head -c 1``); a smaller document could end unhurt
+        proc = subprocess.Popen([sys.executable, "-X", "dev", "-W", "error", "-m", "ballrep.cli",
+                                 "moments", disk_file, "--max-order", "60", "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")

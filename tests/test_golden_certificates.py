@@ -107,6 +107,14 @@ class TestGoldenCertificates:
     fell to 0 (dominance and support stationarity 0.00093 -> 0, theta
     1.0792060 -> 1.0787052, the spherical value), and on the disk, whose
     volume is exact, p2's largest residual fell from 0.0054 to 0.0017.
+    When the three optimality systems gave way to the one normalized duality
+    gap rho, every entry was re-recorded with the same verdict: residuals
+    gap (p2 adds angle, p3 psd) and duals objective_excess_bound (p3 keeps
+    psi_spectrum).  rho is 0 on both p1 entries; 0.2753 with angle 0.6571
+    on p2's axis power, whose cross residual read 0.4569; 4.0e-8 with angle
+    2.8e-4 on the Monte Carlo disk (largest coefficient residual 0.0017);
+    0 on the p3 identity; 0.4569 on the refutation, A's spectrum unchanged
+    to round-off.
     """
 
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))
